@@ -114,4 +114,16 @@ test -s target/ci_quickstart.trace.jsonl
 test -s target/ci_quickstart.report.json
 cargo run --release --offline -q -p csolve-bench --bin trace_smoke
 
+echo "==> benchmark package (own workspace: build, unit tests, smoke run)"
+# benchmark/ is its own cargo workspace compiled against the csolve façade,
+# so nothing above notices when a refactor breaks the paths it uses. Same
+# target directory as benchmark/run.sh, so the smoke run reuses the build.
+# The smoke run exits 1 on any gate failure: a failed solve, relative error
+# out of bounds, a cross-thread or session-vs-one-shot bitwise mismatch, or
+# a tracked peak over its budget.
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target/e2e_bench_build}"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke > /dev/null
+
 echo "CI OK"

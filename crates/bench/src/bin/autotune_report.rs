@@ -47,7 +47,6 @@ fn base_config(eps: f64, backend: DenseBackend) -> SolverConfig {
     SolverConfig {
         eps,
         dense_backend: backend,
-        sparse_compression: true,
         num_threads: 1,
         ..Default::default()
     }

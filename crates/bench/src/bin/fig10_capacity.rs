@@ -30,7 +30,6 @@ fn configs_for(v: &Variant, budget: usize, eps: f64, threads: usize) -> Vec<Solv
     let base = SolverConfig {
         eps,
         dense_backend: v.backend,
-        sparse_compression: v.sparse_compression,
         mem_budget: Some(budget),
         num_threads: threads,
         ..Default::default()
@@ -74,7 +73,6 @@ fn best_attempt(
         let cfg = SolverConfig {
             eps,
             dense_backend: v.backend,
-            sparse_compression: v.sparse_compression,
             mem_budget: Some(budget),
             num_threads: threads,
             block_sizes: BlockSizes::Auto,

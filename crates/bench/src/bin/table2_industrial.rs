@@ -135,7 +135,7 @@ fn main() {
         let cfg = SolverConfig {
             eps,
             dense_backend: row.backend,
-            sparse_compression: row.sparse_compression,
+            sparse_eps: (!row.sparse_compression).then_some(0.0),
             n_b: row.n_b,
             mem_budget: Some(budget),
             num_threads: threads,

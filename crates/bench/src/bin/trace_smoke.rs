@@ -25,7 +25,6 @@ fn config(tracer: Tracer, threads: usize) -> SolverConfig {
     SolverConfig::builder()
         .eps(1e-4)
         .dense_backend(DenseBackend::Hmat)
-        .sparse_compression(true)
         .n_c(64)
         .n_s(256)
         .num_threads(threads)

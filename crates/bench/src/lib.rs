@@ -106,7 +106,6 @@ pub struct Variant {
     pub label: &'static str,
     pub algo: Algorithm,
     pub backend: DenseBackend,
-    pub sparse_compression: bool,
 }
 
 /// The four method/backend series of Fig. 10.
@@ -116,37 +115,31 @@ pub fn fig10_variants() -> Vec<Variant> {
             label: "multi-solve MUMPS/SPIDO",
             algo: Algorithm::MultiSolve,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
         },
         Variant {
             label: "multi-solve MUMPS/HMAT",
             algo: Algorithm::MultiSolve,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
         },
         Variant {
             label: "multi-facto MUMPS/SPIDO",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
         },
         Variant {
             label: "multi-facto MUMPS/HMAT",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
         },
         Variant {
             label: "advanced coupling",
             algo: Algorithm::AdvancedCoupling,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
         },
         Variant {
             label: "baseline coupling",
             algo: Algorithm::BaselineCoupling,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
         },
     ]
 }

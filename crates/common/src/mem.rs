@@ -57,23 +57,6 @@ impl MemTracker {
         self.budget
     }
 
-    /// Reset the peak to the current live value (used between experiment
-    /// phases that are reported separately).
-    ///
-    /// Safe against concurrent [`MemTracker::charge`] calls: a plain
-    /// `peak.store(live)` could be overtaken by a charge that raised `live`
-    /// between the load and the store, leaving `peak < live` at rest. The
-    /// trailing `fetch_max` against a re-read of `live` repairs every such
-    /// interleaving — either this call observes the raised `live`, or the
-    /// racing charge's own `fetch_max` (which runs after its `live` update)
-    /// lands after our store.
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.peak
-            .fetch_max(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Reserve `bytes` in the accounting without creating a guard; the raw
     /// counterpart of [`MemTracker::charge`] used by [`MemCharge::resize`] to
     /// grow an existing guard in place (a nested guard would hold an extra
@@ -359,53 +342,5 @@ mod tests {
         drop(other);
         assert_eq!(t.live(), 0);
         assert!(t.peak() <= 1000);
-    }
-
-    #[test]
-    fn reset_peak_racing_charges_never_records_peak_below_live() {
-        // Seeded-thread stress: chargers push live up and down while another
-        // thread hammers reset_peak. After every reset completes, the
-        // invariant `peak >= live` must hold at rest; we check it from the
-        // charger threads right after each charge (their own fetch_max has
-        // run by then, so a violation can only come from a lost update in
-        // reset_peak).
-        for round in 0..20u64 {
-            let t = MemTracker::with_budget(usize::MAX);
-            let stop = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let (t, stop) = (&t, &stop);
-                for thr in 0..4u64 {
-                    s.spawn(move || {
-                        // Deterministic per-thread charge sizes (seeded by
-                        // round and thread id) so failures reproduce.
-                        let mut state = round * 1_000 + thr + 1;
-                        for _ in 0..500 {
-                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let bytes = (state >> 33) as usize % 4096 + 1;
-                            let g = t.charge(bytes, "stress").unwrap();
-                            assert!(
-                                t.peak() >= g.bytes(),
-                                "peak dropped below a just-made charge"
-                            );
-                            drop(g);
-                        }
-                        stop.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    });
-                }
-                s.spawn(move || {
-                    while stop.load(std::sync::atomic::Ordering::SeqCst) < 4 {
-                        t.reset_peak();
-                        assert!(
-                            t.peak() >= t.live().saturating_sub(0) || t.peak() >= t.live(),
-                            "reset_peak left peak below live"
-                        );
-                        std::hint::spin_loop();
-                    }
-                });
-            });
-            t.reset_peak();
-            assert_eq!(t.live(), 0);
-            assert_eq!(t.peak(), 0, "all charges released: peak resets to 0");
-        }
     }
 }

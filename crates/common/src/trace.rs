@@ -4,7 +4,7 @@
 //! breakdowns of the blockwise Schur pipelines. A flat phase timer cannot
 //! show *where inside a block's lifetime* time goes — sparse solve vs. SpMM
 //! vs. admission wait vs. ordered-commit stall — which is exactly the
-//! contention data needed to tune `n_c`/`n_S`/`max_inflight_blocks`. This
+//! contention data needed to tune `n_c`/`n_S`/`num_threads`. This
 //! module records that data as typed spans and events:
 //!
 //! * a [`Tracer`] is a cheap, clonable handle, **disabled by default**

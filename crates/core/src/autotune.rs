@@ -14,9 +14,8 @@
 //!
 //! # Cost model
 //!
-//! The models mirror the exact reservations the pipeline's
-//! [`crate::pipeline::BudgetScheduler`] admits per block, so "predicted"
-//! and "admitted" cannot drift apart:
+//! The models mirror the exact reservations the blockwise pipeline admits
+//! per block, so "predicted" and "admitted" cannot drift apart:
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):

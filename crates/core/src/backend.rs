@@ -20,8 +20,9 @@
 //!   expansion.
 //!
 //! Every implementation preserves the bitwise-determinism-across-threads
-//! contract: accumulation order is fixed by the driver's `OrderedCommit`,
-//! and all recompression/flush decisions derive from deterministic state.
+//! contract: accumulation order is fixed by the blockwise pipeline's
+//! in-order fold, and all recompression/flush decisions derive from
+//! deterministic state.
 
 use std::sync::Arc;
 

@@ -129,16 +129,13 @@ pub struct SolverConfig {
     pub eps: f64,
     /// Dense solver handling `A_ss` and the Schur complement `S`.
     pub dense_backend: DenseBackend,
-    /// Enable BLR compression inside the sparse solver (paper: MUMPS
-    /// low-rank, on for every experiment except the reference rows of
-    /// Table II).
-    pub sparse_compression: bool,
-    /// BLR tolerance of the sparse solver, decoupled from the dense-side
-    /// [`SolverConfig::eps`]. `None` (the default) keeps the legacy
-    /// behaviour of reusing `eps` whenever `sparse_compression` is on;
-    /// `Some(e)` with `e > 0` compresses the sparse fronts at tolerance `e`
-    /// regardless of the dense setting, and `Some(0.0)` forces the exact,
-    /// uncompressed sparse path. See [`SolverConfig::effective_sparse_eps`].
+    /// BLR tolerance of the sparse solver (paper: MUMPS low-rank, on for
+    /// every experiment except the reference rows of Table II). `None` (the
+    /// default) compresses the sparse fronts at the dense-side
+    /// [`SolverConfig::eps`]; `Some(e)` with `e > 0` compresses them at
+    /// tolerance `e` regardless of the dense setting, and `Some(0.0)` forces
+    /// the exact, uncompressed sparse path. See
+    /// [`SolverConfig::effective_sparse_eps`].
     pub sparse_eps: Option<f64>,
     /// Multi-solve: columns per sparse-solve panel (`n_c`, paper: 32–256).
     pub n_c: usize,
@@ -164,14 +161,11 @@ pub struct SolverConfig {
     /// Worker threads for the blockwise Schur pipelines and the dense
     /// kernels (0: use the ambient rayon thread count). Results are
     /// bitwise-identical for every thread count: block contributions commit
-    /// in a fixed order regardless of which thread computes them.
+    /// in a fixed order regardless of which thread computes them. At most
+    /// one pipeline block per thread is in flight; each reserves its
+    /// worst-case working set against the memory budget up front, and under
+    /// budget pressure the pipeline admits fewer, down to one at a time.
     pub num_threads: usize,
-    /// Maximum pipeline blocks admitted concurrently (0: same as the thread
-    /// count). Each in-flight block reserves its worst-case working set
-    /// against the memory budget up front, so lowering this bounds the
-    /// transient memory overhead of parallelism; under budget pressure the
-    /// scheduler lowers it on its own, down to one block at a time.
-    pub max_inflight_blocks: usize,
     /// Panel width of the blocked dense LU/LDLᵀ factorizations (sparse
     /// fronts and the Schur factorization). `0` keeps the dense layer's
     /// default (`csolve_dense::DEFAULT_PANEL_NB`). Changing it regroups the
@@ -189,7 +183,6 @@ impl Default for SolverConfig {
         Self {
             eps: 1e-3,
             dense_backend: DenseBackend::Hmat,
-            sparse_compression: true,
             sparse_eps: None,
             n_c: 256,
             n_s: 1024,
@@ -200,7 +193,6 @@ impl Default for SolverConfig {
             hmat_leaf: 64,
             hmat_eta: 6.0,
             num_threads: 0,
-            max_inflight_blocks: 0,
             dense_panel_nb: 0,
             tracer: Tracer::disabled(),
         }
@@ -268,15 +260,9 @@ impl SolverConfig {
         Ok(())
     }
 
-    /// The BLR tolerance actually applied to the sparse fronts, resolving
-    /// the interplay of [`SolverConfig::sparse_eps`] and the legacy
-    /// [`SolverConfig::sparse_compression`] switch:
-    ///
-    /// * `sparse_eps: Some(e)` with `e > 0` → `Some(e)` (explicit tolerance
-    ///   wins, even when `sparse_compression` is `false`);
-    /// * `sparse_eps: Some(0.0)` → `None` (compression forced off);
-    /// * `sparse_eps: None` → `Some(eps)` if `sparse_compression`, else
-    ///   `None` (the pre-`sparse_eps` behaviour).
+    /// The BLR tolerance actually applied to the sparse fronts:
+    /// [`SolverConfig::sparse_eps`], defaulting to [`SolverConfig::eps`]
+    /// when unset, with `0.0` resolving to `None` (compression off).
     ///
     /// `None` means the numeric factorization stores every panel dense and
     /// is bitwise identical to a build without the compression code path.
@@ -284,7 +270,7 @@ impl SolverConfig {
         match self.sparse_eps {
             Some(e) if e > 0.0 => Some(e),
             Some(_) => None,
-            None => self.sparse_compression.then_some(self.eps),
+            None => Some(self.eps),
         }
     }
 
@@ -297,9 +283,8 @@ impl SolverConfig {
     /// knob words produce bitwise-identical factors for the same matrix (at
     /// a fixed thread count the solver is deterministic, and across thread
     /// counts it is bitwise-invariant by contract). Purely observational
-    /// knobs — `mem_budget`, `num_threads`, `max_inflight_blocks`, the
-    /// tracer — are deliberately excluded so they cannot cause spurious
-    /// cache misses.
+    /// knobs — `mem_budget`, `num_threads`, the tracer — are deliberately
+    /// excluded so they cannot cause spurious cache misses.
     pub fn fingerprint_knobs(&self) -> [u64; 10] {
         let eps_bits = self.eps.to_bits();
         // Option<f64> folded into one word: NaN never appears (validated),
@@ -357,17 +342,9 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Enable BLR compression inside the sparse solver.
-    pub fn sparse_compression(mut self, on: bool) -> Self {
-        self.cfg.sparse_compression = on;
-        self
-    }
-
     /// BLR tolerance for the sparse fronts, independent of the dense-side
-    /// [`Self::eps`]. Pass `0.0` to force the exact uncompressed sparse
-    /// path; must be finite and >= 0. See
-    /// [`SolverConfig::effective_sparse_eps`] for how this composes with
-    /// [`Self::sparse_compression`].
+    /// [`Self::eps`] (which it defaults to). Pass `0.0` to force the exact
+    /// uncompressed sparse path; must be finite and >= 0.
     pub fn sparse_eps(mut self, eps: f64) -> Self {
         self.cfg.sparse_eps = Some(eps);
         self
@@ -397,18 +374,13 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Hard memory budget in bytes (`None`: unlimited; `Some(0)` is
-    /// rejected).
-    pub fn mem_budget(mut self, budget: Option<usize>) -> Self {
-        self.cfg.mem_budget = budget;
-        self
-    }
-
-    /// Set a hard memory budget in bytes **and** switch block sizing to
-    /// [`BlockSizes::Auto`]: the solver derives the largest blocking whose
-    /// working set fits `bytes` instead of using `n_c`/`n_s`/`n_b` verbatim.
-    /// Use [`Self::mem_budget`] + [`Self::block_sizes`] separately to
-    /// enforce a budget with fixed block sizes.
+    /// Set a hard memory budget in bytes (0 is rejected) **and** switch
+    /// block sizing to [`BlockSizes::Auto`]: the solver derives the largest
+    /// blocking whose working set fits `bytes` instead of using
+    /// `n_c`/`n_s`/`n_b` verbatim. Follow with
+    /// [`Self::block_sizes`]`(BlockSizes::Fixed)`, or set the
+    /// [`SolverConfig::mem_budget`] field directly, to enforce a budget with
+    /// fixed block sizes.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.cfg.mem_budget = Some(bytes);
         self.cfg.block_sizes = BlockSizes::Auto;
@@ -436,12 +408,6 @@ impl SolverConfigBuilder {
     /// Worker threads (0: ambient rayon thread count).
     pub fn num_threads(mut self, threads: usize) -> Self {
         self.cfg.num_threads = threads;
-        self
-    }
-
-    /// Maximum pipeline blocks in flight (0: same as the thread count).
-    pub fn max_inflight_blocks(mut self, blocks: usize) -> Self {
-        self.cfg.max_inflight_blocks = blocks;
         self
     }
 
@@ -645,7 +611,7 @@ mod tests {
         assert_eq!(c.eps, 1e-3);
         assert_eq!(c.n_c, 256);
         assert!(c.n_s >= 512);
-        assert!(c.sparse_compression);
+        assert_eq!(c.sparse_eps, None);
     }
 
     #[test]
@@ -710,27 +676,18 @@ mod tests {
         expect_invalid(SolverConfig::builder().n_b(0), "n_b");
         expect_invalid(SolverConfig::builder().hmat_leaf(0), "hmat_leaf");
         expect_invalid(SolverConfig::builder().hmat_eta(0.0), "hmat_eta");
-        expect_invalid(SolverConfig::builder().mem_budget(Some(0)), "mem_budget");
+        expect_invalid(SolverConfig::builder().memory_budget(0), "mem_budget");
         expect_invalid(SolverConfig::builder().sparse_eps(-1e-9), "sparse_eps");
         expect_invalid(SolverConfig::builder().sparse_eps(f64::NAN), "sparse_eps");
     }
 
     #[test]
     fn sparse_eps_resolution() {
-        // Legacy default: reuse the dense eps while sparse_compression is on.
+        // Default: compress the sparse fronts at the dense eps.
         let c = SolverConfig::default();
         assert_eq!(c.effective_sparse_eps(), Some(c.eps));
-        let c = SolverConfig {
-            sparse_compression: false,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_sparse_eps(), None);
-        // Explicit tolerance decouples from eps and from the legacy switch.
-        let c = SolverConfig::builder()
-            .sparse_compression(false)
-            .sparse_eps(1e-9)
-            .build()
-            .unwrap();
+        // Explicit tolerance decouples from eps.
+        let c = SolverConfig::builder().sparse_eps(1e-9).build().unwrap();
         assert_eq!(c.effective_sparse_eps(), Some(1e-9));
         // sparse_eps = 0 forces the exact uncompressed path.
         let c = SolverConfig::builder().sparse_eps(0.0).build().unwrap();
@@ -800,9 +757,7 @@ mod tests {
 
     #[test]
     fn parallel_knobs_default_to_auto() {
-        let c = SolverConfig::default();
-        assert_eq!(c.num_threads, 0);
-        assert_eq!(c.max_inflight_blocks, 0);
+        assert_eq!(SolverConfig::default().num_threads, 0);
     }
 
     #[test]

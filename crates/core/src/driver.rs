@@ -1,22 +1,27 @@
-//! The solution driver: workspace setup (surface cluster ordering) and the
-//! four Schur-complement strategies of the paper.
+//! The solution driver: one factor-then-solve path over the four
+//! Schur-complement strategies of the paper.
 //!
-//! The blockwise strategies (multi-solve, multi-factorization) run their
-//! block loops as a lookahead task-DAG pipeline ([`TaskDag`]): each block's
-//! compute and ordered commit are explicit DAG nodes dispatched to worker
-//! threads lowest-id-first, so the next block's compute overlaps the
-//! previous block's Schur commit instead of fork-joining per phase. Blocks
-//! are admitted one by one against the memory budget by a
-//! [`BudgetScheduler`] and folded into the Schur accumulator in a fixed
-//! order by an [`OrderedCommit`] — so results are bitwise-identical for
+//! Every coupling does the same two things. First it builds the reusable
+//! factors (`SessionFactors`: `A_vv` — or the stacked `W` — factored, plus
+//! the factored Schur complement `S`); then it pushes right-hand sides
+//! through them (`SessionFactors::solve_panel`, paper equations (7)).
+//! [`solve`] is exactly that at panel width 1; the session layer keeps the
+//! factors and repeats the second step.
+//!
+//! The blockwise strategies (multi-solve §IV-A, multi-factorization §IV-B)
+//! are one loop with two block kernels: `assemble_blockwise` runs the kernel
+//! over the block list through the crate's pipeline skeleton — each block is
+//! admitted against the memory budget, computed on whichever worker is free,
+//! and folded into `S` in block order — so results are bitwise-identical for
 //! every thread count, and peak tracked memory never exceeds the configured
 //! budget (concurrency degrades instead).
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::autotune::{self, AutotuneDecision, BlockSizes, MatrixStats};
 use crate::config::{Algorithm, Metrics, SolverConfig, SparseCompressionSummary};
-use crate::pipeline::{Admission, BudgetScheduler, OrderedCommit, TaskDag};
+use crate::pipeline::{run_blockwise, Slot};
 use crate::schur::{SchurAcc, SchurFactor};
 use csolve_common::{
     ByteSized, Error, MemTracker, PhaseTimer, Result, Scalar, ScopeTracer, SpanKind, Stopwatch,
@@ -41,14 +46,17 @@ pub struct Outcome<T> {
     pub metrics: Metrics,
 }
 
-/// Working copy of the problem with the surface unknowns in cluster order.
+/// Everything one factorization run works on: the problem's blocks with the
+/// surface unknowns in cluster order, and the run's configuration, memory
+/// tracker and phase timer.
 struct Ws<'a, T: Scalar> {
+    cfg: &'a SolverConfig,
+    tracker: &'a Arc<MemTracker>,
+    timer: &'a PhaseTimer,
     a_vv: &'a Csc<T>,
     a_sv: Csc<T>,
     a_vs: Csc<T>,
     bem: BemOperator<T>,
-    b_v: &'a [T],
-    b_s: Vec<T>,
     tree: ClusterTree,
     symmetric: bool,
     /// Accumulated BLR statistics of every sparse factorization of the run
@@ -66,18 +74,29 @@ impl<T: Scalar> Ws<'_, T> {
         self.bem.n()
     }
 
-    fn sparse_opts(&self, cfg: &SolverConfig, tracker: &Arc<MemTracker>) -> SparseOptions {
+    fn stats(&self) -> MatrixStats {
+        MatrixStats {
+            nv: self.nv(),
+            ns: self.ns(),
+            nnz_avv: self.a_vv.nnz(),
+            nnz_asv: self.a_sv.nnz(),
+            nnz_avs: self.a_vs.nnz(),
+            elem: std::mem::size_of::<T>(),
+        }
+    }
+
+    fn sparse_opts(&self) -> SparseOptions {
         SparseOptions {
-            ordering: cfg.ordering,
+            ordering: self.cfg.ordering,
             symmetry: if self.symmetric {
                 Symmetry::SymmetricLdlt
             } else {
                 Symmetry::UnsymmetricLu
             },
-            blr_eps: cfg.effective_sparse_eps(),
-            tracker: Some(Arc::clone(tracker)),
-            panel_nb: cfg.dense_panel_nb,
-            tracer: cfg.tracer.clone(),
+            blr_eps: self.cfg.effective_sparse_eps(),
+            tracker: Some(Arc::clone(self.tracker)),
+            panel_nb: self.cfg.dense_panel_nb,
+            tracer: self.cfg.tracer.clone(),
             trace_seq: None,
         }
     }
@@ -94,15 +113,113 @@ impl<T: Scalar> Ws<'_, T> {
             max_rank: stats.max_panel_rank,
         });
     }
-}
 
-/// Record the Schur factorization flops when the backend reports a closed
-/// form (the compressed backends report 0 and add no entry, keeping the
-/// metric keys stable per backend).
-fn add_dense_factor_flops<T: Scalar>(timer: &PhaseTimer, schur: &SchurAcc<T>, symmetric: bool) {
-    let f = schur.factor_flops(symmetric);
-    if f > 0 {
-        timer.add_flops("dense factorization", f);
+    /// The plain factorization of `A_vv` the direct solution phase consumes.
+    fn factor_avv(&self) -> Result<SparseFactorization<T>> {
+        let fact = self.timer.time("sparse factorization", || {
+            factorize(self.a_vv, &self.sparse_opts())
+        })?;
+        self.note_factor_stats(fact.stats());
+        Ok(fact)
+    }
+
+    /// `Y = A_vv⁻¹·rhs` for a sparse right-hand side, recorded into `tr`.
+    fn solve_y(
+        &self,
+        fact: &SparseFactorization<T>,
+        rhs: &Csc<T>,
+        tr: ScopeTracer<'_>,
+    ) -> Result<Mat<T>> {
+        let mut sp = tr.span(SpanKind::SparseSolve);
+        let y = self
+            .timer
+            .time("sparse solve (Y)", || fact.solve_sparse_rhs(rhs))?;
+        sp.add_bytes(y.byte_size());
+        self.timer.add_bytes("sparse solve (Y)", y.byte_size());
+        Ok(y)
+    }
+
+    /// The stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]`, recorded into `tr`.
+    fn assemble_w(&self, a_vs_j: &Csc<T>, a_sv_i: &Csc<T>, tr: ScopeTracer<'_>) -> Csc<T> {
+        let mut sp = tr.span(SpanKind::AssembleW);
+        let w = self
+            .timer
+            .time("assemble W", || stack_w(self.a_vv, a_vs_j, a_sv_i));
+        sp.add_bytes(w.byte_size());
+        self.timer.add_bytes("assemble W", w.byte_size());
+        w
+    }
+
+    /// One factorization+Schur call on a stacked `W` whose trailing
+    /// unknowns (beyond `n_v`) are the Schur variables.
+    fn factor_w(
+        &self,
+        w: &Csc<T>,
+        opts: &SparseOptions,
+    ) -> Result<(SparseFactorization<T>, Mat<T>)> {
+        let schur_vars: Vec<usize> = (self.nv()..w.ncols).collect();
+        let (fact_w, x) = self.timer.time("sparse factorization+Schur", || {
+            factorize_schur(w, &schur_vars, opts)
+        })?;
+        self.note_factor_stats(fact_w.stats());
+        self.timer
+            .add_bytes("sparse factorization+Schur", x.byte_size());
+        Ok((fact_w, x))
+    }
+
+    /// The Schur accumulator, initialized with `A_ss`.
+    fn init_schur(&self) -> Result<SchurAcc<T>> {
+        self.cfg.tracer.run().time(SpanKind::SchurInit, || {
+            self.timer.time("Schur init (A_ss)", || {
+                SchurAcc::init(&self.bem, &self.tree, self.cfg, self.tracker)
+            })
+        })
+    }
+
+    /// `S[r0.., c0..] += alpha·x`, recorded into `tr`.
+    fn fold_block(
+        &self,
+        schur: &mut SchurAcc<T>,
+        alpha: T,
+        r0: usize,
+        c0: usize,
+        x: MatRef<'_, T>,
+        tr: ScopeTracer<'_>,
+    ) -> Result<()> {
+        tr.time(SpanKind::AxpyCommit, || {
+            self.timer.time("Schur assembly", || {
+                schur.axpy_block_traced(alpha, r0, c0, x, self.cfg.eps, tr)
+            })
+        })?;
+        self.timer.add_bytes(
+            "Schur assembly",
+            x.nrows() * x.ncols() * std::mem::size_of::<T>(),
+        );
+        Ok(())
+    }
+
+    /// Shared epilogue of every algorithm: factor the accumulated Schur
+    /// complement under a `dense_factorization` span (the compressed backend
+    /// additionally records its `hlu_factor` span inside). Also returns the
+    /// bytes `S` held right before.
+    fn factor_schur(&self, schur: SchurAcc<T>) -> Result<(SchurFactor<T>, usize)> {
+        let rt = self.cfg.tracer.run();
+        let schur_bytes = schur.bytes();
+        self.timer.add_bytes("dense factorization", schur_bytes);
+        // Backends without a closed form report 0 and add no entry, keeping
+        // the metric keys stable per backend.
+        let flops = schur.factor_flops(self.symmetric);
+        if flops > 0 {
+            self.timer.add_flops("dense factorization", flops);
+        }
+        mem_sample(rt, self.tracker);
+        let mut sp = rt.span(SpanKind::DenseFactorization);
+        sp.add_bytes(schur_bytes);
+        sp.add_flops(flops);
+        let sf = self.timer.time("dense factorization", || {
+            schur.factor_traced(self.symmetric, self.cfg.eps, self.cfg.dense_panel_nb, rt)
+        })?;
+        Ok((sf, schur_bytes))
     }
 }
 
@@ -114,26 +231,18 @@ fn assert_factorization_shareable<T: Scalar>() {
     sharable::<SparseFactorization<T>>();
 }
 
-/// Worker threads the solve will use: the explicit knob, or the ambient
-/// rayon thread count when the knob is 0.
-pub(crate) fn effective_threads(cfg: &SolverConfig) -> usize {
-    if cfg.num_threads > 0 {
+/// The worker pool of one solve or session: `cfg.num_threads` threads, or
+/// the ambient rayon thread count when that is 0.
+pub(crate) fn worker_pool(cfg: &SolverConfig) -> Result<rayon::ThreadPool> {
+    let threads = if cfg.num_threads > 0 {
         cfg.num_threads
     } else {
         rayon::current_num_threads()
-    }
-    .max(1)
-}
-
-/// Concurrent-block cap for the pipelines: the explicit knob, or one block
-/// per worker thread.
-fn inflight_cap(cfg: &SolverConfig, threads: usize) -> usize {
-    if cfg.max_inflight_blocks > 0 {
-        cfg.max_inflight_blocks
-    } else {
-        threads
-    }
-    .max(1)
+    };
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.max(1))
+        .build()
+        .map_err(|e| Error::InvalidConfig(format!("thread pool construction failed: {e}")))
 }
 
 /// RAII token for the dense layer's global kernel counters: enabled for the
@@ -185,6 +294,48 @@ fn mem_sample(rt: ScopeTracer<'_>, tracker: &MemTracker) {
     });
 }
 
+/// Wall clock, phase timer and kernel-counter token of one run: a session
+/// factorization, or a one-shot solve (factorization plus solution phase).
+struct Run {
+    timer: PhaseTimer,
+    sw: Stopwatch,
+    counting: KernelCounting,
+}
+
+impl Run {
+    fn start(cfg: &SolverConfig) -> Self {
+        Run {
+            timer: PhaseTimer::new(),
+            sw: Stopwatch::start(),
+            counting: KernelCounting::start(&cfg.tracer),
+        }
+    }
+
+    /// The `Metrics` epilogue: close the run scope with the end-of-run
+    /// `mem_high_water` and `kernel_counters` events, and complete `shape`
+    /// (what [`factor`] knows: sizes, Schur bytes, autotune and BLR
+    /// summaries) with the timer's phases, the wall time and the tracked
+    /// peak.
+    fn finish(self, cfg: &SolverConfig, tracker: &MemTracker, shape: Metrics) -> Metrics {
+        let rt = cfg.tracer.run();
+        mem_sample(rt, tracker);
+        self.counting.finish(rt);
+        Metrics {
+            phases: self
+                .timer
+                .phases()
+                .into_iter()
+                .map(|(n, d)| (n, d.as_secs_f64()))
+                .collect(),
+            total_seconds: self.sw.elapsed_secs(),
+            peak_bytes: tracker.peak(),
+            phase_bytes: self.timer.bytes(),
+            phase_flops: self.timer.flops(),
+            ..shape
+        }
+    }
+}
+
 /// Solve the coupled system with the chosen algorithm and configuration.
 ///
 /// # Examples
@@ -215,31 +366,28 @@ pub fn solve<T: Scalar>(
     cfg: &SolverConfig,
 ) -> Result<Outcome<T>> {
     cfg.validate()?;
-    let threads = effective_threads(cfg);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| Error::InvalidConfig(format!("thread pool construction failed: {e}")))?;
-    pool.install(|| solve_inner(problem, algo, cfg, threads))
+    let pool = worker_pool(cfg)?;
+    let tracker = match cfg.mem_budget {
+        Some(b) => MemTracker::with_budget(b),
+        None => MemTracker::unbounded(),
+    };
+    pool.install(|| {
+        let run = Run::start(cfg);
+        let (factors, shape) = factor(problem, algo, cfg, &tracker, &run.timer)?;
+        let (xv, xs) = factors.solve_panel(&problem.b_v, &problem.b_s, cfg, &run.timer)?;
+        let metrics = run.finish(cfg, &tracker, shape);
+        Ok(Outcome { xv, xs, metrics })
+    })
 }
 
-/// What each blockwise pipeline hands back to `solve_inner`: the volume and
-/// (permuted) surface solutions, the Schur storage bytes for `Metrics`, and
-/// the autotuner's decision when `BlockSizes::Auto` ran.
-type BlockwiseOut<T> = (Vec<T>, Vec<T>, usize, Option<AutotuneDecision>);
-
-/// What each blockwise `*_factors` phase hands back: the reusable sparse and
-/// Schur factors, the Schur storage bytes, and the autotune decision.
-type FactorsOut<T> = (
-    SparseFactorization<T>,
-    SchurFactor<T>,
-    usize,
-    Option<AutotuneDecision>,
-);
+/// What each algorithm's factorization phase hands back: the reusable
+/// factors, the Schur storage bytes for `Metrics`, and the autotuner's
+/// decision when `BlockSizes::Auto` ran.
+type Factored<T> = (FactorState<T>, usize, Option<AutotuneDecision>);
 
 /// The reusable factorization state behind a solve: either `A_vv` factored
 /// on its own plus the factored Schur complement (baseline, multi-solve,
-/// multi-factorization — consumed by [`finish_solution`]'s equations), or
+/// multi-factorization — consumed by [`direct_solution`]'s equations), or
 /// the stacked-`W` partial factorization of the advanced coupling (consumed
 /// by [`condensed_solution`]).
 enum FactorState<T: Scalar> {
@@ -253,12 +401,12 @@ enum FactorState<T: Scalar> {
     },
 }
 
-/// Everything `SolverSession` needs to serve repeated right-hand sides for
-/// one factorized coupled matrix, detached from the problem's borrowed
-/// data: the factor state, the cluster permutation, and the permuted
-/// coupling blocks. The sparse and Schur factors hold their `MemCharge`s,
-/// so a cached `SessionFactors` keeps its bytes accounted on the tracker it
-/// was factorized against until it is dropped.
+/// Everything needed to serve right-hand sides for one factorized coupled
+/// matrix, detached from the problem's borrowed data: the factor state, the
+/// cluster permutation, and the permuted coupling blocks. The sparse and
+/// Schur factors hold their `MemCharge`s, so a cached `SessionFactors` keeps
+/// its bytes accounted on the tracker it was factorized against until it is
+/// dropped.
 pub(crate) struct SessionFactors<T: Scalar> {
     state: FactorState<T>,
     tree: ClusterTree,
@@ -266,8 +414,6 @@ pub(crate) struct SessionFactors<T: Scalar> {
     a_vs: Csc<T>,
     nv: usize,
     ns: usize,
-    /// Metrics of the factorization run (no solution phases).
-    pub(crate) metrics: Metrics,
 }
 
 impl<T: Scalar> SessionFactors<T> {
@@ -307,10 +453,10 @@ impl<T: Scalar> SessionFactors<T> {
     /// the returned `(xv, xs)` panels use the same layout and ordering.
     ///
     /// The whole panel runs under [`csolve_dense::with_colwise_det`], so
-    /// column `j` of the result is bitwise-identical to a one-shot
-    /// [`solve`] of that right-hand side with the same configuration and
-    /// factors — the demuxed per-request solutions match the sequential
-    /// one-RHS path bit for bit at every thread count.
+    /// column `j` of the result is bitwise-identical to a width-1 solve of
+    /// that right-hand side — which is what [`solve`] is — with the same
+    /// configuration and factors: the demuxed per-request solutions match
+    /// the sequential one-RHS path bit for bit at every thread count.
     pub(crate) fn solve_panel(
         &self,
         b_v: &[T],
@@ -335,7 +481,7 @@ impl<T: Scalar> SessionFactors<T> {
         }
         let (xv, xs_p) = csolve_dense::with_colwise_det(|| match &self.state {
             FactorState::Direct { fact, sf } => {
-                finish_solution_panel(b_v, &b_s_p, fact, sf, &self.a_sv, &self.a_vs, cfg, timer)
+                direct_solution(b_v, &b_s_p, fact, sf, &self.a_sv, &self.a_vs, cfg, timer)
             }
             FactorState::Condensed { fact_w, sf } => {
                 condensed_solution(b_v, &b_s_p, fact_w, sf, nv, ns, cfg, timer)
@@ -349,105 +495,98 @@ impl<T: Scalar> SessionFactors<T> {
     }
 }
 
-/// Build the reusable factorization state for a session cache entry: the
-/// chosen algorithm's factorization phase without the solution phase.
-/// Runs on the caller's rayon pool (the session installs its own) and
-/// charges everything against `tracker` — including the factor storage,
-/// whose charges the returned [`SessionFactors`] keeps holding.
+/// Build the reusable factorization state for a session cache entry, with
+/// the metrics of the factorization run (no solution phases). Runs on the
+/// caller's rayon pool (the session installs its own) and charges
+/// everything against `tracker` — including the factor storage, whose
+/// charges the returned [`SessionFactors`] keeps holding.
 pub(crate) fn factorize_session<T: Scalar>(
     problem: &CoupledProblem<T>,
     algo: Algorithm,
     cfg: &SolverConfig,
     tracker: &Arc<MemTracker>,
-) -> Result<SessionFactors<T>> {
-    cfg.validate()?;
-    let timer = PhaseTimer::new();
-    let sw = Stopwatch::start();
-    let counting = KernelCounting::start(&cfg.tracer);
+) -> Result<(SessionFactors<T>, Metrics)> {
+    let run = Run::start(cfg);
+    let (factors, shape) = factor(problem, algo, cfg, tracker, &run.timer)?;
+    Ok((factors, run.finish(cfg, tracker, shape)))
+}
 
+/// The factorization phase of the chosen algorithm — the one path both
+/// [`solve`] and the session layer take to the factors. Returns them with
+/// the part of `Metrics` that does not come from the run's clock (see
+/// [`Run::finish`]).
+fn factor<T: Scalar>(
+    problem: &CoupledProblem<T>,
+    algo: Algorithm,
+    cfg: &SolverConfig,
+    tracker: &Arc<MemTracker>,
+    timer: &PhaseTimer,
+) -> Result<(SessionFactors<T>, Metrics)> {
+    // Surface unknowns go to cluster order once; every blockwise Schur range
+    // is then contiguous for both dense and H-matrix backends.
     let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
     let perm = tree.perm.clone();
     let all_v: Vec<usize> = (0..problem.n_fem()).collect();
     let ws = Ws {
+        cfg,
+        tracker,
+        timer,
         a_vv: &problem.a_vv,
         a_sv: problem.a_sv.submatrix(&perm, &all_v),
         a_vs: problem.a_vs.submatrix(&all_v, &perm),
         bem: problem.bem.permuted(&perm),
-        b_v: &problem.b_v,
-        b_s: perm.iter().map(|&o| problem.b_s[o]).collect(),
         tree,
         symmetric: problem.symmetric,
         blr: Mutex::new(SparseCompressionSummary::default()),
     };
 
     let (state, schur_bytes, autotune) = match algo {
-        Algorithm::BaselineCoupling => {
-            let (fact, sf, sb) = baseline_factors(&ws, cfg, tracker, &timer)?;
-            (FactorState::Direct { fact, sf }, sb, None)
-        }
-        Algorithm::AdvancedCoupling => {
-            let (fact_w, sf, sb) = advanced_factors(&ws, cfg, tracker, &timer)?;
-            (FactorState::Condensed { fact_w, sf }, sb, None)
-        }
-        Algorithm::MultiSolve => {
-            let (fact, sf, sb, d) = multi_solve_factors(&ws, cfg, tracker, &timer)?;
-            (FactorState::Direct { fact, sf }, sb, d)
-        }
-        Algorithm::MultiFactorization => {
-            let (fact, sf, sb, d) = multi_factorization_factors(&ws, cfg, tracker, &timer)?;
-            (FactorState::Direct { fact, sf }, sb, d)
-        }
-    };
+        Algorithm::BaselineCoupling => baseline_factors(&ws),
+        Algorithm::AdvancedCoupling => advanced_factors(&ws),
+        Algorithm::MultiSolve => multi_solve_factors(&ws),
+        Algorithm::MultiFactorization => multi_factorization_factors(&ws),
+    }?;
 
-    let rt = cfg.tracer.run();
-    mem_sample(rt, tracker);
-    counting.finish(rt);
+    // The summary is reported whenever compression was *on*, even if no
+    // panel met the size gate (all-zero counts are informative too).
     let sparse_compression = cfg.effective_sparse_eps().map(|eps| {
         let mut s = ws.blr.lock().unwrap_or_else(|e| e.into_inner()).clone();
         s.eps = eps;
         s
     });
-    let metrics = Metrics {
-        phases: timer
-            .phases()
-            .into_iter()
-            .map(|(n, d)| (n, d.as_secs_f64()))
-            .collect(),
-        total_seconds: sw.elapsed_secs(),
-        peak_bytes: tracker.peak(),
+    let shape = Metrics {
         schur_bytes,
-        phase_bytes: timer.bytes(),
-        phase_flops: timer.flops(),
         threads: rayon::current_num_threads(),
         n_total: problem.n_total(),
         n_bem: problem.n_bem(),
         n_fem: problem.n_fem(),
         autotune,
         sparse_compression,
+        ..Default::default()
     };
     let (nv, ns) = (ws.nv(), ws.ns());
     let Ws {
         a_sv, a_vs, tree, ..
     } = ws;
-    Ok(SessionFactors {
+    let factors = SessionFactors {
         state,
         tree,
         a_sv,
         a_vs,
         nv,
         ns,
-        metrics,
-    })
+    };
+    Ok((factors, shape))
 }
 
-/// Panel-width generalization of [`finish_solution`], operating on owned
-/// slices instead of the `Ws` workspace: `b_v` (`nv × w`) and `b_s_p`
-/// (`ns × w`, cluster order), both column-major. The factor traversals run
-/// on the full panel (`solve_in_place` is multi-RHS); the sparse coupling
-/// products run per column through the same `matvec` calls as the one-RHS
-/// path. The returned surface panel stays in cluster order.
+/// Solution phase over `A_vv` and `S` factored separately (paper equations
+/// (7)), for a `w`-column panel: `b_v` (`nv × w`) and `b_s_p` (`ns × w`,
+/// cluster order), both column-major. The factor traversals run on the full
+/// panel (`solve_in_place` is multi-RHS); the sparse coupling products run
+/// column by column through `matvec`. The returned surface panel stays in
+/// cluster order.
 #[allow(clippy::too_many_arguments)]
-fn finish_solution_panel<T: Scalar>(
+fn direct_solution<T: Scalar>(
     b_v: &[T],
     b_s_p: &[T],
     fact: &SparseFactorization<T>,
@@ -466,7 +605,7 @@ fn finish_solution_panel<T: Scalar>(
     rt.time(SpanKind::SparseSolve, || {
         timer.time("sparse solve (rhs)", || fact.solve_in_place(&mut t))
     })?;
-    // RHS_s = B_s − A_sv T (per column: same matvec as the one-RHS path).
+    // RHS_s = B_s − A_sv T
     let mut xs = Mat::from_col_major(ns, w, b_s_p.to_vec());
     for j in 0..w {
         let mut rhs_s = xs.col(j).to_vec();
@@ -477,6 +616,8 @@ fn finish_solution_panel<T: Scalar>(
     rt.time(SpanKind::DenseSolve, || {
         timer.time("dense solve", || sf.solve_in_place(xs.as_mut()))
     });
+    // Two triangular solves on the n_s × n_s factor (backends without a
+    // closed-form count report 0 and add no entry).
     let solve_flops = sf.solve_flops(w);
     if solve_flops > 0 {
         timer.add_flops("dense solve", solve_flops);
@@ -501,179 +642,25 @@ fn finish_solution_panel<T: Scalar>(
     Ok((xv, xsv))
 }
 
-fn solve_inner<T: Scalar>(
-    problem: &CoupledProblem<T>,
-    algo: Algorithm,
-    cfg: &SolverConfig,
-    threads: usize,
-) -> Result<Outcome<T>> {
-    let tracker = match cfg.mem_budget {
-        Some(b) => MemTracker::with_budget(b),
-        None => MemTracker::unbounded(),
-    };
-    let timer = PhaseTimer::new();
-    let sw = Stopwatch::start();
-    let counting = KernelCounting::start(&cfg.tracer);
-
-    // Surface unknowns go to cluster order once; every blockwise Schur range
-    // is then contiguous for both dense and H-matrix backends.
-    let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
-    let perm = tree.perm.clone();
-    let all_v: Vec<usize> = (0..problem.n_fem()).collect();
-    let ws = Ws {
-        a_vv: &problem.a_vv,
-        a_sv: problem.a_sv.submatrix(&perm, &all_v),
-        a_vs: problem.a_vs.submatrix(&all_v, &perm),
-        bem: problem.bem.permuted(&perm),
-        b_v: &problem.b_v,
-        b_s: perm.iter().map(|&o| problem.b_s[o]).collect(),
-        tree,
-        symmetric: problem.symmetric,
-        blr: Mutex::new(SparseCompressionSummary::default()),
-    };
-
-    let (xv, xs_p, schur_bytes, autotune) = match algo {
-        Algorithm::BaselineCoupling => {
-            let (xv, xs_p, sb) = baseline_coupling(&ws, cfg, &tracker, &timer)?;
-            (xv, xs_p, sb, None)
-        }
-        Algorithm::AdvancedCoupling => {
-            let (xv, xs_p, sb) = advanced_coupling(&ws, cfg, &tracker, &timer)?;
-            (xv, xs_p, sb, None)
-        }
-        Algorithm::MultiSolve => multi_solve(&ws, cfg, &tracker, &timer)?,
-        Algorithm::MultiFactorization => multi_factorization(&ws, cfg, &tracker, &timer)?,
-    };
-
-    let rt = cfg.tracer.run();
-    mem_sample(rt, &tracker);
-    counting.finish(rt);
-
-    let xs = ws.tree.to_original_order(&xs_p);
-    // The summary is reported whenever compression was *on*, even if no
-    // panel met the size gate (all-zero counts are informative too).
-    let sparse_compression = cfg.effective_sparse_eps().map(|eps| {
-        let mut s = ws.blr.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        s.eps = eps;
-        s
-    });
-    let metrics = Metrics {
-        phases: timer
-            .phases()
-            .into_iter()
-            .map(|(n, d)| (n, d.as_secs_f64()))
-            .collect(),
-        total_seconds: sw.elapsed_secs(),
-        peak_bytes: tracker.peak(),
-        schur_bytes,
-        phase_bytes: timer.bytes(),
-        phase_flops: timer.flops(),
-        threads,
-        n_total: problem.n_total(),
-        n_bem: problem.n_bem(),
-        n_fem: problem.n_fem(),
-        autotune,
-        sparse_compression,
-    };
-    Ok(Outcome { xv, xs, metrics })
-}
-
-/// Shared epilogue: with `A_vv` factored and `S` factored, compute both
-/// solution parts (paper equations (7)).
-fn finish_solution<T: Scalar>(
-    ws: &Ws<'_, T>,
-    fact: &SparseFactorization<T>,
-    sf: &SchurFactor<T>,
-    cfg: &SolverConfig,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>)> {
-    let nv = ws.nv();
-    let ns = ws.ns();
-    let rt = cfg.tracer.run();
-    // t = A_vv⁻¹ b_v
-    let mut t = Mat::from_col_major(nv, 1, ws.b_v.to_vec());
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (rhs)", || fact.solve_in_place(&mut t))
-    })?;
-    // rhs_s = b_s − A_sv t
-    let mut rhs_s = ws.b_s.clone();
-    ws.a_sv.matvec(-T::ONE, t.col(0), T::ONE, &mut rhs_s);
-    // x_s = S⁻¹ rhs_s
-    let mut xs = Mat::from_col_major(ns, 1, rhs_s);
-    rt.time(SpanKind::DenseSolve, || {
-        timer.time("dense solve", || sf.solve_in_place(xs.as_mut()))
-    });
-    // Two triangular solves on the n_s × n_s factor (backends without a
-    // closed-form count report 0 and add no entry).
-    let solve_flops = sf.solve_flops(1);
-    if solve_flops > 0 {
-        timer.add_flops("dense solve", solve_flops);
-    }
-    // x_v = A_vv⁻¹ (b_v − A_vs x_s)
-    let mut bv2 = Mat::from_col_major(nv, 1, ws.b_v.to_vec());
-    {
-        let x = xs.col(0).to_vec();
-        let mut tmp = bv2.col_mut(0).to_vec();
-        ws.a_vs.matvec(-T::ONE, &x, T::ONE, &mut tmp);
-        bv2.col_mut(0).copy_from_slice(&tmp);
-    }
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (back)", || fact.solve_in_place(&mut bv2))
-    })?;
-    Ok((bv2.col(0).to_vec(), xs.col(0).to_vec()))
-}
-
 /// §II-E — one sparse solve against all of `A_vs` at once. The dense result
 /// `Y` (`n_v × n_s`) is the memory bottleneck the paper quantifies at
 /// 2.6 TiB for the industrial case.
-fn baseline_coupling<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>, usize)> {
-    let (fact, sf, schur_bytes) = baseline_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes))
-}
-
-/// Factorization phase of [`baseline_coupling`]: everything up to (and
-/// including) the Schur factorization, with the solution phase left to the
-/// caller — `solve` runs it once, the session layer keeps the factors and
-/// runs it per request panel.
-fn baseline_factors<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(SparseFactorization<T>, SchurFactor<T>, usize)> {
+fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
-    let rt = cfg.tracer.run();
-    let fact = timer.time("sparse factorization", || {
-        factorize(ws.a_vv, &ws.sparse_opts(cfg, tracker))
-    })?;
-    ws.note_factor_stats(fact.stats());
+    let (tracker, timer) = (ws.tracker, ws.timer);
+    let rt = ws.cfg.tracer.run();
+    let fact = ws.factor_avv()?;
     // The solver works on a permuted copy internally: 2× the dense result.
     let mut y_charge = tracker.charge(
         2 * nv * ns * std::mem::size_of::<T>(),
         "dense Y = A_vv^-1 A_vs",
     )?;
-    let y = {
-        let mut sp = rt.span(SpanKind::SparseSolve);
-        let y = timer.time("sparse solve (Y)", || fact.solve_sparse_rhs(&ws.a_vs))?;
-        sp.add_bytes(y.byte_size());
-        y
-    };
+    let y = ws.solve_y(&fact, &ws.a_vs, rt)?;
     y_charge.resize(y.byte_size(), "dense Y = A_vv^-1 A_vs")?;
-    timer.add_bytes("sparse solve (Y)", y.byte_size());
 
-    let mut schur = rt.time(SpanKind::SchurInit, || {
-        timer.time("Schur init (A_ss)", || {
-            SchurAcc::init(&ws.bem, &ws.tree, cfg, tracker)
-        })
-    })?;
+    let mut schur = ws.init_schur()?;
     // Z = A_sv·Y, subtracted panel-wise to bound the SpMM temporary.
-    let zw = cfg.n_c.max(64).min(ns.max(1));
+    let zw = ws.cfg.n_c.max(64).min(ns.max(1));
     let mut c0 = 0;
     while c0 < ns {
         let c1 = (c0 + zw).min(ns);
@@ -691,117 +678,45 @@ fn baseline_factors<T: Scalar>(
         }
         timer.add_bytes("SpMM", z.byte_size());
         timer.add_flops("SpMM", spmm_flops);
-        rt.time(SpanKind::AxpyCommit, || {
-            timer.time("Schur assembly", || {
-                schur.axpy_block_traced(-T::ONE, 0, c0, z.as_ref(), cfg.eps, rt)
-            })
-        })?;
-        timer.add_bytes("Schur assembly", z.byte_size());
+        ws.fold_block(&mut schur, -T::ONE, 0, c0, z.as_ref(), rt)?;
         c0 = c1;
     }
     drop(y);
     drop(y_charge);
-    let schur_bytes = schur.bytes();
-    timer.add_bytes("dense factorization", schur_bytes);
-    add_dense_factor_flops(timer, &schur, ws.symmetric);
-    mem_sample(rt, tracker);
-    let sf = factor_schur_traced(schur, ws, cfg, timer, rt)?;
-    Ok((fact, sf, schur_bytes))
-}
-
-/// Shared epilogue of every algorithm: factor the accumulated Schur
-/// complement under a `dense_factorization` span (the compressed backend
-/// additionally records its `hlu_factor` span inside).
-fn factor_schur_traced<T: Scalar>(
-    schur: SchurAcc<T>,
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    timer: &PhaseTimer,
-    rt: ScopeTracer<'_>,
-) -> Result<SchurFactor<T>> {
-    let mut sp = rt.span(SpanKind::DenseFactorization);
-    sp.add_bytes(schur.bytes());
-    sp.add_flops(schur.factor_flops(ws.symmetric));
-    timer.time("dense factorization", || {
-        schur.factor_traced(ws.symmetric, cfg.eps, cfg.dense_panel_nb, rt)
-    })
+    let (sf, schur_bytes) = ws.factor_schur(schur)?;
+    Ok((FactorState::Direct { fact, sf }, schur_bytes, None))
 }
 
 /// §II-F — a single factorization+Schur call on the stacked coupled matrix;
 /// the full Schur complement is returned as one dense `n_s × n_s` matrix.
-fn advanced_coupling<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>, usize)> {
-    let (fact_w, sf, schur_bytes) = advanced_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = condensed_solution(ws.b_v, &ws.b_s, &fact_w, &sf, ws.nv(), ws.ns(), cfg, timer)?;
-    Ok((xv, xs, schur_bytes))
-}
-
-/// Factorization phase of [`advanced_coupling`]: the stacked-`W` partial
-/// factorization plus the factored Schur complement, both reusable across
-/// solves ([`SparseFactorization::condense_and_solve`] takes `&self`).
-fn advanced_factors<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(SparseFactorization<T>, SchurFactor<T>, usize)> {
-    let (nv, ns) = (ws.nv(), ws.ns());
-    let n = nv + ns;
-    let rt = cfg.tracer.run();
+/// Both the stacked-`W` partial factorization and the factored `S` are
+/// reusable across solves ([`SparseFactorization::condense_and_solve`] takes
+/// `&self`).
+fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
+    let ns = ws.ns();
+    let rt = ws.cfg.tracer.run();
     // W = [A_vv A_vs; A_sv 0]
-    let w = {
-        let mut sp = rt.span(SpanKind::AssembleW);
-        let w = timer.time("assemble W", || {
-            let mut coo = Coo::with_capacity(n, n, ws.a_vv.nnz() + ws.a_vs.nnz() + ws.a_sv.nnz());
-            push_csc(&mut coo, ws.a_vv, 0, 0);
-            push_csc(&mut coo, &ws.a_vs, 0, nv);
-            push_csc(&mut coo, &ws.a_sv, nv, 0);
-            coo.to_csc()
-        });
-        sp.add_bytes(w.byte_size());
-        w
-    };
-    let _w_charge = tracker.charge(w.byte_size(), "stacked W matrix")?;
-    timer.add_bytes("assemble W", w.byte_size());
-    let schur_vars: Vec<usize> = (nv..n).collect();
+    let w = ws.assemble_w(&ws.a_vs, &ws.a_sv, rt);
+    let _w_charge = ws.tracker.charge(w.byte_size(), "stacked W matrix")?;
     // The dense Schur output of the sparse solver (the API limitation).
-    let x_charge = tracker.charge(ns * ns * std::mem::size_of::<T>(), "dense Schur output")?;
-    let (fact_w, x) = timer.time("sparse factorization+Schur", || {
-        factorize_schur(&w, &schur_vars, &ws.sparse_opts(cfg, tracker))
-    })?;
-    ws.note_factor_stats(fact_w.stats());
-    timer.add_bytes("sparse factorization+Schur", x.byte_size());
+    let x_charge = ws
+        .tracker
+        .charge(ns * ns * std::mem::size_of::<T>(), "dense Schur output")?;
+    let (fact_w, x) = ws.factor_w(&w, &ws.sparse_opts())?;
 
     // S = A_ss + X (X already carries the minus sign).
-    let mut schur = rt.time(SpanKind::SchurInit, || {
-        timer.time("Schur init (A_ss)", || {
-            SchurAcc::init(&ws.bem, &ws.tree, cfg, tracker)
-        })
-    })?;
-    rt.time(SpanKind::AxpyCommit, || {
-        timer.time("Schur assembly", || {
-            schur.axpy_block_traced(T::ONE, 0, 0, x.as_ref(), cfg.eps, rt)
-        })
-    })?;
-    timer.add_bytes("Schur assembly", x.byte_size());
+    let mut schur = ws.init_schur()?;
+    ws.fold_block(&mut schur, T::ONE, 0, 0, x.as_ref(), rt)?;
     drop(x);
     drop(x_charge);
-    let schur_bytes = schur.bytes();
-    timer.add_bytes("dense factorization", schur_bytes);
-    add_dense_factor_flops(timer, &schur, ws.symmetric);
-    mem_sample(rt, tracker);
-    let sf = factor_schur_traced(schur, ws, cfg, timer, rt)?;
-    Ok((fact_w, sf, schur_bytes))
+    let (sf, schur_bytes) = ws.factor_schur(schur)?;
+    Ok((FactorState::Condensed { fact_w, sf }, schur_bytes, None))
 }
 
 /// Solution phase of the advanced coupling: one condensation solve through
-/// the partial `W` factorization, generalized to a `w`-column panel.
-/// `b_v`/`b_s` are column-major (`b_s` already in cluster order); the
-/// returned surface part stays in cluster order (the caller unpermutes).
+/// the partial `W` factorization, for a `w`-column panel. `b_v`/`b_s` are
+/// column-major (`b_s` already in cluster order); the returned surface part
+/// stays in cluster order (the caller unpermutes).
 #[allow(clippy::too_many_arguments)]
 fn condensed_solution<T: Scalar>(
     b_v: &[T],
@@ -838,476 +753,286 @@ fn condensed_solution<T: Scalar>(
     Ok((xv, xs))
 }
 
+/// One block of a blockwise Schur assembly: the `rows × cols` range of `S`
+/// it contributes to, and the worst-case working-set bytes it must have
+/// reserved before it computes.
+struct Block {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    reserve: usize,
+}
+
+/// What a blockwise algorithm is besides its block kernel.
+struct Blockwise<T> {
+    blocks: Vec<Block>,
+    /// Sign the blocks are folded into `S` with.
+    alpha: T,
+    /// Charge label of a block's reservation while it computes ...
+    what_reserved: &'static str,
+    /// ... and of what is left of it, the computed block alone, while that
+    /// waits for its fold.
+    what_parked: &'static str,
+    /// Under [`BlockSizes::Auto`]: the autotuner's decision and the cost
+    /// model's working-set bytes of one block at that blocking.
+    autotune: Option<(AutotuneDecision, usize)>,
+}
+
+/// The loop both blockwise algorithms are: *for each block, compute a dense
+/// Schur contribution with `kernel` and fold it into `schur`* — then factor
+/// `S`. Blocks are independent of each other, so they run as a pipeline:
+/// each is admitted against the memory budget (reserving [`Block::reserve`]),
+/// computed on whichever worker is free, shrunk to the computed block's own
+/// bytes, and folded in block order — the same fold order as the sequential
+/// loop, hence the same bits in the compressed accumulator.
+fn assemble_blockwise<T: Scalar>(
+    ws: &Ws<'_, T>,
+    schur: SchurAcc<T>,
+    plan: &Blockwise<T>,
+    kernel: impl Fn(usize, &Block, &mut Slot<'_>) -> Result<Mat<T>> + Sync,
+) -> Result<(SchurFactor<T>, usize)> {
+    let (cfg, tracker) = (ws.cfg, ws.tracker);
+    let mut inflight = rayon::current_num_threads();
+    if let Some((d, block_bytes)) = &plan.autotune {
+        // The blocking was selected at a sequential point after the sparse
+        // factors and `S` were resident, from thread-count-invariant inputs
+        // only (see [`crate::autotune`]): the selection, like the
+        // arithmetic, is identical for every thread count.
+        let rt = cfg.tracer.run();
+        rt.event(TraceEventKind::AutotuneSelect {
+            n_c: d.n_c,
+            n_s: d.n_s,
+            n_b: d.n_b,
+            predicted_bytes: d.predicted_peak,
+        });
+        if d.degraded {
+            // The blocking parameter the budget shrank (the other one is 0).
+            rt.event(TraceEventKind::BudgetDegrade {
+                cap: d.n_s.max(d.n_b),
+            });
+        }
+        // Model-informed concurrency: admit no more blocks than the
+        // measured headroom holds. The pipeline would discover the same
+        // bound by failed admissions and degrade; starting at the model's
+        // cap skips that churn. Scheduling-only — fold order (and thus the
+        // result) is unaffected.
+        let headroom = tracker.budget().saturating_sub(tracker.live());
+        inflight = inflight.min((headroom / (*block_bytes).max(1)).max(1));
+    }
+    let blocks = &plan.blocks;
+    let schur = run_blockwise(
+        tracker,
+        &cfg.tracer,
+        blocks.len(),
+        inflight,
+        schur,
+        |seq| (blocks[seq].reserve, plan.what_reserved),
+        |seq, slot| {
+            #[allow(unused_mut)]
+            let mut x = kernel(seq, &blocks[seq], slot)?;
+            #[cfg(feature = "fault-inject")]
+            crate::fault::maybe_poison_panel(&mut x);
+            // The working set is gone; hand off with only the block reserved.
+            slot.resize(x.byte_size(), plan.what_parked)?;
+            Ok(x)
+        },
+        |seq, schur, x| {
+            let b = &blocks[seq];
+            ws.fold_block(
+                schur,
+                plan.alpha,
+                b.rows.start,
+                b.cols.start,
+                x.view(0..b.rows.len(), 0..b.cols.len()),
+                cfg.tracer.block(seq),
+            )
+        },
+    )?;
+    ws.factor_schur(schur)
+}
+
 /// §IV-A — multi-solve: factor `A_vv` once, then assemble `S` by panels of
 /// `n_c` columns through repeated sparse solves (Algorithm 1; with the HMAT
 /// backend and `n_S`-wide Schur panels this is the compressed-Schur
 /// Algorithm 2).
 ///
-/// The `n_S`-wide Schur panels are independent of each other, so they run as
-/// a pipeline: each panel is admitted against the memory budget (reserving
-/// its `Z` panel plus the worst-case transient `Y` of one inner sparse
-/// solve), computed on whichever worker is free, and committed into `S` in
-/// panel order — the same fold order as the sequential loop, hence the same
-/// bits in the compressed accumulator.
-fn multi_solve<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<BlockwiseOut<T>> {
-    let (fact, sf, schur_bytes, decision) = multi_solve_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes, decision))
-}
-
-/// Factorization phase of [`multi_solve`] (the blockwise Schur pipeline up
-/// to the factored `S`), reusable by the session layer.
-fn multi_solve_factors<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<FactorsOut<T>> {
+/// SPIDO subtracts every `n_c` panel straight into dense `S`; HMAT buffers
+/// `n_S` columns per compressed AXPY (the separate `n_S ≥ n_c` parameter of
+/// Algorithm 2). Under `BlockSizes::Auto` the autotuner shrinks that
+/// blocking until one panel's working set fits the budget headroom.
+fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let elem = std::mem::size_of::<T>();
-    let rt = cfg.tracer.run();
-    let fact = timer.time("sparse factorization", || {
-        factorize(ws.a_vv, &ws.sparse_opts(cfg, tracker))
-    })?;
-    ws.note_factor_stats(fact.stats());
-    let schur = rt.time(SpanKind::SchurInit, || {
-        timer.time("Schur init (A_ss)", || {
-            SchurAcc::init(&ws.bem, &ws.tree, cfg, tracker)
-        })
-    })?;
+    let (cfg, timer) = (ws.cfg, ws.timer);
+    let fact = ws.factor_avv()?;
+    let schur = ws.init_schur()?;
 
-    // SPIDO subtracts every n_c panel straight into dense S; HMAT buffers
-    // n_S columns per compressed AXPY (the separate n_S ≥ n_c parameter of
-    // Algorithm 2). Under `BlockSizes::Auto` the autotuner shrinks that
-    // blocking until one panel's working set fits the budget headroom —
-    // decided here, at a sequential point after the sparse factors and `S`
-    // are resident, from thread-count-invariant inputs only (see
-    // [`crate::autotune`]): the selection, like the arithmetic, is
-    // identical for every thread count.
-    let stats = MatrixStats {
-        nv,
-        ns,
-        nnz_avv: ws.a_vv.nnz(),
-        nnz_asv: ws.a_sv.nnz(),
-        nnz_avs: ws.a_vs.nnz(),
-        elem,
-    };
+    let stats = ws.stats();
     let decision = match cfg.block_sizes {
-        BlockSizes::Auto => Some(autotune::plan_multi_solve(&stats, cfg, tracker)?),
+        BlockSizes::Auto => Some(autotune::plan_multi_solve(&stats, cfg, ws.tracker)?),
         _ => None,
     };
     let (n_c, n_s) = match &decision {
-        Some(d) => {
-            rt.event(TraceEventKind::AutotuneSelect {
-                n_c: d.n_c,
-                n_s: d.n_s,
-                n_b: 0,
-                predicted_bytes: d.predicted_peak,
-            });
-            if d.degraded {
-                rt.event(TraceEventKind::BudgetDegrade { cap: d.n_s });
-            }
-            (d.n_c, d.n_s)
-        }
+        Some(d) => (d.n_c, d.n_s),
         None => autotune::fixed_multi_solve_blocking(cfg),
     };
-    let all_v: Vec<usize> = (0..nv).collect();
-
-    let panels: Vec<(usize, usize, usize)> = (0..ns.div_ceil(n_s.max(1)))
-        .map(|i| (i, i * n_s, ((i + 1) * n_s).min(ns)))
-        .collect();
-
-    let threads = rayon::current_num_threads();
-    let mut inflight = inflight_cap(cfg, threads);
-    if decision.is_some() {
-        // Model-informed concurrency: admit no more panels than the
-        // measured headroom holds. The scheduler would discover the same
-        // bound by failed admissions and degrade; starting at the model's
-        // cap skips that churn. Scheduling-only — commit order (and thus
-        // the result) is unaffected.
-        let per = autotune::multi_solve_panel_bytes(&stats, n_c, n_s).max(1);
-        let headroom = tracker.budget().saturating_sub(tracker.live());
-        inflight = inflight.min((headroom / per).max(1));
-    }
-    let sched = BudgetScheduler::new(Arc::clone(tracker), inflight).with_tracer(cfg.tracer.clone());
-    let commit = OrderedCommit::new(schur).with_tracer(cfg.tracer.clone());
-    let (fact_r, sched_r, commit_r) = (&fact, &sched, &commit);
-    let panels_r = &panels;
-
-    // Lookahead task-DAG dispatch: a panel's compute (admission + sparse
-    // solves + SpMM) and its ordered commit are separate DAG nodes, so the
-    // next panel's compute overlaps the previous panel's Schur commit. The
-    // lookahead distance mirrors the in-flight cap (same memory bound).
-    let dag = TaskDag::pipeline(panels.len(), inflight).with_tracer(cfg.tracer.clone());
-    let dag_compute = |seq: usize| {
-        let (_, p0, p1) = panels_r[seq];
-        let w = p1 - p0;
-        // Worst-case working set of this panel: its Z panel plus one inner
-        // sparse solve's Y (the solver uses a permuted internal copy: 2×).
-        let reserve = (ns * w + 2 * nv * n_c.min(w)) * elem;
-        let mut adm = match sched_r.admit(seq, reserve, "Schur panel Z + Y workspace") {
-            Ok(a) => a,
-            Err(e) => {
-                fail(sched_r, commit_r, &e);
-                return None;
-            }
-        };
-        let bt = cfg.tracer.block(seq);
-
-        let compute = || -> Result<Mat<T>> {
-            let mut zpanel = Mat::<T>::zeros(ns, w);
-            let mut c0 = p0;
-            while c0 < p1 {
-                let c1 = (c0 + n_c).min(p1);
-                // Columns c0..c1 of A_vs as a sparse RHS.
-                let cols: Vec<usize> = (c0..c1).collect();
-                let rhs = ws.a_vs.submatrix(&all_v, &cols);
-                let y = {
-                    let mut sp = bt.span(SpanKind::SparseSolve);
-                    let y = timer.time("sparse solve (Y)", || fact_r.solve_sparse_rhs(&rhs))?;
-                    sp.add_bytes(y.byte_size());
-                    y
-                };
-                timer.add_bytes("sparse solve (Y)", y.byte_size());
-                let spmm_flops = 2 * ws.a_sv.nnz() as u64 * (c1 - c0) as u64;
-                {
-                    let mut sp = bt.span(SpanKind::Spmm);
-                    timer.time("SpMM", || {
-                        ws.a_sv.mul_dense(
-                            T::ONE,
-                            y.as_ref(),
-                            T::ZERO,
-                            zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0)),
-                        )
-                    });
-                    sp.add_flops(spmm_flops);
+    let plan = Blockwise {
+        blocks: (0..ns.div_ceil(n_s.max(1)))
+            .map(|i| {
+                let cols = i * n_s..((i + 1) * n_s).min(ns);
+                // Worst-case working set of this panel: its Z panel plus one
+                // inner sparse solve's Y (the solver uses a permuted
+                // internal copy: 2×).
+                let reserve = (ns * cols.len() + 2 * nv * n_c.min(cols.len())) * elem;
+                Block {
+                    rows: 0..ns,
+                    cols,
+                    reserve,
                 }
-                timer.add_flops("SpMM", spmm_flops);
-                c0 = c1;
-            }
-            timer.add_bytes("SpMM", zpanel.byte_size());
-            #[cfg(feature = "fault-inject")]
-            crate::fault::maybe_poison_panel(&mut zpanel);
-            Ok(zpanel)
-        };
-        let zpanel = match compute() {
-            Ok(z) => z,
-            Err(e) => {
-                fail(sched_r, commit_r, &e);
-                return None;
-            }
-        };
-        // The Y workspace is gone; hand off with only the Z panel reserved.
-        if let Err(e) = adm.resize(zpanel.byte_size(), "Schur panel Z") {
-            fail(sched_r, commit_r, &e);
-            return None;
-        }
-        adm.begin_commit();
-        Some((adm, zpanel))
-    };
-    let dag_commit = |seq: usize, (adm, zpanel): (Admission<'_>, Mat<T>)| {
-        let (_, p0, _) = panels_r[seq];
-        let bt = cfg.tracer.block(seq);
-        let committed = commit_r.commit(seq, |schur| {
-            bt.time(SpanKind::AxpyCommit, || {
-                timer.time("Schur assembly", || {
-                    schur.axpy_block_traced(-T::ONE, 0, p0, zpanel.as_ref(), cfg.eps, bt)
-                })
             })
-        });
-        match committed {
-            Ok(()) => timer.add_bytes("Schur assembly", zpanel.byte_size()),
-            Err(e) => sched_r.poison(&e),
-        }
-        drop(adm);
+            .collect(),
+        alpha: -T::ONE,
+        what_reserved: "Schur panel Z + Y workspace",
+        what_parked: "Schur panel Z",
+        autotune: decision.map(|d| (d, autotune::multi_solve_panel_bytes(&stats, n_c, n_s))),
     };
-    dag.execute(threads.min(panels_r.len().max(1)), dag_compute, dag_commit);
-
-    let schur = commit.into_result()?;
-    let schur_bytes = schur.bytes();
-    timer.add_bytes("dense factorization", schur_bytes);
-    add_dense_factor_flops(timer, &schur, ws.symmetric);
-    mem_sample(rt, tracker);
-    let sf = factor_schur_traced(schur, ws, cfg, timer, rt)?;
-    Ok((fact, sf, schur_bytes, decision))
+    let all_v: Vec<usize> = (0..nv).collect();
+    let fact_r = &fact;
+    let kernel = |seq: usize, b: &Block, _: &mut Slot<'_>| -> Result<Mat<T>> {
+        let bt = cfg.tracer.block(seq);
+        let (p0, p1) = (b.cols.start, b.cols.end);
+        let mut zpanel = Mat::<T>::zeros(ns, p1 - p0);
+        let mut c0 = p0;
+        while c0 < p1 {
+            let c1 = (c0 + n_c).min(p1);
+            // Columns c0..c1 of A_vs as a sparse RHS.
+            let cols: Vec<usize> = (c0..c1).collect();
+            let y = ws.solve_y(fact_r, &ws.a_vs.submatrix(&all_v, &cols), bt)?;
+            let spmm_flops = 2 * ws.a_sv.nnz() as u64 * (c1 - c0) as u64;
+            {
+                let mut sp = bt.span(SpanKind::Spmm);
+                timer.time("SpMM", || {
+                    ws.a_sv.mul_dense(
+                        T::ONE,
+                        y.as_ref(),
+                        T::ZERO,
+                        zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0)),
+                    )
+                });
+                sp.add_flops(spmm_flops);
+            }
+            timer.add_flops("SpMM", spmm_flops);
+            c0 = c1;
+        }
+        timer.add_bytes("SpMM", zpanel.byte_size());
+        Ok(zpanel)
+    };
+    let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
+    Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
 }
 
 /// §IV-B — multi-factorization: `n_b × n_b` factorization+Schur calls on
 /// stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]` submatrices (Algorithm 3; the
 /// HMAT backend compresses each returned block immediately — the
-/// compressed-Schur variant).
+/// compressed-Schur variant), then a final plain factorization of `A_vv`
+/// for the solution phase (the per-tile `W` factorizations are not reusable
+/// through the solver API).
 ///
 /// `W` is unsymmetric (paper: "except when i = j"), so the unsymmetric
 /// solver mode is used throughout, with its duplicated storage — the very
 /// overhead the paper identifies as multi-factorization's memory weakness.
 ///
-/// Tiles run as a pipeline like the multi-solve panels. One wrinkle: the
-/// sparse solver charges its internal factorization memory directly against
-/// the tracker, so a tile can hit an out-of-memory error *mid-compute* that
-/// only exists because other tiles are in flight. Such a tile releases its
-/// reservation, waits for concurrent tiles to free memory, and retries —
-/// propagating the error only when no concurrent work is left to wait for
-/// (i.e. when the sequential algorithm would have failed too).
-fn multi_factorization<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<BlockwiseOut<T>> {
-    let (fact, sf, schur_bytes, decision) = multi_factorization_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes, decision))
-}
-
-/// Factorization phase of [`multi_factorization`]: the tile pipeline, the
-/// Schur factorization, and the final plain factorization of `A_vv` that
-/// the solution phase (and the session layer) consumes — the per-tile `W`
-/// factorizations are not reusable through the solver API.
-fn multi_factorization_factors<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<FactorsOut<T>> {
+/// One wrinkle: the sparse solver charges its internal factorization memory
+/// directly against the tracker, so a tile can hit an out-of-memory error
+/// *mid-compute* that only exists because other tiles are in flight. Such a
+/// tile goes through [`Slot::retry_after_oom`] and recomputes — propagating
+/// the error only when no concurrent work is left to wait for (i.e. when
+/// the sequential algorithm would have failed too).
+fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let elem = std::mem::size_of::<T>();
-    let rt = cfg.tracer.run();
-    let schur = rt.time(SpanKind::SchurInit, || {
-        timer.time("Schur init (A_ss)", || {
-            SchurAcc::init(&ws.bem, &ws.tree, cfg, tracker)
-        })
-    })?;
+    let idx = std::mem::size_of::<usize>();
+    let cfg = ws.cfg;
+    let schur = ws.init_schur()?;
 
     // Under `BlockSizes::Auto` the autotuner grows the tile grid (shrinks
-    // the tiles) until one stacked-W working set fits the budget headroom —
-    // same deterministic selection point and inputs as in `multi_solve`.
-    let stats = MatrixStats {
-        nv,
-        ns,
-        nnz_avv: ws.a_vv.nnz(),
-        nnz_asv: ws.a_sv.nnz(),
-        nnz_avs: ws.a_vs.nnz(),
-        elem,
-    };
+    // the tiles) until one stacked-W working set fits the budget headroom.
+    let stats = ws.stats();
     let decision = match cfg.block_sizes {
         BlockSizes::Auto => Some(autotune::plan_multi_factorization(
             &stats,
             cfg,
-            tracker,
-            |n_b| tile_internal_bytes(ws, cfg, n_b),
+            ws.tracker,
+            |n_b| tile_internal_bytes(ws, n_b),
         )?),
         _ => None,
     };
     let n_b = match &decision {
-        Some(d) => {
-            rt.event(TraceEventKind::AutotuneSelect {
-                n_c: 0,
-                n_s: 0,
-                n_b: d.n_b,
-                predicted_bytes: d.predicted_peak,
-            });
-            if d.degraded {
-                rt.event(TraceEventKind::BudgetDegrade { cap: d.n_b });
-            }
-            d.n_b
-        }
+        Some(d) => d.n_b,
         None => cfg.n_b.clamp(1, ns.max(1)),
     };
     let blk = ns.div_ceil(n_b);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n_b)
+    let ranges: Vec<Range<usize>> = (0..n_b)
         .map(|b| (b * blk)..((b + 1) * blk).min(ns))
         .filter(|r| !r.is_empty())
         .collect();
-    let all_v: Vec<usize> = (0..nv).collect();
-
-    let w_opts = SparseOptions {
-        ordering: cfg.ordering,
-        symmetry: Symmetry::UnsymmetricLu,
-        blr_eps: cfg.effective_sparse_eps(),
-        tracker: Some(Arc::clone(tracker)),
-        panel_nb: cfg.dense_panel_nb,
-        tracer: cfg.tracer.clone(),
-        trace_seq: None,
-    };
-
-    let tiles: Vec<(usize, std::ops::Range<usize>, std::ops::Range<usize>)> = ranges
-        .iter()
-        .flat_map(|ri| ranges.iter().map(move |rj| (ri.clone(), rj.clone())))
-        .enumerate()
-        .map(|(seq, (ri, rj))| (seq, ri, rj))
-        .collect();
-
-    let threads = rayon::current_num_threads();
-    let mut inflight = inflight_cap(cfg, threads);
-    if decision.is_some() {
-        // Same model-informed concurrency cap as in `multi_solve`:
-        // scheduling-only, no numeric effect.
-        let per = autotune::multi_fact_tile_bytes(&stats, n_b).max(1);
-        let headroom = tracker.budget().saturating_sub(tracker.live());
-        inflight = inflight.min((headroom / per).max(1));
+    // Coupling nonzeros each range selects: rows of A_sv, columns of A_vs.
+    let mut nnz_sv = vec![0usize; ranges.len()];
+    for &i in &ws.a_sv.rowidx {
+        nnz_sv[i / blk] += 1;
     }
-    let sched = BudgetScheduler::new(Arc::clone(tracker), inflight).with_tracer(cfg.tracer.clone());
-    let commit = OrderedCommit::new(schur).with_tracer(cfg.tracer.clone());
-    let (sched_r, commit_r, w_opts_r) = (&sched, &commit, &w_opts);
-    let tiles_r = &tiles;
-
-    // Same lookahead task-DAG dispatch as `multi_solve`: tile factorization
-    // overlaps the previous tile's ordered Schur commit.
-    let dag = TaskDag::pipeline(tiles.len(), inflight).with_tracer(cfg.tracer.clone());
-    let dag_compute = |seq: usize| {
-        let (_, ri, rj) = &tiles_r[seq];
-        let rows: Vec<usize> = ri.clone().collect();
-        let cols: Vec<usize> = rj.clone().collect();
+    let nnz_vs = |r: &Range<usize>| ws.a_vs.colptr[r.end] - ws.a_vs.colptr[r.start];
+    let plan = Blockwise {
+        blocks: (0..ranges.len().pow(2))
+            .map(|t| {
+                let (i, j) = (t / ranges.len(), t % ranges.len());
+                let (rows, cols) = (ranges[i].clone(), ranges[j].clone());
+                // Reservation: the stacked W (values + row indices + column
+                // pointers; square, padded when the edge blocks differ in
+                // size) and the dense Schur output X_ij.
+                let m = rows.len().max(cols.len());
+                let nnz = ws.a_vv.nnz() + nnz_sv[i] + nnz_vs(&cols);
+                let reserve = nnz * (elem + idx) + (nv + m + 1) * idx + m * m * elem;
+                Block {
+                    rows,
+                    cols,
+                    reserve,
+                }
+            })
+            .collect(),
+        alpha: T::ONE,
+        what_reserved: "stacked W + Schur block X_ij",
+        what_parked: "dense Schur block X_ij",
+        autotune: decision.map(|d| (d, autotune::multi_fact_tile_bytes(&stats, n_b))),
+    };
+    let all_v: Vec<usize> = (0..nv).collect();
+    let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
+        let rows: Vec<usize> = b.rows.clone().collect();
+        let cols: Vec<usize> = b.cols.clone().collect();
         let a_sv_i = ws.a_sv.submatrix(&rows, &all_v);
         let a_vs_j = ws.a_vs.submatrix(&all_v, &cols);
-        let m = rows.len().max(cols.len());
-        // Reservation: the stacked W (values + row indices + column
-        // pointers) and the dense Schur output X_ij.
-        let nnz = ws.a_vv.nnz() + a_sv_i.nnz() + a_vs_j.nnz();
-        let w_bytes = nnz * (elem + std::mem::size_of::<usize>())
-            + (nv + m + 1) * std::mem::size_of::<usize>();
-        let reserve = w_bytes + m * m * elem;
-        let mut adm: Option<Admission<'_>> =
-            match sched_r.admit(seq, reserve, "stacked W + Schur block X_ij") {
-                Ok(a) => Some(a),
-                Err(e) => {
-                    fail(sched_r, commit_r, &e);
-                    return None;
-                }
-            };
-        let bt = cfg.tracer.block(seq);
         // The sparse solver's internal spans land in this tile's block scope.
-        let tile_opts = SparseOptions {
+        let opts = SparseOptions {
+            symmetry: Symmetry::UnsymmetricLu,
             trace_seq: Some(seq),
-            ..w_opts_r.clone()
+            ..ws.sparse_opts()
         };
-
-        let compute = || -> Result<Mat<T>> {
-            // Stacked square W (padded when the edge blocks differ in size).
-            let w = {
-                let mut sp = bt.span(SpanKind::AssembleW);
-                let w = timer.time("assemble W", || {
-                    let mut coo = Coo::with_capacity(nv + m, nv + m, nnz);
-                    push_csc(&mut coo, ws.a_vv, 0, 0);
-                    push_csc(&mut coo, &a_vs_j, 0, nv);
-                    push_csc(&mut coo, &a_sv_i, nv, 0);
-                    coo.to_csc()
-                });
-                sp.add_bytes(w.byte_size());
-                w
-            };
-            timer.add_bytes("assemble W", w.byte_size());
-            let schur_vars: Vec<usize> = (nv..nv + m).collect();
+        loop {
+            let w = ws.assemble_w(&a_vs_j, &a_sv_i, cfg.tracer.block(seq));
             // Each call re-factorizes A_vv — the superfluous work the method
             // trades for memory (hence its name).
-            let (fact_w, x) = timer.time("sparse factorization+Schur", || {
-                factorize_schur(&w, &schur_vars, &tile_opts)
-            })?;
-            ws.note_factor_stats(fact_w.stats());
-            drop(fact_w);
-            timer.add_bytes("sparse factorization+Schur", x.byte_size());
-            #[cfg(feature = "fault-inject")]
-            let x = {
-                let mut x = x;
-                crate::fault::maybe_poison_panel(&mut x);
-                x
-            };
-            Ok(x)
-        };
-
-        // Compute with a retry loop around transient (concurrency-induced)
-        // out-of-memory failures from the sparse solver's internal charges.
-        let mut stalled_retry_done = false;
-        let x = loop {
-            match compute() {
-                Ok(x) => break x,
+            match ws.factor_w(&w, &opts) {
+                Ok((_, x)) => return Ok(x),
                 Err(e) if e.is_oom() => {
-                    // Free our reservation so concurrent tiles can finish,
-                    // then wait for memory to come back.
-                    drop(adm.take());
-                    let stalled = sched_r.wait_for_progress(sched_r.epoch());
-                    if stalled && stalled_retry_done {
-                        fail(sched_r, commit_r, &e);
-                        return None;
-                    }
-                    stalled_retry_done = stalled;
-                    match sched_r.readmit(reserve, "stacked W + Schur block X_ij") {
-                        Ok(a) => adm = Some(a),
-                        Err(e) => {
-                            fail(sched_r, commit_r, &e);
-                            return None;
-                        }
-                    }
+                    drop(w);
+                    slot.retry_after_oom(e)?;
                 }
-                Err(e) => {
-                    fail(sched_r, commit_r, &e);
-                    return None;
-                }
+                Err(e) => return Err(e),
             }
-        };
-
-        let Some(mut adm) = adm.take() else {
-            // Unreachable by construction (every loop exit either breaks
-            // with an admission held or returns), but a worker thread must
-            // never panic: drain the pipeline with a structured error.
-            let e = Error::Internal {
-                context: "multi-factorization retry lost its admission",
-            };
-            fail(sched_r, commit_r, &e);
-            return None;
-        };
-        // W is freed; hand off with only the Schur block reserved.
-        if let Err(e) = adm.resize(x.byte_size(), "dense Schur block X_ij") {
-            fail(sched_r, commit_r, &e);
-            return None;
         }
-        adm.begin_commit();
-        Some((adm, x))
     };
-    let dag_commit = |seq: usize, (adm, x): (Admission<'_>, Mat<T>)| {
-        let (_, ri, rj) = &tiles_r[seq];
-        let (rows, cols) = (ri.len(), rj.len());
-        let bt = cfg.tracer.block(seq);
-        let committed = commit_r.commit(seq, |schur| {
-            bt.time(SpanKind::AxpyCommit, || {
-                timer.time("Schur assembly", || {
-                    schur.axpy_block_traced(
-                        T::ONE,
-                        ri.start,
-                        rj.start,
-                        x.view(0..rows, 0..cols),
-                        cfg.eps,
-                        bt,
-                    )
-                })
-            })
-        });
-        match committed {
-            Ok(()) => timer.add_bytes("Schur assembly", rows * cols * elem),
-            Err(e) => sched_r.poison(&e),
-        }
-        drop(adm);
-    };
-    dag.execute(threads.min(tiles_r.len().max(1)), dag_compute, dag_commit);
-
-    let schur = commit.into_result()?;
-    let schur_bytes = schur.bytes();
-    timer.add_bytes("dense factorization", schur_bytes);
-    add_dense_factor_flops(timer, &schur, ws.symmetric);
-    mem_sample(rt, tracker);
-    let sf = factor_schur_traced(schur, ws, cfg, timer, rt)?;
-    // A final plain factorization of A_vv for the solution phase (the W
-    // factorizations are not reusable through the solver API).
-    let fact = timer.time("sparse factorization", || {
-        factorize(ws.a_vv, &ws.sparse_opts(cfg, tracker))
-    })?;
-    ws.note_factor_stats(fact.stats());
-    Ok((fact, sf, schur_bytes, decision))
+    let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
+    let fact = ws.factor_avv()?;
+    Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
 }
 
 /// Predicted solver-internal tracked bytes (fronts, contribution blocks,
@@ -1316,21 +1041,18 @@ fn multi_factorization_factors<T: Scalar>(
 /// stacked `W` pattern, replayed with the numeric phase's exact charge
 /// schedule. Purely structural (no numeric work) and deterministic — safe
 /// to consult from the autotuner's selection point.
-fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, cfg: &SolverConfig, n_b: usize) -> Result<usize> {
+fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Result<usize> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let m = ns.div_ceil(n_b.max(1)).min(ns);
     let rows: Vec<usize> = (0..m).collect();
     let all_v: Vec<usize> = (0..nv).collect();
-    let a_sv_0 = ws.a_sv.submatrix(&rows, &all_v);
-    let a_vs_0 = ws.a_vs.submatrix(&all_v, &rows);
-    let nnz = ws.a_vv.nnz() + a_sv_0.nnz() + a_vs_0.nnz();
-    let mut coo = Coo::with_capacity(nv + m, nv + m, nnz);
-    push_csc(&mut coo, ws.a_vv, 0, 0);
-    push_csc(&mut coo, &a_vs_0, 0, nv);
-    push_csc(&mut coo, &a_sv_0, nv, 0);
-    let w = coo.to_csc();
+    let w = stack_w(
+        ws.a_vv,
+        &ws.a_vs.submatrix(&all_v, &rows),
+        &ws.a_sv.submatrix(&rows, &all_v),
+    );
     let schur_vars: Vec<usize> = (nv..nv + m).collect();
-    let sym = SymbolicFactorization::analyze(&w, &schur_vars, cfg.ordering)?;
+    let sym = SymbolicFactorization::analyze(&w, &schur_vars, ws.cfg.ordering)?;
     // W is factored in the unsymmetric (LU) mode regardless of the coupled
     // system's symmetry (the stacked tile is unsymmetric except on the
     // diagonal). With sparse compression on, factor panels are priced by
@@ -1338,18 +1060,23 @@ fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, cfg: &SolverConfig, n_b: usize
     // bound via the dense cap per panel, never below the elimination-front
     // peak).
     let elem = std::mem::size_of::<T>();
-    Ok(if cfg.effective_sparse_eps().is_some() {
+    Ok(if ws.cfg.effective_sparse_eps().is_some() {
         sym.predicted_numeric_peak_bytes_blr(elem, true)
     } else {
         sym.predicted_numeric_peak_bytes(elem, true)
     })
 }
 
-/// Record `e` as the pipeline's error in both primitives so every blocked
-/// worker drains promptly (first error wins).
-fn fail<S>(sched: &BudgetScheduler, commit: &OrderedCommit<S>, e: &Error) {
-    sched.poison(e);
-    commit.abort(e);
+/// The stacked square `W = [A_vv A_vs|_j ; A_sv|_i 0]` (zero-padded when the
+/// two coupling blocks differ in size).
+fn stack_w<T: Scalar>(a_vv: &Csc<T>, a_vs_j: &Csc<T>, a_sv_i: &Csc<T>) -> Csc<T> {
+    let nv = a_vv.nrows;
+    let n = nv + a_sv_i.nrows.max(a_vs_j.ncols);
+    let mut coo = Coo::with_capacity(n, n, a_vv.nnz() + a_vs_j.nnz() + a_sv_i.nnz());
+    push_csc(&mut coo, a_vv, 0, 0);
+    push_csc(&mut coo, a_vs_j, 0, nv);
+    push_csc(&mut coo, a_sv_i, nv, 0);
+    coo.to_csc()
 }
 
 /// Append a CSC block into a COO builder at offset (r0, c0).
@@ -1359,10 +1086,4 @@ fn push_csc<T: Scalar>(coo: &mut Coo<T>, a: &Csc<T>, r0: usize, c0: usize) {
             coo.push(r0 + a.rowidx[p], c0 + j, a.values[p]);
         }
     }
-}
-
-/// Convenience: the view of a column range of a dense matrix.
-#[allow(dead_code)]
-fn cols_view<T: Scalar>(m: &Mat<T>, r: std::ops::Range<usize>) -> MatRef<'_, T> {
-    m.view(0..m.nrows(), r)
 }

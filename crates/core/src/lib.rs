@@ -45,7 +45,7 @@ pub mod config;
 pub mod driver;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
-pub mod pipeline;
+mod pipeline;
 pub mod report;
 pub mod schur;
 pub mod session;

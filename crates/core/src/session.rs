@@ -26,13 +26,12 @@
 //!   column-deterministic gemm mode, so every demuxed solution is
 //!   **bitwise identical** to the sequential one-request path at any panel
 //!   width and any thread count.
-//! * **Admission control** — each panel's working set is admitted against
-//!   the memory budget through the existing [`BudgetScheduler`] before it
-//!   runs. Under pressure the session degrades gracefully: it first
-//!   shrinks the panel width (halving until the reservation fits), then
-//!   evicts cache entries, and only when a single-column solve still
-//!   cannot fit returns a structured [`Error::OutOfMemory`] — never a
-//!   panic, never a silently wrong answer.
+//! * **Admission control** — each panel's working set is charged against
+//!   the memory budget before it runs. Under pressure the session degrades
+//!   gracefully: it first shrinks the panel width (halving until the
+//!   reservation fits), then evicts cache entries, and only when a
+//!   single-column solve still cannot fit returns a structured
+//!   [`Error::OutOfMemory`] — never a panic, never a silently wrong answer.
 //!
 //! Per-request telemetry (cache hit/miss, batch width, queue wait) is
 //! returned in [`RequestInfo`], aggregated in [`SessionStats`] (exported
@@ -47,11 +46,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::{Algorithm, Metrics, SolverConfig};
-use crate::driver::{effective_threads, factorize_session, SessionFactors};
-use crate::pipeline::BudgetScheduler;
+use crate::driver::{factorize_session, worker_pool, SessionFactors};
 use crate::report::RunReport;
 use csolve_common::{
-    Error, MemCharge, MemTracker, PhaseTimer, RealScalar, Result, Scalar, TraceEventKind, Tracer,
+    Error, MemCharge, MemTracker, PhaseTimer, RealScalar, Result, Scalar, TraceEventKind,
 };
 use csolve_fembem::CoupledProblem;
 use csolve_sparse::Csc;
@@ -312,11 +310,7 @@ impl SessionBuilder {
     /// session's worker pool).
     pub fn build<T: Scalar>(self) -> Result<SolverSession<T>> {
         self.config.validate()?;
-        let threads = effective_threads(&self.config);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| Error::InvalidConfig(format!("thread pool construction failed: {e}")))?;
+        let pool = worker_pool(&self.config)?;
         let tracker = match (
             &self.shared_tracker,
             self.memory_budget.or(self.config.mem_budget),
@@ -325,8 +319,6 @@ impl SessionBuilder {
             (None, Some(b)) => MemTracker::with_budget(b),
             (None, None) => MemTracker::unbounded(),
         };
-        let sched = BudgetScheduler::new(Arc::clone(&tracker), threads)
-            .with_tracer(self.config.tracer.clone());
         let max_batch = if self.max_batch > 0 {
             self.max_batch
         } else {
@@ -336,7 +328,6 @@ impl SessionBuilder {
             cfg: self.config,
             algo: self.algorithm,
             tracker,
-            sched,
             pool,
             max_batch,
             max_latency: self.max_latency,
@@ -375,7 +366,6 @@ pub struct SolverSession<T: Scalar> {
     cfg: SolverConfig,
     algo: Algorithm,
     tracker: Arc<MemTracker>,
-    sched: BudgetScheduler,
     pool: rayon::ThreadPool,
     max_batch: usize,
     max_latency: Option<Duration>,
@@ -388,31 +378,6 @@ pub struct SolverSession<T: Scalar> {
     completed: Vec<SessionSolve<T>>,
     stats: SessionStats,
     last_metrics: Option<Metrics>,
-}
-
-/// Evict the least-recently-used entry of `cache` (free function over the
-/// session's disjoint fields, so it can run while an admission borrow of
-/// the scheduler is pending). Returns `false` when the cache is empty.
-fn evict_lru_from<T: Scalar>(
-    cache: &mut Vec<CacheEntry<T>>,
-    stats: &mut SessionStats,
-    tracer: &Tracer,
-) -> bool {
-    let Some(idx) = cache
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, e)| e.last_used)
-        .map(|(i, _)| i)
-    else {
-        return false;
-    };
-    let e = cache.remove(idx);
-    stats.evictions += 1;
-    tracer.run().event(TraceEventKind::SessionEvict {
-        fingerprint: e.key,
-        bytes: e.factors.entry_bytes(),
-    });
-    true
 }
 
 impl<T: Scalar> SolverSession<T> {
@@ -581,7 +546,7 @@ impl<T: Scalar> SolverSession<T> {
         summary: StructSummary,
         clock: u64,
     ) -> Result<Arc<SessionFactors<T>>> {
-        let factors = loop {
+        let (factors, metrics) = loop {
             let (algo, cfg, tracker) = (self.algo, &self.cfg, &self.tracker);
             match self
                 .pool
@@ -606,7 +571,7 @@ impl<T: Scalar> SolverSession<T> {
                 Err(e) => return Err(e),
             }
         };
-        self.last_metrics = Some(factors.metrics.clone());
+        self.last_metrics = Some(metrics);
         let factors = Arc::new(factors);
         self.cache.push(CacheEntry {
             key,
@@ -622,7 +587,22 @@ impl<T: Scalar> SolverSession<T> {
     /// cache is empty. Freed bytes return to the tracker as soon as no
     /// in-flight request still holds the entry's factors.
     fn evict_lru(&mut self) -> bool {
-        evict_lru_from(&mut self.cache, &mut self.stats, &self.cfg.tracer)
+        let Some(idx) = self
+            .cache
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(i, _)| i)
+        else {
+            return false;
+        };
+        let e = self.cache.remove(idx);
+        self.stats.evictions += 1;
+        self.cfg.tracer.run().event(TraceEventKind::SessionEvict {
+            fingerprint: e.key,
+            bytes: e.factors.entry_bytes(),
+        });
+        true
     }
 
     /// Solve every queued request, grouped by factorization, in coalesced
@@ -666,22 +646,14 @@ impl<T: Scalar> SolverSession<T> {
             // entries, and only fail once a single column cannot fit.
             let mut w = want.max(1);
             let adm = loop {
-                match self.sched.readmit(w * per_col, "session solve panel") {
+                match self.tracker.charge(w * per_col, "session solve panel") {
                     Ok(a) => break a,
-                    Err(e) if e.is_oom() => {
-                        // Disjoint-field eviction: the scheduler borrow of
-                        // the `Ok` arm must not alias the cache mutation.
-                        if w > 1 {
-                            w = w.div_ceil(2);
-                        } else if !evict_lru_from(
-                            &mut self.cache,
-                            &mut self.stats,
-                            &self.cfg.tracer,
-                        ) {
+                    Err(_) if w > 1 => w = w.div_ceil(2),
+                    Err(e) => {
+                        if !self.evict_lru() {
                             return Err(e);
                         }
                     }
-                    Err(e) => return Err(e),
                 }
             };
             let w = w.min(queue.len());

@@ -51,7 +51,7 @@ fn main() {
         let cfg = SolverConfig {
             eps: 1e-4, // the industrial accuracy of the paper
             dense_backend: backend,
-            sparse_compression: compress,
+            sparse_eps: (!compress).then_some(0.0),
             n_b: 3,
             ..Default::default()
         };

@@ -48,7 +48,6 @@ fn main() {
     let cfg = SolverConfig::builder()
         .eps(1e-4) // the paper's precision parameter
         .dense_backend(DenseBackend::Hmat) // compressed dense solver
-        .sparse_compression(true) // BLR inside the sparse solver
         .n_c(256) // sparse-solve panel width
         .n_s(1024) // Schur panel width
         .tracer(tracer.clone())

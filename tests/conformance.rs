@@ -339,42 +339,38 @@ fn autotuned_blocking_under_memory_budgets() {
 /// * **determinism** — each `(algorithm, sparse_eps)` cell is
 ///   bitwise-identical at every thread count, and the per-run compression
 ///   summary (panel counts, stored bytes, max rank) is identical too;
-/// * **off means off** — `sparse_eps = 0.0` reproduces the uncompressed
-///   run bitwise, even with the legacy `sparse_compression` switch set;
+/// * **off means off** — `sparse_eps = 0.0` runs uncompressed: no
+///   compression summary is recorded and, the Schur backend being dense,
+///   the result does not depend on `eps` by a single bit;
 /// * the compressed path genuinely ran: at the loosest tolerance at least
 ///   one panel compressed.
 #[test]
 fn sparse_eps_contract() {
     let p = csolve::pipe_problem::<f64>(1_500);
     let reference = oracle_solve(&p).unwrap();
-    let cfg = |algo: Algorithm, sparse_eps: Option<f64>, threads: usize| {
-        let _ = algo;
-        SolverConfig {
-            sparse_eps,
-            // The legacy switch stays on to prove explicit sparse_eps wins.
-            sparse_compression: true,
-            ..config(DenseBackend::Spido, threads)
-        }
-    };
-    let uncompressed = |threads: usize| SolverConfig {
-        sparse_compression: false,
+    let cfg = |sparse_eps: f64, threads: usize| SolverConfig {
+        sparse_eps: Some(sparse_eps),
         ..config(DenseBackend::Spido, threads)
     };
 
     for algo in [Algorithm::MultiSolve, Algorithm::MultiFactorization] {
         let name = algo.name();
-        // Uncompressed baseline, and the eps = 0 "forced off" run.
-        let base = solve(&p, algo, &uncompressed(1))
-            .unwrap_or_else(|e| panic!("{name}: uncompressed run failed: {e}"));
-        assert!(
-            base.metrics.sparse_compression.is_none(),
-            "{name}: uncompressed run must not record a compression summary"
-        );
-        let zero = solve(&p, algo, &cfg(algo, Some(0.0), 1))
+        // The eps = 0 "forced off" run, at two dense-side tolerances.
+        let zero = solve(&p, algo, &cfg(0.0, 1))
             .unwrap_or_else(|e| panic!("{name}: sparse_eps=0 run failed: {e}"));
         assert!(
-            zero.xv == base.xv && zero.xs == base.xs,
-            "{name}: sparse_eps = 0.0 must reproduce the uncompressed run bitwise"
+            zero.metrics.sparse_compression.is_none(),
+            "{name}: uncompressed run must not record a compression summary"
+        );
+        let loose = SolverConfig {
+            eps: 1e-3,
+            ..cfg(0.0, 1)
+        };
+        let loose = solve(&p, algo, &loose)
+            .unwrap_or_else(|e| panic!("{name}: sparse_eps=0 run at eps=1e-3 failed: {e}"));
+        assert!(
+            zero.xv == loose.xv && zero.xs == loose.xs,
+            "{name}: sparse_eps = 0.0 must run uncompressed, bitwise independent of eps"
         );
 
         for eps in [1e-6_f64, 1e-9, 1e-12] {
@@ -382,7 +378,7 @@ fn sparse_eps_contract() {
             let mut baseline: Option<csolve::Outcome<f64>> = None;
             for &threads in thread_counts() {
                 let cell = format!("{name} / sparse_eps={eps:.0e} / {threads} thr");
-                let out = solve(&p, algo, &cfg(algo, Some(eps), threads))
+                let out = solve(&p, algo, &cfg(eps, threads))
                     .unwrap_or_else(|e| panic!("{cell}: solve failed: {e}"));
                 let err = rel_err_l2(&out.xv, &out.xs, &reference.xv, &reference.xs);
                 assert!(

@@ -99,7 +99,7 @@ fn complex_industrial_end_to_end() {
     assert!(err < 1e-5, "industrial err {err:.3e}");
     // The uncompressed dense run is more accurate (Fig. 11's observation).
     let mut nc = tight(DenseBackend::Spido);
-    nc.sparse_compression = false;
+    nc.sparse_eps = Some(0.0);
     let out2 = solve(&p, Algorithm::MultiSolve, &nc).unwrap();
     let err2 = p.relative_error(&out2.xv, &out2.xs);
     assert!(

@@ -170,7 +170,9 @@ fn failed_hierarchical_factorization_surfaces_as_err() {
         "[seed {SEED}] expected CompressionFailure, got {err}"
     );
     drop(guard);
-    // The guard's Drop disarmed everything; a fresh solve works.
+    // The guard's Drop disarmed everything; a fresh solve works. (Under the
+    // lock again: another test's armed fault must not land in this solve.)
+    let _guard = FaultGuard::acquire();
     assert_clean_resolve(&p, Algorithm::MultiSolve, DenseBackend::Hmat);
 }
 

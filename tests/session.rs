@@ -180,6 +180,52 @@ fn all_algorithms_batched_match_one_shot_bitwise() {
     }
 }
 
+/// One factor path: a one-shot `solve()` is the session's factorization
+/// followed by a width-1 panel solve, so it reports the same factor-phase
+/// names in the same order, and the same tracked peak, as the first
+/// (cache-miss) solve of a fresh session — for every algorithm.
+#[test]
+fn one_shot_and_first_session_solve_share_the_factor_path() {
+    let _g = lock();
+    let p = pipe_problem::<f64>(400);
+    let solution_phases = [
+        "sparse solve (rhs)",
+        "dense solve",
+        "sparse solve (back)",
+        "coupled solve",
+    ];
+    for algo in Algorithm::ALL {
+        let one = solve(&p, algo, &cfg(1)).unwrap().metrics;
+        let mut s = session(1, algo);
+        s.solve(&p, &p.b_v, &p.b_s).unwrap();
+        let first = s.last_metrics().expect("the first solve factorized");
+        let names = |phases: &[(String, f64)]| -> Vec<String> {
+            phases.iter().map(|(n, _)| n.clone()).collect()
+        };
+        let mut one_shot_names = names(&one.phases);
+        assert!(
+            one_shot_names
+                .iter()
+                .any(|n| solution_phases.contains(&n.as_str())),
+            "{}: the one-shot run must record its solution phases",
+            algo.name()
+        );
+        one_shot_names.retain(|n| !solution_phases.contains(&n.as_str()));
+        assert_eq!(
+            one_shot_names,
+            names(&first.phases),
+            "{}: factor-phase names differ between one-shot and session",
+            algo.name()
+        );
+        assert_eq!(
+            one.peak_bytes,
+            first.peak_bytes,
+            "{}: tracked peak differs between one-shot and session",
+            algo.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -319,18 +365,14 @@ fn fingerprint_knobs_cover_factorization_inputs_only() {
     ] {
         assert_ne!(changed.fingerprint_knobs(), knobs);
     }
-    // Budget, thread count, in-flight cap and tracer are execution knobs:
-    // same factorization bits, same fingerprint.
+    // Budget, thread count and tracer are execution knobs: same
+    // factorization bits, same fingerprint.
     for same in [
         SolverConfig {
             mem_budget: Some(1 << 30),
             ..cfg(2)
         },
         cfg(4),
-        SolverConfig {
-            max_inflight_blocks: 2,
-            ..cfg(2)
-        },
         SolverConfig {
             tracer: Tracer::enabled(),
             ..cfg(2)

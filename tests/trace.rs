@@ -2,7 +2,7 @@
 //! exercised through the `csolve` façade exactly as a downstream user
 //! would: enable a tracer in the config builder, solve, drain, serialize.
 //!
-//! The determinism contract under test: with `OrderedCommit` in play, the
+//! The determinism contract under test: with folds applied in block order, the
 //! canonical (scope, kind) sequence of a traced solve is identical at any
 //! thread count — traces are diffable across machines. Memory-pressure and
 //! failure events (`budget_degrade`, `poisoned`) are excluded from the
@@ -108,6 +108,33 @@ fn block_scopes_are_contiguous_and_start_with_task_ready() {
             .filter(|r| r.payload.kind_name() == SpanKind::TaskRun.name())
             .count();
         assert_eq!(runs, 2, "block {b}: expected compute + commit task_run");
+    }
+}
+
+/// A one-shot `solve()` is a factorization followed by a width-1 panel
+/// solve on the same run scope: the solution spans are the scope's last
+/// spans, and the end-of-run memory sample and kernel counters close it.
+#[test]
+fn run_scope_ends_with_solution_spans_then_end_of_run_events() {
+    for algo in Algorithm::ALL {
+        let (_, records) = traced_solve(algo, DenseBackend::Hmat, 2);
+        let run: Vec<&str> = records
+            .iter()
+            .filter(|r| r.scope == TraceScope::Run)
+            .map(|r| r.payload.kind_name())
+            .collect();
+        let solution: &[&str] = if algo == Algorithm::AdvancedCoupling {
+            &["coupled_solve"]
+        } else {
+            &["sparse_solve", "dense_solve", "sparse_solve"]
+        };
+        let tail = [solution, &["mem_high_water", "kernel_counters"]].concat();
+        assert!(
+            run.ends_with(&tail),
+            "{}: run scope ends with {:?}, expected {tail:?}",
+            algo.name(),
+            &run[run.len().saturating_sub(tail.len())..]
+        );
     }
 }
 
