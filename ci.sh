@@ -20,12 +20,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> doc-examples (façade + sparse BLR examples must run)"
 cargo test --doc --offline -q -p csolve -p csolve-sparse
 
-echo "==> README config table covers every SolverConfig builder method"
-# Docs-drift check: every public builder method of SolverConfigBuilder must
-# have a row (a backticked first column) in README.md's Configuration table.
+echo "==> README config table covers every SolverConfig field"
+# Docs-drift check: every public field of SolverConfig must have a row (a
+# backticked first column) in README.md's Configuration table.
 missing=0
-for m in $(sed -n '/impl SolverConfigBuilder/,/^}/p' crates/core/src/config.rs \
-            | sed -n 's/^ *pub fn \([a-z_0-9]*\).*/\1/p' | sort -u); do
+for m in $(sed -n '/^pub struct SolverConfig {/,/^}/p' crates/core/src/config.rs \
+            | sed -n 's/^ *pub \([a-z_0-9]*\):.*/\1/p' | sort -u); do
   if ! grep -q "^| \`$m\` |" README.md; then
     echo "   MISSING from README config table: $m"
     missing=1

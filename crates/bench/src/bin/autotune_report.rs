@@ -23,8 +23,9 @@
 //!   every successful autotuned run measured within 1.25× of its
 //!   prediction and inside its budget (CI health check)
 
+use csolve::json::{json_fields, JsonWriter};
 use csolve::{pipe_problem, Algorithm, BlockSizes, DenseBackend, SolverConfig};
-use csolve_bench::{attempt, header, mib, Args, Attempt};
+use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
 
 /// One measured (algorithm, budget, mode) cell of the report.
 struct Row {
@@ -117,41 +118,21 @@ fn truncate(s: &str, n: usize) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(path: &str, n: usize, eps: f64, rows: &[Row]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"autotune_report\",\n");
-    s.push_str(&format!("  \"n\": {n},\n"));
-    s.push_str(&format!("  \"eps\": {eps:e},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"mode\": \"{}\", \"backend\": \"{}\", \
-             \"budget_frac\": {:.2}, \"budget_bytes\": {}, \"status\": \"{}\", \
-             \"predicted_peak\": {}, \"measured_peak\": {}, \"rel_error\": {:e}, \
-             \"n_c\": {}, \"n_s\": {}, \"n_b\": {}, \"degraded\": {}}}{}\n",
-            r.algo,
-            r.mode,
-            r.backend,
-            r.budget_frac,
-            r.budget_bytes,
-            json_escape(&r.status),
-            r.predicted_peak,
-            r.measured_peak,
-            r.rel_error,
-            r.n_c,
-            r.n_s,
-            r.n_b,
-            r.degraded,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+/// The JSON dump; `rel_error` is `null` on rows that did not complete.
+fn to_json(n: usize, eps: f64, rows: &[Row]) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object().field("tool", "autotune_report");
+    w.field("n", n).field("eps", eps);
+    w.key("rows").begin_array();
+    for r in rows {
+        w.begin_object();
+        json_fields!(w, r => algo, mode, backend, budget_frac, budget_bytes, status);
+        json_fields!(w, r => predicted_peak, measured_peak, rel_error);
+        json_fields!(w, r => n_c, n_s, n_b, degraded);
+        w.end_object();
     }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
@@ -163,12 +144,6 @@ fn main() {
         Some(v) => v.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
         None => vec![2.0, 1.0, 0.6],
     };
-    let default_out = if smoke {
-        "target/BENCH_autotune_smoke.json"
-    } else {
-        "BENCH_autotune.json"
-    };
-    let out_path = args.get_str("--out").unwrap_or(default_out).to_string();
 
     header(
         "Memory-governed autotuner — predicted vs measured peak under budgets",
@@ -313,13 +288,7 @@ fn main() {
         }
     }
 
-    match write_json(&out_path, n, eps, &rows) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_json_file(&args, "autotune", &to_json(n, eps, &rows));
 
     if !failures.is_empty() {
         eprintln!("\nautotune smoke assertions FAILED:");

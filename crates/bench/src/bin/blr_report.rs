@@ -25,9 +25,10 @@
 //!   (exit non-zero) the walkthrough statuses and error bounds (CI check)
 
 use csolve::common::MemTracker;
+use csolve::json::{json_fields, JsonWriter};
 use csolve::sparse::{factorize, OrderingKind, SparseOptions, SymbolicFactorization, Symmetry};
 use csolve::{pipe_problem, Algorithm, CoupledProblem, DenseBackend, SolverConfig};
-use csolve_bench::{attempt, header, mib, Args, Attempt};
+use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
 
 /// One `sparse_eps` cell of the tolerance sweep.
 struct SweepRow {
@@ -146,60 +147,35 @@ fn walkthrough(problem: &CoupledProblem<f64>) -> Walkthrough {
     }
 }
 
-fn write_json(path: &str, n: usize, rows: &[SweepRow], w: &Walkthrough) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"blr_report\",\n");
-    s.push_str(&format!("  \"n\": {n},\n"));
-    s.push_str("  \"sweep\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let hist = r
-            .rank_histogram
-            .iter()
-            .map(|(b, c)| format!("{{\"rank_le\": {b}, \"panels\": {c}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            "    {{\"eps\": {:e}, \"panels_eligible\": {}, \"panels_compressed\": {}, \
-             \"dense_bytes\": {}, \"stored_bytes\": {}, \"max_rank\": {}, \
-             \"factor_peak_bytes\": {}, \"rel_error\": {:e}, \"rank_histogram\": [{hist}]}}{}\n",
-            r.eps,
-            r.panels_eligible,
-            r.panels_compressed,
-            r.dense_bytes,
-            r.stored_bytes,
-            r.max_rank,
-            r.factor_peak_bytes,
-            r.rel_error,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+/// The JSON dump; `compressed_rel_error` is `null` when the compressed
+/// walkthrough run did not complete.
+fn to_json(n: usize, rows: &[SweepRow], walk: &Walkthrough) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object().field("tool", "blr_report").field("n", n);
+    w.key("sweep").begin_array();
+    for r in rows {
+        w.begin_object();
+        json_fields!(w, r => eps, panels_eligible, panels_compressed, dense_bytes);
+        json_fields!(w, r => stored_bytes, max_rank, factor_peak_bytes, rel_error);
+        w.key("rank_histogram").begin_array();
+        for (bucket, count) in &r.rank_histogram {
+            w.begin_object().field("rank_le", bucket);
+            w.field("panels", count).end_object();
+        }
+        w.end_array().end_object();
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"budget_walkthrough\": {{\"budget_bytes\": {}, \"uncompressed_peak\": {}, \
-         \"compressed_peak\": {}, \"uncompressed_status\": \"{}\", \
-         \"compressed_status\": \"{}\", \"compressed_rel_error\": {:e}}}\n",
-        w.budget_bytes,
-        w.uncompressed_peak,
-        w.compressed_peak,
-        w.uncompressed_status,
-        w.compressed_status,
-        w.compressed_rel_error,
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
+    w.end_array();
+    w.key("budget_walkthrough").begin_object();
+    json_fields!(w, walk => budget_bytes, uncompressed_peak, compressed_peak);
+    json_fields!(w, walk => uncompressed_status, compressed_status, compressed_rel_error);
+    w.end_object().end_object();
+    w.finish()
 }
 
 fn main() {
     let args = Args::parse();
     let smoke = args.has("--smoke");
     let n = args.get_usize("--n", if smoke { 4_000 } else { 8_000 });
-    let default_out = if smoke {
-        "target/BENCH_blr_smoke.json"
-    } else {
-        "BENCH_blr.json"
-    };
-    let out_path = args.get_str("--out").unwrap_or(default_out).to_string();
 
     header(
         "BLR sparse fronts — rank profiles, memory, accuracy vs sparse_eps",
@@ -311,13 +287,7 @@ fn main() {
         }
     }
 
-    match write_json(&out_path, n, &rows, &w) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_json_file(&args, "blr", &to_json(n, &rows, &w));
 
     if !failures.is_empty() {
         eprintln!("\nblr smoke assertions FAILED:");

@@ -36,8 +36,9 @@
 use csolve::hmat::{
     AssembleMethod, ClusterTree, H2Matrix, H2Options, H2Stats, HMatrix, HOptions, HStats,
 };
+use csolve::json::{json_fields, JsonWriter};
 use csolve::{pipe_problem, solve, Algorithm, DenseBackend, SolverConfig};
-use csolve_bench::{attempt, header, mib, Args, Attempt};
+use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
 
 const ETA: f64 = 6.0;
 const LEAF: usize = 64;
@@ -120,60 +121,44 @@ fn solve_cell(
     }
 }
 
-fn write_json(
-    path: &str,
+fn to_json(
     eps: f64,
     rows: &[StorageRow],
     crossover: Option<usize>,
     cells: &[SolveCell],
     bitwise_ok: bool,
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"h2_report\",\n");
-    s.push_str(&format!("  \"eps\": {eps:e},\n"));
-    s.push_str("  \"storage_sweep\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"n\": {}, \"flat_bytes\": {}, \"flat_max_rank\": {}, \
-             \"h2_bytes\": {}, \"h2_basis_bytes\": {}, \"h2_coupling_bytes\": {}, \
-             \"h2_flat_bytes\": {}, \"h2_far_blocks\": {}, \"h2_max_skel\": {}}}{}\n",
-            r.n,
-            r.flat.bytes,
-            r.flat.max_rank,
-            r.h2.bytes,
-            r.h2.basis_bytes,
-            r.h2.coupling_bytes,
-            r.h2.flat_bytes,
-            r.h2.far_blocks,
-            r.h2.max_skel,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object()
+        .field("tool", "h2_report")
+        .field("eps", eps);
+    w.key("storage_sweep").begin_array();
+    for r in rows {
+        w.begin_object();
+        w.field("n", r.n);
+        w.field("flat_bytes", r.flat.bytes);
+        w.field("flat_max_rank", r.flat.max_rank);
+        w.field("h2_bytes", r.h2.bytes);
+        w.field("h2_basis_bytes", r.h2.basis_bytes);
+        w.field("h2_coupling_bytes", r.h2.coupling_bytes);
+        w.field("h2_flat_bytes", r.h2.flat_bytes);
+        w.field("h2_far_blocks", r.h2.far_blocks);
+        w.field("h2_max_skel", r.h2.max_skel);
+        w.end_object();
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"crossover_n\": {},\n",
-        crossover.map_or("null".to_string(), |n| n.to_string())
-    ));
-    s.push_str("  \"coupled\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"schur_mib\": {:.3}, \"peak_mib\": {:.3}, \
-             \"seconds\": {:.4}, \"rel_error\": {:e}}}{}\n",
-            c.backend.name(),
-            c.schur_mib,
-            c.peak_mib,
-            c.seconds,
-            c.rel_error,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
+    w.end_array();
+    w.field("crossover_n", crossover);
+    w.key("coupled").begin_array();
+    for c in cells {
+        w.begin_object();
+        w.field("backend", c.backend.name());
+        json_fields!(w, c => schur_mib, peak_mib, seconds, rel_error);
+        w.end_object();
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"h2_bitwise_identical_1_2_4_threads\": {bitwise_ok}\n"
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
+    w.end_array();
+    w.field("h2_bitwise_identical_1_2_4_threads", bitwise_ok);
+    w.end_object();
+    w.finish()
 }
 
 fn main() {
@@ -182,12 +167,6 @@ fn main() {
     let eps = args.get_f64("--eps", 1e-6);
     let max_n = args.get_usize("--max-n", if smoke { 1_500 } else { 4_000 });
     let solve_n = args.get_usize("--solve-n", if smoke { 3_000 } else { 8_000 });
-    let default_out = if smoke {
-        "target/BENCH_h2_smoke.json"
-    } else {
-        "BENCH_h2.json"
-    };
-    let out_path = args.get_str("--out").unwrap_or(default_out).to_string();
 
     header(
         "H² nested bases — storage vs flat H-matrices, coupled-solve contract",
@@ -296,13 +275,8 @@ fn main() {
         if bitwise_ok { "yes" } else { "NO" }
     );
 
-    match write_json(&out_path, eps, &rows, crossover, &cells, bitwise_ok) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json = to_json(eps, &rows, crossover, &cells, bitwise_ok);
+    write_json_file(&args, "h2", &json);
 
     if !failures.is_empty() {
         eprintln!("\nh2 report assertions FAILED:");

@@ -16,12 +16,14 @@
 //!   committed pre-rewrite baseline by ≥ [`C64_GATE_FACTOR`], or when any
 //!   blocked GEMM measures below its naive reference.
 
-use csolve::common::Stopwatch;
+use std::time::Instant;
+
 use csolve::dense::{
     gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, trsm_left, Diag, Mat, Op, Tri,
 };
+use csolve::json::{json_fields, JsonWriter};
 use csolve::{Scalar, C64};
-use csolve_bench::Args;
+use csolve_bench::{write_json_file, Args};
 use rand::SeedableRng;
 
 /// Committed blocked-serial GEMM rates (GF/s, n = 512) of the revision
@@ -119,7 +121,7 @@ fn sweep<T: Scalar>(
         let gemm_flops = flop_scale * 2.0 * nf * nf * nf;
         let mut c = Mat::<T>::zeros(n, n);
         let run_naive = || {
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             gemm_naive(
                 T::ONE,
                 a.as_ref(),
@@ -129,7 +131,7 @@ fn sweep<T: Scalar>(
                 T::ZERO,
                 c.as_mut(),
             );
-            sw.elapsed_secs()
+            t0.elapsed().as_secs_f64()
         };
         let s = best_of(reps, run_naive);
         out.push(Entry {
@@ -143,7 +145,7 @@ fn sweep<T: Scalar>(
             speedup: None,
         });
         measure_blocked(out, "gemm", scalar, n, gemm_flops, reps, pools, || {
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             gemm(
                 T::ONE,
                 a.as_ref(),
@@ -153,7 +155,7 @@ fn sweep<T: Scalar>(
                 T::ZERO,
                 c.as_mut(),
             );
-            sw.elapsed_secs()
+            t0.elapsed().as_secs_f64()
         });
 
         // TRSM (lower, n RHS columns): diagonally dominant triangle.
@@ -164,7 +166,7 @@ fn sweep<T: Scalar>(
         let trsm_flops = flop_scale * nf * nf * nf;
         measure_blocked(out, "trsm", scalar, n, trsm_flops, reps, pools, || {
             let mut x = b.clone();
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             trsm_left(
                 Tri::Lower,
                 Op::NoTrans,
@@ -173,16 +175,16 @@ fn sweep<T: Scalar>(
                 t.as_ref(),
                 x.as_mut(),
             );
-            sw.elapsed_secs()
+            t0.elapsed().as_secs_f64()
         });
 
         // LU (partial pivoting).
         let lu_flops = flop_scale * 2.0 / 3.0 * nf * nf * nf;
         measure_blocked(out, "lu", scalar, n, lu_flops, reps, pools, || {
             let m = t.clone();
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             lu_in_place_nb(m, 0).expect("LU of dominant matrix");
-            sw.elapsed_secs()
+            t0.elapsed().as_secs_f64()
         });
 
         // LDLT on a symmetric dominant matrix.
@@ -197,57 +199,42 @@ fn sweep<T: Scalar>(
         let ldlt_flops = flop_scale / 3.0 * nf * nf * nf;
         measure_blocked(out, "ldlt", scalar, n, ldlt_flops, reps, pools, || {
             let m = sym.clone();
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             ldlt_in_place_nb(m, 0).expect("LDLT of dominant matrix");
-            sw.elapsed_secs()
+            t0.elapsed().as_secs_f64()
         });
     }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are static identifiers without quotes/backslashes.
-    debug_assert!(!s.contains('"') && !s.contains('\\'));
-    s
-}
-
-fn write_json(path: &str, thread_counts: &[usize], entries: &[Entry]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"kernels_report\",\n");
-    s.push_str(&format!(
-        "  \"thread_counts\": [{}],\n",
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!(
-        "  \"baseline\": {{\"note\": \"blocked-serial GEMM GF/s at n=512 before the \
-         split-complex kernel rewrite\", \"f64_gemm_gflops\": {BASELINE_F64_GEMM_GFLOPS}, \
-         \"c64_gemm_gflops\": {BASELINE_C64_GEMM_GFLOPS}}},\n"
-    ));
-    s.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let speedup = match e.speedup {
-            Some(v) if v.is_finite() => format!(", \"speedup_vs_serial\": {v:.4}"),
-            _ => String::new(),
-        };
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"scalar\": \"{}\", \"n\": {}, \"variant\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \"gflops\": {:.4}{}}}{}\n",
-            json_escape_free(e.kernel),
-            json_escape_free(e.scalar),
-            e.n,
-            json_escape_free(e.variant),
-            e.threads,
-            e.seconds,
-            e.gflops,
-            speedup,
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
+fn to_json(thread_counts: &[usize], entries: &[Entry]) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object().field("tool", "kernels_report");
+    w.key("thread_counts").begin_array();
+    for t in thread_counts {
+        w.value(t);
     }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    w.end_array();
+    w.key("baseline").begin_object();
+    w.field(
+        "note",
+        "blocked-serial GEMM GF/s at n=512 before the split-complex kernel rewrite",
+    );
+    w.field("f64_gemm_gflops", BASELINE_F64_GEMM_GFLOPS);
+    w.field("c64_gemm_gflops", BASELINE_C64_GEMM_GFLOPS);
+    w.end_object();
+    w.key("entries").begin_array();
+    for e in entries {
+        w.begin_object();
+        json_fields!(w, e => kernel, scalar, n, variant, threads, seconds, gflops);
+        // Absent on the naive reference and when the serial run it is
+        // relative to was not measured.
+        if let Some(v) = e.speedup.filter(|v| v.is_finite()) {
+            w.field("speedup_vs_serial", v);
+        }
+        w.end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
 }
 
 /// The CI health gate run under `--smoke`: the packed kernels must keep
@@ -325,12 +312,6 @@ fn main() {
     thread_counts.sort_unstable();
     thread_counts.dedup();
     thread_counts.insert(0, 1);
-    let default_out = if smoke {
-        "target/BENCH_kernels_smoke.json"
-    } else {
-        "BENCH_kernels.json"
-    };
-    let out_path = args.get_str("--out").unwrap_or(default_out).to_string();
     let reps = if smoke { 2 } else { 3 };
 
     let pools: Vec<rayon::ThreadPool> = thread_counts
@@ -392,13 +373,7 @@ fn main() {
         }
     }
 
-    match write_json(&out_path, &thread_counts, &entries) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_json_file(&args, "kernels", &to_json(&thread_counts, &entries));
 
     if smoke {
         let fails = gate(&entries);

@@ -26,8 +26,9 @@
 
 use std::time::Instant;
 
+use csolve::json::{json_fields, JsonWriter};
 use csolve::{pipe_problem, Algorithm, CoupledProblem, DenseBackend, SessionBuilder, SolverConfig};
-use csolve_bench::{header, Args};
+use csolve_bench::{header, write_json_file, Args};
 
 const WIDTHS: [usize; 3] = [1, 4, 16];
 
@@ -121,44 +122,28 @@ fn measure(problem: &CoupledProblem<f64>, width: usize) -> Row {
     }
 }
 
-fn write_json(path: &str, n: usize, rows: &[Row], cache_hit_speedup: f64) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"session_report\",\n");
-    s.push_str(&format!("  \"n\": {n},\n"));
-    s.push_str(&format!(
-        "  \"cache_hit_speedup\": {cache_hit_speedup:.3},\n"
-    ));
-    s.push_str("  \"widths\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"width\": {}, \"one_shot_secs\": {:.6}, \"session_cold_secs\": {:.6}, \
-             \"session_warm_secs\": {:.6}, \"amortized_speedup\": {:.3}, \
-             \"warm_speedup\": {:.3}}}{}\n",
-            r.width,
-            r.one_shot_secs,
-            r.session_cold_secs,
-            r.session_warm_secs,
-            r.amortized_speedup(),
-            r.warm_speedup(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+fn to_json(n: usize, rows: &[Row], cache_hit_speedup: f64) -> String {
+    let mut w = JsonWriter::pretty();
+    w.begin_object()
+        .field("tool", "session_report")
+        .field("n", n);
+    w.field("cache_hit_speedup", cache_hit_speedup);
+    w.key("widths").begin_array();
+    for r in rows {
+        w.begin_object();
+        json_fields!(w, r => width, one_shot_secs, session_cold_secs, session_warm_secs);
+        w.field("amortized_speedup", r.amortized_speedup());
+        w.field("warm_speedup", r.warm_speedup());
+        w.end_object();
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    std::fs::write(path, s)
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
     let args = Args::parse();
     let smoke = args.has("--smoke");
     let n = args.get_usize("--n", if smoke { 2_000 } else { 6_000 });
-    let default_out = if smoke {
-        "target/BENCH_session_smoke.json"
-    } else {
-        "BENCH_session.json"
-    };
-    let out_path = args.get_str("--out").unwrap_or(default_out).to_string();
 
     header(
         "Solver session — factorization cache and RHS batching vs one-shot solves",
@@ -206,13 +191,7 @@ fn main() {
         }
     }
 
-    match write_json(&out_path, n, &rows, cache_hit_speedup) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_json_file(&args, "session", &to_json(n, &rows, cache_hit_speedup));
 
     if !failures.is_empty() {
         eprintln!("\nsession smoke assertions FAILED:");

@@ -22,15 +22,15 @@ use csolve::{
 use csolve_bench::Args;
 
 fn config(tracer: Tracer, threads: usize) -> SolverConfig {
-    SolverConfig::builder()
-        .eps(1e-4)
-        .dense_backend(DenseBackend::Hmat)
-        .n_c(64)
-        .n_s(256)
-        .num_threads(threads)
-        .tracer(tracer)
-        .build()
-        .expect("smoke config must validate")
+    SolverConfig {
+        eps: 1e-4,
+        dense_backend: DenseBackend::Hmat,
+        n_c: 64,
+        n_s: 256,
+        num_threads: threads,
+        tracer,
+        ..Default::default()
+    }
 }
 
 fn signature(records: &[TraceRecord]) -> Vec<(TraceScope, &'static str)> {

@@ -186,6 +186,31 @@ impl Args {
     }
 }
 
+/// Write the JSON dump of report binary `tool` (`autotune`, `blr`, …): to
+/// `--out` when given, else to `BENCH_<tool>.json` at the repo root — or,
+/// under `--smoke`, to `target/BENCH_<tool>_smoke.json`, so CI never clobbers
+/// the committed file. The text is first parsed back with the workspace's
+/// own strict parser: a file that is not JSON is never produced. Either
+/// failure ends the process with exit code 1.
+pub fn write_json_file(args: &Args, tool: &str, json: &str) {
+    let default = if args.has("--smoke") {
+        format!("target/BENCH_{tool}_smoke.json")
+    } else {
+        format!("BENCH_{tool}.json")
+    };
+    let path = args.get_str("--out").unwrap_or(&default);
+    let written = csolve::json::parse_json(json)
+        .map_err(|e| format!("refusing to write invalid JSON: {e}"))
+        .and_then(|_| std::fs::write(path, json).map_err(|e| e.to_string()));
+    match written {
+        Ok(()) => println!("\nwrote {path}"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 pub fn mib(bytes: usize) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
@@ -196,4 +221,28 @@ pub fn header(title: &str, paper_ref: &str) {
     println!("{title}");
     println!("reproduces: {paper_ref}");
     println!("{}", "=".repeat(78));
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every committed `BENCH_*.json` at the repo root is JSON by the
+    /// workspace's own strict parser (no `NaN`, no trailing commas).
+    #[test]
+    fn committed_bench_files_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root).expect("repo root") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).expect("readable bench file");
+                csolve::json::parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                seen += 1;
+            }
+        }
+        assert!(
+            seen >= 5,
+            "expected the five committed bench files, saw {seen}"
+        );
+    }
 }

@@ -1,16 +1,21 @@
-//! Minimal JSON value model and recursive-descent parser.
+//! Minimal JSON for the workspace: one parser and one writer.
 //!
 //! The workspace is built offline with no serialization dependency, yet the
-//! trace layer ([`crate::trace`]) emits JSONL and the run reports emit JSON
-//! that tests and the CI smoke check must *parse back* to validate. This
-//! module provides just enough JSON for that round trip: the full value
-//! grammar (objects, arrays, strings with escapes, numbers, booleans,
-//! `null`) with strict error reporting, plus typed accessors. It is a
-//! validator and test aid, not a general-purpose serialization framework —
-//! writers in this workspace build their JSON strings by hand.
+//! trace layer ([`crate::trace`]) emits JSONL, the run reports and the bench
+//! binaries emit JSON, and tests and the CI smoke checks *parse it back* to
+//! validate. Both directions live here and nowhere else:
+//!
+//! * [`parse_json`] / [`parse_jsonl`] — the full value grammar (objects,
+//!   arrays, strings with escapes, numbers, booleans, `null`) with strict
+//!   error reporting, into a [`JsonValue`] with typed accessors;
+//! * [`JsonWriter`] — a streaming writer that is the only code knowing JSON
+//!   syntax on the way out: string escaping, separators, nesting and numbers.
+//!   Keys are written in call order, and **non-finite floats become `null`**
+//!   (`NaN`/`inf` are not JSON, and the parser above rejects them), so what
+//!   it produces always parses back.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys are kept in a sorted map, which is fine
 /// for validation (JSON object order is not significant).
@@ -373,6 +378,224 @@ impl Parser<'_> {
     }
 }
 
+/// A scalar [`JsonWriter`] can emit: strings, booleans, unsigned integers,
+/// floats (non-finite ones as `null`) and `Option`s of those (`None` as
+/// `null`).
+pub trait JsonScalar {
+    /// Append the JSON token of `self` to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl JsonScalar for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl JsonScalar for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl JsonScalar for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            // `{:?}` is the shortest representation that round-trips, and
+            // always a JSON number (`0.0`, `-1.5e-300`, `1e300`).
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+macro_rules! json_display_scalar {
+    ($($t:ty),*) => {$(
+        impl JsonScalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+json_display_scalar!(bool, u32, u64, usize);
+
+impl<T: JsonScalar + ?Sized> JsonScalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: JsonScalar> JsonScalar for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// Streaming JSON writer. Values go out in call order: open a container,
+/// write its members ([`JsonWriter::field`] inside an object,
+/// [`JsonWriter::value`] inside an array, [`JsonWriter::key`] in front of a
+/// nested container), close it, and take the text with
+/// [`JsonWriter::finish`].
+///
+/// [`JsonWriter::compact`] emits no whitespace at all (one trace record per
+/// JSONL line); [`JsonWriter::pretty`] puts the members of the two outermost
+/// container levels on their own indented lines — a report's top-level keys
+/// and one table row per line — and keeps deeper containers inline.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// One entry per open container: whether it already has a member.
+    open: Vec<bool>,
+    /// How many of the outermost container levels break their members over
+    /// lines (0: none, the compact form).
+    break_depth: usize,
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer that emits no whitespace.
+    pub fn compact() -> Self {
+        Self::default()
+    }
+
+    /// A writer for human-read documents (see the type docs).
+    pub fn pretty() -> Self {
+        JsonWriter {
+            break_depth: 2,
+            ..Self::default()
+        }
+    }
+
+    fn newline(&mut self, indent: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n("  ", indent));
+    }
+
+    /// Separator in front of a key or a value: nothing right after a key,
+    /// otherwise the comma and line break its container calls for.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let depth = self.open.len();
+        let Some(has_member) = self.open.last_mut() else {
+            return;
+        };
+        let had_member = std::mem::replace(has_member, true);
+        if had_member {
+            self.out.push(',');
+        }
+        if depth <= self.break_depth {
+            self.newline(depth);
+        } else if had_member && self.break_depth > 0 {
+            self.out.push(' ');
+        }
+    }
+
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.separate();
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    fn end(&mut self, bracket: char) -> &mut Self {
+        let had_member = self.open.pop().expect("no open JSON container to close");
+        if had_member && self.open.len() < self.break_depth {
+            self.newline(self.open.len());
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    /// Open an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Close the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Close the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// Write an object key; the next value or container is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        key.write_json(&mut self.out);
+        self.out.push(':');
+        if self.break_depth > 0 {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    /// Write a scalar value (an array element, or the value of the last key).
+    pub fn value(&mut self, v: impl JsonScalar) -> &mut Self {
+        self.separate();
+        v.write_json(&mut self.out);
+        self
+    }
+
+    /// Write one `key: scalar` member of the innermost object.
+    pub fn field(&mut self, key: &str, v: impl JsonScalar) -> &mut Self {
+        self.key(key).value(v)
+    }
+
+    /// The finished document (newline-terminated unless compact).
+    pub fn finish(mut self) -> String {
+        assert!(self.open.is_empty(), "unclosed JSON container");
+        if self.break_depth > 0 {
+            self.out.push('\n');
+        }
+        self.out
+    }
+}
+
+/// Write members named after the fields (or local bindings) they come from:
+/// `json_fields!(w, row => n, eps)` is `w.field("n", &row.n).field("eps",
+/// &row.eps)`, and `json_fields!(w, live, peak)` is `w.field("live",
+/// &live).field("peak", &peak)` — each name is spelled once.
+#[macro_export]
+macro_rules! json_fields {
+    ($w:expr, $src:expr => $($field:ident),+ $(,)?) => {{
+        $( $w.field(stringify!($field), &$src.$field); )+
+    }};
+    ($w:expr, $($var:ident),+ $(,)?) => {{
+        $( $w.field(stringify!($var), &$var); )+
+    }};
+}
+pub use crate::json_fields;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,5 +656,57 @@ mod tests {
         assert_eq!(parse_json("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse_json("3.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("-3").unwrap().as_u64(), None);
+    }
+
+    fn written(v: impl JsonScalar) -> JsonValue {
+        let mut w = JsonWriter::compact();
+        w.value(v);
+        parse_json(&w.finish()).expect("writer output must parse")
+    }
+
+    #[test]
+    fn written_strings_round_trip() {
+        for s in ["\"", "\\", "\n", "\r", "\t", "\u{1}", "é", "a\"b\\c\u{1f}"] {
+            assert_eq!(written(s), JsonValue::String(s.into()), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn written_floats_round_trip_and_non_finite_is_null() {
+        for x in [0.0, -1.5e-300, 1e300, 0.1, 123456.789] {
+            assert_eq!(written(x), JsonValue::Number(x), "{x:e}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(written(x), JsonValue::Null, "{x}");
+        }
+        assert_eq!(written(None::<usize>), JsonValue::Null);
+        assert_eq!(written(Some(7usize)).as_u64(), Some(7));
+    }
+
+    #[test]
+    fn writer_nests_and_keeps_key_order() {
+        let build = |mut w: JsonWriter| {
+            w.begin_object().field("zeta", 1u32).field("alpha", true);
+            w.key("empty_obj").begin_object().end_object();
+            w.key("empty_arr").begin_array().end_array();
+            w.key("rows").begin_array();
+            for i in 0..2usize {
+                w.begin_object().field("i", i).key("xs").begin_array();
+                w.value(0.5).value("s").end_array().end_object();
+            }
+            w.end_array().end_object();
+            w.finish()
+        };
+        let compact = build(JsonWriter::compact());
+        assert_eq!(
+            compact,
+            "{\"zeta\":1,\"alpha\":true,\"empty_obj\":{},\"empty_arr\":[],\
+             \"rows\":[{\"i\":0,\"xs\":[0.5,\"s\"]},{\"i\":1,\"xs\":[0.5,\"s\"]}]}"
+        );
+        let pretty = build(JsonWriter::pretty());
+        // Same document; top-level keys and table rows on their own lines.
+        assert_eq!(parse_json(&pretty).unwrap(), parse_json(&compact).unwrap());
+        assert!(pretty.contains("\n  \"alpha\": true,\n  \"empty_obj\": {},\n"));
+        assert!(pretty.contains("\n    {\"i\": 1, \"xs\": [0.5, \"s\"]}\n  ]\n}\n"));
     }
 }

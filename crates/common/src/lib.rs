@@ -17,25 +17,22 @@
 //!   objects (dense blocks, factors, compressed matrices) with an enforced
 //!   budget, used to reproduce the paper's 128 GiB capacity experiments at a
 //!   scaled-down size.
-//! * [`PhaseTimer`] — lightweight per-phase wall-clock accounting used by the
-//!   benchmark harness to report the same time breakdowns as the paper.
 //! * [`Tracer`] ([`trace`]) — the span-based tracing substrate: typed
 //!   per-block spans and scheduler/memory events with deterministic
 //!   cross-thread-count ordering, serialized as versioned JSONL.
-//! * [`json`] — a dependency-free JSON parser used to validate the emitted
-//!   traces and reports in tests and CI.
+//! * [`json`] — the workspace's one JSON writer (traces, run reports, bench
+//!   files) and the strict parser that validates what it wrote in tests and
+//!   CI.
 
 pub mod error;
 pub mod json;
 pub mod mem;
 pub mod scalar;
-pub mod timing;
 pub mod trace;
 
 pub use error::{Error, Result};
 pub use mem::{ByteSized, MemCharge, MemTracker, Tracked};
 pub use scalar::{Complex, RealScalar, Scalar, C32, C64};
-pub use timing::{PhaseTimer, Stopwatch};
 pub use trace::{
     ScopeTracer, Span, SpanKind, TraceEventKind, TracePayload, TraceRecord, TraceScope, Tracer,
 };

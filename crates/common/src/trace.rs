@@ -49,6 +49,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::json::{json_fields, JsonWriter};
+
 /// Version stamp of the JSONL trace format (the `"v"` field of the header).
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
@@ -536,39 +538,20 @@ impl Drop for Span<'_> {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl TraceRecord {
     /// One-line JSON rendering (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"cat\":");
-        match &self.payload {
-            TracePayload::Span { .. } => s.push_str("\"span\""),
-            TracePayload::Event { .. } => s.push_str("\"event\""),
-        }
-        s.push_str(",\"kind\":");
-        push_json_str(&mut s, self.payload.kind_name());
+        let mut w = JsonWriter::compact();
+        let cat = match self.payload {
+            TracePayload::Span { .. } => "span",
+            TracePayload::Event { .. } => "event",
+        };
+        w.begin_object().field("cat", cat);
+        w.field("kind", self.payload.kind_name());
         match self.scope {
-            TraceScope::Run => s.push_str(",\"scope\":\"run\""),
-            TraceScope::Block(seq) => {
-                s.push_str(&format!(",\"scope\":\"block\",\"seq\":{seq}"));
-            }
-        }
+            TraceScope::Run => w.field("scope", "run"),
+            TraceScope::Block(seq) => w.field("scope", "block").field("seq", seq),
+        };
         match &self.payload {
             TracePayload::Span {
                 start_ns,
@@ -577,72 +560,50 @@ impl TraceRecord {
                 flops,
                 ..
             } => {
-                s.push_str(&format!(
-                    ",\"t_ns\":{start_ns},\"dur_ns\":{dur_ns},\"bytes\":{bytes},\"flops\":{flops}"
-                ));
+                w.field("t_ns", start_ns);
+                json_fields!(w, dur_ns, bytes, flops);
             }
             TracePayload::Event { kind, at_ns } => {
-                s.push_str(&format!(",\"t_ns\":{at_ns}"));
+                w.field("t_ns", at_ns);
                 match kind {
-                    TraceEventKind::BudgetDegrade { cap } => {
-                        s.push_str(&format!(",\"cap\":{cap}"));
-                    }
+                    TraceEventKind::BudgetDegrade { cap } => json_fields!(w, cap),
                     TraceEventKind::Poisoned => {}
-                    TraceEventKind::MemHighWater { live, peak } => {
-                        s.push_str(&format!(",\"live\":{live},\"peak\":{peak}"));
-                    }
+                    TraceEventKind::MemHighWater { live, peak } => json_fields!(w, live, peak),
                     TraceEventKind::AutotuneSelect {
                         n_c,
                         n_s,
                         n_b,
                         predicted_bytes,
-                    } => {
-                        s.push_str(&format!(
-                            ",\"n_c\":{n_c},\"n_s\":{n_s},\"n_b\":{n_b},\
-                             \"predicted_bytes\":{predicted_bytes}"
-                        ));
-                    }
+                    } => json_fields!(w, n_c, n_s, n_b, predicted_bytes),
                     TraceEventKind::FrontCompress {
                         front,
                         dense_bytes,
                         stored_bytes,
                         max_rank,
-                    } => {
-                        s.push_str(&format!(
-                            ",\"front\":{front},\"dense_bytes\":{dense_bytes},\
-                             \"stored_bytes\":{stored_bytes},\"max_rank\":{max_rank}"
-                        ));
-                    }
+                    } => json_fields!(w, front, dense_bytes, stored_bytes, max_rank),
                     TraceEventKind::KernelCounters {
                         packed_calls,
                         naive_calls,
                         matvec_calls,
                         flops,
                         ns,
-                    } => {
-                        s.push_str(&format!(
-                            ",\"packed_calls\":{packed_calls},\"naive_calls\":{naive_calls},\
-                             \"matvec_calls\":{matvec_calls},\"flops\":{flops},\"ns\":{ns}"
-                        ));
-                    }
-                    TraceEventKind::TaskReady { node } => {
-                        s.push_str(&format!(",\"node\":{node}"));
-                    }
+                    } => json_fields!(w, packed_calls, naive_calls, matvec_calls, flops, ns),
+                    TraceEventKind::TaskReady { node } => json_fields!(w, node),
                     TraceEventKind::SessionCacheHit { fingerprint }
                     | TraceEventKind::SessionCacheMiss { fingerprint } => {
-                        s.push_str(&format!(",\"fingerprint\":{fingerprint}"));
+                        json_fields!(w, fingerprint)
                     }
                     TraceEventKind::SessionEvict { fingerprint, bytes } => {
-                        s.push_str(&format!(",\"fingerprint\":{fingerprint},\"bytes\":{bytes}"));
+                        json_fields!(w, fingerprint, bytes)
                     }
                     TraceEventKind::SessionBatch { width, requests } => {
-                        s.push_str(&format!(",\"width\":{width},\"requests\":{requests}"));
+                        json_fields!(w, width, requests)
                     }
                 }
             }
         }
-        s.push_str(&format!(",\"thread\":{}}}", self.thread));
-        s
+        w.field("thread", self.thread).end_object();
+        w.finish()
     }
 }
 
@@ -650,11 +611,15 @@ impl TraceRecord {
 /// by one object per record (canonical order is the caller's responsibility
 /// — [`Tracer::drain`] already provides it).
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(64 + 128 * records.len());
-    out.push_str(&format!(
-        "{{\"type\":\"csolve_trace\",\"v\":{TRACE_FORMAT_VERSION},\"records\":{}}}\n",
-        records.len()
-    ));
+    let mut header = JsonWriter::compact();
+    header
+        .begin_object()
+        .field("type", "csolve_trace")
+        .field("v", TRACE_FORMAT_VERSION)
+        .field("records", records.len())
+        .end_object();
+    let mut out = header.finish();
+    out.push('\n');
     for r in records {
         out.push_str(&r.to_json());
         out.push('\n');

@@ -148,6 +148,9 @@ pub struct SolverConfig {
     /// Fill-reducing ordering of the sparse solver.
     pub ordering: OrderingKind,
     /// Hard budget in bytes for all tracked allocations (`None`: unlimited).
+    /// With [`BlockSizes::Fixed`] the budget only bounds the run; set
+    /// [`SolverConfig::block_sizes`] to [`BlockSizes::Auto`] to make it drive
+    /// the blocking.
     pub mem_budget: Option<usize>,
     /// Whether the blockwise algorithms use the configured block sizes
     /// verbatim ([`BlockSizes::Fixed`], the default) or let the autotuner
@@ -200,20 +203,10 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Start a validating builder from the defaults. Plain struct
-    /// construction (`SolverConfig { .. }`) keeps working; the builder adds
-    /// fail-fast validation at [`SolverConfigBuilder::build`] time so a
-    /// nonsensical parameter set surfaces as [`Error::InvalidConfig`]
-    /// instead of silent misbehavior deep inside a pipeline.
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder {
-            cfg: SolverConfig::default(),
-        }
-    }
-
-    /// Check every tuning parameter for sanity; `solve()` calls this on
-    /// entry, so a hand-constructed config gets the same fail-fast treatment
-    /// as a built one.
+    /// Check every tuning parameter for sanity. `solve()` and
+    /// `SessionBuilder::build` call this on entry, so a nonsensical
+    /// parameter set surfaces as [`Error::InvalidConfig`] instead of silent
+    /// misbehavior deep inside a pipeline.
     pub fn validate(&self) -> Result<()> {
         fn bad(msg: String) -> Result<()> {
             Err(Error::InvalidConfig(msg))
@@ -322,116 +315,6 @@ impl SolverConfig {
     }
 }
 
-/// Builder for [`SolverConfig`] with fail-fast validation; see
-/// [`SolverConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct SolverConfigBuilder {
-    cfg: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Low-rank precision ε (must be finite and > 0).
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.cfg.eps = eps;
-        self
-    }
-
-    /// Dense solver for `A_ss` and the Schur complement.
-    pub fn dense_backend(mut self, backend: DenseBackend) -> Self {
-        self.cfg.dense_backend = backend;
-        self
-    }
-
-    /// BLR tolerance for the sparse fronts, independent of the dense-side
-    /// [`Self::eps`] (which it defaults to). Pass `0.0` to force the exact
-    /// uncompressed sparse path; must be finite and >= 0.
-    pub fn sparse_eps(mut self, eps: f64) -> Self {
-        self.cfg.sparse_eps = Some(eps);
-        self
-    }
-
-    /// Columns per sparse-solve panel (`n_c >= 1`).
-    pub fn n_c(mut self, n_c: usize) -> Self {
-        self.cfg.n_c = n_c;
-        self
-    }
-
-    /// Columns per Schur panel (`n_s >= n_c`).
-    pub fn n_s(mut self, n_s: usize) -> Self {
-        self.cfg.n_s = n_s;
-        self
-    }
-
-    /// Schur blocks per row/column (`n_b >= 1`).
-    pub fn n_b(mut self, n_b: usize) -> Self {
-        self.cfg.n_b = n_b;
-        self
-    }
-
-    /// Fill-reducing ordering of the sparse solver.
-    pub fn ordering(mut self, ordering: OrderingKind) -> Self {
-        self.cfg.ordering = ordering;
-        self
-    }
-
-    /// Set a hard memory budget in bytes (0 is rejected) **and** switch
-    /// block sizing to [`BlockSizes::Auto`]: the solver derives the largest
-    /// blocking whose working set fits `bytes` instead of using
-    /// `n_c`/`n_s`/`n_b` verbatim. Follow with
-    /// [`Self::block_sizes`]`(BlockSizes::Fixed)`, or set the
-    /// [`SolverConfig::mem_budget`] field directly, to enforce a budget with
-    /// fixed block sizes.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.cfg.mem_budget = Some(bytes);
-        self.cfg.block_sizes = BlockSizes::Auto;
-        self
-    }
-
-    /// Fixed or budget-driven block sizing (see [`crate::autotune`]).
-    pub fn block_sizes(mut self, mode: BlockSizes) -> Self {
-        self.cfg.block_sizes = mode;
-        self
-    }
-
-    /// H-matrix leaf size (`>= 1`).
-    pub fn hmat_leaf(mut self, leaf: usize) -> Self {
-        self.cfg.hmat_leaf = leaf;
-        self
-    }
-
-    /// H-matrix admissibility parameter η (finite, > 0).
-    pub fn hmat_eta(mut self, eta: f64) -> Self {
-        self.cfg.hmat_eta = eta;
-        self
-    }
-
-    /// Worker threads (0: ambient rayon thread count).
-    pub fn num_threads(mut self, threads: usize) -> Self {
-        self.cfg.num_threads = threads;
-        self
-    }
-
-    /// Panel width of the blocked dense factorizations (0: dense-layer
-    /// default).
-    pub fn dense_panel_nb(mut self, nb: usize) -> Self {
-        self.cfg.dense_panel_nb = nb;
-        self
-    }
-
-    /// Span tracer for the run (see [`Tracer`]).
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.cfg.tracer = tracer;
-        self
-    }
-
-    /// Validate and return the configuration, or [`Error::InvalidConfig`]
-    /// naming the offending parameter.
-    pub fn build(self) -> Result<SolverConfig> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 /// Aggregate BLR statistics of every sparse front factorized during one
 /// solve (all tiles summed for multi-factorization). `None` in
 /// [`Metrics::sparse_compression`] when the run kept the sparse factors
@@ -517,7 +400,7 @@ pub struct Metrics {
 /// for the stringly `Metrics::phase_seconds`/`bytes_of`/`flops_of` lookups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
-    /// Phase name (the `PhaseTimer` label, e.g. `"sparse solve (Y)"`).
+    /// Phase name (the driver's phase label, e.g. `"sparse solve (Y)"`).
     pub name: String,
     /// Total seconds over all threads (CPU-time-like for parallel phases).
     pub seconds: f64,
@@ -648,37 +531,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fail_fast() {
-        // Happy path mirrors plain struct construction.
-        let c = SolverConfig::builder()
-            .eps(1e-4)
-            .n_c(32)
-            .n_s(64)
-            .n_b(3)
-            .dense_backend(DenseBackend::Spido)
-            .build()
-            .unwrap();
-        assert_eq!(c.eps, 1e-4);
-        assert_eq!(c.n_b, 3);
-
-        let expect_invalid = |b: SolverConfigBuilder, what: &str| {
-            let err = b.build().unwrap_err();
+    fn validate_fails_fast() {
+        assert!(SolverConfig::default().validate().is_ok());
+        let expect_invalid = |edit: fn(&mut SolverConfig), what: &str| {
+            let mut cfg = SolverConfig::default();
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err();
             assert!(
                 matches!(&err, Error::InvalidConfig(msg) if msg.contains(what)),
                 "expected InvalidConfig mentioning '{what}', got: {err}"
             );
         };
-        expect_invalid(SolverConfig::builder().eps(0.0), "eps");
-        expect_invalid(SolverConfig::builder().eps(f64::NAN), "eps");
-        expect_invalid(SolverConfig::builder().eps(-1e-3), "eps");
-        expect_invalid(SolverConfig::builder().n_c(0), "n_c");
-        expect_invalid(SolverConfig::builder().n_c(64).n_s(32), "n_s");
-        expect_invalid(SolverConfig::builder().n_b(0), "n_b");
-        expect_invalid(SolverConfig::builder().hmat_leaf(0), "hmat_leaf");
-        expect_invalid(SolverConfig::builder().hmat_eta(0.0), "hmat_eta");
-        expect_invalid(SolverConfig::builder().memory_budget(0), "mem_budget");
-        expect_invalid(SolverConfig::builder().sparse_eps(-1e-9), "sparse_eps");
-        expect_invalid(SolverConfig::builder().sparse_eps(f64::NAN), "sparse_eps");
+        expect_invalid(|c| c.eps = 0.0, "eps");
+        expect_invalid(|c| c.eps = f64::NAN, "eps");
+        expect_invalid(|c| c.eps = -1e-3, "eps");
+        expect_invalid(|c| c.n_c = 0, "n_c");
+        expect_invalid(|c| (c.n_c, c.n_s) = (64, 32), "n_s");
+        expect_invalid(|c| c.n_b = 0, "n_b");
+        expect_invalid(|c| c.hmat_leaf = 0, "hmat_leaf");
+        expect_invalid(|c| c.hmat_eta = 0.0, "hmat_eta");
+        expect_invalid(|c| c.mem_budget = Some(0), "mem_budget");
+        expect_invalid(|c| c.sparse_eps = Some(-1e-9), "sparse_eps");
+        expect_invalid(|c| c.sparse_eps = Some(f64::NAN), "sparse_eps");
     }
 
     #[test]
@@ -687,10 +561,16 @@ mod tests {
         let c = SolverConfig::default();
         assert_eq!(c.effective_sparse_eps(), Some(c.eps));
         // Explicit tolerance decouples from eps.
-        let c = SolverConfig::builder().sparse_eps(1e-9).build().unwrap();
+        let c = SolverConfig {
+            sparse_eps: Some(1e-9),
+            ..Default::default()
+        };
         assert_eq!(c.effective_sparse_eps(), Some(1e-9));
         // sparse_eps = 0 forces the exact uncompressed path.
-        let c = SolverConfig::builder().sparse_eps(0.0).build().unwrap();
+        let c = SolverConfig {
+            sparse_eps: Some(0.0),
+            ..Default::default()
+        };
         assert_eq!(c.effective_sparse_eps(), None);
     }
 
@@ -722,16 +602,6 @@ mod tests {
         assert_eq!(ab.max_rank, 11);
         assert!((ab.ratio() - 350.0 / 1500.0).abs() < 1e-15);
         assert_eq!(SparseCompressionSummary::default().ratio(), 1.0);
-    }
-
-    #[test]
-    fn plain_struct_construction_still_validates_the_same_way() {
-        let cfg = SolverConfig {
-            eps: -1.0,
-            ..Default::default()
-        };
-        assert!(matches!(cfg.validate(), Err(Error::InvalidConfig(_))));
-        assert!(SolverConfig::default().validate().is_ok());
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //! and folded into `S` in block order — so results are bitwise-identical for
 //! every thread count, and peak tracked memory never exceeds the configured
 //! budget (concurrency degrades instead).
+//!
+//! Every phase is measured once, by the `Recorder`: opening a `Phase` returns
+//! a guard, and the guard's drop is both that phase's `Metrics` row and — for
+//! the phases whose span the driver owns — its trace span.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::autotune::{self, AutotuneDecision, BlockSizes, MatrixStats};
 use crate::config::{Algorithm, Metrics, SolverConfig, SparseCompressionSummary};
 use crate::pipeline::{run_blockwise, Slot};
 use crate::schur::{SchurAcc, SchurFactor};
 use csolve_common::{
-    ByteSized, Error, MemTracker, PhaseTimer, Result, Scalar, ScopeTracer, SpanKind, Stopwatch,
-    TraceEventKind, Tracer,
+    ByteSized, Error, MemTracker, Result, Scalar, ScopeTracer, SpanKind, TraceEventKind,
+    TraceScope, Tracer,
 };
-use csolve_dense::{Mat, MatRef};
+use csolve_dense::{Mat, MatMut, MatRef};
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
 use csolve_sparse::{
@@ -48,11 +53,11 @@ pub struct Outcome<T> {
 
 /// Everything one factorization run works on: the problem's blocks with the
 /// surface unknowns in cluster order, and the run's configuration, memory
-/// tracker and phase timer.
+/// tracker and phase recorder.
 struct Ws<'a, T: Scalar> {
     cfg: &'a SolverConfig,
     tracker: &'a Arc<MemTracker>,
-    timer: &'a PhaseTimer,
+    rec: &'a Recorder,
     a_vv: &'a Csc<T>,
     a_sv: Csc<T>,
     a_vs: Csc<T>,
@@ -116,38 +121,39 @@ impl<T: Scalar> Ws<'_, T> {
 
     /// The plain factorization of `A_vv` the direct solution phase consumes.
     fn factor_avv(&self) -> Result<SparseFactorization<T>> {
-        let fact = self.timer.time("sparse factorization", || {
-            factorize(self.a_vv, &self.sparse_opts())
-        })?;
+        let _ph = self.rec.open(Phase::FactorAvv, TraceScope::Run);
+        let fact = factorize(self.a_vv, &self.sparse_opts())?;
         self.note_factor_stats(fact.stats());
         Ok(fact)
     }
 
-    /// `Y = A_vv⁻¹·rhs` for a sparse right-hand side, recorded into `tr`.
+    /// `Y = A_vv⁻¹·rhs` for a sparse right-hand side, recorded in `scope`.
     fn solve_y(
         &self,
         fact: &SparseFactorization<T>,
         rhs: &Csc<T>,
-        tr: ScopeTracer<'_>,
+        scope: TraceScope,
     ) -> Result<Mat<T>> {
-        let mut sp = tr.span(SpanKind::SparseSolve);
-        let y = self
-            .timer
-            .time("sparse solve (Y)", || fact.solve_sparse_rhs(rhs))?;
-        sp.add_bytes(y.byte_size());
-        self.timer.add_bytes("sparse solve (Y)", y.byte_size());
+        let mut ph = self.rec.open(Phase::SolveY, scope);
+        let y = fact.solve_sparse_rhs(rhs)?;
+        ph.add_bytes(y.byte_size());
         Ok(y)
     }
 
-    /// The stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]`, recorded into `tr`.
-    fn assemble_w(&self, a_vs_j: &Csc<T>, a_sv_i: &Csc<T>, tr: ScopeTracer<'_>) -> Csc<T> {
-        let mut sp = tr.span(SpanKind::AssembleW);
-        let w = self
-            .timer
-            .time("assemble W", || stack_w(self.a_vv, a_vs_j, a_sv_i));
-        sp.add_bytes(w.byte_size());
-        self.timer.add_bytes("assemble W", w.byte_size());
+    /// The stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]`, recorded in `scope`.
+    fn assemble_w(&self, a_vs_j: &Csc<T>, a_sv_i: &Csc<T>, scope: TraceScope) -> Csc<T> {
+        let mut ph = self.rec.open(Phase::AssembleW, scope);
+        let w = stack_w(self.a_vv, a_vs_j, a_sv_i);
+        ph.add_bytes(w.byte_size());
         w
+    }
+
+    /// `Z = A_sv·y`, recorded in `scope`.
+    fn spmm(&self, y: MatRef<'_, T>, z: MatMut<'_, T>, scope: TraceScope) {
+        let mut ph = self.rec.open(Phase::Spmm, scope);
+        ph.add_bytes(z.nrows() * z.ncols() * std::mem::size_of::<T>());
+        ph.add_flops(2 * self.a_sv.nnz() as u64 * z.ncols() as u64);
+        self.a_sv.mul_dense(T::ONE, y, T::ZERO, z);
     }
 
     /// One factorization+Schur call on a stacked `W` whose trailing
@@ -158,25 +164,20 @@ impl<T: Scalar> Ws<'_, T> {
         opts: &SparseOptions,
     ) -> Result<(SparseFactorization<T>, Mat<T>)> {
         let schur_vars: Vec<usize> = (self.nv()..w.ncols).collect();
-        let (fact_w, x) = self.timer.time("sparse factorization+Schur", || {
-            factorize_schur(w, &schur_vars, opts)
-        })?;
+        let mut ph = self.rec.open(Phase::FactorW, TraceScope::Run);
+        let (fact_w, x) = factorize_schur(w, &schur_vars, opts)?;
         self.note_factor_stats(fact_w.stats());
-        self.timer
-            .add_bytes("sparse factorization+Schur", x.byte_size());
+        ph.add_bytes(x.byte_size());
         Ok((fact_w, x))
     }
 
     /// The Schur accumulator, initialized with `A_ss`.
     fn init_schur(&self) -> Result<SchurAcc<T>> {
-        self.cfg.tracer.run().time(SpanKind::SchurInit, || {
-            self.timer.time("Schur init (A_ss)", || {
-                SchurAcc::init(&self.bem, &self.tree, self.cfg, self.tracker)
-            })
-        })
+        let _ph = self.rec.open(Phase::InitSchur, TraceScope::Run);
+        SchurAcc::init(&self.bem, &self.tree, self.cfg, self.tracker)
     }
 
-    /// `S[r0.., c0..] += alpha·x`, recorded into `tr`.
+    /// `S[r0.., c0..] += alpha·x`, recorded in `scope`.
     fn fold_block(
         &self,
         schur: &mut SchurAcc<T>,
@@ -184,17 +185,11 @@ impl<T: Scalar> Ws<'_, T> {
         r0: usize,
         c0: usize,
         x: MatRef<'_, T>,
-        tr: ScopeTracer<'_>,
+        scope: TraceScope,
     ) -> Result<()> {
-        tr.time(SpanKind::AxpyCommit, || {
-            self.timer.time("Schur assembly", || {
-                schur.axpy_block_traced(alpha, r0, c0, x, self.cfg.eps, tr)
-            })
-        })?;
-        self.timer.add_bytes(
-            "Schur assembly",
-            x.nrows() * x.ncols() * std::mem::size_of::<T>(),
-        );
+        let mut ph = self.rec.open(Phase::FoldBlock, scope);
+        schur.axpy_block_traced(alpha, r0, c0, x, self.cfg.eps, ph.tracer())?;
+        ph.add_bytes(x.nrows() * x.ncols() * std::mem::size_of::<T>());
         Ok(())
     }
 
@@ -203,22 +198,16 @@ impl<T: Scalar> Ws<'_, T> {
     /// additionally records its `hlu_factor` span inside). Also returns the
     /// bytes `S` held right before.
     fn factor_schur(&self, schur: SchurAcc<T>) -> Result<(SchurFactor<T>, usize)> {
-        let rt = self.cfg.tracer.run();
         let schur_bytes = schur.bytes();
-        self.timer.add_bytes("dense factorization", schur_bytes);
-        // Backends without a closed form report 0 and add no entry, keeping
-        // the metric keys stable per backend.
+        // Backends without a closed form report 0, which adds no flop row:
+        // the metric keys stay stable per backend.
         let flops = schur.factor_flops(self.symmetric);
-        if flops > 0 {
-            self.timer.add_flops("dense factorization", flops);
-        }
-        mem_sample(rt, self.tracker);
-        let mut sp = rt.span(SpanKind::DenseFactorization);
-        sp.add_bytes(schur_bytes);
-        sp.add_flops(flops);
-        let sf = self.timer.time("dense factorization", || {
-            schur.factor_traced(self.symmetric, self.cfg.eps, self.cfg.dense_panel_nb, rt)
-        })?;
+        mem_sample(self.cfg.tracer.run(), self.tracker);
+        let mut ph = self.rec.open(Phase::FactorSchur, TraceScope::Run);
+        ph.add_bytes(schur_bytes);
+        ph.add_flops(flops);
+        let (eps, nb) = (self.cfg.eps, self.cfg.dense_panel_nb);
+        let sf = schur.factor_traced(self.symmetric, eps, nb, ph.tracer())?;
         Ok((sf, schur_bytes))
     }
 }
@@ -294,19 +283,155 @@ fn mem_sample(rt: ScopeTracer<'_>, tracker: &MemTracker) {
     });
 }
 
-/// Wall clock, phase timer and kernel-counter token of one run: a session
+/// The phases a run is broken into. This is the one place that spells a
+/// [`Metrics`] phase label, next to the span kind the driver records for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    FactorAvv,
+    FactorW,
+    InitSchur,
+    SolveY,
+    SolveRhs,
+    SolveBack,
+    Spmm,
+    FoldBlock,
+    FactorSchur,
+    AssembleW,
+    DenseSolve,
+    CoupledSolve,
+}
+
+impl Phase {
+    /// The phase's `Metrics` label and span kind. The two sparse
+    /// factorizations have no driver span: csolve-sparse records those
+    /// calls' `sparse_factorization[_schur]` spans itself.
+    fn row(self) -> (&'static str, Option<SpanKind>) {
+        match self {
+            Phase::FactorAvv => ("sparse factorization", None),
+            Phase::FactorW => ("sparse factorization+Schur", None),
+            Phase::InitSchur => ("Schur init (A_ss)", Some(SpanKind::SchurInit)),
+            Phase::SolveY => ("sparse solve (Y)", Some(SpanKind::SparseSolve)),
+            Phase::SolveRhs => ("sparse solve (rhs)", Some(SpanKind::SparseSolve)),
+            Phase::SolveBack => ("sparse solve (back)", Some(SpanKind::SparseSolve)),
+            Phase::Spmm => ("SpMM", Some(SpanKind::Spmm)),
+            Phase::FoldBlock => ("Schur assembly", Some(SpanKind::AxpyCommit)),
+            Phase::FactorSchur => ("dense factorization", Some(SpanKind::DenseFactorization)),
+            Phase::AssembleW => ("assemble W", Some(SpanKind::AssembleW)),
+            Phase::DenseSolve => ("dense solve", Some(SpanKind::DenseSolve)),
+            Phase::CoupledSolve => ("coupled solve", Some(SpanKind::CoupledSolve)),
+        }
+    }
+}
+
+/// What a phase cost: one guard's measurement, or a phase's total over every
+/// guard that closed on it — across worker threads too, so a parallel
+/// phase's time is CPU-time-like and can exceed the run's wall clock.
+#[derive(Clone, Copy)]
+struct PhaseCost {
+    phase: Phase,
+    time: Duration,
+    bytes: usize,
+    flops: u64,
+}
+
+/// The phase recorder: every driver phase is measured once, by a
+/// [`PhaseGuard`], and that one measurement is both the phase's [`Metrics`]
+/// row and (tracer enabled, phase has a span kind) its trace span.
+pub(crate) struct Recorder {
+    tracer: Tracer,
+    /// Per-phase totals in first-use order.
+    totals: parking_lot::Mutex<Vec<PhaseCost>>,
+}
+
+impl Recorder {
+    pub(crate) fn new(tracer: &Tracer) -> Self {
+        Recorder {
+            tracer: tracer.clone(),
+            totals: Default::default(),
+        }
+    }
+
+    /// Start measuring `phase` in `scope`; the returned guard records it
+    /// when dropped.
+    fn open(&self, phase: Phase, scope: TraceScope) -> PhaseGuard<'_> {
+        PhaseGuard {
+            rec: self,
+            scope,
+            started: Instant::now(),
+            cost: PhaseCost {
+                phase,
+                time: Duration::ZERO,
+                bytes: 0,
+                flops: 0,
+            },
+        }
+    }
+}
+
+/// An open phase. Dropping it reads the clock once and puts the same `(time,
+/// bytes, flops)` into the recorder's totals and into the phase's span.
+struct PhaseGuard<'a> {
+    rec: &'a Recorder,
+    scope: TraceScope,
+    started: Instant,
+    cost: PhaseCost,
+}
+
+impl PhaseGuard<'_> {
+    /// Attribute `n` more bytes produced/processed to the phase.
+    fn add_bytes(&mut self, n: usize) {
+        self.cost.bytes += n;
+    }
+
+    /// Attribute `n` more analytic flops — derived from the problem shapes
+    /// at the call site, so thread-count invariant — to the phase.
+    fn add_flops(&mut self, n: u64) {
+        self.cost.flops += n;
+    }
+
+    /// The tracer of the phase's scope, for the spans of the layer called
+    /// inside the phase.
+    fn tracer(&self) -> ScopeTracer<'_> {
+        self.rec.tracer.scope(self.scope)
+    }
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        let c = PhaseCost {
+            time: self.started.elapsed(),
+            ..self.cost
+        };
+        {
+            let mut totals = self.rec.totals.lock();
+            match totals.iter_mut().find(|t| t.phase == c.phase) {
+                Some(t) => {
+                    t.time += c.time;
+                    t.bytes += c.bytes;
+                    t.flops += c.flops;
+                }
+                None => totals.push(c),
+            }
+        }
+        if let Some(kind) = c.phase.row().1 {
+            self.tracer().record_span(kind, c.time, c.bytes, c.flops);
+        }
+    }
+}
+
+/// Phase recorder, wall clock and kernel-counter token of one run: a session
 /// factorization, or a one-shot solve (factorization plus solution phase).
 struct Run {
-    timer: PhaseTimer,
-    sw: Stopwatch,
+    rec: Recorder,
+    started: Instant,
     counting: KernelCounting,
 }
 
 impl Run {
     fn start(cfg: &SolverConfig) -> Self {
         Run {
-            timer: PhaseTimer::new(),
-            sw: Stopwatch::start(),
+            rec: Recorder::new(&cfg.tracer),
+            started: Instant::now(),
             counting: KernelCounting::start(&cfg.tracer),
         }
     }
@@ -314,25 +439,28 @@ impl Run {
     /// The `Metrics` epilogue: close the run scope with the end-of-run
     /// `mem_high_water` and `kernel_counters` events, and complete `shape`
     /// (what [`factor`] knows: sizes, Schur bytes, autotune and BLR
-    /// summaries) with the timer's phases, the wall time and the tracked
-    /// peak.
+    /// summaries) with the recorder's totals, the wall time and the tracked
+    /// peak. Byte and flop rows exist for the phases that counted any.
     fn finish(self, cfg: &SolverConfig, tracker: &MemTracker, shape: Metrics) -> Metrics {
         let rt = cfg.tracer.run();
         mem_sample(rt, tracker);
         self.counting.finish(rt);
-        Metrics {
-            phases: self
-                .timer
-                .phases()
-                .into_iter()
-                .map(|(n, d)| (n, d.as_secs_f64()))
-                .collect(),
-            total_seconds: self.sw.elapsed_secs(),
+        let mut metrics = Metrics {
+            total_seconds: self.started.elapsed().as_secs_f64(),
             peak_bytes: tracker.peak(),
-            phase_bytes: self.timer.bytes(),
-            phase_flops: self.timer.flops(),
             ..shape
+        };
+        for t in self.rec.totals.into_inner() {
+            let label = t.phase.row().0;
+            metrics.phases.push((label.into(), t.time.as_secs_f64()));
+            if t.bytes > 0 {
+                metrics.phase_bytes.push((label.into(), t.bytes));
+            }
+            if t.flops > 0 {
+                metrics.phase_flops.push((label.into(), t.flops));
+            }
         }
+        metrics
     }
 }
 
@@ -373,8 +501,8 @@ pub fn solve<T: Scalar>(
     };
     pool.install(|| {
         let run = Run::start(cfg);
-        let (factors, shape) = factor(problem, algo, cfg, &tracker, &run.timer)?;
-        let (xv, xs) = factors.solve_panel(&problem.b_v, &problem.b_s, cfg, &run.timer)?;
+        let (factors, shape) = factor(problem, algo, cfg, &tracker, &run.rec)?;
+        let (xv, xs) = factors.solve_panel(&problem.b_v, &problem.b_s, &run.rec)?;
         let metrics = run.finish(cfg, &tracker, shape);
         Ok(Outcome { xv, xs, metrics })
     })
@@ -461,8 +589,7 @@ impl<T: Scalar> SessionFactors<T> {
         &self,
         b_v: &[T],
         b_s: &[T],
-        cfg: &SolverConfig,
-        timer: &PhaseTimer,
+        rec: &Recorder,
     ) -> Result<(Vec<T>, Vec<T>)> {
         let (nv, ns) = (self.nv, self.ns);
         if nv == 0 || !b_v.len().is_multiple_of(nv) || b_v.len() / nv * ns != b_s.len() {
@@ -481,10 +608,10 @@ impl<T: Scalar> SessionFactors<T> {
         }
         let (xv, xs_p) = csolve_dense::with_colwise_det(|| match &self.state {
             FactorState::Direct { fact, sf } => {
-                direct_solution(b_v, &b_s_p, fact, sf, &self.a_sv, &self.a_vs, cfg, timer)
+                direct_solution(b_v, &b_s_p, fact, sf, &self.a_sv, &self.a_vs, rec)
             }
             FactorState::Condensed { fact_w, sf } => {
-                condensed_solution(b_v, &b_s_p, fact_w, sf, nv, ns, cfg, timer)
+                condensed_solution(b_v, &b_s_p, fact_w, sf, nv, ns, rec)
             }
         })?;
         let mut xs = Vec::with_capacity(ns * w);
@@ -507,7 +634,7 @@ pub(crate) fn factorize_session<T: Scalar>(
     tracker: &Arc<MemTracker>,
 ) -> Result<(SessionFactors<T>, Metrics)> {
     let run = Run::start(cfg);
-    let (factors, shape) = factor(problem, algo, cfg, tracker, &run.timer)?;
+    let (factors, shape) = factor(problem, algo, cfg, tracker, &run.rec)?;
     Ok((factors, run.finish(cfg, tracker, shape)))
 }
 
@@ -520,7 +647,7 @@ fn factor<T: Scalar>(
     algo: Algorithm,
     cfg: &SolverConfig,
     tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
+    rec: &Recorder,
 ) -> Result<(SessionFactors<T>, Metrics)> {
     // Surface unknowns go to cluster order once; every blockwise Schur range
     // is then contiguous for both dense and H-matrix backends.
@@ -530,7 +657,7 @@ fn factor<T: Scalar>(
     let ws = Ws {
         cfg,
         tracker,
-        timer,
+        rec,
         a_vv: &problem.a_vv,
         a_sv: problem.a_sv.submatrix(&perm, &all_v),
         a_vs: problem.a_vs.submatrix(&all_v, &perm),
@@ -585,7 +712,6 @@ fn factor<T: Scalar>(
 /// panel (`solve_in_place` is multi-RHS); the sparse coupling products run
 /// column by column through `matvec`. The returned surface panel stays in
 /// cluster order.
-#[allow(clippy::too_many_arguments)]
 fn direct_solution<T: Scalar>(
     b_v: &[T],
     b_s_p: &[T],
@@ -593,18 +719,16 @@ fn direct_solution<T: Scalar>(
     sf: &SchurFactor<T>,
     a_sv: &Csc<T>,
     a_vs: &Csc<T>,
-    cfg: &SolverConfig,
-    timer: &PhaseTimer,
+    rec: &Recorder,
 ) -> Result<(Vec<T>, Vec<T>)> {
     let nv = fact.n();
     let ns = a_sv.nrows;
     let w = b_v.len() / nv.max(1);
-    let rt = cfg.tracer.run();
     // T = A_vv⁻¹ B_v
     let mut t = Mat::from_col_major(nv, w, b_v.to_vec());
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (rhs)", || fact.solve_in_place(&mut t))
-    })?;
+    let ph = rec.open(Phase::SolveRhs, TraceScope::Run);
+    fact.solve_in_place(&mut t)?;
+    drop(ph);
     // RHS_s = B_s − A_sv T
     let mut xs = Mat::from_col_major(ns, w, b_s_p.to_vec());
     for j in 0..w {
@@ -612,16 +736,12 @@ fn direct_solution<T: Scalar>(
         a_sv.matvec(-T::ONE, t.col(j), T::ONE, &mut rhs_s);
         xs.col_mut(j).copy_from_slice(&rhs_s);
     }
-    // X_s = S⁻¹ RHS_s
-    rt.time(SpanKind::DenseSolve, || {
-        timer.time("dense solve", || sf.solve_in_place(xs.as_mut()))
-    });
-    // Two triangular solves on the n_s × n_s factor (backends without a
-    // closed-form count report 0 and add no entry).
-    let solve_flops = sf.solve_flops(w);
-    if solve_flops > 0 {
-        timer.add_flops("dense solve", solve_flops);
-    }
+    // X_s = S⁻¹ RHS_s: two triangular solves on the n_s × n_s factor
+    // (backends without a closed-form count report 0, which adds no row).
+    let mut ph = rec.open(Phase::DenseSolve, TraceScope::Run);
+    sf.solve_in_place(xs.as_mut());
+    ph.add_flops(sf.solve_flops(w));
+    drop(ph);
     // X_v = A_vv⁻¹ (B_v − A_vs X_s)
     let mut bv2 = Mat::from_col_major(nv, w, b_v.to_vec());
     for j in 0..w {
@@ -630,9 +750,9 @@ fn direct_solution<T: Scalar>(
         a_vs.matvec(-T::ONE, &x, T::ONE, &mut tmp);
         bv2.col_mut(j).copy_from_slice(&tmp);
     }
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (back)", || fact.solve_in_place(&mut bv2))
-    })?;
+    let ph = rec.open(Phase::SolveBack, TraceScope::Run);
+    fact.solve_in_place(&mut bv2)?;
+    drop(ph);
     let mut xv = Vec::with_capacity(nv * w);
     let mut xsv = Vec::with_capacity(ns * w);
     for j in 0..w {
@@ -647,15 +767,14 @@ fn direct_solution<T: Scalar>(
 /// 2.6 TiB for the industrial case.
 fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
-    let (tracker, timer) = (ws.tracker, ws.timer);
-    let rt = ws.cfg.tracer.run();
+    let tracker = ws.tracker;
     let fact = ws.factor_avv()?;
     // The solver works on a permuted copy internally: 2× the dense result.
     let mut y_charge = tracker.charge(
         2 * nv * ns * std::mem::size_of::<T>(),
         "dense Y = A_vv^-1 A_vs",
     )?;
-    let y = ws.solve_y(&fact, &ws.a_vs, rt)?;
+    let y = ws.solve_y(&fact, &ws.a_vs, TraceScope::Run)?;
     y_charge.resize(y.byte_size(), "dense Y = A_vv^-1 A_vs")?;
 
     let mut schur = ws.init_schur()?;
@@ -666,19 +785,8 @@ fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         let c1 = (c0 + zw).min(ns);
         let _z_charge = tracker.charge(ns * (c1 - c0) * std::mem::size_of::<T>(), "SpMM panel")?;
         let mut z = Mat::<T>::zeros(ns, c1 - c0);
-        let spmm_flops = 2 * ws.a_sv.nnz() as u64 * (c1 - c0) as u64;
-        {
-            let mut sp = rt.span(SpanKind::Spmm);
-            timer.time("SpMM", || {
-                ws.a_sv
-                    .mul_dense(T::ONE, y.view(0..nv, c0..c1), T::ZERO, z.as_mut())
-            });
-            sp.add_bytes(z.byte_size());
-            sp.add_flops(spmm_flops);
-        }
-        timer.add_bytes("SpMM", z.byte_size());
-        timer.add_flops("SpMM", spmm_flops);
-        ws.fold_block(&mut schur, -T::ONE, 0, c0, z.as_ref(), rt)?;
+        ws.spmm(y.view(0..nv, c0..c1), z.as_mut(), TraceScope::Run);
+        ws.fold_block(&mut schur, -T::ONE, 0, c0, z.as_ref(), TraceScope::Run)?;
         c0 = c1;
     }
     drop(y);
@@ -694,9 +802,8 @@ fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
 /// `&self`).
 fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let ns = ws.ns();
-    let rt = ws.cfg.tracer.run();
     // W = [A_vv A_vs; A_sv 0]
-    let w = ws.assemble_w(&ws.a_vs, &ws.a_sv, rt);
+    let w = ws.assemble_w(&ws.a_vs, &ws.a_sv, TraceScope::Run);
     let _w_charge = ws.tracker.charge(w.byte_size(), "stacked W matrix")?;
     // The dense Schur output of the sparse solver (the API limitation).
     let x_charge = ws
@@ -706,7 +813,7 @@ fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
 
     // S = A_ss + X (X already carries the minus sign).
     let mut schur = ws.init_schur()?;
-    ws.fold_block(&mut schur, T::ONE, 0, 0, x.as_ref(), rt)?;
+    ws.fold_block(&mut schur, T::ONE, 0, 0, x.as_ref(), TraceScope::Run)?;
     drop(x);
     drop(x_charge);
     let (sf, schur_bytes) = ws.factor_schur(schur)?;
@@ -717,7 +824,6 @@ fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
 /// the partial `W` factorization, for a `w`-column panel. `b_v`/`b_s` are
 /// column-major (`b_s` already in cluster order); the returned surface part
 /// stays in cluster order (the caller unpermutes).
-#[allow(clippy::too_many_arguments)]
 fn condensed_solution<T: Scalar>(
     b_v: &[T],
     b_s: &[T],
@@ -725,25 +831,21 @@ fn condensed_solution<T: Scalar>(
     sf: &SchurFactor<T>,
     nv: usize,
     ns: usize,
-    cfg: &SolverConfig,
-    timer: &PhaseTimer,
+    rec: &Recorder,
 ) -> Result<(Vec<T>, Vec<T>)> {
     let n = nv + ns;
     let w = b_v.len() / nv.max(1);
-    let rt = cfg.tracer.run();
     let mut b = Mat::<T>::zeros(n, w);
     for j in 0..w {
         b.col_mut(j)[..nv].copy_from_slice(&b_v[j * nv..(j + 1) * nv]);
         b.col_mut(j)[nv..].copy_from_slice(&b_s[j * ns..(j + 1) * ns]);
     }
-    rt.time(SpanKind::CoupledSolve, || {
-        timer.time("coupled solve", || {
-            fact_w.condense_and_solve(&mut b, |xs_block| {
-                sf.solve_in_place(xs_block);
-                Ok(())
-            })
-        })
+    let ph = rec.open(Phase::CoupledSolve, TraceScope::Run);
+    fact_w.condense_and_solve(&mut b, |xs_block| {
+        sf.solve_in_place(xs_block);
+        Ok(())
     })?;
+    drop(ph);
     let mut xv = Vec::with_capacity(nv * w);
     let mut xs = Vec::with_capacity(ns * w);
     for j in 0..w {
@@ -843,7 +945,7 @@ fn assemble_blockwise<T: Scalar>(
                 b.rows.start,
                 b.cols.start,
                 x.view(0..b.rows.len(), 0..b.cols.len()),
-                cfg.tracer.block(seq),
+                TraceScope::Block(seq),
             )
         },
     )?;
@@ -862,7 +964,7 @@ fn assemble_blockwise<T: Scalar>(
 fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let elem = std::mem::size_of::<T>();
-    let (cfg, timer) = (ws.cfg, ws.timer);
+    let cfg = ws.cfg;
     let fact = ws.factor_avv()?;
     let schur = ws.init_schur()?;
 
@@ -898,7 +1000,7 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let all_v: Vec<usize> = (0..nv).collect();
     let fact_r = &fact;
     let kernel = |seq: usize, b: &Block, _: &mut Slot<'_>| -> Result<Mat<T>> {
-        let bt = cfg.tracer.block(seq);
+        let scope = TraceScope::Block(seq);
         let (p0, p1) = (b.cols.start, b.cols.end);
         let mut zpanel = Mat::<T>::zeros(ns, p1 - p0);
         let mut c0 = p0;
@@ -906,24 +1008,11 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
             let c1 = (c0 + n_c).min(p1);
             // Columns c0..c1 of A_vs as a sparse RHS.
             let cols: Vec<usize> = (c0..c1).collect();
-            let y = ws.solve_y(fact_r, &ws.a_vs.submatrix(&all_v, &cols), bt)?;
-            let spmm_flops = 2 * ws.a_sv.nnz() as u64 * (c1 - c0) as u64;
-            {
-                let mut sp = bt.span(SpanKind::Spmm);
-                timer.time("SpMM", || {
-                    ws.a_sv.mul_dense(
-                        T::ONE,
-                        y.as_ref(),
-                        T::ZERO,
-                        zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0)),
-                    )
-                });
-                sp.add_flops(spmm_flops);
-            }
-            timer.add_flops("SpMM", spmm_flops);
+            let y = ws.solve_y(fact_r, &ws.a_vs.submatrix(&all_v, &cols), scope)?;
+            let z = zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0));
+            ws.spmm(y.as_ref(), z, scope);
             c0 = c1;
         }
-        timer.add_bytes("SpMM", zpanel.byte_size());
         Ok(zpanel)
     };
     let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
@@ -1017,7 +1106,7 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
             ..ws.sparse_opts()
         };
         loop {
-            let w = ws.assemble_w(&a_vs_j, &a_sv_i, cfg.tracer.block(seq));
+            let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
             // Each call re-factorizes A_vv — the superfluous work the method
             // trades for memory (hence its name).
             match ws.factor_w(&w, &opts) {
@@ -1085,5 +1174,64 @@ fn push_csc<T: Scalar>(coo: &mut Coo<T>, a: &Csc<T>, r0: usize, c0: usize) {
         for p in a.colptr[j]..a.colptr[j + 1] {
             coo.push(r0 + a.rowidx[p], c0 + j, a.values[p]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{RunReport, SpanAgg};
+
+    /// The metrics of a run whose phases are `body`, and the spans it traced.
+    fn record(tracer: Tracer, body: impl FnOnce(&Recorder)) -> (Metrics, Vec<SpanAgg>) {
+        let cfg = SolverConfig {
+            tracer,
+            ..Default::default()
+        };
+        let run = Run::start(&cfg);
+        body(&run.rec);
+        let m = run.finish(&cfg, &MemTracker::unbounded(), Metrics::default());
+        let trace = cfg.tracer.drain();
+        let report = RunReport::from_parts(Algorithm::MultiSolve, cfg.dense_backend, &m, &trace);
+        (m, report.spans)
+    }
+
+    #[test]
+    fn a_phase_is_one_measurement_in_metrics_and_trace() {
+        let (m, spans) = record(Tracer::enabled(), |rec| {
+            rec.open(Phase::Spmm, TraceScope::Block(1)).add_bytes(64);
+            drop(rec.open(Phase::FactorAvv, TraceScope::Run));
+            rec.open(Phase::Spmm, TraceScope::Run).add_bytes(36);
+        });
+        // First-use order; byte and flop rows only where something was counted.
+        let names: Vec<&str> = m.phases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["SpMM", "sparse factorization"]);
+        assert_eq!(m.phase_bytes, [("SpMM".to_string(), 100)]);
+        assert!(m.phase_flops.is_empty());
+        // The span-less phase pushed nothing; SpMM's two spans are its row.
+        assert_eq!(spans.len(), 1);
+        let s = &spans[0];
+        assert_eq!((s.kind.as_str(), s.count, s.bytes), ("spmm", 2, 100));
+        assert!((s.seconds - m.phases[0].1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn totals_sum_over_threads_and_need_no_tracer() {
+        let (m, spans) = record(Tracer::disabled(), |rec| {
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    s.spawn(move || {
+                        for i in 0..100 {
+                            let mut ph = rec.open(Phase::SolveY, TraceScope::Block(t));
+                            ph.add_bytes(i);
+                            ph.add_flops(1);
+                        }
+                    });
+                }
+            })
+        });
+        assert_eq!(m.phase_bytes, [("sparse solve (Y)".to_string(), 4 * 4950)]);
+        assert_eq!(m.phase_flops, [("sparse solve (Y)".to_string(), 400)]);
+        assert_eq!((m.phases.len(), spans.len()), (1, 0));
     }
 }

@@ -53,8 +53,7 @@ pub mod session;
 pub use autotune::{AutotuneDecision, BlockSizes, MatrixStats};
 pub use backend::{BackendPolicy, CompressionBackend, FactoredSchur};
 pub use config::{
-    Algorithm, DenseBackend, Metrics, PhaseReport, SolverConfig, SolverConfigBuilder,
-    SparseCompressionSummary,
+    Algorithm, DenseBackend, Metrics, PhaseReport, SolverConfig, SparseCompressionSummary,
 };
 pub use driver::{solve, Outcome};
 pub use report::{KernelCalibration, RunReport, SpanAgg};

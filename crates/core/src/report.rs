@@ -4,10 +4,12 @@
 //! (time per phase, achieved GF/s, memory high-water) fall directly out of
 //! this document.
 //!
-//! The JSON is hand-rolled (the workspace is dependency-free by design) and
-//! versioned with [`TRACE_FORMAT_VERSION`]; it parses back with
+//! The JSON is written through [`csolve_common::json::JsonWriter`] (the
+//! workspace is dependency-free by design), versioned with
+//! [`TRACE_FORMAT_VERSION`], and parses back with
 //! [`csolve_common::json::parse_json`].
 
+use csolve_common::json::{json_fields, JsonWriter};
 use csolve_common::trace::TRACE_FORMAT_VERSION;
 use csolve_common::{TracePayload, TraceRecord, TraceScope};
 use csolve_dense::cache::{cache_info, kernel_blocking, CacheInfo, KernelBlocking};
@@ -202,155 +204,63 @@ impl RunReport {
     /// Serialize as a self-contained JSON document (multi-line, stable key
     /// order; parses back with [`csolve_common::json::parse_json`]).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str("  \"type\": \"csolve_run_report\",\n");
-        s.push_str(&format!("  \"version\": {},\n", self.version));
-        s.push_str(&format!(
-            "  \"algorithm\": {},\n",
-            json_str(&self.algorithm)
-        ));
-        s.push_str(&format!("  \"backend\": {},\n", json_str(&self.backend)));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"n_total\": {},\n", self.n_total));
-        s.push_str(&format!("  \"n_bem\": {},\n", self.n_bem));
-        s.push_str(&format!("  \"n_fem\": {},\n", self.n_fem));
-        s.push_str(&format!(
-            "  \"total_seconds\": {},\n",
-            json_f64(self.total_seconds)
-        ));
-        s.push_str(&format!("  \"peak_bytes\": {},\n", self.peak_bytes));
-        s.push_str(&format!("  \"schur_bytes\": {},\n", self.schur_bytes));
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.field("type", "csolve_run_report");
+        json_fields!(w, self => version, algorithm, backend, threads, n_total, n_bem, n_fem);
+        json_fields!(w, self => total_seconds, peak_bytes, schur_bytes);
         let kc = &self.kernel_calibration;
-        let blocking_json = |b: &KernelBlocking| {
-            format!(
-                "{{\"mc\": {}, \"kc\": {}, \"nc\": {}, \"mr\": {}, \"nr\": {}}}",
-                b.mc, b.kc, b.nc, b.mr, b.nr
-            )
-        };
-        s.push_str(&format!(
-            "  \"kernel_blocking\": {{\"cache_source\": {}, \"l1d_bytes\": {}, \"l2_bytes\": {}, \
-             \"l3_bytes\": {}, \"f64\": {}, \"c64\": {}}},\n",
-            json_str(kc.cache.source.name()),
-            kc.cache.l1d_bytes,
-            kc.cache.l2_bytes,
-            kc.cache.l3_bytes,
-            blocking_json(&kc.real),
-            blocking_json(&kc.complex),
-        ));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": {}, \"seconds\": {}, \"bytes\": {}, \"flops\": {}{}}}{}\n",
-                json_str(&p.name),
-                json_f64(p.seconds),
-                p.bytes,
-                p.flops,
-                match p.gflops() {
-                    Some(g) => format!(", \"gflops\": {}", json_f64(g)),
-                    None => String::new(),
-                },
-                comma(i, self.phases.len()),
-            ));
+        w.key("kernel_blocking").begin_object();
+        w.field("cache_source", kc.cache.source.name());
+        json_fields!(w, kc.cache => l1d_bytes, l2_bytes, l3_bytes);
+        for (width, b) in [("f64", &kc.real), ("c64", &kc.complex)] {
+            w.key(width).begin_object();
+            json_fields!(w, b => mc, kc, nc, mr, nr);
+            w.end_object();
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"spans\": [\n");
-        for (i, a) in self.spans.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"kind\": {}, \"count\": {}, \"seconds\": {}, \"bytes\": {}, \"flops\": {}{}}}{}\n",
-                json_str(&a.kind),
-                a.count,
-                json_f64(a.seconds),
-                a.bytes,
-                a.flops,
-                match a.gflops() {
-                    Some(g) => format!(", \"gflops\": {}", json_f64(g)),
-                    None => String::new(),
-                },
-                comma(i, self.spans.len()),
-            ));
+        w.end_object();
+        w.key("phases").begin_array();
+        for p in &self.phases {
+            w.begin_object();
+            json_fields!(w, p => name, seconds, bytes, flops);
+            if let Some(g) = p.gflops() {
+                w.field("gflops", g);
+            }
+            w.end_object();
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"events\": {");
-        for (i, (name, count)) in self.events.iter().enumerate() {
-            s.push_str(&format!(
-                "{}{}: {}",
-                if i == 0 { "" } else { ", " },
-                json_str(name),
-                count
-            ));
+        w.end_array();
+        w.key("spans").begin_array();
+        for a in &self.spans {
+            w.begin_object();
+            json_fields!(w, a => kind, count, seconds, bytes, flops);
+            if let Some(g) = a.gflops() {
+                w.field("gflops", g);
+            }
+            w.end_object();
         }
-        s.push_str("},\n");
-        s.push_str(&format!("  \"blocks\": {}", self.blocks));
+        w.end_array();
+        w.key("events").begin_object();
+        for (name, count) in &self.events {
+            w.field(name, count);
+        }
+        w.end_object();
+        w.field("blocks", self.blocks);
         if let Some(c) = &self.sparse_compression {
-            s.push_str(",\n  \"sparse_compression\": {");
-            s.push_str(&format!("\"eps\": {}", json_f64(c.eps)));
-            s.push_str(&format!(", \"panels_eligible\": {}", c.panels_eligible));
-            s.push_str(&format!(", \"panels_compressed\": {}", c.panels_compressed));
-            s.push_str(&format!(", \"dense_bytes\": {}", c.dense_bytes));
-            s.push_str(&format!(", \"stored_bytes\": {}", c.stored_bytes));
-            s.push_str(&format!(", \"max_rank\": {}", c.max_rank));
-            s.push_str(&format!(", \"ratio\": {}", json_f64(c.ratio())));
-            s.push('}');
+            w.key("sparse_compression").begin_object();
+            json_fields!(w, c => eps, panels_eligible, panels_compressed);
+            json_fields!(w, c => dense_bytes, stored_bytes, max_rank);
+            w.field("ratio", c.ratio()).end_object();
         }
         if let Some(sess) = &self.session {
-            s.push_str(",\n  \"session\": {");
-            s.push_str(&format!("\"requests\": {}", sess.requests));
-            s.push_str(&format!(", \"cache_hits\": {}", sess.cache_hits));
-            s.push_str(&format!(", \"cache_misses\": {}", sess.cache_misses));
-            s.push_str(&format!(", \"evictions\": {}", sess.evictions));
-            s.push_str(&format!(", \"batches\": {}", sess.batches));
-            s.push_str(&format!(", \"max_batch_width\": {}", sess.max_batch_width));
-            s.push_str(&format!(
-                ", \"total_queue_wait_secs\": {}",
-                json_f64(sess.total_queue_wait_secs)
-            ));
-            s.push_str(&format!(", \"cache_entries\": {}", sess.cache_entries));
-            s.push_str(&format!(", \"cache_bytes\": {}", sess.cache_bytes));
-            s.push_str(&format!(", \"peak_bytes\": {}", sess.peak_bytes));
-            s.push('}');
+            w.key("session").begin_object();
+            json_fields!(w, sess => requests, cache_hits, cache_misses, evictions, batches);
+            json_fields!(w, sess => max_batch_width, total_queue_wait_secs);
+            json_fields!(w, sess => cache_entries, cache_bytes, peak_bytes);
+            w.end_object();
         }
-        s.push_str("\n}\n");
-        s
+        w.end_object();
+        w.finish()
     }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
-/// Finite floats print as-is; NaN/Inf (never expected, but a report must
-/// not emit invalid JSON) degrade to null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Ensure a numeric token that round-trips as f64 (always contains
-        // a '.' or exponent is not required by JSON).
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -46,11 +46,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::{Algorithm, Metrics, SolverConfig};
-use crate::driver::{factorize_session, worker_pool, SessionFactors};
+use crate::driver::{factorize_session, worker_pool, Recorder, SessionFactors};
 use crate::report::RunReport;
-use csolve_common::{
-    Error, MemCharge, MemTracker, PhaseTimer, RealScalar, Result, Scalar, TraceEventKind,
-};
+use csolve_common::{Error, MemCharge, MemTracker, RealScalar, Result, Scalar, TraceEventKind};
 use csolve_fembem::CoupledProblem;
 use csolve_sparse::Csc;
 
@@ -325,6 +323,7 @@ impl SessionBuilder {
             self.config.n_c.max(1)
         };
         Ok(SolverSession {
+            rec: Recorder::new(&self.config.tracer),
             cfg: self.config,
             algo: self.algorithm,
             tracker,
@@ -364,6 +363,9 @@ impl SessionBuilder {
 /// ```
 pub struct SolverSession<T: Scalar> {
     cfg: SolverConfig,
+    /// Records the solution phases of every panel as spans into
+    /// `cfg.tracer`.
+    rec: Recorder,
     algo: Algorithm,
     tracker: Arc<MemTracker>,
     pool: rayon::ThreadPool,
@@ -481,7 +483,9 @@ impl<T: Scalar> SolverSession<T> {
             .completed
             .iter()
             .position(|s| s.id == id)
-            .expect("a flushed request must have completed");
+            .ok_or(Error::Internal {
+                context: "flushed session request has no solution",
+            })?;
         Ok(self.completed.swap_remove(idx))
     }
 
@@ -665,9 +669,8 @@ impl<T: Scalar> SolverSession<T> {
                 b_v.extend_from_slice(&r.b_v);
                 b_s.extend_from_slice(&r.b_s);
             }
-            let timer = PhaseTimer::new();
-            let (cfg, f) = (&self.cfg, &factors);
-            let solved = self.pool.install(|| f.solve_panel(&b_v, &b_s, cfg, &timer));
+            let (rec, f) = (&self.rec, &factors);
+            let solved = self.pool.install(|| f.solve_panel(&b_v, &b_s, rec));
             drop(adm);
             let (xv, xs) = solved?;
             self.cfg.tracer.run().event(TraceEventKind::SessionBatch {

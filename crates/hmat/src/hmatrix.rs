@@ -10,7 +10,7 @@
 //!
 //! All indices are in *cluster order*.
 
-use csolve_common::{ByteSized, RealScalar, Scalar, ScopeTracer, SpanKind};
+use csolve_common::{ByteSized, RealScalar, Scalar};
 use csolve_dense::{gemm, Mat, MatMut, MatRef, Op};
 use csolve_lowrank::{aca_plus, LowRank};
 
@@ -437,33 +437,12 @@ impl<T: Scalar> HMatrix<T> {
         }
     }
 
-    /// [`HMatrix::try_axpy_dense_block`] with the compression work recorded
-    /// as a `compress` span into `tr` (bytes = the accumulator's size after
-    /// the truncated add, i.e. the compressed Schur footprint the paper's
-    /// Algorithm 2 bounds).
-    pub fn try_axpy_dense_block_traced(
-        &mut self,
-        alpha: T,
-        r0: usize,
-        c0: usize,
-        panel: MatRef<'_, T>,
-        eps: T::Real,
-        tr: ScopeTracer<'_>,
-    ) -> csolve_common::Result<()> {
-        let mut span = tr.span(SpanKind::Compress);
-        self.try_axpy_dense_block(alpha, r0, c0, panel, eps)?;
-        span.add_bytes(self.byte_size());
-        span.finish();
-        Ok(())
-    }
-
     /// Fallible variant of [`HMatrix::axpy_dense_block`] used by the coupled
     /// solver's Schur accumulator: identical arithmetic, but compression of
     /// the panel into low-rank leaves reports a binding rank cap as
     /// [`csolve_common::Error::CompressionFailure`] instead of silently
     /// keeping a truncated (inaccurate) approximation, and an AXPY into an
-    /// already-factored leaf is a structured error rather than a panic. See
-    /// [`HMatrix::try_axpy_dense_block_traced`] for the traced form.
+    /// already-factored leaf is a structured error rather than a panic.
     pub fn try_axpy_dense_block(
         &mut self,
         alpha: T,

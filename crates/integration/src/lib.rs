@@ -9,12 +9,12 @@
 //!
 //! let problem = csolve::fembem::pipe_problem::<f64>(10_000);
 //! let tracer = Tracer::enabled();
-//! let cfg = SolverConfig::builder()
-//!     .eps(1e-4)
-//!     .dense_backend(DenseBackend::Hmat)
-//!     .tracer(tracer.clone())
-//!     .build()
-//!     .unwrap();
+//! let cfg = SolverConfig {
+//!     eps: 1e-4,
+//!     dense_backend: DenseBackend::Hmat,
+//!     tracer: tracer.clone(),
+//!     ..Default::default()
+//! };
 //! let out = solve(&problem, Algorithm::MultiSolve, &cfg).unwrap();
 //! let report = csolve::RunReport::from_parts(
 //!     Algorithm::MultiSolve,
@@ -33,11 +33,11 @@
 //! use csolve::{solve, Algorithm, SolverConfig};
 //!
 //! let problem = csolve::fembem::pipe_problem::<f64>(600);
-//! let cfg = SolverConfig::builder()
-//!     .eps(1e-6)          // dense/H-matrix tolerance
-//!     .sparse_eps(1e-9)   // sparse-front BLR tolerance (0.0 = off)
-//!     .build()
-//!     .unwrap();
+//! let cfg = SolverConfig {
+//!     eps: 1e-6,               // dense/H-matrix tolerance
+//!     sparse_eps: Some(1e-9),  // sparse-front BLR tolerance (0.0 = off)
+//!     ..Default::default()
+//! };
 //! let out = solve(&problem, Algorithm::MultiSolve, &cfg).unwrap();
 //! assert!(problem.relative_error(&out.xv, &out.xs) < 1e-5);
 //! // Compression was on, so the summary section is present.
@@ -54,11 +54,11 @@
 //! use csolve::{solve, Algorithm, DenseBackend, SolverConfig};
 //!
 //! let problem = csolve::fembem::pipe_problem::<f64>(600);
-//! let cfg = SolverConfig::builder()
-//!     .eps(1e-6)
-//!     .dense_backend(DenseBackend::H2)
-//!     .build()
-//!     .unwrap();
+//! let cfg = SolverConfig {
+//!     eps: 1e-6,
+//!     dense_backend: DenseBackend::H2,
+//!     ..Default::default()
+//! };
 //! let out = solve(&problem, Algorithm::MultiSolve, &cfg).unwrap();
 //! assert!(problem.relative_error(&out.xv, &out.xs) < 1e-4);
 //! ```
@@ -103,21 +103,21 @@ pub use csolve_coupled::{
     solve, Algorithm, AutotuneDecision, BackendPolicy, BlockSizes, CompressionBackend,
     DenseBackend, FactoredSchur, KernelCalibration, MatrixStats, Metrics, Outcome, PhaseReport,
     RequestId, RequestInfo, RunReport, SessionBuilder, SessionSolve, SessionStats, SolverConfig,
-    SolverConfigBuilder, SolverSession, SpanAgg, SparseCompressionSummary,
+    SolverSession, SpanAgg, SparseCompressionSummary,
 };
 pub use csolve_fembem::{industrial_problem, pipe_problem, CoupledProblem};
 pub use csolve_hmat::{H2Matrix, H2Options, H2Stats};
 
 // --- Layer aliases. ------------------------------------------------------
 
-/// Shared scalar/error/memory/timing/tracing substrate
+/// Shared scalar/error/memory/tracing substrate
 /// ([`csolve_common`]).
 pub mod common {
     pub use csolve_common::*;
 }
 
-/// Minimal JSON parser for reading traces and reports back
-/// ([`csolve_common::json`]).
+/// The workspace's JSON writer, and the parser for reading traces and
+/// reports back ([`csolve_common::json`]).
 pub mod json {
     pub use csolve_common::json::*;
 }

@@ -43,16 +43,16 @@ fn main() {
     // Compressed-Schur multi-solve: the sparse factors use BLR compression,
     // the BEM block and the Schur complement live in an H-matrix, and every
     // dense Schur panel coming back from the sparse solver is folded in
-    // through a compressed AXPY. The builder validates the combination
-    // before the solve starts.
-    let cfg = SolverConfig::builder()
-        .eps(1e-4) // the paper's precision parameter
-        .dense_backend(DenseBackend::Hmat) // compressed dense solver
-        .n_c(256) // sparse-solve panel width
-        .n_s(1024) // Schur panel width
-        .tracer(tracer.clone())
-        .build()
-        .expect("invalid solver configuration");
+    // through a compressed AXPY. `SessionBuilder::build` validates the
+    // combination before anything is solved.
+    let cfg = SolverConfig {
+        eps: 1e-4,                         // the paper's precision parameter
+        dense_backend: DenseBackend::Hmat, // compressed dense solver
+        n_c: 256,                          // sparse-solve panel width
+        n_s: 1024,                         // Schur panel width
+        tracer: tracer.clone(),
+        ..Default::default()
+    };
 
     // The session owns the factorization cache: the first solve factorizes
     // (a cache miss), every further solve of the same system reuses the

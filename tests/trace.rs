@@ -1,6 +1,6 @@
 //! Integration tests for the span-tracing subsystem and the run report,
 //! exercised through the `csolve` façade exactly as a downstream user
-//! would: enable a tracer in the config builder, solve, drain, serialize.
+//! would: put an enabled tracer in the config, solve, drain, serialize.
 //!
 //! The determinism contract under test: with folds applied in block order, the
 //! canonical (scope, kind) sequence of a traced solve is identical at any
@@ -23,18 +23,18 @@ fn traced_solve(
 ) -> (csolve::Outcome<f64>, Vec<TraceRecord>) {
     let p = pipe_problem::<f64>(N);
     let tracer = Tracer::enabled();
-    let cfg = SolverConfig::builder()
-        .eps(1e-8)
-        .dense_backend(backend)
+    let cfg = SolverConfig {
+        eps: 1e-8,
+        dense_backend: backend,
         // Small panels/blocks so the pipelines genuinely run several
         // overlapping units of work.
-        .n_c(24)
-        .n_s(96)
-        .n_b(3)
-        .num_threads(threads)
-        .tracer(tracer.clone())
-        .build()
-        .expect("valid config");
+        n_c: 24,
+        n_s: 96,
+        n_b: 3,
+        num_threads: threads,
+        tracer: tracer.clone(),
+        ..Default::default()
+    };
     let out = solve(&p, algo, &cfg).expect("traced solve failed");
     (out, tracer.drain())
 }
@@ -135,6 +135,54 @@ fn run_scope_ends_with_solution_spans_then_end_of_run_events() {
             algo.name(),
             &run[run.len().saturating_sub(tail.len())..]
         );
+    }
+}
+
+/// Every driver phase is recorded once: a span kind the driver owns and the
+/// `Metrics` rows recorded under it are the same measurements, so their sums
+/// agree — bytes and flops exactly, time to the nanosecond rounding of a span.
+#[test]
+fn phase_rows_and_driver_spans_agree() {
+    let owned: [(SpanKind, &[&str]); 8] = [
+        (SpanKind::SchurInit, &["Schur init (A_ss)"]),
+        (
+            SpanKind::SparseSolve,
+            &[
+                "sparse solve (Y)",
+                "sparse solve (rhs)",
+                "sparse solve (back)",
+            ],
+        ),
+        (SpanKind::Spmm, &["SpMM"]),
+        (SpanKind::AxpyCommit, &["Schur assembly"]),
+        (SpanKind::DenseFactorization, &["dense factorization"]),
+        (SpanKind::AssembleW, &["assemble W"]),
+        (SpanKind::DenseSolve, &["dense solve"]),
+        (SpanKind::CoupledSolve, &["coupled solve"]),
+    ];
+    for algo in Algorithm::ALL {
+        for backend in [DenseBackend::Spido, DenseBackend::Hmat] {
+            let (out, records) = traced_solve(algo, backend, 2);
+            let report = RunReport::from_parts(algo, backend, &out.metrics, &records);
+            for (kind, labels) in owned {
+                let cell = format!("{} / {} / {}", algo.name(), backend.name(), kind.name());
+                let rows = report
+                    .phases
+                    .iter()
+                    .filter(|p| labels.contains(&p.name.as_str()));
+                let (secs, bytes, flops) = rows.fold((0.0, 0, 0), |(s, b, f), p| {
+                    (s + p.seconds, b + p.bytes, f + p.flops)
+                });
+                match report.spans.iter().find(|a| a.kind == kind.name()) {
+                    Some(a) => {
+                        assert_eq!((a.bytes, a.flops), (bytes, flops), "{cell}");
+                        let tol = 1e-6 * a.count as f64;
+                        assert!((a.seconds - secs).abs() <= tol, "{cell}: {a:?} vs {secs} s");
+                    }
+                    None => assert_eq!((secs, bytes, flops), (0.0, 0, 0), "{cell}: no span"),
+                }
+            }
+        }
     }
 }
 
@@ -312,11 +360,11 @@ fn run_report_has_the_documented_shape() {
 fn disabled_tracer_records_nothing() {
     let p = pipe_problem::<f64>(800);
     let tracer = Tracer::disabled();
-    let cfg = SolverConfig::builder()
-        .eps(1e-8)
-        .tracer(tracer.clone())
-        .build()
-        .unwrap();
+    let cfg = SolverConfig {
+        eps: 1e-8,
+        tracer: tracer.clone(),
+        ..Default::default()
+    };
     solve(&p, Algorithm::MultiSolve, &cfg).unwrap();
     assert!(tracer.drain().is_empty());
     assert!(!tracer.is_enabled());
