@@ -37,9 +37,10 @@ echo "==> public API surface matches the committed snapshot"
 # API-drift check: the names re-exported at the root of the csolve façade
 # (plus its module aliases) must match api_surface.txt exactly. A diff means
 # the public API changed: if intentional, regenerate the snapshot with the
-# same pipeline and commit it alongside the change.
+# same pipeline and commit it alongside the change. (awk, not a sed range:
+# a one-line `pub use …;` must close the statement it opens.)
 {
-  sed -n '/^pub use /,/;$/p' crates/integration/src/lib.rs \
+  awk '/^pub use /{p=1} p{print} p&&/;$/{p=0}' crates/integration/src/lib.rs \
     | tr ',{}' '\n' | sed 's/pub use //; s/;$//; s/^ *//; s/ *$//' \
     | grep -v '::' | grep -v '^$'
   grep '^pub mod ' crates/integration/src/lib.rs \
@@ -48,6 +49,7 @@ echo "==> public API surface matches the committed snapshot"
 diff -u api_surface.txt target/api_surface.txt
 
 echo "==> cargo test (conformance suite in smoke profile)"
+[ "$(nproc)" -gt 1 ] || echo "WARNING: nproc = 1 — thread-count cells ran without real concurrency"
 # The conformance grid runs its reduced sweep under CSOLVE_CONFORMANCE=smoke;
 # unset the variable (or run `cargo test --test conformance`) for the full
 # {algorithm x backend x threads x symmetry x conditioning} matrix.
@@ -85,15 +87,6 @@ echo "==> blr_report smoke run"
 # <= 1e-7 (the Table-II walkthrough). Writes target/BENCH_blr_smoke.json so
 # the committed BENCH_blr.json is never clobbered by CI.
 cargo run --release --offline -q --bin blr_report -- --smoke > /dev/null
-
-echo "==> h2_report smoke run"
-# Tier-2 assertion baked into the binary: at the largest swept surface size
-# the H² nested-basis storage must not exceed the flat H-matrix storage, the
-# coupled H2-backend solve must stay within 100*eps of the manufactured
-# solution, and its results must be bitwise identical at 1/2/4 threads.
-# Writes target/BENCH_h2_smoke.json so the committed BENCH_h2.json is never
-# clobbered by CI.
-cargo run --release --offline -q --bin h2_report -- --smoke > /dev/null
 
 echo "==> session_report smoke run"
 # Tier-2 assertion baked into the binary: the session's batched multi-RHS

@@ -56,11 +56,11 @@
 //! initialized), `live` already covers the sparse factors and `S`, and the
 //! scheduler degrades concurrency to one block under pressure — so a
 //! blocking is *feasible* exactly when a single block's working set fits in
-//! the remaining headroom. With the compressed backends (HMAT, H²), a
+//! the remaining headroom. With the compressed backend (HMAT), a
 //! quarter of that headroom is first set aside for the compressed Schur
 //! accumulator, which is allowed to grow by that much between recompression
 //! flushes (the `byte_cap` policy of `schur.rs`, exposed to the planner
-//! through [`crate::backend::BackendPolicy::predicted_bytes`]).
+//! through `BackendPolicy::predicted_bytes` in `backend.rs`).
 //!
 //! # Determinism
 //!
@@ -174,8 +174,8 @@ fn headroom(tracker: &MemTracker) -> usize {
 }
 
 /// Headroom the *block* working sets may claim, as predicted by the
-/// backend's [`crate::backend::BackendPolicy`]: the compressed backends'
-/// Schur accumulators are allowed to grow by a quarter of the remaining
+/// backend's `BackendPolicy` (`backend.rs`): the compressed backend's
+/// Schur accumulator is allowed to grow by a quarter of the remaining
 /// headroom between recompression flushes (`byte_cap` in `schur.rs`), so
 /// blockwise working sets must fit in the other three quarters; the dense
 /// backend keeps `S` at a fixed size and gets the full headroom.

@@ -1,4 +1,4 @@
-//! The pluggable dense-compression backend seam.
+//! The crate-private dense-backend seam.
 //!
 //! The four driver algorithms never look at how the Schur complement is
 //! stored: they accumulate block contributions, ask for the footprint,
@@ -11,18 +11,19 @@
 //! crate; `driver.rs` and `schur.rs` operate purely through the trait
 //! objects, so adding a backend touches this module and nothing else.
 //!
-//! Three implementations live in [`crate::schur`]:
+//! The seam is internal: callers choose a backend through
+//! `SolverConfig::dense_backend` and reach it through
+//! [`crate::schur::SchurAcc`]; there is no way to hand the solver a
+//! user-defined backend.
+//!
+//! The paper's two dense solvers live in [`crate::schur`]:
 //!
 //! * [`DenseBackend::Spido`] — one plain dense matrix, blocked LDLᵀ/LU;
-//! * [`DenseBackend::Hmat`] — flat H-matrix with deferred ε-recompression;
-//! * [`DenseBackend::H2`] — nested-basis (H²/recursive-skeletonization)
-//!   storage over the same cluster tree, factored through H-LU after
-//!   expansion.
+//! * [`DenseBackend::Hmat`] — flat H-matrix with deferred ε-recompression.
 //!
-//! Every implementation preserves the bitwise-determinism-across-threads
-//! contract: accumulation order is fixed by the blockwise pipeline's
-//! in-order fold, and all recompression/flush decisions derive from
-//! deterministic state.
+//! Both preserve the bitwise-determinism-across-threads contract:
+//! accumulation order is fixed by the blockwise pipeline's in-order fold, and
+//! all recompression/flush decisions derive from deterministic state.
 
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use csolve_fembem::BemOperator;
 use csolve_hmat::ClusterTree;
 
 use crate::config::{DenseBackend, SolverConfig};
-use crate::schur::{DenseSchurAcc, H2SchurAcc, HmatSchurAcc};
+use crate::schur::{DenseSchurAcc, HmatSchurAcc};
 
 /// What the driver algorithms need from a Schur-complement accumulator.
 ///
@@ -40,13 +41,10 @@ use crate::schur::{DenseSchurAcc, H2SchurAcc, HmatSchurAcc};
 /// wrapper has already rejected non-finite entries and non-positive `eps`
 /// and dropped zero-sized panels, so an implementation only handles its own
 /// bounds and storage concerns.
-pub trait CompressionBackend<T: Scalar>: Send {
-    /// Stable backend name (matches [`DenseBackend::name`]).
-    fn name(&self) -> &'static str;
-
+pub(crate) trait CompressionBackend<T: Scalar>: Send {
     /// `S[r0.., c0..] += α·panel` — direct write for the dense backend, the
-    /// paper's *compressed AXPY* for the compressed backends (which record
-    /// their recompression work as a `compress` span into `tr`).
+    /// paper's *compressed AXPY* for the compressed backend (which records
+    /// its recompression work as a `compress` span into `tr`).
     fn axpy_block(
         &mut self,
         alpha: T,
@@ -66,8 +64,8 @@ pub trait CompressionBackend<T: Scalar>: Send {
 
     /// Factor the accumulated Schur complement, consuming the accumulator.
     /// `panel_nb` is the dense backend's blocked-factorization panel width
-    /// (ignored by the compressed backends); compressed backends record
-    /// their hierarchical factorization as spans into `tr`.
+    /// (ignored by the compressed backend, which records its hierarchical
+    /// factorization as spans into `tr`).
     fn factor(
         self: Box<Self>,
         symmetric: bool,
@@ -78,7 +76,7 @@ pub trait CompressionBackend<T: Scalar>: Send {
 }
 
 /// A factored Schur complement, ready for multi-RHS panel solves.
-pub trait FactoredSchur<T: Scalar>: Send + Sync {
+pub(crate) trait FactoredSchur<T: Scalar>: Send + Sync {
     /// Solve `S·X = B` in place (cluster-ordered surface indices).
     fn solve_in_place(&self, b: MatMut<'_, T>);
 
@@ -92,9 +90,9 @@ pub trait FactoredSchur<T: Scalar>: Send + Sync {
 
 /// Backend cost-model hooks the autotuner consults before any accumulator
 /// exists (the planning stage has only the configuration).
-pub trait BackendPolicy: Send + Sync {
+pub(crate) trait BackendPolicy: Send + Sync {
     /// Usable share of `room` headroom bytes for blockwise working sets.
-    /// Compressed backends reserve a growth allowance for the accumulator
+    /// The compressed backend reserves a growth allowance for the accumulator
     /// between recompression flushes; `usize::MAX` (unbounded) passes
     /// through.
     fn predicted_bytes(&self, room: usize) -> usize;
@@ -120,11 +118,11 @@ impl BackendPolicy for SpidoPolicy {
     }
 }
 
-/// Shared policy of the compressed backends (flat H and nested H²): the
-/// accumulator may grow by a quarter of the headroom between flushes
-/// (`byte_cap` in `schur.rs`), so blockwise working sets plan within the
-/// other three quarters, and compressed AXPYs are amortized over buffered
-/// `n_s ≥ n_c` column panels.
+/// Policy of the compressed (flat H-matrix) backend: the accumulator may
+/// grow by a quarter of the headroom between flushes (`byte_cap` in
+/// `schur.rs`), so blockwise working sets plan within the other three
+/// quarters, and compressed AXPYs are amortized over buffered `n_s ≥ n_c`
+/// column panels.
 struct CompressedPolicy;
 
 impl BackendPolicy for CompressedPolicy {
@@ -143,10 +141,10 @@ impl BackendPolicy for CompressedPolicy {
 
 impl DenseBackend {
     /// The backend's autotuner cost-model hooks.
-    pub fn policy(self) -> &'static dyn BackendPolicy {
+    pub(crate) fn policy(self) -> &'static dyn BackendPolicy {
         match self {
             DenseBackend::Spido => &SpidoPolicy,
-            DenseBackend::Hmat | DenseBackend::H2 => &CompressedPolicy,
+            DenseBackend::Hmat => &CompressedPolicy,
         }
     }
 }
@@ -163,6 +161,5 @@ pub(crate) fn init_backend<T: Scalar>(
     match cfg.dense_backend {
         DenseBackend::Spido => Ok(Box::new(DenseSchurAcc::init(bem, tracker)?)),
         DenseBackend::Hmat => Ok(Box::new(HmatSchurAcc::init(bem, tree, cfg, tracker)?)),
-        DenseBackend::H2 => Ok(Box::new(H2SchurAcc::init(bem, tree, cfg, tracker)?)),
     }
 }

@@ -78,29 +78,19 @@ pub enum DenseBackend {
     /// Hierarchical low-rank solver (the paper's HMAT): `S` and `A_ss` kept
     /// compressed, Schur blocks folded in through compressed AXPYs.
     Hmat,
-    /// Nested-basis (H²/recursive-skeletonization) solver: far-field blocks
-    /// share per-cluster skeleton bases linked by transfer matrices, for
-    /// near-O(N) storage where the flat H-matrix is O(k·N log N). Same
-    /// cluster tree, admissibility and accuracy contract as [`Hmat`];
-    /// only the far-field representation differs.
-    ///
-    /// [`Hmat`]: DenseBackend::Hmat
-    H2,
 }
 
 impl DenseBackend {
-    /// Solver name as used in the paper ("SPIDO" / "HMAT") or, for the
-    /// nested-basis extension, "H2".
+    /// Solver name as used in the paper ("SPIDO" / "HMAT").
     pub fn name(&self) -> &'static str {
         match self {
             DenseBackend::Spido => "SPIDO",
             DenseBackend::Hmat => "HMAT",
-            DenseBackend::H2 => "H2",
         }
     }
 
     /// Every backend.
-    pub const ALL: [DenseBackend; 3] = [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2];
+    pub const ALL: [DenseBackend; 2] = [DenseBackend::Spido, DenseBackend::Hmat];
 }
 
 impl FromStr for DenseBackend {
@@ -289,7 +279,6 @@ impl SolverConfig {
         let backend = match self.dense_backend {
             DenseBackend::Spido => 0u64,
             DenseBackend::Hmat => 1u64,
-            DenseBackend::H2 => 2u64,
         };
         let ordering = match self.ordering {
             OrderingKind::Natural => 0u64,
@@ -623,6 +612,17 @@ mod tests {
         }
         assert!("no-such-algo".parse::<Algorithm>().is_err());
         assert!("BLAS".parse::<DenseBackend>().is_err());
+        // The retired nested-basis backend's name, in either case, is a
+        // structured error that lists exactly the two surviving backends.
+        let retired = "h2";
+        for gone in [retired.to_ascii_uppercase(), retired.to_string()] {
+            match gone.parse::<DenseBackend>() {
+                Err(Error::InvalidConfig(msg)) => {
+                    assert!(msg.ends_with("(expected one of: SPIDO, HMAT)"), "{msg}")
+                }
+                other => panic!("'{gone}' must be InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -634,8 +634,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Algorithm::MultiSolve.name(), "multi-solve");
         assert_eq!(DenseBackend::Hmat.name(), "HMAT");
-        assert_eq!(DenseBackend::H2.name(), "H2");
         assert_eq!(Algorithm::ALL.len(), 4);
-        assert_eq!(DenseBackend::ALL.len(), 3);
+        assert_eq!(DenseBackend::ALL.len(), 2);
     }
 }

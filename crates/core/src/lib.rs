@@ -25,14 +25,12 @@
 //!   blocks through repeated factorization+Schur calls on stacked
 //!   `W = [A_vv A_vs|_j ; A_sv|_i 0]` matrices (paper §IV-B, Algorithm 3).
 //!
-//! Each algorithm runs against any dense-solver backend implementing the
-//! [`CompressionBackend`] trait: [`DenseBackend::Spido`], a plain blocked
-//! dense solver; [`DenseBackend::Hmat`], the flat hierarchical low-rank
-//! solver providing the *compressed-Schur* variants; or
-//! [`DenseBackend::H2`], the nested-basis (recursive-skeletonization)
-//! variant with smaller asymptotic storage. All large intermediates are
-//! charged against a memory budget, so the paper's capacity experiments
-//! ("largest `N` that fits in RAM") reproduce at any scale.
+//! Each algorithm runs against either of the paper's two dense solvers:
+//! [`DenseBackend::Spido`], a plain blocked dense solver, or
+//! [`DenseBackend::Hmat`], the flat hierarchical low-rank solver providing
+//! the *compressed-Schur* variants. All large intermediates are charged
+//! against a memory budget, so the paper's capacity experiments ("largest
+//! `N` that fits in RAM") reproduce at any scale.
 
 // Index-based loops mirror the reference algorithms (LAPACK/CSparse style)
 // and are kept for readability of the numeric kernels.
@@ -40,7 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod autotune;
-pub mod backend;
+mod backend;
 pub mod config;
 pub mod driver;
 #[cfg(feature = "fault-inject")]
@@ -51,7 +49,6 @@ pub mod schur;
 pub mod session;
 
 pub use autotune::{AutotuneDecision, BlockSizes, MatrixStats};
-pub use backend::{BackendPolicy, CompressionBackend, FactoredSchur};
 pub use config::{
     Algorithm, DenseBackend, Metrics, PhaseReport, SolverConfig, SparseCompressionSummary,
 };

@@ -1,23 +1,23 @@
-//! The Schur complement accumulator and its backend implementations.
+//! The Schur complement accumulator and its two backend implementations.
 //!
-//! [`SchurAcc`] / [`SchurFactor`] are thin wrappers over the
-//! [`CompressionBackend`] / [`FactoredSchur`] trait objects of
-//! [`crate::backend`]: the wrapper performs the validation shared by every
-//! backend (zero-size no-ops, `eps` sanity, NaN screening of contributions)
-//! and delegates storage decisions to the selected implementation. Backend
-//! selection happens once, in `init_backend` ([`crate::backend`]) — no
-//! `DenseBackend` dispatch exists here or in the driver.
+//! [`SchurAcc`] / [`SchurFactor`] are thin wrappers over the crate-private
+//! `CompressionBackend` / `FactoredSchur` trait objects of `backend.rs`: the
+//! wrapper performs the validation shared by both backends (zero-size
+//! no-ops, `eps` sanity, NaN screening of contributions) and delegates
+//! storage decisions to the selected implementation. Backend selection
+//! happens once, in `init_backend` (`backend.rs`) — no `DenseBackend`
+//! dispatch exists here or in the driver.
 //!
 //! All storage is charged against the run's memory budget; the compressed
 //! AXPY re-syncs the charge after each recompression, so an algorithm fails
 //! with a clean out-of-memory error at exactly the point where the
 //! corresponding real solver would die.
 //!
-//! The compressed accumulators recompress lazily: block contributions are
-//! folded in as *formal* low-rank sums (cheap), and the truncating
-//! recompression runs only when a leaf's accumulated rank exceeds the flush
-//! threshold, when the accumulator's footprint crosses its byte cap (set
-//! from the memory budget at init), or — always — right before the
+//! The compressed (H-matrix) accumulator recompresses lazily: block
+//! contributions are folded in as *formal* low-rank sums (cheap), and the
+//! truncating recompression runs only when a leaf's accumulated rank exceeds
+//! the flush threshold, when the accumulator's footprint crosses its byte cap
+//! (set from the memory budget at init), or — always — right before the
 //! factorization. Both triggers are computed from deterministic state (the
 //! ordered-commit sequence of block contributions and the budget at init),
 //! so the flush schedule, like the arithmetic, is identical for every
@@ -30,13 +30,13 @@ use csolve_common::{
 };
 use csolve_dense::{ldlt_in_place_nb, lu_in_place_nb, Mat, MatMut, MatRef};
 use csolve_fembem::BemOperator;
-use csolve_hmat::{ClusterTree, H2Matrix, H2Options, HLu, HMatrix, HOptions};
+use csolve_hmat::{ClusterTree, HLu, HMatrix, HOptions};
 
 use crate::backend::{CompressionBackend, FactoredSchur};
 use crate::config::SolverConfig;
 
 /// Accumulator for `S = A_ss − Σ (Schur contributions)`, initialized with
-/// `A_ss` itself. Wraps the configured [`CompressionBackend`].
+/// `A_ss` itself. Wraps the configured backend's accumulator.
 pub struct SchurAcc<T: Scalar> {
     inner: Box<dyn CompressionBackend<T>>,
 }
@@ -56,19 +56,9 @@ impl<T: Scalar> SchurAcc<T> {
         })
     }
 
-    /// Wrap an externally constructed backend (tests / custom policies).
-    pub fn from_backend(inner: Box<dyn CompressionBackend<T>>) -> Self {
-        Self { inner }
-    }
-
-    /// Stable name of the active backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     /// `S[r0.., c0..] += α·panel` — direct write for the dense backend, the
     /// paper's *compressed AXPY* (compress + truncated add) for the
-    /// compressed backends.
+    /// compressed backend.
     ///
     /// Zero-sized panels are a no-op. The panel is screened for NaN/Inf
     /// before it is folded in: a poisoned contribution would otherwise
@@ -130,7 +120,7 @@ impl<T: Scalar> SchurAcc<T> {
     /// Factor `S` (consuming the accumulator). `panel_nb` is the blocked
     /// factorization's panel width for the dense backend (`0` is *clamped*
     /// to the dense layer's default, [`csolve_dense::DEFAULT_PANEL_NB`]);
-    /// the compressed backends ignore it. `eps` (the compressed backends'
+    /// the compressed backend ignores it. `eps` (the compressed backend's
     /// recompression tolerance) must be finite and positive.
     pub fn factor(self, symmetric: bool, eps: f64, panel_nb: usize) -> Result<SchurFactor<T>> {
         self.factor_traced(symmetric, eps, panel_nb, ScopeTracer::disabled())
@@ -158,7 +148,7 @@ impl<T: Scalar> SchurAcc<T> {
 }
 
 /// Factored Schur complement, ready for multi-RHS solves. Wraps the
-/// backend's [`FactoredSchur`].
+/// backend's factored operator.
 pub struct SchurFactor<T: Scalar> {
     inner: Box<dyn FactoredSchur<T>>,
 }
@@ -211,10 +201,6 @@ impl<T: Scalar> DenseSchurAcc<T> {
 }
 
 impl<T: Scalar> CompressionBackend<T> for DenseSchurAcc<T> {
-    fn name(&self) -> &'static str {
-        "Spido"
-    }
-
     fn axpy_block(
         &mut self,
         alpha: T,
@@ -322,11 +308,11 @@ impl<T: Scalar> FactoredSchur<T> for DenseLuFactor<T> {
 // Flat H-matrix backend.
 // ---------------------------------------------------------------------------
 
-/// Compute the deferred-recompression policy shared by the compressed
-/// backends, fixed deterministically at init: leaves accumulate formal rank
-/// up to half the leaf size before paying for a truncation, and the whole
-/// accumulator flushes when it has grown into a quarter of the budget
-/// headroom measured here.
+/// Compute the compressed backend's deferred-recompression policy, fixed
+/// deterministically at init: leaves accumulate formal rank up to half the
+/// leaf size before paying for a truncation, and the whole accumulator
+/// flushes when it has grown into a quarter of the budget headroom measured
+/// here.
 fn flush_policy(cfg: &SolverConfig, tracker: &MemTracker, base_bytes: usize) -> (usize, usize) {
     let flush_rank = (cfg.hmat_leaf / 2).max(4);
     let byte_cap = if tracker.budget() == usize::MAX {
@@ -375,10 +361,6 @@ impl<T: Scalar> HmatSchurAcc<T> {
 }
 
 impl<T: Scalar> CompressionBackend<T> for HmatSchurAcc<T> {
-    fn name(&self) -> &'static str {
-        "Hmat"
-    }
-
     fn axpy_block(
         &mut self,
         alpha: T,
@@ -462,118 +444,5 @@ impl<T: Scalar> FactoredSchur<T> for HluFactor<T> {
     fn solve_flops(&self, _width: usize) -> u64 {
         // The hierarchical solve's cost has no closed form.
         0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Nested-basis (H²) backend.
-// ---------------------------------------------------------------------------
-
-/// Nested-basis accumulator (`DenseBackend::H2`): far-field blocks share
-/// per-cluster skeleton bases (see [`csolve_hmat::h2`]); pending updates
-/// buffer in the flat layer and fold into the nested form at flush points.
-pub(crate) struct H2SchurAcc<T: Scalar> {
-    h2: H2Matrix<T>,
-    charge: MemCharge,
-    flush_rank: usize,
-    byte_cap: usize,
-    dirty: bool,
-}
-
-impl<T: Scalar> H2SchurAcc<T> {
-    pub(crate) fn init(
-        bem: &BemOperator<T>,
-        tree: &ClusterTree,
-        cfg: &SolverConfig,
-        tracker: &Arc<MemTracker>,
-    ) -> Result<Self> {
-        let opts = H2Options {
-            eps: cfg.eps,
-            eta: cfg.hmat_eta,
-            max_rank: 512,
-        };
-        let oracle = |i: usize, j: usize| bem.eval(i, j);
-        let h2 = H2Matrix::assemble(tree, &oracle, &opts);
-        let charge = tracker.charge(h2.byte_size(), "compressed Schur/A_ss")?;
-        let (flush_rank, byte_cap) = flush_policy(cfg, tracker, h2.byte_size());
-        Ok(Self {
-            h2,
-            charge,
-            flush_rank,
-            byte_cap,
-            dirty: false,
-        })
-    }
-}
-
-impl<T: Scalar> CompressionBackend<T> for H2SchurAcc<T> {
-    fn name(&self) -> &'static str {
-        "H2"
-    }
-
-    fn axpy_block(
-        &mut self,
-        alpha: T,
-        r0: usize,
-        c0: usize,
-        panel: MatRef<'_, T>,
-        eps: f64,
-        tr: ScopeTracer<'_>,
-    ) -> Result<()> {
-        let mut span = tr.span(SpanKind::Compress);
-        self.h2.try_axpy_dense_block_deferred(
-            alpha,
-            r0,
-            c0,
-            panel,
-            T::Real::from_f64_real(eps),
-            self.flush_rank,
-        )?;
-        self.dirty = true;
-        if self.h2.byte_size() > self.byte_cap {
-            // Full flush: fold pending updates into the nested bases and
-            // re-skeletonize (sequential, deterministic trigger).
-            self.h2.recompress(T::Real::from_f64_real(eps));
-            self.dirty = false;
-        }
-        span.add_bytes(self.h2.byte_size());
-        span.finish();
-        self.charge
-            .resize(self.h2.byte_size(), "compressed Schur/A_ss")
-    }
-
-    fn bytes(&self) -> usize {
-        self.h2.byte_size()
-    }
-
-    fn factor_flops(&self, _symmetric: bool) -> u64 {
-        0
-    }
-
-    fn factor(
-        self: Box<Self>,
-        _symmetric: bool,
-        eps: f64,
-        _panel_nb: usize,
-        tr: ScopeTracer<'_>,
-    ) -> Result<Box<dyn FactoredSchur<T>>> {
-        let this = *self;
-        let eps_r = T::Real::from_f64_real(eps);
-        let dirty = this.dirty;
-        // Expand the nested form into flat low-rank leaves for H-LU (the
-        // nested format is a storage format; factorization reuses the flat
-        // hierarchical LU).
-        let mut span = tr.span(SpanKind::Compress);
-        let mut flat = this.h2.into_flat(eps_r);
-        if dirty {
-            flat.recompress_leaves(eps_r);
-        }
-        span.add_bytes(flat.byte_size());
-        span.finish();
-        let mut charge = this.charge;
-        charge.resize(flat.byte_size(), "compressed Schur/A_ss")?;
-        let f = HLu::factor_traced(flat, eps_r, tr)?;
-        charge.resize(f.byte_size(), "compressed Schur factors")?;
-        Ok(Box::new(HluFactor { f, _charge: charge }))
     }
 }

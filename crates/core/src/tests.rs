@@ -64,7 +64,7 @@ fn industrial_complex_nonsymmetric_all_algorithms() {
     let p = industrial_problem::<C64>(2_000);
     assert!(!p.symmetric);
     for algo in Algorithm::ALL {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             let out = solve(&p, algo, &cfg(backend)).unwrap();
             let err = p.relative_error(&out.xv, &out.xs);
             assert!(
@@ -250,7 +250,7 @@ fn phase_names_per_algorithm_are_stable() {
         (Algorithm::MultiFactorization, &multifact_phases),
     ];
     for (algo, want) in golden {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             let got = phase_name_set(algo, backend);
             assert_eq!(
                 got,
@@ -316,7 +316,7 @@ mod schur_acc_negative {
 
     #[test]
     fn zero_sized_blocks_are_a_no_op() {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             let mut a = acc(backend);
             let before = a.bytes();
             let empty_rows = Mat::<f64>::zeros(0, 5);
@@ -333,7 +333,7 @@ mod schur_acc_negative {
     #[test]
     fn non_positive_eps_is_rejected_everywhere() {
         let panel = Mat::<f64>::zeros(4, 4);
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             for bad in [0.0, -1e-6, f64::NAN, f64::INFINITY] {
                 let mut a = acc(backend);
                 let err = a.axpy_block(1.0, 0, 0, panel.as_ref(), bad).unwrap_err();
@@ -355,7 +355,7 @@ mod schur_acc_negative {
 
     #[test]
     fn poisoned_panels_are_rejected_with_context() {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let mut a = acc(backend);
                 let mut panel = Mat::<f64>::zeros(4, 4);
@@ -371,7 +371,7 @@ mod schur_acc_negative {
 
     #[test]
     fn out_of_range_blocks_are_a_dimension_mismatch() {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             let mut a = acc(backend);
             let panel = Mat::<f64>::zeros(4, 4);
             let err = a

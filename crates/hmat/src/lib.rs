@@ -24,13 +24,11 @@ pub mod factor;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod geometry;
-pub mod h2;
 pub mod hmatrix;
 
 pub use cluster::{ClusterNodeId, ClusterTree};
 pub use factor::HLu;
 pub use geometry::{Aabb, Point3};
-pub use h2::{H2Matrix, H2Options, H2Stats};
 pub use hmatrix::{h_gemm, h_mul_to_lowrank, AssembleMethod, HMatrix, HOptions, HStats};
 
 #[cfg(test)]

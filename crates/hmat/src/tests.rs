@@ -412,78 +412,3 @@ fn recompress_leaves_collapses_zero_norm_formal_rank() {
     assert!(h.byte_size() <= formal_bytes);
     assert!(rel_err(&h.to_dense(), &before) < 1e-9);
 }
-
-mod h2_vs_flat {
-    //! Property: the nested-basis H² representation and the flat H-matrix
-    //! agree to the configured tolerance on the same kernel problem — at
-    //! assembly, and after an arbitrary sequence of deferred dense-block
-    //! AXPY updates driven through both representations identically.
-
-    use proptest::prelude::*;
-
-    use super::*;
-    use crate::h2::{H2Matrix, H2Options};
-
-    fn flat_and_h2(n_side: usize, eps: f64) -> (HMatrix<f64>, H2Matrix<f64>, Mat<f64>) {
-        // Assembly is deterministic, so two builds from the same inputs give
-        // the same flat H-matrix: one stays flat, one becomes the H².
-        let (_, flat, dense) = build_test_h(n_side, eps, AssembleMethod::Aca);
-        let (tree, for_h2, _) = build_test_h(n_side, eps, AssembleMethod::Aca);
-        let opts = H2Options {
-            eps,
-            eta: 6.0,
-            max_rank: 64,
-        };
-        let h2 = H2Matrix::from_flat(&tree, for_h2, &opts);
-        (flat, h2, dense)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-        #[test]
-        fn h2_agrees_with_flat_h_under_deferred_updates(
-            n_side in 10usize..15,
-            eps_exp in 4u32..9,
-            n_updates in 0usize..5,
-            seed in 0u64..1_000,
-        ) {
-            let eps = 10f64.powi(-(eps_exp as i32));
-            let (mut flat, mut h2, dense) = flat_and_h2(n_side, eps);
-            let n = dense.nrows();
-
-            // Both representations start within eps of the same kernel, so
-            // they agree with each other to a small multiple of eps.
-            let d0 = rel_err(&h2.to_dense(), &flat.to_dense());
-            prop_assert!(
-                d0 < 100.0 * eps,
-                "assembly: |H2 - H| = {d0:.3e} at eps {eps:.0e}"
-            );
-
-            // Identical deferred update streams through both.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let flush_rank = 8;
-            for k in 0..n_updates {
-                let rows = 16 + 8 * (k % 3);
-                let cols = 12 + 4 * (k % 4);
-                let panel = Mat::<f64>::random(rows, cols, &mut rng);
-                let r0 = (seed as usize + 37 * k) % (n - rows);
-                let c0 = (seed as usize / 7 + 53 * k) % (n - cols);
-                let alpha = if k % 2 == 0 { 1.0 } else { -0.5 };
-                flat.try_axpy_dense_block_deferred(
-                    alpha, r0, c0, panel.as_ref(), eps, flush_rank,
-                ).unwrap();
-                h2.try_axpy_dense_block_deferred(
-                    alpha, r0, c0, panel.as_ref(), eps, flush_rank,
-                ).unwrap();
-            }
-            flat.recompress_leaves(eps);
-            h2.recompress(eps);
-
-            let d = rel_err(&h2.to_dense(), &flat.to_dense());
-            prop_assert!(
-                d < 100.0 * eps,
-                "after {n_updates} updates: |H2 - H| = {d:.3e} at eps {eps:.0e}"
-            );
-        }
-    }
-}

@@ -46,48 +46,6 @@
 //! assert!(stats.ratio() <= 1.0);
 //! ```
 //!
-//! The dense Schur backend is pluggable: every [`DenseBackend`] variant is an
-//! implementation of the [`CompressionBackend`] trait, and the nested-basis
-//! H² backend is selected like any other —
-//!
-//! ```
-//! use csolve::{solve, Algorithm, DenseBackend, SolverConfig};
-//!
-//! let problem = csolve::fembem::pipe_problem::<f64>(600);
-//! let cfg = SolverConfig {
-//!     eps: 1e-6,
-//!     dense_backend: DenseBackend::H2,
-//!     ..Default::default()
-//! };
-//! let out = solve(&problem, Algorithm::MultiSolve, &cfg).unwrap();
-//! assert!(problem.relative_error(&out.xv, &out.xs) < 1e-4);
-//! ```
-//!
-//! while the H² storage layer itself ([`H2Matrix`]) is usable standalone for
-//! compressing an explicit dense matrix over a geometric cluster tree:
-//!
-//! ```
-//! use csolve::hmat::{ClusterTree, H2Matrix, H2Options, Point3};
-//!
-//! // Points on a circle — a 1D manifold, so far-field blocks are low-rank.
-//! let n = 128;
-//! let pts: Vec<Point3> = (0..n)
-//!     .map(|i| {
-//!         let t = i as f64 / n as f64 * std::f64::consts::TAU;
-//!         Point3::new(t.cos(), t.sin(), 0.0)
-//!     })
-//!     .collect();
-//! let tree = ClusterTree::build(&pts, 16);
-//! // A smooth kernel matrix in cluster order.
-//! let a = csolve::dense::Mat::from_fn(n, n, |i, j| {
-//!     let (pi, pj) = (pts[tree.perm[i]], pts[tree.perm[j]]);
-//!     1.0 / (1.0 + pi.dist(&pj))
-//! });
-//! let h2 = H2Matrix::compress_dense(&tree, &a, &H2Options::default());
-//! let stats = h2.stats();
-//! assert!(stats.bytes < n * n * std::mem::size_of::<f64>());
-//! ```
-//!
 //! Each workspace layer is also reachable as a module alias (`dense`,
 //! `sparse`, `hmat`, …) for code that needs the lower-level kernels.
 
@@ -100,13 +58,11 @@ pub use csolve_common::{
     TraceScope, Tracer, C32, C64,
 };
 pub use csolve_coupled::{
-    solve, Algorithm, AutotuneDecision, BackendPolicy, BlockSizes, CompressionBackend,
-    DenseBackend, FactoredSchur, KernelCalibration, MatrixStats, Metrics, Outcome, PhaseReport,
-    RequestId, RequestInfo, RunReport, SessionBuilder, SessionSolve, SessionStats, SolverConfig,
-    SolverSession, SpanAgg, SparseCompressionSummary,
+    solve, Algorithm, AutotuneDecision, BlockSizes, DenseBackend, KernelCalibration, MatrixStats,
+    Metrics, Outcome, PhaseReport, RequestId, RequestInfo, RunReport, SessionBuilder, SessionSolve,
+    SessionStats, SolverConfig, SolverSession, SpanAgg, SparseCompressionSummary,
 };
 pub use csolve_fembem::{industrial_problem, pipe_problem, CoupledProblem};
-pub use csolve_hmat::{H2Matrix, H2Options, H2Stats};
 
 // --- Layer aliases. ------------------------------------------------------
 

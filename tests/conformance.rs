@@ -2,7 +2,7 @@
 //! count agrees with the dense reference oracle on seeded generated problems,
 //! and results are bitwise-identical across thread counts.
 //!
-//! The sweep covers {MultiSolve, MultiFactorization} × {Spido, Hmat, H2} ×
+//! The sweep covers {MultiSolve, MultiFactorization} × {Spido, Hmat} ×
 //! {1, 2, 4 threads} × {symmetric f64, unsymmetric C64} × {well-conditioned,
 //! ill-conditioned}. Every assertion message carries the cell's generator
 //! seed: to reproduce a failure in isolation, build the same `ProblemSpec`
@@ -48,14 +48,13 @@ fn config(backend: DenseBackend, threads: usize) -> SolverConfig {
     }
 }
 
-const GRID: [(Algorithm, DenseBackend); 6] = [
-    (Algorithm::MultiSolve, DenseBackend::Spido),
-    (Algorithm::MultiSolve, DenseBackend::Hmat),
-    (Algorithm::MultiSolve, DenseBackend::H2),
-    (Algorithm::MultiFactorization, DenseBackend::Spido),
-    (Algorithm::MultiFactorization, DenseBackend::Hmat),
-    (Algorithm::MultiFactorization, DenseBackend::H2),
-];
+/// {MultiSolve, MultiFactorization} × every dense backend, algorithm-major.
+fn grid() -> Vec<(Algorithm, DenseBackend)> {
+    [Algorithm::MultiSolve, Algorithm::MultiFactorization]
+        .into_iter()
+        .flat_map(|algo| DenseBackend::ALL.map(|backend| (algo, backend)))
+        .collect()
+}
 
 /// Run the full {algorithm × backend × threads} grid on one generated
 /// problem and check every cell against the oracle and against the
@@ -67,7 +66,7 @@ fn check_grid<T: Scalar>(spec: &ProblemSpec, label: &str) {
     let oracle_err = rel_err_l2(&reference.xv, &reference.xs, &p.x_exact_v, &p.x_exact_s);
     let tol = problem_tol(spec.cond, EPS).max(100.0 * oracle_err);
 
-    for (algo, backend) in GRID {
+    for (algo, backend) in grid() {
         let mut baseline: Option<(Vec<T>, Vec<T>)> = None;
         for &threads in thread_counts() {
             let cell = format!(
@@ -170,7 +169,7 @@ fn baselines_agree_with_the_oracle() {
     let reference = oracle_solve(&p).unwrap();
     let tol = problem_tol(spec.cond, EPS);
     for algo in [Algorithm::BaselineCoupling, Algorithm::AdvancedCoupling] {
-        for backend in [DenseBackend::Spido, DenseBackend::Hmat, DenseBackend::H2] {
+        for backend in DenseBackend::ALL {
             let out = solve(&p, algo, &config(backend, 2)).unwrap_or_else(|e| {
                 panic!(
                     "[seed {}] {} / {}: solve failed: {e}",
@@ -212,16 +211,16 @@ fn autotuned_blocking_under_memory_budgets() {
     let reference = oracle_solve(&p).unwrap();
     let tol = problem_tol(spec.cond, EPS);
 
-    let cells: &[(Algorithm, DenseBackend)] = if smoke() {
-        &[
+    let cells = if smoke() {
+        vec![
             (Algorithm::MultiSolve, DenseBackend::Hmat),
             (Algorithm::MultiFactorization, DenseBackend::Hmat),
         ]
     } else {
-        &GRID
+        grid()
     };
 
-    for &(algo, backend) in cells {
+    for (algo, backend) in cells {
         let cell = format!(
             "[seed {}] auto-budget / {} / {}",
             spec.seed,

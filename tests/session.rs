@@ -365,6 +365,15 @@ fn fingerprint_knobs_cover_factorization_inputs_only() {
     ] {
         assert_ne!(changed.fingerprint_knobs(), knobs);
     }
+    // The backend word is part of every cached session key: it must not
+    // shift when the backend list changes.
+    for (backend, word) in [(DenseBackend::Spido, 0), (DenseBackend::Hmat, 1)] {
+        let c = SolverConfig {
+            dense_backend: backend,
+            ..cfg(2)
+        };
+        assert_eq!(c.fingerprint_knobs()[2], word);
+    }
     // Budget, thread count and tracer are execution knobs: same
     // factorization bits, same fingerprint.
     for same in [
