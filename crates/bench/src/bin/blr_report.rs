@@ -8,8 +8,11 @@
 //!    tolerance: the per-front panel-rank histogram, compressed vs
 //!    uncompressed stored bytes, the measured factorization peak next to
 //!    the symbolic predictions (`predicted_numeric_peak_bytes` /
-//!    `predicted_numeric_peak_bytes_blr`), and the relative error of the
-//!    full coupled solve through the `csolve` façade at that tolerance.
+//!    `predicted_numeric_peak_bytes_blr`), the relative error of the
+//!    full coupled solve through the `csolve` façade at that tolerance, and
+//!    the share of the traced front loop spent compressing (`Compress` span
+//!    ÷ `SparseFrontFactor` span of the same factorization, so the host's
+//!    speed cancels).
 //! 2. **Budget walkthrough** (the paper's Table II shape) — runs
 //!    multi-factorization under a byte budget between the compressed and
 //!    uncompressed peaks: the uncompressed run returns a structured
@@ -22,13 +25,23 @@
 //! - `--n 4000`        — total unknowns of the pipe problem
 //! - `--out path.json` — where to write the JSON dump
 //! - `--smoke`         — small problem, write to `target/`, and *assert*
-//!   (exit non-zero) the walkthrough statuses and error bounds (CI check)
+//!   (exit non-zero) the walkthrough statuses, the error bounds and
+//!   compression share ≤ [`MAX_COMPRESS_SHARE`] (CI check)
 
 use csolve::common::MemTracker;
 use csolve::json::{json_fields, JsonWriter};
 use csolve::sparse::{factorize, OrderingKind, SparseOptions, SymbolicFactorization, Symmetry};
-use csolve::{pipe_problem, Algorithm, CoupledProblem, DenseBackend, SolverConfig};
+use csolve::{
+    pipe_problem, Algorithm, CoupledProblem, DenseBackend, SolverConfig, SpanKind, TracePayload,
+    TraceRecord, Tracer,
+};
 use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
+
+/// Smoke gate on [`SweepRow::compress_share`]: compressing the panels of a
+/// front may cost at most as much as everything else done to it (at smoke
+/// size 0.73–0.76 with the RRQR + SVD normal form on every attempt,
+/// 0.24–0.27 rank-first).
+const MAX_COMPRESS_SHARE: f64 = 0.5;
 
 /// One `sparse_eps` cell of the tolerance sweep.
 struct SweepRow {
@@ -42,6 +55,22 @@ struct SweepRow {
     rank_histogram: Vec<(usize, usize)>,
     factor_peak_bytes: usize,
     rel_error: f64,
+    /// `Compress` ÷ `SparseFrontFactor` span time of the factorization
+    /// (the front-loop span contains the compression); 0 at `eps = 0`.
+    compress_share: f64,
+}
+
+/// Total seconds recorded under `kind`.
+fn span_seconds(records: &[TraceRecord], kind: SpanKind) -> f64 {
+    records
+        .iter()
+        .filter_map(|r| match &r.payload {
+            TracePayload::Span {
+                kind: k, dur_ns, ..
+            } if *k == kind => Some(*dur_ns as f64 / 1e9),
+            _ => None,
+        })
+        .fold(0.0, |acc, s| acc + s)
 }
 
 fn histogram(ranks: &[usize]) -> Vec<(usize, usize)> {
@@ -71,15 +100,20 @@ fn coupled_config(sparse_eps: f64) -> SolverConfig {
 /// the same tolerance through the façade.
 fn sweep_row(problem: &CoupledProblem<f64>, eps: f64) -> SweepRow {
     let tracker = MemTracker::unbounded();
+    let tracer = Tracer::enabled();
     let opts = SparseOptions {
         ordering: OrderingKind::NestedDissection,
         symmetry: Symmetry::SymmetricLdlt,
         blr_eps: (eps > 0.0).then_some(eps),
         tracker: Some(tracker.clone()),
+        tracer: tracer.clone(),
         ..Default::default()
     };
     let f = factorize(&problem.a_vv, &opts).expect("A_vv factorization failed");
     let stats = f.stats();
+    let spans = tracer.drain();
+    let front_s = span_seconds(&spans, SpanKind::SparseFrontFactor);
+    let compress_share = span_seconds(&spans, SpanKind::Compress) / front_s;
     let rel_error = match attempt(problem, Algorithm::MultiSolve, &coupled_config(eps)) {
         Attempt::Ok(r) => r.rel_error,
         other => panic!("coupled solve at sparse_eps {eps:e} failed: {other:?}"),
@@ -94,6 +128,7 @@ fn sweep_row(problem: &CoupledProblem<f64>, eps: f64) -> SweepRow {
         rank_histogram: histogram(&f.panel_ranks()),
         factor_peak_bytes: tracker.peak(),
         rel_error,
+        compress_share,
     }
 }
 
@@ -157,6 +192,7 @@ fn to_json(n: usize, rows: &[SweepRow], walk: &Walkthrough) -> String {
         w.begin_object();
         json_fields!(w, r => eps, panels_eligible, panels_compressed, dense_bytes);
         json_fields!(w, r => stored_bytes, max_rank, factor_peak_bytes, rel_error);
+        json_fields!(w, r => compress_share);
         w.key("rank_histogram").begin_array();
         for (bucket, count) in &r.rank_histogram {
             w.begin_object().field("rank_le", bucket);
@@ -201,7 +237,7 @@ fn main() {
         .collect();
 
     println!(
-        "{:<10} {:>9} {:>11} {:>12} {:>12} {:>9} {:>12} {:>10}",
+        "{:<10} {:>9} {:>11} {:>12} {:>12} {:>9} {:>12} {:>10} {:>15}",
         "eps",
         "eligible",
         "compressed",
@@ -209,11 +245,12 @@ fn main() {
         "stored MiB",
         "max rank",
         "peak MiB",
-        "rel err"
+        "rel err",
+        "compress/front"
     );
     for r in &rows {
         println!(
-            "{:<10.0e} {:>9} {:>11} {:>12.2} {:>12.2} {:>9} {:>12.1} {:>10.2e}",
+            "{:<10.0e} {:>9} {:>11} {:>12.2} {:>12.2} {:>9} {:>12.1} {:>10.2e} {:>15.2}",
             r.eps,
             r.panels_eligible,
             r.panels_compressed,
@@ -221,7 +258,8 @@ fn main() {
             mib(r.stored_bytes),
             r.max_rank,
             mib(r.factor_peak_bytes),
-            r.rel_error
+            r.rel_error,
+            r.compress_share
         );
     }
     for r in rows.iter().filter(|r| !r.rank_histogram.is_empty()) {
@@ -278,6 +316,13 @@ fn main() {
             }
             if r.eps == 0.0 && r.panels_compressed != 0 {
                 failures.push("eps = 0 run compressed a panel".to_string());
+            }
+            // NaN (no front span recorded) must fail too.
+            if r.compress_share.is_nan() || r.compress_share > MAX_COMPRESS_SHARE {
+                failures.push(format!(
+                    "eps {:e}: compression is {:.2} of the front loop, above {MAX_COMPRESS_SHARE}",
+                    r.eps, r.compress_share
+                ));
             }
         }
         if predicted_blr > predicted_dense {

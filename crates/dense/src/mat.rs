@@ -336,6 +336,20 @@ unsafe impl<T: Send> Send for MatMut<'_, T> {}
 unsafe impl<T: Sync> Sync for MatMut<'_, T> {}
 
 impl<'a, T: Scalar> MatMut<'a, T> {
+    /// View a caller-owned column-major buffer (`data.len() == nrows *
+    /// ncols`) as a matrix — lets a loop reuse one scratch allocation for
+    /// blocks of varying shape.
+    pub fn from_col_major(nrows: usize, ncols: usize, data: &'a mut [T]) -> Self {
+        assert_eq!(data.len(), nrows * ncols, "column-major buffer length");
+        MatMut {
+            ptr: data.as_mut_ptr(),
+            nrows,
+            ncols,
+            ld: nrows,
+            _marker: PhantomData,
+        }
+    }
+
     pub fn nrows(&self) -> usize {
         self.nrows
     }
@@ -531,6 +545,13 @@ mod tests {
         assert_eq!(m[(1, 0)], 2.0);
         assert_eq!(m[(0, 1)], 3.0);
         assert_eq!(m[(1, 1)], 4.0);
+        // The borrowed view over a caller's buffer has the same layout.
+        let mut buf = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let mut v = MatMut::from_col_major(2, 3, &mut buf);
+        assert_eq!((v.nrows(), v.ncols(), v.ld()), (2, 3, 2));
+        assert_eq!(v.col(2), &[5.0, 6.0]);
+        v.set(1, 1, -4.0);
+        assert_eq!(buf[3], -4.0);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! * compressing a dense block to a truncated factorization `U·Vᵀ` at a
 //!   prescribed tolerance ε ([`LowRank::from_dense`], via rank-revealing QR
-//!   followed by an SVD cleanup);
+//!   followed by an SVD cleanup), or — for panels that are written once and
+//!   kept only if the factors are smaller — deciding on the rank-revealing
+//!   QR's rank alone ([`LowRank::from_dense_if_smaller`], the sparse
+//!   layer's BLR front panels);
 //! * *recompression* of sums of low-rank terms — the "compressed AXPY" the
 //!   paper performs every time a dense Schur block is folded into the
 //!   compressed Schur complement ([`LowRank::add_truncate`]);

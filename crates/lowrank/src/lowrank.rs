@@ -105,17 +105,61 @@ impl<T: Scalar> LowRank<T> {
         let mut lr = Self::new(u, v);
         lr.recompress(tol);
         if capped {
-            let mut resid = lr.to_dense();
-            resid.axpy(-T::ONE, a);
-            let achieved = resid.norm_fro();
-            if achieved > tol {
-                return Err(Error::CompressionFailure {
-                    wanted_tol: tol.to_f64(),
-                    achieved: achieved.to_f64(),
-                });
-            }
+            lr.check_residual(a, tol)?;
         }
         Ok(lr)
+    }
+
+    /// Rank-first compression of a *write-once* panel: `Some(U·Vᵀ)` at
+    /// absolute Frobenius tolerance `tol` when the factors are smaller than
+    /// the dense block (`r·(m+n) < m·n`), `None` when they are not.
+    ///
+    /// The rank-revealing QR runs at `tol/2` exactly as in
+    /// [`LowRank::from_dense_checked`], and its rank alone makes the
+    /// keep/discard decision, before any `Q` is formed. A kept panel is
+    /// returned as the QR left it — `U` = thin `Q` (orthonormal), `V` =
+    /// `Rᵀ` un-permuted — without the SVD normal form of
+    /// [`LowRank::recompress`]: from `L = min(m, n) = 4` on, its per-σ
+    /// threshold `tol/√L` lies at or below the QR's stop `tol/2`, so the
+    /// SVD pass re-derives a rank the QR already fixed. Use it for blocks
+    /// that are compressed once and then only multiplied with; blocks that
+    /// take part in truncated sums (H-matrix leaves) want the normal form
+    /// and `from_dense_checked`.
+    ///
+    /// A rank cap that was binding is verified like in `from_dense_checked`
+    /// and fails with [`Error::CompressionFailure`].
+    pub fn from_dense_if_smaller(
+        a: &Mat<T>,
+        tol: T::Real,
+        max_rank: usize,
+    ) -> Result<Option<Self>> {
+        let (m, n) = (a.nrows(), a.ncols());
+        let f = col_piv_qr(a.clone(), tol * T::Real::from_f64_real(0.5), max_rank);
+        if f.rank * (m + n) >= m * n {
+            return Ok(None);
+        }
+        let capped = f.rank == max_rank && max_rank < m.min(n);
+        let (u, v) = f.factors();
+        let lr = Self::new(u, v);
+        if capped {
+            lr.check_residual(a, tol)?;
+        }
+        Ok(Some(lr))
+    }
+
+    /// `Err(CompressionFailure)` unless `‖U·Vᵀ − A‖_F ≤ tol` (explicit
+    /// residual; only worth its cost when a rank cap was binding).
+    fn check_residual(&self, a: &Mat<T>, tol: T::Real) -> Result<()> {
+        let mut resid = self.to_dense();
+        resid.axpy(-T::ONE, a);
+        let achieved = resid.norm_fro();
+        if achieved > tol {
+            return Err(Error::CompressionFailure {
+                wanted_tol: tol.to_f64(),
+                achieved: achieved.to_f64(),
+            });
+        }
+        Ok(())
     }
 
     /// Materialize as dense.
@@ -379,6 +423,97 @@ mod tests {
         let (_, lo) = rand_lowrank(16, 16, 2, 22);
         let ok = LowRank::from_dense_checked(&lo, 1e-9 * lo.norm_fro(), 4).unwrap();
         assert!(ok.rank() <= 4);
+    }
+
+    /// The contract of `from_dense_if_smaller` on one input: the rank is the
+    /// RRQR's at `tol/2`, the answer is `None` exactly when that rank does
+    /// not pay, and a kept panel reproduces `a` within `tol`.
+    fn check_if_smaller<T: Scalar>(a: &Mat<T>, tol: T::Real) {
+        let (m, n) = (a.nrows(), a.ncols());
+        let half = tol * T::Real::from_f64_real(0.5);
+        let r = col_piv_qr(a.clone(), half, usize::MAX).rank;
+        let got = LowRank::from_dense_if_smaller(a, tol, usize::MAX).unwrap();
+        assert_eq!(got.is_none(), r * (m + n) >= m * n, "{m}x{n}, rank {r}");
+        if let Some(lr) = got {
+            assert_eq!((lr.nrows(), lr.ncols(), lr.rank()), (m, n, r));
+            let mut d = lr.to_dense();
+            d.axpy(-T::ONE, a);
+            assert!(d.norm_fro() <= tol, "{m}x{n}: err above tol");
+        }
+    }
+
+    #[test]
+    fn from_dense_if_smaller_decides_on_the_rrqr_rank() {
+        // Tall, wide and square; ranks on both sides of the break-even
+        // `m·n / (m+n)` (60x16: 12.6, 16x60: 12.6, 40x40: 20).
+        for (m, n, r, seed) in [
+            (60, 16, 3, 41),
+            (60, 16, 12, 42),
+            (60, 16, 13, 43),
+            (60, 16, 16, 44),
+            (16, 60, 5, 45),
+            (16, 60, 14, 46),
+            (40, 40, 19, 47),
+            (40, 40, 20, 48),
+        ] {
+            let (_, a) = rand_lowrank(m, n, r, seed);
+            check_if_smaller(&a, 1e-9 * a.norm_fro());
+        }
+        // Decaying spectrum: the tolerance, not the exact rank, sets `r`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        let mut a = Mat::<f64>::zeros(50, 30);
+        for k in 0..20 {
+            let mut u = Mat::<f64>::random(50, 1, &mut rng);
+            u.scale(0.2f64.powi(k));
+            a.axpy(
+                1.0,
+                &LowRank::new(u, Mat::random(30, 1, &mut rng)).to_dense(),
+            );
+        }
+        check_if_smaller(&a, 1e-5 * a.norm_fro());
+        // Complex.
+        let u = Mat::<C64>::random(48, 4, &mut rng);
+        let v = Mat::<C64>::random(20, 4, &mut rng);
+        let a = LowRank::new(u, v).to_dense();
+        check_if_smaller(&a, 1e-10 * a.norm_fro());
+        // Rank 0 is the smallest representation of a zero block…
+        let z = LowRank::from_dense_if_smaller(&Mat::<f64>::zeros(7, 5), 1e-12, usize::MAX);
+        assert_eq!(z.unwrap().unwrap().rank(), 0);
+        // …but saves nothing on a block without entries.
+        for (m, n) in [(0, 6), (6, 0), (0, 0)] {
+            check_if_smaller(&Mat::<f64>::zeros(m, n), 1e-12);
+        }
+    }
+
+    #[test]
+    fn from_dense_if_smaller_reports_rank_overflow_like_checked() {
+        // Same inputs as `from_dense_checked_reports_rank_overflow`: the
+        // binding cap fails with the same structured error, value for value
+        // (both residuals are taken on the capped RRQR's factors — the
+        // checked constructor's SVD pass only rotates them).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let a = Mat::<f64>::random(16, 16, &mut rng);
+        let tol = 1e-12 * a.norm_fro();
+        let failure = |r: Result<()>| match r {
+            Err(Error::CompressionFailure {
+                wanted_tol,
+                achieved,
+            }) => (wanted_tol, achieved),
+            other => panic!("expected CompressionFailure, got {other:?}"),
+        };
+        let want = failure(LowRank::from_dense_checked(&a, tol, 2).map(|_| ()));
+        let got = failure(LowRank::from_dense_if_smaller(&a, tol, 2).map(|_| ()));
+        assert_eq!(got.0, want.0);
+        assert!((got.1 - want.1).abs() <= 1e-12 * want.1);
+        // A cap at or above the break-even rank is a discard, not an error:
+        // the decision comes before the residual.
+        assert!(LowRank::from_dense_if_smaller(&a, tol, 8)
+            .unwrap()
+            .is_none());
+        // A genuinely low-rank block passes under the cap.
+        let (_, lo) = rand_lowrank(16, 16, 2, 22);
+        let ok = LowRank::from_dense_if_smaller(&lo, 1e-9 * lo.norm_fro(), 4);
+        assert_eq!(ok.unwrap().unwrap().rank(), 2);
     }
 
     #[test]

@@ -62,6 +62,36 @@ pub fn apply_householder<T: Scalar>(v_tail: &[T], tau: T::Real, y: &mut [T]) {
     }
 }
 
+/// Columns [`apply_householder_lanes`] advances together.
+const LANES: usize = 4;
+
+/// [`apply_householder`] on [`LANES`] column segments at once. Each column
+/// sees exactly the operations of the one-column routine in the same order;
+/// the dot products merely advance in lock-step, so their (serially
+/// dependent) accumulations overlap in the pipeline instead of queueing.
+fn apply_householder_lanes<T: Scalar>(v_tail: &[T], tau: T::Real, y: [&mut [T]; LANES]) {
+    if tau == T::Real::RZERO {
+        return;
+    }
+    let y = y.map(|col| &mut col[..v_tail.len() + 1]);
+    let mut w: [T; LANES] = std::array::from_fn(|k| y[k][0]);
+    for (i, vi) in v_tail.iter().enumerate() {
+        let vc = vi.conj();
+        for k in 0..LANES {
+            w[k] += vc * y[k][i + 1];
+        }
+    }
+    let s = w.map(|w| T::from_real(tau) * w);
+    for k in 0..LANES {
+        y[k][0] -= s[k];
+    }
+    for (i, &vi) in v_tail.iter().enumerate() {
+        for k in 0..LANES {
+            y[k][i + 1] -= s[k] * vi;
+        }
+    }
+}
+
 /// Packed Householder QR factors: `R` in the upper triangle, reflector tails
 /// below the diagonal.
 pub struct Qr<T: Scalar> {
@@ -195,39 +225,35 @@ pub fn col_piv_qr<T: Scalar>(mut a: Mat<T>, tol: T::Real, max_rank: usize) -> Co
         }
         if p != j {
             // Swap columns j and p (full columns) + bookkeeping.
-            for i in 0..m {
-                let t = a[(i, j)];
-                a[(i, j)] = a[(i, p)];
-                a[(i, p)] = t;
-            }
+            let (lo, hi) = a.data_mut().split_at_mut(p * m);
+            lo[j * m..(j + 1) * m].swap_with_slice(&mut hi[..m]);
             norms2.swap(j, p);
             perm.swap(j, p);
         }
+        // The reflector lives in column j, updates touch columns j+1..n.
+        let (head, trailing) = a.data_mut().split_at_mut((j + 1) * m);
+        let pivot = &mut head[j * m + j..];
         // Recompute the pivot norm exactly to fight downdating drift.
-        let exact2: T::Real = a.col(j)[j..].iter().map(|v| v.abs2()).sum();
+        let exact2: T::Real = pivot.iter().map(|v| v.abs2()).sum();
         if exact2.rsqrt_val() <= tol {
             break;
         }
-        let tau = {
-            let col = a.col_mut(j);
-            make_householder(&mut col[j..])
-        };
+        let tau = make_householder(pivot);
         taus.push(tau);
         rank += 1;
-        if tau != T::Real::RZERO {
-            for c in j + 1..n {
-                let (vptr, ycol): (*const T, &mut [T]) = {
-                    let v = a.col(j).as_ptr();
-                    (v, unsafe { &mut *(a.col_mut(c) as *mut [T]) })
-                };
-                let v = unsafe { std::slice::from_raw_parts(vptr, m) };
-                apply_householder(&v[j + 1..], tau, &mut ycol[j..]);
-            }
+        let v_tail = &pivot[1..];
+        let mut blocks = trailing.chunks_exact_mut(LANES * m);
+        for block in &mut blocks {
+            let mut cols = block.chunks_exact_mut(m);
+            let y = std::array::from_fn(|_| &mut cols.next().expect("LANES columns")[j..]);
+            apply_householder_lanes(v_tail, tau, y);
         }
-        // Downdate remaining norms by the newly created row of R.
-        for c in j + 1..n {
-            let r = a[(j, c)].abs2();
-            norms2[c] = (norms2[c] - r).rmax(T::Real::RZERO);
+        for ycol in blocks.into_remainder().chunks_exact_mut(m) {
+            apply_householder(v_tail, tau, &mut ycol[j..]);
+        }
+        // Downdate the remaining norms by the newly created row of R.
+        for (ycol, norm2) in trailing.chunks_exact(m).zip(&mut norms2[j + 1..]) {
+            *norm2 = (*norm2 - ycol[j].abs2()).rmax(T::Real::RZERO);
         }
     }
 

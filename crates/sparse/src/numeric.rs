@@ -389,8 +389,10 @@ fn factorize_impl<T: Scalar>(
         ..Default::default()
     };
 
-    // Scratch: global row → front position.
+    // Scratch: global row → front position, and the same map restricted to
+    // one child's contribution-block rows.
     let mut pos_of = vec![usize::MAX; n];
+    let mut cb_pos: Vec<usize> = Vec::new();
 
     let blr_eps = opts
         .blr_eps
@@ -452,15 +454,19 @@ fn factorize_impl<T: Scalar>(
         // Extend-add children contribution blocks.
         for &c in &children[s] {
             let (cb, cb_charge, cb_k) = cb_store[c].take().expect("child CB present");
-            let crows = &symbolic.supernodes[c].rows[cb_k..];
-            for (cj, &gj) in crows.iter().enumerate() {
-                let pj = pos_of[gj];
-                debug_assert!(pj != usize::MAX);
-                for (ci, &gi) in crows.iter().enumerate() {
-                    let pi = pos_of[gi];
-                    let v = cb[(ci, cj)];
+            // Front position of every CB row, looked up once per child.
+            cb_pos.clear();
+            cb_pos.extend(
+                symbolic.supernodes[c].rows[cb_k..]
+                    .iter()
+                    .map(|&g| pos_of[g]),
+            );
+            debug_assert!(cb_pos.iter().all(|&p| p != usize::MAX));
+            for (cj, &pj) in cb_pos.iter().enumerate() {
+                let dst = front.col_mut(pj);
+                for (&pi, &v) in cb_pos.iter().zip(cb.col(cj)) {
                     if v != T::ZERO {
-                        front[(pi, pj)] += v;
+                        dst[pi] += v;
                     }
                 }
             }
@@ -608,8 +614,8 @@ fn compress_panel<T: Scalar>(
     // No rank cap in production (`rows.min(cols)` is no cap at all): the
     // compression must reach the tolerance — a capped factorization would
     // silently lose accuracy. The fault hook lowers the cap so tests can
-    // force the rank-overflow path; `from_dense_checked` then verifies the
-    // tolerance and surfaces a structured `CompressionFailure`.
+    // force the rank-overflow path; `from_dense_if_smaller` then verifies
+    // the tolerance and surfaces a structured `CompressionFailure`.
     let max_rank = {
         #[cfg(feature = "fault-inject")]
         {
@@ -620,24 +626,22 @@ fn compress_panel<T: Scalar>(
             rows.min(cols)
         }
     };
-    let lr = LowRank::from_dense_checked(m, tol, max_rank)?;
-    // The compressed form is only kept when it actually saves memory.
-    if lr.rank() * (rows + cols) < rows * cols {
-        let out = PanelCompression {
-            compressed: true,
-            rank: lr.rank(),
-            dense_bytes: m.byte_size(),
-            stored_bytes: lr.byte_size(),
-        };
-        stats.compressed_panels += 1;
-        stats.panel_dense_bytes += out.dense_bytes;
-        stats.panel_stored_bytes += out.stored_bytes;
-        stats.max_panel_rank = stats.max_panel_rank.max(out.rank);
-        *panel = Panel::Compressed(lr);
-        Ok(out)
-    } else {
-        Ok(PanelCompression::default())
-    }
+    // The compressed form only comes back when it actually saves memory.
+    let Some(lr) = LowRank::from_dense_if_smaller(m, tol, max_rank)? else {
+        return Ok(PanelCompression::default());
+    };
+    let out = PanelCompression {
+        compressed: true,
+        rank: lr.rank(),
+        dense_bytes: m.byte_size(),
+        stored_bytes: lr.byte_size(),
+    };
+    stats.compressed_panels += 1;
+    stats.panel_dense_bytes += out.dense_bytes;
+    stats.panel_stored_bytes += out.stored_bytes;
+    stats.max_panel_rank = stats.max_panel_rank.max(out.rank);
+    *panel = Panel::Compressed(lr);
+    Ok(out)
 }
 
 impl<T: Scalar> SparseFactorization<T> {
@@ -787,7 +791,8 @@ impl<T: Scalar> SparseFactorization<T> {
     /// rows accumulate the condensed right-hand side.
     fn forward_permuted(&self, bp: &mut Mat<T>, marked: &[bool]) {
         let nrhs = bp.ncols();
-        // Forward.
+        // One scratch buffer for every supernode's `L21·x1` product.
+        let mut scratch = vec![T::ZERO; self.stats.max_front * nrhs];
         for (s, sn) in self.sns.iter().enumerate() {
             if !marked[s] {
                 continue;
@@ -818,13 +823,14 @@ impl<T: Scalar> SparseFactorization<T> {
             if info.front_size() > k {
                 let t = info.front_size() - k;
                 // tmp = L21 · x1, then scatter-subtract.
-                let x1 = bp.view(c0..c1, 0..nrhs).to_owned();
-                let mut tmp = Mat::<T>::zeros(t, nrhs);
-                sn.lpanel.mul_acc(T::ONE, x1.as_ref(), tmp.as_mut());
+                let mut tmp = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
+                tmp.fill(T::ZERO);
+                sn.lpanel
+                    .mul_acc(T::ONE, bp.view(c0..c1, 0..nrhs), tmp.rb_mut());
                 for c in 0..nrhs {
                     let col = bp.col_mut(c);
-                    for (ti, &g) in info.rows[k..].iter().enumerate() {
-                        col[g] -= tmp[(ti, c)];
+                    for (&g, &v) in info.rows[k..].iter().zip(tmp.col(c)) {
+                        col[g] -= v;
                     }
                 }
             }
@@ -834,17 +840,19 @@ impl<T: Scalar> SparseFactorization<T> {
     /// Diagonal scaling (LDLᵀ only — LU keeps U's diagonal for the backward
     /// pass).
     fn diag_permuted(&self, bp: &mut Mat<T>) {
-        let nrhs = bp.ncols();
-        if self.symmetry == Symmetry::SymmetricLdlt {
-            for (s, sn) in self.sns.iter().enumerate() {
-                let info = &self.symbolic.supernodes[s];
-                for j in 0..info.width() {
-                    let d = sn.diag[(j, j)];
-                    for c in 0..nrhs {
-                        let col = bp.col_mut(c);
-                        col[info.c0 + j] = col[info.c0 + j] / d;
-                    }
-                }
+        if self.symmetry != Symmetry::SymmetricLdlt {
+            return;
+        }
+        // Gather D once, then one contiguous sweep per column.
+        let mut d = vec![T::ONE; self.symbolic.n_elim];
+        for (sn, info) in self.sns.iter().zip(&self.symbolic.supernodes) {
+            for j in 0..info.width() {
+                d[info.c0 + j] = sn.diag[(j, j)];
+            }
+        }
+        for c in 0..bp.ncols() {
+            for (x, &dj) in bp.col_mut(c).iter_mut().zip(&d) {
+                *x = *x / dj;
             }
         }
     }
@@ -853,6 +861,8 @@ impl<T: Scalar> SparseFactorization<T> {
     /// read (they must hold `x_schur`) but never written.
     fn backward_permuted(&self, bp: &mut Mat<T>) {
         let nrhs = bp.ncols();
+        // One scratch buffer for every supernode's gathered `x2`.
+        let mut scratch = vec![T::ZERO; self.stats.max_front * nrhs];
         for (s, sn) in self.sns.iter().enumerate().rev() {
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
@@ -860,22 +870,22 @@ impl<T: Scalar> SparseFactorization<T> {
             if info.front_size() > k {
                 let t = info.front_size() - k;
                 // Gather x2.
-                let mut x2 = Mat::<T>::zeros(t, nrhs);
+                let mut x2 = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
                 for c in 0..nrhs {
                     let col = bp.col(c);
-                    for (ti, &g) in info.rows[k..].iter().enumerate() {
-                        x2[(ti, c)] = col[g];
+                    for (x, &g) in x2.col_mut(c).iter_mut().zip(&info.rows[k..]) {
+                        *x = col[g];
                     }
                 }
                 let x1 = bp.view_mut(c0..c1, 0..nrhs);
                 match self.symmetry {
                     Symmetry::SymmetricLdlt => {
                         // x1 −= L21ᵀ·x2
-                        sn.lpanel.mul_t_acc(-T::ONE, x2.as_ref(), x1);
+                        sn.lpanel.mul_t_acc(-T::ONE, x2.rb(), x1);
                     }
                     Symmetry::UnsymmetricLu => {
                         // x1 −= U12·x2
-                        sn.upanel.mul_acc(-T::ONE, x2.as_ref(), x1);
+                        sn.upanel.mul_acc(-T::ONE, x2.rb(), x1);
                     }
                 }
             }

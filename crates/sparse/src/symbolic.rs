@@ -576,9 +576,13 @@ mod tests {
         let n = a.nrows;
         let schur_vars: Vec<usize> = (n - 40..n).collect();
         let elem = std::mem::size_of::<f64>();
-        for (symmetry, unsym) in [
-            (Symmetry::SymmetricLdlt, false),
-            (Symmetry::UnsymmetricLu, true),
+        // `pins`: (compressed_panels, panel_stored_bytes, max_panel_rank,
+        // factor_bytes) as recorded at the last commit whose panels went
+        // through the RRQR + SVD normal form — the rank-first constructor
+        // must keep every panel decision and every stored byte.
+        for (symmetry, unsym, pins) in [
+            (Symmetry::SymmetricLdlt, false, (9, 168_032, 27, 3_617_920)),
+            (Symmetry::UnsymmetricLu, true, (11, 188_320, 27, 5_594_320)),
         ] {
             let sym =
                 SymbolicFactorization::analyze(&a, &schur_vars, OrderingKind::NestedDissection)
@@ -599,11 +603,22 @@ mod tests {
                 tracker: Some(tracker.clone()),
                 ..Default::default()
             };
-            let _ = factorize_schur(&a, &schur_vars, &opts).unwrap();
+            let (f, _) = factorize_schur(&a, &schur_vars, &opts).unwrap();
             assert!(
                 tracker.peak() <= dense,
                 "unsym={unsym}: measured {} > dense prediction {dense}",
                 tracker.peak()
+            );
+            let st = f.stats();
+            assert_eq!(
+                (
+                    st.compressed_panels,
+                    st.panel_stored_bytes,
+                    st.max_panel_rank,
+                    st.factor_bytes
+                ),
+                pins,
+                "unsym={unsym}: BLR panel decisions moved"
             );
         }
     }
