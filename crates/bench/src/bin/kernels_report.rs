@@ -13,15 +13,19 @@
 //! - `--out path.json`     — where to write the JSON dump
 //! - `--smoke`             — small sizes, few repetitions, and the CI gate:
 //!   the run **fails** when c64 blocked-serial GEMM does not beat the
-//!   committed pre-rewrite baseline by ≥ [`C64_GATE_FACTOR`], or when any
-//!   blocked GEMM measures below its naive reference.
+//!   committed pre-rewrite baseline by ≥ [`C64_GATE_FACTOR`], when any
+//!   blocked GEMM measures below its naive reference, or when a rounded
+//!   low-rank addition costs more than [`RECOMPRESS_GATE`] rank-revealing
+//!   QRs of the same block (the `recompress` rows).
 
 use std::time::Instant;
 
+use csolve::common::RealScalar;
 use csolve::dense::{
     gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, trsm_left, Diag, Mat, Op, Tri,
 };
 use csolve::json::{json_fields, JsonWriter};
+use csolve::lowrank::LowRank;
 use csolve::{Scalar, C64};
 use csolve_bench::{write_json_file, Args};
 use rand::SeedableRng;
@@ -41,6 +45,17 @@ const C64_GATE_FACTOR: f64 = 1.3;
 /// The gate only judges sizes where the packed kernels are past their ramp;
 /// tiny matrices never amortize the packing cost.
 const GATE_MIN_N: usize = 192;
+
+/// Ceiling of `recompress_vs_rrqr` under `--smoke`. A same-run ratio of two
+/// kernels over the same blocks, so the host's speed level cancels. The
+/// unpreconditioned three-dot-product Jacobi with explicit `Q` rebuilds
+/// measured 6.4–7.9 (f64) / 5.6–8.4 (c64); the preconditioned one 3.0–3.3.
+const RECOMPRESS_GATE: f64 = 4.0;
+/// Shape of the `recompress` rows: H-LU's rounded addition at leaf scale.
+const RECOMPRESS_SUMS: usize = 200;
+const RECOMPRESS_N: usize = 64;
+const RECOMPRESS_RANK: usize = 10;
+const RECOMPRESS_EPS: f64 = 1e-4;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -206,7 +221,70 @@ fn sweep<T: Scalar>(
     }
 }
 
-fn to_json(thread_counts: &[usize], entries: &[Entry]) -> String {
+/// The `recompress` row of one scalar type.
+struct RecompressRow {
+    scalar: &'static str,
+    /// `norm_fro` + `recompress` over all the sums' factors.
+    recompress_seconds: f64,
+    /// `LowRank::from_dense_if_smaller` over the same sums formed dense.
+    rrqr_seconds: f64,
+    recompress_vs_rrqr: f64,
+    /// Σ rank kept by the recompression (formal: `2·RECOMPRESS_RANK` each).
+    kept_rank: usize,
+}
+
+/// Time the rounded addition of two rank-[`RECOMPRESS_RANK`] terms on
+/// [`RECOMPRESS_SUMS`] seeded `RECOMPRESS_N`² blocks against the rank-revealing
+/// QR of the same blocks formed dense. The terms' columns decay
+/// geometrically, so about half the formal rank survives `RECOMPRESS_EPS` —
+/// the regime the industrial workload's H-LU runs in.
+fn recompress_row<T: Scalar>(scalar: &'static str, reps: usize) -> RecompressRow {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let n = RECOMPRESS_N;
+    let mut term = |scale: f64| {
+        let mut u = Mat::<T>::random(n, RECOMPRESS_RANK, &mut rng);
+        for k in 0..RECOMPRESS_RANK {
+            let g = T::from_f64(scale * 0.1f64.powi(k as i32));
+            u.col_mut(k).iter_mut().for_each(|x| *x *= g);
+        }
+        LowRank::new(u, Mat::random(n, RECOMPRESS_RANK, &mut rng))
+    };
+    let sums: Vec<LowRank<T>> = (0..RECOMPRESS_SUMS)
+        .map(|_| term(1.0).add(T::ONE, &term(0.5)))
+        .collect();
+    let dense: Vec<Mat<T>> = sums.iter().map(LowRank::to_dense).collect();
+    let eps = T::Real::from_f64_real(RECOMPRESS_EPS);
+
+    let mut kept_rank = 0;
+    let recompress_seconds = best_of(reps, || {
+        let mut work = sums.clone();
+        let t0 = Instant::now();
+        for lr in &mut work {
+            let tol = eps * lr.norm_fro();
+            lr.recompress(tol);
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        kept_rank = work.iter().map(LowRank::rank).sum();
+        secs
+    });
+    let rrqr_seconds = best_of(reps, || {
+        let t0 = Instant::now();
+        for d in &dense {
+            let tol = eps * d.norm_fro();
+            std::hint::black_box(LowRank::from_dense_if_smaller(d, tol, n).expect("uncapped"));
+        }
+        t0.elapsed().as_secs_f64()
+    });
+    RecompressRow {
+        scalar,
+        recompress_seconds,
+        rrqr_seconds,
+        recompress_vs_rrqr: recompress_seconds / rrqr_seconds,
+        kept_rank,
+    }
+}
+
+fn to_json(thread_counts: &[usize], entries: &[Entry], recompress: &[RecompressRow]) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object().field("tool", "kernels_report");
     w.key("thread_counts").begin_array();
@@ -233,14 +311,35 @@ fn to_json(thread_counts: &[usize], entries: &[Entry]) -> String {
         }
         w.end_object();
     }
+    w.end_array();
+    w.key("recompress").begin_object();
+    w.field("sums", RECOMPRESS_SUMS).field("n", RECOMPRESS_N);
+    w.field("formal_rank", 2 * RECOMPRESS_RANK);
+    w.field("eps", RECOMPRESS_EPS);
+    w.key("rows").begin_array();
+    for r in recompress {
+        w.begin_object();
+        json_fields!(w, r => scalar, recompress_seconds, rrqr_seconds, recompress_vs_rrqr, kept_rank);
+        w.end_object();
+    }
     w.end_array().end_object();
+    w.end_object();
     w.finish()
 }
 
 /// The CI health gate run under `--smoke`: the packed kernels must keep
 /// their contract. Returns every violation (empty = pass).
-fn gate(entries: &[Entry]) -> Vec<String> {
+fn gate(entries: &[Entry], recompress: &[RecompressRow]) -> Vec<String> {
     let mut fails = Vec::new();
+    // Contract 3: a rounded addition stays within a few RRQRs of its block.
+    for r in recompress {
+        if r.recompress_vs_rrqr > RECOMPRESS_GATE {
+            fails.push(format!(
+                "{} recompress_vs_rrqr {:.2} > {RECOMPRESS_GATE}",
+                r.scalar, r.recompress_vs_rrqr
+            ));
+        }
+    }
     let find = |kernel: &str, scalar: &str, n: usize, variant: &str| {
         entries
             .iter()
@@ -373,16 +472,44 @@ fn main() {
         }
     }
 
-    write_json_file(&args, "kernels", &to_json(&thread_counts, &entries));
+    let recompress = [
+        recompress_row::<f64>("f64", reps.max(5)),
+        recompress_row::<C64>("c64", reps.max(5)),
+    ];
+    println!(
+        "\nrounded addition: {RECOMPRESS_SUMS} sums of rank {RECOMPRESS_RANK} + {RECOMPRESS_RANK} \
+         on {RECOMPRESS_N}x{RECOMPRESS_N}, eps {RECOMPRESS_EPS:e}"
+    );
+    for r in &recompress {
+        println!(
+            "{:<4} norm_fro + recompress {:.4} s, from_dense_if_smaller {:.4} s, \
+             recompress_vs_rrqr {:.2} (kept rank {} of {})",
+            r.scalar,
+            r.recompress_seconds,
+            r.rrqr_seconds,
+            r.recompress_vs_rrqr,
+            r.kept_rank,
+            RECOMPRESS_SUMS * 2 * RECOMPRESS_RANK
+        );
+    }
+
+    write_json_file(
+        &args,
+        "kernels",
+        &to_json(&thread_counts, &entries, &recompress),
+    );
 
     if smoke {
-        let fails = gate(&entries);
+        let fails = gate(&entries, &recompress);
         if !fails.is_empty() {
             for f in &fails {
                 eprintln!("kernel gate FAILED: {f}");
             }
             std::process::exit(1);
         }
-        println!("kernel gate OK (c64 gemm >= {C64_GATE_FACTOR}x pre-rewrite baseline; blocked >= naive)");
+        println!(
+            "kernel gate OK (c64 gemm >= {C64_GATE_FACTOR}x pre-rewrite baseline; blocked >= naive; \
+             recompress_vs_rrqr <= {RECOMPRESS_GATE})"
+        );
     }
 }

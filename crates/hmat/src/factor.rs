@@ -18,11 +18,11 @@ use csolve_dense::{
     apply_row_swaps_fwd, lu_in_place, trsm_left, trsm_right, Diag, Mat, MatMut, Op, Tri,
 };
 
-use crate::hmatrix::{h_gemm, HKind, HMatrix};
+use crate::hmatrix::{h_gemm, join_branches, HKind, HMatrix};
 
 /// A factored H-matrix (`H ≈ L·U` with leaf-local pivoting).
 pub struct HLu<T: Scalar> {
-    h: HMatrix<T>,
+    pub(crate) h: HMatrix<T>,
 }
 
 impl<T: Scalar> ByteSized for HLu<T> {
@@ -86,16 +86,21 @@ fn h_lu_rec<T: Scalar>(h: &mut HMatrix<T>, eps: T::Real) -> Result<()> {
         HKind::Hier(ch) => {
             let [a11, a21, a12, a22] = &mut **ch;
             h_lu_rec(a11, eps)?;
-            solve_lower_h(a11, a12, eps);
-            solve_upper_right_h(a11, a21, eps);
-            h_gemm(-T::ONE, a21, a12, a22, eps);
+            let a11 = &*a11;
+            join_branches(
+                a11.nrows(),
+                || solve_lower_h(a11, a12, eps),
+                || solve_upper_right_h(a11, a21, eps),
+            )?;
+            h_gemm(-T::ONE, a21, a12, a22, eps)?;
             h_lu_rec(a22, eps)
         }
     }
 }
 
-/// `B ← L⁻¹·P·B` where `l` is a factored diagonal block.
-fn solve_lower_h<T: Scalar>(l: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) {
+/// `B ← L⁻¹·P·B` where `l` is a factored diagonal block. The two block
+/// columns of a subdivided `B` are independent chains.
+fn solve_lower_h<T: Scalar>(l: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) -> Result<()> {
     match (&l.kind, &mut b.kind) {
         (HKind::DenseLu(f), HKind::Dense(bm)) => {
             apply_row_swaps_fwd(&f.ipiv, bm.as_mut());
@@ -128,19 +133,21 @@ fn solve_lower_h<T: Scalar>(l: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) {
         (HKind::Hier(lc), HKind::Hier(bc)) => {
             let [l11, l21, _l12, l22] = &**lc;
             let [b11, b21, b12, b22] = &mut **bc;
-            solve_lower_h(l11, b11, eps);
-            solve_lower_h(l11, b12, eps);
-            h_gemm(-T::ONE, l21, b11, b21, eps);
-            solve_lower_h(l22, b21, eps);
-            h_gemm(-T::ONE, l21, b12, b22, eps);
-            solve_lower_h(l22, b22, eps);
+            let column = |top: &mut HMatrix<T>, bot: &mut HMatrix<T>| {
+                solve_lower_h(l11, top, eps)?;
+                h_gemm(-T::ONE, l21, top, bot, eps)?;
+                solve_lower_h(l22, bot, eps)
+            };
+            join_branches(l.nrows(), || column(b11, b21), || column(b12, b22))?;
         }
         _ => panic!("solve_lower_h: invalid operand kinds"),
     }
+    Ok(())
 }
 
-/// `B ← B·U⁻¹` where `u` is a factored diagonal block.
-fn solve_upper_right_h<T: Scalar>(u: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) {
+/// `B ← B·U⁻¹` where `u` is a factored diagonal block. The two block rows
+/// of a subdivided `B` are independent chains.
+fn solve_upper_right_h<T: Scalar>(u: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) -> Result<()> {
     match (&u.kind, &mut b.kind) {
         (HKind::DenseLu(f), HKind::Dense(bm)) => {
             trsm_right(
@@ -172,15 +179,16 @@ fn solve_upper_right_h<T: Scalar>(u: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Re
         (HKind::Hier(uc), HKind::Hier(bc)) => {
             let [u11, _u21, u12, u22] = &**uc;
             let [b11, b21, b12, b22] = &mut **bc;
-            solve_upper_right_h(u11, b11, eps);
-            solve_upper_right_h(u11, b21, eps);
-            h_gemm(-T::ONE, b11, u12, b12, eps);
-            solve_upper_right_h(u22, b12, eps);
-            h_gemm(-T::ONE, b21, u12, b22, eps);
-            solve_upper_right_h(u22, b22, eps);
+            let row = |left: &mut HMatrix<T>, right: &mut HMatrix<T>| {
+                solve_upper_right_h(u11, left, eps)?;
+                h_gemm(-T::ONE, left, u12, right, eps)?;
+                solve_upper_right_h(u22, right, eps)
+            };
+            join_branches(u.nrows(), || row(b11, b12), || row(b21, b22))?;
         }
         _ => panic!("solve_upper_right_h: invalid operand kinds"),
     }
+    Ok(())
 }
 
 /// Forward solve `panel ← L⁻¹·P·panel` on a dense panel.

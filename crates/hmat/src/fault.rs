@@ -8,8 +8,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Rank cap imposed on [`crate::HMatrix::try_axpy_dense_block`] compressions.
-/// `usize::MAX` means "no fault armed".
+/// Rank cap imposed on [`crate::HMatrix::try_axpy_dense_block`] compressions
+/// — the Schur accumulator's and, since H-LU folds its dense-leaf products
+/// through the same recursion, the factorization's. `usize::MAX` means "no
+/// fault armed".
 static RANK_CAP: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// One-shot flag making the next [`crate::HLu::factor`] call fail.

@@ -10,7 +10,7 @@
 //!
 //! All indices are in *cluster order*.
 
-use csolve_common::{ByteSized, RealScalar, Scalar};
+use csolve_common::{ByteSized, Error, RealScalar, Result, Scalar};
 use csolve_dense::{gemm, Mat, MatMut, MatRef, Op};
 use csolve_lowrank::{aca_plus, LowRank};
 
@@ -366,80 +366,9 @@ impl<T: Scalar> HMatrix<T> {
     ///
     /// This is the core primitive of the paper's compressed-Schur variants:
     /// each dense Schur block returned by the sparse solver is folded into
-    /// the compressed Schur complement through this operation.
-    pub fn axpy_dense_block(
-        &mut self,
-        alpha: T,
-        r0: usize,
-        c0: usize,
-        panel: MatRef<'_, T>,
-        eps: T::Real,
-    ) {
-        let (pm, pn) = (panel.nrows(), panel.ncols());
-        if pm == 0 || pn == 0 {
-            return;
-        }
-        assert!(r0 + pm <= self.nrows && c0 + pn <= self.ncols);
-        match &mut self.kind {
-            HKind::Dense(m) => {
-                let mut dst = m.view_mut(r0..r0 + pm, c0..c0 + pn);
-                dst.axpy(alpha, panel);
-            }
-            HKind::DenseLu(_) => panic!("axpy on a factored leaf"),
-            HKind::LowRank(lr) => {
-                // Compress the panel, zero-pad its factors to the leaf shape,
-                // truncated add.
-                let d = panel.to_owned();
-                let tol = eps * d.norm_fro();
-                let sub = LowRank::from_dense(&d, tol, pm.min(pn));
-                let mut u = Mat::zeros(self.nrows, sub.rank());
-                let mut v = Mat::zeros(self.ncols, sub.rank());
-                for k in 0..sub.rank() {
-                    u.col_mut(k)[r0..r0 + pm].copy_from_slice(sub.u.col(k));
-                    v.col_mut(k)[c0..c0 + pn].copy_from_slice(sub.v.col(k));
-                }
-                let padded = LowRank::new(u, v);
-                let total = lr.add(alpha, &padded);
-                let tol2 = eps * total.norm_fro();
-                *lr = {
-                    let mut t = total;
-                    t.recompress(tol2);
-                    t
-                };
-            }
-            HKind::Hier(_) => {
-                let (rs, cs) = self.splits();
-                let HKind::Hier(ch) = &mut self.kind else {
-                    unreachable!()
-                };
-                // Row intersections.
-                let top = r0 < rs;
-                let bot = r0 + pm > rs;
-                let left = c0 < cs;
-                let right = c0 + pn > cs;
-                let rmid = rs.saturating_sub(r0).min(pm);
-                let cmid = cs.saturating_sub(c0).min(pn);
-                let rb = r0.saturating_sub(rs); // row offset inside bottom children
-                let cr = c0.saturating_sub(cs); // col offset inside right children
-                if top && left {
-                    ch[0].axpy_dense_block(alpha, r0, c0, panel.submatrix(0..rmid, 0..cmid), eps);
-                }
-                if bot && left {
-                    ch[1].axpy_dense_block(alpha, rb, c0, panel.submatrix(rmid..pm, 0..cmid), eps);
-                }
-                if top && right {
-                    ch[2].axpy_dense_block(alpha, r0, cr, panel.submatrix(0..rmid, cmid..pn), eps);
-                }
-                if bot && right {
-                    ch[3].axpy_dense_block(alpha, rb, cr, panel.submatrix(rmid..pm, cmid..pn), eps);
-                }
-            }
-        }
-    }
-
-    /// Fallible variant of [`HMatrix::axpy_dense_block`] used by the coupled
-    /// solver's Schur accumulator: identical arithmetic, but compression of
-    /// the panel into low-rank leaves reports a binding rank cap as
+    /// the compressed Schur complement through this operation, and H-LU
+    /// folds its dense-leaf products through it too. Compression of the
+    /// panel into low-rank leaves reports a binding rank cap as
     /// [`csolve_common::Error::CompressionFailure`] instead of silently
     /// keeping a truncated (inaccurate) approximation, and an AXPY into an
     /// already-factored leaf is a structured error rather than a panic.
@@ -450,7 +379,7 @@ impl<T: Scalar> HMatrix<T> {
         c0: usize,
         panel: MatRef<'_, T>,
         eps: T::Real,
-    ) -> csolve_common::Result<()> {
+    ) -> Result<()> {
         // Eager recompression is the `flush_rank = 0` case of the deferred
         // path: any nonzero accumulated rank triggers an immediate
         // truncation.
@@ -473,13 +402,13 @@ impl<T: Scalar> HMatrix<T> {
         panel: MatRef<'_, T>,
         eps: T::Real,
         flush_rank: usize,
-    ) -> csolve_common::Result<()> {
+    ) -> Result<()> {
         let (pm, pn) = (panel.nrows(), panel.ncols());
         if pm == 0 || pn == 0 {
             return Ok(());
         }
         if r0 + pm > self.nrows || c0 + pn > self.ncols {
-            return Err(csolve_common::Error::DimensionMismatch {
+            return Err(Error::DimensionMismatch {
                 context: "HMatrix::try_axpy_dense_block",
                 expected: (self.nrows, self.ncols),
                 got: (r0 + pm, c0 + pn),
@@ -491,7 +420,7 @@ impl<T: Scalar> HMatrix<T> {
                 dst.axpy(alpha, panel);
                 Ok(())
             }
-            HKind::DenseLu(_) => Err(csolve_common::Error::Internal {
+            HKind::DenseLu(_) => Err(Error::Internal {
                 context: "compressed AXPY into an already-factored leaf",
             }),
             HKind::LowRank(lr) => {
@@ -511,25 +440,10 @@ impl<T: Scalar> HMatrix<T> {
                     max_rank = max_rank.min(crate::fault::rank_cap());
                 }
                 let sub = LowRank::from_dense_checked(&d, tol, max_rank)?;
-                let mut u = Mat::zeros(self.nrows, sub.rank());
-                let mut v = Mat::zeros(self.ncols, sub.rank());
-                for k in 0..sub.rank() {
-                    u.col_mut(k)[r0..r0 + pm].copy_from_slice(sub.u.col(k));
-                    v.col_mut(k)[c0..c0 + pn].copy_from_slice(sub.v.col(k));
-                }
-                let padded = LowRank::new(u, v);
+                let padded = concat_padded(self.nrows, self.ncols, &[(&sub, r0, c0)]);
                 *lr = lr.add(alpha, &padded);
                 if lr.rank() > flush_rank {
-                    let norm = lr.norm_fro();
-                    if norm == T::Real::RZERO {
-                        // Formal rank with no Frobenius mass (exact
-                        // cancellation of accumulated updates): normalize to
-                        // rank 0 instead of recompressing at tolerance 0,
-                        // which would keep the cancelled factors alive.
-                        *lr = LowRank::zeros(self.nrows, self.ncols);
-                    } else {
-                        lr.recompress(eps * norm);
-                    }
+                    lr.recompress_rel(eps);
                 }
                 Ok(())
             }
@@ -599,19 +513,7 @@ impl<T: Scalar> HMatrix<T> {
     pub fn recompress_leaves(&mut self, eps: T::Real) {
         match &mut self.kind {
             HKind::Dense(_) | HKind::DenseLu(_) => {}
-            HKind::LowRank(lr) => {
-                if lr.rank() > 0 {
-                    let norm = lr.norm_fro();
-                    if norm == T::Real::RZERO {
-                        // A positive formal rank carrying no mass (cancelled
-                        // sums) normalizes straight to rank 0 — recompressing
-                        // at tolerance ε·0 = 0 would retain the factors.
-                        *lr = LowRank::zeros(lr.nrows(), lr.ncols());
-                    } else {
-                        lr.recompress(eps * norm);
-                    }
-                }
-            }
+            HKind::LowRank(lr) => lr.recompress_rel(eps),
             HKind::Hier(ch) => {
                 for c in ch.iter_mut() {
                     c.recompress_leaves(eps);
@@ -632,15 +534,8 @@ impl<T: Scalar> HMatrix<T> {
             HKind::Dense(m) => lr_in.axpy_into_dense(alpha, m.as_mut()),
             HKind::DenseLu(_) => panic!("axpy on a factored leaf"),
             HKind::LowRank(mine) => {
-                let total = mine.add(alpha, lr_in);
-                let norm = total.norm_fro();
-                *mine = if norm == T::Real::RZERO {
-                    LowRank::zeros(total.nrows(), total.ncols())
-                } else {
-                    let mut t = total;
-                    t.recompress(eps * norm);
-                    t
-                };
+                *mine = mine.add(alpha, lr_in);
+                mine.recompress_rel(eps);
             }
             HKind::Hier(_) => {
                 let (rs, cs) = self.splits();
@@ -676,26 +571,15 @@ impl<T: Scalar> HMatrix<T> {
             HKind::LowRank(lr) => lr.clone(),
             HKind::Hier(ch) => {
                 let (rs, cs) = self.splits();
+                let p: [LowRank<T>; 4] = std::array::from_fn(|k| ch[k].to_lowrank(eps));
                 let parts = [
-                    (ch[0].to_lowrank(eps), 0usize, 0usize),
-                    (ch[1].to_lowrank(eps), rs, 0),
-                    (ch[2].to_lowrank(eps), 0, cs),
-                    (ch[3].to_lowrank(eps), rs, cs),
+                    (&p[0], 0, 0),
+                    (&p[1], rs, 0),
+                    (&p[2], 0, cs),
+                    (&p[3], rs, cs),
                 ];
-                let total_rank: usize = parts.iter().map(|(p, _, _)| p.rank()).sum();
-                let mut u = Mat::zeros(self.nrows, total_rank);
-                let mut v = Mat::zeros(self.ncols, total_rank);
-                let mut off = 0;
-                for (p, roff, coff) in &parts {
-                    for k in 0..p.rank() {
-                        u.col_mut(off + k)[*roff..*roff + p.nrows()].copy_from_slice(p.u.col(k));
-                        v.col_mut(off + k)[*coff..*coff + p.ncols()].copy_from_slice(p.v.col(k));
-                    }
-                    off += p.rank();
-                }
-                let mut out = LowRank::new(u, v);
-                let tol = eps * out.norm_fro();
-                out.recompress(tol);
+                let mut out = concat_padded(self.nrows, self.ncols, &parts);
+                out.recompress_rel(eps);
                 out
             }
         }
@@ -750,26 +634,78 @@ pub(crate) fn scale_panel<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
     }
 }
 
+/// The low-rank matrix of shape `m×n` whose factors are those of `parts`
+/// side by side, each zero-padded to sit at its `(row, col)` offset: the
+/// formal (untruncated) sum of blocks placed inside a larger block.
+fn concat_padded<T: Scalar>(
+    m: usize,
+    n: usize,
+    parts: &[(&LowRank<T>, usize, usize)],
+) -> LowRank<T> {
+    let total_rank: usize = parts.iter().map(|(p, _, _)| p.rank()).sum();
+    let mut u = Mat::zeros(m, total_rank);
+    let mut v = Mat::zeros(n, total_rank);
+    let mut off = 0;
+    for &(p, roff, coff) in parts {
+        for k in 0..p.rank() {
+            u.col_mut(off + k)[roff..roff + p.nrows()].copy_from_slice(p.u.col(k));
+            v.col_mut(off + k)[coff..coff + p.ncols()].copy_from_slice(p.v.col(k));
+        }
+        off += p.rank();
+    }
+    LowRank::new(u, v)
+}
+
+/// Smallest block (rows of the target) whose two independent halves run as
+/// tasks in H-LU and [`h_gemm`]. The vendored rayon stand-in spawns an OS
+/// thread per `join` (tens of µs), so a branch must carry well more than
+/// that: at 160 rows a branch holds several leaf-level rounded additions of
+/// ≈ 0.1–0.5 ms each.
+pub(crate) const TASK_MIN_ROWS: usize = 160;
+
+/// Run two branches that write disjoint target blocks — as tasks when the
+/// block has at least [`TASK_MIN_ROWS`] rows, one after the other below.
+/// Each target block receives its updates in the same order either way, so
+/// the result does not depend on the thread count; of two errors the left
+/// branch's is reported, which makes the error thread-invariant too.
+pub(crate) fn join_branches(
+    rows: usize,
+    left: impl FnOnce() -> Result<()> + Send,
+    right: impl FnOnce() -> Result<()> + Send,
+) -> Result<()> {
+    if rows < TASK_MIN_ROWS {
+        left()?;
+        return right();
+    }
+    let (l, r) = rayon::join(left, right);
+    l.and(r)
+}
+
 /// `C ← C + α·A·B` on hierarchical operands, with recompression at relative
 /// tolerance `eps`. All three must come from the same pair of cluster trees
 /// (aligned splits).
+///
+/// The two column halves of a subdivided target are independent and run as
+/// tasks (`join_branches`); a binding rank cap while folding a dense
+/// product into a low-rank leaf is a
+/// [`csolve_common::Error::CompressionFailure`].
 pub fn h_gemm<T: Scalar>(
     alpha: T,
     a: &HMatrix<T>,
     b: &HMatrix<T>,
     c: &mut HMatrix<T>,
     eps: T::Real,
-) {
+) -> Result<()> {
     assert_eq!(a.ncols, b.nrows);
     assert_eq!(c.nrows, a.nrows);
     assert_eq!(c.ncols, b.ncols);
     if a.nrows == 0 || b.ncols == 0 || a.ncols == 0 {
-        return;
+        return Ok(());
     }
     match (&a.kind, &b.kind) {
         (HKind::LowRank(la), _) => {
             if la.rank() == 0 {
-                return;
+                return Ok(());
             }
             // α·(U·Vᵀ)·B = α·U·(Bᵀ·V)ᵀ
             let mut z = Mat::zeros(b.ncols, la.rank());
@@ -779,7 +715,7 @@ pub fn h_gemm<T: Scalar>(
         }
         (_, HKind::LowRank(lb)) => {
             if lb.rank() == 0 {
-                return;
+                return Ok(());
             }
             // α·A·(U·Vᵀ) = α·(A·U)·Vᵀ
             let mut z = Mat::zeros(a.nrows, lb.rank());
@@ -791,33 +727,30 @@ pub fn h_gemm<T: Scalar>(
             // Thin row panel: D·B via dense×H.
             let mut out = Mat::zeros(a.nrows, b.ncols);
             b.dense_mul_h(T::ONE, da.as_ref(), T::ZERO, out.as_mut());
-            c.axpy_dense_block(alpha, 0, 0, out.as_ref(), eps);
+            c.try_axpy_dense_block(alpha, 0, 0, out.as_ref(), eps)?;
         }
         (_, HKind::Dense(db)) => {
             let mut out = Mat::zeros(a.nrows, b.ncols);
             a.mul_dense(T::ONE, db.as_ref(), T::ZERO, out.as_mut());
-            c.axpy_dense_block(alpha, 0, 0, out.as_ref(), eps);
+            c.try_axpy_dense_block(alpha, 0, 0, out.as_ref(), eps)?;
         }
-        (HKind::Hier(_), HKind::Hier(_)) => match &mut c.kind {
-            HKind::Hier(_) => {
-                let HKind::Hier(ca) = &a.kind else {
-                    unreachable!()
-                };
-                let HKind::Hier(cb) = &b.kind else {
-                    unreachable!()
-                };
-                let HKind::Hier(cc) = &mut c.kind else {
-                    unreachable!()
-                };
-                // c11 += a11·b11 + a12·b21, etc. (children order [11,21,12,22])
-                h_gemm(alpha, &ca[0], &cb[0], &mut cc[0], eps);
-                h_gemm(alpha, &ca[2], &cb[1], &mut cc[0], eps);
-                h_gemm(alpha, &ca[1], &cb[0], &mut cc[1], eps);
-                h_gemm(alpha, &ca[3], &cb[1], &mut cc[1], eps);
-                h_gemm(alpha, &ca[0], &cb[2], &mut cc[2], eps);
-                h_gemm(alpha, &ca[2], &cb[3], &mut cc[2], eps);
-                h_gemm(alpha, &ca[1], &cb[2], &mut cc[3], eps);
-                h_gemm(alpha, &ca[3], &cb[3], &mut cc[3], eps);
+        (HKind::Hier(ca), HKind::Hier(cb)) => match &mut c.kind {
+            HKind::Hier(cc) => {
+                // c11 += a11·b11 + a12·b21, etc. (children order [11,21,12,22]);
+                // each target keeps this order of its two updates.
+                let [c11, c21, c12, c22] = &mut **cc;
+                let column =
+                    |b1: &HMatrix<T>, b2: &HMatrix<T>, c1: &mut HMatrix<T>, c2: &mut HMatrix<T>| {
+                        h_gemm(alpha, &ca[0], b1, c1, eps)?;
+                        h_gemm(alpha, &ca[2], b2, c1, eps)?;
+                        h_gemm(alpha, &ca[1], b1, c2, eps)?;
+                        h_gemm(alpha, &ca[3], b2, c2, eps)
+                    };
+                join_branches(
+                    a.nrows,
+                    || column(&cb[0], &cb[1], c11, c21),
+                    || column(&cb[2], &cb[3], c12, c22),
+                )?;
             }
             _ => {
                 // c is a (low-rank) leaf spanning the split: form the product
@@ -827,9 +760,12 @@ pub fn h_gemm<T: Scalar>(
             }
         },
         (HKind::DenseLu(_), _) | (_, HKind::DenseLu(_)) => {
-            panic!("h_gemm on factored operands")
+            return Err(Error::Internal {
+                context: "h_gemm on factored operands",
+            })
         }
     }
+    Ok(())
 }
 
 /// Compute `A·B` collapsed to a single low-rank matrix at relative tolerance
@@ -880,25 +816,13 @@ pub fn h_mul_to_lowrank<T: Scalar>(a: &HMatrix<T>, b: &HMatrix<T>, eps: T::Real)
             let p12 = quad(&ca[0], &ca[2], &cb[2], &cb[3]);
             let p22 = quad(&ca[1], &ca[3], &cb[2], &cb[3]);
             let parts = [
-                (&p11, 0usize, 0usize),
+                (&p11, 0, 0),
                 (&p21, ars, 0),
                 (&p12, 0, bcs),
                 (&p22, ars, bcs),
             ];
-            let total_rank: usize = parts.iter().map(|(p, _, _)| p.rank()).sum();
-            let mut u = Mat::zeros(a.nrows, total_rank);
-            let mut v = Mat::zeros(b.ncols, total_rank);
-            let mut off = 0;
-            for (p, roff, coff) in &parts {
-                for k in 0..p.rank() {
-                    u.col_mut(off + k)[*roff..*roff + p.nrows()].copy_from_slice(p.u.col(k));
-                    v.col_mut(off + k)[*coff..*coff + p.ncols()].copy_from_slice(p.v.col(k));
-                }
-                off += p.rank();
-            }
-            let mut out = LowRank::new(u, v);
-            let tol = eps * out.norm_fro();
-            out.recompress(tol);
+            let mut out = concat_padded(a.nrows, b.ncols, &parts);
+            out.recompress_rel(eps);
             out
         }
         (HKind::DenseLu(_), _) | (_, HKind::DenseLu(_)) => {

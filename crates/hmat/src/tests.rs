@@ -2,7 +2,7 @@
 //! is validated against its dense counterpart on kernels with genuine
 //! low-rank off-diagonal structure.
 
-use csolve_common::{ByteSized, Scalar, C64};
+use csolve_common::{ByteSized, RealScalar, Scalar, C64};
 use csolve_dense::{gemm_into, Mat, Op};
 use csolve_lowrank::LowRank;
 use rand::SeedableRng;
@@ -10,7 +10,9 @@ use rand::SeedableRng;
 use crate::cluster::ClusterTree;
 use crate::factor::HLu;
 use crate::geometry::Point3;
-use crate::hmatrix::{h_gemm, h_mul_to_lowrank, AssembleMethod, HMatrix, HOptions};
+use crate::hmatrix::{
+    h_gemm, h_mul_to_lowrank, AssembleMethod, HKind, HMatrix, HOptions, HStats, TASK_MIN_ROWS,
+};
 
 /// Points on a square surface patch — a stand-in for a BEM surface mesh.
 fn surface_points(n_side: usize) -> Vec<Point3> {
@@ -34,6 +36,18 @@ fn kernel_entry(pts: &[Point3], shift: f64, i: usize, j: usize) -> f64 {
     } else {
         let r = pts[i].dist(&pts[j]);
         1.0 / (4.0 * std::f64::consts::PI * (r + 0.05))
+    }
+}
+
+/// Complex symmetric kernel (oscillatory Green function, wavenumber 3) with
+/// a complex diagonal shift scaled by `n`.
+fn helmholtz_entry(pts: &[Point3], n: f64, i: usize, j: usize) -> C64 {
+    if i == j {
+        C64::new(n, 0.3 * n)
+    } else {
+        let r = pts[i].dist(&pts[j]);
+        let amp = 1.0 / (4.0 * std::f64::consts::PI * (r + 0.05));
+        C64::new(amp * (3.0 * r).cos(), amp * (3.0 * r).sin())
     }
 }
 
@@ -158,7 +172,8 @@ fn axpy_dense_block_various_offsets() {
         (0, 0, 1, 1),
     ] {
         let panel = Mat::<f64>::random(pm, pn, &mut rng);
-        h.axpy_dense_block(0.7, r0, c0, panel.as_ref(), 1e-10);
+        h.try_axpy_dense_block(0.7, r0, c0, panel.as_ref(), 1e-10)
+            .unwrap();
         let mut dst = dense.view_mut(r0..r0 + pm, c0..c0 + pn);
         dst.axpy(0.7, panel.as_ref());
     }
@@ -238,7 +253,7 @@ fn h_gemm_matches_dense_product() {
     let (_, ha, da) = build_test_h(9, 1e-9, AssembleMethod::Aca);
     let (_, hb, db) = build_test_h(9, 1e-9, AssembleMethod::Aca);
     let (_, mut hc, mut dc) = build_test_h(9, 1e-9, AssembleMethod::Aca);
-    h_gemm(-1.0, &ha, &hb, &mut hc, 1e-10);
+    h_gemm(-1.0, &ha, &hb, &mut hc, 1e-10).unwrap();
     let prod = gemm_into(da.as_ref(), Op::NoTrans, db.as_ref(), Op::NoTrans);
     dc.axpy(-1.0, &prod);
     assert!(rel_err(&hc.to_dense(), &dc) < 1e-5);
@@ -286,24 +301,11 @@ fn hlu_compressed_factor_still_accurate_at_loose_eps() {
 
 #[test]
 fn hlu_complex_system() {
-    // Complex symmetric kernel (oscillatory Green function) + shift.
     let pts = surface_points(10);
     let n = pts.len();
     let tree = ClusterTree::build(&pts, 16);
-    let perm = tree.perm.clone();
-    let p2 = pts.clone();
-    let kappa = 3.0;
-    let entry = move |pi: usize, pj: usize| -> C64 {
-        if pi == pj {
-            C64::new(n as f64, 0.3 * n as f64)
-        } else {
-            let r = p2[pi].dist(&p2[pj]);
-            let amp = 1.0 / (4.0 * std::f64::consts::PI * (r + 0.05));
-            C64::new(amp * (kappa * r).cos(), amp * (kappa * r).sin())
-        }
-    };
-    let e2 = entry.clone();
-    let oracle = move |i: usize, j: usize| e2(perm[i], perm[j]);
+    let entry = |pi: usize, pj: usize| helmholtz_entry(&pts, n as f64, pi, pj);
+    let oracle = |i: usize, j: usize| entry(tree.perm[i], tree.perm[j]);
     let opts = HOptions {
         eps: 1e-9,
         ..Default::default()
@@ -411,4 +413,94 @@ fn recompress_leaves_collapses_zero_norm_formal_rank() {
     h.recompress_leaves(1e-8);
     assert!(h.byte_size() <= formal_bytes);
     assert!(rel_err(&h.to_dense(), &before) < 1e-9);
+}
+
+/// Every stored scalar of `h`, leaf by leaf in child order, as bit patterns.
+fn leaf_bits<T: Scalar>(h: &HMatrix<T>, out: &mut Vec<u64>) {
+    let mut push = |m: &Mat<T>| {
+        for x in m.data() {
+            out.push(x.real().to_f64().to_bits());
+            out.push(x.imag().to_f64().to_bits());
+        }
+    };
+    match &h.kind {
+        HKind::Dense(m) => push(m),
+        HKind::DenseLu(f) => {
+            push(&f.lu);
+            out.extend(f.ipiv.iter().map(|&p| p as u64));
+        }
+        HKind::LowRank(lr) => {
+            push(&lr.u);
+            push(&lr.v);
+        }
+        HKind::Hier(ch) => ch.iter().for_each(|c| leaf_bits(c, out)),
+    }
+}
+
+/// A 1 024-point kernel matrix: three levels of the block recursion sit at or
+/// above [`TASK_MIN_ROWS`], so H-LU really forks at 2 and 4 threads.
+fn task_sized_h<T: Scalar>(entry: impl Fn(&[Point3], usize, usize) -> T + Sync) -> HMatrix<T> {
+    let pts = surface_points(32);
+    assert!(pts.len() / 4 >= TASK_MIN_ROWS);
+    let tree = ClusterTree::build(&pts, 24);
+    let oracle = |i: usize, j: usize| entry(&pts, tree.perm[i], tree.perm[j]);
+    let opts = HOptions {
+        eps: 1e-4,
+        ..Default::default()
+    };
+    HMatrix::assemble_root(&tree, &tree, &oracle, &opts)
+}
+
+/// Factor at 1, 2 and 4 threads: identical bits, and the structure counts of
+/// the factors as recorded at the commit before H-LU ran as tasks (and before
+/// the rounded addition was rewritten) — neither may move a rank.
+fn check_thread_invariant_factor<T: Scalar>(build: impl Fn() -> HMatrix<T>, recorded: HStats) {
+    let factor_at = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let f = pool
+            .install(|| HLu::factor(build(), T::Real::from_f64_real(1e-4)))
+            .unwrap();
+        let mut bits = Vec::new();
+        leaf_bits(&f.h, &mut bits);
+        (f.stats(), bits)
+    };
+    let (stats, bits) = factor_at(1);
+    assert_eq!(stats, recorded);
+    for threads in [2, 4] {
+        let (s, b) = factor_at(threads);
+        assert_eq!(s, stats, "{threads} threads: stats");
+        assert!(b == bits, "{threads} threads: factors differ bitwise");
+    }
+}
+
+#[test]
+fn hlu_is_thread_invariant_and_keeps_recorded_ranks_real() {
+    let n = 1024.0;
+    check_thread_invariant_factor(
+        || task_sized_h(|pts, i, j| kernel_entry(pts, n, i, j)),
+        HStats {
+            dense_leaves: 484,
+            lowrank_leaves: 660,
+            max_rank: 12,
+            bytes: 3_098_880,
+            dense_bytes: 1024 * 1024 * 8,
+        },
+    );
+}
+
+#[test]
+fn hlu_is_thread_invariant_and_keeps_recorded_ranks_complex() {
+    check_thread_invariant_factor(
+        || task_sized_h(|pts, i, j| helmholtz_entry(pts, 1024.0, i, j)),
+        HStats {
+            dense_leaves: 484,
+            lowrank_leaves: 660,
+            max_rank: 13,
+            bytes: 6_399_488,
+            dense_bytes: 1024 * 1024 * 16,
+        },
+    );
 }

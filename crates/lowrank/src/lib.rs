@@ -11,7 +11,9 @@
 //!   layer's BLR front panels);
 //! * *recompression* of sums of low-rank terms — the "compressed AXPY" the
 //!   paper performs every time a dense Schur block is folded into the
-//!   compressed Schur complement ([`LowRank::add_truncate`]);
+//!   compressed Schur complement ([`LowRank::add_truncate`]; the H-matrix
+//!   layer rounds every such sum through [`LowRank::recompress_rel`], whose
+//!   cost at leaf scale is the `r×r` core SVD of [`svd`]);
 //! * assembling admissible kernel blocks directly in compressed form with
 //!   Adaptive Cross Approximation ([`aca::aca_plus`]), used by the H-matrix
 //!   layer to build the BEM operator without ever forming it densely.

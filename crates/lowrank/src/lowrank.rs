@@ -10,6 +10,14 @@ use csolve_dense::{gemm, gemm_into, Mat, MatMut, MatRef, Op};
 use crate::qr::{col_piv_qr, qr_in_place};
 use crate::svd::jacobi_svd;
 
+/// How [`LowRank::round`] is told its Frobenius tolerance.
+enum Tolerance<R> {
+    /// `tol`.
+    Absolute(R),
+    /// `eps·‖U·Vᵀ‖_F`.
+    Relative(R),
+}
+
 /// Rank-`r` representation `U·Vᵀ` with `U: m×r`, `V: n×r`.
 #[derive(Clone)]
 pub struct LowRank<T> {
@@ -305,6 +313,23 @@ impl<T: Scalar> LowRank<T> {
     /// second call at the same `tol` sees the same singular values, all
     /// strictly above `τ`, and drops nothing.
     pub fn recompress(&mut self, tol: T::Real) {
+        self.round(Tolerance::Absolute(tol));
+    }
+
+    /// [`LowRank::recompress`] at the *relative* tolerance `eps·‖U·Vᵀ‖_F` —
+    /// the rounding step of every ε-truncated H-matrix operation. The norm
+    /// is `√Σσ²` of the core SVD the truncation computes anyway, so no
+    /// separate [`LowRank::norm_fro`] (two `r×r` Gram products) is needed.
+    ///
+    /// A formal rank carrying no mass — sums that cancelled, leaving only
+    /// roundoff of the factors, `‖U·Vᵀ‖_F ≤ r·ε_mach·‖U‖_F·‖V‖_F` — comes out
+    /// at rank 0 instead of being kept alive by a tolerance of `eps·0`.
+    pub fn recompress_rel(&mut self, eps: T::Real) {
+        self.round(Tolerance::Relative(eps));
+    }
+
+    /// The rounding behind both tolerance spellings.
+    fn round(&mut self, tol: Tolerance<T::Real>) {
         let r = self.rank();
         if r == 0 {
             return;
@@ -318,30 +343,45 @@ impl<T: Scalar> LowRank<T> {
         }
         let qu = qr_in_place(std::mem::replace(&mut self.u, Mat::zeros(0, 0)));
         let qv = qr_in_place(std::mem::replace(&mut self.v, Mat::zeros(0, 0)));
-        // core = Ru·Rvᵀ (ru×rv)
-        let ru = qu.r();
-        let rv = qv.r();
+        // core = Ru·Rvᵀ = W·Σ·Zᴴ, and ‖U·Vᵀ‖_F = ‖core‖_F = √Σσ².
+        let (ru, rv) = (qu.r(), qv.r());
         let core = gemm_into(ru.as_ref(), Op::NoTrans, rv.as_ref(), Op::Trans);
         let svd = jacobi_svd(&core);
+        let tol = match tol {
+            Tolerance::Absolute(tol) => tol,
+            Tolerance::Relative(eps) => {
+                let norm = svd.s.iter().map(|&s| s * s).sum::<T::Real>().rsqrt_val();
+                let roundoff = T::Real::EPSILON * T::Real::from_f64_real(r as f64);
+                if norm <= roundoff * ru.norm_fro() * rv.norm_fro() {
+                    *self = Self::zeros(m, n);
+                    return;
+                }
+                eps * norm
+            }
+        };
         let l = m.min(n).max(1);
         let thresh = tol / T::Real::from_f64_real(l as f64).rsqrt_val();
         let mut keep = svd.s.len();
         while keep > 0 && svd.s[keep - 1] <= thresh {
             keep -= 1;
         }
-        // U ← Qu·(W·Σ), V ← Qv·conj(Z)
-        let mut wsig = svd.u.submatrix(0..svd.u.nrows(), 0..keep);
+        // U ← Qu·[W·Σ; 0], V ← Qv·[conj(Z); 0]: the reflectors run over the
+        // kept columns only; neither Q is ever formed.
+        let mut u = Mat::zeros(m, keep);
+        let mut v = Mat::zeros(n, keep);
         for j in 0..keep {
             let sj = T::from_real(svd.s[j]);
-            for x in wsig.col_mut(j) {
-                *x *= sj;
+            for (d, &w) in u.col_mut(j).iter_mut().zip(svd.u.col(j)) {
+                *d = w * sj;
+            }
+            for (d, &z) in v.col_mut(j).iter_mut().zip(svd.v.col(j)) {
+                *d = z.conj();
             }
         }
-        let zconj = Mat::from_fn(svd.v.nrows(), keep, |i, j| svd.v[(i, j)].conj());
-        let qu_thin = qu.q_thin();
-        let qv_thin = qv.q_thin();
-        self.u = gemm_into(qu_thin.as_ref(), Op::NoTrans, wsig.as_ref(), Op::NoTrans);
-        self.v = gemm_into(qv_thin.as_ref(), Op::NoTrans, zconj.as_ref(), Op::NoTrans);
+        qu.apply_q(&mut u);
+        qv.apply_q(&mut v);
+        self.u = u;
+        self.v = v;
     }
 
     /// Frobenius norm computed from the factors in `O((m+n)·r²)`.
@@ -764,6 +804,54 @@ mod tests {
             "second recompress moved the matrix by {:.3e}",
             d.norm_fro()
         );
+    }
+
+    #[test]
+    fn recompress_rel_is_recompress_at_eps_times_the_norm() {
+        fn check<T: Scalar>(seed: u64) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (m, n) = (28, 22);
+            let mut acc = LowRank::<T>::zeros(m, n);
+            for k in 0..12 {
+                let mut u = Mat::<T>::random(m, 1, &mut rng);
+                u.scale(T::from_f64(0.3f64.powi(k)));
+                acc = acc.add(T::ONE, &LowRank::new(u, Mat::random(n, 1, &mut rng)));
+            }
+            let eps = T::Real::from_f64_real(1e-4);
+            let mut abs = acc.clone();
+            abs.recompress(eps * acc.norm_fro());
+            let mut rel = acc.clone();
+            rel.recompress_rel(eps);
+            assert!(rel.rank() < 12, "rank {} not reduced", rel.rank());
+            assert_eq!(rel.rank(), abs.rank());
+            let mut d = rel.to_dense();
+            d.axpy(-T::ONE, &abs.to_dense());
+            assert!(d.norm_fro() <= T::Real::from_f64_real(1e-13) * acc.norm_fro());
+            // Idempotent, like the absolute spelling.
+            let once = rel.to_dense();
+            rel.recompress_rel(eps);
+            assert_eq!(rel.rank(), abs.rank());
+            let mut d = rel.to_dense();
+            d.axpy(-T::ONE, &once);
+            assert!(d.norm_fro() <= T::Real::from_f64_real(1e-12) * once.norm_fro());
+        }
+        check::<f64>(35);
+        check::<C64>(36);
+    }
+
+    #[test]
+    fn recompress_rel_drops_a_formal_rank_without_mass() {
+        // `P − P` as a formal sum, and factors that are zero outright: a
+        // relative tolerance of `eps·0` must not keep either alive.
+        let (lr, _) = rand_lowrank(14, 11, 3, 37);
+        let mut cancelled = lr.add(-1.0, &lr);
+        assert_eq!(cancelled.rank(), 6);
+        cancelled.recompress_rel(1e-8);
+        assert_eq!(cancelled.rank(), 0);
+        let mut zero = LowRank::<f64>::new(Mat::zeros(14, 4), Mat::zeros(11, 4));
+        zero.recompress_rel(1e-8);
+        assert_eq!(zero.rank(), 0);
+        assert_eq!((zero.nrows(), zero.ncols()), (14, 11));
     }
 
     #[test]

@@ -92,6 +92,26 @@ fn apply_householder_lanes<T: Scalar>(v_tail: &[T], tau: T::Real, y: [&mut [T]; 
     }
 }
 
+/// Apply the reflector `(v_tail, τ)` acting on rows `j..` to every column of
+/// `cols` (contiguous `m`-row columns), [`LANES`] columns per sweep.
+fn apply_householder_cols<T: Scalar>(
+    v_tail: &[T],
+    tau: T::Real,
+    cols: &mut [T],
+    m: usize,
+    j: usize,
+) {
+    let mut blocks = cols.chunks_exact_mut(LANES * m);
+    for block in &mut blocks {
+        let mut cols = block.chunks_exact_mut(m);
+        let y = std::array::from_fn(|_| &mut cols.next().expect("LANES columns")[j..]);
+        apply_householder_lanes(v_tail, tau, y);
+    }
+    for ycol in blocks.into_remainder().chunks_exact_mut(m) {
+        apply_householder(v_tail, tau, &mut ycol[j..]);
+    }
+}
+
 /// Packed Householder QR factors: `R` in the upper triangle, reflector tails
 /// below the diagonal.
 pub struct Qr<T: Scalar> {
@@ -108,23 +128,12 @@ pub fn qr_in_place<T: Scalar>(mut a: Mat<T>) -> Qr<T> {
     let k = m.min(n);
     let mut taus = Vec::with_capacity(k);
     for j in 0..k {
-        let tau = {
-            let col = a.col_mut(j);
-            make_householder(&mut col[j..])
-        };
+        // The reflector lives in column j, updates touch columns j+1..n.
+        let (head, trailing) = a.data_mut().split_at_mut((j + 1) * m);
+        let pivot = &mut head[j * m + j..];
+        let tau = make_householder(pivot);
         taus.push(tau);
-        if tau != T::Real::RZERO {
-            // Split the reflector column from the trailing columns: the
-            // reflector lives in column j, updates touch columns j+1..n.
-            for c in j + 1..n {
-                let (vptr, ycol): (*const T, &mut [T]) = {
-                    let v = a.col(j).as_ptr();
-                    (v, unsafe { &mut *(a.col_mut(c) as *mut [T]) })
-                };
-                let v = unsafe { std::slice::from_raw_parts(vptr, m) };
-                apply_householder(&v[j + 1..], tau, &mut ycol[j..]);
-            }
-        }
+        apply_householder_cols(&pivot[1..], tau, trailing, m, j);
     }
     Qr { a, taus }
 }
@@ -143,19 +152,25 @@ impl<T: Scalar> Qr<T> {
         for j in 0..kk {
             q[(j, j)] = T::ONE;
         }
-        // Q = H₁·H₂·…·H_k · [I; 0]: apply reflectors in reverse.
-        for jr in (0..kk).rev() {
-            let tau = self.taus[jr];
-            if tau == T::Real::RZERO {
-                continue;
-            }
-            let v = self.a.col(jr);
-            for c in 0..kk {
-                let ycol = q.col_mut(c);
-                apply_householder(&v[jr + 1..], tau, &mut ycol[jr..]);
-            }
-        }
+        // Reflectors past the k-th leave `[I_k; 0]` alone.
+        self.apply_first_reflectors_rev(kk, &mut q);
         q
+    }
+
+    /// `b ← H₁·H₂·…·H_k·b`: the first `k` reflectors, last one first.
+    fn apply_first_reflectors_rev(&self, k: usize, b: &mut Mat<T>) {
+        let m = self.a.nrows();
+        assert_eq!(b.nrows(), m);
+        for j in (0..k).rev() {
+            let v_tail = &self.a.col(j)[j + 1..];
+            apply_householder_cols(v_tail, self.taus[j], b.data_mut(), m, j);
+        }
+    }
+
+    /// Apply `Q` to a dense block in place (`b` has m rows): with
+    /// `b = [X; 0]` this is `Q_thin·X` without forming `Q_thin`.
+    pub fn apply_q(&self, b: &mut Mat<T>) {
+        self.apply_first_reflectors_rev(self.taus.len(), b);
     }
 
     /// `R` as an owned upper-triangular k×n matrix.
@@ -169,19 +184,9 @@ impl<T: Scalar> Qr<T> {
     pub fn apply_qh(&self, b: &mut Mat<T>) {
         let m = self.a.nrows();
         assert_eq!(b.nrows(), m);
-        for j in 0..self.taus.len() {
-            let tau = self.taus[j];
-            if tau == T::Real::RZERO {
-                continue;
-            }
-            for c in 0..b.ncols() {
-                let (vptr, ycol): (*const T, &mut [T]) = {
-                    let v = self.a.col(j).as_ptr();
-                    (v, unsafe { &mut *(b.col_mut(c) as *mut [T]) })
-                };
-                let v = unsafe { std::slice::from_raw_parts(vptr, m) };
-                apply_householder(&v[j + 1..], tau, &mut ycol[j..]);
-            }
+        for (j, &tau) in self.taus.iter().enumerate() {
+            let v_tail = &self.a.col(j)[j + 1..];
+            apply_householder_cols(v_tail, tau, b.data_mut(), m, j);
         }
     }
 }
@@ -199,7 +204,9 @@ pub struct ColPivQr<T: Scalar> {
 }
 
 /// Column-pivoted Householder QR, truncated at absolute tolerance `tol` and
-/// rank cap `max_rank`.
+/// rank cap `max_rank`. A negative `tol` never truncates: the factorization
+/// runs to `min(m, n, max_rank)` columns, exactly-zero pivots included
+/// (they get an identity reflector).
 pub fn col_piv_qr<T: Scalar>(mut a: Mat<T>, tol: T::Real, max_rank: usize) -> ColPivQr<T> {
     let m = a.nrows();
     let n = a.ncols();
@@ -242,15 +249,7 @@ pub fn col_piv_qr<T: Scalar>(mut a: Mat<T>, tol: T::Real, max_rank: usize) -> Co
         taus.push(tau);
         rank += 1;
         let v_tail = &pivot[1..];
-        let mut blocks = trailing.chunks_exact_mut(LANES * m);
-        for block in &mut blocks {
-            let mut cols = block.chunks_exact_mut(m);
-            let y = std::array::from_fn(|_| &mut cols.next().expect("LANES columns")[j..]);
-            apply_householder_lanes(v_tail, tau, y);
-        }
-        for ycol in blocks.into_remainder().chunks_exact_mut(m) {
-            apply_householder(v_tail, tau, &mut ycol[j..]);
-        }
+        apply_householder_cols(v_tail, tau, trailing, m, j);
         // Downdate the remaining norms by the newly created row of R.
         for (ycol, norm2) in trailing.chunks_exact(m).zip(&mut norms2[j + 1..]) {
             *norm2 = (*norm2 - ycol[j].abs2()).rmax(T::Real::RZERO);
@@ -364,6 +363,49 @@ mod tests {
         let mut d = got;
         d.axpy(-1.0, &want);
         assert!(d.norm_max() < 1e-12);
+    }
+
+    #[test]
+    fn apply_q_matches_multiplication_by_q_thin() {
+        fn check<T: Scalar>(m: usize, n: usize, cols: usize, seed: u64) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let f = qr_in_place(Mat::<T>::random(m, n, &mut rng));
+            let k = m.min(n);
+            let x = Mat::<T>::random(k, cols, &mut rng);
+            // Q_thin·X = Q·[X; 0].
+            let mut got = Mat::<T>::zeros(m, cols);
+            for j in 0..cols {
+                got.col_mut(j)[..k].copy_from_slice(x.col(j));
+            }
+            f.apply_q(&mut got);
+            let want = gemm_into(f.q_thin().as_ref(), Op::NoTrans, x.as_ref(), Op::NoTrans);
+            let mut d = got.clone();
+            d.axpy(-T::ONE, &want);
+            assert!(
+                d.norm_max().to_f64() < 1e-13,
+                "({m},{n})x{cols}: {:.3e}",
+                d.norm_max().to_f64()
+            );
+            // …and Qᴴ undoes it on the range of Q.
+            f.apply_qh(&mut got);
+            for j in 0..cols {
+                for i in 0..m {
+                    let want = if i < k { x[(i, j)] } else { T::ZERO };
+                    assert!((got[(i, j)] - want).abs().to_f64() < 1e-13);
+                }
+            }
+        }
+        // Column counts on both sides of the four-lane sweep.
+        for (m, n, cols) in [
+            (30, 19, 9),
+            (19, 30, 4),
+            (12, 12, 1),
+            (40, 6, 13),
+            (5, 5, 0),
+        ] {
+            check::<f64>(m, n, cols, 11);
+            check::<C64>(m, n, cols, 12);
+        }
     }
 
     #[test]

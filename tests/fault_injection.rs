@@ -133,6 +133,42 @@ fn forced_rank_overflow_is_a_compression_failure() {
 }
 
 #[test]
+fn forced_rank_overflow_during_hlu_is_a_compression_failure() {
+    // H-LU folds its dense-leaf products into low-rank leaves through the
+    // same fallible compressed AXPY as the Schur accumulator, so a rank cap
+    // armed *after* assembly must stop the factorization with a structured
+    // error — at any thread count, the block recursion's tasks included.
+    use csolve_hmat::{ClusterTree, HLu, HMatrix, HOptions};
+    let p = csolve_fembem::pipe_problem::<f64>(2_500);
+    let tree = ClusterTree::build(&p.bem.points, 16);
+    let bem = p.bem.permuted(&tree.perm);
+    let opts = HOptions {
+        eps: 1e-8,
+        ..Default::default()
+    };
+    let build = || HMatrix::assemble_root(&tree, &tree, &|i, j| bem.eval(i, j), &opts);
+    let guard = FaultGuard::acquire();
+    for threads in [1, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let h = build();
+        guard.rank_cap(1);
+        let err = pool
+            .install(|| HLu::factor(h, 1e-8).map(|_| ()))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::CompressionFailure { .. }),
+            "{threads} threads: expected CompressionFailure, got {err}"
+        );
+        guard.disarm();
+        pool.install(|| HLu::factor(build(), 1e-8))
+            .unwrap_or_else(|e| panic!("{threads} threads: clean factorization failed: {e}"));
+    }
+}
+
+#[test]
 fn forced_sparse_front_rank_overflow_is_a_compression_failure() {
     // A larger FEM volume so at least one supernodal off-diagonal panel
     // clears the BLR size gate (`csolve_sparse::BLR_MIN_ROWS` ×
