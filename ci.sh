@@ -72,7 +72,12 @@ echo "==> kernels_report smoke run (kernel throughput gate)"
 # (norm_fro + recompress, 200 rank-10+10 sums on 64x64, f64 and c64) may
 # cost at most 4.0x the rank-revealing QR of the same blocks formed dense
 # (recompress_vs_rrqr, a same-run ratio: 5.6-8.4 with the unpreconditioned
-# Jacobi SVD and explicit-Q rebuild, 3.0-3.3 with the preconditioned one).
+# Jacobi SVD and explicit-Q rebuild, 3.0-3.3 with the preconditioned one);
+# and solve_sparse_rhs of a 128-column A_vs panel on pipe-4k must give the
+# same bits at P = min(nproc, 4) threads as at 1 and take at most 0.75 of
+# the 1-thread wall (sparse_panel_solve, a same-run ratio: 1.06-1.10 before
+# the chunked solve, 0.53-0.66 with it on 2 cores; prints SKIPPED when
+# nproc = 1).
 cargo run --release --offline -q --bin kernels_report -- --smoke > /dev/null
 
 echo "==> autotune_report smoke run"

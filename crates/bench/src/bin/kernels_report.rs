@@ -14,9 +14,12 @@
 //! - `--smoke`             — small sizes, few repetitions, and the CI gate:
 //!   the run **fails** when c64 blocked-serial GEMM does not beat the
 //!   committed pre-rewrite baseline by ≥ [`C64_GATE_FACTOR`], when any
-//!   blocked GEMM measures below its naive reference, or when a rounded
+//!   blocked GEMM measures below its naive reference, when a rounded
 //!   low-rank addition costs more than [`RECOMPRESS_GATE`] rank-revealing
-//!   QRs of the same block (the `recompress` rows).
+//!   QRs of the same block (the `recompress` rows), or when the chunked
+//!   sparse panel solve at `P` threads takes more than
+//!   [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
+//!   `sparse_panel_solve` row; skipped, loudly, on a one-core host).
 
 use std::time::Instant;
 
@@ -26,6 +29,7 @@ use csolve::dense::{
 };
 use csolve::json::{json_fields, JsonWriter};
 use csolve::lowrank::LowRank;
+use csolve::sparse::{factorize, SparseOptions};
 use csolve::{Scalar, C64};
 use csolve_bench::{write_json_file, Args};
 use rand::SeedableRng;
@@ -56,6 +60,19 @@ const RECOMPRESS_SUMS: usize = 200;
 const RECOMPRESS_N: usize = 64;
 const RECOMPRESS_RANK: usize = 10;
 const RECOMPRESS_EPS: f64 = 1e-4;
+
+/// Ceiling of `sparse_panel_solve`'s `ratio` under `--smoke`: the wall of
+/// `solve_sparse_rhs` at `P` threads over its wall at one thread, same run,
+/// same factors, same panel. Four independent 32-column chunks on two idle
+/// cores measure ≈ 0.55; a solve that stopped spreading its chunks reads 1.0.
+const PANEL_SOLVE_GATE: f64 = 0.75;
+/// Shape of the `sparse_panel_solve` row: the leading columns of `A_vs` of
+/// the pipe problem at this many unknowns.
+const PANEL_SOLVE_N: usize = 4000;
+const PANEL_SOLVE_COLS: usize = 128;
+/// Best of this many: one solve is ≈ 10 ms, and a shared host can take a
+/// core away for longer than five of them (best-of-5 read 1.0 there).
+const PANEL_SOLVE_REPS: usize = 20;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -284,7 +301,64 @@ fn recompress_row<T: Scalar>(scalar: &'static str, reps: usize) -> RecompressRow
     }
 }
 
-fn to_json(thread_counts: &[usize], entries: &[Entry], recompress: &[RecompressRow]) -> String {
+/// The `sparse_panel_solve` row.
+struct PanelSolveRow {
+    /// `P = min(nproc, 4)`.
+    threads: usize,
+    seconds_1t: f64,
+    seconds_pt: f64,
+    /// `seconds_pt / seconds_1t`.
+    ratio: f64,
+    /// Whether the `P`-thread output equals the one-thread output bit for bit.
+    bitwise: bool,
+}
+
+/// Time `solve_sparse_rhs` of a [`PANEL_SOLVE_COLS`]-column `A_vs` panel
+/// against the factored `A_vv` of pipe-[`PANEL_SOLVE_N`] at one thread and
+/// at `P = min(nproc, 4)`, and compare the two outputs bitwise.
+fn panel_solve_row() -> PanelSolveRow {
+    let p = csolve::pipe_problem::<f64>(PANEL_SOLVE_N);
+    let fact = factorize(&p.a_vv, &SparseOptions::default()).expect("A_vv factors");
+    let rows: Vec<usize> = (0..p.a_vs.nrows).collect();
+    let cols: Vec<usize> = (0..PANEL_SOLVE_COLS.min(p.a_vs.ncols)).collect();
+    let rhs = p.a_vs.submatrix(&rows, &cols);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = nproc.min(4);
+    let timed = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool");
+        let mut y = None;
+        let secs = pool.install(|| {
+            best_of(PANEL_SOLVE_REPS, || {
+                let t0 = Instant::now();
+                y = Some(fact.solve_sparse_rhs(&rhs).expect("complete factorization"));
+                t0.elapsed().as_secs_f64()
+            })
+        });
+        (secs, y.expect("at least one repetition"))
+    };
+    let (seconds_1t, y1) = timed(1);
+    let (seconds_pt, yp) = timed(threads);
+    fn bits(m: &Mat<f64>) -> impl Iterator<Item = u64> + '_ {
+        m.data().iter().map(|v| v.to_bits())
+    }
+    PanelSolveRow {
+        threads,
+        seconds_1t,
+        seconds_pt,
+        ratio: seconds_pt / seconds_1t,
+        bitwise: bits(&y1).eq(bits(&yp)),
+    }
+}
+
+fn to_json(
+    thread_counts: &[usize],
+    entries: &[Entry],
+    recompress: &[RecompressRow],
+    panel: &PanelSolveRow,
+) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object().field("tool", "kernels_report");
     w.key("thread_counts").begin_array();
@@ -323,14 +397,34 @@ fn to_json(thread_counts: &[usize], entries: &[Entry], recompress: &[RecompressR
         w.end_object();
     }
     w.end_array().end_object();
+    w.key("sparse_panel_solve").begin_object();
+    w.field("n", PANEL_SOLVE_N).field("cols", PANEL_SOLVE_COLS);
+    json_fields!(w, panel => threads, seconds_1t, seconds_pt, ratio, bitwise);
+    w.end_object();
     w.end_object();
     w.finish()
 }
 
 /// The CI health gate run under `--smoke`: the packed kernels must keep
 /// their contract. Returns every violation (empty = pass).
-fn gate(entries: &[Entry], recompress: &[RecompressRow]) -> Vec<String> {
+fn gate(entries: &[Entry], recompress: &[RecompressRow], panel: &PanelSolveRow) -> Vec<String> {
     let mut fails = Vec::new();
+    // Contract 4: the chunked sparse solve spreads over idle threads without
+    // changing a bit. One thread cannot show the first half: say so.
+    if !panel.bitwise {
+        fails.push(format!(
+            "sparse_panel_solve: {} threads changed the bits of the 1-thread solve",
+            panel.threads
+        ));
+    }
+    if panel.threads < 2 {
+        println!("sparse_panel_solve speed-up gate SKIPPED: nproc = 1, nothing to spread over");
+    } else if panel.ratio > PANEL_SOLVE_GATE {
+        fails.push(format!(
+            "sparse_panel_solve: {} threads took {:.2} of the 1-thread wall > {PANEL_SOLVE_GATE}",
+            panel.threads, panel.ratio
+        ));
+    }
     // Contract 3: a rounded addition stays within a few RRQRs of its block.
     for r in recompress {
         if r.recompress_vs_rrqr > RECOMPRESS_GATE {
@@ -493,14 +587,25 @@ fn main() {
         );
     }
 
+    let panel = panel_solve_row();
+    println!(
+        "\nsparse panel solve: {PANEL_SOLVE_COLS} columns of A_vs on pipe-{PANEL_SOLVE_N}, \
+         1 thread {:.4} s, {} threads {:.4} s, ratio {:.2}, bitwise {}",
+        panel.seconds_1t,
+        panel.threads,
+        panel.seconds_pt,
+        panel.ratio,
+        if panel.bitwise { "yes" } else { "NO" }
+    );
+
     write_json_file(
         &args,
         "kernels",
-        &to_json(&thread_counts, &entries, &recompress),
+        &to_json(&thread_counts, &entries, &recompress, &panel),
     );
 
     if smoke {
-        let fails = gate(&entries, &recompress);
+        let fails = gate(&entries, &recompress, &panel);
         if !fails.is_empty() {
             for f in &fails {
                 eprintln!("kernel gate FAILED: {f}");
@@ -509,7 +614,12 @@ fn main() {
         }
         println!(
             "kernel gate OK (c64 gemm >= {C64_GATE_FACTOR}x pre-rewrite baseline; blocked >= naive; \
-             recompress_vs_rrqr <= {RECOMPRESS_GATE})"
+             recompress_vs_rrqr <= {RECOMPRESS_GATE}; sparse_panel_solve bitwise{})",
+            if panel.threads < 2 {
+                String::new()
+            } else {
+                format!(" and <= {PANEL_SOLVE_GATE} of its 1-thread wall")
+            }
         );
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):
-//!   `(n_s·w + 2·n_v·min(n_c, w)) · sizeof(T)` — the `Z` panel plus the
-//!   double-buffered `Y` of one inner `n_c`-column sparse solve;
+//!   `(n_s·w + 2·n_v·min(n_c, w)) · sizeof(T)` — the `Z` panel plus twice
+//!   the `Y` of one inner `n_c`-column sparse solve (deliberate slack since
+//!   the solve works in 32-column chunks, see [`multi_solve_panel_bytes`]);
 //! * **multi-factorization** tile at grid size `n_b`
 //!   (see [`multi_fact_tile_bytes`]): the stacked `W` (values + indices +
 //!   column pointers, coupling nnz divided evenly across the grid) plus the
@@ -131,9 +132,14 @@ pub struct AutotuneDecision {
 }
 
 /// Working-set bytes of one multi-solve Schur panel at blocking
-/// `(n_c, n_s)`: the `ns × n_s` panel of `Z` plus the double-buffered `Y`
-/// of one inner `n_c`-column sparse solve. Mirrors the pipeline's per-panel
-/// admission reserve exactly.
+/// `(n_c, n_s)`: the `ns × n_s` panel of `Z` plus twice the `Y` of one inner
+/// `n_c`-column sparse solve. Mirrors the pipeline's per-panel admission
+/// reserve exactly — including its deliberate slack: the 2× is the old
+/// whole-panel permuted copy, while the chunked solve holds only `n_v·n_c`
+/// plus `n_v·32` per live chunk. Both stay at the old worst case so
+/// tracked peaks and `BlockSizes::Auto` decisions do not move; the follow-up
+/// is to reserve `n_v·(n_c + 32·threads)` here and in the driver together,
+/// which admits a larger `n_c` under the same budget.
 pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
     let w = n_s.min(stats.ns.max(1));
     (stats.ns * w + 2 * stats.nv * n_c.min(w)) * stats.elem

@@ -769,7 +769,8 @@ fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let tracker = ws.tracker;
     let fact = ws.factor_avv()?;
-    // The solver works on a permuted copy internally: 2× the dense result.
+    // 2× the dense result: the old worst case of the solver's internal
+    // permuted copy (see the panel reserve in `multi_solve_factors`).
     let mut y_charge = tracker.charge(
         2 * nv * ns * std::mem::size_of::<T>(),
         "dense Y = A_vv^-1 A_vs",
@@ -982,8 +983,13 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
             .map(|i| {
                 let cols = i * n_s..((i + 1) * n_s).min(ns);
                 // Worst-case working set of this panel: its Z panel plus one
-                // inner sparse solve's Y (the solver uses a permuted
-                // internal copy: 2×).
+                // inner sparse solve's Y, priced at 2× — the solver's old
+                // whole-panel permuted copy. The chunked solve really holds
+                // `n_v·n_c` plus `n_v·32` per live chunk; the reserve is kept
+                // at the old worst case on purpose, so tracked peaks and
+                // `BlockSizes::Auto` decisions do not move. Follow-up:
+                // reserve `n_v·(n_c + 32·threads)`, which buys a larger
+                // `n_c` under the same budget.
                 let reserve = (ns * cols.len() + 2 * nv * n_c.min(cols.len())) * elem;
                 Block {
                     rows: 0..ns,

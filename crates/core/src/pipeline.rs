@@ -435,8 +435,14 @@ pub(crate) fn run_blockwise<S: Send, P: Send>(
     rayon::scope(|s| {
         // One worker runs inline on this thread (the scope'd spawns may all
         // degrade to inline execution under permit pressure; any single
-        // worker can drain the whole DAG alone).
-        for _ in 1..rayon::current_num_threads().min(steps) {
+        // worker can drain the whole DAG alone). At most `lookahead` blocks
+        // are ever runnable at once, and a parked worker pins its helper
+        // permit for the whole run: spawn no more than can work, so the
+        // parallelism nested under a block (chunked sparse solves, H-LU
+        // branches, GEMM macro-tiles) gets the threads the pipeline cannot
+        // use.
+        let workers = rayon::current_num_threads().min(steps).min(lookahead);
+        for _ in 1..workers {
             s.spawn(|_| worker());
         }
         worker();
@@ -737,6 +743,53 @@ mod tests {
             *order.lock(),
             vec!["c0", "m0", "c1", "m1", "c2", "m2", "c3", "m3"]
         );
+    }
+
+    #[test]
+    fn no_more_workers_are_spawned_than_blocks_can_be_in_flight() {
+        use std::thread::{self, ThreadId};
+        // The threads every compute and fold of a 6-block run landed on.
+        let threads_used = |inflight: usize| -> (ThreadId, Vec<ThreadId>) {
+            let seen = Mutex::new(Vec::new());
+            let tracker = MemTracker::unbounded();
+            let caller = with_workers(4, || {
+                run_blockwise(
+                    &tracker,
+                    &Tracer::disabled(),
+                    6,
+                    inflight,
+                    (),
+                    |_| (1, "block"),
+                    |_, _| {
+                        seen.lock().push(thread::current().id());
+                        pause(5);
+                        Ok(())
+                    },
+                    |_, (), ()| {
+                        seen.lock().push(thread::current().id());
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                thread::current().id()
+            });
+            (caller, seen.into_inner())
+        };
+        // One block in flight: a helper worker could only ever park holding
+        // a permit, so none is spawned and the caller runs everything.
+        let (caller, seen) = threads_used(1);
+        assert_eq!(seen.len(), 12);
+        assert!(seen.iter().all(|&t| t == caller), "a helper ran a task");
+        // Two in flight: the second worker is still there. (Permits are
+        // process-wide; concurrently running tests can starve a round.)
+        for attempt in 0..10 {
+            let (caller, seen) = threads_used(2);
+            assert_eq!(seen.len(), 12);
+            if seen.iter().any(|&t| t != caller) {
+                return;
+            }
+            assert!(attempt < 9, "no helper worker in 10 attempts");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use csolve_common::{
 };
 use csolve_dense::{gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, Diag, Mat, MatMut, Op, Tri};
 use csolve_lowrank::LowRank;
+use rayon::prelude::*;
 
 use crate::formats::Csc;
 use crate::ordering::OrderingKind;
@@ -44,6 +45,18 @@ pub const BLR_MIN_ROWS: usize = 48;
 /// Minimum column count of an off-diagonal factor panel for BLR compression
 /// to be attempted (see [`BLR_MIN_ROWS`]).
 pub const BLR_MIN_COLS: usize = 16;
+
+/// Column-chunk width of [`SparseFactorization::solve_sparse_rhs`]: the
+/// right-hand side is solved 32 columns at a time, each chunk an independent
+/// task with its own `n × 32` workspace and its own etree reach. The width
+/// is fixed — never derived from the thread count — so every column meets
+/// the same dense-kernel shapes at any thread count and the output is
+/// bitwise thread-invariant by construction (splitting a panel into
+/// thread-count-dependent halves was measured and is *not* bitwise stable).
+/// 32 beat 16 end-to-end: budgeted pipe-16k multi-solve `solve_s` at two
+/// threads 1.40–1.66 s (1.43–1.45 s on the issue's authoring host) against
+/// 1.76–1.79 s (1.73–2.03 s there).
+const SOLVE_CHUNK_COLS: usize = 32;
 
 /// Factorization kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,8 +146,15 @@ impl<T: Scalar> Panel<T> {
         }
     }
 
-    /// `c ← c + α·Pᵀ·b` (plain transpose).
-    fn mul_t_acc(&self, alpha: T, b: csolve_dense::MatRef<'_, T>, c: MatMut<'_, T>) {
+    /// `c ← c + α·Pᵀ·b` (plain transpose). `scratch` holds the compressed
+    /// form's `rank × nrhs` intermediate (`rank ≤ c.nrows()`).
+    fn mul_t_acc(
+        &self,
+        alpha: T,
+        b: csolve_dense::MatRef<'_, T>,
+        c: MatMut<'_, T>,
+        scratch: &mut [T],
+    ) {
         match self {
             Panel::Empty => {}
             Panel::Dense(m) => gemm(alpha, m.as_ref(), Op::Trans, b, Op::NoTrans, T::ONE, c),
@@ -142,8 +162,9 @@ impl<T: Scalar> Panel<T> {
                 if lr.rank() == 0 {
                     return;
                 }
-                // (U·Vᵀ)ᵀ·b = V·(Uᵀ·b)
-                let mut tmp = Mat::zeros(lr.rank(), b.ncols());
+                // (U·Vᵀ)ᵀ·b = V·(Uᵀ·b); β = 0 overwrites the stale scratch.
+                let (r, nrhs) = (lr.rank(), b.ncols());
+                let mut tmp = MatMut::from_col_major(r, nrhs, &mut scratch[..r * nrhs]);
                 gemm(
                     T::ONE,
                     lr.u.as_ref(),
@@ -151,13 +172,13 @@ impl<T: Scalar> Panel<T> {
                     b,
                     Op::NoTrans,
                     T::ZERO,
-                    tmp.as_mut(),
+                    tmp.rb_mut(),
                 );
                 gemm(
                     alpha,
                     lr.v.as_ref(),
                     Op::NoTrans,
-                    tmp.as_ref(),
+                    tmp.rb(),
                     Op::NoTrans,
                     T::ONE,
                     c,
@@ -672,8 +693,8 @@ impl<T: Scalar> SparseFactorization<T> {
         }
         let marked = vec![true; self.sns.len()];
         let mut bp = self.permute_rhs(b);
-        self.solve_permuted(&mut bp, &marked);
-        self.unpermute_into(&bp, b);
+        self.solve_permuted(&mut bp, &marked, &self.gather_d());
+        self.unpermute_into(&bp, b.as_mut());
         Ok(())
     }
 
@@ -681,6 +702,10 @@ impl<T: Scalar> SparseFactorization<T> {
     /// structure in the forward pass (the equivalent of MUMPS `ICNTL(20)`).
     /// The result is returned dense — exactly like the real solvers, whose
     /// API cannot return a compressed or sparse solution.
+    ///
+    /// The columns are solved in independent fixed-width chunks (32 columns)
+    /// that spread over whatever threads the caller's pool has idle; the
+    /// result is bitwise identical at any thread count.
     pub fn solve_sparse_rhs(&self, rhs: &Csc<T>) -> Result<Mat<T>> {
         if self.symbolic.n_schur != 0 {
             return Err(Error::InvalidConfig(
@@ -694,15 +719,33 @@ impl<T: Scalar> SparseFactorization<T> {
                 got: (rhs.nrows, rhs.ncols),
             });
         }
-        let n = self.n();
-        let nrhs = rhs.ncols;
+        let mut out = Mat::<T>::zeros(self.n(), rhs.ncols);
+        let d = self.gather_d();
+        let chunks: Vec<_> = out
+            .as_mut()
+            .col_chunks_mut(SOLVE_CHUNK_COLS)
+            .into_iter()
+            .enumerate()
+            .collect();
+        chunks
+            .into_par_iter()
+            .for_each(|(i, x)| self.solve_sparse_chunk(rhs, i * SOLVE_CHUNK_COLS, &d, x));
+        Ok(out)
+    }
+
+    /// Solve columns `j0 .. j0 + x.ncols()` of `rhs` into `x` (original index
+    /// order) through a workspace of the chunk's own: forward substitution
+    /// visits only the supernodes *this chunk's* nonzeros reach.
+    fn solve_sparse_chunk(&self, rhs: &Csc<T>, j0: usize, d: &[T], x: MatMut<'_, T>) {
+        let w = x.ncols();
         // Permuted dense RHS + supernode marking.
-        let mut bp = Mat::<T>::zeros(n, nrhs);
+        let mut bp = Mat::<T>::zeros(self.n(), w);
         let mut marked = vec![false; self.sns.len()];
-        for j in 0..nrhs {
-            for p in rhs.colptr[j]..rhs.colptr[j + 1] {
+        for j in 0..w {
+            let col = bp.col_mut(j);
+            for p in rhs.colptr[j0 + j]..rhs.colptr[j0 + j + 1] {
                 let newi = self.symbolic.iperm[rhs.rowidx[p]];
-                bp[(newi, j)] = rhs.values[p];
+                col[newi] = rhs.values[p];
                 marked[self.symbolic.sn_of_col[newi]] = true;
             }
         }
@@ -715,10 +758,8 @@ impl<T: Scalar> SparseFactorization<T> {
                 }
             }
         }
-        self.solve_permuted(&mut bp, &marked);
-        let mut out = Mat::<T>::zeros(n, nrhs);
-        self.unpermute_into(&bp, &mut out);
-        Ok(out)
+        self.solve_permuted(&mut bp, &marked, d);
+        self.unpermute_into(&bp, x);
     }
 
     /// Partial solve through the Schur complement: condense the right-hand
@@ -748,11 +789,12 @@ impl<T: Scalar> SparseFactorization<T> {
         let ne = self.symbolic.n_elim;
         let n = self.n();
         let nrhs = b.ncols();
-        self.forward_permuted(&mut bp, &marked);
-        self.diag_permuted(&mut bp);
+        let mut scratch = self.solve_scratch(nrhs);
+        self.forward_permuted(&mut bp, &marked, &mut scratch);
+        self.diag_permuted(&mut bp, &self.gather_d());
         schur_solve(bp.view_mut(ne..n, 0..nrhs))?;
-        self.backward_permuted(&mut bp);
-        self.unpermute_into(&bp, b);
+        self.backward_permuted(&mut bp, &mut scratch);
+        self.unpermute_into(&bp, b.as_mut());
         Ok(())
     }
 
@@ -769,7 +811,7 @@ impl<T: Scalar> SparseFactorization<T> {
         bp
     }
 
-    fn unpermute_into(&self, bp: &Mat<T>, b: &mut Mat<T>) {
+    fn unpermute_into(&self, bp: &Mat<T>, mut b: MatMut<'_, T>) {
         for j in 0..b.ncols() {
             let src = bp.col(j);
             let dst = b.col_mut(j);
@@ -781,18 +823,25 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Forward + diagonal + backward on a permuted RHS; unmarked supernodes
     /// are skipped in the forward pass (their subtree RHS is entirely zero).
-    fn solve_permuted(&self, bp: &mut Mat<T>, marked: &[bool]) {
-        self.forward_permuted(bp, marked);
-        self.diag_permuted(bp);
-        self.backward_permuted(bp);
+    fn solve_permuted(&self, bp: &mut Mat<T>, marked: &[bool], d: &[T]) {
+        let mut scratch = self.solve_scratch(bp.ncols());
+        self.forward_permuted(bp, marked, &mut scratch);
+        self.diag_permuted(bp, d);
+        self.backward_permuted(bp, &mut scratch);
+    }
+
+    /// The one scratch buffer the passes over an `nrhs`-column workspace
+    /// share: a supernode needs its `t × nrhs` update rows (`L21·x1`, or the
+    /// gathered `x2`) plus, under a compressed panel, a `rank × nrhs`
+    /// intermediate with `rank ≤ k` — together at most one front's rows.
+    fn solve_scratch(&self, nrhs: usize) -> Vec<T> {
+        vec![T::ZERO; self.stats.max_front * nrhs]
     }
 
     /// Forward substitution (`L⁻¹·P`) over the eliminated variables; Schur
     /// rows accumulate the condensed right-hand side.
-    fn forward_permuted(&self, bp: &mut Mat<T>, marked: &[bool]) {
+    fn forward_permuted(&self, bp: &mut Mat<T>, marked: &[bool], scratch: &mut [T]) {
         let nrhs = bp.ncols();
-        // One scratch buffer for every supernode's `L21·x1` product.
-        let mut scratch = vec![T::ZERO; self.stats.max_front * nrhs];
         for (s, sn) in self.sns.iter().enumerate() {
             if !marked[s] {
                 continue;
@@ -837,21 +886,27 @@ impl<T: Scalar> SparseFactorization<T> {
         }
     }
 
-    /// Diagonal scaling (LDLᵀ only — LU keeps U's diagonal for the backward
-    /// pass).
-    fn diag_permuted(&self, bp: &mut Mat<T>) {
+    /// `D` of an LDLᵀ factorization over the eliminated variables, gathered
+    /// once per solve call and shared by its chunks. Empty for LU, which
+    /// keeps U's diagonal for the backward pass.
+    fn gather_d(&self) -> Vec<T> {
         if self.symmetry != Symmetry::SymmetricLdlt {
-            return;
+            return Vec::new();
         }
-        // Gather D once, then one contiguous sweep per column.
         let mut d = vec![T::ONE; self.symbolic.n_elim];
         for (sn, info) in self.sns.iter().zip(&self.symbolic.supernodes) {
             for j in 0..info.width() {
                 d[info.c0 + j] = sn.diag[(j, j)];
             }
         }
+        d
+    }
+
+    /// Diagonal scaling by [`Self::gather_d`]: one contiguous sweep per
+    /// column (a no-op for LU).
+    fn diag_permuted(&self, bp: &mut Mat<T>, d: &[T]) {
         for c in 0..bp.ncols() {
-            for (x, &dj) in bp.col_mut(c).iter_mut().zip(&d) {
+            for (x, &dj) in bp.col_mut(c).iter_mut().zip(d) {
                 *x = *x / dj;
             }
         }
@@ -859,18 +914,17 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Backward substitution over the eliminated variables; Schur rows are
     /// read (they must hold `x_schur`) but never written.
-    fn backward_permuted(&self, bp: &mut Mat<T>) {
+    fn backward_permuted(&self, bp: &mut Mat<T>, scratch: &mut [T]) {
         let nrhs = bp.ncols();
-        // One scratch buffer for every supernode's gathered `x2`.
-        let mut scratch = vec![T::ZERO; self.stats.max_front * nrhs];
         for (s, sn) in self.sns.iter().enumerate().rev() {
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
             let k = c1 - c0;
             if info.front_size() > k {
                 let t = info.front_size() - k;
-                // Gather x2.
-                let mut x2 = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
+                // Gather x2; the rest of the scratch serves the panel product.
+                let (x2, rest) = scratch.split_at_mut(t * nrhs);
+                let mut x2 = MatMut::from_col_major(t, nrhs, x2);
                 for c in 0..nrhs {
                     let col = bp.col(c);
                     for (x, &g) in x2.col_mut(c).iter_mut().zip(&info.rows[k..]) {
@@ -881,7 +935,7 @@ impl<T: Scalar> SparseFactorization<T> {
                 match self.symmetry {
                     Symmetry::SymmetricLdlt => {
                         // x1 −= L21ᵀ·x2
-                        sn.lpanel.mul_t_acc(-T::ONE, x2.rb(), x1);
+                        sn.lpanel.mul_t_acc(-T::ONE, x2.rb(), x1, rest);
                     }
                     Symmetry::UnsymmetricLu => {
                         // x1 −= U12·x2

@@ -284,6 +284,80 @@ fn sparse_rhs_solve_matches_dense_rhs_solve() {
     assert!(d.norm_max() < 1e-12, "{:.3e}", d.norm_max());
 }
 
+/// `solve_sparse_rhs` works in fixed 32-column chunks: widths around the
+/// chunk boundary, both factorization kinds, dense and BLR-compressed
+/// panels, RHS blocks with all-zero columns. Every column must agree with
+/// the whole-panel `solve_in_place`, and the output must be the same bits
+/// whatever the thread count (chunk boundaries depend on `nrhs` alone).
+#[test]
+fn chunked_sparse_rhs_solve_matches_dense_solve_and_is_thread_invariant() {
+    use rand::Rng;
+    let a = grid3d(10, 10, 9, 1.0);
+    let n = a.nrows;
+    for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
+        for blr_eps in [None, Some(1e-6)] {
+            let opts = SparseOptions {
+                symmetry,
+                blr_eps,
+                ..Default::default()
+            };
+            let f = factorize(&a, &opts).unwrap();
+            assert_eq!(
+                f.stats().compressed_panels > 0,
+                blr_eps.is_some(),
+                "{symmetry:?}: the BLR case must solve through compressed panels"
+            );
+            for nrhs in [1usize, 31, 32, 33, 100] {
+                // A few clustered nonzeros per column, so different chunks
+                // reach different subtrees; every 7th column stays empty.
+                let mut rng = rand::rngs::StdRng::seed_from_u64(nrhs as u64);
+                let mut coo = Coo::new(n, nrhs);
+                for j in (0..nrhs).filter(|j| j % 7 != 3) {
+                    let base = rng.random_range(0..n - 20);
+                    for _ in 0..4 {
+                        let i = base + rng.random_range(0..20);
+                        coo.push(i, j, rng.random_range(-1.0..1.0));
+                    }
+                }
+                let rhs = coo.to_csc();
+                let what = format!("{symmetry:?}, blr {blr_eps:?}, nrhs {nrhs}");
+
+                let solve_on = |threads: usize| {
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap()
+                        .install(|| f.solve_sparse_rhs(&rhs).unwrap())
+                };
+                let x = solve_on(1);
+                fn bits(m: &Mat<f64>) -> impl Iterator<Item = u64> + '_ {
+                    m.data().iter().map(|v| v.to_bits())
+                }
+                for threads in [2, 4] {
+                    assert!(
+                        bits(&solve_on(threads)).eq(bits(&x)),
+                        "{what}: {threads} threads changed the bits"
+                    );
+                }
+
+                let mut x_dense = rhs.to_dense();
+                f.solve_in_place(&mut x_dense).unwrap();
+                for j in 0..nrhs {
+                    let norm = |c: &[f64]| c.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    let diff: Vec<f64> = (x.col(j).iter().zip(x_dense.col(j)))
+                        .map(|(p, q)| p - q)
+                        .collect();
+                    assert!(
+                        norm(&diff) <= 1e-12 * norm(x_dense.col(j)),
+                        "{what}: column {j} off by {:.3e}",
+                        norm(&diff)
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn memory_budget_enforced_during_factorization() {
     let a = grid3d(10, 10, 10, 1.0);
