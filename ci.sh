@@ -77,7 +77,12 @@ echo "==> kernels_report smoke run (kernel throughput gate)"
 # same bits at P = min(nproc, 4) threads as at 1 and take at most 0.75 of
 # the 1-thread wall (sparse_panel_solve, a same-run ratio: 1.06-1.10 before
 # the chunked solve, 0.53-0.66 with it on 2 cores; prints SKIPPED when
-# nproc = 1).
+# nproc = 1); and the column-blocked solve kernels must be >= 2x one call
+# per column on the same operands and equal to those calls bit for bit
+# (column_blocked, same-run ratios: trsm_left(Lower, Trans, Unit) k = 64,
+# nrhs = 32 against 32 single-column calls, and gemm under with_colwise_det
+# at 300x64 . 64x8 against its eight matvec calls; both measure ~3.5, a
+# per-column loop reads 1.0).
 cargo run --release --offline -q --bin kernels_report -- --smoke > /dev/null
 
 echo "==> autotune_report smoke run"

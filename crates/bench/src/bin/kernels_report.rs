@@ -19,13 +19,17 @@
 //!   QRs of the same block (the `recompress` rows), or when the chunked
 //!   sparse panel solve at `P` threads takes more than
 //!   [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
-//!   `sparse_panel_solve` row; skipped, loudly, on a one-core host).
+//!   `sparse_panel_solve` row; skipped, loudly, on a one-core host), or
+//!   when a column-blocked solve kernel is less than [`COLUMN_BLOCKED_GATE`]
+//!   times faster than one call per column on the same operands, or differs
+//!   from those calls in a single bit (the `column_blocked` rows).
 
 use std::time::Instant;
 
 use csolve::common::RealScalar;
 use csolve::dense::{
-    gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, trsm_left, Diag, Mat, Op, Tri,
+    gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, matvec, trsm_left, with_colwise_det, Diag,
+    Mat, Op, Tri,
 };
 use csolve::json::{json_fields, JsonWriter};
 use csolve::lowrank::LowRank;
@@ -73,6 +77,21 @@ const PANEL_SOLVE_COLS: usize = 128;
 /// Best of this many: one solve is ≈ 10 ms, and a shared host can take a
 /// core away for longer than five of them (best-of-5 read 1.0 there).
 const PANEL_SOLVE_REPS: usize = 20;
+
+/// Floor of the `column_blocked` rows' `ratio` under `--smoke`: a panel
+/// through the column-blocked kernel over one call per column, same run, same
+/// operands. The blocked kernels measure ≈ 3.5× (both rows); a kernel that
+/// fell back to a per-column loop reads 1.0.
+const COLUMN_BLOCKED_GATE: f64 = 2.0;
+/// Shapes of the `column_blocked` rows: the diagonal block of a wide
+/// supernode against one chunk of the sparse panel solve, and a supernode's
+/// sub-diagonal panel against one warm session panel.
+const BLOCKED_TRSM_K: usize = 64;
+const BLOCKED_TRSM_NRHS: usize = 32;
+const BLOCKED_GEMM_SHAPE: (usize, usize, usize) = (300, 64, 8);
+/// Best of this many batches of [`BLOCKED_INNER`] calls (one call is µs).
+const BLOCKED_REPS: usize = 9;
+const BLOCKED_INNER: usize = 400;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -353,11 +372,99 @@ fn panel_solve_row() -> PanelSolveRow {
     }
 }
 
+/// One `column_blocked` row.
+struct ColumnBlockedRow {
+    kernel: &'static str,
+    /// The panel through the column-blocked kernel.
+    seconds_panel: f64,
+    /// One call per column on the same operands.
+    seconds_columns: f64,
+    /// `seconds_columns / seconds_panel`.
+    ratio: f64,
+    /// Whether the two outputs are equal bit for bit.
+    bitwise: bool,
+}
+
+/// Time `panel` and `columns` — two ways to overwrite their `Mat` argument
+/// with the same product or solve of `input` — one thread, and compare their
+/// outputs bitwise.
+fn column_blocked_row(
+    kernel: &'static str,
+    input: &Mat<f64>,
+    panel: impl Fn(&mut Mat<f64>),
+    columns: impl Fn(&mut Mat<f64>),
+) -> ColumnBlockedRow {
+    let timed = |f: &dyn Fn(&mut Mat<f64>)| {
+        let mut x = input.clone();
+        let secs = best_of(BLOCKED_REPS, || {
+            let t0 = Instant::now();
+            for _ in 0..BLOCKED_INNER {
+                x.as_mut().copy_from(input.as_ref());
+                f(&mut x);
+            }
+            t0.elapsed().as_secs_f64()
+        });
+        (secs, x)
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
+    let ((seconds_panel, xp), (seconds_columns, xc)) =
+        pool.install(|| (timed(&panel), timed(&columns)));
+    let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    ColumnBlockedRow {
+        kernel,
+        seconds_panel,
+        seconds_columns,
+        ratio: seconds_columns / seconds_panel,
+        bitwise: bits(&xp) == bits(&xc),
+    }
+}
+
+/// The two `column_blocked` rows: the backward-pass triangle of an LDLᵀ
+/// supernode (`Lower`, `Trans`, `Unit`) and the column-wise GEMM of a panel
+/// product, each against one call per column.
+fn column_blocked_rows() -> [ColumnBlockedRow; 2] {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    let (k, nrhs) = (BLOCKED_TRSM_K, BLOCKED_TRSM_NRHS);
+    let t = Mat::<f64>::random(k, k, &mut rng);
+    let b = Mat::<f64>::random(k, nrhs, &mut rng);
+    let solve = |x: csolve::dense::MatMut<'_, f64>| {
+        trsm_left(Tri::Lower, Op::Trans, Diag::Unit, 1.0, t.as_ref(), x)
+    };
+    let trsm = column_blocked_row(
+        "trsm_left",
+        &b,
+        |x| solve(x.as_mut()),
+        |x| (0..nrhs).for_each(|j| solve(x.view_mut(0..k, j..j + 1))),
+    );
+    let (m, k, n) = BLOCKED_GEMM_SHAPE;
+    let a = Mat::<f64>::random(m, k, &mut rng);
+    let b = Mat::<f64>::random(k, n, &mut rng);
+    let c = Mat::<f64>::random(m, n, &mut rng);
+    let gemm_row = column_blocked_row(
+        "gemm_colwise",
+        &c,
+        |x| {
+            let (a, b) = (a.as_ref(), b.as_ref());
+            with_colwise_det(|| gemm(-1.0, a, Op::NoTrans, b, Op::NoTrans, 1.0, x.as_mut()))
+        },
+        |x| {
+            for j in 0..n {
+                matvec(-1.0, a.as_ref(), Op::NoTrans, b.col(j), 1.0, x.col_mut(j));
+            }
+        },
+    );
+    [trsm, gemm_row]
+}
+
 fn to_json(
     thread_counts: &[usize],
     entries: &[Entry],
     recompress: &[RecompressRow],
     panel: &PanelSolveRow,
+    blocked: &[ColumnBlockedRow],
 ) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object().field("tool", "kernels_report");
@@ -401,14 +508,47 @@ fn to_json(
     w.field("n", PANEL_SOLVE_N).field("cols", PANEL_SOLVE_COLS);
     json_fields!(w, panel => threads, seconds_1t, seconds_pt, ratio, bitwise);
     w.end_object();
+    w.key("column_blocked").begin_object();
+    w.field("trsm_k", BLOCKED_TRSM_K)
+        .field("trsm_nrhs", BLOCKED_TRSM_NRHS);
+    let (m, k, n) = BLOCKED_GEMM_SHAPE;
+    w.field("gemm_m", m).field("gemm_k", k).field("gemm_n", n);
+    w.key("rows").begin_array();
+    for r in blocked {
+        w.begin_object();
+        json_fields!(w, r => kernel, seconds_panel, seconds_columns, ratio, bitwise);
+        w.end_object();
+    }
+    w.end_array().end_object();
     w.end_object();
     w.finish()
 }
 
 /// The CI health gate run under `--smoke`: the packed kernels must keep
 /// their contract. Returns every violation (empty = pass).
-fn gate(entries: &[Entry], recompress: &[RecompressRow], panel: &PanelSolveRow) -> Vec<String> {
+fn gate(
+    entries: &[Entry],
+    recompress: &[RecompressRow],
+    panel: &PanelSolveRow,
+    blocked: &[ColumnBlockedRow],
+) -> Vec<String> {
     let mut fails = Vec::new();
+    // Contract 5: the column-blocked solve kernels give every column the
+    // bits of its own call, and are worth having.
+    for r in blocked {
+        if !r.bitwise {
+            fails.push(format!(
+                "{}: the panel differs from one call per column",
+                r.kernel
+            ));
+        }
+        if r.ratio < COLUMN_BLOCKED_GATE {
+            fails.push(format!(
+                "{}: the panel is {:.2}x one call per column < {COLUMN_BLOCKED_GATE}",
+                r.kernel, r.ratio
+            ));
+        }
+    }
     // Contract 4: the chunked sparse solve spreads over idle threads without
     // changing a bit. One thread cannot show the first half: say so.
     if !panel.bitwise {
@@ -598,14 +738,31 @@ fn main() {
         if panel.bitwise { "yes" } else { "NO" }
     );
 
+    let blocked = column_blocked_rows();
+    println!(
+        "\ncolumn-blocked solve kernels, one thread: trsm_left(Lower, Trans, Unit) k = \
+         {BLOCKED_TRSM_K}, nrhs = {BLOCKED_TRSM_NRHS}; gemm under with_colwise_det {:?}",
+        BLOCKED_GEMM_SHAPE
+    );
+    for r in &blocked {
+        println!(
+            "{:<12} panel {:.4} s, one call per column {:.4} s, ratio {:.2}, bitwise {}",
+            r.kernel,
+            r.seconds_panel,
+            r.seconds_columns,
+            r.ratio,
+            if r.bitwise { "yes" } else { "NO" }
+        );
+    }
+
     write_json_file(
         &args,
         "kernels",
-        &to_json(&thread_counts, &entries, &recompress, &panel),
+        &to_json(&thread_counts, &entries, &recompress, &panel, &blocked),
     );
 
     if smoke {
-        let fails = gate(&entries, &recompress, &panel);
+        let fails = gate(&entries, &recompress, &panel, &blocked);
         if !fails.is_empty() {
             for f in &fails {
                 eprintln!("kernel gate FAILED: {f}");
@@ -614,7 +771,8 @@ fn main() {
         }
         println!(
             "kernel gate OK (c64 gemm >= {C64_GATE_FACTOR}x pre-rewrite baseline; blocked >= naive; \
-             recompress_vs_rrqr <= {RECOMPRESS_GATE}; sparse_panel_solve bitwise{})",
+             recompress_vs_rrqr <= {RECOMPRESS_GATE}; column-blocked kernels bitwise and >= \
+             {COLUMN_BLOCKED_GATE}x; sparse_panel_solve bitwise{})",
             if panel.threads < 2 {
                 String::new()
             } else {

@@ -608,7 +608,7 @@ impl<T: Scalar> SessionFactors<T> {
         }
         let (xv, xs_p) = csolve_dense::with_colwise_det(|| match &self.state {
             FactorState::Direct { fact, sf } => {
-                direct_solution(b_v, &b_s_p, fact, sf, &self.a_sv, &self.a_vs, rec)
+                direct_solution(b_v, b_s_p, fact, sf, &self.a_sv, &self.a_vs, rec)
             }
             FactorState::Condensed { fact_w, sf } => {
                 condensed_solution(b_v, &b_s_p, fact_w, sf, nv, ns, rec)
@@ -710,11 +710,11 @@ fn factor<T: Scalar>(
 /// (7)), for a `w`-column panel: `b_v` (`nv × w`) and `b_s_p` (`ns × w`,
 /// cluster order), both column-major. The factor traversals run on the full
 /// panel (`solve_in_place` is multi-RHS); the sparse coupling products run
-/// column by column through `matvec`. The returned surface panel stays in
-/// cluster order.
+/// column by column through `matvec`, in place on the panels' columns. The
+/// returned surface panel stays in cluster order.
 fn direct_solution<T: Scalar>(
     b_v: &[T],
-    b_s_p: &[T],
+    b_s_p: Vec<T>,
     fact: &SparseFactorization<T>,
     sf: &SchurFactor<T>,
     a_sv: &Csc<T>,
@@ -730,11 +730,9 @@ fn direct_solution<T: Scalar>(
     fact.solve_in_place(&mut t)?;
     drop(ph);
     // RHS_s = B_s − A_sv T
-    let mut xs = Mat::from_col_major(ns, w, b_s_p.to_vec());
+    let mut xs = Mat::from_col_major(ns, w, b_s_p);
     for j in 0..w {
-        let mut rhs_s = xs.col(j).to_vec();
-        a_sv.matvec(-T::ONE, t.col(j), T::ONE, &mut rhs_s);
-        xs.col_mut(j).copy_from_slice(&rhs_s);
+        a_sv.matvec(-T::ONE, t.col(j), T::ONE, xs.col_mut(j));
     }
     // X_s = S⁻¹ RHS_s: two triangular solves on the n_s × n_s factor
     // (backends without a closed-form count report 0, which adds no row).
@@ -742,24 +740,16 @@ fn direct_solution<T: Scalar>(
     sf.solve_in_place(xs.as_mut());
     ph.add_flops(sf.solve_flops(w));
     drop(ph);
-    // X_v = A_vv⁻¹ (B_v − A_vs X_s)
-    let mut bv2 = Mat::from_col_major(nv, w, b_v.to_vec());
+    // X_v = A_vv⁻¹ (B_v − A_vs X_s), in the buffer `T` no longer needs.
+    let mut bv2 = t;
+    bv2.data_mut().copy_from_slice(b_v);
     for j in 0..w {
-        let x = xs.col(j).to_vec();
-        let mut tmp = bv2.col_mut(j).to_vec();
-        a_vs.matvec(-T::ONE, &x, T::ONE, &mut tmp);
-        bv2.col_mut(j).copy_from_slice(&tmp);
+        a_vs.matvec(-T::ONE, xs.col(j), T::ONE, bv2.col_mut(j));
     }
     let ph = rec.open(Phase::SolveBack, TraceScope::Run);
     fact.solve_in_place(&mut bv2)?;
     drop(ph);
-    let mut xv = Vec::with_capacity(nv * w);
-    let mut xsv = Vec::with_capacity(ns * w);
-    for j in 0..w {
-        xv.extend_from_slice(bv2.col(j));
-        xsv.extend_from_slice(xs.col(j));
-    }
-    Ok((xv, xsv))
+    Ok((bv2.into(), xs.into()))
 }
 
 /// §II-E — one sparse solve against all of `A_vs` at once. The dense result

@@ -97,18 +97,22 @@ thread_local! {
     static COLWISE_DET: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Run `f` with every GEMM issued from this thread routed column by column
-/// through [`matvec`], regardless of the product's width.
+/// Run `f` with every GEMM issued from this thread routed through the
+/// *column-separable* kernels, regardless of the product's width.
 ///
 /// A width-`w` product computed this way is bitwise-identical to `w`
-/// separate single-column products with the same operands: each column `j`
-/// gathers `op(B)`'s column exactly like the `bn == 1` fast path and runs
-/// the same fixed-`k`-order matvec. The session layer wraps its batched
-/// panel solves in this mode so a multi-RHS solve demuxes into per-request
-/// solutions that match the one-RHS path bit for bit — the packed kernel's
-/// FMA/slab accumulation order would not. The flag is thread-local: it
-/// cannot leak into concurrent solves on other threads, and the solve
-/// paths issue all their GEMMs from the calling thread.
+/// separate single-column products with the same operands: each column sees
+/// exactly the operation sequence [`matvec`] gives it — the same `α·x_k`
+/// scaling, the same fixed `k` order, the same skip of an exact-zero
+/// multiplier — while blocks of columns share every load of `A`
+/// (`gemm_colwise`). The packed path cannot offer that: its naive/packed
+/// dispatch reads the width, and its FMA/slab accumulation order differs
+/// from `matvec`'s. The session layer wraps its batched panel solves in
+/// this mode so a multi-RHS solve demuxes into per-request solutions that
+/// match the one-RHS path bit for bit. The flag is thread-local: it cannot
+/// leak into concurrent solves on other threads — and it does not follow a
+/// fork, so code that spreads a panel's columns over helper threads
+/// re-enters the mode on each of them (see [`colwise_det_forced`]).
 pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
     COLWISE_DET.with(|s| {
         let prev = s.replace(true);
@@ -118,8 +122,12 @@ pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// True when GEMMs invoked from this thread must run column-wise.
-pub(crate) fn colwise_det_forced() -> bool {
+/// True when GEMMs invoked from this thread run column-wise (the caller is
+/// inside [`with_colwise_det`]). In that mode no result bit depends on which
+/// columns share a call, so a solver may hand column groups of one panel to
+/// different threads — each of which must re-enter [`with_colwise_det`],
+/// because the flag does not follow a fork.
+pub fn colwise_det_forced() -> bool {
     COLWISE_DET.with(Cell::get)
 }
 
@@ -428,16 +436,10 @@ pub fn gemm<T: Scalar>(
     if bn == 1 || colwise_det_forced() {
         // Single-column product: a serial GEMM here would leave an `m·k`-sized
         // product on one core — route through the (parallelized) matvec.
-        // Under [`with_colwise_det`] every column takes this exact path, so a
-        // width-`bn` product is bitwise-equal to `bn` single-column calls.
-        for j in 0..bn {
-            let x: Vec<T> = match opb {
-                Op::NoTrans => b.col(j).to_vec(),
-                Op::Trans => (0..ak).map(|kk| b.get(j, kk)).collect(),
-                Op::ConjTrans => (0..ak).map(|kk| b.get(j, kk).conj()).collect(),
-            };
-            matvec(alpha, a, opa, &x, beta, c.col_mut(j));
-        }
+        // Under [`with_colwise_det`] every column takes that kernel's
+        // operation sequence, so a width-`bn` product is bitwise-equal to
+        // `bn` single-column calls.
+        gemm_colwise(alpha, a, opa, b, opb, beta, c);
         crate::stats::record(crate::stats::Route::Matvec, flops as u64, t0);
         return;
     }
@@ -537,6 +539,258 @@ fn matvec_chunk<T: Scalar>(alpha: T, a: MatRef<'_, T>, opa: Op, x: &[T], r0: usi
                 }
                 *yi += alpha * acc;
             }
+        }
+    }
+}
+
+/// Columns of `op(B)` the column-wise route takes through `A` together:
+/// every load of `A` then serves four right-hand sides. Measured at
+/// 300×64 · 64×8 (`f64`, one thread, GF/s; eight [`matvec`] calls run at
+/// ≈ 8 `NoTrans` / 5.2 `Trans`): 4 columns 25.8 / 24.3, 8 columns
+/// 25.5 / 25.6 — no faster, and a block of 4 lets an 8-column panel split
+/// into two groups for two threads (`csolve-sparse`'s panel solve), which a
+/// block of 8 would leave to one.
+const COLWISE_BLOCK: usize = 4;
+
+/// Rows of `C` one tile of [`colwise_axpy_rows`] holds in registers across
+/// the whole `k` loop. Same measurement, `NoTrans`: 4 rows 23.8 GF/s,
+/// 8 rows 25.8, 16 rows 5.5 (the tile spills).
+const COLWISE_ROWS: usize = 8;
+
+/// Rows of `C` one tile of [`colwise_dot_rows`] accumulates together: each
+/// row is one more independent chain per column beside [`matvec`]'s single
+/// one. Same measurement, `Trans`: 2 rows 19.4 GF/s, 4 rows 24.3,
+/// 6 rows 6.9 (spills), 8 rows 24.0.
+const COLWISE_DOT_ROWS: usize = 4;
+
+/// The column-wise GEMM route: `C[:, j] ← α·op(A)·op(B)[:, j] + β·C[:, j]`
+/// with, per column, exactly the operations [`matvec`] performs — same
+/// `α·x_k` scaling, same `k` order, same exact-zero skip — so a column's bits
+/// do not depend on the columns beside it. Whole [`COLWISE_BLOCK`]s go
+/// through the blocked kernels; the remainder (and `bn == 1`) through
+/// [`matvec`] itself.
+fn gemm_colwise<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    opa: Op,
+    b: MatRef<'_, T>,
+    opb: Op,
+    beta: T,
+    mut c: MatMut<'_, T>,
+) {
+    let (m, k) = opa.shape_of(&a);
+    let bn = c.ncols();
+    let blocked = bn - bn % COLWISE_BLOCK;
+    if blocked > 0 {
+        scale_block(beta, &mut c.rb_mut().submatrix_mut(0..m, 0..blocked));
+        // Row `kk` of the block of `op(B)`, gathered once per block.
+        let mut x = vec![[T::ZERO; COLWISE_BLOCK]; k];
+        // Same fork rule as one `matvec` of this shape: the block width
+        // must not turn a sub-threshold product into a fork per call.
+        let par = 2.0 * m as f64 * k as f64 >= PAR_FLOP_THRESHOLD
+            && rayon::current_num_threads() > 1
+            && !serial_forced();
+        for j0 in (0..blocked).step_by(COLWISE_BLOCK) {
+            // The axpy kernel takes `α·x_k` (as `matvec` forms it), the dot
+            // kernels `x_k` itself.
+            for (kk, xk) in x.iter_mut().enumerate() {
+                *xk = std::array::from_fn(|cc| {
+                    let v = b_elem(b, opb, kk, j0 + cc);
+                    if opa == Op::NoTrans {
+                        alpha * v
+                    } else {
+                        v
+                    }
+                });
+            }
+            let x = &x;
+            let run = |(r0, cc): (usize, MatMut<'_, T>)| colwise_rows(alpha, a, opa, x, r0, cc);
+            let cblk = c.rb_mut().submatrix_mut(0..m, j0..j0 + COLWISE_BLOCK);
+            if par {
+                // Row chunks of whole register tiles, `matvec`'s grain.
+                let chunk = m
+                    .div_ceil(4 * rayon::current_num_threads())
+                    .max(64)
+                    .next_multiple_of(COLWISE_ROWS);
+                let mut chunks = Vec::with_capacity(m.div_ceil(chunk));
+                let mut rest = cblk;
+                while rest.nrows() > 0 {
+                    let h = chunk.min(rest.nrows());
+                    let (head, tail) = rest.split_at_row(h);
+                    chunks.push((chunks.len() * chunk, head));
+                    rest = tail;
+                }
+                chunks.into_par_iter().for_each(run);
+            } else {
+                run((0, cblk));
+            }
+        }
+    }
+    for j in blocked..bn {
+        let y = c.col_mut(j);
+        match opb {
+            Op::NoTrans => matvec(alpha, a, opa, b.col(j), beta, y),
+            _ => {
+                let x: Vec<T> = (0..k).map(|kk| b_elem(b, opb, kk, j)).collect();
+                matvec(alpha, a, opa, &x, beta, y);
+            }
+        }
+    }
+}
+
+/// One row chunk (rows `r0..` of `op(A)`, the block `cc` of `C`) of one
+/// column block of [`gemm_colwise`]; `x` holds `α·x_k` for `op(A) = A`, `x_k`
+/// otherwise. Dispatches on the CPU's SIMD level like the packed
+/// microkernel: lane-wise multiplies and adds give the same bits at any
+/// vector width.
+fn colwise_rows<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    opa: Op,
+    x: &[[T; COLWISE_BLOCK]],
+    r0: usize,
+    cc: MatMut<'_, T>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence just checked.
+        return unsafe { colwise_rows_avx2(alpha, a, opa, x, r0, cc) };
+    }
+    colwise_rows_impl(alpha, a, opa, x, r0, cc)
+}
+
+/// [`colwise_rows_impl`] recompiled with 256-bit vectors available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn colwise_rows_avx2<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    opa: Op,
+    x: &[[T; COLWISE_BLOCK]],
+    r0: usize,
+    cc: MatMut<'_, T>,
+) {
+    colwise_rows_impl(alpha, a, opa, x, r0, cc)
+}
+
+#[inline(always)]
+fn colwise_rows_impl<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    opa: Op,
+    x: &[[T; COLWISE_BLOCK]],
+    r0: usize,
+    cc: MatMut<'_, T>,
+) {
+    match opa {
+        Op::NoTrans => colwise_axpy_rows(a, x, r0, cc),
+        _ => colwise_dot_rows(alpha, a, opa == Op::ConjTrans, x, r0, cc),
+    }
+}
+
+/// `C[r, c] += Σ_k s[k][c]·A[r0 + r, k]` for every row of the block `cc`,
+/// [`COLWISE_ROWS`] rows at a time (then single rows).
+#[inline(always)]
+fn colwise_axpy_rows<T: Scalar>(
+    a: MatRef<'_, T>,
+    s: &[[T; COLWISE_BLOCK]],
+    r0: usize,
+    mut cc: MatMut<'_, T>,
+) {
+    // With no exact-zero multiplier anywhere — the common case for a dense
+    // right-hand side — the tiles skip the per-column test.
+    let dense = s.iter().flatten().all(|v| *v != T::ZERO);
+    let rows = cc.nrows();
+    let tiled = rows - rows % COLWISE_ROWS;
+    for i in (0..tiled).step_by(COLWISE_ROWS) {
+        colwise_axpy_tile::<T, COLWISE_ROWS>(a, s, dense, r0 + i, &mut cc, i);
+    }
+    for i in tiled..rows {
+        colwise_axpy_tile::<T, 1>(a, s, dense, r0 + i, &mut cc, i);
+    }
+}
+
+/// One `MR × COLWISE_BLOCK` tile of [`colwise_axpy_rows`], held in registers
+/// across `k`: element `(r, c)` accumulates `s[k][c]·A[ia + r, k]` in `k`
+/// order, skipping exact-zero multipliers — [`matvec_chunk`]'s sequence.
+#[inline(always)]
+fn colwise_axpy_tile<T: Scalar, const MR: usize>(
+    a: MatRef<'_, T>,
+    s: &[[T; COLWISE_BLOCK]],
+    dense: bool,
+    ia: usize,
+    cc: &mut MatMut<'_, T>,
+    ic: usize,
+) {
+    let mut tile = [[T::ZERO; MR]; COLWISE_BLOCK];
+    for (c, t) in tile.iter_mut().enumerate() {
+        t.copy_from_slice(&cc.col(c)[ic..ic + MR]);
+    }
+    for (kk, sk) in s.iter().enumerate() {
+        let ak = &a.col(kk)[ia..ia + MR];
+        for c in 0..COLWISE_BLOCK {
+            if dense || sk[c] != T::ZERO {
+                for r in 0..MR {
+                    tile[c][r] += sk[c] * ak[r];
+                }
+            }
+        }
+    }
+    for (c, t) in tile.iter().enumerate() {
+        cc.col_mut(c)[ic..ic + MR].copy_from_slice(t);
+    }
+}
+
+/// `C[r, c] += α·Σ_k op(A[k, r0 + r])·x[k][c]` for every row of the block
+/// `cc`, [`COLWISE_DOT_ROWS`] rows at a time (then single rows).
+#[inline(always)]
+fn colwise_dot_rows<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    conj: bool,
+    x: &[[T; COLWISE_BLOCK]],
+    r0: usize,
+    mut cc: MatMut<'_, T>,
+) {
+    let rows = cc.nrows();
+    let tiled = rows - rows % COLWISE_DOT_ROWS;
+    for i in (0..tiled).step_by(COLWISE_DOT_ROWS) {
+        colwise_dot_tile::<T, COLWISE_DOT_ROWS>(alpha, a, conj, x, r0 + i, &mut cc, i);
+    }
+    for i in tiled..rows {
+        colwise_dot_tile::<T, 1>(alpha, a, conj, x, r0 + i, &mut cc, i);
+    }
+}
+
+/// `MB` rows of [`colwise_dot_rows`]: each `(row, column)` accumulates from
+/// zero in `k` order and lands as `C += α·acc` — [`matvec_chunk`]'s sequence.
+#[inline(always)]
+fn colwise_dot_tile<T: Scalar, const MB: usize>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    conj: bool,
+    x: &[[T; COLWISE_BLOCK]],
+    ia: usize,
+    cc: &mut MatMut<'_, T>,
+    ic: usize,
+) {
+    let cols: [&[T]; MB] = std::array::from_fn(|r| a.col(ia + r));
+    let mut acc = [[T::ZERO; COLWISE_BLOCK]; MB];
+    for (kk, xk) in x.iter().enumerate() {
+        for r in 0..MB {
+            let ark = if conj {
+                cols[r][kk].conj()
+            } else {
+                cols[r][kk]
+            };
+            for c in 0..COLWISE_BLOCK {
+                acc[r][c] += ark * xk[c];
+            }
+        }
+    }
+    for r in 0..MB {
+        for c in 0..COLWISE_BLOCK {
+            cc.col_mut(c)[ic + r] += alpha * acc[r][c];
         }
     }
 }

@@ -216,6 +216,13 @@ impl<T: Scalar> IndexMut<(usize, usize)> for Mat<T> {
     }
 }
 
+/// The column-major buffer back (the inverse of [`Mat::from_col_major`]).
+impl<T> From<Mat<T>> for Vec<T> {
+    fn from(m: Mat<T>) -> Self {
+        m.data
+    }
+}
+
 impl<T> ByteSized for Mat<T> {
     fn byte_size(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<T>()

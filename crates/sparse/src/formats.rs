@@ -259,28 +259,10 @@ impl<T: Scalar> Csc<T> {
         assert_eq!(c.nrows(), self.nrows, "spmm: C rows");
         assert_eq!(b.ncols(), c.ncols(), "spmm: cols");
         let nrhs = b.ncols();
-        let do_col = |this: &Csc<T>, bcol: &[T], ccol: &mut [T]| {
-            if beta == T::ZERO {
-                ccol.fill(T::ZERO);
-            } else if beta != T::ONE {
-                for x in ccol.iter_mut() {
-                    *x *= beta;
-                }
-            }
-            for (k, &bk) in bcol.iter().enumerate() {
-                let s = alpha * bk;
-                if s == T::ZERO {
-                    continue;
-                }
-                for p in this.colptr[k]..this.colptr[k + 1] {
-                    ccol[this.rowidx[p]] += s * this.values[p];
-                }
-            }
-        };
         let work = self.nnz() as f64 * nrhs as f64;
         if work < 1e5 || rayon::current_num_threads() == 1 || nrhs == 1 {
             for j in 0..nrhs {
-                do_col(self, b.col(j), c.col_mut(j));
+                self.matvec(alpha, b.col(j), beta, c.col_mut(j));
             }
         } else {
             let chunks = c.col_chunks_mut(nrhs.div_ceil(4 * rayon::current_num_threads()).max(1));
@@ -295,18 +277,32 @@ impl<T: Scalar> Csc<T> {
                 .collect();
             tagged.into_par_iter().for_each(|(j0, mut blk)| {
                 for jj in 0..blk.ncols() {
-                    do_col(self, b.col(j0 + jj), blk.col_mut(jj));
+                    self.matvec(alpha, b.col(j0 + jj), beta, blk.col_mut(jj));
                 }
             });
         }
     }
 
-    /// `y ← α·A·x + β·y`.
+    /// `y ← α·A·x + β·y` (one column of [`Csc::mul_dense`]).
     pub fn matvec(&self, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        let b = Mat::from_col_major(x.len(), 1, x.to_vec());
-        let mut c = Mat::from_col_major(y.len(), 1, y.to_vec());
-        self.mul_dense(alpha, b.as_ref(), beta, c.as_mut());
-        y.copy_from_slice(c.col(0));
+        assert_eq!(x.len(), self.ncols, "spmv: x length");
+        assert_eq!(y.len(), self.nrows, "spmv: y length");
+        if beta == T::ZERO {
+            y.fill(T::ZERO);
+        } else if beta != T::ONE {
+            for v in y.iter_mut() {
+                *v *= beta;
+            }
+        }
+        for (k, &xk) in x.iter().enumerate() {
+            let s = alpha * xk;
+            if s == T::ZERO {
+                continue;
+            }
+            for p in self.colptr[k]..self.colptr[k + 1] {
+                y[self.rowidx[p]] += s * self.values[p];
+            }
+        }
     }
 
     /// Dense copy (tests / small matrices).

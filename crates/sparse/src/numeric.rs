@@ -27,7 +27,11 @@ use csolve_common::{
     ByteSized, Error, MemCharge, MemTracker, RealScalar, Result, Scalar, ScopeTracer, SpanKind,
     TraceEventKind, Tracer,
 };
-use csolve_dense::{gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, Diag, Mat, MatMut, Op, Tri};
+use csolve_dense::gemm::colwise_det_forced;
+use csolve_dense::{
+    gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, with_colwise_det, Diag, Mat, MatMut, MatRef,
+    Op, Tri,
+};
 use csolve_lowrank::LowRank;
 use rayon::prelude::*;
 
@@ -51,12 +55,44 @@ pub const BLR_MIN_COLS: usize = 16;
 /// task with its own `n × 32` workspace and its own etree reach. The width
 /// is fixed — never derived from the thread count — so every column meets
 /// the same dense-kernel shapes at any thread count and the output is
-/// bitwise thread-invariant by construction (splitting a panel into
-/// thread-count-dependent halves was measured and is *not* bitwise stable).
+/// bitwise thread-invariant by construction. (Splitting a panel into
+/// thread-count-dependent halves was measured and is *not* bitwise stable
+/// here: outside `with_colwise_det` the GEMM dispatch reads the panel width.
+/// Inside that mode it is stable, and [`for_col_groups`] does exactly that
+/// for `solve_in_place`.)
 /// 32 beat 16 end-to-end: budgeted pipe-16k multi-solve `solve_s` at two
 /// threads 1.40–1.66 s (1.43–1.45 s on the issue's authoring host) against
 /// 1.76–1.79 s (1.73–2.03 s there).
 const SOLVE_CHUNK_COLS: usize = 32;
+
+/// Narrowest column group [`for_col_groups`] hands a thread: the register
+/// block of the dense layer's column-blocked solve kernels (`trsm_left`'s
+/// base case, `gemm` under `with_colwise_det`), so no group is left with
+/// only the single-column remainder path. Bits do not depend on it.
+const SOLVE_GROUP_COLS: usize = 4;
+
+/// Run `f` over the columns of `b` — split, *when the caller is inside
+/// `csolve_dense::with_colwise_det`*, into one group of whole register
+/// blocks per thread. That mode is the only one in which a column split
+/// provably cannot change bits: every kernel under it gives a column the
+/// same operation sequence whatever columns share its call, whereas the
+/// packed GEMM's naive/packed dispatch reads the panel width. One fork per
+/// call, never per supernode (the vendored rayon spawns a thread per item).
+/// The flag is thread-local, so each group re-enters the mode itself — a
+/// helper thread that did not would silently take the packed path.
+fn for_col_groups<T: Scalar>(b: MatMut<'_, T>, f: impl Fn(MatMut<'_, T>) + Send + Sync) {
+    let groups = rayon::current_num_threads().min(b.ncols() / SOLVE_GROUP_COLS);
+    if groups < 2 || !colwise_det_forced() {
+        return f(b);
+    }
+    let width = b
+        .ncols()
+        .div_ceil(groups)
+        .next_multiple_of(SOLVE_GROUP_COLS);
+    b.col_chunks_mut(width)
+        .into_par_iter()
+        .for_each(|group| with_colwise_det(|| f(group)));
+}
 
 /// Factorization kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -678,6 +714,11 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Solve `A·X = B` in place (original index order, dense multi-RHS).
     /// Only valid for complete factorizations (no Schur variables).
+    ///
+    /// Called inside `csolve_dense::with_colwise_det`, every column comes
+    /// out with the bits of its own width-1 solve, and a panel of two or
+    /// more register blocks is solved as per-thread column groups on
+    /// whatever threads the caller's pool has idle.
     pub fn solve_in_place(&self, b: &mut Mat<T>) -> Result<()> {
         if self.symbolic.n_schur != 0 {
             return Err(Error::InvalidConfig(
@@ -692,9 +733,12 @@ impl<T: Scalar> SparseFactorization<T> {
             });
         }
         let marked = vec![true; self.sns.len()];
-        let mut bp = self.permute_rhs(b);
-        self.solve_permuted(&mut bp, &marked, &self.gather_d());
-        self.unpermute_into(&bp, b.as_mut());
+        let d = self.gather_d();
+        for_col_groups(b.as_mut(), |x| {
+            let mut bp = self.permute_rhs(x.rb());
+            self.solve_permuted(bp.as_mut(), &marked, &d);
+            self.unpermute_into(bp.as_ref(), x);
+        });
         Ok(())
     }
 
@@ -758,8 +802,8 @@ impl<T: Scalar> SparseFactorization<T> {
                 }
             }
         }
-        self.solve_permuted(&mut bp, &marked, d);
-        self.unpermute_into(&bp, x);
+        self.solve_permuted(bp.as_mut(), &marked, d);
+        self.unpermute_into(bp.as_ref(), x);
     }
 
     /// Partial solve through the Schur complement: condense the right-hand
@@ -771,7 +815,9 @@ impl<T: Scalar> SparseFactorization<T> {
     /// rows) and is overwritten with the full solution. This is how the
     /// paper's *advanced coupling* consumes the factorization+Schur feature:
     /// the sparse solver condenses, a dense/compressed solver handles `S`,
-    /// the sparse solver expands.
+    /// the sparse solver expands. Condensation and expansion split into
+    /// column groups like [`Self::solve_in_place`]; `schur_solve` sees the
+    /// whole reduced panel.
     pub fn condense_and_solve(
         &self,
         b: &mut Mat<T>,
@@ -785,20 +831,26 @@ impl<T: Scalar> SparseFactorization<T> {
             });
         }
         let marked = vec![true; self.sns.len()];
-        let mut bp = self.permute_rhs(b);
+        let mut bp = self.permute_rhs(b.as_ref());
         let ne = self.symbolic.n_elim;
         let n = self.n();
         let nrhs = b.ncols();
-        let mut scratch = self.solve_scratch(nrhs);
-        self.forward_permuted(&mut bp, &marked, &mut scratch);
-        self.diag_permuted(&mut bp, &self.gather_d());
+        let d = self.gather_d();
+        for_col_groups(bp.as_mut(), |mut x| {
+            let mut scratch = self.solve_scratch(x.ncols());
+            self.forward_permuted(x.rb_mut(), &marked, &mut scratch);
+            self.diag_permuted(x, &d);
+        });
         schur_solve(bp.view_mut(ne..n, 0..nrhs))?;
-        self.backward_permuted(&mut bp, &mut scratch);
-        self.unpermute_into(&bp, b.as_mut());
+        for_col_groups(bp.as_mut(), |x| {
+            let mut scratch = self.solve_scratch(x.ncols());
+            self.backward_permuted(x, &mut scratch);
+        });
+        self.unpermute_into(bp.as_ref(), b.as_mut());
         Ok(())
     }
 
-    fn permute_rhs(&self, b: &Mat<T>) -> Mat<T> {
+    fn permute_rhs(&self, b: MatRef<'_, T>) -> Mat<T> {
         let n = b.nrows();
         let mut bp = Mat::zeros(n, b.ncols());
         for j in 0..b.ncols() {
@@ -811,7 +863,7 @@ impl<T: Scalar> SparseFactorization<T> {
         bp
     }
 
-    fn unpermute_into(&self, bp: &Mat<T>, mut b: MatMut<'_, T>) {
+    fn unpermute_into(&self, bp: MatRef<'_, T>, mut b: MatMut<'_, T>) {
         for j in 0..b.ncols() {
             let src = bp.col(j);
             let dst = b.col_mut(j);
@@ -823,10 +875,10 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Forward + diagonal + backward on a permuted RHS; unmarked supernodes
     /// are skipped in the forward pass (their subtree RHS is entirely zero).
-    fn solve_permuted(&self, bp: &mut Mat<T>, marked: &[bool], d: &[T]) {
+    fn solve_permuted(&self, mut bp: MatMut<'_, T>, marked: &[bool], d: &[T]) {
         let mut scratch = self.solve_scratch(bp.ncols());
-        self.forward_permuted(bp, marked, &mut scratch);
-        self.diag_permuted(bp, d);
+        self.forward_permuted(bp.rb_mut(), marked, &mut scratch);
+        self.diag_permuted(bp.rb_mut(), d);
         self.backward_permuted(bp, &mut scratch);
     }
 
@@ -840,7 +892,7 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Forward substitution (`L⁻¹·P`) over the eliminated variables; Schur
     /// rows accumulate the condensed right-hand side.
-    fn forward_permuted(&self, bp: &mut Mat<T>, marked: &[bool], scratch: &mut [T]) {
+    fn forward_permuted(&self, mut bp: MatMut<'_, T>, marked: &[bool], scratch: &mut [T]) {
         let nrhs = bp.ncols();
         for (s, sn) in self.sns.iter().enumerate() {
             if !marked[s] {
@@ -859,7 +911,7 @@ impl<T: Scalar> SparseFactorization<T> {
                 }
             }
             {
-                let x1 = bp.view_mut(c0..c1, 0..nrhs);
+                let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
                 trsm_left(
                     Tri::Lower,
                     Op::NoTrans,
@@ -875,7 +927,7 @@ impl<T: Scalar> SparseFactorization<T> {
                 let mut tmp = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
                 tmp.fill(T::ZERO);
                 sn.lpanel
-                    .mul_acc(T::ONE, bp.view(c0..c1, 0..nrhs), tmp.rb_mut());
+                    .mul_acc(T::ONE, bp.rb().submatrix(c0..c1, 0..nrhs), tmp.rb_mut());
                 for c in 0..nrhs {
                     let col = bp.col_mut(c);
                     for (&g, &v) in info.rows[k..].iter().zip(tmp.col(c)) {
@@ -904,7 +956,7 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Diagonal scaling by [`Self::gather_d`]: one contiguous sweep per
     /// column (a no-op for LU).
-    fn diag_permuted(&self, bp: &mut Mat<T>, d: &[T]) {
+    fn diag_permuted(&self, mut bp: MatMut<'_, T>, d: &[T]) {
         for c in 0..bp.ncols() {
             for (x, &dj) in bp.col_mut(c).iter_mut().zip(d) {
                 *x = *x / dj;
@@ -914,7 +966,7 @@ impl<T: Scalar> SparseFactorization<T> {
 
     /// Backward substitution over the eliminated variables; Schur rows are
     /// read (they must hold `x_schur`) but never written.
-    fn backward_permuted(&self, bp: &mut Mat<T>, scratch: &mut [T]) {
+    fn backward_permuted(&self, mut bp: MatMut<'_, T>, scratch: &mut [T]) {
         let nrhs = bp.ncols();
         for (s, sn) in self.sns.iter().enumerate().rev() {
             let info = &self.symbolic.supernodes[s];
@@ -931,7 +983,7 @@ impl<T: Scalar> SparseFactorization<T> {
                         *x = col[g];
                     }
                 }
-                let x1 = bp.view_mut(c0..c1, 0..nrhs);
+                let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
                 match self.symmetry {
                     Symmetry::SymmetricLdlt => {
                         // x1 −= L21ᵀ·x2
@@ -943,7 +995,7 @@ impl<T: Scalar> SparseFactorization<T> {
                     }
                 }
             }
-            let x1 = bp.view_mut(c0..c1, 0..nrhs);
+            let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
             match self.symmetry {
                 Symmetry::SymmetricLdlt => {
                     trsm_left(

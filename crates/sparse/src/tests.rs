@@ -358,6 +358,81 @@ fn chunked_sparse_rhs_solve_matches_dense_solve_and_is_thread_invariant() {
     }
 }
 
+/// Under `with_colwise_det` a panel solve splits its columns into per-thread
+/// groups — and column `j` must still be, bit for bit, the width-1 solve of
+/// that column, at every width (one register block, a remainder, several
+/// groups) and thread count. A helper thread that lost the thread-local mode
+/// would take the packed GEMM path and fail this.
+#[test]
+fn colwise_panel_solve_gives_each_column_its_width_1_bits() {
+    use csolve_dense::with_colwise_det;
+    let a = grid3d(10, 10, 9, 1.0);
+    let n = a.nrows;
+    let on = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    };
+    fn bits(c: &[f64]) -> Vec<u64> {
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+    let b = Mat::<f64>::random(n, 33, &mut rng);
+    // The last rows as Schur variables, for `condense_and_solve`.
+    let schur_vars: Vec<usize> = (n - 40..n).collect();
+    let halve = |mut xs: csolve_dense::MatMut<'_, f64>| {
+        for j in 0..xs.ncols() {
+            xs.col_mut(j).iter_mut().for_each(|v| *v *= 0.5);
+        }
+        Ok(())
+    };
+    for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
+        for blr_eps in [None, Some(1e-6)] {
+            let opts = SparseOptions {
+                symmetry,
+                blr_eps,
+                ..Default::default()
+            };
+            let f = factorize(&a, &opts).unwrap();
+            let (fs, _) = factorize_schur(&a, &schur_vars, &opts).unwrap();
+            // Width-1 references, one thread.
+            let alone: Vec<(Vec<u64>, Vec<u64>)> = (0..b.ncols())
+                .map(|j| {
+                    let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
+                    let mut y = x.clone();
+                    on(1).install(|| {
+                        with_colwise_det(|| {
+                            f.solve_in_place(&mut x).unwrap();
+                            fs.condense_and_solve(&mut y, halve).unwrap();
+                        })
+                    });
+                    (bits(x.col(0)), bits(y.col(0)))
+                })
+                .collect();
+            for width in [1usize, 3, 8, 13, 33] {
+                for threads in [1usize, 2, 4] {
+                    let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
+                    let mut y = x.clone();
+                    on(threads).install(|| {
+                        with_colwise_det(|| {
+                            f.solve_in_place(&mut x).unwrap();
+                            fs.condense_and_solve(&mut y, halve).unwrap();
+                        })
+                    });
+                    for j in 0..width {
+                        let what = format!(
+                            "{symmetry:?}, blr {blr_eps:?}, width {width}, {threads} threads, column {j}"
+                        );
+                        assert!(bits(x.col(j)) == alone[j].0, "solve_in_place: {what}");
+                        assert!(bits(y.col(j)) == alone[j].1, "condense_and_solve: {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn memory_budget_enforced_during_factorization() {
     let a = grid3d(10, 10, 10, 1.0);

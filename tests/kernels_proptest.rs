@@ -2,9 +2,15 @@
 //! transposition, scalar type, stride pattern and degenerate shape, `gemm`
 //! must agree with the retained naive reference kernel (`gemm_naive`) — and
 //! its results must be bitwise identical for any rayon thread count.
+//!
+//! And of the column-separable solve-phase kernels: a panel through
+//! `trsm_left`, or through `gemm` under `with_colwise_det`, must give every
+//! column the bits it gets alone, whatever rides beside it.
 
 use csolve_common::{RealScalar, Scalar, C64};
-use csolve_dense::{gemm, gemm_naive, Mat, Op};
+use csolve_dense::{
+    gemm, gemm_naive, matvec, trsm_left, with_colwise_det, Diag, Mat, MatRef, Op, Tri,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -285,4 +291,232 @@ fn single_column_gemm_is_bitwise_identical_across_threads() {
     let reference = run(1);
     assert_eq!(run(2), reference, "2 threads");
     assert_eq!(run(4), reference, "4 threads");
+}
+
+/// Width of the dense layer's solve-phase register blocks (`RHS_BLOCK` in
+/// `trsm.rs`, `COLWISE_BLOCK` in `gemm.rs`, both private): the widths below
+/// run to `2·block + 1` so a panel has whole blocks, a remainder, or both.
+const REGISTER_BLOCK: usize = 4;
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+}
+
+/// A `rows × w` right-hand side inside a `(rows + pad)`-row parent (so its
+/// view is strided), seeded with exact `0.0` and `-0.0` entries and — from
+/// two columns on — one whole zero column: the cases in which the kernels'
+/// skip-on-exact-zero decides bits (`-0.0 − 0.0·t` is `-0.0` only if skipped).
+fn seeded_rhs<T: Scalar>(
+    rows: usize,
+    w: usize,
+    pad: usize,
+    rng: &mut rand::rngs::StdRng,
+) -> Mat<T> {
+    use rand::Rng;
+    let zero_col = rng.random_range(0..w.max(1));
+    Mat::from_fn(rows + pad, w, |_, j| {
+        let v = T::rand_unit(rng);
+        match rng.random_range(0..8u32) {
+            _ if w > 1 && j == zero_col => T::ZERO,
+            0 => T::ZERO,
+            1 => -T::ZERO,
+            _ => v,
+        }
+    })
+}
+
+/// `trsm_left` on a `k × w` panel against `trsm_left` on each of its columns
+/// alone (a width-1 call takes the single-column reference kernel), bitwise.
+/// Past the recursion cutoff the off-diagonal updates are GEMMs, which are
+/// column-separable under `with_colwise_det` only — so `k > 64` runs in that
+/// mode, `k ≤ 64` (the blocked base case alone) without it.
+#[allow(clippy::too_many_arguments)]
+fn trsm_panel_matches_columns<T: Scalar>(
+    tri: Tri,
+    op: Op,
+    diag: Diag,
+    k: usize,
+    w: usize,
+    pad: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<(), String> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    // Garbage outside the triangle (and on a unit diagonal) must be ignored.
+    let mut t = Mat::<T>::random(k + pad, k + pad, &mut rng);
+    for i in 0..k {
+        t[(pad + i, i)] = T::from_f64(2.0 + k as f64);
+    }
+    let tv = t.view(pad..pad + k, 0..k);
+    let b0 = seeded_rhs::<T>(k, w, pad, &mut rng);
+    let alpha = if seed.is_multiple_of(2) {
+        T::ONE
+    } else {
+        T::from_f64(-0.75)
+    };
+    let in_mode = |f: &mut dyn FnMut()| {
+        if k > 64 {
+            with_colwise_det(f)
+        } else {
+            f()
+        }
+    };
+    let mut panel = b0.clone();
+    let mut alone = b0.clone();
+    pool(threads).install(|| {
+        in_mode(&mut || trsm_left(tri, op, diag, alpha, tv, panel.view_mut(pad..pad + k, 0..w)));
+        in_mode(&mut || {
+            for j in 0..w {
+                let col = alone.view_mut(pad..pad + k, j..j + 1);
+                trsm_left(tri, op, diag, alpha, tv, col);
+            }
+        });
+    });
+    if bits(&panel) == bits(&alone) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{tri:?} {op:?} {diag:?} k={k} w={w} pad={pad} seed={seed} threads={threads}"
+        ))
+    }
+}
+
+fn tri_diag_of(i: usize) -> (Tri, Diag) {
+    (
+        [Tri::Lower, Tri::Upper][i % 2],
+        [Diag::Unit, Diag::NonUnit][i / 2 % 2],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Every `Tri` × `Op` × `Diag`, `k` across `TRSM_BLOCK` and the
+    /// recursion, every width up to two register blocks and one, strided
+    /// views, zero-seeded right-hand sides, 1/2/4-thread pools.
+    #[test]
+    fn blocked_trsm_left_gives_each_column_its_own_bits(
+        shape in (1usize..131, 1usize..(2 * REGISTER_BLOCK + 2), 0usize..4),
+        variant in (0usize..4, 0usize..3),
+        ps in (0u64..1_000, 0usize..3),
+    ) {
+        let ((k, w, pad), (td, io), (seed, it)) = (shape, variant, ps);
+        let (tri, diag) = tri_diag_of(td);
+        let threads = [1, 2, 4][it];
+        let r = trsm_panel_matches_columns::<f64>(tri, op_of(io), diag, k, w, pad, seed, threads);
+        prop_assert!(r.is_ok(), "f64 {}", r.unwrap_err());
+        let r = trsm_panel_matches_columns::<C64>(tri, op_of(io), diag, k, w, pad, seed, threads);
+        prop_assert!(r.is_ok(), "C64 {}", r.unwrap_err());
+    }
+}
+
+/// The 16 variants at the sizes where the base case forks its column chunks
+/// (`k²·w` past the matvec-class threshold), at 1, 2 and 4 threads.
+#[test]
+fn blocked_trsm_left_parallel_chunks_match_columns() {
+    for td in 0..4 {
+        let (tri, diag) = tri_diag_of(td);
+        for io in 0..3 {
+            for threads in [1, 2, 4] {
+                trsm_panel_matches_columns::<f64>(tri, op_of(io), diag, 64, 70, 1, 5, threads)
+                    .unwrap();
+            }
+            trsm_panel_matches_columns::<C64>(tri, op_of(io), diag, 130, 9, 2, 6, 2).unwrap();
+        }
+    }
+}
+
+/// `gemm` under `with_colwise_det` on an `m × w` panel against one `matvec`
+/// per column of `op(B)`, bitwise, strided operands, zero-seeded `B`.
+#[allow(clippy::too_many_arguments)]
+fn colwise_gemm_matches_matvecs<T: Scalar>(
+    m: usize,
+    k: usize,
+    w: usize,
+    opa: Op,
+    opb: Op,
+    pad: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<(), String> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (ar, ac) = stored(opa, m, k);
+    let a = Mat::<T>::random(ar + pad, ac + pad, &mut rng);
+    let av = a.view(pad..pad + ar, 0..ac);
+    // `op(B)` is `k × w`, zero-seeded; `B` is stored as `opb` wants it.
+    let xb = seeded_rhs::<T>(k, w, pad, &mut rng);
+    let b = match opb {
+        Op::NoTrans => xb.clone(),
+        Op::Trans => xb.transpose(),
+        Op::ConjTrans => xb.adjoint(),
+    };
+    let bv: MatRef<'_, T> = match opb {
+        Op::NoTrans => b.view(pad..pad + k, 0..w),
+        _ => b.view(0..w, pad..pad + k),
+    };
+    // `-0.0` in `C` is where skipping a zero multiplier shows (β = 1).
+    let c0 = seeded_rhs::<T>(m, w, pad, &mut rng);
+    let (alpha, beta) = match seed % 3 {
+        0 => (T::ONE, T::ZERO),
+        1 => (-T::ONE, T::ONE),
+        _ => (T::from_f64(1.5), T::from_f64(-0.5)),
+    };
+    let mut panel = c0.clone();
+    let mut alone = c0.clone();
+    pool(threads).install(|| {
+        with_colwise_det(|| {
+            gemm(
+                alpha,
+                av,
+                opa,
+                bv,
+                opb,
+                beta,
+                panel.view_mut(pad..pad + m, 0..w),
+            )
+        });
+        for j in 0..w {
+            let x = &xb.col(j)[pad..pad + k];
+            matvec(alpha, av, opa, x, beta, &mut alone.col_mut(j)[pad..pad + m]);
+        }
+    });
+    if bits(&panel) == bits(&alone) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{opa:?} {opb:?} m={m} k={k} w={w} pad={pad} seed={seed} threads={threads}"
+        ))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn colwise_gemm_gives_each_column_its_matvec_bits(
+        shape in (1usize..70, 1usize..70, 1usize..(2 * REGISTER_BLOCK + 2), 0usize..4),
+        ops in (0usize..3, 0usize..3),
+        ps in (0u64..1_000, 0usize..3),
+    ) {
+        let ((m, k, w, pad), (ia, ib), (seed, it)) = (shape, ops, ps);
+        let threads = [1, 2, 4][it];
+        let r = colwise_gemm_matches_matvecs::<f64>(m, k, w, op_of(ia), op_of(ib), pad, seed, threads);
+        prop_assert!(r.is_ok(), "f64 {}", r.unwrap_err());
+        let r = colwise_gemm_matches_matvecs::<C64>(m, k, w, op_of(ia), op_of(ib), pad, seed, threads);
+        prop_assert!(r.is_ok(), "C64 {}", r.unwrap_err());
+    }
+}
+
+/// Past `matvec`'s fork threshold the column-wise route splits its rows
+/// into chunks too; the bits stay `matvec`'s at 1, 2 and 4 threads.
+#[test]
+fn colwise_gemm_parallel_row_chunks_match_matvecs() {
+    for ia in 0..3 {
+        for threads in [1, 2, 4] {
+            colwise_gemm_matches_matvecs::<f64>(701, 160, 9, op_of(ia), Op::NoTrans, 1, 4, threads)
+                .unwrap();
+        }
+        colwise_gemm_matches_matvecs::<C64>(403, 150, 5, op_of(ia), Op::Trans, 0, 8, 2).unwrap();
+    }
 }

@@ -104,9 +104,12 @@ fn session(threads: usize, algo: Algorithm) -> SolverSession<f64> {
 fn batched_panels_match_one_shot_bitwise_across_widths_and_threads() {
     let _g = lock();
     let p = pipe_problem::<f64>(600);
-    // n_c = 4 in `cfg`, so these are {1, 3, n_c, n_c + 1}.
-    let widths = [1usize, 3, 4, 5];
-    let refs: Vec<_> = (0..5u64)
+    // n_c = 4 in `cfg` — which is also the solve kernels' register block —
+    // so these are {1, 3, n_c, n_c + 1}, then a block plus a remainder of
+    // three, then two blocks (the width at which the sparse panel solve
+    // splits its columns over two threads).
+    let widths = [1usize, 3, 4, 5, 7, 8];
+    let refs: Vec<_> = (0..8u64)
         .map(|k| {
             let (b_v, b_s) = rhs(&p, k);
             solve(&with_rhs(&p, b_v, b_s), Algorithm::MultiSolve, &cfg(1)).unwrap()
@@ -329,6 +332,31 @@ fn value_perturbation_misses_the_cache() {
     let again = s.solve(&p, &p.b_v, &p.b_s).unwrap();
     assert!(again.info.cache_hit);
     assert_eq!(bits(&again.xv), bits(&ref_p.xv));
+
+    // The fingerprint reads every array to its end, in order: the last word
+    // of one (the tail a lane split must not drop), a block other than
+    // `a_vv`, the BEM geometry, and two adjacent values trading places
+    // (the same multiset of words) all miss.
+    type Edit = fn(&mut CoupledProblem<f64>);
+    let edits: [(&str, Edit); 4] = [
+        ("last value of a_vv", |q| {
+            *q.a_vv.values.last_mut().unwrap() *= 1.0 + 1e-9;
+        }),
+        ("one value of a_vs", |q| q.a_vs.values[1] += 1e-9),
+        ("one BEM coordinate", |q| q.bem.points[2].y += 1e-9),
+        ("two adjacent values swapped", |q| {
+            let v = &mut q.a_vv.values;
+            let i = (0..v.len() - 1).find(|&i| v[i] != v[i + 1]).unwrap();
+            v.swap(i, i + 1);
+        }),
+    ];
+    for (k, (what, edit)) in edits.iter().enumerate() {
+        let mut q = with_rhs(&p, p.b_v.clone(), p.b_s.clone());
+        edit(&mut q);
+        let got = s.solve(&q, &q.b_v, &q.b_s).unwrap();
+        assert!(!got.info.cache_hit, "{what}: must not hit");
+        assert_eq!(s.cache_len(), 3 + k, "{what}: its own entry");
+    }
 }
 
 /// The fingerprint knob vector covers exactly the configuration inputs
