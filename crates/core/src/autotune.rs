@@ -185,7 +185,7 @@ fn headroom(tracker: &MemTracker) -> usize {
 /// headroom between recompression flushes (`byte_cap` in `schur.rs`), so
 /// blockwise working sets must fit in the other three quarters; the dense
 /// backend keeps `S` at a fixed size and gets the full headroom.
-fn usable_headroom(cfg: &SolverConfig, tracker: &MemTracker) -> usize {
+pub(crate) fn usable_headroom(cfg: &SolverConfig, tracker: &MemTracker) -> usize {
     cfg.dense_backend
         .policy()
         .predicted_bytes(headroom(tracker))
@@ -201,11 +201,15 @@ fn predicted_peak(tracker: &MemTracker, block_bytes: usize) -> usize {
 /// remaining budget, starting from the configured sizes and halving the
 /// panel width. Returns [`Error::OutOfMemory`] when even a single-column
 /// panel does not fit (the infeasible-budget case of the conformance grid).
+///
+/// Returned beside the decision: the working-set bytes of one panel the
+/// selection was priced at, which is what the pipeline's in-flight cap must
+/// divide the headroom by.
 pub fn plan_multi_solve(
     stats: &MatrixStats,
     cfg: &SolverConfig,
     tracker: &MemTracker,
-) -> Result<AutotuneDecision> {
+) -> Result<(AutotuneDecision, usize)> {
     let (n_c0, n_s0) = fixed_multi_solve_blocking(cfg);
     // A panel wider than the surface never materializes; clamping before
     // the ladder keeps that from counting as a budget degrade.
@@ -230,14 +234,15 @@ pub fn plan_multi_solve(
         let n_c = n_c0.min(w);
         let need = multi_solve_panel_bytes(stats, n_c, w);
         if need <= room {
-            return Ok(AutotuneDecision {
+            let decision = AutotuneDecision {
                 n_c,
                 n_s: w,
                 n_b: 0,
                 predicted_peak: predicted_peak(tracker, need),
                 budget: tracker.budget(),
                 degraded: w < n_s0 || n_c < n_c0,
-            });
+            };
+            return Ok((decision, need));
         }
         if raw == 1 {
             return Err(Error::OutOfMemory {
@@ -262,12 +267,16 @@ pub fn plan_multi_solve(
 /// grid size `n_b`. The driver supplies a symbolic-analysis replay
 /// ([`csolve_sparse::SymbolicFactorization::predicted_numeric_peak_bytes`]
 /// on a representative corner tile); tests may pass a constant model.
+///
+/// Returned beside the decision: the whole-tile bytes (reserve plus
+/// solver-internal) the selection was priced at — the figure the pipeline's
+/// in-flight cap must divide the headroom by.
 pub fn plan_multi_factorization(
     stats: &MatrixStats,
     cfg: &SolverConfig,
     tracker: &MemTracker,
     internal_bytes: impl Fn(usize) -> Result<usize>,
-) -> Result<AutotuneDecision> {
+) -> Result<(AutotuneDecision, usize)> {
     let cap = stats.ns.max(1);
     let n_b0 = cfg.n_b.clamp(1, cap);
     let room = usable_headroom(cfg, tracker);
@@ -275,14 +284,15 @@ pub fn plan_multi_factorization(
     loop {
         let need = multi_fact_tile_bytes(stats, n_b).saturating_add(internal_bytes(n_b)?);
         if need <= room {
-            return Ok(AutotuneDecision {
+            let decision = AutotuneDecision {
                 n_c: 0,
                 n_s: 0,
                 n_b,
                 predicted_peak: predicted_peak(tracker, need),
                 budget: tracker.budget(),
                 degraded: n_b > n_b0,
-            });
+            };
+            return Ok((decision, need));
         }
         if n_b >= cap {
             return Err(Error::OutOfMemory {
@@ -351,11 +361,11 @@ mod tests {
     #[test]
     fn unbounded_keeps_configured_blocking() {
         let t = MemTracker::unbounded();
-        let d = plan_multi_solve(&stats(), &cfg(), &t).unwrap();
+        let (d, _) = plan_multi_solve(&stats(), &cfg(), &t).unwrap();
         assert_eq!((d.n_c, d.n_s), (256, 1000));
         assert!(!d.degraded);
         assert_eq!(d.budget, usize::MAX);
-        let d = plan_multi_factorization(&stats(), &cfg(), &t, |_| Ok(0)).unwrap();
+        let (d, _) = plan_multi_factorization(&stats(), &cfg(), &t, |_| Ok(0)).unwrap();
         assert_eq!(d.n_b, 2);
         assert!(!d.degraded);
     }
@@ -365,7 +375,7 @@ mod tests {
         let s = stats();
         let full = multi_solve_panel_bytes(&s, 256, 1000);
         let t = MemTracker::with_budget(full / 3);
-        let d = plan_multi_solve(&s, &cfg(), &t).unwrap();
+        let (d, _) = plan_multi_solve(&s, &cfg(), &t).unwrap();
         assert!(d.degraded, "blocking should shrink under a tight budget");
         assert!(d.n_s < 1000);
         assert!(multi_solve_panel_bytes(&s, d.n_c, d.n_s) <= full / 3);
@@ -373,7 +383,7 @@ mod tests {
 
         let tile = multi_fact_tile_bytes(&s, 2);
         let t = MemTracker::with_budget(tile.saturating_sub(1));
-        let d = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
+        let (d, _) = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
         assert!(d.degraded);
         assert!(d.n_b > 2);
         assert!(multi_fact_tile_bytes(&s, d.n_b) < tile);
@@ -387,7 +397,7 @@ mod tests {
         let s = stats();
         let t = MemTracker::with_budget(multi_fact_tile_bytes(&s, 2) + 1_000);
         let internal = |n_b: usize| Ok(4_000_000 / n_b);
-        let d = plan_multi_factorization(&s, &cfg(), &t, internal).unwrap();
+        let (d, _) = plan_multi_factorization(&s, &cfg(), &t, internal).unwrap();
         assert!(d.degraded);
         assert!(d.n_b > 2);
         assert!(
@@ -403,9 +413,9 @@ mod tests {
         let s = stats();
         let full = multi_solve_panel_bytes(&s, 256, 1000);
         let t = MemTracker::with_budget(full);
-        let free = plan_multi_solve(&s, &cfg(), &t).unwrap();
+        let (free, _) = plan_multi_solve(&s, &cfg(), &t).unwrap();
         let _held = t.charge(full / 2, "sparse factors").unwrap();
-        let pressured = plan_multi_solve(&s, &cfg(), &t).unwrap();
+        let (pressured, _) = plan_multi_solve(&s, &cfg(), &t).unwrap();
         assert!(pressured.n_s < free.n_s.max(2));
         assert!(multi_solve_panel_bytes(&s, pressured.n_c, pressured.n_s) <= full - full / 2);
     }
@@ -438,10 +448,11 @@ mod tests {
             &t,
             |_| Ok(0),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(dense.n_b, 2);
         assert!(!dense.degraded);
-        let compressed = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
+        let (compressed, _) = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
         assert!(compressed.degraded);
         assert!(multi_fact_tile_bytes(&s, compressed.n_b) <= tile - tile / 4);
     }
@@ -462,7 +473,7 @@ mod tests {
             ..cfg()
         };
         let t = MemTracker::unbounded();
-        let d = plan_multi_solve(&s, &c, &t).unwrap();
+        let (d, _) = plan_multi_solve(&s, &c, &t).unwrap();
         assert_eq!(d.n_s % nr, 0, "selected panel width must be NR-aligned");
         assert_eq!(d.n_s, s.ns / nr * nr);
         assert!(!d.degraded, "alignment is not a budget degrade");
@@ -470,7 +481,7 @@ mod tests {
         // Under pressure every ladder candidate stays aligned too.
         let full = multi_solve_panel_bytes(&s, 256, d.n_s);
         let t = MemTracker::with_budget(full / 3);
-        let d = plan_multi_solve(&s, &c, &t).unwrap();
+        let (d, _) = plan_multi_solve(&s, &c, &t).unwrap();
         assert!(d.degraded);
         assert!(d.n_s >= nr);
         assert_eq!(d.n_s % nr, 0);
@@ -485,7 +496,7 @@ mod tests {
         };
         let full = multi_solve_panel_bytes(&s, 256, 256);
         let t = MemTracker::with_budget(full / 2);
-        let d = plan_multi_solve(&s, &c, &t).unwrap();
+        let (d, _) = plan_multi_solve(&s, &c, &t).unwrap();
         assert_eq!(d.n_c, d.n_s, "SPIDO subtracts every n_c panel directly");
         assert!(d.degraded);
     }

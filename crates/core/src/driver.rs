@@ -865,8 +865,8 @@ struct Blockwise<T> {
     /// ... and of what is left of it, the computed block alone, while that
     /// waits for its fold.
     what_parked: &'static str,
-    /// Under [`BlockSizes::Auto`]: the autotuner's decision and the cost
-    /// model's working-set bytes of one block at that blocking.
+    /// Under [`BlockSizes::Auto`]: the autotuner's decision and the whole
+    /// working-set bytes of one block the planner priced it at.
     autotune: Option<(AutotuneDecision, usize)>,
 }
 
@@ -904,12 +904,13 @@ fn assemble_blockwise<T: Scalar>(
             });
         }
         // Model-informed concurrency: admit no more blocks than the
-        // measured headroom holds. The pipeline would discover the same
-        // bound by failed admissions and degrade; starting at the model's
-        // cap skips that churn. Scheduling-only — fold order (and thus the
-        // result) is unaffected.
-        let headroom = tracker.budget().saturating_sub(tracker.live());
-        inflight = inflight.min((headroom / (*block_bytes).max(1)).max(1));
+        // planner fitted into the headroom it fitted them into — the part
+        // the backend leaves to block working sets, so admitted blocks
+        // leave the compressed accumulator what the planner set aside for
+        // its folds. Scheduling-only — fold order (and thus the result) is
+        // unaffected.
+        let room = autotune::usable_headroom(cfg, tracker);
+        inflight = inflight.min((room / (*block_bytes).max(1)).max(1));
     }
     let blocks = &plan.blocks;
     let schur = run_blockwise(
@@ -960,12 +961,12 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let schur = ws.init_schur()?;
 
     let stats = ws.stats();
-    let decision = match cfg.block_sizes {
+    let planned = match cfg.block_sizes {
         BlockSizes::Auto => Some(autotune::plan_multi_solve(&stats, cfg, ws.tracker)?),
         _ => None,
     };
-    let (n_c, n_s) = match &decision {
-        Some(d) => (d.n_c, d.n_s),
+    let (n_c, n_s) = match &planned {
+        Some((d, _)) => (d.n_c, d.n_s),
         None => autotune::fixed_multi_solve_blocking(cfg),
     };
     let plan = Blockwise {
@@ -991,7 +992,7 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         alpha: -T::ONE,
         what_reserved: "Schur panel Z + Y workspace",
         what_parked: "Schur panel Z",
-        autotune: decision.map(|d| (d, autotune::multi_solve_panel_bytes(&stats, n_c, n_s))),
+        autotune: planned,
     };
     let all_v: Vec<usize> = (0..nv).collect();
     let fact_r = &fact;
@@ -1012,6 +1013,7 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         Ok(zpanel)
     };
     let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
+    let decision = planned.map(|(d, _)| d);
     Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
 }
 
@@ -1042,7 +1044,7 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
     // Under `BlockSizes::Auto` the autotuner grows the tile grid (shrinks
     // the tiles) until one stacked-W working set fits the budget headroom.
     let stats = ws.stats();
-    let decision = match cfg.block_sizes {
+    let planned = match cfg.block_sizes {
         BlockSizes::Auto => Some(autotune::plan_multi_factorization(
             &stats,
             cfg,
@@ -1051,8 +1053,8 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
         )?),
         _ => None,
     };
-    let n_b = match &decision {
-        Some(d) => d.n_b,
+    let n_b = match &planned {
+        Some((d, _)) => d.n_b,
         None => cfg.n_b.clamp(1, ns.max(1)),
     };
     let blk = ns.div_ceil(n_b);
@@ -1087,7 +1089,7 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
         alpha: T::ONE,
         what_reserved: "stacked W + Schur block X_ij",
         what_parked: "dense Schur block X_ij",
-        autotune: decision.map(|d| (d, autotune::multi_fact_tile_bytes(&stats, n_b))),
+        autotune: planned,
     };
     let all_v: Vec<usize> = (0..nv).collect();
     let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
@@ -1117,6 +1119,7 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
     };
     let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
     let fact = ws.factor_avv()?;
+    let decision = planned.map(|(d, _)| d);
     Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
 }
 
