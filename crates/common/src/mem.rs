@@ -13,6 +13,25 @@
 //! Charging is explicit and RAII-scoped: [`MemTracker::charge`] returns a
 //! [`MemCharge`] guard that releases the bytes when dropped. [`Tracked`]
 //! bundles a value with its charge so the two cannot go out of sync.
+//!
+//! # Set aside vs live
+//!
+//! A tracker counts two things. **Live** bytes are charged: some
+//! [`MemCharge`] holds them. **Set-aside** bytes are promised to a scoped
+//! tracker ([`MemTracker::scoped`]) and not charged yet. The budget is
+//! enforced on their sum — a charge, or a new set-aside, fails when live +
+//! set aside + request exceeds it — so a charge through a scoped tracker
+//! that stays under the scope's cap *cannot* fail: its bytes were taken out
+//! of everybody else's reach when the scope was created, and charging them
+//! only moves them from set aside to live. [`MemTracker::live`] and
+//! [`MemTracker::peak`] report **live bytes only**: a run's tracked peak is
+//! what it allocated, never what it merely reserved, whether the bytes were
+//! charged directly or through a scope.
+//!
+//! With one thread `peak()` is exact. With several, each charge samples the
+//! two counters one after the other, so a sample taken while another thread
+//! creates or drops a scope can read low by that scope's unused cap; it
+//! never reads high, and never above the budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -22,19 +41,33 @@ use crate::error::{Error, Result};
 /// Thread-safe live/peak byte accounting with an optional hard budget.
 #[derive(Debug)]
 pub struct MemTracker {
-    live: AtomicUsize,
+    /// Bytes counted against the budget: live plus set aside.
+    committed: AtomicUsize,
+    /// The part of `committed` set aside for scoped trackers and not
+    /// charged through them yet.
+    set_aside: AtomicUsize,
+    /// High-water mark of the live bytes, `committed − set_aside`.
     peak: AtomicUsize,
+    /// The hard budget; for a scoped tracker, its cap.
     budget: usize,
+    /// The tracker a scoped tracker's cap was set aside from.
+    parent: Option<Arc<MemTracker>>,
 }
 
 impl MemTracker {
-    /// Tracker with a hard budget in bytes.
-    pub fn with_budget(budget: usize) -> Arc<Self> {
+    fn new(budget: usize, parent: Option<Arc<MemTracker>>) -> Arc<Self> {
         Arc::new(Self {
-            live: AtomicUsize::new(0),
+            committed: AtomicUsize::new(0),
+            set_aside: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             budget,
+            parent,
         })
+    }
+
+    /// Tracker with a hard budget in bytes.
+    pub fn with_budget(budget: usize) -> Arc<Self> {
+        Self::new(budget, None)
     }
 
     /// Tracker that only measures (budget = `usize::MAX`).
@@ -42,19 +75,52 @@ impl MemTracker {
         Self::with_budget(usize::MAX)
     }
 
-    /// Currently live tracked bytes.
-    pub fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+    /// A tracker scoped to one reservation: `cap` bytes are set aside from
+    /// `parent`'s budget now (failing with [`Error::OutOfMemory`] when they
+    /// do not fit) and returned when the scoped tracker — the last handle
+    /// *and* the last [`MemCharge`] made through it — is dropped.
+    ///
+    /// Charges through the returned tracker cannot fail while its live bytes
+    /// stay within `cap`; they appear in `parent`'s [`live`](Self::live) and
+    /// [`peak`](Self::peak) only as they are made. Growth beyond `cap` is an
+    /// ordinary budget-checked charge against `parent`. The scoped tracker's
+    /// own `live`/`peak` count what was charged through it and its
+    /// [`budget`](Self::budget) is `cap`, so reserved-vs-used can be read
+    /// off it.
+    pub fn scoped(parent: &Arc<Self>, cap: usize, what: &'static str) -> Result<Arc<Self>> {
+        // Set aside before committing: a concurrent peak sample then reads
+        // low in between, never high.
+        parent.set_aside.fetch_add(cap, Ordering::Relaxed);
+        if let Err(e) = parent.reserve_raw(cap, what) {
+            parent.set_aside.fetch_sub(cap, Ordering::Relaxed);
+            return Err(e);
+        }
+        Ok(Self::new(cap, Some(Arc::clone(parent))))
     }
 
-    /// High-water mark of tracked bytes.
+    /// Currently live tracked bytes.
+    pub fn live(&self) -> usize {
+        let set_aside = self.set_aside.load(Ordering::Relaxed);
+        self.committed
+            .load(Ordering::Relaxed)
+            .saturating_sub(set_aside)
+    }
+
+    /// High-water mark of live tracked bytes.
     pub fn peak(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
 
-    /// The configured budget in bytes.
+    /// The configured budget in bytes (a scoped tracker's cap).
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// Fold the current live bytes, given the just-written `committed`, into
+    /// the high-water mark.
+    fn sample_peak(&self, committed: usize) {
+        let live = committed.saturating_sub(self.set_aside.load(Ordering::Relaxed));
+        self.peak.fetch_max(live, Ordering::Relaxed);
     }
 
     /// Reserve `bytes` in the accounting without creating a guard; the raw
@@ -62,30 +128,30 @@ impl MemTracker {
     /// grow an existing guard in place (a nested guard would hold an extra
     /// `Arc` reference that `resize` would have to leak).
     fn reserve_raw(&self, bytes: usize, what: &'static str) -> Result<()> {
+        if let Some(parent) = &self.parent {
+            return self.reserve_scoped(parent, bytes, what);
+        }
         // Optimistic CAS loop so concurrent charges cannot jointly overshoot
         // the budget.
-        let mut cur = self.live.load(Ordering::Relaxed);
+        let mut cur = self.committed.load(Ordering::Relaxed);
         loop {
-            let new = cur.checked_add(bytes).ok_or(Error::OutOfMemory {
-                requested: bytes,
-                live: cur,
-                budget: self.budget,
-                what,
-            })?;
-            if new > self.budget {
+            let new = cur.checked_add(bytes).filter(|&new| new <= self.budget);
+            let Some(new) = new else {
                 return Err(Error::OutOfMemory {
                     requested: bytes,
                     live: cur,
                     budget: self.budget,
                     what,
                 });
-            }
-            match self
-                .live
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            };
+            match self.committed.compare_exchange_weak(
+                cur,
+                new,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => {
-                    self.peak.fetch_max(new, Ordering::Relaxed);
+                    self.sample_peak(new);
                     return Ok(());
                 }
                 Err(seen) => cur = seen,
@@ -93,15 +159,61 @@ impl MemTracker {
         }
     }
 
+    /// `reserve_raw` of a scoped tracker: the part of `bytes` that lands
+    /// under the cap moves from `parent`'s set-aside to its live bytes and
+    /// cannot fail; the part above is charged to `parent` first, so a
+    /// refused charge never shows in this tracker's count (where it would
+    /// push a concurrent charge over the cap).
+    fn reserve_scoped(&self, parent: &MemTracker, bytes: usize, what: &'static str) -> Result<()> {
+        let mut cur = self.committed.load(Ordering::Relaxed);
+        loop {
+            let new = cur.saturating_add(bytes);
+            let within = new.min(self.budget) - cur.min(self.budget);
+            let over = bytes - within;
+            if over > 0 {
+                parent.reserve_raw(over, what)?;
+            }
+            match self.committed.compare_exchange_weak(
+                cur,
+                new,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    if within > 0 {
+                        parent.set_aside.fetch_sub(within, Ordering::Relaxed);
+                        parent.sample_peak(parent.committed.load(Ordering::Relaxed));
+                    }
+                    self.sample_peak(new);
+                    return Ok(());
+                }
+                Err(seen) => {
+                    if over > 0 {
+                        parent.release_raw(over);
+                    }
+                    cur = seen;
+                }
+            }
+        }
+    }
+
     /// Release `bytes` from the accounting, saturating at zero so a
-    /// mis-sized release can never wrap `live` around to a huge value (which
-    /// would wedge every further charge as out-of-budget).
+    /// mis-sized release can never wrap the count around to a huge value
+    /// (which would wedge every further charge as out-of-budget).
     fn release_raw(&self, bytes: usize) {
-        let _ = self
-            .live
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(bytes))
-            });
+        let (Ok(old) | Err(old)) =
+            self.committed
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                    Some(cur.saturating_sub(bytes))
+                });
+        if let Some(parent) = &self.parent {
+            // Mirror image of `reserve_scoped`: bytes under the cap go back
+            // to the set-aside, bytes above it back to the parent.
+            let new = old.saturating_sub(bytes);
+            let within = old.min(self.budget) - new.min(self.budget);
+            parent.set_aside.fetch_add(within, Ordering::Relaxed);
+            parent.release_raw(old - new - within);
+        }
     }
 
     /// Charge `bytes` against the budget. Fails with [`Error::OutOfMemory`]
@@ -122,6 +234,19 @@ impl MemTracker {
     ) -> Result<Tracked<M>> {
         let charge = self.charge(value.byte_size(), what)?;
         Ok(Tracked { value, charge })
+    }
+}
+
+impl Drop for MemTracker {
+    /// A scoped tracker returns the unused part of its cap.
+    fn drop(&mut self) {
+        if let Some(parent) = &self.parent {
+            let unused = self
+                .budget
+                .saturating_sub(self.committed.load(Ordering::Relaxed));
+            parent.release_raw(unused);
+            parent.set_aside.fetch_sub(unused, Ordering::Relaxed);
+        }
     }
 }
 
@@ -298,6 +423,112 @@ mod tests {
         assert_eq!(t.peak(), 1000);
         guards.lock().clear();
         assert_eq!(t.live(), 0);
+    }
+
+    #[test]
+    fn scoped_charges_show_in_the_parent_only_as_they_are_made() {
+        let t = MemTracker::with_budget(1000);
+        let _held = t.charge(100, "held").unwrap();
+        let scope = MemTracker::scoped(&t, 600, "scope").unwrap();
+        // Set aside is not live: nothing moved in what the parent reports,
+        // but only 300 bytes are left to anybody else.
+        assert_eq!((t.live(), t.peak()), (100, 100));
+        assert!(t.charge(301, "too much").unwrap_err().is_oom());
+        let other = t.charge(300, "the rest").unwrap();
+        let a = scope.charge(250, "a").unwrap();
+        assert_eq!((scope.live(), t.live(), t.peak()), (250, 650, 650));
+        let b = scope.charge(350, "b").unwrap();
+        assert_eq!((scope.live(), t.live(), t.peak()), (600, 1000, 1000));
+        drop(a);
+        assert_eq!((scope.live(), t.live()), (350, 750));
+        // The released bytes went back to the scope, not to the parent.
+        assert!(t.charge(1, "still full").unwrap_err().is_oom());
+        drop((b, other));
+        assert_eq!((scope.live(), scope.peak(), scope.budget()), (0, 600, 600));
+        assert_eq!((t.live(), t.peak()), (100, 1000));
+    }
+
+    #[test]
+    fn scope_cap_is_returned_when_the_last_charge_through_it_drops() {
+        let t = MemTracker::with_budget(1000);
+        assert!(MemTracker::scoped(&t, 1001, "too big")
+            .unwrap_err()
+            .is_oom());
+        assert!(t.charge(1000, "nothing was set aside").is_ok());
+        let scope = MemTracker::scoped(&t, 800, "scope").unwrap();
+        let c = scope.charge(300, "outlives the handle").unwrap();
+        drop(scope);
+        // The charge keeps the scope — and its whole set-aside — alive.
+        assert_eq!(t.live(), 300);
+        assert!(t.charge(201, "too much").unwrap_err().is_oom());
+        drop(c);
+        assert_eq!(t.live(), 0);
+        assert!(t.charge(1000, "everything is back").is_ok());
+        assert_eq!(t.peak(), 1000);
+    }
+
+    #[test]
+    fn growth_past_the_cap_is_budget_checked_and_fails_cleanly() {
+        let t = MemTracker::with_budget(1000);
+        let scope = MemTracker::scoped(&t, 400, "scope").unwrap();
+        let outside = t.charge(500, "outside").unwrap();
+        let mut c = scope.charge(300, "under").unwrap();
+        // 300 + 250 straddles the cap: 100 from the set-aside, 150 from the
+        // 100 the parent has left — refused, and nothing moves.
+        let before = (scope.live(), t.live(), t.peak());
+        assert!(scope.charge(250, "straddles").unwrap_err().is_oom());
+        assert!(c.resize(551, "grows").unwrap_err().is_oom());
+        assert_eq!((scope.live(), t.live(), t.peak()), before);
+        // 200 straddles too, and fits to the byte.
+        let d = scope.charge(200, "straddles").unwrap();
+        assert_eq!((scope.live(), t.live(), t.peak()), (500, 1000, 1000));
+        drop(outside);
+        c.resize(700, "grows").unwrap();
+        assert_eq!((scope.live(), t.live()), (900, 900));
+        // Shrinking gives the part above the cap back to the parent first.
+        c.resize(0, "shrinks").unwrap();
+        assert_eq!((scope.live(), t.live()), (200, 200));
+        let rest = t.charge(600, "all but the cap").unwrap();
+        assert!(t.charge(1, "cap is still set aside").unwrap_err().is_oom());
+        drop((c, d, rest, scope));
+        assert_eq!(t.live(), 0);
+        assert!(t.charge(1000, "everything is back").is_ok());
+    }
+
+    #[test]
+    fn concurrent_scoped_charges_never_push_the_parent_past_its_budget() {
+        let t = MemTracker::with_budget(1000);
+        let scopes = [
+            MemTracker::scoped(&t, 300, "scope 0").unwrap(),
+            MemTracker::scoped(&t, 300, "scope 1").unwrap(),
+        ];
+        let failed_under_cap = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for i in 0..8usize {
+                let (t, scope, failed) = (&t, &scopes[i % 2], &failed_under_cap);
+                s.spawn(move || {
+                    for round in 0..2000 {
+                        // Four threads a scope at 70 bytes each: 280 of the
+                        // 300-byte cap, so these can never fail ...
+                        let Ok(_mine) = scope.charge(70, "under the cap") else {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        };
+                        // ... while growth past it and direct charges fight
+                        // over the parent's other 400 bytes and may.
+                        let _over = scope.charge(90, "past the cap");
+                        let _direct = t.charge(50 + round % 7, "direct");
+                        assert!(t.live() <= 1000);
+                    }
+                });
+            }
+        });
+        assert_eq!(failed_under_cap.load(Ordering::Relaxed), 0);
+        assert!(t.peak() <= 1000, "peak {} over budget", t.peak());
+        assert!(t.peak() >= 70);
+        assert_eq!(t.live(), 0);
+        drop(scopes);
+        assert!(t.charge(1000, "everything is back").is_ok());
     }
 
     #[test]

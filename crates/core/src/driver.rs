@@ -36,7 +36,7 @@ use csolve_dense::{Mat, MatMut, MatRef};
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
 use csolve_sparse::{
-    factorize, factorize_schur, Coo, Csc, FactorStats, SparseFactorization, SparseOptions,
+    factorize, factorize_analyzed, Coo, Csc, FactorStats, SparseFactorization, SparseOptions,
     SymbolicFactorization, Symmetry,
 };
 
@@ -157,15 +157,31 @@ impl<T: Scalar> Ws<'_, T> {
     }
 
     /// One factorization+Schur call on a stacked `W` whose trailing
-    /// unknowns (beyond `n_v`) are the Schur variables.
+    /// unknowns (beyond `n_v`) are the Schur variables. A pipeline block's
+    /// `slot` is finalized between analysis and numeric phase, to the bound
+    /// the analysis puts on what the numeric phase charges — which it then
+    /// charges to the slot's tracker. That wait is not factorization time.
     fn factor_w(
         &self,
         w: &Csc<T>,
-        opts: &SparseOptions,
+        mut opts: SparseOptions,
+        slot: Option<&mut Slot<'_>>,
     ) -> Result<(SparseFactorization<T>, Mat<T>)> {
         let schur_vars: Vec<usize> = (self.nv()..w.ncols).collect();
-        let mut ph = self.rec.open(Phase::FactorW, TraceScope::Run);
-        let (fact_w, x) = factorize_schur(w, &schur_vars, opts)?;
+        let scope = opts.trace_seq.map_or(TraceScope::Run, TraceScope::Block);
+        let ph = self.rec.open(Phase::FactorW, scope);
+        let sym = ph.tracer().time(SpanKind::SparseAnalyze, || {
+            SymbolicFactorization::analyze(w, &schur_vars, opts.ordering)
+        })?;
+        drop(ph);
+        if let Some(slot) = slot {
+            // Unsymmetric mode; exact without BLR, an upper bound with it.
+            let bound = sym.predicted_numeric_peak_bytes(std::mem::size_of::<T>(), true);
+            slot.finalize(bound, "sparse solver working set")?;
+            opts.tracker = Some(Arc::clone(slot.tracker()));
+        }
+        let mut ph = self.rec.open(Phase::FactorW, scope);
+        let (fact_w, x) = factorize_analyzed(w, sym, &opts)?;
         self.note_factor_stats(fact_w.stats());
         ph.add_bytes(x.byte_size());
         Ok((fact_w, x))
@@ -800,7 +816,7 @@ fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let x_charge = ws
         .tracker
         .charge(ns * ns * std::mem::size_of::<T>(), "dense Schur output")?;
-    let (fact_w, x) = ws.factor_w(&w, &ws.sparse_opts())?;
+    let (fact_w, x) = ws.factor_w(&w, ws.sparse_opts(), None)?;
 
     // S = A_ss + X (X already carries the minus sign).
     let mut schur = ws.init_schur()?;
@@ -847,8 +863,8 @@ fn condensed_solution<T: Scalar>(
 }
 
 /// One block of a blockwise Schur assembly: the `rows × cols` range of `S`
-/// it contributes to, and the worst-case working-set bytes it must have
-/// reserved before it computes.
+/// it contributes to, and the bytes of its own buffers, which it reserves
+/// at admission (its kernel finalizes the reservation).
 struct Block {
     rows: Range<usize>,
     cols: Range<usize>,
@@ -903,12 +919,12 @@ fn assemble_blockwise<T: Scalar>(
                 cap: d.n_s.max(d.n_b),
             });
         }
-        // Model-informed concurrency: admit no more blocks than the
-        // planner fitted into the headroom it fitted them into — the part
-        // the backend leaves to block working sets, so admitted blocks
-        // leave the compressed accumulator what the planner set aside for
-        // its folds. Scheduling-only — fold order (and thus the result) is
-        // unaffected.
+        // Model-informed concurrency: admit no more whole blocks than fit
+        // the headroom the planner fitted one into (what the backend leaves
+        // to block working sets: the compressed accumulator keeps the part
+        // set aside for its folds). Starting at the model's cap skips the
+        // degrade churn. Scheduling-only — fold order (and thus the result)
+        // is unaffected.
         let room = autotune::usable_headroom(cfg, tracker);
         inflight = inflight.min((room / (*block_bytes).max(1)).max(1));
     }
@@ -926,7 +942,7 @@ fn assemble_blockwise<T: Scalar>(
             #[cfg(feature = "fault-inject")]
             crate::fault::maybe_poison_panel(&mut x);
             // The working set is gone; hand off with only the block reserved.
-            slot.resize(x.byte_size(), plan.what_parked)?;
+            slot.park(x.byte_size(), plan.what_parked)?;
             Ok(x)
         },
         |seq, schur, x| {
@@ -996,7 +1012,9 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     };
     let all_v: Vec<usize> = (0..nv).collect();
     let fact_r = &fact;
-    let kernel = |seq: usize, b: &Block, _: &mut Slot<'_>| -> Result<Mat<T>> {
+    let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
+        // The panel's reserve is its whole working set already.
+        slot.finalize(0, plan.what_reserved)?;
         let scope = TraceScope::Block(seq);
         let (p0, p1) = (b.cols.start, b.cols.end);
         let mut zpanel = Mat::<T>::zeros(ns, p1 - p0);
@@ -1028,12 +1046,10 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
 /// solver mode is used throughout, with its duplicated storage — the very
 /// overhead the paper identifies as multi-factorization's memory weakness.
 ///
-/// One wrinkle: the sparse solver charges its internal factorization memory
-/// directly against the tracker, so a tile can hit an out-of-memory error
-/// *mid-compute* that only exists because other tiles are in flight. Such a
-/// tile goes through [`Slot::retry_after_oom`] and recomputes — propagating
-/// the error only when no concurrent work is left to wait for (i.e. when
-/// the sequential algorithm would have failed too).
+/// A tile's admission reserves the stacked `W` and the Schur block `X_ij`;
+/// what the sparse solver charges while factoring `W` is bounded by the
+/// tile's symbolic analysis and reserved before the numeric phase starts
+/// (`Ws::factor_w`): no tile runs out of memory because of another.
 fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let elem = std::mem::size_of::<T>();
@@ -1103,19 +1119,11 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
             trace_seq: Some(seq),
             ..ws.sparse_opts()
         };
-        loop {
-            let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
-            // Each call re-factorizes A_vv — the superfluous work the method
-            // trades for memory (hence its name).
-            match ws.factor_w(&w, &opts) {
-                Ok((_, x)) => return Ok(x),
-                Err(e) if e.is_oom() => {
-                    drop(w);
-                    slot.retry_after_oom(e)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
+        // Each call re-factorizes A_vv — the superfluous work the method
+        // trades for memory (hence its name).
+        let (_, x) = ws.factor_w(&w, opts, Some(slot))?;
+        Ok(x)
     };
     let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
     let fact = ws.factor_avv()?;

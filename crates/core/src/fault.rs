@@ -12,7 +12,7 @@
 //! serialized (the testkit's `FaultGuard` holds a global lock for exactly
 //! this reason) and disarmed afterwards.
 
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicU8, Ordering};
 
 use csolve_common::Scalar;
 use csolve_dense::Mat;
@@ -32,6 +32,10 @@ static FP_COLLIDE: AtomicBool = AtomicBool::new(false);
 /// When set, the session cache evicts *everything* before each admission —
 /// maximal churn, for stressing the eviction/re-factorization path.
 static EVICT_ALL: AtomicBool = AtomicBool::new(false);
+
+/// Schedule jitter: 0 = disarmed, otherwise the xorshift state the next
+/// pause is drawn from.
+static JITTER: AtomicU64 = AtomicU64::new(0);
 
 /// The kind of non-finite value to inject into a Schur panel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +73,23 @@ pub fn arm_session_evict_all() {
     EVICT_ALL.store(true, Ordering::SeqCst);
 }
 
+/// Arm persistent schedule jitter until [`disarm`]: every pipeline worker
+/// that reaches an admission, a finalize, a hand-off or a release first
+/// yields or sleeps (0–500 µs) as a generator seeded with `seed` decides,
+/// so the interleavings a loaded many-core host would produce can be
+/// explored, seed by seed, on any host. Not a fault: every run must still
+/// succeed, inside its budget, with the bits of the undisturbed run.
+pub fn arm_schedule_jitter(seed: u64) {
+    // Spread the seed's bits (splitmix64 increment); never the disarmed 0.
+    JITTER.store(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+        Ordering::SeqCst,
+    );
+}
+
 /// Disarm all coupled-solver faults.
 pub fn disarm() {
+    JITTER.store(0, Ordering::SeqCst);
     ADMIT_OOM_AT.store(-1, Ordering::SeqCst);
     PANEL_POISON.store(0, Ordering::SeqCst);
     FP_COLLIDE.store(false, Ordering::SeqCst);
@@ -92,6 +111,26 @@ pub(crate) fn take_admit_oom(seq: usize) -> bool {
     ADMIT_OOM_AT
         .compare_exchange(seq as isize, -1, Ordering::SeqCst, Ordering::SeqCst)
         .is_ok()
+}
+
+/// Pause the calling worker as the armed schedule jitter decides.
+pub(crate) fn jitter() {
+    let step = |mut x: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let drawn = JITTER.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |x| {
+        (x != 0).then(|| step(x))
+    });
+    if let Ok(x) = drawn {
+        match x % 4 {
+            0 => {}
+            1 => std::thread::yield_now(),
+            _ => std::thread::sleep(std::time::Duration::from_micros((x >> 8) % 500)),
+        }
+    }
 }
 
 /// If a panel poison is armed, consume it and overwrite the first entry of

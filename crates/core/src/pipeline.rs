@@ -9,14 +9,21 @@
 //! — makes the result depend on the (non-associative) order of compressed
 //! AXPYs. The skeleton addresses both behind one lock and one condvar:
 //!
-//! * **Budget admission.** A block computes only while it holds a [`Slot`]:
-//!   its worst-case working-set bytes reserved against the run's
-//!   [`MemTracker`]. Slots are granted in block order; when the budget
-//!   cannot take another in-flight block the worker waits for earlier
-//!   blocks to release memory, so concurrency degrades (down to one block
-//!   at a time) instead of failing with a spurious out-of-memory error.
-//!   Only a reservation that does not fit with *no* other block in flight —
-//!   i.e. when the sequential algorithm would also die — fails.
+//! * **Budget admission: admitted ⇒ cannot run out of memory.** A block
+//!   computes only inside a reservation that covers its whole working set,
+//!   that reservation is final before the next block may be admitted, and
+//!   everything the block's callees charge is drawn from it. The
+//!   reservation is a [`Slot`]: the bytes `reserve(seq)` names, charged at
+//!   admission, plus ([`Slot::finalize`]) the block's own bound on what its
+//!   callees will charge — a tile's sparse-solver working set, known from
+//!   its symbolic analysis — set aside as a tracker scoped to the slot
+//!   ([`MemTracker::scoped`]), which the callees charge. Both steps are
+//!   granted in block order and wait for earlier blocks to release memory,
+//!   so concurrency degrades (down to one block at a time) instead of
+//!   failing spuriously. A block with *no* other block in flight has nothing
+//!   to wait for: its admission fails if it does not fit, and its finalize
+//!   grants what headroom is left — it runs, and dies, exactly where the
+//!   sequential algorithm would.
 //! * **Lookahead task DAG.** Block `i` is two nodes, `compute(i)` (id `2i`)
 //!   and `commit(i)` (id `2i + 1`), with edges
 //!   `commit(i) ← {compute(i), commit(i − 1)}` and
@@ -39,18 +46,26 @@
 //! always runnable: the only memory it can wait for belongs to *earlier*
 //! blocks, which can complete without it.
 //!
+//! The finalize step is covered by the same argument because the ticket
+//! passes on when block `k` is *final*, not when it is admitted: while `k`
+//! waits in [`Slot::finalize`], every lower block holds its whole working
+//! set and can compute, fold and release without another byte, and no
+//! higher block holds anything. The price: the step between admission and
+//! finalize (a tile's `W` assembly and analysis) runs one block at a time,
+//! overlapping only the lower blocks' numeric work.
+//!
 //! # Failure propagation
 //!
-//! There is one first-error slot. Once it is set, blocked admissions return
-//! a clone of it instead of waiting and the remaining folds are skipped, so
-//! the DAG drains promptly, every reservation is released, and
-//! [`run_blockwise`] returns the original error.
+//! There is one first-error slot. Once it is set, blocked admissions and
+//! finalizations return a clone of it instead of waiting and the remaining
+//! folds are skipped, so the DAG drains promptly, every reservation is
+//! released, and [`run_blockwise`] returns the original error.
 //!
 //! # Tracing
 //!
 //! Each block's records appear in a fixed order whatever the thread count:
-//! `task_ready` (compute), `admit_wait`, the compute closure's own records,
-//! `task_run`, `task_ready` (commit), `commit_wait`, the fold closure's own
+//! `task_ready` (compute), `admit_wait`, the compute closure's own records
+//! (with the wait in [`Slot::finalize`], a second `admit_wait`), `task_run`, `task_ready` (commit), `commit_wait`, the fold closure's own
 //! records, `task_run`. `budget_degrade` and `poisoned` appear only on runs
 //! that hit the budget or fail.
 
@@ -69,17 +84,13 @@ use parking_lot::{Condvar, Mutex};
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
 struct State {
-    /// Next block index to be admitted (admission is granted in order).
+    /// The lowest block whose reservation is not final: the only one that
+    /// may be admitted, and the only one that may wait in `finalize`.
     next_ticket: usize,
     /// Reservations currently held.
     inflight: usize,
-    /// Admitted blocks still computing (not yet handed to their commit).
-    computing: usize,
     /// Maximum concurrently admitted blocks; shrinks under budget pressure.
     cap: usize,
-    /// Bumped whenever memory is released or a block stops computing, so a
-    /// retrying block can tell progress from a stall.
-    epoch: u64,
     /// Unmet dependency count per DAG node.
     deps: Vec<u8>,
     /// Ready nodes, pulled lowest-id first.
@@ -120,11 +131,13 @@ impl Pipeline<'_> {
 
     /// Reserve `bytes` for block `seq` and enter the in-flight set.
     ///
-    /// Blocks until every block `< seq` has been admitted, a concurrency
-    /// slot is free, and the reservation fits the budget. Fails only when
-    /// the reservation cannot fit with no other block in flight (the
-    /// sequential algorithm would fail too) or after the pipeline failed.
+    /// Blocks until every block `< seq` is final, a concurrency slot is
+    /// free, and the reservation fits the budget. Fails only when the
+    /// reservation cannot fit with no other block in flight (the sequential
+    /// algorithm would fail too) or after the pipeline failed.
     fn admit(&self, seq: usize, bytes: usize, what: &'static str) -> Result<Slot<'_>> {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::jitter();
         #[cfg(feature = "fault-inject")]
         if crate::fault::take_admit_oom(seq) {
             return Err(Error::OutOfMemory {
@@ -147,22 +160,16 @@ impl Pipeline<'_> {
             if st.next_ticket == seq && st.inflight < st.cap {
                 match self.tracker.charge(bytes, what) {
                     Ok(charge) => {
-                        st.next_ticket += 1;
                         st.inflight += 1;
-                        st.computing += 1;
-                        self.cv.notify_all();
                         return Ok(Slot {
                             pipe: self,
-                            charge: Some(charge),
-                            reserve: (bytes, what),
-                            committing: false,
-                            stalled: false,
+                            seq,
+                            charge,
+                            scope: None,
                         });
                     }
-                    Err(e) => {
-                        if st.inflight == 0 {
-                            return Err(e);
-                        }
+                    Err(e) if st.inflight == 0 => return Err(e),
+                    Err(_) => {
                         // Budget pressure: stop admitting beyond the level
                         // that currently fits, then wait for releases.
                         st.cap = st.inflight;
@@ -218,119 +225,100 @@ impl Pipeline<'_> {
     }
 }
 
-/// One admitted block: holds the block's byte reservation and its place in
-/// the in-flight set while it computes and until its fold has run,
-/// releasing both on drop.
+/// One admitted block: its reservation — the bytes charged at admission
+/// and, once [final](Slot::finalize), the tracker scoped to what its callees
+/// may charge — and its place in the in-flight set, held while it computes
+/// and until its fold has run; released on drop.
 pub(crate) struct Slot<'a> {
     pipe: &'a Pipeline<'a>,
-    /// `None` only after a failed [`Slot::retry_after_oom`].
-    charge: Option<MemCharge>,
-    /// What was reserved at admission (and is re-reserved by a retry).
-    reserve: (usize, &'static str),
-    committing: bool,
-    /// Whether the previous retry found the pipeline stalled.
-    stalled: bool,
+    seq: usize,
+    charge: MemCharge,
+    scope: Option<Arc<MemTracker>>,
 }
 
 impl Slot<'_> {
-    /// Shrink (or budget-checked grow) the reservation to `bytes` — e.g.
-    /// down to the computed block's actual size once the working set is
-    /// freed, so blocks parked for their fold hold as little as possible.
-    pub(crate) fn resize(&mut self, bytes: usize, what: &'static str) -> Result<()> {
-        // Only reachable after ignoring a failed retry, but a worker thread
-        // must never panic: the pipeline drains on a structured error.
-        let charge = self.charge.as_mut().ok_or(Error::Internal {
-            context: "block reservation missing in resize",
-        })?;
-        charge.resize(bytes, what)?;
-        self.pipe.update(|st| st.epoch += 1);
-        Ok(())
-    }
-
-    /// Recover from an out-of-memory error `e` hit *mid-compute* by a
-    /// charge outside this reservation, which may exist only because other
-    /// blocks are in flight: release the reservation so they can finish,
-    /// wait for one of them to make progress, and reserve again. The caller
-    /// then recomputes the block.
+    /// Make the reservation whole and final: set aside `bound` more bytes,
+    /// everything the block's callees will charge through [`Slot::tracker`],
+    /// and pass the ticket to the next block. Every block calls this once,
+    /// before it computes (until it does, no other block is admitted); one
+    /// whose admission reserved everything passes 0 and never waits.
     ///
-    /// Returns `Err(e)` when the wait found nothing computing twice in a
-    /// row — no further memory release is coming, the sequential algorithm
-    /// would have failed too — and the re-reservation's own error when that
-    /// cannot fit with nothing computing (or the pipeline failed meanwhile).
-    pub(crate) fn retry_after_oom(&mut self, e: Error) -> Result<()> {
-        self.release();
-        let pipe = self.pipe;
-        let mut st = pipe.state.lock();
-        let epoch0 = st.epoch;
-        while st.epoch == epoch0 && st.computing > 0 {
-            pipe.cv.wait_for(&mut st, WAIT_SLICE);
-        }
-        let stalled = st.computing == 0;
-        if stalled && self.stalled {
-            return Err(e);
-        }
-        self.stalled = stalled;
+    /// Waits for earlier blocks to release while `bound` does not fit. With
+    /// no other block in flight the grant is what headroom is left: growth
+    /// past it is budget-checked charge by charge, as in the sequential
+    /// algorithm. Fails only with the pipeline's error.
+    pub(crate) fn finalize(&mut self, bound: usize, what: &'static str) -> Result<()> {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::jitter();
+        let Pipeline {
+            tracker, state, cv, ..
+        } = self.pipe;
+        // Not compute time: recorded as the admission wait it is.
+        let _wait = self.pipe.tracer.block(self.seq).span(SpanKind::AdmitWait);
+        let mut st = state.lock();
         loop {
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
-            match pipe.tracker.charge(self.reserve.0, self.reserve.1) {
-                Ok(charge) => {
-                    st.inflight += 1;
-                    st.computing += 1;
-                    pipe.cv.notify_all();
-                    self.charge = Some(charge);
-                    return Ok(());
-                }
-                Err(e) if st.computing == 0 => return Err(e),
-                Err(_) => {}
+            let alone = st.inflight == 1;
+            let room = tracker.budget().saturating_sub(tracker.live());
+            let cap = if alone { bound.min(room) } else { bound };
+            if let Ok(scope) = MemTracker::scoped(tracker, cap, what) {
+                self.scope = Some(scope);
+                st.next_ticket = st.next_ticket.max(self.seq + 1);
+                cv.notify_all();
+                return Ok(());
             }
-            pipe.cv.wait_for(&mut st, WAIT_SLICE);
+            cv.wait_for(&mut st, WAIT_SLICE);
         }
     }
 
-    /// Done computing, about to park for the commit: lets a retrying block
-    /// distinguish blocks that can still release memory from blocks waiting
-    /// their fold turn.
-    fn begin_commit(&mut self) {
-        self.committing = true;
-        self.pipe.update(|st| {
-            st.computing -= 1;
-            st.epoch += 1;
-        });
+    /// The tracker the block's callees charge: scoped to the slot's
+    /// reservation once that is final.
+    pub(crate) fn tracker(&self) -> &Arc<MemTracker> {
+        self.scope.as_ref().unwrap_or(self.pipe.tracker)
     }
 
-    fn release(&mut self) {
-        // Release the bytes before leaving the in-flight set, so a worker
-        // woken by the release immediately sees the freed budget.
-        if self.charge.take().is_some() {
-            let computing = usize::from(!self.committing);
-            self.pipe.update(|st| {
-                st.inflight -= 1;
-                st.computing -= computing;
-                st.epoch += 1;
-            });
-        }
+    /// The working set is gone: return what was set aside for it and shrink
+    /// (or budget-checked grow) the charge to `bytes`, the computed block's
+    /// size, so blocks parked for their fold hold as little as possible.
+    pub(crate) fn park(&mut self, bytes: usize, what: &'static str) -> Result<()> {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::jitter();
+        self.scope = None;
+        self.charge.resize(bytes, what)?;
+        self.pipe.update(|_| {});
+        Ok(())
     }
 }
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        self.release();
+        #[cfg(feature = "fault-inject")]
+        crate::fault::jitter();
+        // Release the bytes before leaving the in-flight set, so a worker
+        // woken by the release immediately sees the freed budget.
+        self.scope = None;
+        let _ = self.charge.resize(0, "released");
+        self.pipe.update(|st| {
+            st.inflight -= 1;
+            st.next_ticket = st.next_ticket.max(self.seq + 1);
+        });
     }
 }
 
 /// Run a `steps`-block pipeline on the ambient rayon thread budget and
 /// return the accumulator, or the first error.
 ///
-/// For block `seq`, in this order: `reserve(seq)` names the worst-case
-/// working-set bytes (and their charge label) the block must hold before it
-/// may compute; `compute(seq, slot)` produces the block's payload on
-/// whichever worker is free, holding the admitted [`Slot`]; `fold(seq, acc,
-/// payload)` folds it into `acc` — strictly in block order, one at a time.
-/// The slot is released after the fold. At most `inflight` blocks (clamped
-/// to at least one, lowered further under budget pressure) are admitted at
-/// a time, and computes run at most that far ahead of the fold frontier.
+/// For block `seq`, in this order: `reserve(seq)` names the bytes (and
+/// their charge label) of the block's own buffers, which it must hold before
+/// it may compute; `compute(seq, slot)` [finalizes](Slot::finalize) the
+/// admitted [`Slot`] and produces the block's payload on whichever worker is
+/// free; `fold(seq, acc, payload)` folds it into `acc` — strictly in block
+/// order, one at a time. The slot is released after the fold. At most
+/// `inflight` blocks (clamped to at least one, lowered further under budget
+/// pressure) are admitted at a time, and computes run at most that far ahead
+/// of the fold frontier.
 ///
 /// See the [module documentation](self) for the scheduling, failure and
 /// tracing contracts.
@@ -369,9 +357,7 @@ pub(crate) fn run_blockwise<S: Send, P: Send>(
         state: Mutex::new(State {
             next_ticket: 0,
             inflight: 0,
-            computing: 0,
             cap: lookahead,
-            epoch: 0,
             deps,
             ready,
             completed: 0,
@@ -398,7 +384,6 @@ pub(crate) fn run_blockwise<S: Send, P: Send>(
                 match pipe.admit(seq, bytes, what) {
                     Ok(mut slot) => match compute(seq, &mut slot) {
                         Ok(payload) => {
-                            slot.begin_commit();
                             *parked[seq].lock() = Some((slot, payload, Instant::now()));
                         }
                         Err(e) => pipe.fail(&e),
@@ -484,11 +469,12 @@ mod tests {
         }
     }
 
-    /// A pipeline of `steps` blocks reserving `bytes` each, whose payload is
-    /// the block index and whose accumulator is the list of folded indices.
+    /// A pipeline of `steps` blocks reserving `bytes` each at admission and
+    /// `bound` more at finalize, before `compute` runs; the payload is the
+    /// block index and the accumulator the list of folded indices.
     fn run(
         tracker: &Arc<MemTracker>,
-        (steps, inflight, bytes): (usize, usize, usize),
+        (steps, inflight, bytes, bound): (usize, usize, usize, usize),
         compute: impl Fn(usize, &mut Slot<'_>) -> Result<()> + Sync,
     ) -> Result<Vec<usize>> {
         run_blockwise(
@@ -498,7 +484,11 @@ mod tests {
             inflight,
             Vec::new(),
             |_| (bytes, "block"),
-            |seq, slot| compute(seq, slot).map(|()| seq),
+            |seq, slot| {
+                slot.finalize(bound, "callee working set")?;
+                compute(seq, slot)?;
+                Ok(seq)
+            },
             |seq, folded, payload| {
                 assert_eq!(seq, payload, "payload handed to the wrong fold");
                 folded.push(payload);
@@ -507,12 +497,17 @@ mod tests {
         )
     }
 
+    /// A compute with nothing to reserve beyond its admission bytes.
+    fn whole(slot: &mut Slot<'_>) -> Result<()> {
+        slot.finalize(0, "block")
+    }
+
     #[test]
     fn folds_are_applied_in_block_order_despite_racing_computes() {
         for workers in [1, 4] {
             let tracker = MemTracker::unbounded();
             let folded = with_workers(workers, || {
-                run(&tracker, (8, 8, 10), |seq, _| {
+                run(&tracker, (8, 8, 10, 0), |seq, _| {
                     // Late blocks finish first.
                     pause((7 - seq as u64) * 3);
                     Ok(())
@@ -529,7 +524,7 @@ mod tests {
         for workers in [1, 4] {
             let tracker = MemTracker::with_budget(250);
             let folded = with_workers(workers, || {
-                run(&tracker, (6, 4, 100), |_, _| {
+                run(&tracker, (6, 4, 100, 0), |_, _| {
                     assert!(tracker.live() <= 250);
                     pause(2);
                     Ok(())
@@ -546,11 +541,11 @@ mod tests {
         for workers in [1, 4] {
             // No two 60-byte blocks fit together, yet each fits alone.
             let tracker = MemTracker::with_budget(100);
-            let folded = with_workers(workers, || run(&tracker, (4, 4, 60), |_, _| Ok(())));
+            let folded = with_workers(workers, || run(&tracker, (4, 4, 60, 0), |_, _| Ok(())));
             assert_eq!(folded.unwrap().len(), 4);
             // Nothing in flight and the reservation exceeds the whole
             // budget: fail, as the sequential algorithm would.
-            let err = with_workers(workers, || run(&tracker, (4, 4, 200), |_, _| Ok(())));
+            let err = with_workers(workers, || run(&tracker, (4, 4, 200, 0), |_, _| Ok(())));
             assert!(err.unwrap_err().is_oom());
             assert_eq!(tracker.live(), 0);
         }
@@ -569,7 +564,8 @@ mod tests {
                     4,
                     (),
                     |_| (100, "block"),
-                    |seq, _| {
+                    |seq, slot| {
+                        whole(slot)?;
                         if seq == 0 {
                             pause(30);
                         } else {
@@ -613,9 +609,9 @@ mod tests {
                             ("reserve", 2) => (5000, "impossible block"),
                             _ => (100, "block"),
                         },
-                        |seq, _| match (source, seq) {
+                        |seq, slot| match (source, seq) {
                             ("compute", 2) => Err(boom(source)),
-                            _ => Ok(seq),
+                            _ => whole(slot).map(|()| seq),
                         },
                         |seq, folded: &mut Vec<usize>, payload| match (source, seq) {
                             ("fold", 2) => Err(boom(source)),
@@ -651,7 +647,7 @@ mod tests {
                     3,
                     (),
                     |_| (1, "block"),
-                    |_, _| Ok(()),
+                    |_, slot| whole(slot),
                     |seq, (), ()| {
                         // Folds run in block order, so exactly 0, 1, 2 run.
                         assert_eq!(folds.fetch_add(1, Ordering::SeqCst), seq);
@@ -668,48 +664,164 @@ mod tests {
     }
 
     #[test]
-    fn retry_after_oom_waits_for_computing_blocks() {
+    fn blocks_that_charge_their_whole_finalized_bound_never_run_out_of_memory() {
+        // 10 bytes at admission, 100 more at finalize: one whole block fits
+        // the budget, two do not, four admissions do.
         for workers in [1, 4] {
-            let tracker = MemTracker::with_budget(150);
-            let done0 = AtomicBool::new(false);
+            let tracker = MemTracker::with_budget(160);
+            let computed = AtomicUsize::new(0);
             let folded = with_workers(workers, || {
-                run(&tracker, (2, 2, 40), |seq, slot| {
-                    if seq == 0 {
-                        pause(30);
-                        done0.store(true, Ordering::SeqCst);
-                        return Ok(());
-                    }
-                    // Block 1 is admitted after block 0, so block 0 is
-                    // computing (or done): the retry returns only once it
-                    // has made progress, with the reservation held again.
-                    slot.retry_after_oom(oom())?;
-                    assert!(done0.load(Ordering::SeqCst));
-                    assert!(tracker.live() >= 40);
-                    slot.resize(5, "shrunk")
+                run(&tracker, (6, 4, 10, 100), |_, slot| {
+                    // Inside the reservation no charge can fail, however
+                    // many other blocks are admitted meanwhile.
+                    let held = slot.tracker().charge(60, "callee, first")?;
+                    pause(2);
+                    let more = slot.tracker().charge(40, "callee, second")?;
+                    assert!(tracker.live() <= 160);
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    drop((held, more));
+                    slot.park(5, "parked")
                 })
             });
-            assert_eq!(folded.unwrap(), vec![0, 1]);
+            assert_eq!(folded.unwrap(), (0..6).collect::<Vec<_>>());
+            // Every block computed once: nothing was released, waited for
+            // and recomputed.
+            assert_eq!(computed.load(Ordering::SeqCst), 6);
+            assert!(tracker.peak() <= 160, "peak {}", tracker.peak());
+            assert!(tracker.peak() >= 110);
             assert_eq!(tracker.live(), 0);
         }
     }
 
     #[test]
-    fn retry_after_oom_reports_a_stall_the_second_time() {
+    fn a_bound_that_fits_only_alone_is_granted_alone() {
         for workers in [1, 4] {
-            let tracker = MemTracker::unbounded();
+            // 10 + 75 is in flight when the next block is admitted (95) and
+            // asks for its own 75: granted only once it is alone.
+            let tracker = MemTracker::with_budget(100);
+            let whole_blocks = AtomicUsize::new(0);
+            let result = with_workers(workers, || {
+                run_blockwise(
+                    &tracker,
+                    &Tracer::disabled(),
+                    4,
+                    4,
+                    (),
+                    |_| (10, "block"),
+                    |_, slot| {
+                        slot.finalize(75, "callee working set")?;
+                        assert_eq!(whole_blocks.fetch_add(1, Ordering::SeqCst), 0);
+                        let _all = slot.tracker().charge(75, "callee")?;
+                        pause(2);
+                        Ok(())
+                    },
+                    // The fold runs before the slot is released.
+                    |_, (), ()| {
+                        whole_blocks.fetch_sub(1, Ordering::SeqCst);
+                        Ok(())
+                    },
+                )
+            });
+            result.unwrap();
+            assert!(tracker.peak() <= 100);
+            assert_eq!(tracker.live(), 0);
+        }
+    }
+
+    #[test]
+    fn a_bound_over_the_whole_budget_fails_as_the_sequential_loop_would() {
+        for workers in [1, 4] {
+            let tracker = MemTracker::with_budget(100);
             let err = with_workers(workers, || {
-                run(&tracker, (1, 4, 40), |_, slot| {
-                    // Nothing else is computing: the first retry is granted
-                    // (memory may just have been released) ...
-                    slot.retry_after_oom(oom())?;
-                    assert_eq!(tracker.live(), 40);
-                    // ... a second stalled one gives the error back.
-                    let e = slot.retry_after_oom(oom()).unwrap_err();
-                    assert_eq!(tracker.live(), 0);
-                    Err(e)
+                // Alone, block 0 is granted the 90 bytes of headroom left
+                // and dies at the charge that outgrows the budget.
+                run(&tracker, (3, 3, 10, 500), |_, slot| {
+                    let _under = slot.tracker().charge(80, "callee, first")?;
+                    let _over = slot.tracker().charge(420, "callee, second")?;
+                    Ok(())
                 })
             });
-            assert_eq!(err.unwrap_err(), oom());
+            match err.unwrap_err() {
+                Error::OutOfMemory { what, budget, .. } => {
+                    assert_eq!((what, budget), ("callee, second", 100))
+                }
+                e => panic!("expected the callee's out-of-memory error, got {e}"),
+            }
+            assert_eq!(tracker.live(), 0);
+            assert!(tracker.charge(100, "set-asides returned").is_ok());
+        }
+    }
+
+    #[test]
+    fn an_error_while_a_block_waits_in_finalize_drains_the_pipeline() {
+        let boom = || Error::InvalidConfig("block 0 failed".into());
+        for workers in [1, 4] {
+            let tracker = MemTracker::with_budget(100);
+            let waiting = AtomicBool::new(false);
+            let result = with_workers(workers, || {
+                run_blockwise(
+                    &tracker,
+                    &Tracer::disabled(),
+                    3,
+                    3,
+                    (),
+                    |_| (10, "block"),
+                    |seq, slot| {
+                        if seq > 0 {
+                            waiting.store(true, Ordering::SeqCst);
+                        }
+                        // Block 1's 75 cannot fit beside block 0's, and block
+                        // 0 never releases: only its error ends the wait.
+                        slot.finalize(75, "callee working set")?;
+                        // Block 0 fails once block 1 sits in that wait — which
+                        // only a second worker can get it to.
+                        for _ in 0..100 {
+                            if waiting.load(Ordering::SeqCst) {
+                                pause(10);
+                                break;
+                            }
+                            pause(2);
+                        }
+                        Err(boom())
+                    },
+                    |_, (), ()| Ok(()),
+                )
+            });
+            assert_eq!(result.unwrap_err(), boom(), "{workers} workers");
+            assert_eq!(tracker.live(), 0);
+            assert!(tracker.charge(100, "set-asides returned").is_ok());
+        }
+    }
+
+    #[test]
+    fn a_block_is_admitted_only_once_every_lower_block_is_final() {
+        for workers in [1, 4] {
+            let tracker = MemTracker::unbounded();
+            // Blocks about to pass the ticket on (counted *before* they do).
+            let finals = AtomicUsize::new(0);
+            let result = with_workers(workers, || {
+                run_blockwise(
+                    &tracker,
+                    &Tracer::disabled(),
+                    8,
+                    4,
+                    (),
+                    |_| (10, "block"),
+                    |seq, slot| {
+                        // Admitted: blocks 0..seq are final, and no higher
+                        // block gets here while this one takes its time.
+                        assert_eq!(finals.load(Ordering::SeqCst), seq);
+                        pause(3);
+                        assert_eq!(finals.fetch_add(1, Ordering::SeqCst), seq);
+                        slot.finalize(1, "callee working set")?;
+                        pause(3);
+                        Ok(())
+                    },
+                    |_, (), ()| Ok(()),
+                )
+            });
+            result.unwrap();
+            assert_eq!(finals.load(Ordering::SeqCst), 8);
             assert_eq!(tracker.live(), 0);
         }
     }
@@ -726,9 +838,9 @@ mod tests {
                 2,
                 (),
                 |_| (1, "block"),
-                |i, _| {
+                |i, slot| {
                     order.lock().push(format!("c{i}"));
-                    Ok(())
+                    whole(slot)
                 },
                 |i, (), ()| {
                     order.lock().push(format!("m{i}"));
@@ -760,7 +872,8 @@ mod tests {
                     inflight,
                     (),
                     |_| (1, "block"),
-                    |_, _| {
+                    |_, slot| {
+                        whole(slot)?;
                         seen.lock().push(thread::current().id());
                         pause(5);
                         Ok(())
@@ -805,7 +918,8 @@ mod tests {
                     2,
                     (),
                     |_| (1, "block"),
-                    |i, _| {
+                    |i, slot| {
+                        whole(slot)?;
                         // compute(i) may only start once fold(i - 2) is done.
                         assert!(
                             frontier.load(Ordering::SeqCst) + 2 > i,
@@ -842,7 +956,8 @@ mod tests {
                     2,
                     (),
                     |_| (1, "block"),
-                    |_, _| {
+                    |_, slot| {
+                        whole(slot)?;
                         pause(20);
                         Ok(())
                     },

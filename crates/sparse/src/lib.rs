@@ -37,8 +37,8 @@ pub mod symbolic;
 
 pub use formats::{Coo, Csc};
 pub use numeric::{
-    factorize, factorize_schur, FactorStats, SparseFactorization, SparseOptions, Symmetry,
-    BLR_MIN_COLS, BLR_MIN_ROWS,
+    factorize, factorize_analyzed, factorize_schur, FactorStats, SparseFactorization,
+    SparseOptions, Symmetry, BLR_MIN_COLS, BLR_MIN_ROWS,
 };
 pub use ordering::OrderingKind;
 pub use symbolic::SymbolicFactorization;

@@ -384,23 +384,68 @@ pub fn factorize_schur<T: Scalar>(
     factorize_impl(a, schur_vars, opts)
 }
 
+/// The numeric phase of [`factorize_schur`] alone, on a symbolic analysis
+/// of `a` the caller already ran ([`SymbolicFactorization::analyze`] with
+/// the Schur variables and ordering of its choice; `opts.ordering` is not
+/// consulted). Gives the factors, Schur block and statistics
+/// `factorize_schur` gives for the same analysis, bit for bit.
+///
+/// This is the entry for a caller that needs the analysis *before* it can
+/// factor — to size a memory reservation from
+/// [`SymbolicFactorization::predicted_numeric_peak_bytes`] and hand the
+/// numeric phase a tracker scoped to it — without paying for it twice.
+pub fn factorize_analyzed<T: Scalar>(
+    a: &Csc<T>,
+    symbolic: SymbolicFactorization,
+    opts: &SparseOptions,
+) -> Result<(SparseFactorization<T>, Mat<T>)> {
+    a.check()?;
+    if (a.nrows, a.ncols) != (symbolic.n, symbolic.n) {
+        return Err(Error::DimensionMismatch {
+            context: "numeric factorization of a matrix its analysis was not run on",
+            expected: (symbolic.n, symbolic.n),
+            got: (a.nrows, a.ncols),
+        });
+    }
+    let whole = opts.trace_scope().span(whole_span_kind(symbolic.n_schur));
+    numeric_phase(a, symbolic, opts, whole)
+}
+
+/// Span kind of a whole factorization with `n_schur` Schur variables.
+fn whole_span_kind(n_schur: usize) -> SpanKind {
+    if n_schur == 0 {
+        SpanKind::SparseFactorization
+    } else {
+        SpanKind::SparseFactorizationSchur
+    }
+}
+
+/// Analysis, then [`numeric_phase`] under one whole-factorization span.
 fn factorize_impl<T: Scalar>(
     a: &Csc<T>,
     schur_vars: &[usize],
     opts: &SparseOptions,
 ) -> Result<(SparseFactorization<T>, Mat<T>)> {
     a.check()?;
-    // All spans below are recorded by this (calling) thread in program
-    // order, so the trace sequence is deterministic at any thread count.
     let tr = opts.trace_scope();
-    let mut whole = tr.span(if schur_vars.is_empty() {
-        SpanKind::SparseFactorization
-    } else {
-        SpanKind::SparseFactorizationSchur
-    });
+    let whole = tr.span(whole_span_kind(schur_vars.len()));
     let symbolic = tr.time(SpanKind::SparseAnalyze, || {
         SymbolicFactorization::analyze(a, schur_vars, opts.ordering)
     })?;
+    numeric_phase(a, symbolic, opts, whole)
+}
+
+/// The multifrontal numeric factorization `symbolic` describes; `whole` is
+/// the caller's open whole-factorization span, closed here.
+fn numeric_phase<T: Scalar>(
+    a: &Csc<T>,
+    symbolic: SymbolicFactorization,
+    opts: &SparseOptions,
+    mut whole: csolve_common::Span<'_>,
+) -> Result<(SparseFactorization<T>, Mat<T>)> {
+    // All spans below are recorded by this (calling) thread in program
+    // order, so the trace sequence is deterministic at any thread count.
+    let tr = opts.trace_scope();
     let n = symbolic.n;
     let ne = symbolic.n_elim;
     let ns = symbolic.n_schur;

@@ -5,8 +5,9 @@ use csolve_dense::{gemm, gemm_into, lu_in_place, lu_solve_in_place, Mat, Op};
 use rand::SeedableRng;
 
 use crate::formats::{Coo, Csc};
-use crate::numeric::{factorize, factorize_schur, SparseOptions, Symmetry};
+use crate::numeric::{factorize, factorize_analyzed, factorize_schur, SparseOptions, Symmetry};
 use crate::ordering::OrderingKind;
+use crate::symbolic::SymbolicFactorization;
 
 /// 3-D 7-point Laplacian + shift on an nx×ny×nz grid (SPD).
 fn grid3d(nx: usize, ny: usize, nz: usize, shift: f64) -> Csc<f64> {
@@ -461,6 +462,75 @@ fn memory_budget_enforced_during_factorization() {
     assert_eq!(tracker.live(), f.stats().factor_bytes);
     drop(f);
     assert_eq!(tracker.live(), 0);
+}
+
+/// `factorize_schur` is analysis + `factorize_analyzed`: the two give the
+/// same factors (as every panel acts in a condensation solve), Schur block
+/// and statistics bit for bit — also when the numeric phase draws on a
+/// tracker scoped to the analysis' predicted peak, which it then cannot
+/// exhaust, and which leaves the parent's peak where direct charging puts it.
+#[test]
+fn analyze_then_numeric_equals_factorize_schur_bitwise() {
+    let a = grid3d(14, 14, 5, 0.5);
+    let n = a.nrows;
+    let schur_vars: Vec<usize> = (n - 30..n).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+    let b = Mat::<f64>::random(n, 5, &mut rng);
+    let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let condensed = |f: &crate::SparseFactorization<f64>| {
+        let mut x = b.clone();
+        f.condense_and_solve(&mut x, |_| Ok(())).unwrap();
+        bits(&x)
+    };
+    for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
+        for blr_eps in [None, Some(1e-6)] {
+            let cell = format!("{symmetry:?} / blr {blr_eps:?}");
+            let direct = MemTracker::unbounded();
+            let opts = SparseOptions {
+                symmetry,
+                blr_eps,
+                tracker: Some(direct.clone()),
+                ..Default::default()
+            };
+            let (f0, s0) = factorize_schur(&a, &schur_vars, &opts).unwrap();
+
+            let parent = MemTracker::unbounded();
+            let sym = SymbolicFactorization::analyze(&a, &schur_vars, opts.ordering).unwrap();
+            let unsym = symmetry == Symmetry::UnsymmetricLu;
+            let bound = sym.predicted_numeric_peak_bytes(std::mem::size_of::<f64>(), unsym);
+            let scope = MemTracker::scoped(&parent, bound, "numeric phase").unwrap();
+            let scoped_opts = SparseOptions {
+                tracker: Some(scope.clone()),
+                ..opts.clone()
+            };
+            let (f1, s1) = factorize_analyzed(&a, sym, &scoped_opts).unwrap();
+
+            assert_eq!(bits(&s0), bits(&s1), "{cell}: Schur block");
+            assert_eq!(condensed(&f0), condensed(&f1), "{cell}: factors");
+            assert_eq!(f0.panel_ranks(), f1.panel_ranks(), "{cell}: ranks");
+            assert_eq!(
+                format!("{:?}", f0.stats()),
+                format!("{:?}", f1.stats()),
+                "{cell}: stats"
+            );
+            // Used vs reserved, read off the scope: exact uncompressed, an
+            // upper bound with BLR; either way the parent saw what a direct
+            // run charges.
+            assert!(scope.peak() <= bound, "{cell}: scope outgrew its bound");
+            if blr_eps.is_none() {
+                assert_eq!(scope.peak(), bound, "{cell}: the bound is exact");
+            }
+            assert_eq!(parent.peak(), direct.peak(), "{cell}: parent peak");
+            assert_eq!(parent.live(), direct.live(), "{cell}: parent live");
+            drop((f1, scoped_opts, scope));
+            assert_eq!(parent.live(), 0);
+            assert!(parent.charge(usize::MAX, "set-aside returned").is_ok());
+        }
+    }
+    // An analysis of another matrix is refused, not indexed out of bounds.
+    let sym = SymbolicFactorization::analyze(&a, &schur_vars, OrderingKind::Natural).unwrap();
+    let small = grid3d(4, 4, 4, 0.5);
+    assert!(factorize_analyzed(&small, sym, &SparseOptions::default()).is_err());
 }
 
 #[test]

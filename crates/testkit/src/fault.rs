@@ -75,6 +75,13 @@ impl FaultGuard {
         csolve_sparse::fault::arm_rank_cap(cap);
     }
 
+    /// Disturb the blockwise pipeline's schedule: seeded short pauses at
+    /// every admission, finalize, hand-off and release. Persistent until
+    /// disarmed; runs under it must behave exactly as undisturbed ones.
+    pub fn schedule_jitter(&self, seed: u64) {
+        csolve_coupled::fault::arm_schedule_jitter(seed);
+    }
+
     /// Disarm every hook without dropping the guard (e.g. between the fault
     /// run and a follow-up clean run inside the same test).
     pub fn disarm(&self) {
