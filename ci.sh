@@ -55,6 +55,17 @@ echo "==> cargo test (conformance suite in smoke profile)"
 # {algorithm x backend x threads x symmetry x conditioning} matrix.
 CSOLVE_CONFORMANCE=smoke cargo test --workspace --offline -q
 
+echo "==> flake gate: the budgeted multi-threaded cells, five times each"
+# "Admitted => cannot run out of memory" is a scheduling property: one green
+# run proves little. The conformance budget test runs at its full thread
+# counts here (not the smoke profile), and so do the budget cells of
+# parallel_pipeline; the first red run fails CI.
+for i in 1 2 3 4 5; do
+  env -u CSOLVE_CONFORMANCE \
+    cargo test --offline -q --test conformance autotuned_blocking_under_memory_budgets
+  cargo test --offline -q --test parallel_pipeline budget
+done
+
 echo "==> cargo test --features fault-inject (fault-injection suite)"
 CSOLVE_CONFORMANCE=smoke cargo test -p csolve --offline -q \
   --features fault-inject

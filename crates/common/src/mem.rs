@@ -19,19 +19,17 @@
 //! A tracker counts two things. **Live** bytes are charged: some
 //! [`MemCharge`] holds them. **Set-aside** bytes are promised to a scoped
 //! tracker ([`MemTracker::scoped`]) and not charged yet. The budget is
-//! enforced on their sum — a charge, or a new set-aside, fails when live +
-//! set aside + request exceeds it — so a charge through a scoped tracker
-//! that stays under the scope's cap *cannot* fail: its bytes were taken out
-//! of everybody else's reach when the scope was created, and charging them
-//! only moves them from set aside to live. [`MemTracker::live`] and
-//! [`MemTracker::peak`] report **live bytes only**: a run's tracked peak is
-//! what it allocated, never what it merely reserved, whether the bytes were
-//! charged directly or through a scope.
+//! enforced on their sum, so a charge through a scoped tracker that stays
+//! under the scope's cap *cannot* fail: its bytes were taken out of everybody
+//! else's reach when the scope was created, and charging them only moves them
+//! from set aside to live. [`MemTracker::live`] and [`MemTracker::peak`]
+//! report **live bytes only**: a run's tracked peak is what it allocated,
+//! never what it merely reserved, directly or through a scope.
 //!
 //! With one thread `peak()` is exact. With several, each charge samples the
 //! two counters one after the other, so a sample taken while another thread
 //! creates or drops a scope can read low by that scope's unused cap; it
-//! never reads high, and never above the budget.
+//! never reads above the budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,29 +37,37 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 
 /// Thread-safe live/peak byte accounting with an optional hard budget.
+///
+/// `repr(C)`: the counters every charge writes stay next to the `Arc`'s
+/// reference counts, which every charge writes too (one contended cache line
+/// to win per operation, as before scoped trackers), and `set_aside`, which
+/// every charge reads and only scoped trackers write, is kept a line away.
 #[derive(Debug)]
+#[repr(C)]
 pub struct MemTracker {
     /// Bytes counted against the budget: live plus set aside.
     committed: AtomicUsize,
-    /// The part of `committed` set aside for scoped trackers and not
-    /// charged through them yet.
-    set_aside: AtomicUsize,
     /// High-water mark of the live bytes, `committed − set_aside`.
     peak: AtomicUsize,
     /// The hard budget; for a scoped tracker, its cap.
     budget: usize,
     /// The tracker a scoped tracker's cap was set aside from.
     parent: Option<Arc<MemTracker>>,
+    _line: [usize; 8],
+    /// The part of `committed` set aside for scoped trackers and not
+    /// charged through them yet.
+    set_aside: AtomicUsize,
 }
 
 impl MemTracker {
     fn new(budget: usize, parent: Option<Arc<MemTracker>>) -> Arc<Self> {
         Arc::new(Self {
             committed: AtomicUsize::new(0),
-            set_aside: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             budget,
             parent,
+            _line: [0; 8],
+            set_aside: AtomicUsize::new(0),
         })
     }
 
@@ -83,13 +89,12 @@ impl MemTracker {
     /// Charges through the returned tracker cannot fail while its live bytes
     /// stay within `cap`; they appear in `parent`'s [`live`](Self::live) and
     /// [`peak`](Self::peak) only as they are made. Growth beyond `cap` is an
-    /// ordinary budget-checked charge against `parent`. The scoped tracker's
-    /// own `live`/`peak` count what was charged through it and its
-    /// [`budget`](Self::budget) is `cap`, so reserved-vs-used can be read
-    /// off it.
+    /// ordinary budget-checked charge against `parent`. Its own `live`/`peak`
+    /// count what was charged through it and its [`budget`](Self::budget) is
+    /// `cap`: reserved-vs-used can be read off it.
     pub fn scoped(parent: &Arc<Self>, cap: usize, what: &'static str) -> Result<Arc<Self>> {
-        // Set aside before committing: a concurrent peak sample then reads
-        // low in between, never high.
+        // Set aside before committing: a concurrent peak sample in between
+        // then reads low, not high.
         parent.set_aside.fetch_add(cap, Ordering::Relaxed);
         if let Err(e) = parent.reserve_raw(cap, what) {
             parent.set_aside.fetch_sub(cap, Ordering::Relaxed);
@@ -127,6 +132,7 @@ impl MemTracker {
     /// counterpart of [`MemTracker::charge`] used by [`MemCharge::resize`] to
     /// grow an existing guard in place (a nested guard would hold an extra
     /// `Arc` reference that `resize` would have to leak).
+    #[inline]
     fn reserve_raw(&self, bytes: usize, what: &'static str) -> Result<()> {
         if let Some(parent) = &self.parent {
             return self.reserve_scoped(parent, bytes, what);
@@ -164,33 +170,28 @@ impl MemTracker {
     /// cannot fail; the part above is charged to `parent` first, so a
     /// refused charge never shows in this tracker's count (where it would
     /// push a concurrent charge over the cap).
+    #[inline(never)]
     fn reserve_scoped(&self, parent: &MemTracker, bytes: usize, what: &'static str) -> Result<()> {
         let mut cur = self.committed.load(Ordering::Relaxed);
         loop {
             let new = cur.saturating_add(bytes);
             let within = new.min(self.budget) - cur.min(self.budget);
-            let over = bytes - within;
-            if over > 0 {
-                parent.reserve_raw(over, what)?;
-            }
-            match self.committed.compare_exchange_weak(
+            parent.reserve_raw(bytes - within, what)?;
+            let swap = self.committed.compare_exchange_weak(
                 cur,
                 new,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
-            ) {
+            );
+            match swap {
                 Ok(_) => {
-                    if within > 0 {
-                        parent.set_aside.fetch_sub(within, Ordering::Relaxed);
-                        parent.sample_peak(parent.committed.load(Ordering::Relaxed));
-                    }
+                    parent.set_aside.fetch_sub(within, Ordering::Relaxed);
+                    parent.sample_peak(parent.committed.load(Ordering::Relaxed));
                     self.sample_peak(new);
                     return Ok(());
                 }
                 Err(seen) => {
-                    if over > 0 {
-                        parent.release_raw(over);
-                    }
+                    parent.release_raw(bytes - within);
                     cur = seen;
                 }
             }
@@ -200,6 +201,7 @@ impl MemTracker {
     /// Release `bytes` from the accounting, saturating at zero so a
     /// mis-sized release can never wrap the count around to a huge value
     /// (which would wedge every further charge as out-of-budget).
+    #[inline]
     fn release_raw(&self, bytes: usize) {
         let (Ok(old) | Err(old)) =
             self.committed
@@ -207,13 +209,18 @@ impl MemTracker {
                     Some(cur.saturating_sub(bytes))
                 });
         if let Some(parent) = &self.parent {
-            // Mirror image of `reserve_scoped`: bytes under the cap go back
-            // to the set-aside, bytes above it back to the parent.
-            let new = old.saturating_sub(bytes);
-            let within = old.min(self.budget) - new.min(self.budget);
-            parent.set_aside.fetch_add(within, Ordering::Relaxed);
-            parent.release_raw(old - new - within);
+            self.release_scoped(parent, old, old.saturating_sub(bytes));
         }
+    }
+
+    /// Mirror image of `reserve_scoped` for a scoped tracker whose count
+    /// went from `old` down to `new`: bytes under the cap go back to the
+    /// set-aside, bytes above it back to `parent`.
+    #[inline(never)]
+    fn release_scoped(&self, parent: &MemTracker, old: usize, new: usize) {
+        let within = old.min(self.budget) - new.min(self.budget);
+        parent.set_aside.fetch_add(within, Ordering::Relaxed);
+        parent.release_raw(old - new - within);
     }
 
     /// Charge `bytes` against the budget. Fails with [`Error::OutOfMemory`]
@@ -429,6 +436,7 @@ mod tests {
     fn scoped_charges_show_in_the_parent_only_as_they_are_made() {
         let t = MemTracker::with_budget(1000);
         let _held = t.charge(100, "held").unwrap();
+        assert!(MemTracker::scoped(&t, 901, "too big").unwrap_err().is_oom());
         let scope = MemTracker::scoped(&t, 600, "scope").unwrap();
         // Set aside is not live: nothing moved in what the parent reports,
         // but only 300 bytes are left to anybody else.
@@ -439,32 +447,18 @@ mod tests {
         assert_eq!((scope.live(), t.live(), t.peak()), (250, 650, 650));
         let b = scope.charge(350, "b").unwrap();
         assert_eq!((scope.live(), t.live(), t.peak()), (600, 1000, 1000));
-        drop(a);
-        assert_eq!((scope.live(), t.live()), (350, 750));
+        drop((a, other));
         // The released bytes went back to the scope, not to the parent.
-        assert!(t.charge(1, "still full").unwrap_err().is_oom());
-        drop((b, other));
-        assert_eq!((scope.live(), scope.peak(), scope.budget()), (0, 600, 600));
-        assert_eq!((t.live(), t.peak()), (100, 1000));
-    }
-
-    #[test]
-    fn scope_cap_is_returned_when_the_last_charge_through_it_drops() {
-        let t = MemTracker::with_budget(1000);
-        assert!(MemTracker::scoped(&t, 1001, "too big")
-            .unwrap_err()
-            .is_oom());
-        assert!(t.charge(1000, "nothing was set aside").is_ok());
-        let scope = MemTracker::scoped(&t, 800, "scope").unwrap();
-        let c = scope.charge(300, "outlives the handle").unwrap();
+        assert_eq!((scope.live(), t.live()), (350, 450));
+        assert!(t.charge(301, "scope still holds its cap").is_err());
+        // The charge keeps the scope — and its set-aside — alive past the
+        // last other handle; dropping it returns everything.
+        assert_eq!((scope.peak(), scope.budget()), (600, 600));
         drop(scope);
-        // The charge keeps the scope — and its whole set-aside — alive.
-        assert_eq!(t.live(), 300);
-        assert!(t.charge(201, "too much").unwrap_err().is_oom());
-        drop(c);
-        assert_eq!(t.live(), 0);
-        assert!(t.charge(1000, "everything is back").is_ok());
-        assert_eq!(t.peak(), 1000);
+        assert!(t.charge(301, "scope still holds its cap").is_err());
+        drop(b);
+        assert_eq!((t.live(), t.peak()), (100, 1000));
+        assert!(t.charge(900, "everything is back").is_ok());
     }
 
     #[test]
@@ -482,26 +476,21 @@ mod tests {
         // 200 straddles too, and fits to the byte.
         let d = scope.charge(200, "straddles").unwrap();
         assert_eq!((scope.live(), t.live(), t.peak()), (500, 1000, 1000));
-        drop(outside);
-        c.resize(700, "grows").unwrap();
-        assert_eq!((scope.live(), t.live()), (900, 900));
         // Shrinking gives the part above the cap back to the parent first.
         c.resize(0, "shrinks").unwrap();
-        assert_eq!((scope.live(), t.live()), (200, 200));
-        let rest = t.charge(600, "all but the cap").unwrap();
-        assert!(t.charge(1, "cap is still set aside").unwrap_err().is_oom());
-        drop((c, d, rest, scope));
-        assert_eq!(t.live(), 0);
+        assert_eq!((scope.live(), t.live()), (200, 700));
+        assert!(t
+            .charge(101, "cap is still set aside")
+            .unwrap_err()
+            .is_oom());
+        drop((c, d, scope, outside));
         assert!(t.charge(1000, "everything is back").is_ok());
     }
 
     #[test]
     fn concurrent_scoped_charges_never_push_the_parent_past_its_budget() {
         let t = MemTracker::with_budget(1000);
-        let scopes = [
-            MemTracker::scoped(&t, 300, "scope 0").unwrap(),
-            MemTracker::scoped(&t, 300, "scope 1").unwrap(),
-        ];
+        let scopes = [(); 2].map(|()| MemTracker::scoped(&t, 300, "scope").unwrap());
         let failed_under_cap = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for i in 0..8usize {
@@ -524,8 +513,7 @@ mod tests {
             }
         });
         assert_eq!(failed_under_cap.load(Ordering::Relaxed), 0);
-        assert!(t.peak() <= 1000, "peak {} over budget", t.peak());
-        assert!(t.peak() >= 70);
+        assert!((70..=1000).contains(&t.peak()), "peak {}", t.peak());
         assert_eq!(t.live(), 0);
         drop(scopes);
         assert!(t.charge(1000, "everything is back").is_ok());

@@ -14,8 +14,14 @@
 //!
 //! # Cost model
 //!
-//! The models mirror the exact reservations the blockwise pipeline admits
-//! per block, so "predicted" and "admitted" cannot drift apart:
+//! The models mirror the exact reservations the blockwise pipeline makes
+//! per block, so "predicted" and "admitted" cannot drift apart. A panel's
+//! reservation is the bytes below, whole at admission. A tile's is the bytes
+//! below at admission *plus*, before its numeric phase may start, the
+//! symbolic charge replay of its own stacked `W`, set aside as a tracker
+//! scoped to the tile (`pipeline.rs`); the planner prices that part with the
+//! same replay on a corner tile, and the driver caps the blocks in flight at
+//! usable headroom ÷ the sum the planner returns beside its decision:
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):
@@ -27,9 +33,9 @@
 //!   column pointers, coupling nnz divided evenly across the grid) plus the
 //!   dense `m×m` Schur output, `m = ⌈n_s/n_b⌉`.
 //!
-//! The multi-factorization planner additionally prices the sparse solver's
-//! *internal* allocations while factoring one tile, via the `internal_bytes`
-//! closure supplied by the driver. That closure replays the symbolic charge
+//! The sparse solver's *internal* allocations while factoring one tile reach
+//! the multi-factorization planner through the `internal_bytes` closure
+//! supplied by the driver. That closure replays the symbolic charge
 //! schedule of a representative corner tile:
 //! [`csolve_sparse::SymbolicFactorization::predicted_numeric_peak_bytes`]
 //! when sparse-front BLR compression is off (exact, byte-for-byte), or the
@@ -41,7 +47,10 @@
 //! headroomed rank estimate `r̂ = 4·⌈√min(rows,cols)⌉`, so under compression
 //! the planner admits larger tiles than the uncompressed replay would allow
 //! — that slack is exactly how multi-factorization runs complete under
-//! budgets that return a structured OOM uncompressed. The estimate is a
+//! budgets that return a structured OOM uncompressed (a tile *reserves* the
+//! uncompressed replay; one that does not fit beside others waits for them,
+//! then runs in the headroom left, charging what compression really leaves).
+//! The estimate is a
 //! *model*, not a bound; the `autotune_report` gate (predicted ≥ measured /
 //! 1.25) covers it empirically for both settings.
 //!
@@ -202,9 +211,8 @@ fn predicted_peak(tracker: &MemTracker, block_bytes: usize) -> usize {
 /// panel width. Returns [`Error::OutOfMemory`] when even a single-column
 /// panel does not fit (the infeasible-budget case of the conformance grid).
 ///
-/// Returned beside the decision: the working-set bytes of one panel the
-/// selection was priced at, which is what the pipeline's in-flight cap must
-/// divide the headroom by.
+/// Returned beside the decision: the bytes of one panel it was priced at,
+/// which the pipeline's in-flight cap must divide the headroom by.
 pub fn plan_multi_solve(
     stats: &MatrixStats,
     cfg: &SolverConfig,
@@ -269,8 +277,7 @@ pub fn plan_multi_solve(
 /// on a representative corner tile); tests may pass a constant model.
 ///
 /// Returned beside the decision: the whole-tile bytes (reserve plus
-/// solver-internal) the selection was priced at — the figure the pipeline's
-/// in-flight cap must divide the headroom by.
+/// solver-internal) it was priced at, for the pipeline's in-flight cap.
 pub fn plan_multi_factorization(
     stats: &MatrixStats,
     cfg: &SolverConfig,

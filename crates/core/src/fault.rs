@@ -33,7 +33,7 @@ static FP_COLLIDE: AtomicBool = AtomicBool::new(false);
 /// maximal churn, for stressing the eviction/re-factorization path.
 static EVICT_ALL: AtomicBool = AtomicBool::new(false);
 
-/// Schedule jitter: 0 = disarmed, otherwise the xorshift state the next
+/// Schedule jitter: 0 = disarmed, otherwise the generator state the next
 /// pause is drawn from.
 static JITTER: AtomicU64 = AtomicU64::new(0);
 
@@ -75,16 +75,12 @@ pub fn arm_session_evict_all() {
 
 /// Arm persistent schedule jitter until [`disarm`]: every pipeline worker
 /// that reaches an admission, a finalize, a hand-off or a release first
-/// yields or sleeps (0–500 µs) as a generator seeded with `seed` decides,
-/// so the interleavings a loaded many-core host would produce can be
-/// explored, seed by seed, on any host. Not a fault: every run must still
-/// succeed, inside its budget, with the bits of the undisturbed run.
+/// yields or sleeps (< 500 µs) as a generator seeded with `seed` decides, so
+/// the interleavings a loaded many-core host would produce can be explored,
+/// seed by seed, on any host. Not a fault: every run must still succeed,
+/// inside its budget, with the bits of the undisturbed run.
 pub fn arm_schedule_jitter(seed: u64) {
-    // Spread the seed's bits (splitmix64 increment); never the disarmed 0.
-    JITTER.store(
-        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-        Ordering::SeqCst,
-    );
+    JITTER.store(seed | 1 << 63, Ordering::SeqCst);
 }
 
 /// Disarm all coupled-solver faults.
@@ -115,21 +111,19 @@ pub(crate) fn take_admit_oom(seq: usize) -> bool {
 
 /// Pause the calling worker as the armed schedule jitter decides.
 pub(crate) fn jitter() {
-    let step = |mut x: u64| {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
+    // One step of Knuth's 64-bit LCG per call; the top bit keeps the state
+    // apart from the disarmed 0, the bits below it decide.
+    let next = |x: u64| {
+        x.wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
     };
     let drawn = JITTER.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |x| {
-        (x != 0).then(|| step(x))
+        (x != 0).then(|| next(x) | 1 << 63)
     });
-    if let Ok(x) = drawn {
-        match x % 4 {
-            0 => {}
-            1 => std::thread::yield_now(),
-            _ => std::thread::sleep(std::time::Duration::from_micros((x >> 8) % 500)),
-        }
+    match drawn.map(|x| x >> 40) {
+        Ok(r) if r % 4 == 1 => std::thread::yield_now(),
+        Ok(r) if r % 4 > 1 => std::thread::sleep(std::time::Duration::from_micros(r % 500)),
+        _ => {}
     }
 }
 

@@ -50,9 +50,8 @@
 //! passes on when block `k` is *final*, not when it is admitted: while `k`
 //! waits in [`Slot::finalize`], every lower block holds its whole working
 //! set and can compute, fold and release without another byte, and no
-//! higher block holds anything. The price: the step between admission and
-//! finalize (a tile's `W` assembly and analysis) runs one block at a time,
-//! overlapping only the lower blocks' numeric work.
+//! higher block holds anything. The price: a tile's `W` assembly and
+//! analysis, between its admission and finalize, run one block at a time.
 //!
 //! # Failure propagation
 //!
@@ -65,9 +64,10 @@
 //!
 //! Each block's records appear in a fixed order whatever the thread count:
 //! `task_ready` (compute), `admit_wait`, the compute closure's own records
-//! (with the wait in [`Slot::finalize`], a second `admit_wait`), `task_run`, `task_ready` (commit), `commit_wait`, the fold closure's own
-//! records, `task_run`. `budget_degrade` and `poisoned` appear only on runs
-//! that hit the budget or fail.
+//! (with the wait in [`Slot::finalize`], a second `admit_wait`), `task_run`,
+//! `task_ready` (commit), `commit_wait`, the fold closure's own records,
+//! `task_run`. `budget_degrade` and `poisoned` appear only on runs that hit
+//! the budget or fail.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -240,13 +240,12 @@ impl Slot<'_> {
     /// Make the reservation whole and final: set aside `bound` more bytes,
     /// everything the block's callees will charge through [`Slot::tracker`],
     /// and pass the ticket to the next block. Every block calls this once,
-    /// before it computes (until it does, no other block is admitted); one
-    /// whose admission reserved everything passes 0 and never waits.
+    /// before it computes; one whose admission reserved everything passes 0.
     ///
-    /// Waits for earlier blocks to release while `bound` does not fit. With
-    /// no other block in flight the grant is what headroom is left: growth
-    /// past it is budget-checked charge by charge, as in the sequential
-    /// algorithm. Fails only with the pipeline's error.
+    /// Waits for earlier blocks to release while `bound` does not fit; with
+    /// none in flight the grant is what headroom is left, and growth past it
+    /// is budget-checked charge by charge, as in the sequential algorithm.
+    /// Fails only with the pipeline's error.
     pub(crate) fn finalize(&mut self, bound: usize, what: &'static str) -> Result<()> {
         #[cfg(feature = "fault-inject")]
         crate::fault::jitter();
@@ -469,12 +468,12 @@ mod tests {
         }
     }
 
-    /// A pipeline of `steps` blocks reserving `bytes` each at admission and
-    /// `bound` more at finalize, before `compute` runs; the payload is the
-    /// block index and the accumulator the list of folded indices.
+    /// A pipeline of `steps` blocks reserving `bytes` each at admission
+    /// (`compute` finalizes); the payload is the block index and the
+    /// accumulator the list of folded indices.
     fn run(
         tracker: &Arc<MemTracker>,
-        (steps, inflight, bytes, bound): (usize, usize, usize, usize),
+        (steps, inflight, bytes): (usize, usize, usize),
         compute: impl Fn(usize, &mut Slot<'_>) -> Result<()> + Sync,
     ) -> Result<Vec<usize>> {
         run_blockwise(
@@ -484,11 +483,7 @@ mod tests {
             inflight,
             Vec::new(),
             |_| (bytes, "block"),
-            |seq, slot| {
-                slot.finalize(bound, "callee working set")?;
-                compute(seq, slot)?;
-                Ok(seq)
-            },
+            |seq, slot| compute(seq, slot).map(|()| seq),
             |seq, folded, payload| {
                 assert_eq!(seq, payload, "payload handed to the wrong fold");
                 folded.push(payload);
@@ -507,7 +502,8 @@ mod tests {
         for workers in [1, 4] {
             let tracker = MemTracker::unbounded();
             let folded = with_workers(workers, || {
-                run(&tracker, (8, 8, 10, 0), |seq, _| {
+                run(&tracker, (8, 8, 10), |seq, slot| {
+                    whole(slot)?;
                     // Late blocks finish first.
                     pause((7 - seq as u64) * 3);
                     Ok(())
@@ -524,7 +520,8 @@ mod tests {
         for workers in [1, 4] {
             let tracker = MemTracker::with_budget(250);
             let folded = with_workers(workers, || {
-                run(&tracker, (6, 4, 100, 0), |_, _| {
+                run(&tracker, (6, 4, 100), |_, slot| {
+                    whole(slot)?;
                     assert!(tracker.live() <= 250);
                     pause(2);
                     Ok(())
@@ -541,11 +538,13 @@ mod tests {
         for workers in [1, 4] {
             // No two 60-byte blocks fit together, yet each fits alone.
             let tracker = MemTracker::with_budget(100);
-            let folded = with_workers(workers, || run(&tracker, (4, 4, 60, 0), |_, _| Ok(())));
+            let folded = with_workers(workers, || run(&tracker, (4, 4, 60), |_, slot| whole(slot)));
             assert_eq!(folded.unwrap().len(), 4);
             // Nothing in flight and the reservation exceeds the whole
             // budget: fail, as the sequential algorithm would.
-            let err = with_workers(workers, || run(&tracker, (4, 4, 200, 0), |_, _| Ok(())));
+            let err = with_workers(workers, || {
+                run(&tracker, (4, 4, 200), |_, slot| whole(slot))
+            });
             assert!(err.unwrap_err().is_oom());
             assert_eq!(tracker.live(), 0);
         }
@@ -554,39 +553,18 @@ mod tests {
     #[test]
     fn degraded_admission_waits_for_a_release() {
         for workers in [1, 4] {
+            // 100 + 100 exceeds the budget: block 1 is admitted — not failed
+            // — once block 0 has released, which it does after its fold.
             let tracker = MemTracker::with_budget(150);
-            let folded0 = AtomicBool::new(false);
-            let result = with_workers(workers, || {
-                run_blockwise(
-                    &tracker,
-                    &Tracer::disabled(),
-                    2,
-                    4,
-                    (),
-                    |_| (100, "block"),
-                    |seq, slot| {
-                        whole(slot)?;
-                        if seq == 0 {
-                            pause(30);
-                        } else {
-                            // 100 + 100 exceeds the budget: block 1 is
-                            // admitted only once block 0 has released, which
-                            // it does after its fold.
-                            assert!(folded0.load(Ordering::SeqCst));
-                        }
-                        Ok(())
-                    },
-                    |seq, (), ()| {
-                        if seq == 0 {
-                            folded0.store(true, Ordering::SeqCst);
-                        }
-                        Ok(())
-                    },
-                )
+            let folded = with_workers(workers, || {
+                run(&tracker, (2, 4, 100), |seq, slot| {
+                    whole(slot)?;
+                    pause(30 * (1 - seq as u64));
+                    Ok(())
+                })
             });
-            result.unwrap();
-            assert!(tracker.peak() <= 150);
-            assert_eq!(tracker.live(), 0);
+            assert_eq!(folded.unwrap(), [0, 1]);
+            assert_eq!((tracker.peak(), tracker.live()), (100, 0));
         }
     }
 
@@ -665,65 +643,39 @@ mod tests {
 
     #[test]
     fn blocks_that_charge_their_whole_finalized_bound_never_run_out_of_memory() {
-        // 10 bytes at admission, 100 more at finalize: one whole block fits
-        // the budget, two do not, four admissions do.
-        for workers in [1, 4] {
-            let tracker = MemTracker::with_budget(160);
+        // 10 bytes at admission, `bound` more at finalize: one whole block
+        // fits the budget, two do not, four admissions do. Parking blocks
+        // make room for the next while they wait for their fold; blocks that
+        // do not are granted their bound only once they are alone.
+        for (workers, park) in [(1, true), (4, true), (1, false), (4, false)] {
+            let (budget, bound) = if park { (160, 100) } else { (100, 75) };
+            let tracker = MemTracker::with_budget(budget);
             let computed = AtomicUsize::new(0);
             let folded = with_workers(workers, || {
-                run(&tracker, (6, 4, 10, 100), |_, slot| {
+                run(&tracker, (6, 4, 10), |_, slot| {
+                    slot.finalize(bound, "callee working set")?;
+                    // This block's 10 and, by now perhaps, the next one's.
+                    assert!(park || tracker.live() <= 20, "granted beside a block");
                     // Inside the reservation no charge can fail, however
                     // many other blocks are admitted meanwhile.
-                    let held = slot.tracker().charge(60, "callee, first")?;
+                    let held = slot.tracker().charge(bound - 40, "callee, first")?;
                     pause(2);
                     let more = slot.tracker().charge(40, "callee, second")?;
-                    assert!(tracker.live() <= 160);
+                    assert!(tracker.live() <= budget);
                     computed.fetch_add(1, Ordering::SeqCst);
                     drop((held, more));
-                    slot.park(5, "parked")
+                    if park {
+                        slot.park(5, "parked")?;
+                    }
+                    Ok(())
                 })
             });
             assert_eq!(folded.unwrap(), (0..6).collect::<Vec<_>>());
             // Every block computed once: nothing was released, waited for
             // and recomputed.
             assert_eq!(computed.load(Ordering::SeqCst), 6);
-            assert!(tracker.peak() <= 160, "peak {}", tracker.peak());
-            assert!(tracker.peak() >= 110);
-            assert_eq!(tracker.live(), 0);
-        }
-    }
-
-    #[test]
-    fn a_bound_that_fits_only_alone_is_granted_alone() {
-        for workers in [1, 4] {
-            // 10 + 75 is in flight when the next block is admitted (95) and
-            // asks for its own 75: granted only once it is alone.
-            let tracker = MemTracker::with_budget(100);
-            let whole_blocks = AtomicUsize::new(0);
-            let result = with_workers(workers, || {
-                run_blockwise(
-                    &tracker,
-                    &Tracer::disabled(),
-                    4,
-                    4,
-                    (),
-                    |_| (10, "block"),
-                    |_, slot| {
-                        slot.finalize(75, "callee working set")?;
-                        assert_eq!(whole_blocks.fetch_add(1, Ordering::SeqCst), 0);
-                        let _all = slot.tracker().charge(75, "callee")?;
-                        pause(2);
-                        Ok(())
-                    },
-                    // The fold runs before the slot is released.
-                    |_, (), ()| {
-                        whole_blocks.fetch_sub(1, Ordering::SeqCst);
-                        Ok(())
-                    },
-                )
-            });
-            result.unwrap();
-            assert!(tracker.peak() <= 100);
+            let peak = tracker.peak();
+            assert!((10 + bound..=budget).contains(&peak), "peak {peak}");
             assert_eq!(tracker.live(), 0);
         }
     }
@@ -735,7 +687,8 @@ mod tests {
             let err = with_workers(workers, || {
                 // Alone, block 0 is granted the 90 bytes of headroom left
                 // and dies at the charge that outgrows the budget.
-                run(&tracker, (3, 3, 10, 500), |_, slot| {
+                run(&tracker, (3, 3, 10), |_, slot| {
+                    slot.finalize(500, "callee working set")?;
                     let _under = slot.tracker().charge(80, "callee, first")?;
                     let _over = slot.tracker().charge(420, "callee, second")?;
                     Ok(())
@@ -747,8 +700,7 @@ mod tests {
                 }
                 e => panic!("expected the callee's out-of-memory error, got {e}"),
             }
-            assert_eq!(tracker.live(), 0);
-            assert!(tracker.charge(100, "set-asides returned").is_ok());
+            assert!(tracker.charge(100, "everything is back").is_ok());
         }
     }
 
@@ -759,37 +711,27 @@ mod tests {
             let tracker = MemTracker::with_budget(100);
             let waiting = AtomicBool::new(false);
             let result = with_workers(workers, || {
-                run_blockwise(
-                    &tracker,
-                    &Tracer::disabled(),
-                    3,
-                    3,
-                    (),
-                    |_| (10, "block"),
-                    |seq, slot| {
-                        if seq > 0 {
-                            waiting.store(true, Ordering::SeqCst);
+                run(&tracker, (3, 3, 10), |seq, slot| {
+                    if seq > 0 {
+                        waiting.store(true, Ordering::SeqCst);
+                    }
+                    // Block 1's 75 cannot fit beside block 0's, and block 0
+                    // never releases: only its error ends the wait.
+                    slot.finalize(75, "callee working set")?;
+                    // Block 0 fails once block 1 sits in that wait — which
+                    // only a second worker can get it to.
+                    for _ in 0..100 {
+                        if waiting.load(Ordering::SeqCst) {
+                            pause(10);
+                            break;
                         }
-                        // Block 1's 75 cannot fit beside block 0's, and block
-                        // 0 never releases: only its error ends the wait.
-                        slot.finalize(75, "callee working set")?;
-                        // Block 0 fails once block 1 sits in that wait — which
-                        // only a second worker can get it to.
-                        for _ in 0..100 {
-                            if waiting.load(Ordering::SeqCst) {
-                                pause(10);
-                                break;
-                            }
-                            pause(2);
-                        }
-                        Err(boom())
-                    },
-                    |_, (), ()| Ok(()),
-                )
+                        pause(2);
+                    }
+                    Err(boom())
+                })
             });
             assert_eq!(result.unwrap_err(), boom(), "{workers} workers");
-            assert_eq!(tracker.live(), 0);
-            assert!(tracker.charge(100, "set-asides returned").is_ok());
+            assert!(tracker.charge(100, "everything is back").is_ok());
         }
     }
 
@@ -799,29 +741,19 @@ mod tests {
             let tracker = MemTracker::unbounded();
             // Blocks about to pass the ticket on (counted *before* they do).
             let finals = AtomicUsize::new(0);
-            let result = with_workers(workers, || {
-                run_blockwise(
-                    &tracker,
-                    &Tracer::disabled(),
-                    8,
-                    4,
-                    (),
-                    |_| (10, "block"),
-                    |seq, slot| {
-                        // Admitted: blocks 0..seq are final, and no higher
-                        // block gets here while this one takes its time.
-                        assert_eq!(finals.load(Ordering::SeqCst), seq);
-                        pause(3);
-                        assert_eq!(finals.fetch_add(1, Ordering::SeqCst), seq);
-                        slot.finalize(1, "callee working set")?;
-                        pause(3);
-                        Ok(())
-                    },
-                    |_, (), ()| Ok(()),
-                )
+            let folded = with_workers(workers, || {
+                run(&tracker, (8, 4, 10), |seq, slot| {
+                    // Admitted: blocks 0..seq are final, and no higher block
+                    // gets here while this one takes its time.
+                    assert_eq!(finals.load(Ordering::SeqCst), seq);
+                    pause(3);
+                    assert_eq!(finals.fetch_add(1, Ordering::SeqCst), seq);
+                    slot.finalize(1, "callee working set")?;
+                    pause(3);
+                    Ok(())
+                })
             });
-            result.unwrap();
-            assert_eq!(finals.load(Ordering::SeqCst), 8);
+            assert_eq!(folded.unwrap().len(), 8);
             assert_eq!(tracker.live(), 0);
         }
     }

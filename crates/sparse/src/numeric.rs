@@ -320,7 +320,7 @@ impl LocalPeak {
 /// assert!((b.as_ref().get(1, 0) - 7.0 / 11.0).abs() < 1e-12);
 /// ```
 pub fn factorize<T: Scalar>(a: &Csc<T>, opts: &SparseOptions) -> Result<SparseFactorization<T>> {
-    let (f, s) = factorize_impl(a, &[], opts)?;
+    let (f, s) = factorize_schur(a, &[], opts)?;
     debug_assert_eq!(s.nrows(), 0);
     Ok(f)
 }
@@ -381,7 +381,14 @@ pub fn factorize_schur<T: Scalar>(
     schur_vars: &[usize],
     opts: &SparseOptions,
 ) -> Result<(SparseFactorization<T>, Mat<T>)> {
-    factorize_impl(a, schur_vars, opts)
+    a.check()?;
+    // Analysis, then the numeric phase, under one whole-factorization span.
+    let tr = opts.trace_scope();
+    let whole = tr.span(whole_span_kind(schur_vars.len()));
+    let symbolic = tr.time(SpanKind::SparseAnalyze, || {
+        SymbolicFactorization::analyze(a, schur_vars, opts.ordering)
+    })?;
+    numeric_phase(a, symbolic, opts, whole)
 }
 
 /// The numeric phase of [`factorize_schur`] alone, on a symbolic analysis
@@ -418,21 +425,6 @@ fn whole_span_kind(n_schur: usize) -> SpanKind {
     } else {
         SpanKind::SparseFactorizationSchur
     }
-}
-
-/// Analysis, then [`numeric_phase`] under one whole-factorization span.
-fn factorize_impl<T: Scalar>(
-    a: &Csc<T>,
-    schur_vars: &[usize],
-    opts: &SparseOptions,
-) -> Result<(SparseFactorization<T>, Mat<T>)> {
-    a.check()?;
-    let tr = opts.trace_scope();
-    let whole = tr.span(whole_span_kind(schur_vars.len()));
-    let symbolic = tr.time(SpanKind::SparseAnalyze, || {
-        SymbolicFactorization::analyze(a, schur_vars, opts.ordering)
-    })?;
-    numeric_phase(a, symbolic, opts, whole)
 }
 
 /// The multifrontal numeric factorization `symbolic` describes; `whole` is

@@ -477,60 +477,53 @@ fn analyze_then_numeric_equals_factorize_schur_bitwise() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(22);
     let b = Mat::<f64>::random(n, 5, &mut rng);
     let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-    let condensed = |f: &crate::SparseFactorization<f64>| {
+    // Schur block, condensation solve, ranks and statistics of one result.
+    let digest = |(f, s): &(crate::SparseFactorization<f64>, Mat<f64>)| {
         let mut x = b.clone();
         f.condense_and_solve(&mut x, |_| Ok(())).unwrap();
-        bits(&x)
+        (
+            bits(s),
+            bits(&x),
+            f.panel_ranks(),
+            format!("{:?}", f.stats()),
+        )
     };
     for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
         for blr_eps in [None, Some(1e-6)] {
             let cell = format!("{symmetry:?} / blr {blr_eps:?}");
-            let direct = MemTracker::unbounded();
-            let opts = SparseOptions {
+            let (direct, parent) = (MemTracker::unbounded(), MemTracker::unbounded());
+            let mut opts = SparseOptions {
                 symmetry,
                 blr_eps,
                 tracker: Some(direct.clone()),
                 ..Default::default()
             };
-            let (f0, s0) = factorize_schur(&a, &schur_vars, &opts).unwrap();
+            let whole = factorize_schur(&a, &schur_vars, &opts).unwrap();
 
-            let parent = MemTracker::unbounded();
             let sym = SymbolicFactorization::analyze(&a, &schur_vars, opts.ordering).unwrap();
             let unsym = symmetry == Symmetry::UnsymmetricLu;
             let bound = sym.predicted_numeric_peak_bytes(std::mem::size_of::<f64>(), unsym);
             let scope = MemTracker::scoped(&parent, bound, "numeric phase").unwrap();
-            let scoped_opts = SparseOptions {
-                tracker: Some(scope.clone()),
-                ..opts.clone()
-            };
-            let (f1, s1) = factorize_analyzed(&a, sym, &scoped_opts).unwrap();
-
-            assert_eq!(bits(&s0), bits(&s1), "{cell}: Schur block");
-            assert_eq!(condensed(&f0), condensed(&f1), "{cell}: factors");
-            assert_eq!(f0.panel_ranks(), f1.panel_ranks(), "{cell}: ranks");
-            assert_eq!(
-                format!("{:?}", f0.stats()),
-                format!("{:?}", f1.stats()),
-                "{cell}: stats"
-            );
+            opts.tracker = Some(scope.clone());
+            let split = factorize_analyzed(&a, sym, &opts).unwrap();
+            assert_eq!(digest(&whole), digest(&split), "{cell}");
             // Used vs reserved, read off the scope: exact uncompressed, an
             // upper bound with BLR; either way the parent saw what a direct
             // run charges.
             assert!(scope.peak() <= bound, "{cell}: scope outgrew its bound");
-            if blr_eps.is_none() {
-                assert_eq!(scope.peak(), bound, "{cell}: the bound is exact");
-            }
-            assert_eq!(parent.peak(), direct.peak(), "{cell}: parent peak");
-            assert_eq!(parent.live(), direct.live(), "{cell}: parent live");
-            drop((f1, scoped_opts, scope));
-            assert_eq!(parent.live(), 0);
+            assert!(blr_eps.is_some() || scope.peak() == bound, "{cell}: exact");
+            assert_eq!(
+                (parent.peak(), parent.live()),
+                (direct.peak(), direct.live()),
+                "{cell}"
+            );
+            drop((split, opts, scope));
             assert!(parent.charge(usize::MAX, "set-aside returned").is_ok());
         }
     }
     // An analysis of another matrix is refused, not indexed out of bounds.
     let sym = SymbolicFactorization::analyze(&a, &schur_vars, OrderingKind::Natural).unwrap();
-    let small = grid3d(4, 4, 4, 0.5);
-    assert!(factorize_analyzed(&small, sym, &SparseOptions::default()).is_err());
+    assert!(factorize_analyzed(&grid3d(4, 4, 4, 0.5), sym, &SparseOptions::default()).is_err());
 }
 
 #[test]

@@ -234,79 +234,56 @@ fn faults_never_leave_an_armed_hook_behind() {
 /// interleavings a loaded many-core host would produce. Whatever the
 /// schedule, an admitted tile cannot run out of memory: every run succeeds,
 /// inside the budget, with the bits of the 1-thread run. The two cells are
-/// the conformance suite's tight autotuned budget and the smallest
-/// power-of-two budget the fixed blocking fits sequentially.
+/// the conformance suite's tight autotuned budget (dense backend) and the
+/// smallest power-of-two budget the fixed blocking fits sequentially
+/// (compressed backend, so the folds charge too).
 #[test]
 fn schedule_jitter_never_breaks_a_budgeted_multi_factorization() {
     let guard = FaultGuard::acquire();
-    let budgeted = |block_sizes, backend, mem_budget, num_threads| SolverConfig {
+    let algo = Algorithm::MultiFactorization;
+    type Cell = (BlockSizes, DenseBackend);
+    let cfg = |(block_sizes, backend): Cell, budget: usize, num_threads| SolverConfig {
         block_sizes,
-        mem_budget,
+        mem_budget: Some(budget),
         num_threads,
         ..config(backend)
     };
-    let algo = Algorithm::MultiFactorization;
-
-    // Conformance cell: the first budget below the unbounded fixed peak that
-    // the autotuner answers with a finer, still feasible tile grid.
     let spec = ProblemSpec {
         cond: 10.0,
         ..ProblemSpec::new(0xC0F_007)
     };
     let auto_p = generate::<f64>(&spec);
-    let auto = |budget, threads| budgeted(BlockSizes::Auto, DenseBackend::Spido, budget, threads);
-    let peak = solve(&auto_p, algo, &auto(None, 1))
-        .unwrap()
-        .metrics
-        .peak_bytes;
+    let auto = (BlockSizes::Auto, DenseBackend::Spido);
+    let peak = solve(&auto_p, algo, &cfg(auto, usize::MAX, 1)).unwrap();
+    // The first budget below the fixed peak that the autotuner answers with
+    // a finer, still feasible tile grid.
     let tight = [98, 95, 90, 85, 80, 75, 70, 60, 50, 40]
-        .iter()
-        .map(|pct| peak * pct / 100)
+        .map(|pct| peak.metrics.peak_bytes * pct / 100)
+        .into_iter()
         .find(|&b| {
-            solve(&auto_p, algo, &auto(Some(b), 1))
+            solve(&auto_p, algo, &cfg(auto, b, 1))
                 .is_ok_and(|out| out.metrics.autotune.is_some_and(|d| d.degraded))
         })
         .expect("some scanned budget degrades the blocking and completes");
-
-    // Fixed cell: the compressed backend, so the folds charge too.
     let fixed_p = csolve_fembem::pipe_problem::<f64>(1_500);
-    let fixed = |budget, threads| budgeted(BlockSizes::Fixed, DenseBackend::Hmat, budget, threads);
+    let fixed = (BlockSizes::Fixed, DenseBackend::Hmat);
     let pow2 = (18..34)
         .map(|shift| 1usize << shift)
-        .find(|&b| solve(&fixed_p, algo, &fixed(Some(b), 1)).is_ok())
+        .find(|&b| solve(&fixed_p, algo, &cfg(fixed, b, 1)).is_ok())
         .expect("some budget fits the sequential run");
 
-    let cells = [
-        (
-            "auto / tight",
-            &auto_p,
-            auto(Some(tight), 1),
-            auto(Some(tight), 4),
-            tight,
-        ),
-        (
-            "fixed / pow2",
-            &fixed_p,
-            fixed(Some(pow2), 1),
-            fixed(Some(pow2), 4),
-            pow2,
-        ),
-    ];
-    for (cell, p, sequential, parallel, budget) in cells {
-        let reference = solve(p, algo, &sequential).unwrap();
+    for (cell, p, budget) in [(auto, &auto_p, tight), (fixed, &fixed_p, pow2)] {
+        let reference = solve(p, algo, &cfg(cell, budget, 1)).unwrap();
         for seed in 0..16u64 {
+            let run = format!("[jitter seed {seed}] {cell:?} under {budget} B at 4 thr");
             guard.schedule_jitter(seed);
-            let out = solve(p, algo, &parallel).unwrap_or_else(|e| {
-                panic!("[jitter seed {seed}] {cell}: run at 4 thr under {budget} B failed: {e}")
-            });
-            assert!(
-                out.metrics.peak_bytes <= budget,
-                "[jitter seed {seed}] {cell}: peak {} exceeds budget {budget}",
-                out.metrics.peak_bytes
-            );
+            let out = solve(p, algo, &cfg(cell, budget, 4))
+                .unwrap_or_else(|e| panic!("{run}: failed: {e}"));
+            let peak = out.metrics.peak_bytes;
+            assert!(peak <= budget, "{run}: peak {peak} exceeds the budget");
             assert!(
                 out.xv == reference.xv && out.xs == reference.xs,
-                "[jitter seed {seed}] {cell}: not bitwise-identical to the 1-thread run"
+                "{run}: not bitwise-identical to the 1-thread run"
             );
         }
         guard.disarm();

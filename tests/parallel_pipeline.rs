@@ -142,7 +142,9 @@ fn scheduler_respects_budget_with_concurrency() {
 }
 
 /// Same property for multi-factorization, whose sparse solver charges
-/// memory mid-compute (exercising the release-and-retry path).
+/// memory mid-compute: each tile reserves the bound its symbolic analysis
+/// puts on those charges before its numeric phase starts, and waits for
+/// earlier tiles when the bound does not fit beside them.
 #[test]
 fn multi_factorization_respects_budget_with_concurrency() {
     let p = pipe_problem::<f64>(1_500);
