@@ -47,6 +47,9 @@ echo "==> public API surface matches the committed snapshot"
     | sed 's/^pub mod \([a-z_0-9]*\).*/mod \1/'
 } | sort -u > target/api_surface.txt
 diff -u api_surface.txt target/api_surface.txt
+# ... and the snapshot itself is the committed one: a regenerated but
+# uncommitted api_surface.txt must not turn the check above green.
+git diff --exit-code HEAD -- api_surface.txt
 
 echo "==> cargo test (conformance suite in smoke profile)"
 [ "$(nproc)" -gt 1 ] || echo "WARNING: nproc = 1 — thread-count cells ran without real concurrency"
@@ -59,11 +62,13 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # "Admitted => cannot run out of memory" is a scheduling property: one green
 # run proves little. The conformance budget test runs at its full thread
 # counts here (not the smoke profile), and so do the budget cells of
-# parallel_pipeline; the first red run fails CI.
+# parallel_pipeline and its symmetric multi-factorization cell (mirrored
+# folds, fixed and budget-degraded grids, 1/2/4/8 threads); the first red run
+# fails CI.
 for i in 1 2 3 4 5; do
   env -u CSOLVE_CONFORMANCE \
     cargo test --offline -q --test conformance autotuned_blocking_under_memory_budgets
-  cargo test --offline -q --test parallel_pipeline budget
+  cargo test --offline -q --test parallel_pipeline -- budget symmetric_multi_factorization
 done
 
 echo "==> cargo test --features fault-inject (fault-injection suite)"

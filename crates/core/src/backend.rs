@@ -58,6 +58,10 @@ pub(crate) trait CompressionBackend<T: Scalar>: Send {
     /// Current storage footprint of the accumulator.
     fn bytes(&self) -> usize;
 
+    /// The accumulated `S`, densified (tests look at it before it is factored).
+    #[cfg(test)]
+    fn to_dense(&self) -> csolve_dense::Mat<T>;
+
     /// Closed-form flop count of the upcoming factorization, or 0 when the
     /// backend has none (compressed factorizations are data-dependent).
     fn factor_flops(&self, symmetric: bool) -> u64;

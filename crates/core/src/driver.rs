@@ -70,7 +70,31 @@ struct Ws<'a, T: Scalar> {
     blr: Mutex<SparseCompressionSummary>,
 }
 
-impl<T: Scalar> Ws<'_, T> {
+impl<'a, T: Scalar> Ws<'a, T> {
+    /// Surface unknowns go to cluster order once; every blockwise Schur range
+    /// is then contiguous for both dense and H-matrix backends.
+    fn new(
+        problem: &'a CoupledProblem<T>,
+        cfg: &'a SolverConfig,
+        tracker: &'a Arc<MemTracker>,
+        rec: &'a Recorder,
+    ) -> Self {
+        let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
+        let all_v: Vec<usize> = (0..problem.n_fem()).collect();
+        Ws {
+            cfg,
+            tracker,
+            rec,
+            a_vv: &problem.a_vv,
+            a_sv: problem.a_sv.submatrix(&tree.perm, &all_v),
+            a_vs: problem.a_vs.submatrix(&all_v, &tree.perm),
+            bem: problem.bem.permuted(&tree.perm),
+            tree,
+            symmetric: problem.symmetric,
+            blr: Mutex::new(SparseCompressionSummary::default()),
+        }
+    }
+
     fn nv(&self) -> usize {
         self.a_vv.nrows
     }
@@ -159,8 +183,9 @@ impl<T: Scalar> Ws<'_, T> {
     /// One factorization+Schur call on a stacked `W` whose trailing
     /// unknowns (beyond `n_v`) are the Schur variables. A pipeline block's
     /// `slot` is finalized between analysis and numeric phase, to the bound
-    /// the analysis puts on what the numeric phase charges — which it then
-    /// charges to the slot's tracker. That wait is not factorization time.
+    /// the analysis puts on what the numeric phase charges in the mode
+    /// `opts.symmetry` factors `W` in — which it then charges to the slot's
+    /// tracker. That wait is not factorization time.
     fn factor_w(
         &self,
         w: &Csc<T>,
@@ -175,8 +200,11 @@ impl<T: Scalar> Ws<'_, T> {
         })?;
         drop(ph);
         if let Some(slot) = slot {
-            // Unsymmetric mode; exact without BLR, an upper bound with it.
-            let bound = sym.predicted_numeric_peak_bytes(std::mem::size_of::<T>(), true);
+            // Exact without BLR, an upper bound with it.
+            let bound = sym.predicted_numeric_peak_bytes(
+                std::mem::size_of::<T>(),
+                opts.symmetry == Symmetry::UnsymmetricLu,
+            );
             slot.finalize(bound, "sparse solver working set")?;
             opts.tracker = Some(Arc::clone(slot.tracker()));
         }
@@ -665,23 +693,14 @@ fn factor<T: Scalar>(
     tracker: &Arc<MemTracker>,
     rec: &Recorder,
 ) -> Result<(SessionFactors<T>, Metrics)> {
-    // Surface unknowns go to cluster order once; every blockwise Schur range
-    // is then contiguous for both dense and H-matrix backends.
-    let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
-    let perm = tree.perm.clone();
-    let all_v: Vec<usize> = (0..problem.n_fem()).collect();
-    let ws = Ws {
-        cfg,
-        tracker,
-        rec,
-        a_vv: &problem.a_vv,
-        a_sv: problem.a_sv.submatrix(&perm, &all_v),
-        a_vs: problem.a_vs.submatrix(&all_v, &perm),
-        bem: problem.bem.permuted(&perm),
-        tree,
-        symmetric: problem.symmetric,
-        blr: Mutex::new(SparseCompressionSummary::default()),
-    };
+    // LDLᵀ on `A_vv` and `S`, and the mirrored folds of multi-factorization,
+    // take `symmetric` at its word: a wrong flag must not reach them.
+    if problem.symmetric && problem.a_vs != problem.a_sv.transpose() {
+        return Err(Error::InvalidConfig(
+            "problem is flagged symmetric but a_vs != a_svᵀ (pattern or values)".into(),
+        ));
+    }
+    let ws = Ws::new(problem, cfg, tracker, rec);
 
     let (state, schur_bytes, autotune) = match algo {
         Algorithm::BaselineCoupling => baseline_factors(&ws),
@@ -876,6 +895,10 @@ struct Blockwise<T> {
     blocks: Vec<Block>,
     /// Sign the blocks are folded into `S` with.
     alpha: T,
+    /// The block list is the lower triangle of a symmetric `S`: every
+    /// off-diagonal block is folded a second time, transposed, at its mirror
+    /// position. Blocks are square then (zero-padded at the edges).
+    mirror: bool,
     /// Charge label of a block's reservation while it computes ...
     what_reserved: &'static str,
     /// ... and of what is left of it, the computed block alone, while that
@@ -887,18 +910,19 @@ struct Blockwise<T> {
 }
 
 /// The loop both blockwise algorithms are: *for each block, compute a dense
-/// Schur contribution with `kernel` and fold it into `schur`* — then factor
-/// `S`. Blocks are independent of each other, so they run as a pipeline:
-/// each is admitted against the memory budget (reserving [`Block::reserve`]),
-/// computed on whichever worker is free, shrunk to the computed block's own
-/// bytes, and folded in block order — the same fold order as the sequential
-/// loop, hence the same bits in the compressed accumulator.
+/// Schur contribution with `kernel` and fold it into `schur`* — which the
+/// caller then factors. Blocks are independent of each other, so they run as
+/// a pipeline: each is admitted against the memory budget (reserving
+/// [`Block::reserve`]), computed on whichever worker is free, shrunk to the
+/// computed block's own bytes, and folded in block order — the same fold
+/// order as the sequential loop, hence the same bits in the compressed
+/// accumulator.
 fn assemble_blockwise<T: Scalar>(
     ws: &Ws<'_, T>,
     schur: SchurAcc<T>,
     plan: &Blockwise<T>,
     kernel: impl Fn(usize, &Block, &mut Slot<'_>) -> Result<Mat<T>> + Sync,
-) -> Result<(SchurFactor<T>, usize)> {
+) -> Result<SchurAcc<T>> {
     let (cfg, tracker) = (ws.cfg, ws.tracker);
     let mut inflight = rayon::current_num_threads();
     if let Some((d, block_bytes)) = &plan.autotune {
@@ -929,7 +953,7 @@ fn assemble_blockwise<T: Scalar>(
         inflight = inflight.min((room / (*block_bytes).max(1)).max(1));
     }
     let blocks = &plan.blocks;
-    let schur = run_blockwise(
+    run_blockwise(
         tracker,
         &cfg.tracer,
         blocks.len(),
@@ -945,19 +969,33 @@ fn assemble_blockwise<T: Scalar>(
             slot.park(x.byte_size(), plan.what_parked)?;
             Ok(x)
         },
-        |seq, schur, x| {
+        |seq, schur, mut x| {
             let b = &blocks[seq];
-            ws.fold_block(
-                schur,
-                plan.alpha,
-                b.rows.start,
-                b.cols.start,
-                x.view(0..b.rows.len(), 0..b.cols.len()),
-                TraceScope::Block(seq),
-            )
+            let (r0, c0) = (b.rows.start, b.cols.start);
+            let (nr, nc) = (b.rows.len(), b.cols.len());
+            let scope = TraceScope::Block(seq);
+            ws.fold_block(schur, plan.alpha, r0, c0, x.view(0..nr, 0..nc), scope)?;
+            if plan.mirror && r0 != c0 {
+                // X_ji = X_ijᵀ, transposed in the block's own storage: the
+                // mirrored fold charges nothing the parked block did not.
+                transpose_in_place(&mut x);
+                ws.fold_block(schur, plan.alpha, c0, r0, x.view(0..nc, 0..nr), scope)?;
+            }
+            Ok(())
         },
-    )?;
-    ws.factor_schur(schur)
+    )
+}
+
+/// `x ← xᵀ` for a square `x`.
+fn transpose_in_place<T: Scalar>(x: &mut Mat<T>) {
+    assert!(x.is_square());
+    let n = x.nrows();
+    let data = x.data_mut();
+    for j in 0..n {
+        for i in j + 1..n {
+            data.swap(i + j * n, j + i * n);
+        }
+    }
 }
 
 /// §IV-A — multi-solve: factor `A_vv` once, then assemble `S` by panels of
@@ -1006,6 +1044,7 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
             })
             .collect(),
         alpha: -T::ONE,
+        mirror: false,
         what_reserved: "Schur panel Z + Y workspace",
         what_parked: "Schur panel Z",
         autotune: planned,
@@ -1030,27 +1069,44 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         }
         Ok(zpanel)
     };
-    let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
+    let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
+    let (sf, schur_bytes) = ws.factor_schur(schur)?;
     let decision = planned.map(|(d, _)| d);
     Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
 }
 
-/// §IV-B — multi-factorization: `n_b × n_b` factorization+Schur calls on
-/// stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]` submatrices (Algorithm 3; the
+/// §IV-B — multi-factorization: one factorization+Schur call per Schur tile
+/// on a stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]` submatrix (Algorithm 3; the
 /// HMAT backend compresses each returned block immediately — the
 /// compressed-Schur variant), then a final plain factorization of `A_vv`
 /// for the solution phase (the per-tile `W` factorizations are not reusable
 /// through the solver API).
+fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
+    let (schur, decision) = multi_factorization_schur(ws)?;
+    let (sf, schur_bytes) = ws.factor_schur(schur)?;
+    let fact = ws.factor_avv()?;
+    Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
+}
+
+/// The assembled (not yet factored) `S` of multi-factorization, from an
+/// `n_b × n_b` tile grid over the surface unknowns.
 ///
-/// `W` is unsymmetric (paper: "except when i = j"), so the unsymmetric
-/// solver mode is used throughout, with its duplicated storage — the very
-/// overhead the paper identifies as multi-factorization's memory weakness.
+/// `W` is unsymmetric (paper: "except when i = j") and factored in the
+/// unsymmetric solver mode, with its duplicated storage — the very overhead
+/// the paper identifies as multi-factorization's memory weakness. A
+/// symmetric system has `X_ji = X_ijᵀ` (`A_vv = A_vvᵀ`, `A_vs = A_svᵀ`), so
+/// only its lower-triangle tiles (`i ≥ j`, `n_b(n_b+1)/2` of the `n_b²`) are
+/// computed, each off-diagonal one folded at both positions, and its
+/// diagonal tiles — symmetric like the advanced coupling's `W` — are
+/// factored in LDLᵀ mode: both backends see a fully assembled `S`.
 ///
 /// A tile's admission reserves the stacked `W` and the Schur block `X_ij`;
 /// what the sparse solver charges while factoring `W` is bounded by the
 /// tile's symbolic analysis and reserved before the numeric phase starts
 /// (`Ws::factor_w`): no tile runs out of memory because of another.
-fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
+fn multi_factorization_schur<T: Scalar>(
+    ws: &Ws<'_, T>,
+) -> Result<(SchurAcc<T>, Option<AutotuneDecision>)> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let elem = std::mem::size_of::<T>();
     let idx = std::mem::size_of::<usize>();
@@ -1086,8 +1142,9 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
     let nnz_vs = |r: &Range<usize>| ws.a_vs.colptr[r.end] - ws.a_vs.colptr[r.start];
     let plan = Blockwise {
         blocks: (0..ranges.len().pow(2))
-            .map(|t| {
-                let (i, j) = (t / ranges.len(), t % ranges.len());
+            .map(|t| (t / ranges.len(), t % ranges.len()))
+            .filter(|&(i, j)| !ws.symmetric || i >= j)
+            .map(|(i, j)| {
                 let (rows, cols) = (ranges[i].clone(), ranges[j].clone());
                 // Reservation: the stacked W (values + row indices + column
                 // pointers; square, padded when the edge blocks differ in
@@ -1103,6 +1160,7 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
             })
             .collect(),
         alpha: T::ONE,
+        mirror: ws.symmetric,
         what_reserved: "stacked W + Schur block X_ij",
         what_parked: "dense Schur block X_ij",
         autotune: planned,
@@ -1114,21 +1172,23 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
         let a_sv_i = ws.a_sv.submatrix(&rows, &all_v);
         let a_vs_j = ws.a_vs.submatrix(&all_v, &cols);
         // The sparse solver's internal spans land in this tile's block scope.
-        let opts = SparseOptions {
-            symmetry: Symmetry::UnsymmetricLu,
+        // A diagonal tile has the coupled system's symmetry; an off-diagonal
+        // one is unsymmetric whatever the system is.
+        let mut opts = SparseOptions {
             trace_seq: Some(seq),
             ..ws.sparse_opts()
         };
+        if b.rows != b.cols {
+            opts.symmetry = Symmetry::UnsymmetricLu;
+        }
         let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
         // Each call re-factorizes A_vv — the superfluous work the method
         // trades for memory (hence its name).
         let (_, x) = ws.factor_w(&w, opts, Some(slot))?;
         Ok(x)
     };
-    let (sf, schur_bytes) = assemble_blockwise(ws, schur, &plan, kernel)?;
-    let fact = ws.factor_avv()?;
-    let decision = planned.map(|(d, _)| d);
-    Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
+    let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
+    Ok((schur, planned.map(|(d, _)| d)))
 }
 
 /// Predicted solver-internal tracked bytes (fronts, contribution blocks,
@@ -1149,12 +1209,12 @@ fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Result<usize> {
     );
     let schur_vars: Vec<usize> = (nv..nv + m).collect();
     let sym = SymbolicFactorization::analyze(&w, &schur_vars, ws.cfg.ordering)?;
-    // W is factored in the unsymmetric (LU) mode regardless of the coupled
-    // system's symmetry (the stacked tile is unsymmetric except on the
-    // diagonal). With sparse compression on, factor panels are priced by
-    // the BLR rank-profile model instead of dense storage (still an upper
-    // bound via the dense cap per panel, never below the elimination-front
-    // peak).
+    // Priced in the unsymmetric (LU) mode regardless of the coupled system's
+    // symmetry: the upper bound over the grid's tiles (only the diagonal
+    // tiles of a symmetric system are factored in the cheaper LDLᵀ mode).
+    // With sparse compression on, factor panels are priced by the BLR
+    // rank-profile model instead of dense storage (still an upper bound via
+    // the dense cap per panel, never below the elimination-front peak).
     let elem = std::mem::size_of::<T>();
     Ok(if ws.cfg.effective_sparse_eps().is_some() {
         sym.predicted_numeric_peak_bytes_blr(elem, true)
@@ -1187,6 +1247,7 @@ fn push_csc<T: Scalar>(coo: &mut Coo<T>, a: &Csc<T>, r0: usize, c0: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DenseBackend;
     use crate::report::{RunReport, SpanAgg};
 
     /// The metrics of a run whose phases are `body`, and the spans it traced.
@@ -1201,6 +1262,59 @@ mod tests {
         let trace = cfg.tracer.drain();
         let report = RunReport::from_parts(Algorithm::MultiSolve, cfg.dense_backend, &m, &trace);
         (m, report.spans)
+    }
+
+    /// The `S` multi-factorization assembles for `p`, before it is factored.
+    fn assembled_schur(p: &CoupledProblem<f64>, backend: DenseBackend, n_b: usize) -> Mat<f64> {
+        let cfg = SolverConfig {
+            eps: 1e-10,
+            dense_backend: backend,
+            n_b,
+            ..Default::default()
+        };
+        let run = Run::start(&cfg);
+        let tracker = MemTracker::unbounded();
+        let ws = Ws::new(p, &cfg, &tracker, &run.rec);
+        multi_factorization_schur(&ws).unwrap().0.to_dense()
+    }
+
+    /// A symmetric system's `S` is assembled from lower-triangle tiles with
+    /// every off-diagonal one mirrored: complete (it is what the full grid
+    /// of an unflagged copy of the system assembles, which both backends
+    /// read both triangles of) and, dense, its own transpose bit for bit —
+    /// also when `n_b` does not divide `n_s` (rectangular edge tiles).
+    #[test]
+    fn a_symmetric_schur_is_mirrored_exactly_from_its_lower_triangle() {
+        let p = csolve_fembem::pipe_problem::<f64>(1_200);
+        let ns = p.n_bem();
+        let mut unflagged = csolve_fembem::pipe_problem::<f64>(1_200);
+        unflagged.symmetric = false;
+        for n_b in [1, 2, 3, 5] {
+            assert!(
+                n_b != 5 || !ns.is_multiple_of(n_b),
+                "n_s = {ns}: want a short edge tile"
+            );
+            let s = assembled_schur(&p, DenseBackend::Spido, n_b);
+            for j in 0..ns {
+                for i in 0..j {
+                    assert!(
+                        s[(i, j)].to_bits() == s[(j, i)].to_bits(),
+                        "n_b = {n_b}: S[{i}, {j}] != S[{j}, {i}]"
+                    );
+                }
+            }
+            let scale = s.norm_max();
+            for backend in DenseBackend::ALL {
+                let mut d = assembled_schur(&p, backend, n_b);
+                d.axpy(-1.0, &assembled_schur(&unflagged, backend, n_b));
+                assert!(
+                    d.norm_max() <= 1e-8 * scale,
+                    "n_b = {n_b} / {}: mirrored S is off the full grid's by {:.3e}",
+                    backend.name(),
+                    d.norm_max()
+                );
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,11 @@ impl<T: Scalar> SchurAcc<T> {
         self.inner.bytes()
     }
 
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> Mat<T> {
+        self.inner.to_dense()
+    }
+
     /// Closed-form flop count of factoring `S`, or 0 when the backend's
     /// compressed factorization has no closed form.
     pub fn factor_flops(&self, symmetric: bool) -> u64 {
@@ -225,6 +230,11 @@ impl<T: Scalar> CompressionBackend<T> for DenseSchurAcc<T> {
 
     fn bytes(&self) -> usize {
         self.mat.byte_size()
+    }
+
+    #[cfg(test)]
+    fn to_dense(&self) -> Mat<T> {
+        self.mat.clone()
     }
 
     fn factor_flops(&self, symmetric: bool) -> u64 {
@@ -395,6 +405,11 @@ impl<T: Scalar> CompressionBackend<T> for HmatSchurAcc<T> {
 
     fn bytes(&self) -> usize {
         self.h.byte_size()
+    }
+
+    #[cfg(test)]
+    fn to_dense(&self) -> Mat<T> {
+        self.h.to_dense()
     }
 
     fn factor_flops(&self, _symmetric: bool) -> u64 {

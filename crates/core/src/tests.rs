@@ -1,7 +1,7 @@
 //! End-to-end tests of the four coupled algorithms on the paper's workloads.
 
 use csolve_common::C64;
-use csolve_fembem::{industrial_problem, pipe_problem};
+use csolve_fembem::{industrial_problem, pipe_problem, CoupledProblem};
 
 use crate::config::{Algorithm, DenseBackend, SolverConfig};
 use crate::driver::solve;
@@ -73,6 +73,54 @@ fn industrial_complex_nonsymmetric_all_algorithms() {
                 algo.name(),
                 backend.name()
             );
+        }
+    }
+}
+
+/// A problem flagged symmetric whose coupling blocks are not each other's
+/// transpose — one value off, or one entry moved — is rejected up front by
+/// every algorithm: LDLᵀ and the mirrored multi-factorization folds would
+/// otherwise silently solve a different system.
+#[test]
+fn a_wrong_symmetric_flag_is_a_structured_error() {
+    use csolve_common::Error;
+    use csolve_sparse::Coo;
+
+    type Edit = fn(&mut CoupledProblem<f64>);
+    let off_value: Edit = |p| p.a_vs.values[7] *= 1.0 + 1e-12;
+    // Column 3's first entry moves to a row the column does not hold.
+    let off_pattern: Edit = |p| {
+        let a = &p.a_vs;
+        let free = (0..a.nrows).find(|r| !a.col(3).0.contains(r)).unwrap();
+        let mut coo = Coo::new(a.nrows, a.ncols);
+        for j in 0..a.ncols {
+            for (&i, &v) in a.col(j).0.iter().zip(a.col(j).1) {
+                let first_of_3 = (i, j) == (a.col(3).0[0], 3);
+                coo.push(if first_of_3 { free } else { i }, j, v);
+            }
+        }
+        p.a_vs = coo.to_csc();
+    };
+    let edited = |edit: Edit, symmetric: bool| {
+        let mut p = pipe_problem::<f64>(800);
+        edit(&mut p);
+        p.symmetric = symmetric;
+        p
+    };
+
+    for algo in Algorithm::ALL {
+        for (what, edit) in [("value", off_value), ("pattern", off_pattern)] {
+            for backend in DenseBackend::ALL {
+                let err = solve(&edited(edit, true), algo, &cfg(backend)).err();
+                assert!(
+                    matches!(err, Some(Error::InvalidConfig(_))),
+                    "{} / {}: {what} mismatch gave {err:?}",
+                    algo.name(),
+                    backend.name()
+                );
+            }
+            // The same data with the flag off is a valid unsymmetric system.
+            assert!(solve(&edited(edit, false), algo, &cfg(DenseBackend::Spido)).is_ok());
         }
     }
 }

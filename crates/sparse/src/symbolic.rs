@@ -87,6 +87,17 @@ impl SymbolicFactorization {
         schur_vars: &[usize],
         ordering: OrderingKind,
     ) -> Result<Self> {
+        Self::analyze_with(a, schur_vars, ordering, build_supernodes)
+    }
+
+    /// [`Self::analyze`] with the supernode row-structure stage passed in
+    /// (tests run the `BTreeSet` reference through the same analysis).
+    fn analyze_with<T: Scalar>(
+        a: &Csc<T>,
+        schur_vars: &[usize],
+        ordering: OrderingKind,
+        build: SupernodeBuilder,
+    ) -> Result<Self> {
         if a.nrows != a.ncols {
             return Err(Error::DimensionMismatch {
                 context: "symbolic analysis",
@@ -218,58 +229,7 @@ impl SymbolicFactorization {
         }
         sn_start.push(ne);
 
-        // Build supernode row sets bottom-up (supernodes are postordered).
-        let nsn = sn_start.len() - 1;
-        let mut sn_of_col = vec![0usize; ne];
-        for s in 0..nsn {
-            for c in sn_start[s]..sn_start[s + 1] {
-                sn_of_col[c] = s;
-            }
-        }
-        let mut supernodes: Vec<SupernodeInfo> = Vec::with_capacity(nsn);
-        // children[s] filled as soon as a child's parent is known; children
-        // always precede parents in the (postordered) supernode sequence.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsn];
-        for s in 0..nsn {
-            let c0 = sn_start[s];
-            let c1 = sn_start[s + 1];
-            let mut set: std::collections::BTreeSet<usize> = (c0..c1).collect();
-            for j in c0..c1 {
-                for &i in &adj_final[j] {
-                    if i >= c0 {
-                        set.insert(i);
-                    }
-                }
-            }
-            // Children contribution rows.
-            for &ci in &children[s] {
-                let child = &supernodes[ci];
-                for &r in &child.rows[child.width()..] {
-                    debug_assert!(r >= c0);
-                    set.insert(r);
-                }
-            }
-            let rows: Vec<usize> = set.into_iter().collect();
-            // Parent supernode: smallest CB row < ne.
-            let parent_sn = rows
-                .iter()
-                .skip(c1 - c0)
-                .find(|&&r| r < ne)
-                .map(|&r| sn_of_col[r])
-                .unwrap_or(usize::MAX);
-            if parent_sn != usize::MAX {
-                children[parent_sn].push(s);
-            }
-            supernodes.push(SupernodeInfo {
-                c0,
-                c1,
-                rows,
-                parent: parent_sn,
-            });
-        }
-
-        // Relaxed amalgamation: bottom-up merge of narrow chains.
-        amalgamate(&mut supernodes, &mut sn_of_col, ne);
+        let (supernodes, sn_of_col) = build(&sn_start, &adj_final, n);
 
         let factor_entries = supernodes.iter().map(|s| s.width() * s.front_size()).sum();
 
@@ -391,39 +351,127 @@ impl SymbolicFactorization {
     }
 }
 
+/// The supernode stage of the analysis: from the supernode column starts
+/// `sn_start` (last entry `n_elim`), the strictly-lower adjacency of every
+/// eliminated column in the final permuted space and the matrix order `n`,
+/// to the amalgamated supernodes and the supernode of each column.
+type SupernodeBuilder = fn(&[usize], &[Vec<usize>], usize) -> (Vec<SupernodeInfo>, Vec<usize>);
+
+/// Supernode row sets bottom-up (supernodes are postordered), then relaxed
+/// amalgamation. A front's rows are its pivot columns followed by the
+/// distinct rows beyond them — gathered through a stamp array, then sorted.
+fn build_supernodes(
+    sn_start: &[usize],
+    adj_final: &[Vec<usize>],
+    n: usize,
+) -> (Vec<SupernodeInfo>, Vec<usize>) {
+    let ne = adj_final.len();
+    let nsn = sn_start.len() - 1;
+    let mut sn_of_col = vec![0usize; ne];
+    for s in 0..nsn {
+        for c in sn_start[s]..sn_start[s + 1] {
+            sn_of_col[c] = s;
+        }
+    }
+    let mut supernodes: Vec<SupernodeInfo> = Vec::with_capacity(nsn);
+    // children[s] filled as soon as a child's parent is known; children
+    // always precede parents in the (postordered) supernode sequence.
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsn];
+    // stamp[r] == s + 1: row r is already in supernode s's set.
+    let mut stamp = vec![0usize; n];
+    for s in 0..nsn {
+        let c0 = sn_start[s];
+        let c1 = sn_start[s + 1];
+        let mut rows: Vec<usize> = (c0..c1).collect();
+        let mut add = |r: usize| {
+            debug_assert!(r >= c0);
+            if r >= c1 && stamp[r] != s + 1 {
+                stamp[r] = s + 1;
+                rows.push(r);
+            }
+        };
+        adj_final[c0..c1]
+            .iter()
+            .flatten()
+            .copied()
+            .for_each(&mut add);
+        // Children contribution rows.
+        for &ci in &children[s] {
+            let child = &supernodes[ci];
+            child.rows[child.width()..]
+                .iter()
+                .copied()
+                .for_each(&mut add);
+        }
+        rows[c1 - c0..].sort_unstable();
+        // Parent supernode: smallest CB row < ne.
+        let parent_sn = parent_of(&rows, c1 - c0, &sn_of_col);
+        if parent_sn != usize::MAX {
+            children[parent_sn].push(s);
+        }
+        supernodes.push(SupernodeInfo {
+            c0,
+            c1,
+            rows,
+            parent: parent_sn,
+        });
+    }
+
+    // Relaxed amalgamation: bottom-up merge of narrow chains.
+    amalgamate(&mut supernodes, &mut sn_of_col);
+    (supernodes, sn_of_col)
+}
+
+/// The supernode of the smallest eliminated contribution-block row of a
+/// front with sorted `rows` and `width` pivots, or `usize::MAX` when the
+/// contribution flows to the Schur block / nowhere.
+fn parent_of(rows: &[usize], width: usize, sn_of_col: &[usize]) -> usize {
+    match rows.get(width) {
+        Some(&r) if r < sn_of_col.len() => sn_of_col[r],
+        _ => usize::MAX,
+    }
+}
+
+/// Sorted union of two sorted, duplicate-free row lists.
+fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Merge chains of narrow supernodes (child whose parent is the immediately
 /// following supernode) when the padding cost stays below `AMALG_FILL_FRAC`.
 /// Single left-to-right pass; parents and `sn_of_col` are rebuilt afterwards.
-fn amalgamate(sns: &mut Vec<SupernodeInfo>, sn_of_col: &mut [usize], _ne: usize) {
-    if sns.is_empty() {
+fn amalgamate(sns: &mut Vec<SupernodeInfo>, sn_of_col: &mut [usize]) {
+    let mut iter = std::mem::take(sns).into_iter().enumerate();
+    let Some((_, mut cur)) = iter.next() else {
         return;
-    }
-    let old: Vec<SupernodeInfo> = std::mem::take(sns);
-    let mut out: Vec<SupernodeInfo> = Vec::with_capacity(old.len());
-    let mut iter = old.into_iter().enumerate();
-    let (mut cur_idx, mut cur) = iter.next().unwrap();
+    };
     for (s, sn) in iter {
         let chain = cur.parent == s && sn.c0 == cur.c1;
         let narrow = cur.width() + sn.width() <= AMALG_WIDTH;
         if chain && narrow {
-            let mut set: std::collections::BTreeSet<usize> = cur.rows.iter().copied().collect();
-            set.extend(sn.rows.iter().copied());
-            let merged_entries = (cur.width() + sn.width()) * set.len();
+            let merged = merge_sorted(&cur.rows, &sn.rows);
+            let merged_entries = (cur.width() + sn.width()) * merged.len();
             let orig = cur.width() * cur.front_size() + sn.width() * sn.front_size();
             if (merged_entries as f64) <= (orig as f64) * (1.0 + AMALG_FILL_FRAC) {
                 cur.c1 = sn.c1;
                 cur.parent = sn.parent;
-                cur.rows = set.into_iter().collect();
+                cur.rows = merged;
                 continue;
             }
         }
-        out.push(cur);
-        cur_idx = s;
-        cur = sn;
+        sns.push(std::mem::replace(&mut cur, sn));
     }
-    let _ = cur_idx;
-    out.push(cur);
-    *sns = out;
+    sns.push(cur);
 
     // Rebuild sn_of_col and parents from scratch (indices changed).
     for (s, sn) in sns.iter().enumerate() {
@@ -431,16 +479,8 @@ fn amalgamate(sns: &mut Vec<SupernodeInfo>, sn_of_col: &mut [usize], _ne: usize)
             sn_of_col[c] = s;
         }
     }
-    let ne = sn_of_col.len();
-    for s in 0..sns.len() {
-        let parent = sns[s]
-            .rows
-            .iter()
-            .skip(sns[s].width())
-            .find(|&&r| r < ne)
-            .map(|&r| sn_of_col[r])
-            .unwrap_or(usize::MAX);
-        sns[s].parent = parent;
+    for sn in sns.iter_mut() {
+        sn.parent = parent_of(&sn.rows, sn.width(), sn_of_col);
     }
 }
 
@@ -514,6 +554,204 @@ mod tests {
             }
         }
         assert_eq!(cursor, ne);
+    }
+
+    /// The supernode stage as it was built through `BTreeSet`s: the reference
+    /// [`build_supernodes`] is held equal to.
+    fn build_supernodes_btreeset(
+        sn_start: &[usize],
+        adj_final: &[Vec<usize>],
+        _n: usize,
+    ) -> (Vec<SupernodeInfo>, Vec<usize>) {
+        use std::collections::BTreeSet;
+        let ne = adj_final.len();
+        let nsn = sn_start.len() - 1;
+        let mut sn_of_col = vec![0usize; ne];
+        for s in 0..nsn {
+            for c in sn_start[s]..sn_start[s + 1] {
+                sn_of_col[c] = s;
+            }
+        }
+        let parent_of = |rows: &[usize], width: usize, sn_of_col: &[usize]| {
+            rows.iter()
+                .skip(width)
+                .find(|&&r| r < ne)
+                .map_or(usize::MAX, |&r| sn_of_col[r])
+        };
+        let mut sns: Vec<SupernodeInfo> = Vec::with_capacity(nsn);
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsn];
+        for s in 0..nsn {
+            let (c0, c1) = (sn_start[s], sn_start[s + 1]);
+            let mut set: BTreeSet<usize> = (c0..c1).collect();
+            for j in c0..c1 {
+                set.extend(adj_final[j].iter().filter(|&&i| i >= c0));
+            }
+            for &ci in &children[s] {
+                let child = &sns[ci];
+                set.extend(&child.rows[child.width()..]);
+            }
+            let rows: Vec<usize> = set.into_iter().collect();
+            let parent = parent_of(&rows, c1 - c0, &sn_of_col);
+            if parent != usize::MAX {
+                children[parent].push(s);
+            }
+            sns.push(SupernodeInfo {
+                c0,
+                c1,
+                rows,
+                parent,
+            });
+        }
+
+        // Relaxed amalgamation.
+        let mut out: Vec<SupernodeInfo> = Vec::with_capacity(sns.len());
+        let mut iter = sns.into_iter().enumerate();
+        let Some((_, mut cur)) = iter.next() else {
+            return (out, sn_of_col);
+        };
+        for (s, sn) in iter {
+            let chain = cur.parent == s && sn.c0 == cur.c1;
+            let narrow = cur.width() + sn.width() <= AMALG_WIDTH;
+            if chain && narrow {
+                let mut set: BTreeSet<usize> = cur.rows.iter().copied().collect();
+                set.extend(sn.rows.iter().copied());
+                let merged_entries = (cur.width() + sn.width()) * set.len();
+                let orig = cur.width() * cur.front_size() + sn.width() * sn.front_size();
+                if (merged_entries as f64) <= (orig as f64) * (1.0 + AMALG_FILL_FRAC) {
+                    cur.c1 = sn.c1;
+                    cur.parent = sn.parent;
+                    cur.rows = set.into_iter().collect();
+                    continue;
+                }
+            }
+            out.push(cur);
+            cur = sn;
+        }
+        out.push(cur);
+        for (s, sn) in out.iter().enumerate() {
+            for c in sn.c0..sn.c1 {
+                sn_of_col[c] = s;
+            }
+        }
+        for s in 0..out.len() {
+            out[s].parent = parent_of(&out[s].rows, out[s].width(), &sn_of_col);
+        }
+        (out, sn_of_col)
+    }
+
+    /// A crate-local copy of a matrix of the `csolve-sparse` the generators
+    /// link (a dev-dependency cycle: their `Csc` is another crate's type here).
+    macro_rules! local {
+        ($m:expr) => {
+            Csc {
+                nrows: $m.nrows,
+                ncols: $m.ncols,
+                colptr: $m.colptr.clone(),
+                rowidx: $m.rowidx.clone(),
+                values: $m.values.clone(),
+            }
+        };
+    }
+
+    /// The stacked `W = [A_vv A_vs|_cols ; A_sv|_rows 0]` of a coupled
+    /// problem's multi-factorization tile, as `(matrix, Schur variables)`.
+    fn stacked_tile<T: Scalar>(
+        a_vv: &Csc<T>,
+        a_vs: &Csc<T>,
+        a_sv: &Csc<T>,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> (Csc<T>, Vec<usize>) {
+        let nv = a_vv.nrows;
+        let m = rows.len().max(cols.len());
+        let mut coo = Coo::new(nv + m, nv + m);
+        for j in 0..nv {
+            for (&i, &v) in a_vv.col(j).0.iter().zip(a_vv.col(j).1) {
+                coo.push(i, j, v);
+            }
+            for (&i, &v) in a_sv.col(j).0.iter().zip(a_sv.col(j).1) {
+                if rows.contains(&i) {
+                    coo.push(nv + i - rows.start, j, v);
+                }
+            }
+        }
+        for j in cols.clone() {
+            for (&i, &v) in a_vs.col(j).0.iter().zip(a_vs.col(j).1) {
+                coo.push(i, nv + j - cols.start, v);
+            }
+        }
+        (coo.to_csc(), (nv..nv + m).collect())
+    }
+
+    /// The stamp-array / two-pointer supernode stage gives the `BTreeSet`
+    /// one's supernodes, row structures and column map on every pattern the
+    /// solver analyzes: grids, and the plain `A_vv` and stacked diagonal,
+    /// off-diagonal and rectangular-edge tiles of the pipe and industrial
+    /// problems — with and without a Schur tail.
+    #[test]
+    fn stamp_array_row_structures_equal_the_btreeset_reference() {
+        fn check<T: Scalar>(what: &str, a: &Csc<T>, schur_vars: &[usize]) {
+            for kind in [OrderingKind::NestedDissection, OrderingKind::Rcm] {
+                let new = SymbolicFactorization::analyze(a, schur_vars, kind).unwrap();
+                let old = SymbolicFactorization::analyze_with(
+                    a,
+                    schur_vars,
+                    kind,
+                    build_supernodes_btreeset,
+                )
+                .unwrap();
+                validate_symbolic(&new);
+                assert_eq!(new.sn_of_col, old.sn_of_col, "{what}/{kind:?}: column map");
+                assert_eq!(new.factor_entries, old.factor_entries, "{what}/{kind:?}");
+                assert_eq!(
+                    new.supernodes.len(),
+                    old.supernodes.len(),
+                    "{what}/{kind:?}"
+                );
+                for (s, (x, y)) in new.supernodes.iter().zip(&old.supernodes).enumerate() {
+                    assert_eq!(
+                        (x.c0, x.c1, x.parent, &x.rows),
+                        (y.c0, y.c1, y.parent, &y.rows),
+                        "{what}/{kind:?}: supernode {s}"
+                    );
+                }
+            }
+        }
+        fn check_coupled<T: Scalar>(what: &str, a_vv: &Csc<T>, a_vs: &Csc<T>, a_sv: &Csc<T>) {
+            let ns = a_sv.nrows;
+            // A tile grid that does not divide n_s: the edge tile is short.
+            let n_b = (3..).find(|&b| !ns.is_multiple_of(b)).unwrap();
+            let blk = ns.div_ceil(n_b);
+            check(&format!("{what} A_vv"), a_vv, &[]);
+            for (rows, cols) in [
+                (0..blk, 0..blk),
+                (blk..2 * blk, 0..blk),
+                ((n_b - 1) * blk..ns, blk..2 * blk),
+                (0..ns, 0..ns),
+            ] {
+                let (w, schur_vars) = stacked_tile(a_vv, a_vs, a_sv, rows.clone(), cols.clone());
+                check(&format!("{what} W[{rows:?}, {cols:?}]"), &w, &schur_vars);
+            }
+        }
+
+        let grid = grid_matrix(24, 17);
+        check("grid", &grid, &[]);
+        check(
+            "grid + tail",
+            &grid,
+            &(grid.nrows - 30..grid.nrows).collect::<Vec<_>>(),
+        );
+        check("grid + scattered", &grid, &[3, 17, 40, 41, 63, 200]);
+
+        let p = csolve_fembem::pipe_problem::<f64>(2_500);
+        check_coupled("pipe", &local!(p.a_vv), &local!(p.a_vs), &local!(p.a_sv));
+        let p = csolve_fembem::industrial_problem::<csolve_common::C64>(2_000);
+        check_coupled(
+            "industrial",
+            &local!(p.a_vv),
+            &local!(p.a_vs),
+            &local!(p.a_sv),
+        );
     }
 
     #[test]

@@ -116,6 +116,18 @@ fn symmetric_well_conditioned_real() {
     check_grid::<f64>(&spec, "sym/well/f64");
 }
 
+/// `n_s` = 70 against the grid's `n_b` = 3: the last tile row and column are
+/// short, so the symmetric multi-factorization mirrors rectangular blocks.
+#[test]
+fn symmetric_rectangular_edge_tiles_real() {
+    let spec = ProblemSpec {
+        n_bem: 70,
+        cond: WELL_COND,
+        ..ProblemSpec::new(0xC0F_008)
+    };
+    check_grid::<f64>(&spec, "sym/edge/f64");
+}
+
 #[test]
 fn symmetric_ill_conditioned_real() {
     if smoke() {

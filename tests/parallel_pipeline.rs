@@ -2,7 +2,7 @@
 //! reproducibility across thread counts, and budget-respecting admission
 //! when blocks run concurrently.
 
-use csolve_coupled::{solve, Algorithm, DenseBackend, SolverConfig};
+use csolve_coupled::{solve, Algorithm, BlockSizes, DenseBackend, SolverConfig};
 use csolve_fembem::pipe_problem;
 
 fn cfg(threads: usize) -> SolverConfig {
@@ -60,6 +60,67 @@ fn multi_factorization_is_bitwise_identical_for_1_2_4_threads() {
             bits(&reference.xs),
             "x_s diverged with {threads} threads"
         );
+    }
+}
+
+/// A symmetric system's multi-factorization computes lower-triangle tiles
+/// only and folds each off-diagonal one twice (at `(i, j)` and, transposed,
+/// at `(j, i)`), in block order: the solution is bitwise-identical at 1 / 2 /
+/// 4 / 8 threads on both backends, with the configured grid and with the
+/// grid `BlockSizes::Auto` degrades to under a budget — which no thread
+/// count exceeds.
+#[test]
+fn symmetric_multi_factorization_is_bitwise_identical_for_1_2_4_8_threads() {
+    let p = pipe_problem::<f64>(1_500);
+    assert!(p.symmetric);
+    for backend in DenseBackend::ALL {
+        let fixed = |threads: usize| SolverConfig {
+            dense_backend: backend,
+            ..cfg(threads)
+        };
+        let reference = solve(&p, Algorithm::MultiFactorization, &fixed(1)).unwrap();
+        // The largest scanned budget under the fixed grid's peak that makes
+        // the autotuner pick a finer grid which then fits.
+        let auto = |budget: usize, threads: usize| SolverConfig {
+            block_sizes: BlockSizes::Auto,
+            mem_budget: Some(budget),
+            ..fixed(threads)
+        };
+        let (budget, auto_reference) = [90, 80, 70, 60, 50]
+            .iter()
+            .find_map(|pct| {
+                let budget = reference.metrics.peak_bytes / 100 * pct;
+                let out = solve(&p, Algorithm::MultiFactorization, &auto(budget, 1)).ok()?;
+                out.metrics
+                    .autotune
+                    .is_some_and(|d| d.degraded)
+                    .then_some((budget, out))
+            })
+            .unwrap_or_else(|| panic!("{}: no scanned budget degrades the grid", backend.name()));
+        for threads in [2usize, 4, 8] {
+            let cell = format!("{} / {threads} threads", backend.name());
+            let out = solve(&p, Algorithm::MultiFactorization, &fixed(threads)).unwrap();
+            assert!(
+                bits(&out.xv) == bits(&reference.xv) && bits(&out.xs) == bits(&reference.xs),
+                "{cell}: fixed grid diverged from the 1-thread bits"
+            );
+            let out = solve(&p, Algorithm::MultiFactorization, &auto(budget, threads))
+                .unwrap_or_else(|e| panic!("{cell} under budget {budget}: {e}"));
+            assert_eq!(
+                out.metrics.autotune, auto_reference.metrics.autotune,
+                "{cell}: autotune decision drifted"
+            );
+            assert!(
+                out.metrics.peak_bytes <= budget,
+                "{cell}: peak {} exceeds budget {budget}",
+                out.metrics.peak_bytes
+            );
+            assert!(
+                bits(&out.xv) == bits(&auto_reference.xv)
+                    && bits(&out.xs) == bits(&auto_reference.xs),
+                "{cell}: budgeted Auto grid diverged from the 1-thread bits"
+            );
+        }
     }
 }
 

@@ -342,7 +342,11 @@ fn value_perturbation_misses_the_cache() {
         ("last value of a_vv", |q| {
             *q.a_vv.values.last_mut().unwrap() *= 1.0 + 1e-9;
         }),
-        ("one value of a_vs", |q| q.a_vs.values[1] += 1e-9),
+        ("one value of a_vs", |q| {
+            // ... and of a_sv: the problem stays the symmetric one it says it is.
+            q.a_vs.values[1] += 1e-9;
+            q.a_sv = q.a_vs.transpose();
+        }),
         ("one BEM coordinate", |q| q.bem.points[2].y += 1e-9),
         ("two adjacent values swapped", |q| {
             let v = &mut q.a_vv.values;

@@ -10,8 +10,9 @@
 
 use csolve::json::{parse_json, parse_jsonl};
 use csolve::{
-    pipe_problem, solve, to_jsonl, Algorithm, DenseBackend, RunReport, SolverConfig, SpanKind,
-    TracePayload, TraceRecord, TraceScope, Tracer, TRACE_FORMAT_VERSION,
+    industrial_problem, pipe_problem, solve, to_jsonl, Algorithm, CoupledProblem, DenseBackend,
+    RunReport, Scalar, SolverConfig, SpanKind, TracePayload, TraceRecord, TraceScope, Tracer, C64,
+    TRACE_FORMAT_VERSION,
 };
 
 const N: usize = 1_500;
@@ -74,6 +75,60 @@ fn span_sequence_is_identical_across_thread_counts() {
                 backend.name()
             );
         }
+    }
+}
+
+/// Multi-factorization runs one factorization+Schur call per tile it
+/// computes — the lower triangle of the grid, `n_b(n_b+1)/2` tiles, when the
+/// system is symmetric, all `n_b²` when it is not — one per pipeline block,
+/// and folds every off-diagonal tile of a symmetric system twice.
+#[test]
+fn multi_factorization_factors_the_lower_triangle_of_a_symmetric_system() {
+    fn calls<T: Scalar>(p: &CoupledProblem<T>, n_b: usize) -> [usize; 3] {
+        let tracer = Tracer::enabled();
+        let cfg = SolverConfig {
+            eps: 1e-6,
+            n_b,
+            num_threads: 2,
+            tracer: tracer.clone(),
+            ..Default::default()
+        };
+        let out = solve(p, Algorithm::MultiFactorization, &cfg).expect("traced solve failed");
+        let records = tracer.drain();
+        let spans = |kind: SpanKind, in_block: bool| {
+            records
+                .iter()
+                .filter(|r| r.payload.kind_name() == kind.name())
+                .filter(|r| !in_block || matches!(r.scope, TraceScope::Block(_)))
+                .count()
+        };
+        let report = RunReport::from_parts(
+            Algorithm::MultiFactorization,
+            cfg.dense_backend,
+            &out.metrics,
+            &records,
+        );
+        [
+            spans(SpanKind::SparseFactorizationSchur, true),
+            report.blocks,
+            spans(SpanKind::AxpyCommit, true),
+        ]
+    }
+    let pipe = pipe_problem::<f64>(600);
+    let industrial = industrial_problem::<C64>(600);
+    assert!(pipe.symmetric && !industrial.symmetric);
+    for n_b in 1..=4 {
+        let lower = n_b * (n_b + 1) / 2;
+        assert_eq!(
+            calls(&pipe, n_b),
+            [lower, lower, n_b * n_b],
+            "pipe, n_b = {n_b}"
+        );
+        assert_eq!(
+            calls(&industrial, n_b),
+            [n_b * n_b; 3],
+            "industrial, n_b = {n_b}"
+        );
     }
 }
 
