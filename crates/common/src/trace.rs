@@ -182,8 +182,8 @@ pub enum TraceEventKind {
     KernelCounters {
         /// GEMM calls routed to the packed cache-blocked engine.
         packed_calls: u64,
-        /// GEMM calls routed to the naive fallback kernel.
-        naive_calls: u64,
+        /// GEMM calls routed to the unpacked small-shape tiles.
+        small_calls: u64,
         /// GEMM calls routed through the matvec path (single column).
         matvec_calls: u64,
         /// Total GEMM flops (2·m·n·k summed over calls).
@@ -583,11 +583,11 @@ impl TraceRecord {
                     } => json_fields!(w, front, dense_bytes, stored_bytes, max_rank),
                     TraceEventKind::KernelCounters {
                         packed_calls,
-                        naive_calls,
+                        small_calls,
                         matvec_calls,
                         flops,
                         ns,
-                    } => json_fields!(w, packed_calls, naive_calls, matvec_calls, flops, ns),
+                    } => json_fields!(w, packed_calls, small_calls, matvec_calls, flops, ns),
                     TraceEventKind::TaskReady { node } => json_fields!(w, node),
                     TraceEventKind::SessionCacheHit { fingerprint }
                     | TraceEventKind::SessionCacheMiss { fingerprint } => {

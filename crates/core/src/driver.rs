@@ -300,7 +300,7 @@ impl KernelCounting {
             csolve_dense::stats::disable();
             rt.event(TraceEventKind::KernelCounters {
                 packed_calls: d.packed_calls,
-                naive_calls: d.naive_calls,
+                small_calls: d.small_calls,
                 matvec_calls: d.matvec_calls,
                 flops: d.flops,
                 ns: d.ns,

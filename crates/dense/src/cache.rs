@@ -102,12 +102,12 @@ pub fn cache_info() -> &'static CacheInfo {
 /// packed real planes, 16 for `C64`). Derived once per width from
 /// [`cache_info`].
 pub fn kernel_blocking(elem_bytes: usize) -> KernelBlocking {
-    let (slot, elem, mr, nr) = if elem_bytes <= 8 {
-        (&BLOCK_8, 8, crate::pack::MR_REAL, crate::pack::NR_REAL)
+    let (slot, elem) = if elem_bytes <= 8 {
+        (&BLOCK_8, 8)
     } else {
-        (&BLOCK_16, 16, crate::pack::MR_SPLIT, crate::pack::NR_SPLIT)
+        (&BLOCK_16, 16)
     };
-    *slot.get_or_init(|| derive_blocking(elem, mr, nr, cache_info()))
+    *slot.get_or_init(|| derive_blocking(elem, crate::pack::MR, crate::pack::NR, cache_info()))
 }
 
 /// Derive MC/KC/NC from a cache hierarchy for one scalar width.
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn derived_blocking_is_quantized_and_clamped() {
-        for (elem, mr, nr) in [(8usize, 8usize, 4usize), (16, 8, 4)] {
+        for (elem, mr, nr) in [(8usize, 16usize, 8usize), (16, 16, 8)] {
             for cache in [
                 CacheInfo {
                     l1d_bytes: 16 * 1024,

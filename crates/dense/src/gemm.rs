@@ -1,22 +1,29 @@
 //! General matrix-matrix and matrix-vector products.
 //!
-//! `C ← α·op(A)·op(B) + β·C` with `op ∈ {N, T, Cᴴ}`. Large products run
-//! through a BLIS-style cache-blocked engine (see the `pack` module): `C` is cut
-//! into a fixed grid of MC×NC macro-tiles, each tile packs its operand slabs
-//! into contiguous buffers (resolving transposition/conjugation once, at pack
-//! time) and drives a register-tiled MR×NR microkernel over KC-deep slabs.
-//! Rayon parallelism is over the macro-tiles.
+//! `C ← α·op(A)·op(B) + β·C` with `op ∈ {N, T, Cᴴ}`, on one of three routes
+//! ([`gemm`] picks by shape, operand forms and scalar type alone):
 //!
-//! **Determinism:** the macro-tile grid depends only on the problem shape and
-//! per-type blocking constants — never on the thread count — and each tile is
-//! computed serially in a fixed loop order over the KC slabs. Every tile owns
-//! a disjoint block of `C`, so the result is bitwise identical whether the
-//! tiles run on 1 thread or 16. This extends the pipeline-level determinism
-//! guarantee of `csolve-core` down into the kernels.
+//! * **packed** — a BLIS-style cache-blocked engine (see the `pack` module):
+//!   `C` is cut into a fixed grid of MC×NC macro-tiles, each tile packs its
+//!   operand slabs into contiguous buffers (resolving transposition and
+//!   conjugation once, at pack time) and drives the 16×8 register tile over
+//!   KC-deep slabs. Rayon parallelism is over the macro-tiles.
+//! * **small** — the unpacked register tiles of the `small` module, for
+//!   products too small or too narrow to pay for the packing.
+//! * **column-wise** — [`matvec`]'s operation sequence per column, for a
+//!   single column and for everything under [`with_colwise_det`].
 //!
-//! Small products fall back to [`gemm_naive`], the straightforward jki/dot
-//! kernel retained both as the reference implementation for property tests
-//! and as the low-overhead path where packing would not amortize.
+//! **Determinism:** the route, and on the packed route the macro-tile grid,
+//! depend only on the problem shape and per-type blocking constants — never
+//! on the thread count — and each tile is computed serially in a fixed loop
+//! order over the KC slabs. Every tile owns a disjoint block of `C`, so the
+//! result is bitwise identical whether the tiles run on 1 thread or 16. This
+//! extends the pipeline-level determinism guarantee of `csolve-core` down
+//! into the kernels.
+//!
+//! [`gemm_naive`], the straightforward jki/dot kernel, is retained as the
+//! reference implementation the routes are property-tested against; no
+//! production path calls it.
 
 use std::cell::Cell;
 
@@ -24,10 +31,9 @@ use csolve_common::Scalar;
 use rayon::prelude::*;
 
 use crate::mat::{Mat, MatMut, MatRef};
-use crate::pack::{
-    blocking, macro_kernel, macro_kernel_split, pack_a, pack_a_split, pack_b, pack_b_split,
-    MR_REAL, MR_SPLIT, NR_REAL, NR_SPLIT,
-};
+use crate::pack::{blocking, macro_kernel, macro_kernel_split, pack, MR, NR};
+use crate::small::{gemm_small, has_tile};
+use crate::stats::Route;
 
 /// Transposition operator applied to a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +138,28 @@ pub fn colwise_det_forced() -> bool {
 }
 
 /// Below this many flops the packed engine cannot amortize its pack/copy
-/// traffic and the naive kernel wins.
+/// traffic and the unpacked tiles win whatever the shape.
 const SMALL_GEMM_FLOPS: f64 = 1.6e4;
+
+/// Widest `op(B)` of a real product the unpacked tiles still take past
+/// [`SMALL_GEMM_FLOPS`]: four register tiles, the chunk width of the sparse
+/// panel solve. A packed element of `A` would serve four tiles only.
+const NARROW_COLS: usize = 4 * NR;
+
+/// Whether a product runs on the unpacked small-shape route: a pure function
+/// of shape, operand forms and scalar type — never of the thread count, so
+/// the choice cannot make a bit depend on it. Narrow real products stay
+/// below the packed route's fork threshold (the small route is serial);
+/// complex scalars have no vector tile and take the route below the packing
+/// break-even only.
+fn takes_small_route<T: Scalar>(m: usize, n: usize, k: usize, opa: Op, opb: Op) -> bool {
+    let flops = 2.0 * m as f64 * n as f64 * k as f64;
+    has_tile(opa, opb)
+        && (flops < SMALL_GEMM_FLOPS
+            || !T::IS_COMPLEX
+                && n <= NARROW_COLS
+                && flops < gemm_par_flop_threshold(std::mem::size_of::<T>()))
+}
 
 /// Apply the BLAS β-preamble `C ← β·C` to a block.
 ///
@@ -175,8 +201,8 @@ fn b_elem<T: Scalar>(b: MatRef<'_, T>, opb: Op, k: usize, j: usize) -> T {
 }
 
 /// Reference kernel: serial jki (axpy) / dot-product GEMM with per-element
-/// `Op` dispatch. Retained as (a) the ground truth the blocked engine is
-/// property-tested against and (b) the low-overhead path for tiny products.
+/// `Op` dispatch. Retained as the ground truth the packed and small routes
+/// are property-tested against; [`gemm`] never calls it.
 pub fn gemm_naive<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -240,8 +266,11 @@ pub fn gemm_naive<T: Scalar>(
 /// block, then serially accumulates `α·op(A)·op(B)` over the KC slabs in a
 /// fixed order. Runs as one rayon task; owning disjoint `C` and fixed
 /// serial slab order is what makes the whole product thread-count invariant.
+/// Complex scalars pack each slab into separate re/im `f64` planes and drive
+/// the real tile over them four times per micro-tile; reals use the plain
+/// packed kernel.
 #[allow(clippy::too_many_arguments)]
-fn gemm_macro_tile<T: Scalar, const MR: usize, const NR: usize>(
+fn gemm_macro_tile<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
     opa: Op,
@@ -257,47 +286,21 @@ fn gemm_macro_tile<T: Scalar, const MR: usize, const NR: usize>(
     scale_block(beta, &mut c);
     let mc = c.nrows();
     let nc = c.ncols();
-    let mut apack = Vec::new();
-    let mut bpack = Vec::new();
+    let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+    let (mut aplanes, mut bplanes) = ((Vec::new(), Vec::new()), (Vec::new(), Vec::new()));
     let mut p0 = 0;
     while p0 < kdim {
         let kc = kc_max.min(kdim - p0);
-        pack_b::<T, NR>(b, opb, p0, j0, kc, nc, &mut bpack);
-        pack_a::<T, MR>(a, opa, i0, p0, mc, kc, &mut apack);
-        macro_kernel::<T, MR, NR>(alpha, &apack, &bpack, mc, nc, kc, &mut c);
-        p0 += kc;
-    }
-}
-
-/// Split-complex macro-tile: identical structure to [`gemm_macro_tile`] but
-/// packs the operand slabs into separate re/im real planes and drives the
-/// 4-real-FMA microkernel. Same fixed KC-slab order, so per-element rounding
-/// is independent of the tile geometry and the thread count.
-#[allow(clippy::too_many_arguments)]
-fn gemm_macro_tile_split<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    b: MatRef<'_, T>,
-    opb: Op,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    i0: usize,
-    j0: usize,
-    kdim: usize,
-    kc_max: usize,
-) {
-    scale_block(beta, &mut c);
-    let mc = c.nrows();
-    let nc = c.ncols();
-    let (mut are, mut aim) = (Vec::new(), Vec::new());
-    let (mut bre, mut bim) = (Vec::new(), Vec::new());
-    let mut p0 = 0;
-    while p0 < kdim {
-        let kc = kc_max.min(kdim - p0);
-        pack_b_split::<T, NR>(b, opb, p0, j0, kc, nc, &mut bre, &mut bim);
-        pack_a_split::<T, MR>(a, opa, i0, p0, mc, kc, &mut are, &mut aim);
-        macro_kernel_split::<T, MR, NR>(alpha, (&are, &aim), (&bre, &bim), mc, nc, kc, &mut c);
+        if T::IS_COMPLEX {
+            pack::<T, NR>(b, opb, false, j0, p0, nc, kc, &mut bplanes);
+            pack::<T, MR>(a, opa, true, i0, p0, mc, kc, &mut aplanes);
+            let (ap, bp) = ((&*aplanes.0, &*aplanes.1), (&*bplanes.0, &*bplanes.1));
+            macro_kernel_split(alpha, ap, bp, mc, nc, kc, &mut c);
+        } else {
+            pack::<T, NR>(b, opb, false, j0, p0, nc, kc, &mut bpack);
+            pack::<T, MR>(a, opa, true, i0, p0, mc, kc, &mut apack);
+            macro_kernel(alpha, &apack, &bpack, mc, nc, kc, &mut c);
+        }
         p0 += kc;
     }
 }
@@ -336,16 +339,19 @@ fn tile_grid<T: Scalar>(
 /// Whether a blocked product of `flops` should fork, and the macro-tile
 /// column step to use. Parallel runs split the NC blocks four ways so a
 /// product of only one or two macro-columns still feeds every worker.
-fn par_plan<T: Scalar>(flops: f64, nc: usize, nr: usize) -> (bool, usize) {
+fn par_plan<T: Scalar>(flops: f64, nc: usize) -> (bool, usize) {
     let par = flops >= gemm_par_flop_threshold(std::mem::size_of::<T>())
         && rayon::current_num_threads() > 1
         && !serial_forced();
-    let col_step = if par { (nc / 4).max(4 * nr) } else { nc };
+    let col_step = if par { (nc / 4).max(4 * NR) } else { nc };
     (par, col_step)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
+/// The packed route on its own: `C ← α·op(A)·op(B) + β·C` through the
+/// cache-blocked engine whatever the shape. [`gemm`] is the entry point for
+/// production code; this one exists so reports and tests can put the packed
+/// and the small route side by side on the same operands.
+pub fn gemm_packed<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
     opa: Op,
@@ -353,51 +359,22 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     opb: Op,
     beta: T,
     c: MatMut<'_, T>,
-    kdim: usize,
-    flops: f64,
 ) {
+    let (am, ak) = opa.shape_of(&a);
+    let (bk, bn) = opb.shape_of(&b);
+    assert_eq!(ak, bk, "gemm_packed: inner dimensions");
+    assert_eq!((c.nrows(), c.ncols()), (am, bn), "gemm_packed: C shape");
+    let flops = 2.0 * am as f64 * bn as f64 * ak as f64;
     let bs = blocking::<T>();
-    let (par, col_step) = par_plan::<T>(flops, bs.nc, NR);
+    let (par, col_step) = par_plan::<T>(flops, bs.nc);
     let tiles = tile_grid(c, bs.mc, col_step);
+    let run = |(i0, j0, blk): (usize, usize, MatMut<'_, T>)| {
+        gemm_macro_tile(alpha, a, opa, b, opb, beta, blk, i0, j0, ak, bs.kc)
+    };
     if !par || tiles.len() == 1 {
-        for (i0, j0, blk) in tiles {
-            gemm_macro_tile::<T, MR, NR>(alpha, a, opa, b, opb, beta, blk, i0, j0, kdim, bs.kc);
-        }
+        tiles.into_iter().for_each(run);
     } else {
-        tiles.into_par_iter().for_each(|(i0, j0, blk)| {
-            gemm_macro_tile::<T, MR, NR>(alpha, a, opa, b, opb, beta, blk, i0, j0, kdim, bs.kc);
-        });
-    }
-}
-
-/// Split-complex twin of [`gemm_blocked`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_split<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    b: MatRef<'_, T>,
-    opb: Op,
-    beta: T,
-    c: MatMut<'_, T>,
-    kdim: usize,
-    flops: f64,
-) {
-    let bs = blocking::<T>();
-    let (par, col_step) = par_plan::<T>(flops, bs.nc, NR);
-    let tiles = tile_grid(c, bs.mc, col_step);
-    if !par || tiles.len() == 1 {
-        for (i0, j0, blk) in tiles {
-            gemm_macro_tile_split::<T, MR, NR>(
-                alpha, a, opa, b, opb, beta, blk, i0, j0, kdim, bs.kc,
-            );
-        }
-    } else {
-        tiles.into_par_iter().for_each(|(i0, j0, blk)| {
-            gemm_macro_tile_split::<T, MR, NR>(
-                alpha, a, opa, b, opb, beta, blk, i0, j0, kdim, bs.kc,
-            );
-        });
+        tiles.into_par_iter().for_each(run);
     }
 }
 
@@ -429,35 +406,26 @@ pub fn gemm<T: Scalar>(
         scale_block(beta, &mut c);
         return;
     }
-    let flops = 2.0 * am as f64 * bn as f64 * ak as f64;
+    let flops = 2 * am as u64 * bn as u64 * ak as u64;
     // Kernel-counter hook: reads the clock only while a tracer holds an
     // enable token (one relaxed atomic load otherwise).
     let t0 = crate::stats::start();
-    if bn == 1 || colwise_det_forced() {
+    let route = if bn == 1 || colwise_det_forced() {
         // Single-column product: a serial GEMM here would leave an `m·k`-sized
         // product on one core — route through the (parallelized) matvec.
         // Under [`with_colwise_det`] every column takes that kernel's
         // operation sequence, so a width-`bn` product is bitwise-equal to
         // `bn` single-column calls.
         gemm_colwise(alpha, a, opa, b, opb, beta, c);
-        crate::stats::record(crate::stats::Route::Matvec, flops as u64, t0);
-        return;
-    }
-
-    if flops < SMALL_GEMM_FLOPS {
-        gemm_naive(alpha, a, opa, b, opb, beta, c);
-        crate::stats::record(crate::stats::Route::Naive, flops as u64, t0);
-        return;
-    }
-    // Complex scalars take the split re/im-plane path (4 real FMAs per
-    // complex multiply-add on full-width real vectors); reals use the plain
-    // packed kernel.
-    if T::IS_COMPLEX {
-        gemm_blocked_split::<T, MR_SPLIT, NR_SPLIT>(alpha, a, opa, b, opb, beta, c, ak, flops);
+        Route::Matvec
+    } else if takes_small_route::<T>(am, bn, ak, opa, opb) {
+        gemm_small(alpha, a, opa, b, opb, beta, c);
+        Route::Small
     } else {
-        gemm_blocked::<T, MR_REAL, NR_REAL>(alpha, a, opa, b, opb, beta, c, ak, flops);
-    }
-    crate::stats::record(crate::stats::Route::Packed, flops as u64, t0);
+        gemm_packed(alpha, a, opa, b, opb, beta, c);
+        Route::Packed
+    };
+    crate::stats::record(route, flops, t0);
 }
 
 /// Convenience: allocate and return `op(A)·op(B)`.
@@ -566,9 +534,11 @@ const COLWISE_DOT_ROWS: usize = 4;
 /// The column-wise GEMM route: `C[:, j] ← α·op(A)·op(B)[:, j] + β·C[:, j]`
 /// with, per column, exactly the operations [`matvec`] performs — same
 /// `α·x_k` scaling, same `k` order, same exact-zero skip — so a column's bits
-/// do not depend on the columns beside it. Whole [`COLWISE_BLOCK`]s go
-/// through the blocked kernels; the remainder (and `bn == 1`) through
-/// [`matvec`] itself.
+/// do not depend on the columns beside it. A single column goes through
+/// [`matvec`] itself; anything wider through the blocked kernels,
+/// [`COLWISE_BLOCK`] columns at a time — the last block, when the width is
+/// not a multiple of it, with zeros in its spare lanes and only its live
+/// columns read from and written to `C`.
 fn gemm_colwise<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -580,69 +550,71 @@ fn gemm_colwise<T: Scalar>(
 ) {
     let (m, k) = opa.shape_of(&a);
     let bn = c.ncols();
-    let blocked = bn - bn % COLWISE_BLOCK;
-    if blocked > 0 {
-        scale_block(beta, &mut c.rb_mut().submatrix_mut(0..m, 0..blocked));
-        // Row `kk` of the block of `op(B)`, gathered once per block.
-        let mut x = vec![[T::ZERO; COLWISE_BLOCK]; k];
-        // Same fork rule as one `matvec` of this shape: the block width
-        // must not turn a sub-threshold product into a fork per call.
-        let par = 2.0 * m as f64 * k as f64 >= PAR_FLOP_THRESHOLD
-            && rayon::current_num_threads() > 1
-            && !serial_forced();
-        for j0 in (0..blocked).step_by(COLWISE_BLOCK) {
-            // The axpy kernel takes `α·x_k` (as `matvec` forms it), the dot
-            // kernels `x_k` itself.
-            for (kk, xk) in x.iter_mut().enumerate() {
-                *xk = std::array::from_fn(|cc| {
-                    let v = b_elem(b, opb, kk, j0 + cc);
-                    if opa == Op::NoTrans {
-                        alpha * v
-                    } else {
-                        v
-                    }
-                });
-            }
-            let x = &x;
-            let run = |(r0, cc): (usize, MatMut<'_, T>)| colwise_rows(alpha, a, opa, x, r0, cc);
-            let cblk = c.rb_mut().submatrix_mut(0..m, j0..j0 + COLWISE_BLOCK);
-            if par {
-                // Row chunks of whole register tiles, `matvec`'s grain.
-                let chunk = m
-                    .div_ceil(4 * rayon::current_num_threads())
-                    .max(64)
-                    .next_multiple_of(COLWISE_ROWS);
-                let mut chunks = Vec::with_capacity(m.div_ceil(chunk));
-                let mut rest = cblk;
-                while rest.nrows() > 0 {
-                    let h = chunk.min(rest.nrows());
-                    let (head, tail) = rest.split_at_row(h);
-                    chunks.push((chunks.len() * chunk, head));
-                    rest = tail;
-                }
-                chunks.into_par_iter().for_each(run);
-            } else {
-                run((0, cblk));
-            }
-        }
-    }
-    for j in blocked..bn {
-        let y = c.col_mut(j);
-        match opb {
-            Op::NoTrans => matvec(alpha, a, opa, b.col(j), beta, y),
+    if bn == 1 {
+        let y = c.col_mut(0);
+        return match opb {
+            Op::NoTrans => matvec(alpha, a, opa, b.col(0), beta, y),
             _ => {
-                let x: Vec<T> = (0..k).map(|kk| b_elem(b, opb, kk, j)).collect();
-                matvec(alpha, a, opa, &x, beta, y);
+                let x: Vec<T> = (0..k).map(|kk| b_elem(b, opb, kk, 0)).collect();
+                matvec(alpha, a, opa, &x, beta, y)
             }
+        };
+    }
+    scale_block(beta, &mut c);
+    // Row `kk` of the block of `op(B)`, gathered once per block.
+    let mut x = vec![[T::ZERO; COLWISE_BLOCK]; k];
+    // Same fork rule as one `matvec` of this shape: the block width
+    // must not turn a sub-threshold product into a fork per call.
+    let par = 2.0 * m as f64 * k as f64 >= PAR_FLOP_THRESHOLD
+        && rayon::current_num_threads() > 1
+        && !serial_forced();
+    for j0 in (0..bn).step_by(COLWISE_BLOCK) {
+        let live = COLWISE_BLOCK.min(bn - j0);
+        // The axpy kernel takes `α·x_k` (as `matvec` forms it), the dot
+        // kernels `x_k` itself; a spare lane holds zeros.
+        for (kk, xk) in x.iter_mut().enumerate() {
+            *xk = std::array::from_fn(|cc| {
+                if cc >= live {
+                    return T::ZERO;
+                }
+                let v = b_elem(b, opb, kk, j0 + cc);
+                if opa == Op::NoTrans {
+                    alpha * v
+                } else {
+                    v
+                }
+            });
+        }
+        let x = &x;
+        let run = |(r0, cc): (usize, MatMut<'_, T>)| colwise_rows(alpha, a, opa, x, r0, cc);
+        let cblk = c.rb_mut().submatrix_mut(0..m, j0..j0 + live);
+        if par {
+            // Row chunks of whole register tiles, `matvec`'s grain.
+            let chunk = m
+                .div_ceil(4 * rayon::current_num_threads())
+                .max(64)
+                .next_multiple_of(COLWISE_ROWS);
+            let mut chunks = Vec::with_capacity(m.div_ceil(chunk));
+            let mut rest = cblk;
+            while rest.nrows() > 0 {
+                let h = chunk.min(rest.nrows());
+                let (head, tail) = rest.split_at_row(h);
+                chunks.push((chunks.len() * chunk, head));
+                rest = tail;
+            }
+            chunks.into_par_iter().for_each(run);
+        } else {
+            run((0, cblk));
         }
     }
 }
 
 /// One row chunk (rows `r0..` of `op(A)`, the block `cc` of `C`) of one
 /// column block of [`gemm_colwise`]; `x` holds `α·x_k` for `op(A) = A`, `x_k`
-/// otherwise. Dispatches on the CPU's SIMD level like the packed
-/// microkernel: lane-wise multiplies and adds give the same bits at any
-/// vector width.
+/// otherwise. `cc` has the block's live columns only (at most
+/// [`COLWISE_BLOCK`]): the spare lanes start from zero and are dropped.
+/// Dispatches on the CPU's SIMD level: lane-wise multiplies and adds give the
+/// same bits at any vector width.
 fn colwise_rows<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -722,9 +694,12 @@ fn colwise_axpy_tile<T: Scalar, const MR: usize>(
     cc: &mut MatMut<'_, T>,
     ic: usize,
 ) {
+    let live = cc.ncols();
     let mut tile = [[T::ZERO; MR]; COLWISE_BLOCK];
     for (c, t) in tile.iter_mut().enumerate() {
-        t.copy_from_slice(&cc.col(c)[ic..ic + MR]);
+        if c < live {
+            t.copy_from_slice(&cc.col(c)[ic..ic + MR]);
+        }
     }
     for (kk, sk) in s.iter().enumerate() {
         let ak = &a.col(kk)[ia..ia + MR];
@@ -737,7 +712,9 @@ fn colwise_axpy_tile<T: Scalar, const MR: usize>(
         }
     }
     for (c, t) in tile.iter().enumerate() {
-        cc.col_mut(c)[ic..ic + MR].copy_from_slice(t);
+        if c < live {
+            cc.col_mut(c)[ic..ic + MR].copy_from_slice(t);
+        }
     }
 }
 
@@ -788,9 +765,12 @@ fn colwise_dot_tile<T: Scalar, const MB: usize>(
             }
         }
     }
+    let live = cc.ncols();
     for r in 0..MB {
         for c in 0..COLWISE_BLOCK {
-            cc.col_mut(c)[ic + r] += alpha * acc[r][c];
+            if c < live {
+                cc.col_mut(c)[ic + r] += alpha * acc[r][c];
+            }
         }
     }
 }
@@ -798,6 +778,7 @@ fn colwise_dot_tile<T: Scalar, const MB: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Isa;
     use csolve_common::C64;
     use rand::SeedableRng;
 
@@ -971,6 +952,120 @@ mod tests {
         assert!(y.iter().all(|v| v.is_finite()));
     }
 
+    /// Every tile body this host can run: the portable one always, the
+    /// vector ones when the CPU has them.
+    fn host_isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
+    /// A GEMM entry point: [`gemm_packed`] or [`gemm_small`].
+    type Route<T> = fn(T, MatRef<'_, T>, Op, MatRef<'_, T>, Op, T, MatMut<'_, T>);
+
+    /// `route` against [`gemm_naive`] on strided views of seeded operands,
+    /// within `k·eps·‖A‖·‖B‖` (max norms; a complex product is four real ones).
+    fn route_matches_naive<T: Scalar>(
+        route: Route<T>,
+        (m, n, k): (usize, usize, usize),
+        (opa, opb): (Op, Op),
+        what: &str,
+    ) {
+        use csolve_common::RealScalar;
+        let mut rng = rand::rngs::StdRng::seed_from_u64((m * 131 + n * 17 + k) as u64);
+        let stored = |op: Op, r: usize, c: usize| if op == Op::NoTrans { (r, c) } else { (c, r) };
+        let ((ar, ac), (br, bc)) = (stored(opa, m, k), stored(opb, k, n));
+        let a = Mat::<T>::random(ar + 3, ac + 1, &mut rng);
+        let b = Mat::<T>::random(br + 2, bc + 2, &mut rng);
+        let c0 = Mat::<T>::random(m + 5, n + 1, &mut rng);
+        let (av, bv) = (a.view(3..3 + ar, 0..ac), b.view(1..1 + br, 2..2 + bc));
+        for (alpha, beta) in [
+            (T::ONE, T::ZERO),
+            (-T::ONE, T::ONE),
+            (T::from_f64(1.5), T::from_f64(-0.5)),
+        ] {
+            let (mut want, mut got) = (c0.clone(), c0.clone());
+            gemm_naive(alpha, av, opa, bv, opb, beta, want.view_mut(2..2 + m, 0..n));
+            route(alpha, av, opa, bv, opb, beta, got.view_mut(2..2 + m, 0..n));
+            let mut d = got;
+            d.axpy(-T::ONE, &want);
+            let scale = if T::IS_COMPLEX { 8.0 } else { 2.0 };
+            let ab = (a.norm_max() * b.norm_max() * Scalar::abs(alpha)).to_f64();
+            let tol = scale * (k + 2) as f64 * f64::EPSILON * (ab + Scalar::abs(beta).to_f64());
+            let err = d.norm_max().to_f64();
+            assert!(
+                err <= tol,
+                "{what} {opa:?} {opb:?} {m}x{n}x{k} alpha {alpha:?} beta {beta:?}: off by {err:.3e} > {tol:.3e}"
+            );
+        }
+    }
+
+    /// The packed 16×8 tile and the small-shape tiles against the reference,
+    /// on every body (AVX-512, AVX2, portable) the host has, whatever it
+    /// would pick for itself: every `Op` pair, `f64` and `C64`, strided
+    /// operands, `m % 16 ≠ 0`, `n % 8 ≠ 0`, `k` down to 0 and across two
+    /// `KC` slabs.
+    #[test]
+    fn packed_and_small_routes_match_naive_on_every_tile_body() {
+        let ops = [Op::NoTrans, Op::Trans, Op::ConjTrans];
+        let kc2 = blocking::<f64>().kc + 9;
+        for isa in host_isas() {
+            crate::simd::with_isa(isa, || {
+                with_serial(|| {
+                    for shape in [
+                        (1, 1, 1),
+                        (5, 3, 7),
+                        (16, 8, 1),
+                        (17, 9, 7),
+                        (33, 31, 40),
+                        (20, 12, kc2),
+                        (7, 5, 0),
+                    ] {
+                        for (opa, opb) in ops.iter().flat_map(|&a| ops.iter().map(move |&b| (a, b)))
+                        {
+                            let what = format!("{isa:?} packed");
+                            route_matches_naive::<f64>(gemm_packed, shape, (opa, opb), &what);
+                            route_matches_naive::<C64>(gemm_packed, shape, (opa, opb), &what);
+                            if has_tile(opa, opb) && shape.2 > 0 {
+                                let what = format!("{isa:?} small");
+                                route_matches_naive::<f64>(gemm_small, shape, (opa, opb), &what);
+                                route_matches_naive::<C64>(gemm_small, shape, (opa, opb), &what);
+                            }
+                        }
+                    }
+                })
+            });
+        }
+    }
+
+    /// The dispatch reads shapes, operand forms and the scalar type — never
+    /// the pool — so a product lands on the same route, hence the same bits,
+    /// at any thread count; and nothing reaches the reference kernel.
+    #[test]
+    fn route_choice_is_a_function_of_shape_ops_and_scalar() {
+        let (n, t) = (Op::NoTrans, Op::Trans);
+        // The sparse panel solve's shapes run unpacked …
+        assert!(takes_small_route::<f64>(300, 32, 32, n, n));
+        assert!(takes_small_route::<f64>(32, 32, 300, t, n));
+        // … wide or fork-sized products, and doubly transposed ones, packed;
+        assert!(!takes_small_route::<f64>(300, 33, 32, n, n));
+        assert!(!takes_small_route::<f64>(4000, 32, 4000, n, n));
+        assert!(!takes_small_route::<f64>(4, 4, 4, t, t));
+        // complex scalars only below the packing break-even.
+        assert!(takes_small_route::<C64>(8, 8, 8, n, t));
+        assert!(!takes_small_route::<C64>(300, 32, 32, n, n));
+    }
+
     #[test]
     fn gemm_large_parallel_path_matches() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -1034,41 +1129,46 @@ mod tests {
     fn colwise_det_matches_single_column_calls_bitwise() {
         // Under `with_colwise_det`, a width-w product must be bitwise equal
         // to w separate single-column products — even at sizes where the
-        // plain dispatch would take the packed path. Cover f64 and C64, all
-        // opb shapes, and α/β scaling.
+        // plain dispatch would take the packed path. Cover all opb shapes,
+        // α/β scaling, and every fill of the last register block: its spare
+        // lanes hold zeros, and exact `0.0` / `-0.0` entries of `B` and `C`
+        // are where a zero multiplier that is not skipped would show.
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let a = Mat::<f64>::random(96, 80, &mut rng);
-        let b = Mat::<f64>::random(80, 7, &mut rng);
-        let bt = b.transpose();
-        let c0 = Mat::<f64>::random(96, 7, &mut rng);
-        for &(bm, opb) in &[(&b, Op::NoTrans), (&bt, Op::Trans)] {
-            for &opa in &[Op::NoTrans, Op::Trans] {
-                let a_use = if opa == Op::NoTrans {
-                    a.clone()
-                } else {
-                    a.transpose()
-                };
-                let mut c = c0.clone();
-                with_colwise_det(|| {
-                    gemm(1.5, a_use.as_ref(), opa, bm.as_ref(), opb, 0.5, c.as_mut())
-                });
-                // Reference: one bn == 1 call per column (plain dispatch).
-                let mut want = c0.clone();
-                for j in 0..7 {
-                    let bj = b.view(0..80, j..j + 1);
-                    gemm(
-                        1.5,
-                        a_use.as_ref(),
-                        opa,
-                        bj,
-                        Op::NoTrans,
-                        0.5,
-                        want.view_mut(0..96, j..j + 1),
-                    );
-                }
-                for j in 0..7 {
-                    for (u, v) in c.col(j).iter().zip(want.col(j)) {
-                        assert_eq!(u.to_bits(), v.to_bits());
+        for w in [2usize, 3, 5, 6, 7, 13, 33] {
+            let mut b = Mat::<f64>::random(80, w, &mut rng);
+            let mut c0 = Mat::<f64>::random(96, w, &mut rng);
+            for j in 0..w {
+                b[(3 * j % 80, j)] = 0.0;
+                b[((3 * j + 1) % 80, j)] = -0.0;
+                c0[(5 * j % 96, j)] = -0.0;
+            }
+            b.col_mut(w - 1).fill(0.0);
+            let bt = b.transpose();
+            for &(bm, opb) in &[(&b, Op::NoTrans), (&bt, Op::Trans)] {
+                for &opa in &[Op::NoTrans, Op::Trans] {
+                    let a_use = if opa == Op::NoTrans {
+                        a.clone()
+                    } else {
+                        a.transpose()
+                    };
+                    for beta in [0.5, 1.0] {
+                        let mut c = c0.clone();
+                        with_colwise_det(|| {
+                            gemm(1.5, a_use.as_ref(), opa, bm.as_ref(), opb, beta, c.as_mut())
+                        });
+                        // Reference: one bn == 1 call per column (plain dispatch).
+                        let mut want = c0.clone();
+                        for j in 0..w {
+                            let (bj, cj) =
+                                (b.view(0..80, j..j + 1), want.view_mut(0..96, j..j + 1));
+                            gemm(1.5, a_use.as_ref(), opa, bj, Op::NoTrans, beta, cj);
+                        }
+                        for j in 0..w {
+                            for (u, v) in c.col(j).iter().zip(want.col(j)) {
+                                assert_eq!(u.to_bits(), v.to_bits(), "width {w}, column {j}");
+                            }
+                        }
                     }
                 }
             }

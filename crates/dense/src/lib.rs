@@ -27,6 +27,8 @@ pub mod factor;
 pub mod gemm;
 pub mod mat;
 mod pack;
+mod simd;
+mod small;
 pub mod solve;
 pub mod stats;
 pub mod trsm;

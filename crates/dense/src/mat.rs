@@ -275,6 +275,11 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         self.ld
     }
 
+    /// Element `(0, 0)`; element `(i, j)` is `ld()·j + i` further on.
+    pub(crate) fn as_ptr(&self) -> *const T {
+        self.ptr
+    }
+
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.nrows && j < self.ncols);
@@ -367,6 +372,11 @@ impl<'a, T: Scalar> MatMut<'a, T> {
 
     pub fn ld(&self) -> usize {
         self.ld
+    }
+
+    /// Element `(0, 0)`; element `(i, j)` is `ld()·j + i` further on.
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut T {
+        self.ptr
     }
 
     #[inline]

@@ -7,48 +7,47 @@
 //! microkernel then streams through contiguous memory with zero index
 //! arithmetic or `Op` dispatch:
 //!
-//! * `pack_a` stores an `mc × kc` block of `op(A)` as `⌈mc/MR⌉` row
-//!   micro-panels; panel `ip` holds, for `k = 0..kc`, the `MR` consecutive
-//!   elements `op(A)[ip·MR .. ip·MR+MR, k]`. Transposition and conjugation are
-//!   resolved *here*, at pack time, so the hot loop never branches on `Op`.
-//! * `pack_b` stores a `kc × nc` block of `op(B)` as `⌈nc/NR⌉` column
-//!   micro-panels, panel `jp` holding `op(B)[k, jp·NR .. jp·NR+NR]` for each
-//!   `k`.
+//! * [`pack`] stores an `mc × kc` block of `op(A)` as `⌈mc/MR⌉` row
+//!   micro-panels — panel `ip` holds, for `k = 0..kc`, the `MR` consecutive
+//!   elements `op(A)[ip·MR .. ip·MR+MR, k]` — and a `kc × nc` block of `op(B)`
+//!   as `⌈nc/NR⌉` column micro-panels, panel `jp` holding
+//!   `op(B)[k, jp·NR .. jp·NR+NR]` for each `k`. Transposition and conjugation
+//!   are resolved *here*, at pack time, so the hot loop never branches on `Op`.
 //! * Edge panels (when `mc % MR != 0` or `nc % NR != 0`) are zero-padded, so
-//!   the microkernel always runs full `MR × NR` tiles; the store step simply
-//!   writes back only the `mr_eff × nr_eff` valid prefix.
+//!   the microkernel always reads full panels; its write-back masks the
+//!   `mr_eff × nr_eff` valid prefix.
 //!
-//! The microkernel itself keeps an `MR × NR` accumulator entirely in
-//! registers and performs `kc` rank-1 updates on it — with `MR`/`NR` as const
-//! generics the loops fully unroll and compile to FMA-friendly straight-line
-//! code for both `f64` and complex scalars.
+//! The microkernel ([`tile`]) is one body over [`Lanes`]: it keeps a
+//! register-sized piece of the [`MR`]` × `[`NR`] tile in accumulators across
+//! the whole `kc` loop and issues one multiply-add per element and `k`. With
+//! AVX-512 the piece is the whole 16×8 tile — sixteen `zmm` accumulators of
+//! fused multiply-adds; the AVX2+FMA body walks the same packed tile as four
+//! 8×4 pieces, the portable body (separate multiply and add) as eight 4×4
+//! pieces.
 //!
-//! Complex scalars take a dedicated *split* path (`pack_a_split` /
-//! `pack_b_split` / `macro_kernel_split`): the packed micro-panels hold the
-//! real and imaginary parts in two separate real planes, and the microkernel
-//! performs the complex multiply-add as four real FMAs per element
-//! (`re += ar·br − ai·bi`, `im += ar·bi + ai·br`) on full-width real vectors
-//! — no shuffle-heavy interleaved lanes, and conjugation is again resolved at
-//! pack time by negating the imaginary plane. Blocking parameters come from
-//! the measured-cache calibration in [`crate::cache`].
+//! Complex scalars take a dedicated *split* path (the same packing into a
+//! pair of planes, `macro_kernel_split`): the packed micro-panels hold the
+//! real and imaginary parts in two separate `f64` planes, and a complex tile
+//! is four passes of the one real tile over them (`re += ar·br − ai·bi`,
+//! `im += ar·bi + ai·br`) on full-width real vectors — no shuffle-heavy
+//! interleaved lanes, and conjugation is again resolved at pack time by
+//! negating the imaginary plane. Blocking parameters come from the
+//! measured-cache calibration in [`crate::cache`].
 
 use csolve_common::{RealScalar, Scalar};
 
 use crate::cache::{kernel_blocking, KernelBlocking};
 use crate::gemm::Op;
 use crate::mat::{MatMut, MatRef};
+use crate::simd::{as_f64, isa, Isa, Lanes, Portable};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2, Avx512};
 
-/// Register tile height for 8-byte scalars (`f32`/`f64`).
-pub(crate) const MR_REAL: usize = 8;
-/// Register tile width for 8-byte scalars.
-pub(crate) const NR_REAL: usize = 4;
-/// Register tile height of the split-complex microkernel. The kernel works
-/// on separate re/im *real* planes, so the tile is as tall as the real one —
-/// a full 8-lane `f64` vector per plane — instead of the half-height tile an
-/// interleaved complex kernel would be forced into.
-pub(crate) const MR_SPLIT: usize = 8;
-/// Register tile width of the split-complex microkernel.
-pub(crate) const NR_SPLIT: usize = 4;
+/// Register tile height: two 8-lane `f64` vectors.
+pub(crate) const MR: usize = 16;
+/// Register tile width. A power of two: the autotuner quantizes panel widths
+/// to multiples of it.
+pub(crate) const NR: usize = 8;
 
 /// Cache blocking of the MC/KC/NC loop nest for scalar type `T`, in
 /// elements. Calibrated once per process from the measured cache hierarchy
@@ -59,133 +58,187 @@ pub(crate) fn blocking<T>() -> KernelBlocking {
     kernel_blocking(std::mem::size_of::<T>())
 }
 
-/// Pack the `mc × kc` block of `op(A)` starting at logical row `i0`, logical
-/// column (inner index) `p0` into `MR`-row micro-panels, zero-padding the last
-/// panel. `dst` is resized to exactly `⌈mc/MR⌉ · kc · MR` elements.
-pub(crate) fn pack_a<T: Scalar, const MR: usize>(
-    a: MatRef<'_, T>,
-    opa: Op,
-    i0: usize,
-    p0: usize,
+/// Where a packing pass writes: one buffer of `T` (the real path), or the
+/// re/im `f64` planes of the split-complex path.
+pub(crate) trait PackBuf<T> {
+    /// Resize to `len` zeros — the padding of the edge panels.
+    fn reset(&mut self, len: usize);
+    fn put(&mut self, at: usize, v: T);
+}
+
+impl<T: Scalar> PackBuf<T> for Vec<T> {
+    fn reset(&mut self, len: usize) {
+        self.clear();
+        self.resize(len, T::ZERO);
+    }
+    #[inline(always)]
+    fn put(&mut self, at: usize, v: T) {
+        self[at] = v;
+    }
+}
+
+/// The `(re, im)` planes: a conjugated element lands with its imaginary part
+/// negated, so the microkernel never sees a conjugation either.
+impl<T: Scalar> PackBuf<T> for (Vec<f64>, Vec<f64>) {
+    fn reset(&mut self, len: usize) {
+        for plane in [&mut self.0, &mut self.1] {
+            plane.clear();
+            plane.resize(len, 0.0);
+        }
+    }
+    #[inline(always)]
+    fn put(&mut self, at: usize, v: T) {
+        self.0[at] = v.real().to_f64();
+        self.1[at] = v.imag().to_f64();
+    }
+}
+
+/// Pack a `len × kc` block of an operand `op(X)` into micro-panels of `R`
+/// values of the panel index `r` (panel `r / R` holds, for `k = 0..kc`, `R`
+/// consecutive `r`), zero-padding the last panel: `dst` is reset to exactly
+/// `⌈len/R⌉ · kc · R` elements. Transposition and conjugation are resolved
+/// here, so the microkernel never branches on `Op`.
+///
+/// * `op(A)`, `rows = true`, `R = `[`MR`]: `r` runs over the rows of `op(A)`
+///   from `r0`, `k` over its columns (the inner index) from `k0`;
+/// * `op(B)`, `rows = false`, `R = `[`NR`]: `r` runs over the columns of
+///   `op(B)` from `r0`, `k` over its rows from `k0`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack<T: Scalar, const R: usize>(
+    x: MatRef<'_, T>,
+    op: Op,
+    rows: bool,
+    r0: usize,
+    k0: usize,
+    len: usize,
+    kc: usize,
+    dst: &mut impl PackBuf<T>,
+) {
+    dst.reset(len.div_ceil(R) * kc * R);
+    let conj = |v: T| if op == Op::ConjTrans { v.conj() } else { v };
+    for p0 in (0..len).step_by(R) {
+        let (live, base) = (R.min(len - p0), p0 * kc);
+        if rows == (op == Op::NoTrans) {
+            // `r` runs down the stored columns: contiguous reads in `r`.
+            for kk in 0..kc {
+                let src = &x.col(k0 + kk)[r0 + p0..r0 + p0 + live];
+                for (r, &v) in src.iter().enumerate() {
+                    dst.put(base + kk * R + r, conj(v));
+                }
+            }
+        } else {
+            // `r` picks the stored column: contiguous reads in `k`.
+            for r in 0..live {
+                let src = &x.col(r0 + p0 + r)[k0..k0 + kc];
+                for (kk, &v) in src.iter().enumerate() {
+                    dst.put(base + kk * R + r, conj(v));
+                }
+            }
+        }
+    }
+}
+
+/// One packed block product over raw operands: `C[..mc, ..nc] += α · Ap·Bp`,
+/// `ap` / `bp` the packed `mc × kc` / `kc × nc` blocks, `c` the block's top
+/// left element in a column-major array of stride `ldc`.
+struct Block<E> {
+    alpha: E,
+    ap: *const E,
+    bp: *const E,
     mc: usize,
-    kc: usize,
-    dst: &mut Vec<T>,
-) {
-    let npanels = mc.div_ceil(MR);
-    dst.clear();
-    dst.resize(npanels * kc * MR, T::ZERO);
-    match opa {
-        Op::NoTrans => {
-            for ip in 0..npanels {
-                let r0 = ip * MR;
-                let mr_eff = MR.min(mc - r0);
-                let panel = &mut dst[ip * kc * MR..(ip + 1) * kc * MR];
-                for kk in 0..kc {
-                    let src = &a.col(p0 + kk)[i0 + r0..i0 + r0 + mr_eff];
-                    panel[kk * MR..kk * MR + mr_eff].copy_from_slice(src);
-                }
-            }
-        }
-        Op::Trans | Op::ConjTrans => {
-            // Logical row `i` of op(A) is stored column `i` of A, contiguous
-            // over the inner index.
-            let conj = opa == Op::ConjTrans;
-            for ip in 0..npanels {
-                let r0 = ip * MR;
-                let mr_eff = MR.min(mc - r0);
-                let panel = &mut dst[ip * kc * MR..(ip + 1) * kc * MR];
-                for r in 0..mr_eff {
-                    let src = &a.col(i0 + r0 + r)[p0..p0 + kc];
-                    if conj {
-                        for (kk, &v) in src.iter().enumerate() {
-                            panel[kk * MR + r] = v.conj();
-                        }
-                    } else {
-                        for (kk, &v) in src.iter().enumerate() {
-                            panel[kk * MR + r] = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Pack the `kc × nc` block of `op(B)` starting at inner index `p0`, logical
-/// column `j0` into `NR`-column micro-panels, zero-padding the last panel.
-/// `dst` is resized to exactly `⌈nc/NR⌉ · kc · NR` elements.
-pub(crate) fn pack_b<T: Scalar, const NR: usize>(
-    b: MatRef<'_, T>,
-    opb: Op,
-    p0: usize,
-    j0: usize,
-    kc: usize,
     nc: usize,
-    dst: &mut Vec<T>,
-) {
-    let npanels = nc.div_ceil(NR);
-    dst.clear();
-    dst.resize(npanels * kc * NR, T::ZERO);
-    match opb {
-        Op::NoTrans => {
-            for jp in 0..npanels {
-                let c0 = jp * NR;
-                let nr_eff = NR.min(nc - c0);
-                let panel = &mut dst[jp * kc * NR..(jp + 1) * kc * NR];
-                for c in 0..nr_eff {
-                    let src = &b.col(j0 + c0 + c)[p0..p0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * NR + c] = v;
+    kc: usize,
+    c: *mut E,
+    ldc: usize,
+}
+
+/// Microkernel: `C[..mr, ..nr] += α · Ap·Bp` for the [`MR`]` × `[`NR`]
+/// micro-tile at `(r0, c0)` of the block.
+///
+/// The tile is walked in pieces of `RV` registers × `NC` columns; a piece
+/// accumulates its `kc` multiply-adds in registers, in `k` order, and lands in
+/// `C` as one more multiply-add per element. Pieces wholly outside the block
+/// are skipped. The order of operations per element depends on nothing but
+/// `kc`, so the result is independent of blocking geometry and thread count.
+///
+/// # Safety
+///
+/// [`Lanes`]' contract; `b.ap` / `b.bp` hold `⌈mc/MR⌉·kc·MR` / `⌈nc/NR⌉·kc·NR`
+/// elements, and the caller owns `C[..mc, ..nc]`.
+#[inline(always)]
+unsafe fn tile<L: Lanes, const RV: usize, const NC: usize>(b: &Block<L::E>, r0: usize, c0: usize) {
+    let (ap, bp) = (b.ap.add(r0 * b.kc), b.bp.add(c0 * b.kc));
+    let (mr, nr) = (MR.min(b.mc - r0), NR.min(b.nc - c0));
+    let alpha = L::splat(b.alpha);
+    for j0 in (0..nr).step_by(NC) {
+        for i0 in (0..mr).step_by(RV * L::W) {
+            let mut acc = [[L::zero(); RV]; NC];
+            for kk in 0..b.kc {
+                let mut a = [L::zero(); RV];
+                for v in 0..RV {
+                    a[v] = L::load(ap.add(kk * MR + i0 + v * L::W));
+                }
+                for j in 0..NC {
+                    let x = L::splat(*bp.add(kk * NR + j0 + j));
+                    for v in 0..RV {
+                        acc[j][v] = L::mul_add(a[v], x, acc[j][v]);
                     }
                 }
             }
-        }
-        Op::Trans | Op::ConjTrans => {
-            // Logical row `k` of op(B) is stored column `k` of B, contiguous
-            // over the logical columns — packed writes are contiguous too.
-            let conj = opb == Op::ConjTrans;
-            for jp in 0..npanels {
-                let c0 = jp * NR;
-                let nr_eff = NR.min(nc - c0);
-                let panel = &mut dst[jp * kc * NR..(jp + 1) * kc * NR];
-                for kk in 0..kc {
-                    let src = &b.col(p0 + kk)[j0 + c0..j0 + c0 + nr_eff];
-                    let out = &mut panel[kk * NR..kk * NR + nr_eff];
-                    if conj {
-                        for (o, &v) in out.iter_mut().zip(src) {
-                            *o = v.conj();
-                        }
-                    } else {
-                        out.copy_from_slice(src);
-                    }
+            for j in 0..NC.min(nr - j0) {
+                for v in 0..RV {
+                    let row = i0 + v * L::W;
+                    let live = L::W.min(mr.saturating_sub(row));
+                    let p = b.c.wrapping_add((c0 + j0 + j) * b.ldc + r0 + row);
+                    L::store_n(p, live, L::mul_add(alpha, acc[j][v], L::load_n(p, live)));
                 }
             }
         }
     }
 }
 
-/// Register-tiled microkernel: `kc` rank-1 updates of an `MR × NR`
-/// accumulator from one A micro-panel and one B micro-panel. The fixed-size
-/// slice conversions eliminate bounds checks and let the const-generic loops
-/// unroll completely.
+/// Every micro-tile of a block, in the fixed order B-panel outer, A-panel
+/// inner (the B micro-panel stays in L1 while the A panels stream past).
+///
+/// # Safety
+///
+/// [`tile`]'s contract.
 #[inline(always)]
-fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
-    ap: &[T],
-    bp: &[T],
-    kc: usize,
-) -> [[T; MR]; NR] {
-    let mut acc = [[T::ZERO; MR]; NR];
-    for kk in 0..kc {
-        let a: &[T; MR] = ap[kk * MR..kk * MR + MR].try_into().unwrap();
-        let b: &[T; NR] = bp[kk * NR..kk * NR + NR].try_into().unwrap();
-        for j in 0..NR {
-            let bj = b[j];
-            for i in 0..MR {
-                acc[j][i] += a[i] * bj;
-            }
+unsafe fn block_tiles<L: Lanes, const RV: usize, const NC: usize>(b: &Block<L::E>) {
+    for c0 in (0..b.nc).step_by(NR) {
+        for r0 in (0..b.mc).step_by(MR) {
+            tile::<L, RV, NC>(b, r0, c0);
         }
     }
-    acc
+}
+
+/// [`block_tiles`] on the whole 16×8 tile in `zmm` registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn block_tiles_avx512(b: &Block<f64>) {
+    block_tiles::<Avx512, 2, 8>(b)
+}
+
+/// [`block_tiles`] on 8×4 pieces in `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn block_tiles_avx2(b: &Block<f64>) {
+    block_tiles::<Avx2, 2, 4>(b)
+}
+
+/// An `f64` block on the widest tile body the host has ([`isa`]).
+///
+/// # Safety
+///
+/// [`tile`]'s contract, minus the CPU features: checked here.
+unsafe fn block_f64(b: &Block<f64>) {
+    match isa() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => block_tiles_avx512(b),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => block_tiles_avx2(b),
+        _ => block_tiles::<Portable<f64>, 1, 4>(b),
+    }
 }
 
 /// Macro-kernel: multiply the packed `mc × kc` A block by the packed
@@ -193,13 +246,11 @@ fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
 /// micro-tile. `c` is the `mc × nc` destination block (β has already been
 /// applied by the caller, once per macro-tile).
 ///
-/// Dispatches once per call on the CPU's SIMD level: the *same* generic body
-/// is compiled additionally under `avx512f` and `avx2+fma` target features,
-/// so LLVM vectorizes the fully-unrolled microkernel with the widest units
-/// available instead of the portable baseline (SSE2 on x86-64). The selected
-/// path depends only on the host CPU — never on data or thread count — so
-/// results remain bitwise reproducible on a given machine.
-pub(crate) fn macro_kernel<T: Scalar, const MR: usize, const NR: usize>(
+/// `f64` runs the AVX-512 or AVX2 fused-multiply-add tile, every other scalar
+/// the portable one. The selected body depends only on the scalar type and
+/// the host CPU — never on data or thread count — so results remain bitwise
+/// reproducible on a given machine.
+pub(crate) fn macro_kernel<T: Scalar>(
     alpha: T,
     apack: &[T],
     bpack: &[T],
@@ -208,352 +259,76 @@ pub(crate) fn macro_kernel<T: Scalar, const MR: usize, const NR: usize>(
     kc: usize,
     c: &mut MatMut<'_, T>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence just checked.
-            return unsafe { macro_kernel_avx512::<T, MR, NR>(alpha, apack, bpack, mc, nc, kc, c) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: feature presence just checked.
-            return unsafe { macro_kernel_avx2::<T, MR, NR>(alpha, apack, bpack, mc, nc, kc, c) };
-        }
-    }
-    macro_kernel_impl::<T, MR, NR>(alpha, apack, bpack, mc, nc, kc, c)
-}
-
-/// `macro_kernel_impl` recompiled with 512-bit vectors + FMA available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn macro_kernel_avx512<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    apack: &[T],
-    bpack: &[T],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    macro_kernel_impl::<T, MR, NR>(alpha, apack, bpack, mc, nc, kc, c)
-}
-
-/// `macro_kernel_impl` recompiled with 256-bit vectors + FMA available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn macro_kernel_avx2<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    apack: &[T],
-    bpack: &[T],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    macro_kernel_impl::<T, MR, NR>(alpha, apack, bpack, mc, nc, kc, c)
-}
-
-#[inline(always)]
-fn macro_kernel_impl<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    apack: &[T],
-    bpack: &[T],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    let mpanels = mc.div_ceil(MR);
-    let npanels = nc.div_ceil(NR);
-    for jp in 0..npanels {
-        let c0 = jp * NR;
-        let nr_eff = NR.min(nc - c0);
-        let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        for ip in 0..mpanels {
-            let r0 = ip * MR;
-            let mr_eff = MR.min(mc - r0);
-            let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-            let acc = microkernel::<T, MR, NR>(ap, bp, kc);
-            for (j, accj) in acc.iter().enumerate().take(nr_eff) {
-                let col = &mut c.col_mut(c0 + j)[r0..r0 + mr_eff];
-                for (ci, &v) in col.iter_mut().zip(&accj[..mr_eff]) {
-                    *ci += alpha * v;
-                }
+    assert!(apack.len() >= mc.div_ceil(MR) * kc * MR && bpack.len() >= nc.div_ceil(NR) * kc * NR);
+    assert!(c.nrows() >= mc && c.ncols() >= nc);
+    let (ap, bp, cp, ldc) = (apack.as_ptr(), bpack.as_ptr(), c.as_mut_ptr(), c.ld());
+    // SAFETY: the packed buffers hold every micro-panel the loops read and
+    // `c` covers the `mc × nc` block (asserted above); the pointers are cast
+    // only when `T` is `f64` (`as_f64`).
+    unsafe {
+        match as_f64(alpha) {
+            Some(alpha) => {
+                let (ap, bp, c) = (ap.cast(), bp.cast(), cp.cast());
+                #[rustfmt::skip]
+                let block = Block { alpha, ap, bp, mc, nc, kc, c, ldc };
+                block_f64(&block)
+            }
+            None => {
+                #[rustfmt::skip]
+                let block = Block { alpha, ap, bp, mc, nc, kc, c: cp, ldc };
+                block_tiles::<Portable<T>, 1, 4>(&block)
             }
         }
     }
-}
-
-// --------------------------------------------------------------------------
-// Split-complex path: packed re/im planes + 4-real-FMA microkernel.
-// --------------------------------------------------------------------------
-
-/// Split-plane variant of [`pack_a`]: packs the `mc × kc` block of `op(A)`
-/// into two real micro-panel buffers holding the real and imaginary parts.
-/// Layout per plane is identical to `pack_a`'s; conjugation is resolved here
-/// by negating the imaginary plane.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_a_split<T: Scalar, const MR: usize>(
-    a: MatRef<'_, T>,
-    opa: Op,
-    i0: usize,
-    p0: usize,
-    mc: usize,
-    kc: usize,
-    dst_re: &mut Vec<T::Real>,
-    dst_im: &mut Vec<T::Real>,
-) {
-    let npanels = mc.div_ceil(MR);
-    dst_re.clear();
-    dst_re.resize(npanels * kc * MR, T::Real::RZERO);
-    dst_im.clear();
-    dst_im.resize(npanels * kc * MR, T::Real::RZERO);
-    match opa {
-        Op::NoTrans => {
-            for ip in 0..npanels {
-                let r0 = ip * MR;
-                let mr_eff = MR.min(mc - r0);
-                let pre = &mut dst_re[ip * kc * MR..(ip + 1) * kc * MR];
-                let pim = &mut dst_im[ip * kc * MR..(ip + 1) * kc * MR];
-                for kk in 0..kc {
-                    let src = &a.col(p0 + kk)[i0 + r0..i0 + r0 + mr_eff];
-                    for (r, &v) in src.iter().enumerate() {
-                        pre[kk * MR + r] = v.real();
-                        pim[kk * MR + r] = v.imag();
-                    }
-                }
-            }
-        }
-        Op::Trans | Op::ConjTrans => {
-            let conj = opa == Op::ConjTrans;
-            for ip in 0..npanels {
-                let r0 = ip * MR;
-                let mr_eff = MR.min(mc - r0);
-                let pre = &mut dst_re[ip * kc * MR..(ip + 1) * kc * MR];
-                let pim = &mut dst_im[ip * kc * MR..(ip + 1) * kc * MR];
-                for r in 0..mr_eff {
-                    let src = &a.col(i0 + r0 + r)[p0..p0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        pre[kk * MR + r] = v.real();
-                        pim[kk * MR + r] = if conj { -v.imag() } else { v.imag() };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Split-plane variant of [`pack_b`]: packs the `kc × nc` block of `op(B)`
-/// into real/imaginary micro-panel planes (layout per plane as in `pack_b`,
-/// conjugation folded into the imaginary plane).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_b_split<T: Scalar, const NR: usize>(
-    b: MatRef<'_, T>,
-    opb: Op,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-    dst_re: &mut Vec<T::Real>,
-    dst_im: &mut Vec<T::Real>,
-) {
-    let npanels = nc.div_ceil(NR);
-    dst_re.clear();
-    dst_re.resize(npanels * kc * NR, T::Real::RZERO);
-    dst_im.clear();
-    dst_im.resize(npanels * kc * NR, T::Real::RZERO);
-    match opb {
-        Op::NoTrans => {
-            for jp in 0..npanels {
-                let c0 = jp * NR;
-                let nr_eff = NR.min(nc - c0);
-                let pre = &mut dst_re[jp * kc * NR..(jp + 1) * kc * NR];
-                let pim = &mut dst_im[jp * kc * NR..(jp + 1) * kc * NR];
-                for c in 0..nr_eff {
-                    let src = &b.col(j0 + c0 + c)[p0..p0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        pre[kk * NR + c] = v.real();
-                        pim[kk * NR + c] = v.imag();
-                    }
-                }
-            }
-        }
-        Op::Trans | Op::ConjTrans => {
-            let conj = opb == Op::ConjTrans;
-            for jp in 0..npanels {
-                let c0 = jp * NR;
-                let nr_eff = NR.min(nc - c0);
-                let pre = &mut dst_re[jp * kc * NR..(jp + 1) * kc * NR];
-                let pim = &mut dst_im[jp * kc * NR..(jp + 1) * kc * NR];
-                for kk in 0..kc {
-                    let src = &b.col(p0 + kk)[j0 + c0..j0 + c0 + nr_eff];
-                    for (c, &v) in src.iter().enumerate() {
-                        pre[kk * NR + c] = v.real();
-                        pim[kk * NR + c] = if conj { -v.imag() } else { v.imag() };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Split-complex microkernel: `kc` rank-1 updates of two `MR × NR` *real*
-/// accumulators (re/im planes) using four real multiply-adds per complex
-/// element:
-///
-/// ```text
-/// acc_re += ar·br − ai·bi        acc_im += ar·bi + ai·br
-/// ```
-///
-/// All four streams are contiguous real micro-panels, so every operation is
-/// a full-width real vector FMA — the interleaved-lane shuffles of a complex
-/// kernel disappear entirely. The accumulation order per element is fixed by
-/// the `kk` loop, independent of blocking geometry and thread count.
-#[inline(always)]
-fn microkernel_split<R: RealScalar, const MR: usize, const NR: usize>(
-    ar: &[R],
-    ai: &[R],
-    br: &[R],
-    bi: &[R],
-    kc: usize,
-) -> ([[R; MR]; NR], [[R; MR]; NR]) {
-    // Compute the four real products as four *independent* passes over the
-    // packed planes, each with the exact loop shape of the real `microkernel`
-    // above. Mixing both planes (or both product terms) in a single k-loop
-    // baits LLVM's SLP vectorizer into shuffle-heavy cross-lane code
-    // (`vpermt2pd`/`vpunpck*` soup at ~half the f64 rate); four plain
-    // rank-1-update loops each vectorize into clean full-width
-    // broadcast-multiply-add over the MR axis, and the packed panels are
-    // L1-resident so the extra traversals are essentially free.
-    let arbr = microkernel_real::<R, MR, NR>(ar, br, kc);
-    let aibi = microkernel_real::<R, MR, NR>(ai, bi, kc);
-    let arbi = microkernel_real::<R, MR, NR>(ar, bi, kc);
-    let aibr = microkernel_real::<R, MR, NR>(ai, br, kc);
-    let mut acc_re = arbr;
-    let mut acc_im = arbi;
-    for j in 0..NR {
-        for i in 0..MR {
-            acc_re[j][i] -= aibi[j][i];
-            acc_im[j][i] += aibr[j][i];
-        }
-    }
-    (acc_re, acc_im)
-}
-
-/// Real-plane rank-`kc` product: identical loop shape to [`microkernel`] but
-/// over a [`RealScalar`] plane. Must stay `#[inline(always)]` so the body is
-/// compiled under the caller's `#[target_feature]` set (AVX-512/AVX2) rather
-/// than the portable baseline.
-#[inline(always)]
-fn microkernel_real<R: RealScalar, const MR: usize, const NR: usize>(
-    ap: &[R],
-    bp: &[R],
-    kc: usize,
-) -> [[R; MR]; NR] {
-    let mut acc = [[R::RZERO; MR]; NR];
-    for kk in 0..kc {
-        let a: &[R; MR] = ap[kk * MR..kk * MR + MR].try_into().unwrap();
-        let b: &[R; NR] = bp[kk * NR..kk * NR + NR].try_into().unwrap();
-        for j in 0..NR {
-            let bj = b[j];
-            for i in 0..MR {
-                acc[j][i] += a[i] * bj;
-            }
-        }
-    }
-    acc
 }
 
 /// Split-complex macro-kernel: multiply packed re/im planes of the `mc × kc`
 /// A block and the `kc × nc` B block, accumulating
 /// `C += α · Apack · Bpack` micro-tile by micro-tile (β already applied by
-/// the caller). Same per-CPU SIMD dispatch as [`macro_kernel`]; the complex
-/// `α` is applied once per output element at write-back.
-pub(crate) fn macro_kernel_split<T: Scalar, const MR: usize, const NR: usize>(
+/// the caller). A complex micro-tile is four passes of the real [`tile`]
+/// over the planes into two `f64` tile buffers —
+///
+/// ```text
+/// re = ar·br − ai·bi        im = ar·bi + ai·br
+/// ```
+///
+/// — every one a full-width real multiply-add stream, the interleaved-lane
+/// shuffles of a complex kernel gone entirely; the complex `α` is applied
+/// once per output element at write-back.
+pub(crate) fn macro_kernel_split<T: Scalar>(
     alpha: T,
-    a_planes: (&[T::Real], &[T::Real]),
-    b_planes: (&[T::Real], &[T::Real]),
+    (are, aim): (&[f64], &[f64]),
+    (bre, bim): (&[f64], &[f64]),
     mc: usize,
     nc: usize,
     kc: usize,
     c: &mut MatMut<'_, T>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence just checked.
-            return unsafe {
-                macro_kernel_split_avx512::<T, MR, NR>(alpha, a_planes, b_planes, mc, nc, kc, c)
+    let (alen, blen) = (mc.div_ceil(MR) * kc * MR, nc.div_ceil(NR) * kc * NR);
+    assert!(are.len() >= alen && aim.len() >= alen && bre.len() >= blen && bim.len() >= blen);
+    for c0 in (0..nc).step_by(NR) {
+        let nr = NR.min(nc - c0);
+        for r0 in (0..mc).step_by(MR) {
+            let mr = MR.min(mc - r0);
+            let (mut re, mut im) = ([0.0f64; MR * NR], [0.0f64; MR * NR]);
+            let pass = |alpha: f64, a: &[f64], b: &[f64], out: &mut [f64; MR * NR]| {
+                let (ap, bp) = (a[r0 * kc..].as_ptr(), b[c0 * kc..].as_ptr());
+                let (c, ldc) = (out.as_mut_ptr(), MR);
+                #[rustfmt::skip]
+                let tile = Block { alpha, ap, bp, mc: mr, nc: nr, kc, c, ldc };
+                // SAFETY: one whole micro-panel of each plane lies at `ap` /
+                // `bp` (lengths asserted above); `out` is a whole tile.
+                unsafe { block_f64(&tile) }
             };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: feature presence just checked.
-            return unsafe {
-                macro_kernel_split_avx2::<T, MR, NR>(alpha, a_planes, b_planes, mc, nc, kc, c)
-            };
-        }
-    }
-    macro_kernel_split_impl::<T, MR, NR>(alpha, a_planes, b_planes, mc, nc, kc, c)
-}
-
-/// `macro_kernel_split_impl` recompiled with 512-bit vectors + FMA available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn macro_kernel_split_avx512<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    a_planes: (&[T::Real], &[T::Real]),
-    b_planes: (&[T::Real], &[T::Real]),
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    macro_kernel_split_impl::<T, MR, NR>(alpha, a_planes, b_planes, mc, nc, kc, c)
-}
-
-/// `macro_kernel_split_impl` recompiled with 256-bit vectors + FMA available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn macro_kernel_split_avx2<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    a_planes: (&[T::Real], &[T::Real]),
-    b_planes: (&[T::Real], &[T::Real]),
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    macro_kernel_split_impl::<T, MR, NR>(alpha, a_planes, b_planes, mc, nc, kc, c)
-}
-
-#[inline(always)]
-fn macro_kernel_split_impl<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    (are, aim): (&[T::Real], &[T::Real]),
-    (bre, bim): (&[T::Real], &[T::Real]),
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut MatMut<'_, T>,
-) {
-    let mpanels = mc.div_ceil(MR);
-    let npanels = nc.div_ceil(NR);
-    for jp in 0..npanels {
-        let c0 = jp * NR;
-        let nr_eff = NR.min(nc - c0);
-        let bpr = &bre[jp * kc * NR..(jp + 1) * kc * NR];
-        let bpi = &bim[jp * kc * NR..(jp + 1) * kc * NR];
-        for ip in 0..mpanels {
-            let r0 = ip * MR;
-            let mr_eff = MR.min(mc - r0);
-            let apr = &are[ip * kc * MR..(ip + 1) * kc * MR];
-            let api = &aim[ip * kc * MR..(ip + 1) * kc * MR];
-            let (acc_re, acc_im) = microkernel_split::<T::Real, MR, NR>(apr, api, bpr, bpi, kc);
-            for j in 0..nr_eff {
-                let col = &mut c.col_mut(c0 + j)[r0..r0 + mr_eff];
+            pass(1.0, are, bre, &mut re);
+            pass(-1.0, aim, bim, &mut re);
+            pass(1.0, are, bim, &mut im);
+            pass(1.0, aim, bre, &mut im);
+            for j in 0..nr {
+                let col = &mut c.col_mut(c0 + j)[r0..r0 + mr];
                 for (i, ci) in col.iter_mut().enumerate() {
-                    *ci += alpha * T::from_parts(acc_re[j][i], acc_im[j][i]);
+                    let part = |p: &[f64]| T::Real::from_f64_real(p[j * MR + i]);
+                    *ci += alpha * T::from_parts(part(&re), part(&im));
                 }
             }
         }

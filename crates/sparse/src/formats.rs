@@ -253,17 +253,33 @@ impl<T: Scalar> Csc<T> {
     }
 
     /// `C ← α·A·B + β·C` with dense `B`, `C` (SpMM). Parallel over RHS
-    /// column chunks.
-    pub fn mul_dense(&self, alpha: T, b: MatRef<'_, T>, beta: T, mut c: MatMut<'_, T>) {
+    /// column chunks. The non-empty columns of `A` are listed once per call
+    /// and the right-hand sides walk that list four at a time (in ascending
+    /// order and with [`Csc::matvec`]'s operations per column, so the bits
+    /// are those of one `matvec` per column): a coupling block touches a
+    /// fraction of the volume unknowns, and four columns share every index
+    /// load.
+    pub fn mul_dense(&self, alpha: T, b: MatRef<'_, T>, beta: T, c: MatMut<'_, T>) {
         assert_eq!(b.nrows(), self.ncols, "spmm: B rows");
         assert_eq!(c.nrows(), self.nrows, "spmm: C rows");
         assert_eq!(b.ncols(), c.ncols(), "spmm: cols");
         let nrhs = b.ncols();
+        let cols: Vec<usize> = (0..self.ncols)
+            .filter(|&k| self.colptr[k] < self.colptr[k + 1])
+            .collect();
+        let run = |j0: usize, mut blk: MatMut<'_, T>| {
+            let (w, nz) = (blk.ncols(), || cols.iter().copied());
+            for j in (0..w - w % 4).step_by(4) {
+                let x: [&[T]; 4] = std::array::from_fn(|jj| b.col(j0 + j + jj));
+                self.mul_cols(nz(), alpha, x, beta, &mut blk, j);
+            }
+            for j in w - w % 4..w {
+                self.mul_cols(nz(), alpha, [b.col(j0 + j)], beta, &mut blk, j);
+            }
+        };
         let work = self.nnz() as f64 * nrhs as f64;
         if work < 1e5 || rayon::current_num_threads() == 1 || nrhs == 1 {
-            for j in 0..nrhs {
-                self.matvec(alpha, b.col(j), beta, c.col_mut(j));
-            }
+            run(0, c);
         } else {
             let chunks = c.col_chunks_mut(nrhs.div_ceil(4 * rayon::current_num_threads()).max(1));
             let mut j0 = 0;
@@ -275,32 +291,53 @@ impl<T: Scalar> Csc<T> {
                     t
                 })
                 .collect();
-            tagged.into_par_iter().for_each(|(j0, mut blk)| {
-                for jj in 0..blk.ncols() {
-                    self.matvec(alpha, b.col(j0 + jj), beta, blk.col_mut(jj));
-                }
-            });
+            tagged.into_par_iter().for_each(|(j0, blk)| run(j0, blk));
         }
     }
 
     /// `y ← α·A·x + β·y` (one column of [`Csc::mul_dense`]).
     pub fn matvec(&self, alpha: T, x: &[T], beta: T, y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
-        assert_eq!(y.len(), self.nrows, "spmv: y length");
-        if beta == T::ZERO {
-            y.fill(T::ZERO);
-        } else if beta != T::ONE {
-            for v in y.iter_mut() {
-                *v *= beta;
+        let mut y = MatMut::from_col_major(self.nrows, 1, y);
+        self.mul_cols(0..self.ncols, alpha, [x], beta, &mut y, 0);
+    }
+
+    /// `y ← α·A·x + β·y` for `W` vector pairs at once, `y` the columns
+    /// `j0 .. j0 + W` of `c`, walking the columns `cols` of `A` (ascending;
+    /// the others must be empty). Each pair sees the same operations in the
+    /// same order whatever `W` is — a multiplier that is exactly zero is
+    /// skipped for its own pair only.
+    fn mul_cols<const W: usize>(
+        &self,
+        cols: impl Iterator<Item = usize>,
+        alpha: T,
+        x: [&[T]; W],
+        beta: T,
+        c: &mut MatMut<'_, T>,
+        j0: usize,
+    ) {
+        assert_eq!(c.nrows(), self.nrows, "spmv: y length");
+        for j in 0..W {
+            let y = c.col_mut(j0 + j);
+            if beta == T::ZERO {
+                y.fill(T::ZERO);
+            } else if beta != T::ONE {
+                for v in y.iter_mut() {
+                    *v *= beta;
+                }
             }
         }
-        for (k, &xk) in x.iter().enumerate() {
-            let s = alpha * xk;
-            if s == T::ZERO {
-                continue;
-            }
+        for k in cols {
+            let s: [T; W] = std::array::from_fn(|j| alpha * x[j][k]);
+            // No zero among them (the common case): no test per entry.
+            let dense = s.iter().all(|v| *v != T::ZERO);
             for p in self.colptr[k]..self.colptr[k + 1] {
-                y[self.rowidx[p]] += s * self.values[p];
+                let (i, v) = (self.rowidx[p], self.values[p]);
+                for j in 0..W {
+                    if dense || s[j] != T::ZERO {
+                        c.col_mut(j0 + j)[i] += s[j] * v;
+                    }
+                }
             }
         }
     }
@@ -422,6 +459,51 @@ mod tests {
         let mut d = c;
         d.axpy(-1.0, &want);
         assert!(d.norm_max() < 1e-12);
+    }
+
+    /// `mul_dense` lists the non-empty columns once and takes four
+    /// right-hand sides through them together; every column must still come
+    /// out with the bits of its own `matvec` — empty columns of `A`, exact
+    /// `0.0` / `-0.0` multipliers and a whole zero column of `B` included —
+    /// at 1 and 4 threads (the parallel path cuts the columns differently).
+    #[test]
+    fn spmm_gives_each_column_its_matvec_bits() {
+        use rand::Rng;
+        let mut coo = Coo::new(40, 300);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        for j in (0..300).filter(|j| j % 6 == 1) {
+            for _ in 0..5 {
+                coo.push(rng.random_range(0..40), j, rng.random_range(-1.0..1.0));
+            }
+        }
+        let a = coo.to_csc();
+        for w in [1usize, 3, 4, 5, 9, 70] {
+            let mut b = Mat::<f64>::random(300, w, &mut rng);
+            for j in 0..w {
+                b[((1 + 6 * j) % 300, j)] = 0.0;
+                b[((7 + 6 * j) % 300, j)] = -0.0;
+            }
+            b.col_mut(w / 2).fill(0.0);
+            let mut c0 = Mat::<f64>::random(40, w, &mut rng);
+            c0[(0, 0)] = -0.0;
+            for (alpha, beta) in [(1.0, 0.0), (-1.0, 1.0), (1.5, -0.5)] {
+                let mut want = c0.clone();
+                for j in 0..w {
+                    a.matvec(alpha, b.col(j), beta, want.col_mut(j));
+                }
+                for threads in [1usize, 4] {
+                    let mut c = c0.clone();
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap()
+                        .install(|| a.mul_dense(alpha, b.as_ref(), beta, c.as_mut()));
+                    let bits =
+                        |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert!(bits(&c) == bits(&want), "width {w}, {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

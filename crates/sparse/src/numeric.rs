@@ -173,12 +173,25 @@ impl<T> ByteSized for Panel<T> {
 }
 
 impl<T: Scalar> Panel<T> {
-    /// `c ← c + α·P·b` (dense multiply through the panel).
-    fn mul_acc(&self, alpha: T, b: csolve_dense::MatRef<'_, T>, c: MatMut<'_, T>) {
+    /// `c ← β·c + α·P·b` (dense multiply through the panel; `β = 0`
+    /// overwrites whatever `c` held).
+    fn mul(&self, alpha: T, b: csolve_dense::MatRef<'_, T>, beta: T, c: MatMut<'_, T>) {
         match self {
             Panel::Empty => {}
-            Panel::Dense(m) => gemm(alpha, m.as_ref(), Op::NoTrans, b, Op::NoTrans, T::ONE, c),
-            Panel::Compressed(lr) => lr.mul_dense(alpha, b, Op::NoTrans, T::ONE, c),
+            Panel::Dense(m) => gemm(alpha, m.as_ref(), Op::NoTrans, b, Op::NoTrans, beta, c),
+            Panel::Compressed(lr) => lr.mul_dense(alpha, b, Op::NoTrans, beta, c),
+        }
+    }
+
+    /// The panel's entries when it is empty or stored dense with one row or
+    /// one column — what a width-1 supernode keeps below (`L`) and beside
+    /// (`U`) its pivot, in front-row order (such a panel is below the BLR
+    /// size gate).
+    fn as_vector(&self) -> Option<&[T]> {
+        match self {
+            Panel::Empty => Some(&[]),
+            Panel::Dense(m) if m.nrows().min(m.ncols()) == 1 => Some(m.data()),
+            _ => None,
         }
     }
 
@@ -938,6 +951,21 @@ impl<T: Scalar> SparseFactorization<T> {
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
             let k = c1 - c0;
+            if let (1, Some(l)) = (k, sn.lpanel.as_vector()) {
+                // Unit pivot, nothing to swap: the supernode is one axpy per
+                // column, straight on the workspace. The same operations at
+                // every panel width, inside `with_colwise_det` and outside.
+                for c in 0..nrhs {
+                    let col = bp.col_mut(c);
+                    let x = col[c0];
+                    if x != T::ZERO {
+                        for (&g, &lg) in info.rows[1..].iter().zip(l) {
+                            col[g] -= lg * x;
+                        }
+                    }
+                }
+                continue;
+            }
             // LU: local row swaps inside the pivot block.
             for (j, &p) in sn.ipiv.iter().enumerate() {
                 if p != j {
@@ -960,11 +988,11 @@ impl<T: Scalar> SparseFactorization<T> {
             }
             if info.front_size() > k {
                 let t = info.front_size() - k;
-                // tmp = L21 · x1, then scatter-subtract.
+                // tmp = L21 · x1 (overwriting the stale scratch), then
+                // scatter-subtract.
                 let mut tmp = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
-                tmp.fill(T::ZERO);
-                sn.lpanel
-                    .mul_acc(T::ONE, bp.rb().submatrix(c0..c1, 0..nrhs), tmp.rb_mut());
+                let x1 = bp.rb().submatrix(c0..c1, 0..nrhs);
+                sn.lpanel.mul(T::ONE, x1, T::ZERO, tmp.rb_mut());
                 for c in 0..nrhs {
                     let col = bp.col_mut(c);
                     for (&g, &v) in info.rows[k..].iter().zip(tmp.col(c)) {
@@ -1009,6 +1037,28 @@ impl<T: Scalar> SparseFactorization<T> {
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
             let k = c1 - c0;
+            let row = match self.symmetry {
+                Symmetry::SymmetricLdlt => &sn.lpanel,
+                Symmetry::UnsymmetricLu => &sn.upanel,
+            };
+            if let (1, Some(row)) = (k, row.as_vector()) {
+                // One dot product per column, gathered straight from the
+                // workspace (`L21ᵀ·x2`, or `U12·x2` and the division by the
+                // pivot LU keeps) — as in the forward pass, the same
+                // operations whatever the panel width and mode.
+                for c in 0..nrhs {
+                    let col = bp.col_mut(c);
+                    let mut acc = T::ZERO;
+                    for (&g, &pg) in info.rows[1..].iter().zip(row) {
+                        acc += pg * col[g];
+                    }
+                    col[c0] -= acc;
+                    if self.symmetry == Symmetry::UnsymmetricLu {
+                        col[c0] = col[c0] / sn.diag[(0, 0)];
+                    }
+                }
+                continue;
+            }
             if info.front_size() > k {
                 let t = info.front_size() - k;
                 // Gather x2; the rest of the scratch serves the panel product.
@@ -1028,7 +1078,7 @@ impl<T: Scalar> SparseFactorization<T> {
                     }
                     Symmetry::UnsymmetricLu => {
                         // x1 −= U12·x2
-                        sn.upanel.mul_acc(-T::ONE, x2.rb(), x1);
+                        sn.upanel.mul(-T::ONE, x2.rb(), T::ONE, x1);
                     }
                 }
             }

@@ -411,7 +411,9 @@ fn colwise_panel_solve_gives_each_column_its_width_1_bits() {
                     (bits(x.col(0)), bits(y.col(0)))
                 })
                 .collect();
-            for width in [1usize, 3, 8, 13, 33] {
+            // Whole register blocks, and a last block with 1, 2 and 3 live
+            // columns beside its zero-padded lanes.
+            for width in [1usize, 3, 6, 8, 13, 33] {
                 for threads in [1usize, 2, 4] {
                     let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
                     let mut y = x.clone();
@@ -427,6 +429,102 @@ fn colwise_panel_solve_gives_each_column_its_width_1_bits() {
                         );
                         assert!(bits(x.col(j)) == alone[j].0, "solve_in_place: {what}");
                         assert!(bits(y.col(j)) == alone[j].1, "condense_and_solve: {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A width-1 supernode is solved by a direct axpy / dot product on the
+/// workspace, one column at a time, the same way at every panel width and in
+/// both kernel modes. So on a factorization in which *every* supernode with a
+/// sub-diagonal panel is one column wide (a tridiagonal matrix, with and
+/// without an arrow border, in the natural order — only the trailing dense
+/// block is wider, and it has no panel), a width-`w` solve must equal its
+/// width-1 solves bit for bit — LDLᵀ and LU, dense and sparse right-hand
+/// sides, inside `with_colwise_det` and outside.
+#[test]
+fn width_1_supernodes_solve_every_column_with_its_width_1_bits() {
+    use csolve_dense::with_colwise_det;
+    let n = 90;
+    let chain = |arrow: bool, symmetric: bool| {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + 0.01 * i as f64);
+            if i + 1 < n {
+                coo.push(i, i + 1, -1.0);
+                coo.push(i + 1, i, if symmetric { -1.0 } else { -1.25 });
+            }
+            if arrow && i + 2 < n {
+                coo.push(i, n - 1, 0.3);
+                coo.push(n - 1, i, if symmetric { 0.3 } else { 0.2 });
+            }
+        }
+        coo.to_csc()
+    };
+    fn bits(c: &[f64]) -> Vec<u64> {
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(91);
+    let mut b = Mat::<f64>::random(n, 33, &mut rng);
+    // Exact zeros are where the skipped multiplier of the forward step shows.
+    for j in 0..33 {
+        b[(j, j)] = 0.0;
+        b[(2 * j, j)] = -0.0;
+    }
+    b.col_mut(7).fill(0.0);
+    let sparse_b = Csc::from_dense(&b);
+    for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
+        for arrow in [false, true] {
+            let a = chain(arrow, symmetry == Symmetry::SymmetricLdlt);
+            let opts = SparseOptions {
+                symmetry,
+                ordering: OrderingKind::Natural,
+                ..Default::default()
+            };
+            let f = factorize(&a, &opts).unwrap();
+            let sns = &f.symbolic.supernodes;
+            assert!(
+                sns.iter()
+                    .all(|s| s.width() == 1 || s.front_size() == s.width())
+                    && sns.iter().filter(|s| s.width() == 1).count() >= n - 3,
+                "{symmetry:?}, arrow {arrow}: a supernode wider than one column has a panel"
+            );
+            let what = format!("{symmetry:?}, arrow {arrow}");
+            let mut x = b.clone();
+            f.solve_in_place(&mut x).unwrap();
+            let mut r = b.clone();
+            a.mul_dense(-1.0, x.as_ref(), 1.0, r.as_mut());
+            assert!(
+                r.norm_max() < 1e-12,
+                "{what}: residual {:.3e}",
+                r.norm_max()
+            );
+
+            for colwise in [false, true] {
+                let in_mode = |f: &mut dyn FnMut()| if colwise { with_colwise_det(f) } else { f() };
+                let alone: Vec<Vec<u64>> = (0..33)
+                    .map(|j| {
+                        let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
+                        in_mode(&mut || f.solve_in_place(&mut x).unwrap());
+                        bits(x.col(0))
+                    })
+                    .collect();
+                for width in [1usize, 3, 32, 33] {
+                    let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
+                    let cols: Vec<usize> = (0..width).collect();
+                    let rhs = sparse_b.submatrix(&(0..n).collect::<Vec<_>>(), &cols);
+                    let mut y = None;
+                    in_mode(&mut || {
+                        f.solve_in_place(&mut x).unwrap();
+                        y = Some(f.solve_sparse_rhs(&rhs).unwrap());
+                    });
+                    let y = y.unwrap();
+                    for j in 0..width {
+                        let what = format!("{what}, colwise {colwise}, width {width}, column {j}");
+                        assert!(bits(x.col(j)) == alone[j], "solve_in_place: {what}");
+                        assert!(bits(y.col(j)) == alone[j], "solve_sparse_rhs: {what}");
                     }
                 }
             }

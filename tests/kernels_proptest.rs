@@ -1,15 +1,18 @@
-//! Property tests of the cache-blocked packed GEMM: for every operand
-//! transposition, scalar type, stride pattern and degenerate shape, `gemm`
-//! must agree with the retained naive reference kernel (`gemm_naive`) — and
-//! its results must be bitwise identical for any rayon thread count.
+//! Property tests of the GEMM routes — the cache-blocked packed engine and the
+//! unpacked small-shape tiles: for every operand transposition, scalar type,
+//! stride pattern and degenerate shape, `gemm` (whichever route the shape
+//! picks) and `gemm_packed` (the packed route at any shape) must agree with
+//! the retained naive reference kernel (`gemm_naive`) — and their results must
+//! be bitwise identical for any rayon thread count.
 //!
 //! And of the column-separable solve-phase kernels: a panel through
 //! `trsm_left`, or through `gemm` under `with_colwise_det`, must give every
 //! column the bits it gets alone, whatever rides beside it.
 
 use csolve_common::{RealScalar, Scalar, C64};
+use csolve_dense::gemm::gemm_packed;
 use csolve_dense::{
-    gemm, gemm_naive, matvec, trsm_left, with_colwise_det, Diag, Mat, MatRef, Op, Tri,
+    gemm, gemm_naive, matvec, trsm_left, with_colwise_det, Diag, Mat, MatMut, MatRef, Op, Tri,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -30,11 +33,31 @@ fn stored(op: Op, rows: usize, cols: usize) -> (usize, usize) {
     }
 }
 
+/// A GEMM entry point: [`gemm`] or [`gemm_packed`].
+type Route<T> = fn(T, MatRef<'_, T>, Op, MatRef<'_, T>, Op, T, MatMut<'_, T>);
+
 /// Max elementwise |gemm − gemm_naive| for one random instance. `pad > 0`
 /// embeds every operand in a larger parent matrix so all views are strided
 /// (column stride ≠ row count).
 #[allow(clippy::too_many_arguments)]
 fn max_err<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    opa: Op,
+    opb: Op,
+    alpha: T,
+    beta: T,
+    pad: usize,
+    seed: u64,
+) -> f64 {
+    max_err_of(gemm, m, n, k, opa, opb, alpha, beta, pad, seed)
+}
+
+/// [`max_err`] of `route` in place of `gemm`.
+#[allow(clippy::too_many_arguments)]
+fn max_err_of<T: Scalar>(
+    route: Route<T>,
     m: usize,
     n: usize,
     k: usize,
@@ -66,7 +89,7 @@ fn max_err<T: Scalar>(
         beta,
         c_ref.view_mut(pad..pad + m, 0..n),
     );
-    gemm(
+    route(
         alpha,
         av,
         opa,
@@ -165,6 +188,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// The two routes side by side on the shapes where they meet: products a
+    /// few register tiles wide (the sparse panel solve's, which `gemm` takes
+    /// unpacked when real) and products of a few hundred flops, against the
+    /// reference within `k·eps·‖A‖·‖B‖` — every `Op` pair, strided views,
+    /// `m % 16 ≠ 0`, `n % 8 ≠ 0`, `k` from 0 up.
+    #[test]
+    fn small_route_and_packed_tile_match_naive(
+        mnk in (1usize..70, 1usize..34, 0usize..200),
+        ops in (0usize..3, 0usize..3),
+        coeffs in (-2.0f64..2.0, -2.0f64..2.0),
+        ps in (0usize..4, 0u64..1_000),
+    ) {
+        let ((m, n, k), (ia, ib), (re, im), (pad, seed)) = (mnk, ops, coeffs, ps);
+        // Every other case a `k` below one vector: 0, 1, 7 and their neighbours.
+        let k = if seed % 2 == 0 { k % 8 } else { k };
+        let (opa, opb) = (op_of(ia), op_of(ib));
+        // Entries lie in (-1, 1) (modulus below √2 when complex), |α|, |β| < 3.
+        let tol = 8.0 * (k + 2) as f64 * f64::EPSILON * 3.0;
+        for (route, what) in [(gemm as Route<f64>, "gemm"), (gemm_packed as Route<f64>, "packed")] {
+            let err = max_err_of(route, m, n, k, opa, opb, re, im, pad, seed);
+            prop_assert!(err <= tol, "f64 {what} err {err:.3e} at m={m} n={n} k={k} {opa:?} {opb:?}");
+        }
+        let (alpha, beta) = (C64::new(re, im), C64::new(im, -re));
+        for (route, what) in [(gemm as Route<C64>, "gemm"), (gemm_packed as Route<C64>, "packed")] {
+            let err = max_err_of(route, m, n, k, opa, opb, alpha, beta, pad, seed);
+            prop_assert!(err <= 8.0 * tol, "C64 {what} err {err:.3e} at m={m} n={n} k={k} {opa:?} {opb:?}");
+        }
+    }
+}
+
 /// Degenerate shapes: any of m/n/k zero must not touch memory it should not,
 /// and `k == 0` must still apply β (including the β = 0 NaN-clearing rule).
 #[test]
@@ -239,26 +294,28 @@ fn gemm_bits_at<T: Scalar>(threads: usize, m: usize, n: usize, k: usize) -> Vec<
     bits(&c)
 }
 
-/// The macro-tile grid is fixed by shape alone and each tile accumulates its
-/// KC slabs in a fixed order, so the parallel GEMM must be *bitwise*
-/// reproducible across thread counts — well above the parallel flop
-/// threshold here.
+/// The route is picked from the shape alone, the macro-tile grid is fixed by
+/// shape alone and each tile accumulates its KC slabs in a fixed order, so
+/// GEMM must be *bitwise* reproducible across thread counts — well above the
+/// parallel flop threshold, on a panel-solve shape (unpacked when real), and
+/// on a product of a few hundred flops.
 #[test]
 fn gemm_is_bitwise_identical_for_1_2_4_threads() {
-    let (m, n, k) = (300, 280, 150);
-    let ref_f64 = gemm_bits_at::<f64>(1, m, n, k);
-    let ref_c64 = gemm_bits_at::<C64>(1, m, n, k);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            gemm_bits_at::<f64>(threads, m, n, k),
-            ref_f64,
-            "f64 gemm diverged with {threads} threads"
-        );
-        assert_eq!(
-            gemm_bits_at::<C64>(threads, m, n, k),
-            ref_c64,
-            "C64 gemm diverged with {threads} threads"
-        );
+    for (m, n, k) in [(300, 280, 150), (300, 32, 150), (7, 5, 3)] {
+        let ref_f64 = gemm_bits_at::<f64>(1, m, n, k);
+        let ref_c64 = gemm_bits_at::<C64>(1, m, n, k);
+        for threads in [2usize, 4] {
+            assert_eq!(
+                gemm_bits_at::<f64>(threads, m, n, k),
+                ref_f64,
+                "f64 {m}x{n}x{k} gemm diverged with {threads} threads"
+            );
+            assert_eq!(
+                gemm_bits_at::<C64>(threads, m, n, k),
+                ref_c64,
+                "C64 {m}x{n}x{k} gemm diverged with {threads} threads"
+            );
+        }
     }
 }
 
