@@ -79,68 +79,32 @@ echo "==> csolve façade builds with --no-default-features"
 cargo build --offline -p csolve --no-default-features
 
 echo "==> kernels_report smoke run (kernel throughput gate)"
-# Small sizes, few reps; writes target/BENCH_kernels_smoke.json so the
-# committed BENCH_kernels.json is never clobbered by CI. Under --smoke the
-# binary enforces the kernel contract and exits non-zero on regression
-# (every gate a same-run ratio or a bit check, none a frozen GF/s):
-# c64 blocked-serial GEMM must be >= 3x the naive reference kernel of the
-# same run (the split-plane kernel measures 6-7x, the interleaved complex
-# kernel it replaced 2x), blocked GEMM must never measure below the naive
-# reference at gated sizes; the unpacked small-shape route (what `gemm`
-# picks for f64 at 300x32 . 32x32 and (300x32)^T . 300x32, one chunk of the
-# sparse panel solve) must be >= 1.3x `gemm_packed` on the same operands
-# (the gemm_300x32x32_N / gemm_32x300x32_T `dispatch` entries: measure
-# 1.5-1.7 / 1.4-1.7; c64 entries are printed, not gated - complex has no
-# vector tile there); a rounded low-rank addition
-# (norm_fro + recompress, 200 rank-10+10 sums on 64x64, f64 and c64) may
-# cost at most 4.0x the rank-revealing QR of the same blocks formed dense
-# (recompress_vs_rrqr: 5.6-8.4 with the unpreconditioned Jacobi SVD and
-# explicit-Q rebuild, 3.0-3.3 with the preconditioned one);
-# and solve_sparse_rhs of a 128-column A_vs panel on pipe-4k must give the
-# same bits at P = min(nproc, 4) threads as at 1 and take at most 0.75 of
-# the 1-thread wall (sparse_panel_solve: 1.06-1.10 before the chunked
-# solve, 0.51-0.66 with it on 2 cores; prints SKIPPED when nproc = 1); and
-# the column-blocked solve kernels must be >= 2x one call per column on the
-# same operands and equal to those calls bit for bit (column_blocked:
-# trsm_left(Lower, Trans, Unit) k = 64, nrhs = 32 against 32 single-column
-# calls, and gemm under with_colwise_det at 300x64 . 64x8 against its eight
-# matvec calls; both measure ~3.5, a per-column loop reads 1.0).
+# Gates and thresholds: the //! doc of crates/bench/src/bin/kernels_report.rs.
 cargo run --release --offline -q --bin kernels_report -- --smoke > /dev/null
 
 echo "==> autotune_report smoke run"
-# Tier-2 assertion baked into the binary: every successful BlockSizes::Auto
-# run must measure within 1.25x of the cost model's predicted peak and
-# inside its budget, and at the tightest budget fraction the autotuned run
-# must succeed where fixed blocking is out of memory. Writes
-# target/BENCH_autotune_smoke.json so the committed BENCH_autotune.json is
-# never clobbered by CI.
+# Gates: the //! doc of crates/bench/src/bin/autotune_report.rs.
 cargo run --release --offline -q --bin autotune_report -- --smoke > /dev/null
 
 echo "==> blr_report smoke run"
-# Tier-2 assertion baked into the binary: under a budget between the
-# compressed and uncompressed multi-factorization peaks, the uncompressed
-# run must OOM while the sparse_eps=1e-9 run completes with rel error
-# <= 1e-7 (the Table-II walkthrough); and in the traced A_vv factorization
-# of every sparse_eps row the Compress span may be at most 0.5 of the
-# SparseFrontFactor span (a same-run ratio: 0.73-0.76 when every attempt
-# paid for the SVD normal form, 0.24-0.27 rank-first). Writes
-# target/BENCH_blr_smoke.json so the committed BENCH_blr.json is never
-# clobbered by CI.
+# Gates: the //! doc of crates/bench/src/bin/blr_report.rs.
 cargo run --release --offline -q --bin blr_report -- --smoke > /dev/null
 
 echo "==> session_report smoke run"
-# Tier-2 assertion baked into the binary: the session's batched multi-RHS
-# path must reach >= 1.5x the throughput of one full solve per RHS at panel
-# width >= 4, and a cache hit must beat a full re-solve. Writes
-# target/BENCH_session_smoke.json so the committed BENCH_session.json is
-# never clobbered by CI.
+# Gates: the //! doc of crates/bench/src/bin/session_report.rs.
 cargo run --release --offline -q --bin session_report -- --smoke > /dev/null
 
+echo "==> figure and table generators, once each at a small size"
+# No gates: catches a generator that panics or no longer accepts its flags.
+cargo run --release --offline -q --bin table1 > /dev/null
+cargo run --release --offline -q --bin fig12_multisolve_tradeoff -- --n 1500 > /dev/null
+cargo run --release --offline -q --bin fig13_multifact_tradeoff -- --n 1500 > /dev/null
+cargo run --release --offline -q --bin fig10_capacity -- --max-n 4000 > /dev/null
+cargo run --release --offline -q --bin table2_industrial -- --n 1500 > /dev/null
+
 echo "==> trace smoke run"
-# Quickstart through the façade with tracing on (writes + re-parses the
-# JSONL trace and the run report), then the dedicated smoke binary:
-# golden phase names, identical span sequence at 1/2/4 threads, and the
-# <2% tracing-overhead budget.
+# The quickstart writes its JSONL trace and run report through the façade;
+# trace_smoke's checks are listed in its //! doc.
 CSOLVE_QUICKSTART_N=2000 CSOLVE_TRACE_OUT=target/ci_quickstart \
   cargo run --release --offline -q -p csolve --example quickstart > /dev/null
 test -s target/ci_quickstart.trace.jsonl

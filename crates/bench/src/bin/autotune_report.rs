@@ -11,27 +11,26 @@
 //! the fixed SPIDO run is out of memory while the autotuned HMAT run
 //! completes inside the budget.
 //!
-//! Writes a machine-readable dump (default `BENCH_autotune.json` at the
-//! repo root — see EXPERIMENTS.md). Flags:
-//!
-//! - `--n 4000`        — total unknowns of the pipe problem
-//! - `--eps 1e-10`     — compression threshold (tight: the report also
-//!   checks the relative error stays ≤ 1e-8)
-//! - `--fracs 2.0,1.0,0.6` — budget fractions of the uncompressed peak
-//! - `--out path.json` — where to write the JSON dump
-//! - `--smoke`         — small problem, and *assert* (exit non-zero) that
-//!   every successful autotuned run measured within 1.25× of its
-//!   prediction and inside its budget (CI health check)
+//! Under `--smoke` the run fails unless every successful autotuned run
+//! measured within 1.25× of its prediction, inside its budget and within
+//! its error bound (1e-8, 1e-7 for the BLR rows), and at the tightest
+//! fraction the autotuned runs complete where fixed blocking is out of
+//! memory.
 
-use csolve::json::{json_fields, JsonWriter};
 use csolve::{pipe_problem, Algorithm, BlockSizes, DenseBackend, SolverConfig};
-use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
+use csolve_bench::{attempt, header, mib, smoke_epilogue, truncate, Args, Attempt, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "4000", "total unknowns of the pipe problem").smoke("1500"),
+    Flag::value("--eps", "1e-10", "compression threshold"),
+    Flag::value("--fracs", "2.0,1.0,0.6", "budget / uncompressed peak"),
+    Flag::SMOKE,
+];
 
 /// One measured (algorithm, budget, mode) cell of the report.
 struct Row {
     algo: &'static str,
     mode: &'static str,
-    backend: &'static str,
     budget_frac: f64,
     budget_bytes: usize,
     status: String,
@@ -53,14 +52,6 @@ fn base_config(eps: f64, backend: DenseBackend) -> SolverConfig {
     }
 }
 
-fn algo_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::MultiSolve => "multi-solve",
-        Algorithm::MultiFactorization => "multi-factorization",
-        _ => "other",
-    }
-}
-
 fn run_row(
     problem: &csolve::CoupledProblem<f64>,
     algo: Algorithm,
@@ -70,12 +61,8 @@ fn run_row(
     budget: usize,
 ) -> Row {
     let mut row = Row {
-        algo: algo_name(algo),
+        algo: algo.name(),
         mode,
-        backend: match cfg.dense_backend {
-            DenseBackend::Spido => "spido",
-            _ => "hmat",
-        },
         budget_frac: frac,
         budget_bytes: budget,
         status: "ok".to_string(),
@@ -105,45 +92,12 @@ fn run_row(
     row
 }
 
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        let cut = s
-            .char_indices()
-            .take_while(|&(i, _)| i < n)
-            .last()
-            .map_or(0, |(i, _)| i);
-        s[..cut].to_string()
-    }
-}
-
-/// The JSON dump; `rel_error` is `null` on rows that did not complete.
-fn to_json(n: usize, eps: f64, rows: &[Row]) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object().field("tool", "autotune_report");
-    w.field("n", n).field("eps", eps);
-    w.key("rows").begin_array();
-    for r in rows {
-        w.begin_object();
-        json_fields!(w, r => algo, mode, backend, budget_frac, budget_bytes, status);
-        json_fields!(w, r => predicted_peak, measured_peak, rel_error);
-        json_fields!(w, r => n_c, n_s, n_b, degraded);
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("--smoke");
-    let n = args.get_usize("--n", if smoke { 1_500 } else { 4_000 });
-    let eps = args.get_f64("--eps", 1e-10);
-    let fracs: Vec<f64> = match args.get_str("--fracs") {
-        Some(v) => v.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
-        None => vec![2.0, 1.0, 0.6],
-    };
+    let args = Args::parse(FLAGS);
+    let smoke = args.switch("--smoke");
+    let n: usize = args.get("--n");
+    let eps: f64 = args.get("--eps");
+    let fracs: Vec<f64> = args.list("--fracs");
 
     header(
         "Memory-governed autotuner — predicted vs measured peak under budgets",
@@ -202,19 +156,11 @@ fn main() {
         "algorithm", "mode", "frac", "budget MiB", "pred MiB", "peak MiB", "rel err", "blocking"
     );
     for r in &rows {
-        let blocking = if r.algo == "multi-factorization" {
-            format!(
-                "n_b={}{}",
-                r.n_b,
-                if r.degraded { " (degraded)" } else { "" }
-            )
+        let degraded = if r.degraded { " (degraded)" } else { "" };
+        let blocking = if r.algo == Algorithm::MultiFactorization.name() {
+            format!("n_b={}{degraded}", r.n_b)
         } else {
-            format!(
-                "n_c={} n_s={}{}",
-                r.n_c,
-                r.n_s,
-                if r.degraded { " (degraded)" } else { "" }
-            )
+            format!("n_c={} n_s={}{degraded}", r.n_c, r.n_s)
         };
         let pred = if r.predicted_peak > 0 {
             format!("{:>12.1}", mib(r.predicted_peak))
@@ -244,8 +190,8 @@ fn main() {
     // within 1.25x of its prediction and inside its budget, and at the
     // tightest fraction the autotuned run succeeds where fixed blocking
     // cannot hold the uncompressed Schur.
-    let mut failures = Vec::new();
     if smoke {
+        let mut failures = Vec::new();
         for r in rows
             .iter()
             .filter(|r| r.mode.starts_with("auto") && r.status == "ok")
@@ -286,18 +232,6 @@ fn main() {
                 _ => {}
             }
         }
-    }
-
-    write_json_file(&args, "autotune", &to_json(n, eps, &rows));
-
-    if !failures.is_empty() {
-        eprintln!("\nautotune smoke assertions FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if smoke {
-        println!("autotune smoke assertions passed");
+        smoke_epilogue("autotune_report", &failures);
     }
 }

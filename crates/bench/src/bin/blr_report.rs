@@ -19,23 +19,23 @@
 //!    out-of-memory error, the `sparse_eps = 1e-9` run completes under the
 //!    same budget with relative error ≤ 1e-7.
 //!
-//! Writes a machine-readable dump (default `BENCH_blr.json` at the repo
-//! root — see EXPERIMENTS.md). Flags:
-//!
-//! - `--n 4000`        — total unknowns of the pipe problem
-//! - `--out path.json` — where to write the JSON dump
-//! - `--smoke`         — small problem, write to `target/`, and *assert*
-//!   (exit non-zero) the walkthrough statuses, the error bounds and
-//!   compression share ≤ [`MAX_COMPRESS_SHARE`] (CI check)
+//! Under `--smoke` the run fails unless the walkthrough statuses and error
+//! bounds hold, `sparse_eps = 1e-6` compresses a panel and `0` none, the
+//! BLR peak model stays under the dense replay, and every row's
+//! compression share is ≤ [`MAX_COMPRESS_SHARE`].
 
 use csolve::common::MemTracker;
-use csolve::json::{json_fields, JsonWriter};
 use csolve::sparse::{factorize, OrderingKind, SparseOptions, SymbolicFactorization, Symmetry};
 use csolve::{
     pipe_problem, Algorithm, CoupledProblem, DenseBackend, SolverConfig, SpanKind, TracePayload,
     TraceRecord, Tracer,
 };
-use csolve_bench::{attempt, header, mib, write_json_file, Args, Attempt};
+use csolve_bench::{attempt, header, mib, smoke_epilogue, Args, Attempt, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "8000", "total unknowns of the pipe problem").smoke("4000"),
+    Flag::SMOKE,
+];
 
 /// Smoke gate on [`SweepRow::compress_share`]: compressing the panels of a
 /// front may cost at most as much as everything else done to it (at smoke
@@ -178,40 +178,17 @@ fn walkthrough(problem: &CoupledProblem<f64>) -> Walkthrough {
         compressed_peak,
         uncompressed_status: status(&dense_run),
         compressed_status: status(&blr_run),
-        compressed_rel_error: blr_run.ok().map_or(f64::NAN, |r| r.rel_error),
+        compressed_rel_error: match blr_run {
+            Attempt::Ok(r) => r.rel_error,
+            _ => f64::NAN,
+        },
     }
-}
-
-/// The JSON dump; `compressed_rel_error` is `null` when the compressed
-/// walkthrough run did not complete.
-fn to_json(n: usize, rows: &[SweepRow], walk: &Walkthrough) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object().field("tool", "blr_report").field("n", n);
-    w.key("sweep").begin_array();
-    for r in rows {
-        w.begin_object();
-        json_fields!(w, r => eps, panels_eligible, panels_compressed, dense_bytes);
-        json_fields!(w, r => stored_bytes, max_rank, factor_peak_bytes, rel_error);
-        json_fields!(w, r => compress_share);
-        w.key("rank_histogram").begin_array();
-        for (bucket, count) in &r.rank_histogram {
-            w.begin_object().field("rank_le", bucket);
-            w.field("panels", count).end_object();
-        }
-        w.end_array().end_object();
-    }
-    w.end_array();
-    w.key("budget_walkthrough").begin_object();
-    json_fields!(w, walk => budget_bytes, uncompressed_peak, compressed_peak);
-    json_fields!(w, walk => uncompressed_status, compressed_status, compressed_rel_error);
-    w.end_object().end_object();
-    w.finish()
 }
 
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("--smoke");
-    let n = args.get_usize("--n", if smoke { 4_000 } else { 8_000 });
+    let args = Args::parse(FLAGS);
+    let smoke = args.switch("--smoke");
+    let n: usize = args.get("--n");
 
     header(
         "BLR sparse fronts — rank profiles, memory, accuracy vs sparse_eps",
@@ -287,8 +264,8 @@ fn main() {
     );
 
     // CI assertions (smoke mode): the compressed run is the one that fits.
-    let mut failures = Vec::new();
     if smoke {
+        let mut failures = Vec::new();
         if w.uncompressed_status != "oom" {
             failures.push(format!(
                 "uncompressed multi-factorization expected oom under {} B, got {}",
@@ -330,18 +307,6 @@ fn main() {
                 "BLR model {predicted_blr} B exceeds the dense replay {predicted_dense} B"
             ));
         }
-    }
-
-    write_json_file(&args, "blr", &to_json(n, &rows, &w));
-
-    if !failures.is_empty() {
-        eprintln!("\nblr smoke assertions FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if smoke {
-        println!("blr smoke assertions passed");
+        smoke_epilogue("blr_report", &failures);
     }
 }

@@ -2,8 +2,8 @@
 //! plus the relative error of each best run.
 //!
 //! The paper runs on a 24-core / 128 GiB node with N from 1 M to 9 M; this
-//! harness scales both the sizes and the memory budget down (defaults:
-//! N ∈ {4k, 8k, 16k, 32k, 64k}, budget 256 MiB) and reproduces the *shape*:
+//! harness scales both the sizes (N from 4k up to `--max-n`) and the memory
+//! budget down and reproduces the *shape*:
 //!
 //! * standard couplings (baseline/advanced) hit the memory wall first;
 //! * multi-factorization reaches further but stalls on the duplicated
@@ -13,28 +13,61 @@
 //! * every successful run has relative error below the compression ε
 //!   (Fig. 11).
 //!
-//! CLI: `--budget-mib 256 --eps 1e-4 --max-n 64000 --large --threads 0` (0 = all cores)
-//!
 //! With `--auto` the hand-picked configuration ladder is replaced by the
 //! memory-governed autotuner (`BlockSizes::Auto`): each blockwise method
 //! runs once per size and derives the largest blocking that fits the
 //! budget from the cost model instead of trying fallback configurations.
 
-use csolve::{pipe_problem, Algorithm, BlockSizes, SolverConfig};
-use csolve_bench::{attempt, fig10_variants, header, Args, Attempt, RunResult, Variant};
+use csolve::{pipe_problem, Algorithm, BlockSizes, DenseBackend, SolverConfig};
+use csolve_bench::{attempt, header, Args, Attempt, Flag, RunResult};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--budget-mib", "640", "memory budget in MiB"),
+    Flag::value("--eps", "1e-4", "compression threshold"),
+    Flag::value("--max-n", "64000", "largest N of the sweep (up to 96000)"),
+    Flag::value("--threads", "0", "worker threads (0 = all cores)"),
+    Flag::switch("--auto", "blocking from the memory-governed autotuner"),
+];
+
+/// The method/backend series of Fig. 10.
+const VARIANTS: [(&str, Algorithm, DenseBackend); 6] = [
+    (
+        "multi-solve MUMPS/SPIDO",
+        Algorithm::MultiSolve,
+        DenseBackend::Spido,
+    ),
+    (
+        "multi-solve MUMPS/HMAT",
+        Algorithm::MultiSolve,
+        DenseBackend::Hmat,
+    ),
+    (
+        "multi-facto MUMPS/SPIDO",
+        Algorithm::MultiFactorization,
+        DenseBackend::Spido,
+    ),
+    (
+        "multi-facto MUMPS/HMAT",
+        Algorithm::MultiFactorization,
+        DenseBackend::Hmat,
+    ),
+    (
+        "advanced coupling",
+        Algorithm::AdvancedCoupling,
+        DenseBackend::Spido,
+    ),
+    (
+        "baseline coupling",
+        Algorithm::BaselineCoupling,
+        DenseBackend::Spido,
+    ),
+];
 
 /// The per-method configuration ladder (the paper evaluates several
 /// configurations per algorithm and reports the best): memory-frugal
 /// fallbacks are tried when the fast configuration does not fit.
-fn configs_for(v: &Variant, budget: usize, eps: f64, threads: usize) -> Vec<SolverConfig> {
-    let base = SolverConfig {
-        eps,
-        dense_backend: v.backend,
-        mem_budget: Some(budget),
-        num_threads: threads,
-        ..Default::default()
-    };
-    match v.algo {
+fn ladder(algo: Algorithm, base: SolverConfig) -> Vec<SolverConfig> {
+    match algo {
         Algorithm::MultiSolve => vec![
             SolverConfig {
                 n_c: 256,
@@ -63,27 +96,21 @@ fn configs_for(v: &Variant, budget: usize, eps: f64, threads: usize) -> Vec<Solv
 /// there is no ladder to climb).
 fn best_attempt(
     problem: &csolve::CoupledProblem<f64>,
-    v: &Variant,
-    budget: usize,
-    eps: f64,
-    threads: usize,
+    algo: Algorithm,
+    base: SolverConfig,
     auto: bool,
 ) -> Attempt {
     if auto {
         let cfg = SolverConfig {
-            eps,
-            dense_backend: v.backend,
-            mem_budget: Some(budget),
-            num_threads: threads,
             block_sizes: BlockSizes::Auto,
-            ..Default::default()
+            ..base
         };
-        return attempt(problem, v.algo, &cfg);
+        return attempt(problem, algo, &cfg);
     }
     let mut best: Option<Box<RunResult>> = None;
     let mut last = Attempt::Oom;
-    for cfg in configs_for(v, budget, eps, threads) {
-        match attempt(problem, v.algo, &cfg) {
+    for cfg in ladder(algo, base) {
+        match attempt(problem, algo, &cfg) {
             Attempt::Ok(r) => {
                 if best.as_ref().is_none_or(|b| r.seconds < b.seconds) {
                     best = Some(r);
@@ -99,12 +126,12 @@ fn best_attempt(
 }
 
 fn main() {
-    let args = Args::parse();
-    let budget = args.get_usize("--budget-mib", 640) * 1024 * 1024;
-    let eps = args.get_f64("--eps", 1e-4);
-    let max_n = args.get_usize("--max-n", if args.has("--large") { 96_000 } else { 64_000 });
-    let threads = args.get_usize("--threads", 0);
-    let auto = args.has("--auto");
+    let args = Args::parse(FLAGS);
+    let budget = args.get::<usize>("--budget-mib") * 1024 * 1024;
+    let eps: f64 = args.get("--eps");
+    let max_n: usize = args.get("--max-n");
+    let threads: usize = args.get("--threads");
+    let auto = args.switch("--auto");
 
     header(
         "Figures 10 & 11 — solving larger systems (capacity + best time + error)",
@@ -136,13 +163,20 @@ fn main() {
     println!("{:>10}", "max N");
 
     let mut error_rows = Vec::new();
-    for v in fig10_variants() {
-        print!("{:<26}", v.label);
+    for (label, algo, backend) in VARIANTS {
+        print!("{label:<26}");
+        let base = SolverConfig {
+            eps,
+            dense_backend: backend,
+            mem_budget: Some(budget),
+            num_threads: threads,
+            ..Default::default()
+        };
         let mut max_ok = 0usize;
         let mut last_err = f64::NAN;
         for &n in &sizes {
             let problem = pipe_problem::<f64>(n);
-            let a = best_attempt(&problem, &v, budget, eps, threads, auto);
+            let a = best_attempt(&problem, algo, base.clone(), auto);
             print!("{:>18}", a.cell());
             if let Attempt::Ok(r) = &a {
                 max_ok = n;
@@ -156,7 +190,7 @@ fn main() {
             }
         }
         println!("{max_ok:>10}");
-        error_rows.push((v.label, max_ok, last_err));
+        error_rows.push((label, max_ok, last_err));
     }
 
     println!("\nFig. 11 — relative error of the largest successful run per method");

@@ -9,17 +9,21 @@
 //!   dense `Y` panel grows the memory footprint;
 //! * a too small `n_S` causes recompression overhead (time up);
 //! * the compressed variant uses significantly less Schur memory.
-//!
-//! CLI: `--n 12000 --eps 1e-4 --threads 0` (0 = all cores)
 
 use csolve::{pipe_problem, Algorithm, DenseBackend, SolverConfig};
-use csolve_bench::{attempt, header, Args};
+use csolve_bench::{attempt, header, Args, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "12000", "total unknowns of the pipe problem"),
+    Flag::value("--eps", "1e-4", "compression threshold"),
+    Flag::value("--threads", "0", "worker threads (0 = all cores)"),
+];
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("--n", 12_000);
-    let eps = args.get_f64("--eps", 1e-4);
-    let threads = args.get_usize("--threads", 0);
+    let args = Args::parse(FLAGS);
+    let n: usize = args.get("--n");
+    let eps: f64 = args.get("--eps");
+    let threads: usize = args.get("--threads");
 
     header(
         "Figure 12 — multi-solve trade-off (n_c, n_S)",

@@ -7,17 +7,21 @@
 //! ~`n_b²`), while the per-block dense Schur output shrinks ⇒ memory falls.
 //! Compressing `S`/`A_ss` (HMAT) trims memory further, though less
 //! dramatically than for multi-solve.
-//!
-//! CLI: `--n 8000 --eps 1e-4 --threads 0` (0 = all cores)
 
 use csolve::{pipe_problem, Algorithm, DenseBackend, SolverConfig, SpanKind, Tracer};
-use csolve_bench::{attempt, header, Args};
+use csolve_bench::{attempt, header, Args, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "8000", "total unknowns of the pipe problem"),
+    Flag::value("--eps", "1e-4", "compression threshold"),
+    Flag::value("--threads", "0", "worker threads (0 = all cores)"),
+];
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("--n", 8_000);
-    let eps = args.get_f64("--eps", 1e-4);
-    let threads = args.get_usize("--threads", 0);
+    let args = Args::parse(FLAGS);
+    let n: usize = args.get("--n");
+    let eps: f64 = args.get("--eps");
+    let threads: usize = args.get("--threads");
 
     header(
         "Figure 13 — multi-factorization trade-off (n_b)",

@@ -4,27 +4,19 @@
 //! speedup over the one-thread blocked run next to the naive reference
 //! kernel.
 //!
-//! Writes a machine-readable dump (default `BENCH_kernels.json` at the repo
-//! root — see EXPERIMENTS.md for how to read it). Flags:
-//!
-//! - `--sizes 128,256,512` — problem sizes (square, `m = n = k`)
-//! - `--threads 1,2,4`     — thread counts for the blocked variants (1 is
-//!   always measured; it is the speedup reference)
-//! - `--out path.json`     — where to write the JSON dump
-//! - `--smoke`             — small sizes, few repetitions, and the CI gate:
-//!   the run **fails** when c64 blocked-serial GEMM is not
-//!   ≥ [`C64_VS_NAIVE_GATE`] times the naive reference of the same run, when
-//!   any blocked GEMM measures below its naive reference, when the unpacked
-//!   small-shape route is not ≥ [`SMALL_SHAPE_GATE`] times the packed route
-//!   on the sparse panel solve's shapes (the `small_shape` rows), when a rounded
-//!   low-rank addition costs more than [`RECOMPRESS_GATE`] rank-revealing
-//!   QRs of the same block (the `recompress` rows), or when the chunked
-//!   sparse panel solve at `P` threads takes more than
-//!   [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
-//!   `sparse_panel_solve` row; skipped, loudly, on a one-core host), or
-//!   when a column-blocked solve kernel is less than [`COLUMN_BLOCKED_GATE`]
-//!   times faster than one call per column on the same operands, or differs
-//!   from those calls in a single bit (the `column_blocked` rows).
+//! Under `--smoke` (small sizes, few repetitions) the run **fails** when
+//! c64 blocked-serial GEMM is not ≥ [`C64_VS_NAIVE_GATE`] times the naive
+//! reference of the same run, when any blocked GEMM measures below its
+//! naive reference, when the unpacked small-shape route is not
+//! ≥ [`SMALL_SHAPE_GATE`] times the packed route on the sparse panel solve's
+//! shapes (the `small_shape` rows), when a rounded low-rank addition costs
+//! more than [`RECOMPRESS_GATE`] rank-revealing QRs of the same block (the
+//! `recompress` rows), or when the chunked sparse panel solve at `P` threads
+//! takes more than [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
+//! `sparse_panel_solve` row; skipped, loudly, on a one-core host), or when a
+//! column-blocked solve kernel is less than [`COLUMN_BLOCKED_GATE`] times
+//! faster than one call per column on the same operands, or differs from
+//! those calls in a single bit (the `column_blocked` rows).
 
 use std::time::Instant;
 
@@ -34,12 +26,18 @@ use csolve::dense::{
     gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, matvec, trsm_left, with_colwise_det, Diag,
     Mat, MatMut, MatRef, Op, Tri,
 };
-use csolve::json::{json_fields, JsonWriter};
 use csolve::lowrank::LowRank;
 use csolve::sparse::{factorize, SparseOptions};
 use csolve::{Scalar, C64};
-use csolve_bench::{write_json_file, Args};
+use csolve_bench::{header, nproc, smoke_epilogue, Args, Flag};
 use rand::SeedableRng;
+
+const FLAGS: &[Flag] = &[
+    // The smoke sizes need one past GATE_MIN_N; 64 covers the remainder tiles.
+    Flag::value("--sizes", "128,256,512", "square problem sizes").smoke("64,256"),
+    Flag::value("--threads", "0", "thread counts (0 = all cores; 1 always)"),
+    Flag::SMOKE,
+];
 
 /// Floor, under `--smoke`, of c64 blocked-serial GEMM over the naive
 /// reference kernel of the same run at the gated size. A same-run ratio, so
@@ -116,6 +114,11 @@ struct Entry {
     /// (kernel, scalar, n) — over the packed route's run for a small-shape
     /// `dispatch` entry; `None` for the references.
     speedup: Option<f64>,
+}
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+    pool.expect("thread pool")
 }
 
 /// Best (minimum) seconds over `reps` runs of a self-timing closure.
@@ -351,13 +354,9 @@ fn panel_solve_row() -> PanelSolveRow {
     let rows: Vec<usize> = (0..p.a_vs.nrows).collect();
     let cols: Vec<usize> = (0..PANEL_SOLVE_COLS.min(p.a_vs.ncols)).collect();
     let rhs = p.a_vs.submatrix(&rows, &cols);
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = nproc.min(4);
+    let threads = nproc().min(4);
     let timed = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
+        let pool = pool(threads);
         let mut y = None;
         let secs = pool.install(|| {
             best_of(PANEL_SOLVE_REPS, || {
@@ -416,10 +415,7 @@ fn column_blocked_row(
         });
         (secs, x)
     };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("thread pool");
+    let pool = pool(1);
     let ((seconds_panel, xp), (seconds_columns, xc)) =
         pool.install(|| (timed(&panel), timed(&columns)));
     let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -476,10 +472,7 @@ fn column_blocked_rows() -> [ColumnBlockedRow; 2] {
 /// thread, same operands; `speedup` of the first is its rate over the second's.
 fn small_shape_entries<T: Scalar>(scalar: &'static str, flop_scale: f64, out: &mut Vec<Entry>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(45);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("thread pool");
+    let pool = pool(1);
     for &(kernel, m, k, n, opa) in &SMALL_SHAPES {
         let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
         let a = Mat::<T>::random(ar, ac, &mut rng);
@@ -516,63 +509,6 @@ fn small_shape_entries<T: Scalar>(scalar: &'static str, flop_scale: f64, out: &m
             });
         }
     }
-}
-
-fn to_json(
-    thread_counts: &[usize],
-    entries: &[Entry],
-    recompress: &[RecompressRow],
-    panel: &PanelSolveRow,
-    blocked: &[ColumnBlockedRow],
-) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object().field("tool", "kernels_report");
-    w.key("thread_counts").begin_array();
-    for t in thread_counts {
-        w.value(t);
-    }
-    w.end_array();
-    w.key("entries").begin_array();
-    for e in entries {
-        w.begin_object();
-        json_fields!(w, e => kernel, scalar, n, variant, threads, seconds, gflops);
-        // Absent on the naive reference and when the serial run it is
-        // relative to was not measured.
-        if let Some(v) = e.speedup.filter(|v| v.is_finite()) {
-            w.field("speedup_vs_serial", v);
-        }
-        w.end_object();
-    }
-    w.end_array();
-    w.key("recompress").begin_object();
-    w.field("sums", RECOMPRESS_SUMS).field("n", RECOMPRESS_N);
-    w.field("formal_rank", 2 * RECOMPRESS_RANK);
-    w.field("eps", RECOMPRESS_EPS);
-    w.key("rows").begin_array();
-    for r in recompress {
-        w.begin_object();
-        json_fields!(w, r => scalar, recompress_seconds, rrqr_seconds, recompress_vs_rrqr, kept_rank);
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.key("sparse_panel_solve").begin_object();
-    w.field("n", PANEL_SOLVE_N).field("cols", PANEL_SOLVE_COLS);
-    json_fields!(w, panel => threads, seconds_1t, seconds_pt, ratio, bitwise);
-    w.end_object();
-    w.key("column_blocked").begin_object();
-    w.field("trsm_k", BLOCKED_TRSM_K)
-        .field("trsm_nrhs", BLOCKED_TRSM_NRHS);
-    let (m, k, n) = BLOCKED_GEMM_SHAPE;
-    w.field("gemm_m", m).field("gemm_k", k).field("gemm_n", n);
-    w.key("rows").begin_array();
-    for r in blocked {
-        w.begin_object();
-        json_fields!(w, r => kernel, seconds_panel, seconds_columns, ratio, bitwise);
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.end_object();
-    w.finish()
 }
 
 /// The CI health gate run under `--smoke`: the packed kernels must keep
@@ -690,41 +626,27 @@ fn gate(
 }
 
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("--smoke");
-    let parse_list = |v: &str| -> Vec<usize> {
-        v.split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect()
-    };
-    let sizes: Vec<usize> = match args.get_str("--sizes") {
-        Some(v) => parse_list(v),
-        // The smoke profile needs one size past the gate threshold; 64
-        // additionally covers the remainder-tile paths.
-        None if smoke => vec![64, 256],
-        None => vec![128, 256, 512],
-    };
+    let args = Args::parse(FLAGS);
+    let smoke = args.switch("--smoke");
+    let sizes: Vec<usize> = args.list("--sizes");
     // Thread sweep: 1 is always measured first (the speedup reference).
-    let mut thread_counts: Vec<usize> = match args.get_str("--threads") {
-        Some(v) => parse_list(v),
-        None => vec![1, rayon::current_num_threads()],
-    };
+    let mut thread_counts: Vec<usize> = args.list("--threads");
+    for t in &mut thread_counts {
+        if *t == 0 {
+            *t = rayon::current_num_threads();
+        }
+    }
     thread_counts.retain(|&t| t > 1);
     thread_counts.sort_unstable();
     thread_counts.dedup();
     thread_counts.insert(0, 1);
     let reps = if smoke { 2 } else { 3 };
 
-    let pools: Vec<rayon::ThreadPool> = thread_counts
-        .iter()
-        .map(|&t| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .expect("thread pool")
-        })
-        .collect();
+    header(
+        "Dense kernel throughput — GEMM, TRSM, LU, LDLT and the solve kernels",
+        "Agullo, Felšöci, Sylvand (IPDPS 2022), §V (the dense kernels under SPIDO/HMAT)",
+    );
+    let pools: Vec<rayon::ThreadPool> = thread_counts.iter().map(|&t| pool(t)).collect();
 
     let mut entries = Vec::new();
     sweep::<f64>("f64", &sizes, reps, 1.0, &pools, &mut entries);
@@ -749,28 +671,6 @@ fn main() {
             "{:<16} {:<4} {:>5} {:<16} {:>3} {:>10.6} {:>8.2} {}",
             e.kernel, e.scalar, e.n, e.variant, e.threads, e.seconds, e.gflops, speedup
         );
-    }
-
-    // Headline numbers: packed vs naive (serial), both scalar types.
-    let gf = |scalar: &str, variant: &str, n: usize| {
-        entries
-            .iter()
-            .find(|e| e.kernel == "gemm" && e.scalar == scalar && e.n == n && e.variant == variant)
-            .map(|e| e.gflops)
-    };
-    if let Some(&n) = sizes.last() {
-        println!();
-        for scalar in ["f64", "c64"] {
-            if let (Some(naive), Some(blocked)) = (
-                gf(scalar, "naive-serial", n),
-                gf(scalar, "blocked-serial", n),
-            ) {
-                println!(
-                    "{scalar} GEMM n={n}: blocked/naive serial speedup {:.2}x",
-                    blocked / naive
-                );
-            }
-        }
     }
 
     let recompress = [
@@ -822,30 +722,10 @@ fn main() {
         );
     }
 
-    write_json_file(
-        &args,
-        "kernels",
-        &to_json(&thread_counts, &entries, &recompress, &panel, &blocked),
-    );
-
     if smoke {
-        let fails = gate(&entries, &recompress, &panel, &blocked);
-        if !fails.is_empty() {
-            for f in &fails {
-                eprintln!("kernel gate FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "kernel gate OK (c64 gemm >= {C64_VS_NAIVE_GATE}x naive; blocked >= naive; small-shape \
-             route >= {SMALL_SHAPE_GATE}x packed; recompress_vs_rrqr <= {RECOMPRESS_GATE}; \
-             column-blocked kernels bitwise and >= {COLUMN_BLOCKED_GATE}x; sparse_panel_solve \
-             bitwise{})",
-            if panel.threads < 2 {
-                String::new()
-            } else {
-                format!(" and <= {PANEL_SOLVE_GATE} of its 1-thread wall")
-            }
+        smoke_epilogue(
+            "kernels_report",
+            &gate(&entries, &recompress, &panel, &blocked),
         );
     }
 }

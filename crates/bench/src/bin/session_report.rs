@@ -15,20 +15,18 @@
 //! It also reports the single-RHS cache-hit speedup (one-shot seconds over
 //! warm-session seconds at width 1).
 //!
-//! Writes a machine-readable dump (default `BENCH_session.json` at the repo
-//! root — see EXPERIMENTS.md). Flags:
-//!
-//! - `--n 6000`        — total unknowns of the pipe problem
-//! - `--out path.json` — where to write the JSON dump
-//! - `--smoke`         — small problem, write to `target/`, and *assert*
-//!   (exit non-zero) that batched throughput is ≥ 1.5× one-at-a-time at
-//!   width ≥ 4 and that the cache actually hit (CI gate)
+//! Under `--smoke` the run fails unless batched throughput is ≥ 1.5×
+//! one-at-a-time at width ≥ 4 and a cache hit beats a full re-solve.
 
 use std::time::Instant;
 
-use csolve::json::{json_fields, JsonWriter};
 use csolve::{pipe_problem, Algorithm, CoupledProblem, DenseBackend, SessionBuilder, SolverConfig};
-use csolve_bench::{header, write_json_file, Args};
+use csolve_bench::{header, smoke_epilogue, Args, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "6000", "total unknowns of the pipe problem").smoke("2000"),
+    Flag::SMOKE,
+];
 
 const WIDTHS: [usize; 3] = [1, 4, 16];
 
@@ -122,28 +120,10 @@ fn measure(problem: &CoupledProblem<f64>, width: usize) -> Row {
     }
 }
 
-fn to_json(n: usize, rows: &[Row], cache_hit_speedup: f64) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object()
-        .field("tool", "session_report")
-        .field("n", n);
-    w.field("cache_hit_speedup", cache_hit_speedup);
-    w.key("widths").begin_array();
-    for r in rows {
-        w.begin_object();
-        json_fields!(w, r => width, one_shot_secs, session_cold_secs, session_warm_secs);
-        w.field("amortized_speedup", r.amortized_speedup());
-        w.field("warm_speedup", r.warm_speedup());
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
 fn main() {
-    let args = Args::parse();
-    let smoke = args.has("--smoke");
-    let n = args.get_usize("--n", if smoke { 2_000 } else { 6_000 });
+    let args = Args::parse(FLAGS);
+    let smoke = args.switch("--smoke");
+    let n: usize = args.get("--n");
 
     header(
         "Solver session — factorization cache and RHS batching vs one-shot solves",
@@ -173,8 +153,8 @@ fn main() {
     println!("\nsingle-RHS cache-hit speedup (one-shot / warm session): {cache_hit_speedup:.2}×");
 
     // CI assertions (smoke mode): batching must actually amortize.
-    let mut failures = Vec::new();
     if smoke {
+        let mut failures = Vec::new();
         for r in rows.iter().filter(|r| r.width >= 4) {
             if r.amortized_speedup() < 1.5 {
                 failures.push(format!(
@@ -189,18 +169,6 @@ fn main() {
                 "cache hit not faster than a full re-solve ({cache_hit_speedup:.2}x)"
             ));
         }
-    }
-
-    write_json_file(&args, "session", &to_json(n, &rows, cache_hit_speedup));
-
-    if !failures.is_empty() {
-        eprintln!("\nsession smoke assertions FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if smoke {
-        println!("session smoke assertions passed");
+        smoke_epilogue("session_report", &failures);
     }
 }

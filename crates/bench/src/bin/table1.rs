@@ -6,9 +6,10 @@
 //! sizes used by the other experiment binaries on this machine.
 
 use csolve::fembem::{bem_fem_split, PipeDims};
-use csolve_bench::header;
+use csolve_bench::{header, Args};
 
 fn main() {
+    Args::parse(&[]); // takes no flags: any argument is an error
     header(
         "Table I — BEM/FEM unknown split",
         "Agullo, Felšöci, Sylvand (IPDPS 2022), Table I",

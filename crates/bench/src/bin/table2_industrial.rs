@@ -16,11 +16,16 @@
 //!
 //! This harness reproduces the same nine rows on a scaled complex
 //! non-symmetric industrial-like case under a scaled memory budget.
-//!
-//! CLI: `--n 8000 --eps 1e-4 --budget-mib 215 --threads 0` (0 = all cores)
 
 use csolve::{industrial_problem, Algorithm, DenseBackend, SolverConfig, C64};
-use csolve_bench::{attempt, header, Args, Attempt};
+use csolve_bench::{attempt, header, Args, Attempt, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "8000", "total unknowns of the industrial problem"),
+    Flag::value("--eps", "1e-4", "compression threshold"),
+    Flag::value("--budget-mib", "215", "memory budget in MiB"),
+    Flag::value("--threads", "0", "worker threads (0 = all cores)"),
+];
 
 struct Row {
     label: &'static str,
@@ -32,11 +37,11 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("--n", 8_000);
-    let eps = args.get_f64("--eps", 1e-4);
-    let budget = args.get_usize("--budget-mib", 215) * 1024 * 1024;
-    let threads = args.get_usize("--threads", 0);
+    let args = Args::parse(FLAGS);
+    let n: usize = args.get("--n");
+    let eps: f64 = args.get("--eps");
+    let budget = args.get::<usize>("--budget-mib") * 1024 * 1024;
+    let threads: usize = args.get("--threads");
 
     header(
         "Table II — industrial application (complex non-symmetric, high BEM ratio)",

@@ -8,18 +8,20 @@
 //!      4 threads (diffable traces);
 //!   3. tracing disabled costs < 2% wall clock vs. a build with no tracer
 //!      (interleaved best-of-5 on both sides, re-measured up to 3 rounds so
-//!      transient host contention cannot fail the gate; `--slack <pct>`
-//!      widens the bound for noisy machines).
-//!
-//! Flags: `--n <unknowns>` (default 8000), `--slack <pct>` (default 2.0),
-//! `--out <prefix>` (default `target/trace_smoke`).
+//!      transient host contention cannot fail the gate; `--slack` widens
+//!      the bound for noisy machines).
 
 use csolve::json::{parse_json, parse_jsonl};
 use csolve::{
     pipe_problem, solve, to_jsonl, Algorithm, DenseBackend, RunReport, SolverConfig, TraceRecord,
     TraceScope, Tracer,
 };
-use csolve_bench::Args;
+use csolve_bench::{Args, Flag};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--n", "8000", "total unknowns of the pipe problem"),
+    Flag::value("--slack", "2.0", "tracing-overhead bound in percent"),
+];
 
 fn config(tracer: Tracer, threads: usize) -> SolverConfig {
     SolverConfig {
@@ -42,13 +44,9 @@ fn signature(records: &[TraceRecord]) -> Vec<(TraceScope, &'static str)> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("n", 8_000);
-    let slack = args.get_f64("slack", 2.0);
-    let prefix = args
-        .get_str("out")
-        .unwrap_or("target/trace_smoke")
-        .to_string();
+    let args = Args::parse(FLAGS);
+    let n: usize = args.get("--n");
+    let slack: f64 = args.get("--slack");
 
     let problem = pipe_problem::<f64>(n);
     println!(
@@ -58,15 +56,14 @@ fn main() {
         problem.n_bem()
     );
 
-    // --- 1. Capture a trace, write it, parse it back. --------------------
+    // --- 1. Capture a trace and parse it back. ---------------------------
     let tracer = Tracer::enabled();
     let out = solve(&problem, Algorithm::MultiSolve, &config(tracer.clone(), 2))
         .expect("traced solve failed");
     let records = tracer.drain();
     assert!(!records.is_empty(), "enabled tracer recorded nothing");
 
-    let trace_text = to_jsonl(&records);
-    let docs = parse_jsonl(&trace_text).expect("trace JSONL must parse back");
+    let docs = parse_jsonl(&to_jsonl(&records)).expect("trace JSONL must parse back");
     assert_eq!(
         docs.len(),
         records.len() + 1,
@@ -84,8 +81,7 @@ fn main() {
         &out.metrics,
         &records,
     );
-    let report_text = report.to_json();
-    let doc = parse_json(&report_text).expect("run report must parse back");
+    let doc = parse_json(&report.to_json()).expect("run report must parse back");
     for phase in [
         "sparse factorization",
         "sparse solve (Y)",
@@ -104,12 +100,8 @@ fn main() {
         assert!(found, "golden phase {phase:?} missing from run report");
     }
 
-    let trace_path = format!("{prefix}.trace.jsonl");
-    let report_path = format!("{prefix}.report.json");
-    std::fs::write(&trace_path, &trace_text).expect("write trace");
-    std::fs::write(&report_path, &report_text).expect("write report");
     println!(
-        "  [ok] {} records -> {trace_path}, report -> {report_path}",
+        "  [ok] {} records; the trace and the run report parse back",
         records.len()
     );
 
