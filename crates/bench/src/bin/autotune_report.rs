@@ -139,10 +139,10 @@ fn main() {
             };
             rows.push(run_row(&problem, algo, &auto_cfg, "auto", frac, budget));
             // The same, with sparse-front BLR compression at an explicitly
-            // decoupled tolerance: the multi-factorization planner now
-            // prices tiles with the compressed-front model
-            // (`predicted_numeric_peak_bytes_blr`), so the smoke gate below
-            // covers that model too.
+            // decoupled tolerance. It shrinks the kept `A_vv` factors only:
+            // multi-factorization tiles discard their factors uncompressed
+            // and are priced by the same exact replay
+            // (`predicted_schur_peak_bytes`) as without it.
             let blr_cfg = SolverConfig {
                 sparse_eps: Some(1e-9),
                 ..auto_cfg

@@ -13,11 +13,14 @@
 //!    the share of the traced front loop spent compressing (`Compress` span
 //!    ÷ `SparseFrontFactor` span of the same factorization, so the host's
 //!    speed cancels).
-//! 2. **Budget walkthrough** (the paper's Table II shape) — runs
-//!    multi-factorization under a byte budget between the compressed and
+//! 2. **Budget walkthrough** (the paper's Table II shape) — runs the
+//!    advanced coupling under a byte budget between the compressed and
 //!    uncompressed peaks: the uncompressed run returns a structured
 //!    out-of-memory error, the `sparse_eps = 1e-9` run completes under the
-//!    same budget with relative error ≤ 1e-7.
+//!    same budget with relative error ≤ 1e-7. (The advanced coupling keeps
+//!    the factors of its stacked `W`, so compressing them moves its peak;
+//!    multi-factorization's tiles discard theirs uncompressed, so its peak
+//!    does not depend on `sparse_eps` at this scale.)
 //!
 //! Under `--smoke` the run fails unless the walkthrough statuses and error
 //! bounds hold, `sparse_eps = 1e-6` compresses a panel and `0` none, the
@@ -141,19 +144,20 @@ struct Walkthrough {
     compressed_rel_error: f64,
 }
 
-/// Multi-factorization under a budget straddled between the compressed and
-/// uncompressed unbounded peaks.
+/// The advanced coupling under a budget straddled between the compressed
+/// and uncompressed unbounded peaks.
 fn walkthrough(problem: &CoupledProblem<f64>) -> Walkthrough {
-    let mf = |sparse_eps: f64, budget: Option<usize>| SolverConfig {
+    let algo = Algorithm::AdvancedCoupling;
+    let cfg = |sparse_eps: f64, budget: Option<usize>| SolverConfig {
         mem_budget: budget,
         ..coupled_config(sparse_eps)
     };
-    let peak_of = |cfg: &SolverConfig| match attempt(problem, Algorithm::MultiFactorization, cfg) {
+    let peak_of = |cfg: &SolverConfig| match attempt(problem, algo, cfg) {
         Attempt::Ok(r) => r.metrics.peak_bytes,
-        other => panic!("unbounded multi-factorization failed: {other:?}"),
+        other => panic!("unbounded advanced coupling failed: {other:?}"),
     };
-    let uncompressed_peak = peak_of(&mf(0.0, None));
-    let compressed_peak = peak_of(&mf(1e-9, None));
+    let uncompressed_peak = peak_of(&cfg(0.0, None));
+    let compressed_peak = peak_of(&cfg(1e-9, None));
     // A budget the compressed run clears with headroom but the uncompressed
     // peak overshoots.
     let budget = compressed_peak + (uncompressed_peak.saturating_sub(compressed_peak)) / 2;
@@ -162,16 +166,8 @@ fn walkthrough(problem: &CoupledProblem<f64>) -> Walkthrough {
         Attempt::Oom => "oom".to_string(),
         Attempt::Failed(e) => format!("failed: {e}"),
     };
-    let dense_run = attempt(
-        problem,
-        Algorithm::MultiFactorization,
-        &mf(0.0, Some(budget)),
-    );
-    let blr_run = attempt(
-        problem,
-        Algorithm::MultiFactorization,
-        &mf(1e-9, Some(budget)),
-    );
+    let dense_run = attempt(problem, algo, &cfg(0.0, Some(budget)));
+    let blr_run = attempt(problem, algo, &cfg(1e-9, Some(budget)));
     Walkthrough {
         budget_bytes: budget,
         uncompressed_peak,
@@ -251,7 +247,7 @@ fn main() {
 
     let w = walkthrough(&problem);
     println!(
-        "\nmulti-factorization budget walkthrough (budget {:.1} MiB, between the \
+        "\nadvanced coupling budget walkthrough (budget {:.1} MiB, between the \
          compressed {:.1} MiB and uncompressed {:.1} MiB peaks):",
         mib(w.budget_bytes),
         mib(w.compressed_peak),
@@ -268,13 +264,13 @@ fn main() {
         let mut failures = Vec::new();
         if w.uncompressed_status != "oom" {
             failures.push(format!(
-                "uncompressed multi-factorization expected oom under {} B, got {}",
+                "uncompressed advanced coupling expected oom under {} B, got {}",
                 w.budget_bytes, w.uncompressed_status
             ));
         }
         if w.compressed_status != "ok" {
             failures.push(format!(
-                "sparse_eps=1e-9 multi-factorization expected ok under {} B, got {}",
+                "sparse_eps=1e-9 advanced coupling expected ok under {} B, got {}",
                 w.budget_bytes, w.compressed_status
             ));
         }
@@ -285,7 +281,7 @@ fn main() {
             ));
         }
         // At bench scale only the loosest tolerance is guaranteed to find
-        // compressible panels in A_vv itself (the stacked multi-fact fronts
+        // compressible panels in A_vv itself (the stacked W's fronts
         // compress at tighter eps too — that is what the walkthrough shows).
         for r in &rows {
             if r.eps == 1e-6 && r.panels_compressed == 0 {

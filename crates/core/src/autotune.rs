@@ -37,22 +37,12 @@
 //! the multi-factorization planner through the `internal_bytes` closure
 //! supplied by the driver. That closure replays the symbolic charge
 //! schedule of a representative corner tile:
-//! [`csolve_sparse::SymbolicFactorization::predicted_numeric_peak_bytes`]
-//! when sparse-front BLR compression is off (exact, byte-for-byte), or the
-//! **compressed-front model**
-//! [`csolve_sparse::SymbolicFactorization::predicted_numeric_peak_bytes_blr`]
-//! when [`SolverConfig::effective_sparse_eps`](crate::SolverConfig::effective_sparse_eps)
-//! resolves to a tolerance. The compressed model prices each eligible
-//! off-diagonal panel at `min(dense, r̂·(rows+cols))` bytes with the
-//! headroomed rank estimate `r̂ = 4·⌈√min(rows,cols)⌉`, so under compression
-//! the planner admits larger tiles than the uncompressed replay would allow
-//! — that slack is exactly how multi-factorization runs complete under
-//! budgets that return a structured OOM uncompressed (a tile *reserves* the
-//! uncompressed replay; one that does not fit beside others waits for them,
-//! then runs in the headroom left, charging what compression really leaves).
-//! The estimate is a
-//! *model*, not a bound; the `autotune_report` gate (predicted ≥ measured /
-//! 1.25) covers it empirically for both settings.
+//! [`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`],
+//! the peak of a Schur-only factorization — dense Schur output, fronts and
+//! contribution blocks; a tile discards the factors of its `W`. Nothing in
+//! it is compressed and LDLᵀ and LU charge the same, so the price is exact,
+//! byte for byte, with sparse-front BLR compression on or off, and it is
+//! the very bound the tile reserves before its numeric phase starts.
 //!
 //! Candidate multi-solve panel widths are additionally quantized down to a
 //! multiple of the calibrated register-tile width of the packed GEMM
@@ -271,9 +261,9 @@ pub fn plan_multi_solve(
 ///
 /// `internal_bytes` prices what the admission reserve cannot see: the
 /// sparse solver's own tracked allocations (fronts, contribution blocks,
-/// factor panels, dense Schur output) while factoring one stacked `W` at
-/// grid size `n_b`. The driver supplies a symbolic-analysis replay
-/// ([`csolve_sparse::SymbolicFactorization::predicted_numeric_peak_bytes`]
+/// dense Schur output) while factoring one stacked `W` at grid size `n_b`.
+/// The driver supplies a symbolic-analysis replay
+/// ([`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`]
 /// on a representative corner tile); tests may pass a constant model.
 ///
 /// Returned beside the decision: the whole-tile bytes (reserve plus

@@ -305,8 +305,10 @@ impl SolverConfig {
     }
 }
 
-/// Aggregate BLR statistics of every sparse front factorized during one
-/// solve (all tiles summed for multi-factorization). `None` in
+/// Aggregate BLR statistics of every sparse factorization a solve keeps the
+/// factors of: `A_vv`, or the advanced coupling's stacked `W`.
+/// Multi-factorization's tiles discard their factors uncompressed, so there
+/// it covers the `A_vv` factorization only. `None` in
 /// [`Metrics::sparse_compression`] when the run kept the sparse factors
 /// uncompressed ([`SolverConfig::effective_sparse_eps`] returned `None`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -337,8 +339,8 @@ impl SparseCompressionSummary {
     }
 
     /// Fold another factorization's statistics into this summary
-    /// (commutative sums plus a max, so tile aggregation order cannot
-    /// change the result).
+    /// (commutative sums plus a max, so aggregation order cannot change the
+    /// result).
     pub fn merge(&mut self, other: &SparseCompressionSummary) {
         self.panels_eligible += other.panels_eligible;
         self.panels_compressed += other.panels_compressed;

@@ -36,8 +36,8 @@ use csolve_dense::{Mat, MatMut, MatRef};
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
 use csolve_sparse::{
-    factorize, factorize_analyzed, Coo, Csc, FactorStats, SparseFactorization, SparseOptions,
-    SymbolicFactorization, Symmetry,
+    factorize, factorize_analyzed, schur_complement_analyzed, Coo, Csc, FactorStats,
+    SparseFactorization, SparseOptions, SymbolicFactorization, Symmetry,
 };
 
 /// Result of a coupled solve.
@@ -65,8 +65,9 @@ struct Ws<'a, T: Scalar> {
     tree: ClusterTree,
     symmetric: bool,
     /// Accumulated BLR statistics of every sparse factorization of the run
-    /// (commutative sums, so concurrent tile aggregation order cannot change
-    /// the result). Read out into [`Metrics::sparse_compression`] at the end.
+    /// that keeps its factors — `A_vv`, or the advanced coupling's `W`;
+    /// multi-factorization's tiles keep none, so compress none. Read out
+    /// into [`Metrics::sparse_compression`] at the end.
     blr: Mutex<SparseCompressionSummary>,
 }
 
@@ -114,14 +115,19 @@ impl<'a, T: Scalar> Ws<'a, T> {
         }
     }
 
+    /// The sparse factorization kind of `A_vv`: the coupled system's.
+    fn symmetry(&self) -> Symmetry {
+        if self.symmetric {
+            Symmetry::SymmetricLdlt
+        } else {
+            Symmetry::UnsymmetricLu
+        }
+    }
+
     fn sparse_opts(&self) -> SparseOptions {
         SparseOptions {
             ordering: self.cfg.ordering,
-            symmetry: if self.symmetric {
-                Symmetry::SymmetricLdlt
-            } else {
-                Symmetry::UnsymmetricLu
-            },
+            symmetry: self.symmetry(),
             blr_eps: self.cfg.effective_sparse_eps(),
             tracker: Some(Arc::clone(self.tracker)),
             panel_nb: self.cfg.dense_panel_nb,
@@ -180,39 +186,55 @@ impl<'a, T: Scalar> Ws<'a, T> {
         self.a_sv.mul_dense(T::ONE, y, T::ZERO, z);
     }
 
-    /// One factorization+Schur call on a stacked `W` whose trailing
-    /// unknowns (beyond `n_v`) are the Schur variables. A pipeline block's
-    /// `slot` is finalized between analysis and numeric phase, to the bound
-    /// the analysis puts on what the numeric phase charges in the mode
-    /// `opts.symmetry` factors `W` in — which it then charges to the slot's
-    /// tracker. That wait is not factorization time.
-    fn factor_w(
-        &self,
-        w: &Csc<T>,
-        mut opts: SparseOptions,
-        slot: Option<&mut Slot<'_>>,
-    ) -> Result<(SparseFactorization<T>, Mat<T>)> {
+    /// The symbolic analysis of a stacked `W` whose trailing unknowns
+    /// (beyond `n_v`) are the Schur variables, recorded in `scope`.
+    fn analyze_w(&self, w: &Csc<T>, scope: TraceScope) -> Result<SymbolicFactorization> {
         let schur_vars: Vec<usize> = (self.nv()..w.ncols).collect();
-        let scope = opts.trace_seq.map_or(TraceScope::Run, TraceScope::Block);
         let ph = self.rec.open(Phase::FactorW, scope);
-        let sym = ph.tracer().time(SpanKind::SparseAnalyze, || {
-            SymbolicFactorization::analyze(w, &schur_vars, opts.ordering)
-        })?;
-        drop(ph);
-        if let Some(slot) = slot {
-            // Exact without BLR, an upper bound with it.
-            let bound = sym.predicted_numeric_peak_bytes(
-                std::mem::size_of::<T>(),
-                opts.symmetry == Symmetry::UnsymmetricLu,
-            );
-            slot.finalize(bound, "sparse solver working set")?;
-            opts.tracker = Some(Arc::clone(slot.tracker()));
-        }
-        let mut ph = self.rec.open(Phase::FactorW, scope);
-        let (fact_w, x) = factorize_analyzed(w, sym, &opts)?;
+        ph.tracer().time(SpanKind::SparseAnalyze, || {
+            SymbolicFactorization::analyze(w, &schur_vars, self.cfg.ordering)
+        })
+    }
+
+    /// The advanced coupling's factorization+Schur call on the whole
+    /// stacked `W`: the factors are kept for the condensation solves.
+    fn factor_w(&self, w: &Csc<T>) -> Result<(SparseFactorization<T>, Mat<T>)> {
+        let sym = self.analyze_w(w, TraceScope::Run)?;
+        let mut ph = self.rec.open(Phase::FactorW, TraceScope::Run);
+        let (fact_w, x) = factorize_analyzed(w, sym, &self.sparse_opts())?;
         self.note_factor_stats(fact_w.stats());
         ph.add_bytes(x.byte_size());
         Ok((fact_w, x))
+    }
+
+    /// The Schur block of one multi-factorization tile's stacked `W`, `W`
+    /// factored in `symmetry` mode and its factors discarded as they are
+    /// computed. The tile's `slot` is finalized between analysis and numeric
+    /// phase, to the exact peak the analysis predicts for the Schur-only
+    /// numeric phase — which then charges the slot's tracker. That wait is
+    /// not factorization time.
+    fn tile_schur(
+        &self,
+        w: &Csc<T>,
+        seq: usize,
+        symmetry: Symmetry,
+        slot: &mut Slot<'_>,
+    ) -> Result<Mat<T>> {
+        let scope = TraceScope::Block(seq);
+        let sym = self.analyze_w(w, scope)?;
+        let bound = sym.predicted_schur_peak_bytes(std::mem::size_of::<T>());
+        slot.finalize(bound, "sparse solver working set")?;
+        let opts = SparseOptions {
+            symmetry,
+            tracker: Some(Arc::clone(slot.tracker())),
+            // The sparse solver's internal spans land in the tile's scope.
+            trace_seq: Some(seq),
+            ..self.sparse_opts()
+        };
+        let mut ph = self.rec.open(Phase::FactorW, scope);
+        let (x, _) = schur_complement_analyzed(w, sym, &opts)?;
+        ph.add_bytes(x.byte_size());
+        Ok(x)
     }
 
     /// The Schur accumulator, initialized with `A_ss`.
@@ -841,7 +863,7 @@ fn advanced_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let x_charge = ws
         .tracker
         .charge(ns * ns * std::mem::size_of::<T>(), "dense Schur output")?;
-    let (fact_w, x) = ws.factor_w(&w, ws.sparse_opts(), None)?;
+    let (fact_w, x) = ws.factor_w(&w)?;
 
     // S = A_ss + X (X already carries the minus sign).
     let mut schur = ws.init_schur()?;
@@ -1098,18 +1120,21 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
 /// `n_b × n_b` tile grid over the surface unknowns.
 ///
 /// `W` is unsymmetric (paper: "except when i = j") and factored in the
-/// unsymmetric solver mode, with its duplicated storage — the very overhead
-/// the paper identifies as multi-factorization's memory weakness. A
-/// symmetric system has `X_ji = X_ijᵀ` (`A_vv = A_vvᵀ`, `A_vs = A_svᵀ`), so
-/// only its lower-triangle tiles (`i ≥ j`, `n_b(n_b+1)/2` of the `n_b²`) are
+/// unsymmetric solver mode — whose duplicated factor storage the paper
+/// identifies as multi-factorization's memory weakness. A symmetric system
+/// has `X_ji = X_ijᵀ` (`A_vv = A_vvᵀ`, `A_vs = A_svᵀ`), so only its
+/// lower-triangle tiles (`i ≥ j`, `n_b(n_b+1)/2` of the `n_b²`) are
 /// computed, each off-diagonal one folded at both positions, and its
 /// diagonal tiles — symmetric like the advanced coupling's `W` — are
 /// factored in LDLᵀ mode: both backends see a fully assembled `S`.
 ///
-/// A tile's admission reserves the stacked `W` and the Schur block `X_ij`;
-/// what the sparse solver charges while factoring `W` is bounded by the
-/// tile's symbolic analysis and reserved before the numeric phase starts
-/// (`Ws::factor_w`): no tile runs out of memory because of another.
+/// A tile needs only `X_ij`, so `W`'s factors are discarded front by front
+/// as they are computed (MUMPS' "discard factors"): the sparse solver keeps,
+/// charges and compresses no factor panel. A tile's admission reserves the
+/// stacked `W` and `X_ij`; what the sparse solver charges while factoring
+/// `W` is predicted exactly by the tile's symbolic analysis and reserved
+/// before the numeric phase starts (`Ws::tile_schur`): no tile runs out of
+/// memory because of another.
 fn multi_factorization_schur<T: Scalar>(
     ws: &Ws<'_, T>,
 ) -> Result<(SchurAcc<T>, Option<AutotuneDecision>)> {
@@ -1177,32 +1202,29 @@ fn multi_factorization_schur<T: Scalar>(
         let cols: Vec<usize> = b.cols.clone().collect();
         let a_sv_i = ws.a_sv.submatrix(&rows, &all_v);
         let a_vs_j = ws.a_vs.submatrix(&all_v, &cols);
-        // The sparse solver's internal spans land in this tile's block scope.
         // A diagonal tile has the coupled system's symmetry; an off-diagonal
         // one is unsymmetric whatever the system is.
-        let mut opts = SparseOptions {
-            trace_seq: Some(seq),
-            ..ws.sparse_opts()
+        let symmetry = if b.rows == b.cols {
+            ws.symmetry()
+        } else {
+            Symmetry::UnsymmetricLu
         };
-        if b.rows != b.cols {
-            opts.symmetry = Symmetry::UnsymmetricLu;
-        }
         let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
         // Each call re-factorizes A_vv — the superfluous work the method
         // trades for memory (hence its name).
-        let (_, x) = ws.factor_w(&w, opts, Some(slot))?;
-        Ok(x)
+        ws.tile_schur(&w, seq, symmetry, slot)
     };
     let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
     Ok((schur, planned.map(|(d, _)| d)))
 }
 
 /// Predicted solver-internal tracked bytes (fronts, contribution blocks,
-/// factor panels, dense Schur output) of one multi-factorization tile at
-/// grid size `n_b`: a symbolic analysis of the representative corner tile's
-/// stacked `W` pattern, replayed with the numeric phase's exact charge
-/// schedule. Purely structural (no numeric work) and deterministic — safe
-/// to consult from the autotuner's selection point.
+/// dense Schur output) of one multi-factorization tile at grid size `n_b`:
+/// a symbolic analysis of the representative corner tile's stacked `W`
+/// pattern, replayed with the Schur-only numeric phase's exact charge
+/// schedule — the same in LDLᵀ and LU mode, with and without BLR. Purely
+/// structural (no numeric work) and deterministic — safe to consult from
+/// the autotuner's selection point.
 fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Result<usize> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let m = ns.div_ceil(n_b.max(1)).min(ns);
@@ -1215,18 +1237,7 @@ fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Result<usize> {
     );
     let schur_vars: Vec<usize> = (nv..nv + m).collect();
     let sym = SymbolicFactorization::analyze(&w, &schur_vars, ws.cfg.ordering)?;
-    // Priced in the unsymmetric (LU) mode regardless of the coupled system's
-    // symmetry: the upper bound over the grid's tiles (only the diagonal
-    // tiles of a symmetric system are factored in the cheaper LDLᵀ mode).
-    // With sparse compression on, factor panels are priced by the BLR
-    // rank-profile model instead of dense storage (still an upper bound via
-    // the dense cap per panel, never below the elimination-front peak).
-    let elem = std::mem::size_of::<T>();
-    Ok(if ws.cfg.effective_sparse_eps().is_some() {
-        sym.predicted_numeric_peak_bytes_blr(elem, true)
-    } else {
-        sym.predicted_numeric_peak_bytes(elem, true)
-    })
+    Ok(sym.predicted_schur_peak_bytes(std::mem::size_of::<T>()))
 }
 
 /// The stacked square `W = [A_vv A_vs|_j ; A_sv|_i 0]` (zero-padded when the
@@ -1282,6 +1293,80 @@ mod tests {
         let tracker = MemTracker::unbounded();
         let ws = Ws::new(p, &cfg, &tracker, &run.rec);
         multi_factorization_schur(&ws).unwrap().0.to_dense()
+    }
+
+    /// The same dense `S`, its tiles computed by the factor-keeping
+    /// `factorize_schur` (LDLᵀ on a symmetric system's diagonal tiles, LU
+    /// elsewhere) and folded like the pipeline folds them.
+    fn schur_from_factorize_schur(p: &CoupledProblem<f64>, n_b: usize) -> Mat<f64> {
+        let cfg = SolverConfig {
+            eps: 1e-10,
+            dense_backend: DenseBackend::Spido,
+            n_b,
+            ..Default::default()
+        };
+        let run = Run::start(&cfg);
+        let tracker = MemTracker::unbounded();
+        let ws = Ws::new(p, &cfg, &tracker, &run.rec);
+        let (nv, ns) = (ws.nv(), ws.ns());
+        let blk = ns.div_ceil(n_b);
+        let ranges: Vec<Vec<usize>> = (0..n_b)
+            .map(|b| (b * blk..((b + 1) * blk).min(ns)).collect())
+            .filter(|r: &Vec<usize>| !r.is_empty())
+            .collect();
+        let all_v: Vec<usize> = (0..nv).collect();
+        let mut schur = ws.init_schur().unwrap();
+        for (i, rows) in ranges.iter().enumerate() {
+            for (j, cols) in ranges.iter().enumerate() {
+                if p.symmetric && i < j {
+                    continue;
+                }
+                let a_vs_j = ws.a_vs.submatrix(&all_v, cols);
+                let w = stack_w(ws.a_vv, &a_vs_j, &ws.a_sv.submatrix(rows, &all_v));
+                let opts = SparseOptions {
+                    symmetry: if i == j {
+                        ws.symmetry()
+                    } else {
+                        Symmetry::UnsymmetricLu
+                    },
+                    ..ws.sparse_opts()
+                };
+                let schur_vars: Vec<usize> = (nv..w.ncols).collect();
+                let (_, x) = csolve_sparse::factorize_schur(&w, &schur_vars, &opts).unwrap();
+                let (nr, nc) = (rows.len(), cols.len());
+                let x = x.view(0..nr, 0..nc);
+                schur.axpy_block(1.0, rows[0], cols[0], x, cfg.eps).unwrap();
+                if p.symmetric && i != j {
+                    let xt = Mat::from_fn(nc, nr, |r, c| x.get(c, r));
+                    schur
+                        .axpy_block(1.0, cols[0], rows[0], xt.as_ref(), cfg.eps)
+                        .unwrap();
+                }
+            }
+        }
+        schur.to_dense()
+    }
+
+    /// Discarding `W`'s factors leaves every tile's `X_ij` where it was:
+    /// multi-factorization's SPIDO `S` is, bit for bit, the one folded from
+    /// factor-keeping `factorize_schur` calls — symmetric (lower tiles,
+    /// mirrored) and unsymmetric (full grid), short edge tiles included.
+    #[test]
+    fn schur_only_tiles_assemble_the_factor_keeping_schur_bitwise() {
+        let sym = csolve_fembem::pipe_problem::<f64>(1_200);
+        let mut unsym = csolve_fembem::pipe_problem::<f64>(1_200);
+        unsym.symmetric = false;
+        let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [&sym, &unsym] {
+            for n_b in [1, 2, 3, 5] {
+                assert!(
+                    bits(&assembled_schur(p, DenseBackend::Spido, n_b))
+                        == bits(&schur_from_factorize_schur(p, n_b)),
+                    "symmetric = {}, n_b = {n_b}",
+                    p.symmetric
+                );
+            }
+        }
     }
 
     /// A symmetric system's `S` is assembled from lower-triangle tiles with

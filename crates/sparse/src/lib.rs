@@ -13,7 +13,9 @@
 //!   variables is never eliminated and the root front is returned as a dense
 //!   matrix, faithfully reproducing both the feature and the API limitation
 //!   (no compressed Schur output) of fully-featured sparse direct solvers —
-//!   [`numeric::factorize_schur`];
+//!   [`numeric::factorize_schur`], or the Schur complement alone with the
+//!   factors discarded as they are computed —
+//!   [`numeric::schur_complement_analyzed`];
 //! * optional **BLR compression** of the factor panels (the solver-internal
 //!   low-rank compression the paper toggles in its experiments);
 //! * multi-RHS forward/backward solves with sparse-RHS tree pruning
@@ -37,8 +39,8 @@ pub mod symbolic;
 
 pub use formats::{Coo, Csc};
 pub use numeric::{
-    factorize, factorize_analyzed, factorize_schur, FactorStats, SparseFactorization,
-    SparseOptions, Symmetry, BLR_MIN_COLS, BLR_MIN_ROWS,
+    factorize, factorize_analyzed, factorize_schur, schur_complement_analyzed, FactorStats,
+    SparseFactorization, SparseOptions, Symmetry, BLR_MIN_COLS, BLR_MIN_ROWS,
 };
 pub use ordering::OrderingKind;
 pub use symbolic::SymbolicFactorization;

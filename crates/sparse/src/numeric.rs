@@ -12,7 +12,9 @@
 //! With `blr_eps` set, factor panels are compressed to low-rank form as soon
 //! as each front is eliminated — the solver-internal BLR compression the
 //! paper toggles (MUMPS low-rank mode). The Schur output remains dense
-//! regardless, mirroring the real solvers.
+//! regardless, mirroring the real solvers. A Schur-only call
+//! ([`schur_complement_analyzed`]) keeps no factor panel, so it compresses
+//! none.
 //!
 //! Compression is deterministic across thread counts: whether a panel is
 //! *eligible* depends only on its symbolic shape (the [`BLR_MIN_ROWS`] ×
@@ -401,7 +403,7 @@ pub fn factorize_schur<T: Scalar>(
     let symbolic = tr.time(SpanKind::SparseAnalyze, || {
         SymbolicFactorization::analyze(a, schur_vars, opts.ordering)
     })?;
-    numeric_phase(a, symbolic, opts, whole)
+    numeric_phase(a, symbolic, opts, whole, true)
 }
 
 /// The numeric phase of [`factorize_schur`] alone, on a symbolic analysis
@@ -419,6 +421,35 @@ pub fn factorize_analyzed<T: Scalar>(
     symbolic: SymbolicFactorization,
     opts: &SparseOptions,
 ) -> Result<(SparseFactorization<T>, Mat<T>)> {
+    analyzed_phase(a, symbolic, opts, true)
+}
+
+/// The Schur complement alone: [`factorize_analyzed`]'s numeric phase with
+/// the factors discarded as it goes (MUMPS' `ICNTL(31)` = 1 for a
+/// Schur-only call). Every front is assembled, partially factored and cuts
+/// its contribution block exactly as there, so the returned Schur block is
+/// bitwise `factorize_analyzed`'s; no pivot block or factor panel is kept,
+/// charged or BLR-compressed (`opts.blr_eps` is not consulted). What it
+/// charges peaks at exactly
+/// [`SymbolicFactorization::predicted_schur_peak_bytes`]; the statistics
+/// report `factor_bytes` = 0 and no compressed or eligible panel.
+pub fn schur_complement_analyzed<T: Scalar>(
+    a: &Csc<T>,
+    symbolic: SymbolicFactorization,
+    opts: &SparseOptions,
+) -> Result<(Mat<T>, FactorStats)> {
+    let (f, schur) = analyzed_phase(a, symbolic, opts, false)?;
+    Ok((schur, f.stats))
+}
+
+/// [`numeric_phase`] on a caller's analysis, refused when `a` is not a
+/// valid matrix of the analyzed order.
+fn analyzed_phase<T: Scalar>(
+    a: &Csc<T>,
+    symbolic: SymbolicFactorization,
+    opts: &SparseOptions,
+    keep_factors: bool,
+) -> Result<(SparseFactorization<T>, Mat<T>)> {
     a.check()?;
     if (a.nrows, a.ncols) != (symbolic.n, symbolic.n) {
         return Err(Error::DimensionMismatch {
@@ -428,7 +459,7 @@ pub fn factorize_analyzed<T: Scalar>(
         });
     }
     let whole = opts.trace_scope().span(whole_span_kind(symbolic.n_schur));
-    numeric_phase(a, symbolic, opts, whole)
+    numeric_phase(a, symbolic, opts, whole, keep_factors)
 }
 
 /// Span kind of a whole factorization with `n_schur` Schur variables.
@@ -441,12 +472,16 @@ fn whole_span_kind(n_schur: usize) -> SpanKind {
 }
 
 /// The multifrontal numeric factorization `symbolic` describes; `whole` is
-/// the caller's open whole-factorization span, closed here.
+/// the caller's open whole-factorization span, closed here. Without
+/// `keep_factors` every front is dropped once its contribution block is cut:
+/// the returned factorization holds no supernode and is only good for its
+/// statistics.
 fn numeric_phase<T: Scalar>(
     a: &Csc<T>,
     symbolic: SymbolicFactorization,
     opts: &SparseOptions,
     mut whole: csolve_common::Span<'_>,
+    keep_factors: bool,
 ) -> Result<(SparseFactorization<T>, Mat<T>)> {
     // All spans below are recorded by this (calling) thread in program
     // order, so the trace sequence is deterministic at any thread count.
@@ -503,7 +538,7 @@ fn numeric_phase<T: Scalar>(
 
     let blr_eps = opts
         .blr_eps
-        .filter(|e| *e > 0.0)
+        .filter(|e| *e > 0.0 && keep_factors)
         .map(T::Real::from_f64_real);
 
     // BLR compression time/bytes are aggregated into one span per
@@ -614,6 +649,14 @@ fn numeric_phase<T: Scalar>(
             }
         }
 
+        for &r in &info.rows {
+            pos_of[r] = usize::MAX;
+        }
+        if !keep_factors {
+            local.sub(front_bytes);
+            continue;
+        }
+
         // Harvest factor panels.
         let diag = front.submatrix(0..k, 0..k);
         let mut lpanel = if f > k {
@@ -656,10 +699,6 @@ fn numeric_phase<T: Scalar>(
         factor_bytes += sn_bytes;
         factor_charge.resize(factor_bytes, "sparse factors")?;
         local.add(sn_bytes);
-
-        for &r in &symbolic.supernodes[s].rows {
-            pos_of[r] = usize::MAX;
-        }
         sns.push(SupernodeFactor {
             diag,
             ipiv,

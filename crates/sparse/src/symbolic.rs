@@ -263,10 +263,24 @@ impl SymbolicFactorization {
     /// `elem` is `size_of::<T>()`; `unsymmetric` adds the U row panels of
     /// the LU mode. The bound is exact for uncompressed factors; BLR
     /// compression only shrinks the factor panels, so the real peak never
-    /// exceeds it. Used by the block autotuner to price a
-    /// multi-factorization tile before any numeric work runs.
+    /// exceeds it. A caller that keeps no factors reserves
+    /// [`Self::predicted_schur_peak_bytes`] instead.
     pub fn predicted_numeric_peak_bytes(&self, elem: usize, unsymmetric: bool) -> usize {
-        self.replay_peak_bytes(elem, unsymmetric, |rows, cols| rows * cols * elem)
+        self.replay_peak_bytes(elem, |k, t| {
+            let panels = if unsymmetric { 2 } else { 1 };
+            (k * k + panels * t * k) * elem
+        })
+    }
+
+    /// The exact peak of what [`crate::schur_complement_analyzed`] charges:
+    /// the same replay with no factor panel harvested — dense Schur output,
+    /// frontal matrices and contribution blocks only. Exact whether or not
+    /// BLR is on (nothing is compressed) and the same for LDLᵀ and LU (the
+    /// two modes differ only in what they would keep). Used by the block
+    /// autotuner and the pipeline to price a multi-factorization tile
+    /// before any numeric work runs.
+    pub fn predicted_schur_peak_bytes(&self, elem: usize) -> usize {
+        self.replay_peak_bytes(elem, |_, _| 0)
     }
 
     /// The compressed-front variant of
@@ -279,35 +293,36 @@ impl SymbolicFactorization {
     ///
     /// The √-law matches the weak-admissibility rank growth BLR theory
     /// predicts for elliptic fronts, and the 4× headroom keeps the model an
-    /// *over*-estimate on the meshes we target (an optimistic model would
-    /// make the autotuner admit blockings that then blow the budget).
-    /// Because every panel is capped at its dense size, this prediction
-    /// never exceeds the uncompressed one; it is **not** a guaranteed upper
-    /// bound on the measured peak — a front whose true ranks beat `r̂` by
-    /// more than the headroom can exceed it — which is why the autotune
-    /// gate (`autotune_report`) checks measured ≤ 1.25 × predicted over the
-    /// compressed configuration too.
+    /// *over*-estimate on the meshes we target. Because every panel is
+    /// capped at its dense size, this prediction never exceeds the
+    /// uncompressed one; it is **not** a guaranteed upper bound on the
+    /// measured peak — a front whose true ranks beat `r̂` by more than the
+    /// headroom can exceed it — so nothing reserves memory by it: it is the
+    /// BLR report's estimate (`blr_report`).
     pub fn predicted_numeric_peak_bytes_blr(&self, elem: usize, unsymmetric: bool) -> usize {
         use crate::numeric::{BLR_MIN_COLS, BLR_MIN_ROWS};
-        self.replay_peak_bytes(elem, unsymmetric, |rows, cols| {
+        let panel_bytes = |rows: usize, cols: usize| {
             let dense = rows * cols * elem;
             if rows < BLR_MIN_ROWS || cols < BLR_MIN_COLS {
                 return dense;
             }
             let r_hat = 4 * (rows.min(cols) as f64).sqrt().ceil() as usize;
             dense.min(r_hat * (rows + cols) * elem)
+        };
+        self.replay_peak_bytes(elem, |k, t| {
+            let u_panel = if unsymmetric { panel_bytes(k, t) } else { 0 };
+            k * k * elem + panel_bytes(t, k) + u_panel
         })
     }
 
     /// Replay the numeric phase's exact charge schedule (dense Schur output,
     /// frontal matrices, contribution blocks held for their parents, growing
-    /// factor panels), pricing each harvested off-diagonal panel through
-    /// `panel_bytes(rows, cols)`.
+    /// factor storage), pricing what a supernode of width `k` with `t`
+    /// contribution rows keeps at `factor_bytes(k, t)`.
     fn replay_peak_bytes(
         &self,
         elem: usize,
-        unsymmetric: bool,
-        panel_bytes: impl Fn(usize, usize) -> usize,
+        factor_bytes: impl Fn(usize, usize) -> usize,
     ) -> usize {
         let ns = self.n_schur;
         // Charges live at entry: the dense Schur accumulator.
@@ -338,13 +353,9 @@ impl SymbolicFactorization {
                 peak = peak.max(live);
             }
             live -= f * f * elem;
-            // Factor panels harvested from the front: diagonal block plus
-            // the `(f−k)×k` L panel (and the `k×(f−k)` U panel in LU mode).
-            let mut sn_bytes = k * k * elem + panel_bytes(f - k, k);
-            if unsymmetric {
-                sn_bytes += panel_bytes(k, f - k);
-            }
-            live += sn_bytes;
+            // Factors harvested from the front: diagonal block plus the
+            // `(f−k)×k` L panel (and the `k×(f−k)` U panel in LU mode).
+            live += factor_bytes(k, f - k);
             peak = peak.max(live);
         }
         peak
@@ -488,6 +499,7 @@ fn amalgamate(sns: &mut Vec<SupernodeInfo>, sn_of_col: &mut [usize]) {
 mod tests {
     use super::*;
     use crate::formats::Coo;
+    use crate::tests::{local, stacked_tile};
 
     /// 2-D Laplacian on an nx×ny grid.
     fn grid_matrix(nx: usize, ny: usize) -> Csc<f64> {
@@ -637,50 +649,6 @@ mod tests {
             out[s].parent = parent_of(&out[s].rows, out[s].width(), &sn_of_col);
         }
         (out, sn_of_col)
-    }
-
-    /// A crate-local copy of a matrix of the `csolve-sparse` the generators
-    /// link (a dev-dependency cycle: their `Csc` is another crate's type here).
-    macro_rules! local {
-        ($m:expr) => {
-            Csc {
-                nrows: $m.nrows,
-                ncols: $m.ncols,
-                colptr: $m.colptr.clone(),
-                rowidx: $m.rowidx.clone(),
-                values: $m.values.clone(),
-            }
-        };
-    }
-
-    /// The stacked `W = [A_vv A_vs|_cols ; A_sv|_rows 0]` of a coupled
-    /// problem's multi-factorization tile, as `(matrix, Schur variables)`.
-    fn stacked_tile<T: Scalar>(
-        a_vv: &Csc<T>,
-        a_vs: &Csc<T>,
-        a_sv: &Csc<T>,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> (Csc<T>, Vec<usize>) {
-        let nv = a_vv.nrows;
-        let m = rows.len().max(cols.len());
-        let mut coo = Coo::new(nv + m, nv + m);
-        for j in 0..nv {
-            for (&i, &v) in a_vv.col(j).0.iter().zip(a_vv.col(j).1) {
-                coo.push(i, j, v);
-            }
-            for (&i, &v) in a_sv.col(j).0.iter().zip(a_sv.col(j).1) {
-                if rows.contains(&i) {
-                    coo.push(nv + i - rows.start, j, v);
-                }
-            }
-        }
-        for j in cols.clone() {
-            for (&i, &v) in a_vs.col(j).0.iter().zip(a_vs.col(j).1) {
-                coo.push(i, nv + j - cols.start, v);
-            }
-        }
-        (coo.to_csc(), (nv..nv + m).collect())
     }
 
     /// The stamp-array / two-pointer supernode stage gives the `BTreeSet`

@@ -5,9 +5,58 @@ use csolve_dense::{gemm, gemm_into, lu_in_place, lu_solve_in_place, Mat, Op};
 use rand::SeedableRng;
 
 use crate::formats::{Coo, Csc};
-use crate::numeric::{factorize, factorize_analyzed, factorize_schur, SparseOptions, Symmetry};
+use crate::numeric::{
+    factorize, factorize_analyzed, factorize_schur, schur_complement_analyzed, SparseOptions,
+    Symmetry,
+};
 use crate::ordering::OrderingKind;
 use crate::symbolic::SymbolicFactorization;
+
+/// A crate-local copy of a matrix of the `csolve-sparse` the generators
+/// link (a dev-dependency cycle: their `Csc` is another crate's type here).
+macro_rules! local {
+    ($m:expr) => {
+        $crate::formats::Csc {
+            nrows: $m.nrows,
+            ncols: $m.ncols,
+            colptr: $m.colptr.clone(),
+            rowidx: $m.rowidx.clone(),
+            values: $m.values.clone(),
+        }
+    };
+}
+pub(crate) use local;
+
+/// The stacked `W = [A_vv A_vs|_cols ; A_sv|_rows 0]` of a coupled
+/// problem's multi-factorization tile, as `(matrix, Schur variables)`
+/// (zero-padded to square when the two ranges differ in length).
+pub(crate) fn stacked_tile<T: Scalar>(
+    a_vv: &Csc<T>,
+    a_vs: &Csc<T>,
+    a_sv: &Csc<T>,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+) -> (Csc<T>, Vec<usize>) {
+    let nv = a_vv.nrows;
+    let m = rows.len().max(cols.len());
+    let mut coo = Coo::new(nv + m, nv + m);
+    for j in 0..nv {
+        for (&i, &v) in a_vv.col(j).0.iter().zip(a_vv.col(j).1) {
+            coo.push(i, j, v);
+        }
+        for (&i, &v) in a_sv.col(j).0.iter().zip(a_sv.col(j).1) {
+            if rows.contains(&i) {
+                coo.push(nv + i - rows.start, j, v);
+            }
+        }
+    }
+    for j in cols.clone() {
+        for (&i, &v) in a_vs.col(j).0.iter().zip(a_vs.col(j).1) {
+            coo.push(i, nv + j - cols.start, v);
+        }
+    }
+    (coo.to_csc(), (nv..nv + m).collect())
+}
 
 /// 3-D 7-point Laplacian + shift on an nx×ny×nz grid (SPD).
 fn grid3d(nx: usize, ny: usize, nz: usize, shift: f64) -> Csc<f64> {
@@ -621,7 +670,100 @@ fn analyze_then_numeric_equals_factorize_schur_bitwise() {
     }
     // An analysis of another matrix is refused, not indexed out of bounds.
     let sym = SymbolicFactorization::analyze(&a, &schur_vars, OrderingKind::Natural).unwrap();
-    assert!(factorize_analyzed(&grid3d(4, 4, 4, 0.5), sym, &SparseOptions::default()).is_err());
+    let other = grid3d(4, 4, 4, 0.5);
+    let opts = SparseOptions::default();
+    assert!(factorize_analyzed(&other, sym.clone(), &opts).is_err());
+    assert!(schur_complement_analyzed(&other, sym, &opts).is_err());
+}
+
+/// The Schur-only numeric phase on multi-factorization tiles — pipe (`f64`:
+/// a diagonal tile in LDLᵀ and LU mode, an off-diagonal one, a zero-padded
+/// short-edge one) and industrial (`C64`, LU) — gives `factorize_analyzed`'s
+/// Schur block bit for bit with BLR on and off. It keeps nothing
+/// (`factor_bytes` 0, no eligible panel), its tracked peak is exactly
+/// `predicted_schur_peak_bytes` with every charge released, and that replay
+/// never exceeds the factor-keeping one.
+#[test]
+fn schur_only_gives_the_factorizations_schur_block_bitwise() {
+    fn bits<T: Scalar>(m: &Mat<T>) -> Vec<(u64, u64)> {
+        let bits = |r: T::Real| r.to_f64().to_bits();
+        m.data()
+            .iter()
+            .map(|v| (bits(v.real()), bits(v.imag())))
+            .collect()
+    }
+    /// Eligible panels of the factor-keeping BLR runs.
+    fn check<T: Scalar>(what: &str, w: &Csc<T>, schur_vars: &[usize], symmetry: Symmetry) -> usize {
+        let sym =
+            SymbolicFactorization::analyze(w, schur_vars, OrderingKind::NestedDissection).unwrap();
+        let elem = std::mem::size_of::<T>();
+        let bound = sym.predicted_schur_peak_bytes(elem);
+        let unsym = symmetry == Symmetry::UnsymmetricLu;
+        assert!(
+            bound <= sym.predicted_numeric_peak_bytes(elem, unsym),
+            "{what}"
+        );
+        let mut eligible = 0;
+        for blr_eps in [None, Some(1e-6)] {
+            let cell = format!("{what} / {symmetry:?} / blr {blr_eps:?}");
+            let opts = SparseOptions {
+                symmetry,
+                blr_eps,
+                ..Default::default()
+            };
+            let (f, kept) = factorize_analyzed(w, sym.clone(), &opts).unwrap();
+            eligible += f.stats().panels_eligible;
+            let tracker = MemTracker::unbounded();
+            let opts = SparseOptions {
+                tracker: Some(tracker.clone()),
+                ..opts
+            };
+            let (x, st) = schur_complement_analyzed(w, sym.clone(), &opts).unwrap();
+            assert!(bits(&x) == bits(&kept), "{cell}: Schur block differs");
+            assert_eq!((tracker.peak(), tracker.live()), (bound, 0), "{cell}");
+            assert_eq!(st.peak_bytes, bound, "{cell}");
+            assert_eq!(
+                (st.factor_bytes, st.panels_eligible, st.compressed_panels),
+                (0, 0, 0),
+                "{cell}"
+            );
+            assert_eq!(
+                (st.n_supernodes, st.max_front),
+                (f.stats().n_supernodes, f.stats().max_front),
+                "{cell}"
+            );
+        }
+        eligible
+    }
+    // A tile grid that does not divide n_s: the edge tile is short.
+    fn tiles(ns: usize) -> (usize, std::ops::Range<usize>) {
+        let n_b = (3..).find(|&b| !ns.is_multiple_of(b)).unwrap();
+        let blk = ns.div_ceil(n_b);
+        (blk, (n_b - 1) * blk..ns)
+    }
+
+    let p = csolve_fembem::pipe_problem::<f64>(2_500);
+    let (a_vv, a_vs, a_sv) = (local!(p.a_vv), local!(p.a_vs), local!(p.a_sv));
+    let (blk, edge) = tiles(a_sv.nrows);
+    assert!(edge.len() < blk, "pipe: want a short edge tile");
+    let (w, sv) = stacked_tile(&a_vv, &a_vs, &a_sv, 0..blk, 0..blk);
+    let mut eligible = check("pipe W[0, 0]", &w, &sv, Symmetry::SymmetricLdlt);
+    eligible += check("pipe W[0, 0]", &w, &sv, Symmetry::UnsymmetricLu);
+    for (rows, cols) in [(blk..2 * blk, 0..blk), (edge, blk..2 * blk)] {
+        let (w, sv) = stacked_tile(&a_vv, &a_vs, &a_sv, rows.clone(), cols.clone());
+        let what = format!("pipe W[{rows:?}, {cols:?}]");
+        eligible += check(&what, &w, &sv, Symmetry::UnsymmetricLu);
+    }
+    assert!(eligible > 0, "no factor panel met the BLR size gate");
+
+    let p = csolve_fembem::industrial_problem::<C64>(2_000);
+    let (a_vv, a_vs, a_sv) = (local!(p.a_vv), local!(p.a_vs), local!(p.a_sv));
+    let (blk, edge) = tiles(a_sv.nrows);
+    for (rows, cols) in [(0..blk, 0..blk), (0..blk, edge)] {
+        let (w, sv) = stacked_tile(&a_vv, &a_vs, &a_sv, rows.clone(), cols.clone());
+        let what = format!("industrial W[{rows:?}, {cols:?}]");
+        check(&what, &w, &sv, Symmetry::UnsymmetricLu);
+    }
 }
 
 #[test]

@@ -255,10 +255,11 @@ fn autotuned_blocking_under_memory_budgets() {
         // backend (purely structural, no rank enters) at the values from
         // before admission reserved a tile's whole working set — reserving
         // more must not *charge* more. Update only with a change that means
-        // to move a charge.
+        // to move a charge: multi-factorization read 438 816 B while its
+        // tiles still kept, charged and compressed the factors of `W`.
         match (algo, backend) {
             (Algorithm::MultiSolve, DenseBackend::Spido) => assert_eq!(peak, 208_296, "{cell}"),
-            (_, DenseBackend::Spido) => assert_eq!(peak, 438_816, "{cell}"),
+            (_, DenseBackend::Spido) => assert_eq!(peak, 380_112, "{cell}"),
             _ => {}
         }
         assert!(
@@ -445,7 +446,10 @@ fn sparse_eps_contract() {
 /// With sparse-front compression on, the canonical (scope, kind) trace
 /// signature — `front_compress` events included — is identical at every
 /// thread count: fronts are compressed by the factorizing thread in
-/// postorder, never in a thread-count-dependent order.
+/// postorder, never in a thread-count-dependent order. (The tiles discard
+/// their factors uncompressed, so the events come from the `A_vv`
+/// factorization, which compresses at this tolerance; the tiles' spans,
+/// recorded concurrently in their block scopes, come before it.)
 #[test]
 fn compressed_front_traces_are_diffable() {
     let p = csolve::pipe_problem::<f64>(1_500);
@@ -453,7 +457,7 @@ fn compressed_front_traces_are_diffable() {
     for &threads in thread_counts() {
         let tracer = Tracer::enabled();
         let cfg = SolverConfig {
-            sparse_eps: Some(1e-9),
+            sparse_eps: Some(1e-6),
             tracer: tracer.clone(),
             ..config(DenseBackend::Spido, threads)
         };
