@@ -36,16 +36,3 @@ pub use scalar::{Complex, RealScalar, Scalar, C32, C64};
 pub use trace::{
     ScopeTracer, Span, SpanKind, TraceEventKind, TracePayload, TraceRecord, TraceScope, Tracer,
 };
-
-/// Read the peak resident set size of the current process in kibibytes, if
-/// the platform exposes it (`/proc/self/status`, Linux only).
-pub fn peak_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb);
-        }
-    }
-    None
-}

@@ -56,11 +56,10 @@
 //! initialized), `live` already covers the sparse factors and `S`, and the
 //! scheduler degrades concurrency to one block under pressure — so a
 //! blocking is *feasible* exactly when a single block's working set fits in
-//! the remaining headroom. With the compressed backend (HMAT), a
-//! quarter of that headroom is first set aside for the compressed Schur
-//! accumulator, which is allowed to grow by that much between recompression
-//! flushes (the `byte_cap` policy of `schur.rs`, exposed to the planner
-//! through `BackendPolicy::predicted_bytes` in `backend.rs`).
+//! the remaining headroom. With the compressed backend (HMAT), the
+//! accumulator's growth allowance between recompression flushes (a quarter
+//! of that headroom, `hmat_growth_allowance` in `schur.rs`) is set aside
+//! first.
 //!
 //! # Determinism
 //!
@@ -73,7 +72,8 @@
 use csolve_common::{Error, MemTracker, Result};
 use csolve_dense::cache::kernel_blocking;
 
-use crate::config::SolverConfig;
+use crate::config::{DenseBackend, SolverConfig};
+use crate::schur::hmat_growth_allowance;
 
 /// How the blockwise algorithms choose their block sizes.
 #[non_exhaustive]
@@ -163,13 +163,15 @@ pub fn multi_fact_tile_bytes(stats: &MatrixStats, n_b: usize) -> usize {
 /// HMAT backend buffers `n_s ≥ n_c` columns per compressed AXPY.
 pub fn fixed_multi_solve_blocking(cfg: &SolverConfig) -> (usize, usize) {
     let n_c = cfg.n_c.max(1);
-    let n_s = cfg.dense_backend.policy().fixed_schur_panel(n_c, cfg.n_s);
-    (n_c, n_s)
+    match cfg.dense_backend {
+        DenseBackend::Spido => (n_c, n_c),
+        DenseBackend::Hmat => (n_c, cfg.n_s.max(n_c)),
+    }
 }
 
 /// Headroom left for blockwise working sets: budget minus live bytes, or
 /// `usize::MAX` on an unbounded run.
-fn headroom(tracker: &MemTracker) -> usize {
+pub(crate) fn headroom(tracker: &MemTracker) -> usize {
     let budget = tracker.budget();
     if budget == usize::MAX {
         usize::MAX
@@ -178,16 +180,17 @@ fn headroom(tracker: &MemTracker) -> usize {
     }
 }
 
-/// Headroom the *block* working sets may claim, as predicted by the
-/// backend's `BackendPolicy` (`backend.rs`): the compressed backend's
-/// Schur accumulator is allowed to grow by a quarter of the remaining
-/// headroom between recompression flushes (`byte_cap` in `schur.rs`), so
-/// blockwise working sets must fit in the other three quarters; the dense
-/// backend keeps `S` at a fixed size and gets the full headroom.
+/// Headroom the *block* working sets may claim: the dense backend keeps `S`
+/// at a fixed size and gets the full headroom; the compressed backend's
+/// accumulator keeps its growth allowance between recompression flushes.
 pub(crate) fn usable_headroom(cfg: &SolverConfig, tracker: &MemTracker) -> usize {
-    cfg.dense_backend
-        .policy()
-        .predicted_bytes(headroom(tracker))
+    let room = headroom(tracker);
+    match cfg.dense_backend {
+        DenseBackend::Spido => room,
+        // Unbounded headroom stays unbounded.
+        DenseBackend::Hmat if room == usize::MAX => room,
+        DenseBackend::Hmat => room - hmat_growth_allowance(room),
+    }
 }
 
 fn predicted_peak(tracker: &MemTracker, block_bytes: usize) -> usize {
@@ -306,7 +309,6 @@ pub fn plan_multi_factorization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DenseBackend;
 
     fn stats() -> MatrixStats {
         MatrixStats {

@@ -28,7 +28,8 @@
 //! Each algorithm runs against either of the paper's two dense solvers:
 //! [`DenseBackend::Spido`], a plain blocked dense solver, or
 //! [`DenseBackend::Hmat`], the flat hierarchical low-rank solver providing
-//! the *compressed-Schur* variants. All large intermediates are charged
+//! the *compressed-Schur* variants; [`schur`] holds both as the variants of
+//! one accumulator and one factor enum. All large intermediates are charged
 //! against a memory budget, so the paper's capacity experiments ("largest
 //! `N` that fits in RAM") reproduce at any scale.
 
@@ -38,7 +39,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod autotune;
-mod backend;
 pub mod config;
 pub mod driver;
 #[cfg(feature = "fault-inject")]

@@ -1,12 +1,11 @@
-//! The Schur complement accumulator and its two backend implementations.
+//! The Schur complement layer: the accumulator [`SchurAcc`] and the factored
+//! operator [`SchurFactor`], each an enum over the paper's two dense solvers
+//! (SPIDO, one plain dense matrix; HMAT, a flat H-matrix).
 //!
-//! [`SchurAcc`] / [`SchurFactor`] are thin wrappers over the crate-private
-//! `CompressionBackend` / `FactoredSchur` trait objects of `backend.rs`: the
-//! wrapper performs the validation shared by both backends (zero-size
-//! no-ops, `eps` sanity, NaN screening of contributions) and delegates
-//! storage decisions to the selected implementation. Backend selection
-//! happens once, in `init_backend` (`backend.rs`) — no `DenseBackend`
-//! dispatch exists here or in the driver.
+//! Every public method first does the validation both backends share
+//! (zero-size no-ops, `eps` sanity, NaN screening of contributions) and then
+//! one `match` on the variant. The variant is chosen once, from
+//! `SolverConfig::dense_backend`, when the accumulator is built.
 //!
 //! All storage is charged against the run's memory budget; the compressed
 //! AXPY re-syncs the charge after each recompression, so an algorithm fails
@@ -17,28 +16,61 @@
 //! contributions are folded in as *formal* low-rank sums (cheap), and the
 //! truncating recompression runs only when a leaf's accumulated rank exceeds
 //! the flush threshold, when the accumulator's footprint crosses its byte cap
-//! (set from the memory budget at init), or — always — right before the
-//! factorization. Both triggers are computed from deterministic state (the
-//! ordered-commit sequence of block contributions and the budget at init),
-//! so the flush schedule, like the arithmetic, is identical for every
-//! thread count.
+//! (its footprint at init plus `hmat_growth_allowance`), or — always —
+//! right before the factorization. Both triggers are computed from
+//! deterministic state (the ordered-commit sequence of block contributions
+//! and the budget at init), so the flush schedule, like the arithmetic, is
+//! identical for every thread count.
 
 use std::sync::Arc;
 
 use csolve_common::{
     ByteSized, Error, MemCharge, MemTracker, RealScalar, Result, Scalar, ScopeTracer, SpanKind,
 };
-use csolve_dense::{ldlt_in_place_nb, lu_in_place_nb, Mat, MatMut, MatRef};
+use csolve_dense::{ldlt_in_place_nb, lu_in_place_nb, LdltFactors, LuFactors, Mat, MatMut, MatRef};
 use csolve_fembem::BemOperator;
 use csolve_hmat::{ClusterTree, HLu, HMatrix, HOptions};
 
-use crate::backend::{CompressionBackend, FactoredSchur};
-use crate::config::SolverConfig;
+use crate::autotune::headroom;
+use crate::config::{DenseBackend, SolverConfig};
 
 /// Accumulator for `S = A_ss − Σ (Schur contributions)`, initialized with
-/// `A_ss` itself. Wraps the configured backend's accumulator.
-pub struct SchurAcc<T: Scalar> {
-    inner: Box<dyn CompressionBackend<T>>,
+/// `A_ss` itself by [`SchurAcc::init`].
+pub enum SchurAcc<T: Scalar> {
+    /// SPIDO: `S` as one plain dense matrix.
+    Dense {
+        /// The accumulated `S`.
+        mat: Mat<T>,
+        /// Its charge against the run's budget.
+        charge: MemCharge,
+    },
+    /// HMAT: `S` as a flat H-matrix with deferred recompression. On a
+    /// symmetric system it is half-stored (the lower block triangle, see
+    /// `csolve_hmat::hmatrix`) and factored as H-LDLᵀ.
+    Hmat {
+        /// The accumulated `S`, possibly holding formal (untruncated) sums.
+        h: HMatrix<T>,
+        /// Its charge against the run's budget, re-synced after each AXPY.
+        charge: MemCharge,
+        /// Formal rank a leaf may accumulate before it is truncated.
+        flush_rank: usize,
+        /// Footprint past which every leaf is recompressed at once.
+        byte_cap: usize,
+        /// Whether `h` holds formal sums no flush has truncated yet.
+        dirty: bool,
+    },
+}
+
+/// How many bytes the HMAT accumulator may add to its footprint between
+/// recompression flushes, given the budget `headroom` left once it is
+/// charged: a quarter of it (unbounded stays unbounded). The same bytes are
+/// withheld from the blockwise working sets by `autotune::usable_headroom`.
+pub(crate) fn hmat_growth_allowance(headroom: usize) -> usize {
+    if headroom == usize::MAX {
+        usize::MAX
+    } else {
+        headroom / 4
+    }
 }
 
 impl<T: Scalar> SchurAcc<T> {
@@ -64,9 +96,51 @@ impl<T: Scalar> SchurAcc<T> {
         tracker: &Arc<MemTracker>,
         symmetric: bool,
     ) -> Result<Self> {
-        Ok(Self {
-            inner: crate::backend::init_backend(bem, tree, cfg, tracker, symmetric)?,
-        })
+        match cfg.dense_backend {
+            DenseBackend::Spido => {
+                let ns = bem.n();
+                let bytes = ns * ns * std::mem::size_of::<T>();
+                let charge = tracker.charge(bytes, "dense Schur/A_ss")?;
+                // Block-wise assembly keeps cache behaviour sane.
+                let mut mat = Mat::<T>::zeros(ns, ns);
+                const BLK: usize = 512;
+                let mut c0 = 0;
+                while c0 < ns {
+                    let c1 = (c0 + BLK).min(ns);
+                    let blk = bem.assemble_block(0..ns, c0..c1);
+                    mat.view_mut(0..ns, c0..c1).copy_from(blk.as_ref());
+                    c0 = c1;
+                }
+                Ok(Self::Dense { mat, charge })
+            }
+            DenseBackend::Hmat => {
+                let opts = HOptions {
+                    eps: cfg.eps,
+                    eta: cfg.hmat_eta,
+                    max_rank: 512,
+                    method: csolve_hmat::AssembleMethod::Aca,
+                };
+                let oracle = |i: usize, j: usize| bem.eval(i, j);
+                let h = if symmetric {
+                    HMatrix::assemble_symmetric(tree, &oracle, &opts)
+                } else {
+                    HMatrix::assemble_root(tree, tree, &oracle, &opts)
+                };
+                let charge = tracker.charge(h.byte_size(), "compressed Schur/A_ss")?;
+                // Leaves accumulate formal rank up to half the leaf size
+                // before paying for a truncation.
+                let flush_rank = (cfg.hmat_leaf / 2).max(4);
+                let allowance = hmat_growth_allowance(headroom(tracker));
+                let byte_cap = h.byte_size().saturating_add(allowance);
+                Ok(Self::Hmat {
+                    h,
+                    charge,
+                    flush_rank,
+                    byte_cap,
+                    dirty: false,
+                })
+            }
+        }
     }
 
     /// `S[r0.., c0..] += α·panel` — direct write for the dense backend, the
@@ -116,23 +190,74 @@ impl<T: Scalar> SchurAcc<T> {
                 context: "Schur block contribution",
             });
         }
-        self.inner.axpy_block(alpha, r0, c0, panel, eps, tr)
+        match self {
+            Self::Dense { mat, .. } => {
+                if r0 + pm > mat.nrows() || c0 + pn > mat.ncols() {
+                    return Err(Error::DimensionMismatch {
+                        context: "SchurAcc::axpy_block",
+                        expected: (mat.nrows(), mat.ncols()),
+                        got: (r0 + pm, c0 + pn),
+                    });
+                }
+                mat.view_mut(r0..r0 + pm, c0..c0 + pn).axpy(alpha, panel);
+                Ok(())
+            }
+            Self::Hmat {
+                h,
+                charge,
+                flush_rank,
+                byte_cap,
+                dirty,
+            } => {
+                let mut span = tr.span(SpanKind::Compress);
+                let eps = T::Real::from_f64_real(eps);
+                h.try_axpy_dense_block_deferred(alpha, r0, c0, panel, eps, *flush_rank)?;
+                *dirty = true;
+                if h.byte_size() > *byte_cap {
+                    // The accumulator has outgrown its share of the budget:
+                    // recompress everything now rather than carrying the
+                    // formal sums to the next contribution.
+                    h.recompress_leaves(eps);
+                    *dirty = false;
+                }
+                span.add_bytes(h.byte_size());
+                span.finish();
+                charge.resize(h.byte_size(), "compressed Schur/A_ss")
+            }
+        }
     }
 
     /// Current storage footprint of `S`.
     pub fn bytes(&self) -> usize {
-        self.inner.bytes()
+        match self {
+            Self::Dense { mat, .. } => mat.byte_size(),
+            Self::Hmat { h, .. } => h.byte_size(),
+        }
     }
 
     #[cfg(test)]
     pub(crate) fn to_dense(&self) -> Mat<T> {
-        self.inner.to_dense()
+        match self {
+            Self::Dense { mat, .. } => mat.clone(),
+            Self::Hmat { h, .. } => h.to_dense(),
+        }
     }
 
     /// Closed-form flop count of factoring `S`, or 0 when the backend's
     /// compressed factorization has no closed form.
     pub fn factor_flops(&self, symmetric: bool) -> u64 {
-        self.inner.factor_flops(symmetric)
+        match self {
+            Self::Dense { mat, .. } => {
+                let n = mat.nrows() as u64;
+                if symmetric {
+                    n * n * n / 3
+                } else {
+                    2 * n * n * n / 3
+                }
+            }
+            // The hierarchical factorization's cost is data-dependent.
+            Self::Hmat { .. } => 0,
+        }
     }
 
     /// Factor `S` (consuming the accumulator). `panel_nb` is the blocked
@@ -160,330 +285,100 @@ impl<T: Scalar> SchurAcc<T> {
                 "SchurAcc::factor: eps must be finite and > 0, got {eps}"
             )));
         }
-        Ok(SchurFactor {
-            inner: self.inner.factor(symmetric, eps, panel_nb, tr)?,
-        })
+        match self {
+            Self::Dense { mat, charge } if symmetric => Ok(SchurFactor::DenseLdlt {
+                f: ldlt_in_place_nb(mat, panel_nb)?,
+                charge,
+            }),
+            Self::Dense { mat, charge } => Ok(SchurFactor::DenseLu {
+                f: lu_in_place_nb(mat, panel_nb)?,
+                charge,
+            }),
+            Self::Hmat {
+                mut h,
+                mut charge,
+                dirty,
+                ..
+            } => {
+                let eps = T::Real::from_f64_real(eps);
+                if symmetric {
+                    // A fully stored accumulator drops its upper blocks, so it
+                    // factors the same lower data a half-stored one holds (a
+                    // no-op on that).
+                    h.mirror_upper();
+                }
+                if dirty {
+                    // Final flush: the factorization must see the truncated
+                    // representation, not the formal accumulated sums.
+                    let mut span = tr.span(SpanKind::Compress);
+                    h.recompress_leaves(eps);
+                    span.add_bytes(h.byte_size());
+                    span.finish();
+                    charge.resize(h.byte_size(), "compressed Schur/A_ss")?;
+                }
+                let f = HLu::factor_traced(h, eps, tr)?;
+                charge.resize(f.byte_size(), "compressed Schur factors")?;
+                Ok(SchurFactor::Hlu { f, charge })
+            }
+        }
     }
 }
 
-/// Factored Schur complement, ready for multi-RHS solves. Wraps the
-/// backend's factored operator.
-pub struct SchurFactor<T: Scalar> {
-    inner: Box<dyn FactoredSchur<T>>,
+/// Factored Schur complement, ready for multi-RHS solves. Built by
+/// [`SchurAcc::factor`]; each variant keeps the accumulator's budget charge.
+pub enum SchurFactor<T: Scalar> {
+    /// Dense LDLᵀ of a symmetric SPIDO `S`.
+    DenseLdlt {
+        /// The factors.
+        f: LdltFactors<T>,
+        /// Their charge against the run's budget.
+        charge: MemCharge,
+    },
+    /// Dense LU of an unsymmetric SPIDO `S`.
+    DenseLu {
+        /// The factors.
+        f: LuFactors<T>,
+        /// Their charge against the run's budget.
+        charge: MemCharge,
+    },
+    /// H-LU (H-LDLᵀ on a half-stored symmetric `S`) of an HMAT `S`.
+    Hlu {
+        /// The factors.
+        f: HLu<T>,
+        /// Their charge against the run's budget.
+        charge: MemCharge,
+    },
 }
 
 impl<T: Scalar> SchurFactor<T> {
     /// Solve `S·X = B` in place (cluster-ordered surface indices).
     pub fn solve_in_place(&self, b: MatMut<'_, T>) {
-        self.inner.solve_in_place(b)
+        match self {
+            Self::DenseLdlt { f, .. } => csolve_dense::ldlt_solve_in_place(f, b),
+            Self::DenseLu { f, .. } => csolve_dense::lu_solve_in_place(f, b),
+            Self::Hlu { f, .. } => f.solve_in_place(b),
+        }
     }
 
     /// Storage pinned by the factors.
     pub fn byte_size(&self) -> usize {
-        self.inner.byte_size()
+        match self {
+            Self::DenseLdlt { f, .. } => f.byte_size(),
+            Self::DenseLu { f, .. } => f.byte_size(),
+            Self::Hlu { f, .. } => f.byte_size(),
+        }
     }
 
     /// Closed-form flop count of a `width`-column solve, or 0 when the
     /// backend has none.
     pub fn solve_flops(&self, width: usize) -> u64 {
-        self.inner.solve_flops(width)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SPIDO backend: one plain dense matrix.
-// ---------------------------------------------------------------------------
-
-/// Uncompressed dense accumulator (`DenseBackend::Spido`).
-pub(crate) struct DenseSchurAcc<T: Scalar> {
-    mat: Mat<T>,
-    charge: MemCharge,
-}
-
-impl<T: Scalar> DenseSchurAcc<T> {
-    pub(crate) fn init(bem: &BemOperator<T>, tracker: &Arc<MemTracker>) -> Result<Self> {
-        let ns = bem.n();
-        let bytes = ns * ns * std::mem::size_of::<T>();
-        let charge = tracker.charge(bytes, "dense Schur/A_ss")?;
-        // Block-wise assembly keeps cache behaviour sane.
-        let mut mat = Mat::<T>::zeros(ns, ns);
-        const BLK: usize = 512;
-        let mut c0 = 0;
-        while c0 < ns {
-            let c1 = (c0 + BLK).min(ns);
-            let blk = bem.assemble_block(0..ns, c0..c1);
-            mat.view_mut(0..ns, c0..c1).copy_from(blk.as_ref());
-            c0 = c1;
-        }
-        Ok(Self { mat, charge })
-    }
-}
-
-impl<T: Scalar> CompressionBackend<T> for DenseSchurAcc<T> {
-    fn axpy_block(
-        &mut self,
-        alpha: T,
-        r0: usize,
-        c0: usize,
-        panel: MatRef<'_, T>,
-        _eps: f64,
-        _tr: ScopeTracer<'_>,
-    ) -> Result<()> {
-        let (pm, pn) = (panel.nrows(), panel.ncols());
-        if r0 + pm > self.mat.nrows() || c0 + pn > self.mat.ncols() {
-            return Err(Error::DimensionMismatch {
-                context: "SchurAcc::axpy_block",
-                expected: (self.mat.nrows(), self.mat.ncols()),
-                got: (r0 + pm, c0 + pn),
-            });
-        }
-        let mut dst = self.mat.view_mut(r0..r0 + pm, c0..c0 + pn);
-        dst.axpy(alpha, panel);
-        Ok(())
-    }
-
-    fn bytes(&self) -> usize {
-        self.mat.byte_size()
-    }
-
-    #[cfg(test)]
-    fn to_dense(&self) -> Mat<T> {
-        self.mat.clone()
-    }
-
-    fn factor_flops(&self, symmetric: bool) -> u64 {
-        let n = self.mat.nrows() as u64;
-        if symmetric {
-            n * n * n / 3
-        } else {
-            2 * n * n * n / 3
-        }
-    }
-
-    fn factor(
-        self: Box<Self>,
-        symmetric: bool,
-        _eps: f64,
-        panel_nb: usize,
-        _tr: ScopeTracer<'_>,
-    ) -> Result<Box<dyn FactoredSchur<T>>> {
-        let this = *self;
-        let n = this.mat.nrows();
-        if symmetric {
-            let f = ldlt_in_place_nb(this.mat, panel_nb)?;
-            Ok(Box::new(DenseLdltFactor {
-                f,
-                n,
-                _charge: this.charge,
-            }))
-        } else {
-            let f = lu_in_place_nb(this.mat, panel_nb)?;
-            Ok(Box::new(DenseLuFactor {
-                f,
-                n,
-                _charge: this.charge,
-            }))
-        }
-    }
-}
-
-struct DenseLdltFactor<T: Scalar> {
-    f: csolve_dense::LdltFactors<T>,
-    n: usize,
-    _charge: MemCharge,
-}
-
-impl<T: Scalar> FactoredSchur<T> for DenseLdltFactor<T> {
-    fn solve_in_place(&self, b: MatMut<'_, T>) {
-        csolve_dense::ldlt_solve_in_place(&self.f, b)
-    }
-
-    fn byte_size(&self) -> usize {
-        self.f.byte_size()
-    }
-
-    fn solve_flops(&self, width: usize) -> u64 {
         // Two triangular solves on the n×n factor per column.
-        2 * (self.n as u64) * (self.n as u64) * (width as u64)
-    }
-}
-
-struct DenseLuFactor<T: Scalar> {
-    f: csolve_dense::LuFactors<T>,
-    n: usize,
-    _charge: MemCharge,
-}
-
-impl<T: Scalar> FactoredSchur<T> for DenseLuFactor<T> {
-    fn solve_in_place(&self, b: MatMut<'_, T>) {
-        csolve_dense::lu_solve_in_place(&self.f, b)
-    }
-
-    fn byte_size(&self) -> usize {
-        self.f.byte_size()
-    }
-
-    fn solve_flops(&self, width: usize) -> u64 {
-        2 * (self.n as u64) * (self.n as u64) * (width as u64)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flat H-matrix backend.
-// ---------------------------------------------------------------------------
-
-/// Compute the compressed backend's deferred-recompression policy, fixed
-/// deterministically at init: leaves accumulate formal rank up to half the
-/// leaf size before paying for a truncation, and the whole accumulator
-/// flushes when it has grown into a quarter of the budget headroom measured
-/// here.
-fn flush_policy(cfg: &SolverConfig, tracker: &MemTracker, base_bytes: usize) -> (usize, usize) {
-    let flush_rank = (cfg.hmat_leaf / 2).max(4);
-    let byte_cap = if tracker.budget() == usize::MAX {
-        usize::MAX
-    } else {
-        let headroom = tracker.budget().saturating_sub(tracker.live());
-        base_bytes.saturating_add(headroom / 4)
-    };
-    (flush_rank, byte_cap)
-}
-
-/// Flat hierarchical accumulator (`DenseBackend::Hmat`). On a symmetric
-/// system it is half-stored (the lower block triangle, see
-/// `csolve_hmat::hmatrix`) and factored as H-LDLᵀ.
-pub(crate) struct HmatSchurAcc<T: Scalar> {
-    h: HMatrix<T>,
-    charge: MemCharge,
-    flush_rank: usize,
-    byte_cap: usize,
-    dirty: bool,
-}
-
-impl<T: Scalar> HmatSchurAcc<T> {
-    pub(crate) fn init(
-        bem: &BemOperator<T>,
-        tree: &ClusterTree,
-        cfg: &SolverConfig,
-        tracker: &Arc<MemTracker>,
-        symmetric: bool,
-    ) -> Result<Self> {
-        let opts = HOptions {
-            eps: cfg.eps,
-            eta: cfg.hmat_eta,
-            max_rank: 512,
-            method: csolve_hmat::AssembleMethod::Aca,
-        };
-        let oracle = |i: usize, j: usize| bem.eval(i, j);
-        let h = if symmetric {
-            HMatrix::assemble_symmetric(tree, &oracle, &opts)
-        } else {
-            HMatrix::assemble_root(tree, tree, &oracle, &opts)
-        };
-        let charge = tracker.charge(h.byte_size(), "compressed Schur/A_ss")?;
-        let (flush_rank, byte_cap) = flush_policy(cfg, tracker, h.byte_size());
-        Ok(Self {
-            h,
-            charge,
-            flush_rank,
-            byte_cap,
-            dirty: false,
-        })
-    }
-}
-
-impl<T: Scalar> CompressionBackend<T> for HmatSchurAcc<T> {
-    fn axpy_block(
-        &mut self,
-        alpha: T,
-        r0: usize,
-        c0: usize,
-        panel: MatRef<'_, T>,
-        eps: f64,
-        tr: ScopeTracer<'_>,
-    ) -> Result<()> {
-        let mut span = tr.span(SpanKind::Compress);
-        self.h.try_axpy_dense_block_deferred(
-            alpha,
-            r0,
-            c0,
-            panel,
-            T::Real::from_f64_real(eps),
-            self.flush_rank,
-        )?;
-        self.dirty = true;
-        if self.h.byte_size() > self.byte_cap {
-            // The accumulator has outgrown its share of the budget:
-            // recompress everything now rather than carrying the formal
-            // sums to the next contribution.
-            self.h.recompress_leaves(T::Real::from_f64_real(eps));
-            self.dirty = false;
+        let dense = |n: usize| 2 * (n as u64) * (n as u64) * (width as u64);
+        match self {
+            Self::DenseLdlt { f, .. } => dense(f.ld.nrows()),
+            Self::DenseLu { f, .. } => dense(f.lu.nrows()),
+            // The hierarchical solve's cost has no closed form.
+            Self::Hlu { .. } => 0,
         }
-        span.add_bytes(self.h.byte_size());
-        span.finish();
-        self.charge
-            .resize(self.h.byte_size(), "compressed Schur/A_ss")
-    }
-
-    fn bytes(&self) -> usize {
-        self.h.byte_size()
-    }
-
-    #[cfg(test)]
-    fn to_dense(&self) -> Mat<T> {
-        self.h.to_dense()
-    }
-
-    fn factor_flops(&self, _symmetric: bool) -> u64 {
-        // The hierarchical factorization's cost is data-dependent.
-        0
-    }
-
-    fn factor(
-        self: Box<Self>,
-        symmetric: bool,
-        eps: f64,
-        _panel_nb: usize,
-        tr: ScopeTracer<'_>,
-    ) -> Result<Box<dyn FactoredSchur<T>>> {
-        let mut this = *self;
-        if symmetric {
-            // A fully stored accumulator drops its upper blocks, so it factors
-            // the same lower data a half-stored one holds (a no-op on that).
-            this.h.mirror_upper();
-        }
-        if this.dirty {
-            // Final flush: the factorization must see the truncated
-            // representation, not the formal accumulated sums.
-            let mut span = tr.span(SpanKind::Compress);
-            this.h.recompress_leaves(T::Real::from_f64_real(eps));
-            span.add_bytes(this.h.byte_size());
-            span.finish();
-            this.charge
-                .resize(this.h.byte_size(), "compressed Schur/A_ss")?;
-        }
-        let f = HLu::factor_traced(this.h, T::Real::from_f64_real(eps), tr)?;
-        let mut charge = this.charge;
-        charge.resize(f.byte_size(), "compressed Schur factors")?;
-        Ok(Box::new(HluFactor { f, _charge: charge }))
-    }
-}
-
-struct HluFactor<T: Scalar> {
-    f: HLu<T>,
-    _charge: MemCharge,
-}
-
-impl<T: Scalar> FactoredSchur<T> for HluFactor<T> {
-    fn solve_in_place(&self, b: MatMut<'_, T>) {
-        self.f.solve_in_place(b)
-    }
-
-    fn byte_size(&self) -> usize {
-        self.f.byte_size()
-    }
-
-    fn solve_flops(&self, _width: usize) -> u64 {
-        // The hierarchical solve's cost has no closed form.
-        0
     }
 }

@@ -22,9 +22,8 @@
 //! * **Batching** — individually [`SolverSession::submit`]ted right-hand
 //!   sides are coalesced into multi-column panels and pushed through the
 //!   BLAS-3 multi-RHS solve path, then demuxed per request. Panels flush
-//!   when [`SessionBuilder::max_batch`] requests are queued, when a queued
-//!   request exceeds [`SessionBuilder::max_latency`], or explicitly via
-//!   [`SolverSession::flush`]. Batched solves run under the dense layer's
+//!   when [`SessionBuilder::max_batch`] requests are queued, or explicitly
+//!   via [`SolverSession::flush`]. Batched solves run under the dense layer's
 //!   column-wise mode ([`csolve_dense::with_colwise_det`]), in which every
 //!   solve-phase kernel is *column-separable*: blocks of right-hand sides
 //!   share each load of the factors, yet every column goes through exactly
@@ -50,7 +49,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::config::{Algorithm, Metrics, SolverConfig};
 use crate::driver::{factorize_session, worker_pool, Recorder, SessionFactors};
@@ -297,7 +296,6 @@ pub struct SessionBuilder {
     memory_budget: Option<usize>,
     shared_tracker: Option<Arc<MemTracker>>,
     max_batch: usize,
-    max_latency: Option<Duration>,
 }
 
 impl SessionBuilder {
@@ -309,7 +307,6 @@ impl SessionBuilder {
             memory_budget: None,
             shared_tracker: None,
             max_batch: 0,
-            max_latency: None,
         }
     }
 
@@ -334,14 +331,6 @@ impl SessionBuilder {
     /// width). Submitting this many queued requests auto-flushes.
     pub fn max_batch(mut self, width: usize) -> Self {
         self.max_batch = width;
-        self
-    }
-
-    /// Maximum time a submitted request may wait for co-batched requests
-    /// before the queue auto-flushes. `None` (default): only explicit
-    /// [`SolverSession::flush`] or a full batch trigger a solve.
-    pub fn max_latency(mut self, latency: Duration) -> Self {
-        self.max_latency = Some(latency);
         self
     }
 
@@ -370,7 +359,6 @@ impl SessionBuilder {
             tracker,
             pool,
             max_batch,
-            max_latency: self.max_latency,
             cache: Vec::new(),
             clock: 0,
             next_id: 0,
@@ -411,7 +399,6 @@ pub struct SolverSession<T: Scalar> {
     tracker: Arc<MemTracker>,
     pool: rayon::ThreadPool,
     max_batch: usize,
-    max_latency: Option<Duration>,
     cache: Vec<CacheEntry<T>>,
     /// Logical LRU clock (bumped per submit; deterministic, unlike wall
     /// time).
@@ -428,7 +415,7 @@ impl<T: Scalar> SolverSession<T> {
     /// factorization immediately (cache hit, or miss + factorize with LRU
     /// eviction under budget pressure) and queues the request; the queue
     /// auto-flushes into [`SolverSession::flush`]'s buffer when it reaches
-    /// the batch width or a queued request exceeds the latency bound.
+    /// the batch width.
     pub fn submit(
         &mut self,
         problem: &CoupledProblem<T>,
@@ -486,10 +473,6 @@ impl<T: Scalar> SolverSession<T> {
         });
         if self.pending.len() >= self.max_batch {
             self.flush_pending()?;
-        } else if let Some(lat) = self.max_latency {
-            if self.pending.iter().any(|p| p.enqueued.elapsed() >= lat) {
-                self.flush_pending()?;
-            }
         }
         Ok(id)
     }

@@ -504,3 +504,42 @@ mod schur_acc_symmetric {
         assert!(bits(&x_half) == bits(&x_full), "solutions differ bitwise");
     }
 }
+
+/// The HMAT growth allowance is one decision: the bytes the accumulator's
+/// byte cap lets it grow past its footprint are exactly the bytes the
+/// autotuner withholds from the blockwise working sets at the same live
+/// bytes, and SPIDO, whose `S` never grows, withholds nothing.
+mod growth_allowance {
+    use csolve_common::MemTracker;
+    use csolve_hmat::ClusterTree;
+
+    use crate::autotune::usable_headroom;
+    use crate::config::{DenseBackend, SolverConfig};
+    use crate::schur::SchurAcc;
+
+    #[test]
+    fn hmat_byte_cap_growth_is_what_the_autotuner_withholds() {
+        let p = csolve_fembem::pipe_problem::<f64>(600);
+        for backend in DenseBackend::ALL {
+            let cfg = SolverConfig {
+                dense_backend: backend,
+                ..Default::default()
+            };
+            let tree = ClusterTree::build(&p.bem.points, cfg.hmat_leaf);
+            let bem = p.bem.permuted(&tree.perm);
+            let tracker = MemTracker::with_budget(64 << 20);
+            let _factors = tracker.charge(5 << 20, "sparse factors").unwrap();
+            let acc = SchurAcc::init(&bem, &tree, &cfg, &tracker).unwrap();
+            let headroom = tracker.budget() - tracker.live();
+            let withheld = headroom - usable_headroom(&cfg, &tracker);
+            let base_bytes = acc.bytes();
+            match acc {
+                SchurAcc::Dense { .. } => assert_eq!(withheld, 0),
+                SchurAcc::Hmat { byte_cap, .. } => {
+                    assert!(withheld > 0);
+                    assert_eq!(byte_cap - base_bytes, withheld);
+                }
+            }
+        }
+    }
+}

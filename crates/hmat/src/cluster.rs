@@ -34,11 +34,6 @@ impl ClusterNode {
     pub fn is_empty(&self) -> bool {
         self.begin == self.end
     }
-
-    /// Whether the cluster has no children.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_none()
-    }
 }
 
 /// Binary geometric cluster tree over a point cloud.

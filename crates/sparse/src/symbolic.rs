@@ -40,11 +40,6 @@ impl SupernodeInfo {
     pub fn front_size(&self) -> usize {
         self.rows.len()
     }
-
-    /// Order of the contribution block passed to the parent.
-    pub fn cb_size(&self) -> usize {
-        self.rows.len() - self.width()
-    }
 }
 
 /// Result of the symbolic analysis.
@@ -243,15 +238,6 @@ impl SymbolicFactorization {
             sn_of_col,
             factor_entries,
         })
-    }
-
-    /// Peak working-set estimate in *front entries* (largest single front).
-    pub fn max_front_size(&self) -> usize {
-        self.supernodes
-            .iter()
-            .map(|s| s.front_size())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Deterministic upper bound on the bytes one numeric

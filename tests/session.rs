@@ -427,10 +427,10 @@ fn fingerprint_knobs_cover_factorization_inputs_only() {
 // Batching knobs
 // ---------------------------------------------------------------------
 
-/// `max_batch` auto-flushes a full queue; `max_latency` flushes an aged
-/// queue; per-request info records the panel each request actually rode.
+/// `max_batch` auto-flushes a full queue; per-request info records the
+/// panel each request actually rode.
 #[test]
-fn batch_width_and_latency_knobs_drive_autoflush() {
+fn batch_width_knob_drives_autoflush() {
     let _g = lock();
     let p = pipe_problem::<f64>(400);
     let mut s = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
@@ -450,15 +450,6 @@ fn batch_width_and_latency_knobs_drive_autoflush() {
     assert_eq!(results[2].info.batch_width, 1);
     assert_eq!(s.stats().batches, 2);
     assert!(results.iter().all(|r| r.info.queue_wait_secs >= 0.0));
-
-    // A zero latency bound degenerates to solve-on-submit.
-    let mut eager = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
-        .max_batch(8)
-        .max_latency(Duration::ZERO)
-        .build::<f64>()
-        .unwrap();
-    eager.submit(&p, &b_v, &b_s).unwrap();
-    assert_eq!(eager.pending_len(), 0, "zero latency must flush on submit");
 }
 
 // ---------------------------------------------------------------------
@@ -693,6 +684,99 @@ fn session_trace_events_are_thread_count_invariant() {
 // ---------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------
+
+/// The session under a disturbed schedule: seeded pauses at every
+/// admission, finalize, hand-off and release, 8 threads on however many
+/// cores the host has. Two budgeted cells: the symmetric multi-factorization
+/// on SPIDO at the smallest power-of-two budget its sequential run fits, and
+/// the HMAT multi-solve at a budget that degrades its `BlockSizes::Auto`
+/// blocking. Whatever the interleaving, every column of a width-4 panel has
+/// the bits of a 1-thread one-shot `solve()`, within the budget.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn session_under_schedule_jitter_is_bitwise_and_in_budget_at_8_threads() {
+    use csolve::BlockSizes;
+    let guard = lock();
+    let p = pipe_problem::<f64>(1_000);
+    assert!(p.symmetric);
+    let mf_spido = SolverConfig { n_b: 3, ..cfg(1) };
+    let ms_hmat = SolverConfig {
+        eps: 1e-4,
+        dense_backend: DenseBackend::Hmat,
+        n_c: 32,
+        n_s: 128,
+        block_sizes: BlockSizes::Auto,
+        ..cfg(1)
+    };
+    let with = |base: &SolverConfig, budget: usize, num_threads: usize| SolverConfig {
+        mem_budget: Some(budget),
+        num_threads,
+        ..base.clone()
+    };
+    let mf_budget = (18..34)
+        .map(|shift| 1usize << shift)
+        .find(|&b| solve(&p, Algorithm::MultiFactorization, &with(&mf_spido, b, 1)).is_ok())
+        .expect("some budget fits the sequential run");
+    // Unbounded, `Auto` keeps the configured blocking.
+    let fixed_peak = solve(&p, Algorithm::MultiSolve, &ms_hmat)
+        .unwrap()
+        .metrics
+        .peak_bytes;
+    let ms_budget = [90, 80, 70, 60, 50]
+        .map(|pct| fixed_peak / 100 * pct)
+        .into_iter()
+        .find(|&b| {
+            solve(&p, Algorithm::MultiSolve, &with(&ms_hmat, b, 1))
+                .is_ok_and(|out| out.metrics.autotune.is_some_and(|d| d.degraded))
+        })
+        .expect("some scanned budget degrades the blocking and completes");
+
+    let cells = [
+        (Algorithm::MultiFactorization, &mf_spido, mf_budget),
+        (Algorithm::MultiSolve, &ms_hmat, ms_budget),
+    ];
+    for (algo, base, budget) in cells {
+        let refs: Vec<_> = (0..4u64)
+            .map(|k| {
+                let (b_v, b_s) = rhs(&p, k);
+                solve(&with_rhs(&p, b_v, b_s), algo, &with(base, budget, 1)).unwrap()
+            })
+            .collect();
+        for seed in 0..4u64 {
+            let run = format!(
+                "[jitter seed {seed}] {} under {budget} B at 8 thr",
+                algo.name()
+            );
+            guard.schedule_jitter(seed);
+            let mut s = SessionBuilder::new(with(base, budget, 8), algo)
+                .max_batch(4)
+                .build::<f64>()
+                .unwrap();
+            for k in 0..4u64 {
+                let (b_v, b_s) = rhs(&p, k);
+                s.submit(&p, &b_v, &b_s)
+                    .unwrap_or_else(|e| panic!("{run}: submit failed: {e}"));
+            }
+            let results = s
+                .flush()
+                .unwrap_or_else(|e| panic!("{run}: flush failed: {e}"));
+            assert_eq!(results.len(), 4, "{run}");
+            for (k, (r, one)) in results.iter().zip(&refs).enumerate() {
+                assert_eq!(
+                    r.info.batch_width, 4,
+                    "{run}: rhs {k} rode a narrower panel"
+                );
+                assert!(
+                    bits(&r.xv) == bits(&one.xv) && bits(&r.xs) == bits(&one.xs),
+                    "{run}: rhs {k} not bitwise-identical to the 1-thread one-shot solve"
+                );
+            }
+            let peak = s.stats().peak_bytes;
+            assert!(peak <= budget, "{run}: peak {peak} exceeds the budget");
+        }
+        guard.disarm();
+    }
+}
 
 /// A synthetic out-of-memory mid-refactorize (during a cache miss)
 /// surfaces as a structured error, leaves the cache unpoisoned, and the
