@@ -8,15 +8,19 @@
 //! c64 blocked-serial GEMM is not ≥ [`C64_VS_NAIVE_GATE`] times the naive
 //! reference of the same run, when any blocked GEMM measures below its
 //! naive reference, when the unpacked small-shape route is not
-//! ≥ [`SMALL_SHAPE_GATE`] times the packed route on the sparse panel solve's
-//! shapes (the `small_shape` rows), when a rounded low-rank addition costs
+//! ≥ [`SMALL_SHAPE_GATE`] times the packed route on 32-column panel updates
+//! (the `small_shape` rows), when a rounded low-rank addition costs
 //! more than [`RECOMPRESS_GATE`] rank-revealing QRs of the same block (the
 //! `recompress` rows), or when the chunked sparse panel solve at `P` threads
 //! takes more than [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
 //! `sparse_panel_solve` row; skipped, loudly, on a one-core host), or when a
 //! column-blocked solve kernel is less than [`COLUMN_BLOCKED_GATE`] times
 //! faster than one call per column on the same operands, or differs from
-//! those calls in a single bit (the `column_blocked` rows).
+//! those calls in a single bit (the `column_blocked` rows), or when a
+//! 32-wide sparse `solve_in_place` — its columns the lanes of one row-major
+//! workspace — is less than [`LANE_SOLVE_GATE`] times faster than 32 width-1
+//! solves of the same columns, or differs from them in a single bit (the
+//! `lane_solve` row).
 
 use std::time::Instant;
 
@@ -55,9 +59,9 @@ const GATE_MIN_N: usize = 192;
 /// 1.5–1.7× `NoTrans`, 1.27–1.7× `Trans`); a dispatch that fell back to
 /// packing reads 1.0.
 const SMALL_SHAPE_GATE: f64 = 1.3;
-/// Kernel name and `(m, k, n, op(A))` of the small-shape entries: one
-/// 32-column chunk of the sparse panel solve against a 300-row sub-diagonal
-/// panel of a 32-column supernode, forward (`L21·x1`) and backward (`L21ᵀ·x2`).
+/// Kernel name and `(m, k, n, op(A))` of the small-shape entries: a 32-column
+/// panel against a 300-row sub-diagonal panel of a 32-column supernode,
+/// forward (`L21·x1`) and backward (`L21ᵀ·x2`).
 const SMALL_SHAPES: [(&str, usize, usize, usize, Op); 2] = [
     ("gemm_300x32x32_N", 300, 32, 32, Op::NoTrans),
     ("gemm_32x300x32_T", 32, 300, 32, Op::Trans),
@@ -94,14 +98,26 @@ const PANEL_SOLVE_REPS: usize = 20;
 /// fell back to a per-column loop reads 1.0.
 const COLUMN_BLOCKED_GATE: f64 = 2.0;
 /// Shapes of the `column_blocked` rows: the diagonal block of a wide
-/// supernode against one chunk of the sparse panel solve, and a supernode's
-/// sub-diagonal panel against one warm session panel.
+/// supernode against a 32-column panel, and a supernode's sub-diagonal panel
+/// against one warm session panel.
 const BLOCKED_TRSM_K: usize = 64;
 const BLOCKED_TRSM_NRHS: usize = 32;
 const BLOCKED_GEMM_SHAPE: (usize, usize, usize) = (300, 64, 8);
 /// Best of this many batches of [`BLOCKED_INNER`] calls (one call is µs).
 const BLOCKED_REPS: usize = 9;
 const BLOCKED_INNER: usize = 400;
+
+/// Floor of the `lane_solve` row's `ratio` under `--smoke`: 32 width-1
+/// `solve_in_place` calls over one 32-wide call on the same columns of
+/// pipe-[`PANEL_SOLVE_N`], one thread, same run, the two alternating
+/// repetition by repetition. About half the ratio measured on a 2-core
+/// AVX-512 host, 7.4–10.0 (EXPERIMENTS.md); a solve whose lanes ran one
+/// column at a time would read ≈ 1.
+const LANE_SOLVE_GATE: f64 = 4.0;
+/// Right-hand sides of the `lane_solve` row: one full workspace.
+const LANE_SOLVE_COLS: usize = 32;
+/// Best of this many of each side (one 32-wide solve is a few ms).
+const LANE_SOLVE_REPS: usize = 7;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -387,6 +403,71 @@ fn panel_solve_row() -> PanelSolveRow {
     }
 }
 
+/// The `lane_solve` row.
+struct LaneSolveRow {
+    /// One [`LANE_SOLVE_COLS`]-wide `solve_in_place`.
+    seconds_panel: f64,
+    /// One width-1 `solve_in_place` per column.
+    seconds_columns: f64,
+    /// `seconds_columns / seconds_panel`.
+    ratio: f64,
+    /// Whether the two outputs are equal bit for bit.
+    bitwise: bool,
+}
+
+/// Time one [`LANE_SOLVE_COLS`]-wide `solve_in_place` of the leading columns
+/// of `A_vs` against the factored `A_vv` of pipe-[`PANEL_SOLVE_N`] and one
+/// width-1 call per column, one thread, and compare their outputs bitwise.
+fn lane_solve_row() -> LaneSolveRow {
+    let p = csolve::pipe_problem::<f64>(PANEL_SOLVE_N);
+    let fact = factorize(&p.a_vv, &SparseOptions::default()).expect("A_vv factors");
+    let rows: Vec<usize> = (0..p.a_vs.nrows).collect();
+    let cols: Vec<usize> = (0..LANE_SOLVE_COLS.min(p.a_vs.ncols)).collect();
+    let b = p.a_vs.submatrix(&rows, &cols).to_dense();
+    let n = b.nrows();
+    let panel = || {
+        let mut x = b.clone();
+        let t0 = Instant::now();
+        fact.solve_in_place(&mut x).expect("complete factorization");
+        (t0.elapsed().as_secs_f64(), x)
+    };
+    let columns = || {
+        let mut x = b.clone();
+        let t0 = Instant::now();
+        for j in 0..x.ncols() {
+            let mut xj = Mat::from_col_major(n, 1, x.col(j).to_vec());
+            fact.solve_in_place(&mut xj)
+                .expect("complete factorization");
+            x.col_mut(j).copy_from_slice(xj.col(0));
+        }
+        (t0.elapsed().as_secs_f64(), x)
+    };
+    // The two sides take turns repetition by repetition (see
+    // `panel_solve_row`).
+    let mut seconds = [f64::INFINITY; 2];
+    let mut xs = [None, None];
+    pool(1).install(|| {
+        for _ in 0..LANE_SOLVE_REPS {
+            for (k, side) in [&panel as &dyn Fn() -> (f64, Mat<f64>), &columns]
+                .into_iter()
+                .enumerate()
+            {
+                let (secs, x) = side();
+                seconds[k] = seconds[k].min(secs);
+                xs[k] = Some(x);
+            }
+        }
+    });
+    let [xp, xc] = xs.map(|x| x.expect("at least one repetition"));
+    let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    LaneSolveRow {
+        seconds_panel: seconds[0],
+        seconds_columns: seconds[1],
+        ratio: seconds[1] / seconds[0],
+        bitwise: bits(&xp) == bits(&xc),
+    }
+}
+
 /// One `column_blocked` row.
 struct ColumnBlockedRow {
     kernel: &'static str,
@@ -528,10 +609,22 @@ fn gate(
     recompress: &[RecompressRow],
     panel: &PanelSolveRow,
     blocked: &[ColumnBlockedRow],
+    lanes: &LaneSolveRow,
 ) -> Vec<String> {
     let mut fails = Vec::new();
-    // Contract 6: the sparse panel solve's products run unpacked, and that
-    // is worth having (real scalars; complex ones have no vector tile yet).
+    // Contract 7: a sparse multi-RHS solve runs its columns as the lanes of
+    // one workspace, with each column's width-1 bits.
+    if !lanes.bitwise {
+        fails.push("lane_solve: the 32-wide solve differs from its width-1 solves".into());
+    }
+    if lanes.ratio < LANE_SOLVE_GATE {
+        fails.push(format!(
+            "lane_solve: the 32-wide solve is {:.2}x its width-1 solves < {LANE_SOLVE_GATE}",
+            lanes.ratio
+        ));
+    }
+    // Contract 6: 32-column panel products run unpacked, and that is worth
+    // having (real scalars; complex ones have no vector tile yet).
     for e in entries
         .iter()
         .filter(|e| e.variant == "dispatch" && e.scalar == "f64")
@@ -732,10 +825,21 @@ fn main() {
         );
     }
 
+    let lanes = lane_solve_row();
+    println!(
+        "\nlane solve: solve_in_place of {LANE_SOLVE_COLS} columns of A_vs on pipe-{PANEL_SOLVE_N}, \
+         one thread: one {LANE_SOLVE_COLS}-wide call {:.4} s, {LANE_SOLVE_COLS} width-1 calls {:.4} s, \
+         ratio {:.2}, bitwise {}",
+        lanes.seconds_panel,
+        lanes.seconds_columns,
+        lanes.ratio,
+        if lanes.bitwise { "yes" } else { "NO" }
+    );
+
     if smoke {
         smoke_epilogue(
             "kernels_report",
-            &gate(&entries, &recompress, &panel, &blocked),
+            &gate(&entries, &recompress, &panel, &blocked, &lanes),
         );
     }
 }

@@ -135,10 +135,13 @@ pub struct AutotuneDecision {
 /// `n_c`-column sparse solve. Mirrors the pipeline's per-panel admission
 /// reserve exactly — including its deliberate slack: the 2× is the old
 /// whole-panel permuted copy, while the chunked solve holds only `n_v·n_c`
-/// plus `n_v·32` per live chunk. Both stay at the old worst case so
-/// tracked peaks and `BlockSizes::Auto` decisions do not move; the follow-up
-/// is to reserve `n_v·(n_c + 32·threads)` here and in the driver together,
-/// which admits a larger `n_c` under the same budget.
+/// plus one `n_v × 32` lane workspace per live chunk. Both stay at the old
+/// worst case so tracked peaks and `BlockSizes::Auto` decisions do not move.
+/// A tighter reserve must stay thread-invariant — a per-thread term such as
+/// `n_v·32·threads` would make `Auto`'s choice, and so the bits, depend on
+/// the thread count — so the follow-up is the bound `n_v·n_c` plus at most
+/// `n_c/32` live `n_v × 32` chunks per panel, here and in the driver
+/// together (ROADMAP item 14).
 pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
     let w = n_s.min(stats.ns.max(1));
     (stats.ns * w + 2 * stats.nv * n_c.min(w)) * stats.elem

@@ -652,11 +652,14 @@ impl<T: Scalar> SessionFactors<T> {
     /// `b_s` is `ns × w`, both column-major in the *original* index order;
     /// the returned `(xv, xs)` panels use the same layout and ordering.
     ///
-    /// The whole panel runs under [`csolve_dense::with_colwise_det`], so
-    /// column `j` of the result is bitwise-identical to a width-1 solve of
+    /// Column `j` of the result is bitwise-identical to a width-1 solve of
     /// that right-hand side — which is what [`solve`] is — with the same
     /// configuration and factors: the demuxed per-request solutions match
-    /// the sequential one-RHS path bit for bit at every thread count.
+    /// the sequential one-RHS path bit for bit at every thread count. The
+    /// sparse solves give each column its width-1 bits by layout (one lane
+    /// of a row-major workspace); the dense and H-matrix parts — the Schur
+    /// solve and the coupling products — get them from
+    /// [`csolve_dense::with_colwise_det`], under which the panel runs.
     pub(crate) fn solve_panel(
         &self,
         b_v: &[T],
@@ -1058,11 +1061,13 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
                 // Worst-case working set of this panel: its Z panel plus one
                 // inner sparse solve's Y, priced at 2× — the solver's old
                 // whole-panel permuted copy. The chunked solve really holds
-                // `n_v·n_c` plus `n_v·32` per live chunk; the reserve is kept
-                // at the old worst case on purpose, so tracked peaks and
-                // `BlockSizes::Auto` decisions do not move. Follow-up:
-                // reserve `n_v·(n_c + 32·threads)`, which buys a larger
-                // `n_c` under the same budget.
+                // `n_v·n_c` plus one `n_v × 32` lane workspace per live
+                // chunk; the reserve is kept at the old worst case on
+                // purpose, so tracked peaks and `BlockSizes::Auto` decisions
+                // do not move. Follow-up (ROADMAP item 14): the
+                // thread-invariant bound — `n_v·n_c` plus at most `n_c/32`
+                // live `n_v × 32` chunks — never a per-thread term, which
+                // would make `Auto`'s choice depend on the thread count.
                 let reserve = (ns * cols.len() + 2 * nv * n_c.min(cols.len())) * elem;
                 Block {
                     rows: 0..ns,

@@ -23,15 +23,17 @@
 //!   sides are coalesced into multi-column panels and pushed through the
 //!   BLAS-3 multi-RHS solve path, then demuxed per request. Panels flush
 //!   when [`SessionBuilder::max_batch`] requests are queued, or explicitly
-//!   via [`SolverSession::flush`]. Batched solves run under the dense layer's
-//!   column-wise mode ([`csolve_dense::with_colwise_det`]), in which every
-//!   solve-phase kernel is *column-separable*: blocks of right-hand sides
-//!   share each load of the factors, yet every column goes through exactly
-//!   the operation sequence of a one-column solve. So every demuxed solution
-//!   is **bitwise identical** to the sequential one-request path at any
-//!   panel width and any thread count — and the sparse panel solves may
-//!   hand column groups of one panel to different threads without changing
-//!   a bit.
+//!   via [`SolverSession::flush`]. Every solve-phase kernel is
+//!   *column-separable*: blocks of right-hand sides share each load of the
+//!   factors, yet every column goes through exactly the operation sequence
+//!   of a one-column solve. The sparse solves have that by layout — a column
+//!   is one lane of a row-major workspace ([`csolve_dense::lane`]), so they
+//!   may hand column groups of one panel to different threads without
+//!   changing a bit; the dense and H-matrix Schur solve and the coupling
+//!   products get it from the dense layer's column-wise mode
+//!   ([`csolve_dense::with_colwise_det`]), under which batched solves run.
+//!   So every demuxed solution is **bitwise identical** to the sequential
+//!   one-request path at any panel width and any thread count.
 //! * **Admission control** — each panel's working set is charged against
 //!   the memory budget before it runs. Under pressure the session degrades
 //!   gracefully: it first shrinks the panel width (halving until the

@@ -113,12 +113,13 @@ thread_local! {
 /// multiplier — while blocks of columns share every load of `A`
 /// (`gemm_colwise`). The packed path cannot offer that: its naive/packed
 /// dispatch reads the width, and its FMA/slab accumulation order differs
-/// from `matvec`'s. The session layer wraps its batched panel solves in
-/// this mode so a multi-RHS solve demuxes into per-request solutions that
-/// match the one-RHS path bit for bit. The flag is thread-local: it cannot
-/// leak into concurrent solves on other threads — and it does not follow a
-/// fork, so code that spreads a panel's columns over helper threads
-/// re-enters the mode on each of them (see [`colwise_det_forced`]).
+/// from `matvec`'s. The session layer wraps the dense and H-matrix parts of
+/// its batched panel solves in this mode — the Schur solve and the coupling
+/// products — so a multi-RHS solve demuxes into per-request solutions that
+/// match the one-RHS path bit for bit (the sparse solve needs no mode: its
+/// row-major lane kernels, [`crate::lane`], have that property by layout).
+/// The flag is thread-local: it cannot leak into concurrent solves on other
+/// threads — and it does not follow a fork.
 pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
     COLWISE_DET.with(|s| {
         let prev = s.replace(true);
@@ -129,11 +130,8 @@ pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// True when GEMMs invoked from this thread run column-wise (the caller is
-/// inside [`with_colwise_det`]). In that mode no result bit depends on which
-/// columns share a call, so a solver may hand column groups of one panel to
-/// different threads — each of which must re-enter [`with_colwise_det`],
-/// because the flag does not follow a fork.
-pub fn colwise_det_forced() -> bool {
+/// inside [`with_colwise_det`]).
+pub(crate) fn colwise_det_forced() -> bool {
     COLWISE_DET.with(Cell::get)
 }
 
@@ -142,8 +140,8 @@ pub fn colwise_det_forced() -> bool {
 const SMALL_GEMM_FLOPS: f64 = 1.6e4;
 
 /// Widest `op(B)` of a real product the unpacked tiles still take past
-/// [`SMALL_GEMM_FLOPS`]: four register tiles, the chunk width of the sparse
-/// panel solve. A packed element of `A` would serve four tiles only.
+/// [`SMALL_GEMM_FLOPS`]: four register tiles. A packed element of `A` would
+/// serve four tiles only.
 const NARROW_COLS: usize = 4 * NR;
 
 /// Whether a product runs on the unpacked small-shape route: a pure function
@@ -778,7 +776,7 @@ fn colwise_dot_tile<T: Scalar, const MB: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::Isa;
+    use crate::simd::host_isas;
     use csolve_common::C64;
     use rand::SeedableRng;
 
@@ -952,24 +950,6 @@ mod tests {
         assert!(y.iter().all(|v| v.is_finite()));
     }
 
-    /// Every tile body this host can run: the portable one always, the
-    /// vector ones when the CPU has them.
-    fn host_isas() -> Vec<Isa> {
-        let mut isas = vec![Isa::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                isas.push(Isa::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                isas.push(Isa::Avx512);
-            }
-        }
-        isas
-    }
-
     /// A GEMM entry point: [`gemm_packed`] or [`gemm_small`].
     type Route<T> = fn(T, MatRef<'_, T>, Op, MatRef<'_, T>, Op, T, MatMut<'_, T>);
 
@@ -1054,7 +1034,7 @@ mod tests {
     #[test]
     fn route_choice_is_a_function_of_shape_ops_and_scalar() {
         let (n, t) = (Op::NoTrans, Op::Trans);
-        // The sparse panel solve's shapes run unpacked …
+        // 32-column panel updates run unpacked …
         assert!(takes_small_route::<f64>(300, 32, 32, n, n));
         assert!(takes_small_route::<f64>(32, 32, 300, t, n));
         // … wide or fork-sized products, and doubly transposed ones, packed;

@@ -25,6 +25,7 @@
 pub mod cache;
 pub mod factor;
 pub mod gemm;
+pub mod lane;
 pub mod mat;
 mod pack;
 mod simd;

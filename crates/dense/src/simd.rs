@@ -1,8 +1,9 @@
 //! The vector registers the GEMM register tiles are written against.
 //!
 //! A tile (the packed 16×8 microkernel in `pack`, the unpacked axpy and dot
-//! tiles in `small`) is one generic body over [`Lanes`]: a register of `W`
-//! elements with loads, masked edge loads/stores, a multiply-add and a
+//! tiles in `small`, the row kernels of the multi-RHS solve in `lane`) is one
+//! generic body over [`Lanes`]: a register of `W` elements with loads, masked
+//! edge loads/stores, a multiply-add — also under a lane mask — and a
 //! horizontal sum. Three implementations exist:
 //!
 //! * [`Avx512`] — 8 × `f64` in a `zmm`, `vfmadd` (one rounding per
@@ -53,6 +54,24 @@ pub(crate) fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// Every tile body this host can run: the portable one always, the vector
+/// ones when the CPU has them.
+#[cfg(test)]
+pub(crate) fn host_isas() -> Vec<Isa> {
+    let mut isas = vec![Isa::Portable];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            isas.push(Isa::Avx2);
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            isas.push(Isa::Avx512);
+        }
+    }
+    isas
+}
+
 /// The widest tile body this host can run.
 pub(crate) fn isa() -> Isa {
     #[cfg(test)]
@@ -95,6 +114,10 @@ pub(crate) trait Lanes {
     type V: Copy;
     /// Elements per register.
     const W: usize;
+    /// Registers the instruction set has: what a kernel may keep live.
+    const REGS: usize;
+    /// One flag per lane.
+    type M: Copy;
     unsafe fn splat(x: Self::E) -> Self::V;
     /// `W` elements at `p`.
     unsafe fn load(p: *const Self::E) -> Self::V;
@@ -115,6 +138,16 @@ pub(crate) trait Lanes {
     }
     /// The sum of the lanes of each of four registers, in one fixed order.
     unsafe fn sum4(v: [Self::V; 4]) -> [Self::E; 4];
+    /// The lanes of `v` that are not an exact zero (`-0.0` is one; a NaN is
+    /// not).
+    unsafe fn nonzero(v: Self::V) -> Self::M;
+    /// The lanes set in `a` or in `b`.
+    unsafe fn or(a: Self::M, b: Self::M) -> Self::M;
+    /// Whether no lane is set.
+    unsafe fn none(m: Self::M) -> bool;
+    /// `a·b + c` in the lanes set in `m`, `c` in the others — the same
+    /// rounding as [`Lanes::mul_add`] where it acts.
+    unsafe fn mul_add_where(m: Self::M, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
 }
 
 /// 8 × `f64` with AVX-512F.
@@ -134,6 +167,8 @@ impl Lanes for Avx512 {
     type E = f64;
     type V = __m512d;
     const W: usize = 8;
+    const REGS: usize = 32;
+    type M = __mmask8;
     #[inline(always)]
     unsafe fn splat(x: f64) -> __m512d {
         _mm512_set1_pd(x)
@@ -175,6 +210,22 @@ impl Lanes for Avx512 {
         );
         std::mem::transmute(sums)
     }
+    #[inline(always)]
+    unsafe fn nonzero(v: __m512d) -> __mmask8 {
+        _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_pd())
+    }
+    #[inline(always)]
+    unsafe fn or(a: __mmask8, b: __mmask8) -> __mmask8 {
+        a | b
+    }
+    #[inline(always)]
+    unsafe fn none(m: __mmask8) -> bool {
+        m == 0
+    }
+    #[inline(always)]
+    unsafe fn mul_add_where(m: __mmask8, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        _mm512_mask3_fmadd_pd(a, b, c, m)
+    }
 }
 
 /// 4 × `f64` with AVX2 + FMA.
@@ -194,6 +245,8 @@ impl Lanes for Avx2 {
     type E = f64;
     type V = __m256d;
     const W: usize = 4;
+    const REGS: usize = 16;
+    type M = __m256d;
     #[inline(always)]
     unsafe fn splat(x: f64) -> __m256d {
         _mm256_set1_pd(x)
@@ -223,6 +276,22 @@ impl Lanes for Avx2 {
         );
         std::mem::transmute(sums)
     }
+    #[inline(always)]
+    unsafe fn nonzero(v: __m256d) -> __m256d {
+        _mm256_cmp_pd::<_CMP_NEQ_UQ>(v, _mm256_setzero_pd())
+    }
+    #[inline(always)]
+    unsafe fn or(a: __m256d, b: __m256d) -> __m256d {
+        _mm256_or_pd(a, b)
+    }
+    #[inline(always)]
+    unsafe fn none(m: __m256d) -> bool {
+        _mm256_movemask_pd(m) == 0
+    }
+    #[inline(always)]
+    unsafe fn mul_add_where(m: __m256d, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+        _mm256_blendv_pd(c, _mm256_fmadd_pd(a, b, c), m)
+    }
 }
 
 /// Four elements of any scalar type, no instruction-set assumption.
@@ -232,6 +301,8 @@ impl<T: Scalar> Lanes for Portable<T> {
     type E = T;
     type V = [T; 4];
     const W: usize = 4;
+    const REGS: usize = 16;
+    type M = [bool; 4];
     #[inline(always)]
     unsafe fn splat(x: T) -> [T; 4] {
         [x; 4]
@@ -261,5 +332,21 @@ impl<T: Scalar> Lanes for Portable<T> {
     #[inline(always)]
     unsafe fn sum4(v: [[T; 4]; 4]) -> [T; 4] {
         v.map(|v| (v[0] + v[2]) + (v[1] + v[3]))
+    }
+    #[inline(always)]
+    unsafe fn nonzero(v: [T; 4]) -> [bool; 4] {
+        v.map(|x| x != T::ZERO)
+    }
+    #[inline(always)]
+    unsafe fn or(a: [bool; 4], b: [bool; 4]) -> [bool; 4] {
+        std::array::from_fn(|l| a[l] || b[l])
+    }
+    #[inline(always)]
+    unsafe fn none(m: [bool; 4]) -> bool {
+        m == [false; 4]
+    }
+    #[inline(always)]
+    unsafe fn mul_add_where(m: [bool; 4], a: [T; 4], b: [T; 4], c: [T; 4]) -> [T; 4] {
+        std::array::from_fn(|l| if m[l] { a[l] * b[l] + c[l] } else { c[l] })
     }
 }

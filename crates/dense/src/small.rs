@@ -3,9 +3,8 @@
 //!
 //! Packing pays when every packed element is reused across many register
 //! tiles. Below that — a product of a few thousand flops, or one whose
-//! `op(B)` is a few register tiles wide, like the sparse panel solve's
-//! `t×k · k×32` and `k×t · t×32` updates — the copies cost as much as the
-//! arithmetic. This route computes `C ← α·op(A)·op(B) + β·C` straight from
+//! `op(B)` is a few register tiles wide, like a `t×k · k×32` or `k×t ·
+//! t×32` panel update — the copies cost as much as the arithmetic. This route computes `C ← α·op(A)·op(B) + β·C` straight from
 //! the operands with two tiles over [`Lanes`]:
 //!
 //! * `op(A) = A` — an **axpy tile**: `RV` registers of rows × `NC` columns of

@@ -17,7 +17,9 @@
 //! same order, same skip of an exact-zero multiplier. A column's bits
 //! therefore never depend on the panel it rides in. The recursion above the
 //! cutoff adds [`gemm`] updates, which have that property under
-//! [`crate::with_colwise_det`] only.
+//! [`crate::with_colwise_det`] only — the mode the dense Schur solve runs
+//! in. The sparse multi-RHS solve does not come through here: its
+//! triangles are row updates of the lane kernels ([`crate::lane`]).
 
 use csolve_common::Scalar;
 use rayon::prelude::*;

@@ -29,11 +29,12 @@ use csolve_common::{
     ByteSized, Error, MemCharge, MemTracker, RealScalar, Result, Scalar, ScopeTracer, SpanKind,
     TraceEventKind, Tracer,
 };
-use csolve_dense::gemm::colwise_det_forced;
-use csolve_dense::{
-    gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, with_colwise_det, Diag, Mat, MatMut, MatRef,
-    Op, Tri,
+use csolve_dense::lane::{
+    self, LaneBuf, LaneShape, Rows,
+    Rows::From,
+    Update::{Add, Sub, SubNonzero},
 };
+use csolve_dense::{partial_ldlt_nb, partial_lu_nb, Diag, Mat, MatMut, MatRef, Op, Tri};
 use csolve_lowrank::LowRank;
 use rayon::prelude::*;
 
@@ -54,46 +55,37 @@ pub const BLR_MIN_COLS: usize = 16;
 
 /// Column-chunk width of [`SparseFactorization::solve_sparse_rhs`]: the
 /// right-hand side is solved 32 columns at a time, each chunk an independent
-/// task with its own `n × 32` workspace and its own etree reach. The width
-/// is fixed — never derived from the thread count — so every column meets
-/// the same dense-kernel shapes at any thread count and the output is
-/// bitwise thread-invariant by construction. (Splitting a panel into
-/// thread-count-dependent halves was measured and is *not* bitwise stable
-/// here: outside `with_colwise_det` the GEMM dispatch reads the panel width.
-/// Inside that mode it is stable, and [`for_col_groups`] does exactly that
-/// for `solve_in_place`.)
+/// task with its own `n × 32` row-major workspace ([`csolve_dense::lane`]:
+/// four `zmm` registers per unknown) and its own etree reach. It is also the
+/// widest group [`for_col_groups`] hands a thread. The bit contract holds by
+/// layout: every lane of a workspace runs the operation sequence of a
+/// width-1 solve, so neither this width nor the thread count can move a bit.
 /// 32 beat 16 end-to-end: budgeted pipe-16k multi-solve `solve_s` at two
 /// threads 1.40–1.66 s (1.43–1.45 s on the issue's authoring host) against
 /// 1.76–1.79 s (1.73–2.03 s there).
 const SOLVE_CHUNK_COLS: usize = 32;
 
-/// Narrowest column group [`for_col_groups`] hands a thread: the register
-/// block of the dense layer's column-blocked solve kernels (`trsm_left`'s
-/// base case, `gemm` under `with_colwise_det`), so no group is left with
-/// only the single-column remainder path. Bits do not depend on it.
-const SOLVE_GROUP_COLS: usize = 4;
+/// Column groups [`for_col_groups`] cuts are a whole number of these: one
+/// 512-bit register of `f64` lanes. A narrower group would leave lanes of
+/// every register idle on each thread. Bits do not depend on it.
+const SOLVE_GROUP_COLS: usize = 8;
 
-/// Run `f` over the columns of `b` — split, *when the caller is inside
-/// `csolve_dense::with_colwise_det`*, into one group of whole register
-/// blocks per thread. That mode is the only one in which a column split
-/// provably cannot change bits: every kernel under it gives a column the
-/// same operation sequence whatever columns share its call, whereas the
-/// packed GEMM's naive/packed dispatch reads the panel width. One fork per
-/// call, never per supernode (the vendored rayon spawns a thread per item).
-/// The flag is thread-local, so each group re-enters the mode itself — a
-/// helper thread that did not would silently take the packed path.
+/// Run `f` over the columns of `b` in groups of at most
+/// [`SOLVE_CHUNK_COLS`] — one group per idle thread when the panel is wide
+/// enough, each a whole number of [`SOLVE_GROUP_COLS`]. Any split is safe:
+/// a column is one lane of its group's workspace and gets the bits of its
+/// width-1 solve whichever columns share the group. One fork per call, never
+/// per supernode (the vendored rayon spawns a thread per item).
 fn for_col_groups<T: Scalar>(b: MatMut<'_, T>, f: impl Fn(MatMut<'_, T>) + Send + Sync) {
-    let groups = rayon::current_num_threads().min(b.ncols() / SOLVE_GROUP_COLS);
-    if groups < 2 || !colwise_det_forced() {
-        return f(b);
+    if b.ncols() == 0 {
+        return;
     }
     let width = b
         .ncols()
-        .div_ceil(groups)
-        .next_multiple_of(SOLVE_GROUP_COLS);
-    b.col_chunks_mut(width)
-        .into_par_iter()
-        .for_each(|group| with_colwise_det(|| f(group)));
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(SOLVE_GROUP_COLS)
+        .min(SOLVE_CHUNK_COLS);
+    b.col_chunks_mut(width).into_par_iter().for_each(f);
 }
 
 /// Factorization kind.
@@ -175,69 +167,6 @@ impl<T> ByteSized for Panel<T> {
 }
 
 impl<T: Scalar> Panel<T> {
-    /// `c ← β·c + α·P·b` (dense multiply through the panel; `β = 0`
-    /// overwrites whatever `c` held).
-    fn mul(&self, alpha: T, b: csolve_dense::MatRef<'_, T>, beta: T, c: MatMut<'_, T>) {
-        match self {
-            Panel::Empty => {}
-            Panel::Dense(m) => gemm(alpha, m.as_ref(), Op::NoTrans, b, Op::NoTrans, beta, c),
-            Panel::Compressed(lr) => lr.mul_dense(alpha, b, Op::NoTrans, beta, c),
-        }
-    }
-
-    /// The panel's entries when it is empty or stored dense with one row or
-    /// one column — what a width-1 supernode keeps below (`L`) and beside
-    /// (`U`) its pivot, in front-row order (such a panel is below the BLR
-    /// size gate).
-    fn as_vector(&self) -> Option<&[T]> {
-        match self {
-            Panel::Empty => Some(&[]),
-            Panel::Dense(m) if m.nrows().min(m.ncols()) == 1 => Some(m.data()),
-            _ => None,
-        }
-    }
-
-    /// `c ← c + α·Pᵀ·b` (plain transpose). `scratch` holds the compressed
-    /// form's `rank × nrhs` intermediate (`rank ≤ c.nrows()`).
-    fn mul_t_acc(
-        &self,
-        alpha: T,
-        b: csolve_dense::MatRef<'_, T>,
-        c: MatMut<'_, T>,
-        scratch: &mut [T],
-    ) {
-        match self {
-            Panel::Empty => {}
-            Panel::Dense(m) => gemm(alpha, m.as_ref(), Op::Trans, b, Op::NoTrans, T::ONE, c),
-            Panel::Compressed(lr) => {
-                if lr.rank() == 0 {
-                    return;
-                }
-                // (U·Vᵀ)ᵀ·b = V·(Uᵀ·b); β = 0 overwrites the stale scratch.
-                let (r, nrhs) = (lr.rank(), b.ncols());
-                let mut tmp = MatMut::from_col_major(r, nrhs, &mut scratch[..r * nrhs]);
-                gemm(
-                    T::ONE,
-                    lr.u.as_ref(),
-                    Op::Trans,
-                    b,
-                    Op::NoTrans,
-                    T::ZERO,
-                    tmp.rb_mut(),
-                );
-                gemm(
-                    alpha,
-                    lr.v.as_ref(),
-                    Op::NoTrans,
-                    tmp.rb(),
-                    Op::NoTrans,
-                    T::ONE,
-                    c,
-                );
-            }
-        }
-    }
-
     fn is_compressed(&self) -> bool {
         matches!(self, Panel::Compressed(_))
     }
@@ -804,10 +733,12 @@ impl<T: Scalar> SparseFactorization<T> {
     /// Solve `A·X = B` in place (original index order, dense multi-RHS).
     /// Only valid for complete factorizations (no Schur variables).
     ///
-    /// Called inside `csolve_dense::with_colwise_det`, every column comes
-    /// out with the bits of its own width-1 solve, and a panel of two or
-    /// more register blocks is solved as per-thread column groups on
-    /// whatever threads the caller's pool has idle.
+    /// The columns are solved as the lanes of row-major workspaces
+    /// ([`csolve_dense::lane`]) in groups of at most 32, on whatever threads
+    /// the caller's pool has idle. The bit contract holds by layout: every
+    /// lane runs the operation sequence of a width-1 solve, so column `j`
+    /// comes out with the bits of its own width-1 solve whatever the width
+    /// of `b`, the grouping and the thread count — no kernel mode to enter.
     pub fn solve_in_place(&self, b: &mut Mat<T>) -> Result<()> {
         if self.symbolic.n_schur != 0 {
             return Err(Error::InvalidConfig(
@@ -824,9 +755,9 @@ impl<T: Scalar> SparseFactorization<T> {
         let marked = vec![true; self.sns.len()];
         let d = self.gather_d();
         for_col_groups(b.as_mut(), |x| {
-            let mut bp = self.permute_rhs(x.rb());
-            self.solve_permuted(bp.as_mut(), &marked, &d);
-            self.unpermute_into(bp.as_ref(), x);
+            let mut ws = self.permute_rhs(x.rb());
+            self.solve_permuted(&mut ws, &marked, &d);
+            self.unpermute_into(&ws, x);
         });
         Ok(())
     }
@@ -837,8 +768,9 @@ impl<T: Scalar> SparseFactorization<T> {
     /// API cannot return a compressed or sparse solution.
     ///
     /// The columns are solved in independent fixed-width chunks (32 columns)
-    /// that spread over whatever threads the caller's pool has idle; the
-    /// result is bitwise identical at any thread count.
+    /// that spread over whatever threads the caller's pool has idle. Column
+    /// `j` of the result has the bits of a width-1 call on column `j` alone,
+    /// at any thread count.
     pub fn solve_sparse_rhs(&self, rhs: &Csc<T>) -> Result<Mat<T>> {
         if self.symbolic.n_schur != 0 {
             return Err(Error::InvalidConfig(
@@ -854,31 +786,41 @@ impl<T: Scalar> SparseFactorization<T> {
         }
         let mut out = Mat::<T>::zeros(self.n(), rhs.ncols);
         let d = self.gather_d();
-        let chunks: Vec<_> = out
+        let mut chunks: Vec<_> = out
             .as_mut()
             .col_chunks_mut(SOLVE_CHUNK_COLS)
             .into_iter()
             .enumerate()
             .collect();
-        chunks
-            .into_par_iter()
-            .for_each(|(i, x)| self.solve_sparse_chunk(rhs, i * SOLVE_CHUNK_COLS, &d, x));
+        // Consecutive chunks in one group per thread: one fork per group
+        // (the vendored rayon spawns a thread per item), evenly shared.
+        let per_group = chunks.len().div_ceil(rayon::current_num_threads()).max(1);
+        let mut groups = Vec::new();
+        while !chunks.is_empty() {
+            let rest = chunks.split_off(per_group.min(chunks.len()));
+            groups.push(std::mem::replace(&mut chunks, rest));
+        }
+        groups.into_par_iter().for_each(|group| {
+            for (i, x) in group {
+                self.solve_sparse_chunk(rhs, i * SOLVE_CHUNK_COLS, &d, x);
+            }
+        });
         Ok(out)
     }
 
     /// Solve columns `j0 .. j0 + x.ncols()` of `rhs` into `x` (original index
     /// order) through a workspace of the chunk's own: forward substitution
-    /// visits only the supernodes *this chunk's* nonzeros reach.
+    /// visits only the supernodes *this chunk's* nonzeros reach — in every
+    /// other supernode each lane is zero, and a zero lane is skipped anyway.
     fn solve_sparse_chunk(&self, rhs: &Csc<T>, j0: usize, d: &[T], x: MatMut<'_, T>) {
-        let w = x.ncols();
+        let sh = LaneShape::new::<T>(x.ncols());
         // Permuted dense RHS + supernode marking.
-        let mut bp = Mat::<T>::zeros(self.n(), w);
+        let mut ws = LaneBuf::zeros(sh, self.n());
         let mut marked = vec![false; self.sns.len()];
-        for j in 0..w {
-            let col = bp.col_mut(j);
+        for j in 0..sh.lanes() {
             for p in rhs.colptr[j0 + j]..rhs.colptr[j0 + j + 1] {
                 let newi = self.symbolic.iperm[rhs.rowidx[p]];
-                col[newi] = rhs.values[p];
+                sh.set(ws.as_mut_slice(), newi, j, rhs.values[p]);
                 marked[self.symbolic.sn_of_col[newi]] = true;
             }
         }
@@ -891,8 +833,8 @@ impl<T: Scalar> SparseFactorization<T> {
                 }
             }
         }
-        self.solve_permuted(bp.as_mut(), &marked, d);
-        self.unpermute_into(bp.as_ref(), x);
+        self.solve_permuted(&mut ws, &marked, d);
+        self.unpermute_into(&ws, x);
     }
 
     /// Partial solve through the Schur complement: condense the right-hand
@@ -904,9 +846,9 @@ impl<T: Scalar> SparseFactorization<T> {
     /// rows) and is overwritten with the full solution. This is how the
     /// paper's *advanced coupling* consumes the factorization+Schur feature:
     /// the sparse solver condenses, a dense/compressed solver handles `S`,
-    /// the sparse solver expands. Condensation and expansion split into
-    /// column groups like [`Self::solve_in_place`]; `schur_solve` sees the
-    /// whole reduced panel.
+    /// the sparse solver expands. Condensation and expansion run in column
+    /// groups like [`Self::solve_in_place`], with its per-column bits;
+    /// `schur_solve` sees the whole reduced panel.
     pub fn condense_and_solve(
         &self,
         b: &mut Mat<T>,
@@ -920,123 +862,114 @@ impl<T: Scalar> SparseFactorization<T> {
             });
         }
         let marked = vec![true; self.sns.len()];
-        let mut bp = self.permute_rhs(b.as_ref());
-        let ne = self.symbolic.n_elim;
-        let n = self.n();
-        let nrhs = b.ncols();
+        let (ne, n, nrhs) = (self.symbolic.n_elim, self.n(), b.ncols());
         let d = self.gather_d();
-        for_col_groups(bp.as_mut(), |mut x| {
-            let mut scratch = self.solve_scratch(x.ncols());
-            self.forward_permuted(x.rb_mut(), &marked, &mut scratch);
-            self.diag_permuted(x, &d);
+        // Condense into a permuted copy — `b` is untouched if the Schur
+        // solve fails — then expand it into the solution.
+        let mut bp = b.clone();
+        for_col_groups(bp.as_mut(), |x| {
+            let mut ws = self.permute_rhs(x.rb());
+            let mut scratch = self.solve_scratch(ws.shape());
+            self.forward_permuted(&mut ws, &marked, &mut scratch);
+            self.diag_permuted(&mut ws, &d);
+            lane::store_rows(ws.shape(), ws.as_slice(), x, Rows::From(0));
         });
         schur_solve(bp.view_mut(ne..n, 0..nrhs))?;
         for_col_groups(bp.as_mut(), |x| {
-            let mut scratch = self.solve_scratch(x.ncols());
-            self.backward_permuted(x, &mut scratch);
+            let mut ws = LaneBuf::zeros(LaneShape::new::<T>(x.ncols()), n);
+            lane::load_rows(ws.shape(), ws.as_mut_slice(), x.rb(), Rows::From(0));
+            let mut scratch = self.solve_scratch(ws.shape());
+            self.backward_permuted(&mut ws, &mut scratch);
+            self.unpermute_into(&ws, x);
         });
-        self.unpermute_into(bp.as_ref(), b.as_mut());
+        *b = bp;
         Ok(())
     }
 
-    fn permute_rhs(&self, b: MatRef<'_, T>) -> Mat<T> {
-        let n = b.nrows();
-        let mut bp = Mat::zeros(n, b.ncols());
-        for j in 0..b.ncols() {
-            let src = b.col(j);
-            let dst = bp.col_mut(j);
-            for (new, &old) in self.symbolic.perm.iter().enumerate() {
-                dst[new] = src[old];
-            }
-        }
-        bp
+    /// `b` in the elimination order: row `r` of `b` is workspace row
+    /// `iperm[r]`.
+    fn permute_rhs(&self, b: MatRef<'_, T>) -> LaneBuf {
+        let mut ws = LaneBuf::zeros(LaneShape::new::<T>(b.ncols()), self.n());
+        let iperm = Rows::At(&self.symbolic.iperm, 0);
+        lane::load_rows(ws.shape(), ws.as_mut_slice(), b, iperm);
+        ws
     }
 
-    fn unpermute_into(&self, bp: MatRef<'_, T>, mut b: MatMut<'_, T>) {
-        for j in 0..b.ncols() {
-            let src = bp.col(j);
-            let dst = b.col_mut(j);
-            for (new, &old) in self.symbolic.perm.iter().enumerate() {
-                dst[old] = src[new];
-            }
-        }
+    /// The inverse of [`Self::permute_rhs`], into `b`.
+    fn unpermute_into(&self, ws: &LaneBuf, b: MatMut<'_, T>) {
+        let iperm = Rows::At(&self.symbolic.iperm, 0);
+        lane::store_rows(ws.shape(), ws.as_slice(), b, iperm);
     }
 
     /// Forward + diagonal + backward on a permuted RHS; unmarked supernodes
     /// are skipped in the forward pass (their subtree RHS is entirely zero).
-    fn solve_permuted(&self, mut bp: MatMut<'_, T>, marked: &[bool], d: &[T]) {
-        let mut scratch = self.solve_scratch(bp.ncols());
-        self.forward_permuted(bp.rb_mut(), marked, &mut scratch);
-        self.diag_permuted(bp.rb_mut(), d);
-        self.backward_permuted(bp, &mut scratch);
+    fn solve_permuted(&self, ws: &mut LaneBuf, marked: &[bool], d: &[T]) {
+        let mut scratch = self.solve_scratch(ws.shape());
+        self.forward_permuted(ws, marked, &mut scratch);
+        self.diag_permuted(ws, d);
+        self.backward_permuted(ws, &mut scratch);
     }
 
-    /// The one scratch buffer the passes over an `nrhs`-column workspace
-    /// share: a supernode needs its `t × nrhs` update rows (`L21·x1`, or the
-    /// gathered `x2`) plus, under a compressed panel, a `rank × nrhs`
-    /// intermediate with `rank ≤ k` — together at most one front's rows.
-    fn solve_scratch(&self, nrhs: usize) -> Vec<T> {
-        vec![T::ZERO; self.stats.max_front * nrhs]
+    /// The rows a compressed panel's product goes through (`Vᵀ·x1`, or
+    /// `Uᵀ·x2`): one per unit of the largest panel rank.
+    fn solve_scratch(&self, sh: LaneShape) -> LaneBuf {
+        LaneBuf::zeros(sh, self.stats.max_panel_rank)
     }
 
     /// Forward substitution (`L⁻¹·P`) over the eliminated variables; Schur
-    /// rows accumulate the condensed right-hand side.
-    fn forward_permuted(&self, mut bp: MatMut<'_, T>, marked: &[bool], scratch: &mut [T]) {
-        let nrhs = bp.ncols();
+    /// rows accumulate the condensed right-hand side. Every update skips a
+    /// lane whose multiplier is an exact zero.
+    fn forward_permuted(&self, ws: &mut LaneBuf, marked: &[bool], scratch: &mut LaneBuf) {
+        let sh = ws.shape();
+        let rl = sh.row_len();
+        let x = ws.as_mut_slice();
         for (s, sn) in self.sns.iter().enumerate() {
             if !marked[s] {
                 continue;
             }
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
-            let k = c1 - c0;
-            if let (1, Some(l)) = (k, sn.lpanel.as_vector()) {
-                // Unit pivot, nothing to swap: the supernode is one axpy per
-                // column, straight on the workspace. The same operations at
-                // every panel width, inside `with_colwise_det` and outside.
-                for c in 0..nrhs {
-                    let col = bp.col_mut(c);
-                    let x = col[c0];
-                    if x != T::ZERO {
-                        for (&g, &lg) in info.rows[1..].iter().zip(l) {
-                            col[g] -= lg * x;
-                        }
-                    }
-                }
-                continue;
-            }
             // LU: local row swaps inside the pivot block.
             for (j, &p) in sn.ipiv.iter().enumerate() {
-                if p != j {
-                    for c in 0..nrhs {
-                        let col = bp.col_mut(c);
-                        col.swap(c0 + j, c0 + p);
-                    }
-                }
+                lane::swap_rows(sh, x, c0 + j, c0 + p);
             }
-            {
-                let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
-                trsm_left(
-                    Tri::Lower,
+            // The pivot rows, and the rows below them the panel updates.
+            let (head, tail) = x.split_at_mut(c1 * rl);
+            let x1 = &mut head[c0 * rl..];
+            let (tri, op, unit) = (Tri::Lower, Op::NoTrans, Diag::Unit);
+            lane::solve_tri(sh, SubNonzero, sn.diag.as_ref(), tri, op, unit, x1);
+            let below = (tail, Rows::At(&info.rows[c1 - c0..], c1));
+            match &sn.lpanel {
+                Panel::Empty => {}
+                // x2 −= L21·x1
+                Panel::Dense(l21) => lane::update_rows(
+                    sh,
+                    SubNonzero,
+                    l21.as_ref(),
                     Op::NoTrans,
-                    Diag::Unit,
-                    T::ONE,
-                    sn.diag.as_ref(),
-                    x1,
-                );
-            }
-            if info.front_size() > k {
-                let t = info.front_size() - k;
-                // tmp = L21 · x1 (overwriting the stale scratch), then
-                // scatter-subtract.
-                let mut tmp = MatMut::from_col_major(t, nrhs, &mut scratch[..t * nrhs]);
-                let x1 = bp.rb().submatrix(c0..c1, 0..nrhs);
-                sn.lpanel.mul(T::ONE, x1, T::ZERO, tmp.rb_mut());
-                for c in 0..nrhs {
-                    let col = bp.col_mut(c);
-                    for (&g, &v) in info.rows[k..].iter().zip(tmp.col(c)) {
-                        col[g] -= v;
-                    }
+                    below,
+                    (x1, From(0)),
+                ),
+                // x2 −= U·(Vᵀ·x1)
+                Panel::Compressed(lr) => {
+                    let tmp = &mut scratch.as_mut_slice()[..lr.rank() * rl];
+                    tmp.fill(0.0);
+                    lane::update_rows(
+                        sh,
+                        Add,
+                        lr.v.as_ref(),
+                        Op::Trans,
+                        (tmp, From(0)),
+                        (x1, From(0)),
+                    );
+                    lane::update_rows(
+                        sh,
+                        SubNonzero,
+                        lr.u.as_ref(),
+                        Op::NoTrans,
+                        below,
+                        (tmp, From(0)),
+                    );
                 }
             }
         }
@@ -1058,92 +991,55 @@ impl<T: Scalar> SparseFactorization<T> {
         d
     }
 
-    /// Diagonal scaling by [`Self::gather_d`]: one contiguous sweep per
-    /// column (a no-op for LU).
-    fn diag_permuted(&self, mut bp: MatMut<'_, T>, d: &[T]) {
-        for c in 0..bp.ncols() {
-            for (x, &dj) in bp.col_mut(c).iter_mut().zip(d) {
-                *x = *x / dj;
-            }
-        }
+    /// Diagonal scaling by [`Self::gather_d`] (a no-op for LU).
+    fn diag_permuted(&self, ws: &mut LaneBuf, d: &[T]) {
+        lane::div_rows(ws.shape(), ws.as_mut_slice(), d);
     }
 
     /// Backward substitution over the eliminated variables; Schur rows are
     /// read (they must hold `x_schur`) but never written.
-    fn backward_permuted(&self, mut bp: MatMut<'_, T>, scratch: &mut [T]) {
-        let nrhs = bp.ncols();
+    fn backward_permuted(&self, ws: &mut LaneBuf, scratch: &mut LaneBuf) {
+        let sh = ws.shape();
+        let rl = sh.row_len();
+        let x = ws.as_mut_slice();
+        let ldlt = self.symmetry == Symmetry::SymmetricLdlt;
         for (s, sn) in self.sns.iter().enumerate().rev() {
             let info = &self.symbolic.supernodes[s];
             let (c0, c1) = (info.c0, info.c1);
-            let k = c1 - c0;
-            let row = match self.symmetry {
-                Symmetry::SymmetricLdlt => &sn.lpanel,
-                Symmetry::UnsymmetricLu => &sn.upanel,
+            let (head, tail) = x.split_at_mut(c1 * rl);
+            let x1 = &mut head[c0 * rl..];
+            let below = (&*tail, Rows::At(&info.rows[c1 - c0..], c1));
+            // x1 −= L21ᵀ·x2 (LDLᵀ) or U12·x2 (LU).
+            let (panel, op) = if ldlt {
+                (&sn.lpanel, Op::Trans)
+            } else {
+                (&sn.upanel, Op::NoTrans)
             };
-            if let (1, Some(row)) = (k, row.as_vector()) {
-                // One dot product per column, gathered straight from the
-                // workspace (`L21ᵀ·x2`, or `U12·x2` and the division by the
-                // pivot LU keeps) — as in the forward pass, the same
-                // operations whatever the panel width and mode.
-                for c in 0..nrhs {
-                    let col = bp.col_mut(c);
-                    let mut acc = T::ZERO;
-                    for (&g, &pg) in info.rows[1..].iter().zip(row) {
-                        acc += pg * col[g];
-                    }
-                    col[c0] -= acc;
-                    if self.symmetry == Symmetry::UnsymmetricLu {
-                        col[c0] = col[c0] / sn.diag[(0, 0)];
-                    }
-                }
-                continue;
-            }
-            if info.front_size() > k {
-                let t = info.front_size() - k;
-                // Gather x2; the rest of the scratch serves the panel product.
-                let (x2, rest) = scratch.split_at_mut(t * nrhs);
-                let mut x2 = MatMut::from_col_major(t, nrhs, x2);
-                for c in 0..nrhs {
-                    let col = bp.col(c);
-                    for (x, &g) in x2.col_mut(c).iter_mut().zip(&info.rows[k..]) {
-                        *x = col[g];
-                    }
-                }
-                let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
-                match self.symmetry {
-                    Symmetry::SymmetricLdlt => {
-                        // x1 −= L21ᵀ·x2
-                        sn.lpanel.mul_t_acc(-T::ONE, x2.rb(), x1, rest);
-                    }
-                    Symmetry::UnsymmetricLu => {
-                        // x1 −= U12·x2
-                        sn.upanel.mul(-T::ONE, x2.rb(), T::ONE, x1);
-                    }
-                }
-            }
-            let x1 = bp.rb_mut().submatrix_mut(c0..c1, 0..nrhs);
-            match self.symmetry {
-                Symmetry::SymmetricLdlt => {
-                    trsm_left(
-                        Tri::Lower,
-                        Op::Trans,
-                        Diag::Unit,
-                        T::ONE,
-                        sn.diag.as_ref(),
-                        x1,
-                    );
-                }
-                Symmetry::UnsymmetricLu => {
-                    trsm_left(
-                        Tri::Upper,
+            match panel {
+                Panel::Empty => {}
+                Panel::Dense(p) => lane::update_rows(sh, Sub, p.as_ref(), op, (x1, From(0)), below),
+                Panel::Compressed(lr) => {
+                    // (U·Vᵀ)ᵀ·x2 = V·(Uᵀ·x2); U·Vᵀ·x2 = U·(Vᵀ·x2).
+                    let (first, second) = if ldlt { (&lr.u, &lr.v) } else { (&lr.v, &lr.u) };
+                    let tmp = &mut scratch.as_mut_slice()[..lr.rank() * rl];
+                    tmp.fill(0.0);
+                    lane::update_rows(sh, Add, first.as_ref(), Op::Trans, (tmp, From(0)), below);
+                    lane::update_rows(
+                        sh,
+                        Sub,
+                        second.as_ref(),
                         Op::NoTrans,
-                        Diag::NonUnit,
-                        T::ONE,
-                        sn.diag.as_ref(),
-                        x1,
+                        (x1, From(0)),
+                        (tmp, From(0)),
                     );
                 }
             }
+            let (tri, op, diag) = if ldlt {
+                (Tri::Lower, Op::Trans, Diag::Unit)
+            } else {
+                (Tri::Upper, Op::NoTrans, Diag::NonUnit)
+            };
+            lane::solve_tri(sh, Sub, sn.diag.as_ref(), tri, op, diag, x1);
         }
     }
 

@@ -408,94 +408,107 @@ fn chunked_sparse_rhs_solve_matches_dense_solve_and_is_thread_invariant() {
     }
 }
 
-/// Under `with_colwise_det` a panel solve splits its columns into per-thread
-/// groups — and column `j` must still be, bit for bit, the width-1 solve of
-/// that column, at every width (one register block, a remainder, several
-/// groups) and thread count. A helper thread that lost the thread-local mode
-/// would take the packed GEMM path and fail this.
+/// A panel solve splits its columns into per-thread groups of row-major
+/// lane workspaces — and column `j` must still be, bit for bit, the width-1
+/// solve of that column, at every width (a partial register, a full lane
+/// block plus a remainder, several chunks) and thread count, for `f64` and
+/// the planar `C64` rows, LDLᵀ and LU, dense and BLR panels: by
+/// `solve_in_place`, `condense_and_solve` and `solve_sparse_rhs` (column `j`
+/// against its own width-1 `solve_sparse_rhs`). No kernel mode is entered.
 #[test]
 fn colwise_panel_solve_gives_each_column_its_width_1_bits() {
-    use csolve_dense::with_colwise_det;
-    let a = grid3d(10, 10, 9, 1.0);
-    let n = a.nrows;
-    let on = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-    };
-    fn bits(c: &[f64]) -> Vec<u64> {
-        c.iter().map(|v| v.to_bits()).collect()
+    fn bits<T: Scalar>(c: &[T]) -> Vec<(u64, u64)> {
+        c.iter()
+            .map(|v| (v.real().to_f64().to_bits(), v.imag().to_f64().to_bits()))
+            .collect()
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-    let b = Mat::<f64>::random(n, 33, &mut rng);
-    // The last rows as Schur variables, for `condense_and_solve`.
-    let schur_vars: Vec<usize> = (n - 40..n).collect();
-    let halve = |mut xs: csolve_dense::MatMut<'_, f64>| {
-        for j in 0..xs.ncols() {
-            xs.col_mut(j).iter_mut().for_each(|v| *v *= 0.5);
+    fn check<T: Scalar>(a: &Csc<T>) {
+        let n = a.nrows;
+        let on = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let mut b = Mat::<T>::random(n, 64, &mut rng);
+        // Exact zeros of both signs, and an all-zero column.
+        for j in 0..64 {
+            b[(3 * j % n, j)] = T::ZERO;
+            b[(5 * j % n, j)] = -T::ZERO;
         }
-        Ok(())
-    };
-    for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
-        for blr_eps in [None, Some(1e-6)] {
-            let opts = SparseOptions {
-                symmetry,
-                blr_eps,
-                ..Default::default()
-            };
-            let f = factorize(&a, &opts).unwrap();
-            let (fs, _) = factorize_schur(&a, &schur_vars, &opts).unwrap();
-            // Width-1 references, one thread.
-            let alone: Vec<(Vec<u64>, Vec<u64>)> = (0..b.ncols())
-                .map(|j| {
-                    let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
-                    let mut y = x.clone();
-                    on(1).install(|| {
-                        with_colwise_det(|| {
+        b.col_mut(5).fill(T::ZERO);
+        let sparse_b = Csc::from_dense(&b);
+        let all_rows: Vec<usize> = (0..n).collect();
+        let rhs =
+            |cols: std::ops::Range<usize>| sparse_b.submatrix(&all_rows, &cols.collect::<Vec<_>>());
+        // The last rows as Schur variables, for `condense_and_solve`.
+        let schur_vars: Vec<usize> = (n - 40..n).collect();
+        let halve = |mut xs: csolve_dense::MatMut<'_, T>| {
+            for j in 0..xs.ncols() {
+                xs.col_mut(j)
+                    .iter_mut()
+                    .for_each(|v| *v *= T::from_f64(0.5));
+            }
+            Ok(())
+        };
+        for symmetry in [Symmetry::SymmetricLdlt, Symmetry::UnsymmetricLu] {
+            for blr_eps in [None, Some(1e-6)] {
+                let opts = SparseOptions {
+                    symmetry,
+                    blr_eps,
+                    ..Default::default()
+                };
+                let f = factorize(a, &opts).unwrap();
+                let (fs, _) = factorize_schur(a, &schur_vars, &opts).unwrap();
+                // Width-1 references, one thread.
+                let alone: Vec<_> = (0..b.ncols())
+                    .map(|j| {
+                        let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
+                        let mut y = x.clone();
+                        let z = on(1).install(|| {
                             f.solve_in_place(&mut x).unwrap();
                             fs.condense_and_solve(&mut y, halve).unwrap();
-                        })
-                    });
-                    (bits(x.col(0)), bits(y.col(0)))
-                })
-                .collect();
-            // Whole register blocks, and a last block with 1, 2 and 3 live
-            // columns beside its zero-padded lanes.
-            for width in [1usize, 3, 6, 8, 13, 33] {
-                for threads in [1usize, 2, 4] {
-                    let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
-                    let mut y = x.clone();
-                    on(threads).install(|| {
-                        with_colwise_det(|| {
+                            f.solve_sparse_rhs(&rhs(j..j + 1)).unwrap()
+                        });
+                        (bits(x.col(0)), bits(y.col(0)), bits(z.col(0)))
+                    })
+                    .collect();
+                for width in [1usize, 3, 7, 8, 9, 31, 32, 33, 64] {
+                    for threads in [1usize, 2, 4, 8] {
+                        let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
+                        let mut y = x.clone();
+                        let z = on(threads).install(|| {
                             f.solve_in_place(&mut x).unwrap();
                             fs.condense_and_solve(&mut y, halve).unwrap();
-                        })
-                    });
-                    for j in 0..width {
-                        let what = format!(
-                            "{symmetry:?}, blr {blr_eps:?}, width {width}, {threads} threads, column {j}"
-                        );
-                        assert!(bits(x.col(j)) == alone[j].0, "solve_in_place: {what}");
-                        assert!(bits(y.col(j)) == alone[j].1, "condense_and_solve: {what}");
+                            f.solve_sparse_rhs(&rhs(0..width)).unwrap()
+                        });
+                        for j in 0..width {
+                            let what = format!(
+                                "{}: {symmetry:?}, blr {blr_eps:?}, width {width}, {threads} threads, column {j}",
+                                std::any::type_name::<T>()
+                            );
+                            assert!(bits(x.col(j)) == alone[j].0, "solve_in_place: {what}");
+                            assert!(bits(y.col(j)) == alone[j].1, "condense_and_solve: {what}");
+                            assert!(bits(z.col(j)) == alone[j].2, "solve_sparse_rhs: {what}");
+                        }
                     }
                 }
             }
         }
     }
+    check(&grid3d(10, 10, 9, 1.0));
+    check(&grid3d_complex(9, 9, 8));
 }
 
-/// A width-1 supernode is solved by a direct axpy / dot product on the
-/// workspace, one column at a time, the same way at every panel width and in
-/// both kernel modes. So on a factorization in which *every* supernode with a
-/// sub-diagonal panel is one column wide (a tridiagonal matrix, with and
-/// without an arrow border, in the natural order — only the trailing dense
-/// block is wider, and it has no panel), a width-`w` solve must equal its
-/// width-1 solves bit for bit — LDLᵀ and LU, dense and sparse right-hand
-/// sides, inside `with_colwise_det` and outside.
+/// On a factorization in which *every* supernode with a sub-diagonal panel
+/// is one column wide (a tridiagonal matrix, with and without an arrow
+/// border, in the natural order — only the trailing dense block is wider,
+/// and it has no panel), a width-`w` solve must equal its width-1 solves bit
+/// for bit — LDLᵀ and LU, dense and sparse right-hand sides, with exact
+/// zeros of both signs where a forward step's skipped multiplier shows.
 #[test]
 fn width_1_supernodes_solve_every_column_with_its_width_1_bits() {
-    use csolve_dense::with_colwise_det;
     let n = 90;
     let chain = |arrow: bool, symmetric: bool| {
         let mut coo = Coo::new(n, n);
@@ -551,30 +564,23 @@ fn width_1_supernodes_solve_every_column_with_its_width_1_bits() {
                 r.norm_max()
             );
 
-            for colwise in [false, true] {
-                let in_mode = |f: &mut dyn FnMut()| if colwise { with_colwise_det(f) } else { f() };
-                let alone: Vec<Vec<u64>> = (0..33)
-                    .map(|j| {
-                        let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
-                        in_mode(&mut || f.solve_in_place(&mut x).unwrap());
-                        bits(x.col(0))
-                    })
-                    .collect();
-                for width in [1usize, 3, 32, 33] {
-                    let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
-                    let cols: Vec<usize> = (0..width).collect();
-                    let rhs = sparse_b.submatrix(&(0..n).collect::<Vec<_>>(), &cols);
-                    let mut y = None;
-                    in_mode(&mut || {
-                        f.solve_in_place(&mut x).unwrap();
-                        y = Some(f.solve_sparse_rhs(&rhs).unwrap());
-                    });
-                    let y = y.unwrap();
-                    for j in 0..width {
-                        let what = format!("{what}, colwise {colwise}, width {width}, column {j}");
-                        assert!(bits(x.col(j)) == alone[j], "solve_in_place: {what}");
-                        assert!(bits(y.col(j)) == alone[j], "solve_sparse_rhs: {what}");
-                    }
+            let alone: Vec<Vec<u64>> = (0..33)
+                .map(|j| {
+                    let mut x = Mat::from_col_major(n, 1, b.col(j).to_vec());
+                    f.solve_in_place(&mut x).unwrap();
+                    bits(x.col(0))
+                })
+                .collect();
+            for width in [1usize, 3, 32, 33] {
+                let mut x = Mat::from_col_major(n, width, b.data()[..n * width].to_vec());
+                let cols: Vec<usize> = (0..width).collect();
+                let rhs = sparse_b.submatrix(&(0..n).collect::<Vec<_>>(), &cols);
+                f.solve_in_place(&mut x).unwrap();
+                let y = f.solve_sparse_rhs(&rhs).unwrap();
+                for j in 0..width {
+                    let what = format!("{what}, width {width}, column {j}");
+                    assert!(bits(x.col(j)) == alone[j], "solve_in_place: {what}");
+                    assert!(bits(y.col(j)) == alone[j], "solve_sparse_rhs: {what}");
                 }
             }
         }

@@ -11,11 +11,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use csolve::common::RealScalar;
 use csolve::{
-    solve, Algorithm, CoupledProblem, DenseBackend, SessionBuilder, SolverConfig, SolverSession,
-    TracePayload, Tracer,
+    solve, Algorithm, CoupledProblem, DenseBackend, Scalar, SessionBuilder, SolverConfig,
+    SolverSession, TracePayload, Tracer, C64,
 };
-use csolve_fembem::pipe_problem;
+use csolve_fembem::{industrial_problem, pipe_problem};
 use proptest::prelude::*;
 
 /// With `fault-inject` compiled in, every test in this binary serializes
@@ -62,7 +63,7 @@ fn rhs(p: &CoupledProblem<f64>, k: u64) -> (Vec<f64>, Vec<f64>) {
 
 /// The same coupled matrix with a replaced right-hand side (same session
 /// fingerprint — the RHS is deliberately not part of the cache key).
-fn with_rhs(p: &CoupledProblem<f64>, b_v: Vec<f64>, b_s: Vec<f64>) -> CoupledProblem<f64> {
+fn with_rhs<T: Scalar>(p: &CoupledProblem<T>, b_v: Vec<T>, b_s: Vec<T>) -> CoupledProblem<T> {
     CoupledProblem {
         a_vv: p.a_vv.clone(),
         a_sv: p.a_sv.clone(),
@@ -98,46 +99,78 @@ fn session(threads: usize, algo: Algorithm) -> SolverSession<f64> {
 /// The tentpole contract: a panel of `w` individually submitted right-hand
 /// sides, solved through the batched BLAS-3 path, must be bitwise equal to
 /// `w` independent one-shot solves — at widths below, at, and above `n_c`,
-/// and at 1/2/4 worker threads. One factorization serves all widths (the
-/// cache misses exactly once per session).
+/// a full lane block of the sparse solve's row-major workspace (32) plus a
+/// remainder, and at 1/2/4/8 worker threads; on the real pipe problem and on
+/// the complex industrial one (planar `C64` lanes, sparse LU). One
+/// factorization serves all widths (the cache misses exactly once per
+/// session).
 #[test]
 fn batched_panels_match_one_shot_bitwise_across_widths_and_threads() {
     let _g = lock();
-    let p = pipe_problem::<f64>(600);
-    // n_c = 4 in `cfg` — which is also the solve kernels' register block —
-    // so these are {1, 3, n_c, n_c + 1}, then a block plus a remainder of
-    // three, then two blocks (the width at which the sparse panel solve
-    // splits its columns over two threads).
-    let widths = [1usize, 3, 4, 5, 7, 8];
-    let refs: Vec<_> = (0..8u64)
+    panels_match_one_shot(&pipe_problem::<f64>(600));
+    panels_match_one_shot(&industrial_problem::<C64>(600));
+}
+
+/// [`batched_panels_match_one_shot_bitwise_across_widths_and_threads`] on
+/// one problem.
+fn panels_match_one_shot<T: Scalar>(p: &CoupledProblem<T>) {
+    fn bits<T: Scalar>(xs: &[T]) -> Vec<(u64, u64)> {
+        xs.iter()
+            .map(|x| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits()))
+            .collect()
+    }
+    // Right-hand side #k, both parts of a complex entry set.
+    let rhs = |k: usize| {
+        let f = |i: usize, c: f64| ((i as f64) * 0.37 + c * (k as f64 + 1.0)).sin() + 0.25;
+        let v = |i: usize, c: f64| {
+            T::from_parts(
+                T::Real::from_f64_real(f(i, c)),
+                T::Real::from_f64_real(f(i, c + 0.9)),
+            )
+        };
+        (
+            (0..p.n_fem()).map(|i| v(i, 1.3)).collect::<Vec<T>>(),
+            (0..p.n_bem()).map(|i| v(i, 2.7)).collect::<Vec<T>>(),
+        )
+    };
+    // n_c = 4 in `cfg`, so these are {1, 3, n_c, n_c + 1}, a block plus a
+    // remainder of three, two blocks, then one 512-bit lane register plus
+    // one lane, a full 32-lane workspace, and one plus a remainder.
+    let widths = [1usize, 3, 4, 5, 7, 8, 9, 32, 33];
+    let max_w = *widths.iter().max().unwrap();
+    let refs: Vec<_> = (0..max_w)
         .map(|k| {
-            let (b_v, b_s) = rhs(&p, k);
-            solve(&with_rhs(&p, b_v, b_s), Algorithm::MultiSolve, &cfg(1)).unwrap()
+            let (b_v, b_s) = rhs(k);
+            solve(&with_rhs(p, b_v, b_s), Algorithm::MultiSolve, &cfg(1)).unwrap()
         })
         .collect();
-    for threads in [1usize, 2, 4] {
-        let mut s = session(threads, Algorithm::MultiSolve);
+    for threads in [1usize, 2, 4, 8] {
+        let mut s = SessionBuilder::new(cfg(threads), Algorithm::MultiSolve)
+            .max_batch(max_w)
+            .build::<T>()
+            .unwrap();
         for &w in &widths {
             let ids: Vec<_> = (0..w)
                 .map(|k| {
-                    let (b_v, b_s) = rhs(&p, k as u64);
-                    s.submit(&p, &b_v, &b_s).unwrap()
+                    let (b_v, b_s) = rhs(k);
+                    s.submit(p, &b_v, &b_s).unwrap()
                 })
                 .collect();
             let results = s.flush().unwrap();
             assert_eq!(results.len(), w);
+            let what = std::any::type_name::<T>();
             for (k, r) in results.iter().enumerate() {
                 assert_eq!(r.id, ids[k]);
-                assert_eq!(r.info.batch_width, w, "panel width at w={w}");
+                assert_eq!(r.info.batch_width, w, "{what}: panel width at w={w}");
                 assert_eq!(
                     bits(&r.xv),
                     bits(&refs[k].xv),
-                    "x_v diverged: width {w}, rhs {k}, {threads} threads"
+                    "{what}: x_v diverged: width {w}, rhs {k}, {threads} threads"
                 );
                 assert_eq!(
                     bits(&r.xs),
                     bits(&refs[k].xs),
-                    "x_s diverged: width {w}, rhs {k}, {threads} threads"
+                    "{what}: x_s diverged: width {w}, rhs {k}, {threads} threads"
                 );
             }
         }
