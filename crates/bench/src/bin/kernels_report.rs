@@ -13,23 +13,29 @@
 //! more than [`RECOMPRESS_GATE`] rank-revealing QRs of the same block (the
 //! `recompress` rows), or when the chunked sparse panel solve at `P` threads
 //! takes more than [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
-//! `sparse_panel_solve` row; skipped, loudly, on a one-core host), or when a
-//! column-blocked solve kernel is less than [`COLUMN_BLOCKED_GATE`] times
-//! faster than one call per column on the same operands, or differs from
-//! those calls in a single bit (the `column_blocked` rows), or when a
-//! 32-wide sparse `solve_in_place` — its columns the lanes of one row-major
-//! workspace — is less than [`LANE_SOLVE_GATE`] times faster than 32 width-1
-//! solves of the same columns, or differs from them in a single bit (the
-//! `lane_solve` row).
+//! `sparse_panel_solve` row; skipped, loudly, on a one-core host), or when
+//! the column-blocked base case of `trsm_left` is less than
+//! [`COLUMN_BLOCKED_GATE`] times faster than one call per column on the same
+//! operands, or differs from those calls in a single bit (the
+//! `column_blocked` row), or when a 32-wide sparse `solve_in_place` — its
+//! columns the lanes of one row-major workspace — is less than
+//! [`LANE_SOLVE_GATE`] times faster than 32 width-1 solves of the same
+//! columns, or differs from them in a single bit (the `lane_solve` row), or
+//! when an 8-wide H-LDLᵀ `HLu::solve_in_place` of a 2 401-point surface
+//! kernel — the Schur solve of the HMAT backend, on the same lane
+//! workspaces — is less than [`SCHUR_LANE_SOLVE_GATE`] times faster than 8
+//! width-1 solves, or differs from them in a single bit (the
+//! `schur_lane_solve` row).
 
 use std::time::Instant;
 
 use csolve::common::RealScalar;
 use csolve::dense::gemm::gemm_packed;
 use csolve::dense::{
-    gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, matvec, trsm_left, with_colwise_det, Diag,
-    Mat, MatMut, MatRef, Op, Tri,
+    gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, trsm_left, Diag, Mat, MatMut, MatRef, Op,
+    Tri,
 };
+use csolve::hmat::{ClusterTree, HLu, HMatrix, HOptions, Point3};
 use csolve::lowrank::LowRank;
 use csolve::sparse::{factorize, SparseOptions};
 use csolve::{Scalar, C64};
@@ -92,17 +98,15 @@ const PANEL_SOLVE_COLS: usize = 128;
 /// them (best-of-5 read 1.0 there).
 const PANEL_SOLVE_REPS: usize = 20;
 
-/// Floor of the `column_blocked` rows' `ratio` under `--smoke`: a panel
-/// through the column-blocked kernel over one call per column, same run, same
-/// operands. The blocked kernels measure ≈ 3.5× (both rows); a kernel that
-/// fell back to a per-column loop reads 1.0.
+/// Floor of the `column_blocked` row's `ratio` under `--smoke`: a panel
+/// through the column-blocked base case of `trsm_left` over one call per
+/// column, same run, same operands. Measures ≈ 3.5×; a kernel that fell back
+/// to a per-column loop reads 1.0.
 const COLUMN_BLOCKED_GATE: f64 = 2.0;
-/// Shapes of the `column_blocked` rows: the diagonal block of a wide
-/// supernode against a 32-column panel, and a supernode's sub-diagonal panel
-/// against one warm session panel.
+/// Shape of the `column_blocked` row: the diagonal block of a wide
+/// supernode against a 32-column panel.
 const BLOCKED_TRSM_K: usize = 64;
 const BLOCKED_TRSM_NRHS: usize = 32;
-const BLOCKED_GEMM_SHAPE: (usize, usize, usize) = (300, 64, 8);
 /// Best of this many batches of [`BLOCKED_INNER`] calls (one call is µs).
 const BLOCKED_REPS: usize = 9;
 const BLOCKED_INNER: usize = 400;
@@ -118,6 +122,20 @@ const LANE_SOLVE_GATE: f64 = 4.0;
 const LANE_SOLVE_COLS: usize = 32;
 /// Best of this many of each side (one 32-wide solve is a few ms).
 const LANE_SOLVE_REPS: usize = 7;
+
+/// Floor of the `schur_lane_solve` row's `ratio` under `--smoke`: 8 width-1
+/// `HLu::solve_in_place` calls over one 8-wide call on the same columns of
+/// the H-LDLᵀ factors of a [`SCHUR_SIDE`]²-point surface kernel, one thread,
+/// same run, the two alternating repetition by repetition. About half the
+/// ratio measured on a 2-core AVX-512 host (EXPERIMENTS.md); a solve whose
+/// lanes ran one column at a time would read ≈ 1.
+const SCHUR_LANE_SOLVE_GATE: f64 = 4.0;
+/// Points per side of the `schur_lane_solve` surface: 2 401 unknowns.
+const SCHUR_SIDE: usize = 49;
+/// Right-hand sides of the `schur_lane_solve` row: one 512-bit register.
+const SCHUR_LANE_COLS: usize = 8;
+/// Best of this many of each side (one 8-wide solve is ≈ 2 ms).
+const SCHUR_LANE_REPS: usize = 15;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -403,11 +421,11 @@ fn panel_solve_row() -> PanelSolveRow {
     }
 }
 
-/// The `lane_solve` row.
+/// One `lane_solve` / `schur_lane_solve` row.
 struct LaneSolveRow {
-    /// One [`LANE_SOLVE_COLS`]-wide `solve_in_place`.
+    /// One solve of the whole panel.
     seconds_panel: f64,
-    /// One width-1 `solve_in_place` per column.
+    /// One width-1 solve per column.
     seconds_columns: f64,
     /// `seconds_columns / seconds_panel`.
     ratio: f64,
@@ -415,20 +433,16 @@ struct LaneSolveRow {
     bitwise: bool,
 }
 
-/// Time one [`LANE_SOLVE_COLS`]-wide `solve_in_place` of the leading columns
-/// of `A_vs` against the factored `A_vv` of pipe-[`PANEL_SOLVE_N`] and one
-/// width-1 call per column, one thread, and compare their outputs bitwise.
-fn lane_solve_row() -> LaneSolveRow {
-    let p = csolve::pipe_problem::<f64>(PANEL_SOLVE_N);
-    let fact = factorize(&p.a_vv, &SparseOptions::default()).expect("A_vv factors");
-    let rows: Vec<usize> = (0..p.a_vs.nrows).collect();
-    let cols: Vec<usize> = (0..LANE_SOLVE_COLS.min(p.a_vs.ncols)).collect();
-    let b = p.a_vs.submatrix(&rows, &cols).to_dense();
+/// Time `solve` on the whole panel `b` against `solve` on each of its
+/// columns alone, best of `reps` each, the two alternating repetition by
+/// repetition (see `panel_solve_row`), one thread, and compare their outputs
+/// bitwise.
+fn lane_row(b: &Mat<f64>, reps: usize, solve: impl Fn(&mut Mat<f64>)) -> LaneSolveRow {
     let n = b.nrows();
     let panel = || {
         let mut x = b.clone();
         let t0 = Instant::now();
-        fact.solve_in_place(&mut x).expect("complete factorization");
+        solve(&mut x);
         (t0.elapsed().as_secs_f64(), x)
     };
     let columns = || {
@@ -436,18 +450,15 @@ fn lane_solve_row() -> LaneSolveRow {
         let t0 = Instant::now();
         for j in 0..x.ncols() {
             let mut xj = Mat::from_col_major(n, 1, x.col(j).to_vec());
-            fact.solve_in_place(&mut xj)
-                .expect("complete factorization");
+            solve(&mut xj);
             x.col_mut(j).copy_from_slice(xj.col(0));
         }
         (t0.elapsed().as_secs_f64(), x)
     };
-    // The two sides take turns repetition by repetition (see
-    // `panel_solve_row`).
     let mut seconds = [f64::INFINITY; 2];
     let mut xs = [None, None];
     pool(1).install(|| {
-        for _ in 0..LANE_SOLVE_REPS {
+        for _ in 0..reps {
             for (k, side) in [&panel as &dyn Fn() -> (f64, Mat<f64>), &columns]
                 .into_iter()
                 .enumerate()
@@ -466,6 +477,60 @@ fn lane_solve_row() -> LaneSolveRow {
         ratio: seconds[1] / seconds[0],
         bitwise: bits(&xp) == bits(&xc),
     }
+}
+
+/// One [`LANE_SOLVE_COLS`]-wide sparse `solve_in_place` of the leading
+/// columns of `A_vs` against the factored `A_vv` of pipe-[`PANEL_SOLVE_N`],
+/// against one width-1 call per column.
+fn lane_solve_row() -> LaneSolveRow {
+    let p = csolve::pipe_problem::<f64>(PANEL_SOLVE_N);
+    let fact = factorize(&p.a_vv, &SparseOptions::default()).expect("A_vv factors");
+    let rows: Vec<usize> = (0..p.a_vs.nrows).collect();
+    let cols: Vec<usize> = (0..LANE_SOLVE_COLS.min(p.a_vs.ncols)).collect();
+    let b = p.a_vs.submatrix(&rows, &cols).to_dense();
+    lane_row(&b, LANE_SOLVE_REPS, |x| {
+        fact.solve_in_place(x).expect("complete factorization")
+    })
+}
+
+/// One [`SCHUR_LANE_COLS`]-wide `HLu::solve_in_place` against H-LDLᵀ
+/// factors — a half-stored [`SCHUR_SIDE`]²-point surface kernel, leaf 64,
+/// ε = 1e-4 — against one width-1 call per column. Also returns the factors'
+/// low-rank leaf count.
+fn schur_lane_solve_row() -> (LaneSolveRow, usize) {
+    let side = SCHUR_SIDE;
+    let pts: Vec<Point3> = (0..side * side)
+        .map(|k| {
+            let (x, y) = (
+                (k / side) as f64 / side as f64,
+                (k % side) as f64 / side as f64,
+            );
+            Point3::new(x, y, 0.1 * (x * x + y * y))
+        })
+        .collect();
+    let n = pts.len();
+    let tree = ClusterTree::build(&pts, 64);
+    // A smooth Green-like kernel, diagonally shifted: low-rank off the
+    // diagonal, symmetric, comfortably definite.
+    let oracle = |i: usize, j: usize| {
+        let (i, j) = (tree.perm[i], tree.perm[j]);
+        if i == j {
+            n as f64
+        } else {
+            1.0 / (4.0 * std::f64::consts::PI * (pts[i].dist(&pts[j]) + 0.05))
+        }
+    };
+    let opts = HOptions {
+        eps: 1e-4,
+        eta: 6.0,
+        ..Default::default()
+    };
+    let h = HMatrix::assemble_symmetric(&tree, &oracle, &opts);
+    let f = HLu::factor(h, 1e-4).expect("H-LDLT factors");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+    let b = Mat::<f64>::random(n, SCHUR_LANE_COLS, &mut rng);
+    let row = lane_row(&b, SCHUR_LANE_REPS, |x| f.solve_in_place(x.as_mut()));
+    (row, f.stats().lowrank_leaves)
 }
 
 /// One `column_blocked` row.
@@ -515,10 +580,10 @@ fn column_blocked_row(
     }
 }
 
-/// The two `column_blocked` rows: the backward-pass triangle of an LDLᵀ
-/// supernode (`Lower`, `Trans`, `Unit`) and the column-wise GEMM of a panel
-/// product, each against one call per column.
-fn column_blocked_rows() -> [ColumnBlockedRow; 2] {
+/// The `column_blocked` row: the backward-pass triangle of an LDLᵀ
+/// supernode (`Lower`, `Trans`, `Unit`) through `trsm_left`'s base case,
+/// against one call per column.
+fn column_blocked_trsm_row() -> ColumnBlockedRow {
     let mut rng = rand::rngs::StdRng::seed_from_u64(44);
     let (k, nrhs) = (BLOCKED_TRSM_K, BLOCKED_TRSM_NRHS);
     let t = Mat::<f64>::random(k, k, &mut rng);
@@ -526,30 +591,12 @@ fn column_blocked_rows() -> [ColumnBlockedRow; 2] {
     let solve = |x: csolve::dense::MatMut<'_, f64>| {
         trsm_left(Tri::Lower, Op::Trans, Diag::Unit, 1.0, t.as_ref(), x)
     };
-    let trsm = column_blocked_row(
+    column_blocked_row(
         "trsm_left",
         &b,
         |x| solve(x.as_mut()),
         |x| (0..nrhs).for_each(|j| solve(x.view_mut(0..k, j..j + 1))),
-    );
-    let (m, k, n) = BLOCKED_GEMM_SHAPE;
-    let a = Mat::<f64>::random(m, k, &mut rng);
-    let b = Mat::<f64>::random(k, n, &mut rng);
-    let c = Mat::<f64>::random(m, n, &mut rng);
-    let gemm_row = column_blocked_row(
-        "gemm_colwise",
-        &c,
-        |x| {
-            let (a, b) = (a.as_ref(), b.as_ref());
-            with_colwise_det(|| gemm(-1.0, a, Op::NoTrans, b, Op::NoTrans, 1.0, x.as_mut()))
-        },
-        |x| {
-            for j in 0..n {
-                matvec(-1.0, a.as_ref(), Op::NoTrans, b.col(j), 1.0, x.col_mut(j));
-            }
-        },
-    );
-    [trsm, gemm_row]
+    )
 }
 
 /// The `small_shape` entries of one scalar type: `C ← C − op(A)·B` at the
@@ -608,10 +655,23 @@ fn gate(
     entries: &[Entry],
     recompress: &[RecompressRow],
     panel: &PanelSolveRow,
-    blocked: &[ColumnBlockedRow],
+    blocked: &ColumnBlockedRow,
     lanes: &LaneSolveRow,
+    schur: &LaneSolveRow,
 ) -> Vec<String> {
     let mut fails = Vec::new();
+    // Contract 8: the Schur solve runs its columns as the lanes of one
+    // workspace too, with each column's width-1 bits.
+    if !schur.bitwise {
+        fails.push("schur_lane_solve: the 8-wide solve differs from its width-1 solves".into());
+    }
+    if schur.ratio < SCHUR_LANE_SOLVE_GATE {
+        fails.push(format!(
+            "schur_lane_solve: the 8-wide solve is {:.2}x its width-1 solves < \
+             {SCHUR_LANE_SOLVE_GATE}",
+            schur.ratio
+        ));
+    }
     // Contract 7: a sparse multi-RHS solve runs its columns as the lanes of
     // one workspace, with each column's width-1 bits.
     if !lanes.bitwise {
@@ -637,21 +697,19 @@ fn gate(
             ));
         }
     }
-    // Contract 5: the column-blocked solve kernels give every column the
-    // bits of its own call, and are worth having.
-    for r in blocked {
-        if !r.bitwise {
-            fails.push(format!(
-                "{}: the panel differs from one call per column",
-                r.kernel
-            ));
-        }
-        if r.ratio < COLUMN_BLOCKED_GATE {
-            fails.push(format!(
-                "{}: the panel is {:.2}x one call per column < {COLUMN_BLOCKED_GATE}",
-                r.kernel, r.ratio
-            ));
-        }
+    // Contract 5: the column-blocked triangle base case gives every column
+    // the bits of its own call, and is worth having.
+    if !blocked.bitwise {
+        fails.push(format!(
+            "{}: the panel differs from one call per column",
+            blocked.kernel
+        ));
+    }
+    if blocked.ratio < COLUMN_BLOCKED_GATE {
+        fails.push(format!(
+            "{}: the panel is {:.2}x one call per column < {COLUMN_BLOCKED_GATE}",
+            blocked.kernel, blocked.ratio
+        ));
     }
     // Contract 4: the chunked sparse solve spreads over idle threads without
     // changing a bit. One thread cannot show the first half: say so.
@@ -808,22 +866,16 @@ fn main() {
         if panel.bitwise { "yes" } else { "NO" }
     );
 
-    let blocked = column_blocked_rows();
+    let blocked = column_blocked_trsm_row();
     println!(
-        "\ncolumn-blocked solve kernels, one thread: trsm_left(Lower, Trans, Unit) k = \
-         {BLOCKED_TRSM_K}, nrhs = {BLOCKED_TRSM_NRHS}; gemm under with_colwise_det {:?}",
-        BLOCKED_GEMM_SHAPE
+        "\ncolumn-blocked triangle, one thread: trsm_left(Lower, Trans, Unit) k = \
+         {BLOCKED_TRSM_K}, nrhs = {BLOCKED_TRSM_NRHS}: panel {:.4} s, one call per column \
+         {:.4} s, ratio {:.2}, bitwise {}",
+        blocked.seconds_panel,
+        blocked.seconds_columns,
+        blocked.ratio,
+        if blocked.bitwise { "yes" } else { "NO" }
     );
-    for r in &blocked {
-        println!(
-            "{:<12} panel {:.4} s, one call per column {:.4} s, ratio {:.2}, bitwise {}",
-            r.kernel,
-            r.seconds_panel,
-            r.seconds_columns,
-            r.ratio,
-            if r.bitwise { "yes" } else { "NO" }
-        );
-    }
 
     let lanes = lane_solve_row();
     println!(
@@ -836,10 +888,22 @@ fn main() {
         if lanes.bitwise { "yes" } else { "NO" }
     );
 
+    let (schur, lowrank_leaves) = schur_lane_solve_row();
+    println!(
+        "\nschur lane solve: HLu::solve_in_place (H-LDLT, {} points, leaf 64, eps 1e-4, \
+         {lowrank_leaves} low-rank leaves), one thread: one {SCHUR_LANE_COLS}-wide call {:.4} s, \
+         {SCHUR_LANE_COLS} width-1 calls {:.4} s, ratio {:.2}, bitwise {}",
+        SCHUR_SIDE * SCHUR_SIDE,
+        schur.seconds_panel,
+        schur.seconds_columns,
+        schur.ratio,
+        if schur.bitwise { "yes" } else { "NO" }
+    );
+
     if smoke {
         smoke_epilogue(
             "kernels_report",
-            &gate(&entries, &recompress, &panel, &blocked, &lanes),
+            &gate(&entries, &recompress, &panel, &blocked, &lanes, &schur),
         );
     }
 }

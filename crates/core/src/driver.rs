@@ -655,11 +655,11 @@ impl<T: Scalar> SessionFactors<T> {
     /// Column `j` of the result is bitwise-identical to a width-1 solve of
     /// that right-hand side — which is what [`solve`] is — with the same
     /// configuration and factors: the demuxed per-request solutions match
-    /// the sequential one-RHS path bit for bit at every thread count. The
-    /// sparse solves give each column its width-1 bits by layout (one lane
-    /// of a row-major workspace); the dense and H-matrix parts — the Schur
-    /// solve and the coupling products — get them from
-    /// [`csolve_dense::with_colwise_det`], under which the panel runs.
+    /// the sequential one-RHS path bit for bit at every thread count. Every
+    /// solve — sparse, dense or H-matrix — gives each column its width-1
+    /// bits by layout (one lane of a row-major workspace,
+    /// [`csolve_dense::lane`]), and the coupling products run column by
+    /// column: no mode is entered.
     pub(crate) fn solve_panel(
         &self,
         b_v: &[T],
@@ -681,14 +681,14 @@ impl<T: Scalar> SessionFactors<T> {
             let col = &b_s[j * ns..(j + 1) * ns];
             b_s_p.extend(self.tree.perm.iter().map(|&o| col[o]));
         }
-        let (xv, xs_p) = csolve_dense::with_colwise_det(|| match &self.state {
+        let (xv, xs_p) = match &self.state {
             FactorState::Direct { fact, sf } => {
                 direct_solution(b_v, b_s_p, fact, sf, &self.a_sv, &self.a_vs, rec)
             }
             FactorState::Condensed { fact_w, sf } => {
                 condensed_solution(b_v, &b_s_p, fact_w, sf, nv, ns, rec)
             }
-        })?;
+        }?;
         let mut xs = Vec::with_capacity(ns * w);
         for j in 0..w {
             xs.extend(self.tree.to_original_order(&xs_p[j * ns..(j + 1) * ns]));

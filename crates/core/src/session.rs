@@ -26,13 +26,12 @@
 //!   via [`SolverSession::flush`]. Every solve-phase kernel is
 //!   *column-separable*: blocks of right-hand sides share each load of the
 //!   factors, yet every column goes through exactly the operation sequence
-//!   of a one-column solve. The sparse solves have that by layout — a column
-//!   is one lane of a row-major workspace ([`csolve_dense::lane`]), so they
-//!   may hand column groups of one panel to different threads without
-//!   changing a bit; the dense and H-matrix Schur solve and the coupling
-//!   products get it from the dense layer's column-wise mode
-//!   ([`csolve_dense::with_colwise_det`]), under which batched solves run.
-//!   So every demuxed solution is **bitwise identical** to the sequential
+//!   of a one-column solve. Every solve has that by layout — the sparse,
+//!   dense and H-matrix solves alike, a column is one lane of a row-major
+//!   workspace ([`csolve_dense::lane`]), so they may hand column groups of
+//!   one panel to different threads without changing a bit — and the
+//!   coupling products run column by column; no mode exists to enter. So
+//!   every demuxed solution is **bitwise identical** to the sequential
 //!   one-request path at any panel width and any thread count.
 //! * **Admission control** — each panel's working set is charged against
 //!   the memory budget before it runs. Under pressure the session degrades

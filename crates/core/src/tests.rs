@@ -543,3 +543,90 @@ mod growth_allowance {
         }
     }
 }
+
+/// Column `j` of a width-`w` Schur solve has the bits of its width-1 solve,
+/// with no mode entered: every factor kind — SPIDO's LDLᵀ and LU, HMAT's
+/// H-LDLᵀ on half storage and H-LU on full storage — for `f64` and `C64`, at
+/// widths that fill a lane group, leave a remainder, span several groups or
+/// none, on 1, 2 and 8 threads.
+mod schur_solve_columns {
+    use csolve_common::{MemTracker, RealScalar, Scalar, C64};
+    use csolve_dense::Mat;
+    use csolve_hmat::ClusterTree;
+    use rand::SeedableRng;
+
+    use crate::config::{DenseBackend, SolverConfig};
+    use crate::schur::{SchurAcc, SchurFactor};
+
+    const WIDTHS: [usize; 8] = [0, 1, 3, 8, 9, 32, 33, 65];
+
+    fn bits<T: Scalar>(col: &[T]) -> Vec<(u64, u64)> {
+        let f = |v: T::Real| v.to_f64().to_bits();
+        col.iter().map(|v| (f(v.real()), f(v.imag()))).collect()
+    }
+
+    fn check<T: Scalar>(seed: u64) {
+        let p = csolve_fembem::pipe_problem::<T>(3_000);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let ns = p.bem.n();
+        let rhs = Mat::<T>::random(ns, WIDTHS[WIDTHS.len() - 1], &mut rng);
+        for backend in [DenseBackend::Spido, DenseBackend::Hmat] {
+            for symmetric in [true, false] {
+                let cfg = SolverConfig {
+                    eps: 1e-6,
+                    dense_backend: backend,
+                    hmat_leaf: 16,
+                    ..Default::default()
+                };
+                let tree = ClusterTree::build(&p.bem.points, cfg.hmat_leaf);
+                let bem = p.bem.permuted(&tree.perm);
+                let tracker = MemTracker::unbounded();
+                let acc = SchurAcc::init_for(&bem, &tree, &cfg, &tracker, symmetric).unwrap();
+                let f = acc.factor(symmetric, cfg.eps, 0).unwrap();
+                let what = match &f {
+                    SchurFactor::DenseLdlt { .. } => "LDLT",
+                    SchurFactor::DenseLu { .. } => "LU",
+                    SchurFactor::Hlu { f, .. } => {
+                        // The low-rank product of the lane solve is covered.
+                        assert!(f.stats().lowrank_leaves > 0, "no low-rank leaf");
+                        if symmetric {
+                            "H-LDLT"
+                        } else {
+                            "H-LU"
+                        }
+                    }
+                };
+                let alone: Vec<_> = (0..rhs.ncols())
+                    .map(|j| {
+                        let mut x = Mat::from_col_major(ns, 1, rhs.col(j).to_vec());
+                        f.solve_in_place(x.as_mut());
+                        bits(x.col(0))
+                    })
+                    .collect();
+                for threads in [1, 2, 8] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    for w in WIDTHS {
+                        let mut x = rhs.view(0..ns, 0..w).to_owned();
+                        pool.install(|| f.solve_in_place(x.as_mut()));
+                        for (j, want) in alone.iter().enumerate().take(w) {
+                            assert!(
+                                bits(x.col(j)) == *want,
+                                "{what} {}: width {w}, column {j}, {threads} threads",
+                                std::any::type_name::<T>()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_j_of_a_width_w_schur_solve_is_its_width_1_solve_bitwise() {
+        check::<f64>(61);
+        check::<C64>(62);
+    }
+}

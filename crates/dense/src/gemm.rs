@@ -10,8 +10,7 @@
 //!   KC-deep slabs. Rayon parallelism is over the macro-tiles.
 //! * **small** — the unpacked register tiles of the `small` module, for
 //!   products too small or too narrow to pay for the packing.
-//! * **column-wise** — [`matvec`]'s operation sequence per column, for a
-//!   single column and for everything under [`with_colwise_det`].
+//! * **matvec** — a single column goes through [`matvec`].
 //!
 //! **Determinism:** the route, and on the packed route the macro-tile grid,
 //! depend only on the problem shape and per-type blocking constants — never
@@ -20,6 +19,11 @@
 //! result is bitwise identical whether the tiles run on 1 thread or 16. This
 //! extends the pipeline-level determinism guarantee of `csolve-core` down
 //! into the kernels.
+//!
+//! A product is *not* column-separable: a width-`w` product may take another
+//! route, hence other bits, than its `w` single-column products. The
+//! multi-RHS solves do not come through here — they run on the lane kernels
+//! ([`crate::lane`]), column-separable by layout, with no mode to enter.
 //!
 //! [`gemm_naive`], the straightforward jki/dot kernel, is retained as the
 //! reference implementation the routes are property-tested against; no
@@ -97,42 +101,6 @@ pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
 /// True when kernels invoked from this thread must not fork.
 pub(crate) fn serial_forced() -> bool {
     FORCE_SERIAL.with(Cell::get)
-}
-
-thread_local! {
-    static COLWISE_DET: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` with every GEMM issued from this thread routed through the
-/// *column-separable* kernels, regardless of the product's width.
-///
-/// A width-`w` product computed this way is bitwise-identical to `w`
-/// separate single-column products with the same operands: each column sees
-/// exactly the operation sequence [`matvec`] gives it — the same `α·x_k`
-/// scaling, the same fixed `k` order, the same skip of an exact-zero
-/// multiplier — while blocks of columns share every load of `A`
-/// (`gemm_colwise`). The packed path cannot offer that: its naive/packed
-/// dispatch reads the width, and its FMA/slab accumulation order differs
-/// from `matvec`'s. The session layer wraps the dense and H-matrix parts of
-/// its batched panel solves in this mode — the Schur solve and the coupling
-/// products — so a multi-RHS solve demuxes into per-request solutions that
-/// match the one-RHS path bit for bit (the sparse solve needs no mode: its
-/// row-major lane kernels, [`crate::lane`], have that property by layout).
-/// The flag is thread-local: it cannot leak into concurrent solves on other
-/// threads — and it does not follow a fork.
-pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
-    COLWISE_DET.with(|s| {
-        let prev = s.replace(true);
-        let out = f();
-        s.set(prev);
-        out
-    })
-}
-
-/// True when GEMMs invoked from this thread run column-wise (the caller is
-/// inside [`with_colwise_det`]).
-pub(crate) fn colwise_det_forced() -> bool {
-    COLWISE_DET.with(Cell::get)
 }
 
 /// Below this many flops the packed engine cannot amortize its pack/copy
@@ -408,13 +376,17 @@ pub fn gemm<T: Scalar>(
     // Kernel-counter hook: reads the clock only while a tracer holds an
     // enable token (one relaxed atomic load otherwise).
     let t0 = crate::stats::start();
-    let route = if bn == 1 || colwise_det_forced() {
+    let route = if bn == 1 {
         // Single-column product: a serial GEMM here would leave an `m·k`-sized
         // product on one core — route through the (parallelized) matvec.
-        // Under [`with_colwise_det`] every column takes that kernel's
-        // operation sequence, so a width-`bn` product is bitwise-equal to
-        // `bn` single-column calls.
-        gemm_colwise(alpha, a, opa, b, opb, beta, c);
+        let y = c.col_mut(0);
+        match opb {
+            Op::NoTrans => matvec(alpha, a, opa, b.col(0), beta, y),
+            _ => {
+                let x: Vec<T> = (0..ak).map(|kk| b_elem(b, opb, kk, 0)).collect();
+                matvec(alpha, a, opa, &x, beta, y)
+            }
+        }
         Route::Matvec
     } else if takes_small_route::<T>(am, bn, ak, opa, opb) {
         gemm_small(alpha, a, opa, b, opb, beta, c);
@@ -504,270 +476,6 @@ fn matvec_chunk<T: Scalar>(alpha: T, a: MatRef<'_, T>, opa: Op, x: &[T], r0: usi
                     acc += aki.conj() * xk;
                 }
                 *yi += alpha * acc;
-            }
-        }
-    }
-}
-
-/// Columns of `op(B)` the column-wise route takes through `A` together:
-/// every load of `A` then serves four right-hand sides. Measured at
-/// 300×64 · 64×8 (`f64`, one thread, GF/s; eight [`matvec`] calls run at
-/// ≈ 8 `NoTrans` / 5.2 `Trans`): 4 columns 25.8 / 24.3, 8 columns
-/// 25.5 / 25.6 — no faster, and a block of 4 lets an 8-column panel split
-/// into two groups for two threads (`csolve-sparse`'s panel solve), which a
-/// block of 8 would leave to one.
-const COLWISE_BLOCK: usize = 4;
-
-/// Rows of `C` one tile of [`colwise_axpy_rows`] holds in registers across
-/// the whole `k` loop. Same measurement, `NoTrans`: 4 rows 23.8 GF/s,
-/// 8 rows 25.8, 16 rows 5.5 (the tile spills).
-const COLWISE_ROWS: usize = 8;
-
-/// Rows of `C` one tile of [`colwise_dot_rows`] accumulates together: each
-/// row is one more independent chain per column beside [`matvec`]'s single
-/// one. Same measurement, `Trans`: 2 rows 19.4 GF/s, 4 rows 24.3,
-/// 6 rows 6.9 (spills), 8 rows 24.0.
-const COLWISE_DOT_ROWS: usize = 4;
-
-/// The column-wise GEMM route: `C[:, j] ← α·op(A)·op(B)[:, j] + β·C[:, j]`
-/// with, per column, exactly the operations [`matvec`] performs — same
-/// `α·x_k` scaling, same `k` order, same exact-zero skip — so a column's bits
-/// do not depend on the columns beside it. A single column goes through
-/// [`matvec`] itself; anything wider through the blocked kernels,
-/// [`COLWISE_BLOCK`] columns at a time — the last block, when the width is
-/// not a multiple of it, with zeros in its spare lanes and only its live
-/// columns read from and written to `C`.
-fn gemm_colwise<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    b: MatRef<'_, T>,
-    opb: Op,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    let (m, k) = opa.shape_of(&a);
-    let bn = c.ncols();
-    if bn == 1 {
-        let y = c.col_mut(0);
-        return match opb {
-            Op::NoTrans => matvec(alpha, a, opa, b.col(0), beta, y),
-            _ => {
-                let x: Vec<T> = (0..k).map(|kk| b_elem(b, opb, kk, 0)).collect();
-                matvec(alpha, a, opa, &x, beta, y)
-            }
-        };
-    }
-    scale_block(beta, &mut c);
-    // Row `kk` of the block of `op(B)`, gathered once per block.
-    let mut x = vec![[T::ZERO; COLWISE_BLOCK]; k];
-    // Same fork rule as one `matvec` of this shape: the block width
-    // must not turn a sub-threshold product into a fork per call.
-    let par = 2.0 * m as f64 * k as f64 >= PAR_FLOP_THRESHOLD
-        && rayon::current_num_threads() > 1
-        && !serial_forced();
-    for j0 in (0..bn).step_by(COLWISE_BLOCK) {
-        let live = COLWISE_BLOCK.min(bn - j0);
-        // The axpy kernel takes `α·x_k` (as `matvec` forms it), the dot
-        // kernels `x_k` itself; a spare lane holds zeros.
-        for (kk, xk) in x.iter_mut().enumerate() {
-            *xk = std::array::from_fn(|cc| {
-                if cc >= live {
-                    return T::ZERO;
-                }
-                let v = b_elem(b, opb, kk, j0 + cc);
-                if opa == Op::NoTrans {
-                    alpha * v
-                } else {
-                    v
-                }
-            });
-        }
-        let x = &x;
-        let run = |(r0, cc): (usize, MatMut<'_, T>)| colwise_rows(alpha, a, opa, x, r0, cc);
-        let cblk = c.rb_mut().submatrix_mut(0..m, j0..j0 + live);
-        if par {
-            // Row chunks of whole register tiles, `matvec`'s grain.
-            let chunk = m
-                .div_ceil(4 * rayon::current_num_threads())
-                .max(64)
-                .next_multiple_of(COLWISE_ROWS);
-            let mut chunks = Vec::with_capacity(m.div_ceil(chunk));
-            let mut rest = cblk;
-            while rest.nrows() > 0 {
-                let h = chunk.min(rest.nrows());
-                let (head, tail) = rest.split_at_row(h);
-                chunks.push((chunks.len() * chunk, head));
-                rest = tail;
-            }
-            chunks.into_par_iter().for_each(run);
-        } else {
-            run((0, cblk));
-        }
-    }
-}
-
-/// One row chunk (rows `r0..` of `op(A)`, the block `cc` of `C`) of one
-/// column block of [`gemm_colwise`]; `x` holds `α·x_k` for `op(A) = A`, `x_k`
-/// otherwise. `cc` has the block's live columns only (at most
-/// [`COLWISE_BLOCK`]): the spare lanes start from zero and are dropped.
-/// Dispatches on the CPU's SIMD level: lane-wise multiplies and adds give the
-/// same bits at any vector width.
-fn colwise_rows<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    x: &[[T; COLWISE_BLOCK]],
-    r0: usize,
-    cc: MatMut<'_, T>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence just checked.
-        return unsafe { colwise_rows_avx2(alpha, a, opa, x, r0, cc) };
-    }
-    colwise_rows_impl(alpha, a, opa, x, r0, cc)
-}
-
-/// [`colwise_rows_impl`] recompiled with 256-bit vectors available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn colwise_rows_avx2<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    x: &[[T; COLWISE_BLOCK]],
-    r0: usize,
-    cc: MatMut<'_, T>,
-) {
-    colwise_rows_impl(alpha, a, opa, x, r0, cc)
-}
-
-#[inline(always)]
-fn colwise_rows_impl<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    opa: Op,
-    x: &[[T; COLWISE_BLOCK]],
-    r0: usize,
-    cc: MatMut<'_, T>,
-) {
-    match opa {
-        Op::NoTrans => colwise_axpy_rows(a, x, r0, cc),
-        _ => colwise_dot_rows(alpha, a, opa == Op::ConjTrans, x, r0, cc),
-    }
-}
-
-/// `C[r, c] += Σ_k s[k][c]·A[r0 + r, k]` for every row of the block `cc`,
-/// [`COLWISE_ROWS`] rows at a time (then single rows).
-#[inline(always)]
-fn colwise_axpy_rows<T: Scalar>(
-    a: MatRef<'_, T>,
-    s: &[[T; COLWISE_BLOCK]],
-    r0: usize,
-    mut cc: MatMut<'_, T>,
-) {
-    // With no exact-zero multiplier anywhere — the common case for a dense
-    // right-hand side — the tiles skip the per-column test.
-    let dense = s.iter().flatten().all(|v| *v != T::ZERO);
-    let rows = cc.nrows();
-    let tiled = rows - rows % COLWISE_ROWS;
-    for i in (0..tiled).step_by(COLWISE_ROWS) {
-        colwise_axpy_tile::<T, COLWISE_ROWS>(a, s, dense, r0 + i, &mut cc, i);
-    }
-    for i in tiled..rows {
-        colwise_axpy_tile::<T, 1>(a, s, dense, r0 + i, &mut cc, i);
-    }
-}
-
-/// One `MR × COLWISE_BLOCK` tile of [`colwise_axpy_rows`], held in registers
-/// across `k`: element `(r, c)` accumulates `s[k][c]·A[ia + r, k]` in `k`
-/// order, skipping exact-zero multipliers — [`matvec_chunk`]'s sequence.
-#[inline(always)]
-fn colwise_axpy_tile<T: Scalar, const MR: usize>(
-    a: MatRef<'_, T>,
-    s: &[[T; COLWISE_BLOCK]],
-    dense: bool,
-    ia: usize,
-    cc: &mut MatMut<'_, T>,
-    ic: usize,
-) {
-    let live = cc.ncols();
-    let mut tile = [[T::ZERO; MR]; COLWISE_BLOCK];
-    for (c, t) in tile.iter_mut().enumerate() {
-        if c < live {
-            t.copy_from_slice(&cc.col(c)[ic..ic + MR]);
-        }
-    }
-    for (kk, sk) in s.iter().enumerate() {
-        let ak = &a.col(kk)[ia..ia + MR];
-        for c in 0..COLWISE_BLOCK {
-            if dense || sk[c] != T::ZERO {
-                for r in 0..MR {
-                    tile[c][r] += sk[c] * ak[r];
-                }
-            }
-        }
-    }
-    for (c, t) in tile.iter().enumerate() {
-        if c < live {
-            cc.col_mut(c)[ic..ic + MR].copy_from_slice(t);
-        }
-    }
-}
-
-/// `C[r, c] += α·Σ_k op(A[k, r0 + r])·x[k][c]` for every row of the block
-/// `cc`, [`COLWISE_DOT_ROWS`] rows at a time (then single rows).
-#[inline(always)]
-fn colwise_dot_rows<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    conj: bool,
-    x: &[[T; COLWISE_BLOCK]],
-    r0: usize,
-    mut cc: MatMut<'_, T>,
-) {
-    let rows = cc.nrows();
-    let tiled = rows - rows % COLWISE_DOT_ROWS;
-    for i in (0..tiled).step_by(COLWISE_DOT_ROWS) {
-        colwise_dot_tile::<T, COLWISE_DOT_ROWS>(alpha, a, conj, x, r0 + i, &mut cc, i);
-    }
-    for i in tiled..rows {
-        colwise_dot_tile::<T, 1>(alpha, a, conj, x, r0 + i, &mut cc, i);
-    }
-}
-
-/// `MB` rows of [`colwise_dot_rows`]: each `(row, column)` accumulates from
-/// zero in `k` order and lands as `C += α·acc` — [`matvec_chunk`]'s sequence.
-#[inline(always)]
-fn colwise_dot_tile<T: Scalar, const MB: usize>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    conj: bool,
-    x: &[[T; COLWISE_BLOCK]],
-    ia: usize,
-    cc: &mut MatMut<'_, T>,
-    ic: usize,
-) {
-    let cols: [&[T]; MB] = std::array::from_fn(|r| a.col(ia + r));
-    let mut acc = [[T::ZERO; COLWISE_BLOCK]; MB];
-    for (kk, xk) in x.iter().enumerate() {
-        for r in 0..MB {
-            let ark = if conj {
-                cols[r][kk].conj()
-            } else {
-                cols[r][kk]
-            };
-            for c in 0..COLWISE_BLOCK {
-                acc[r][c] += ark * xk[c];
-            }
-        }
-    }
-    let live = cc.ncols();
-    for r in 0..MB {
-        for c in 0..COLWISE_BLOCK {
-            if c < live {
-                cc.col_mut(c)[ic + r] += alpha * acc[r][c];
             }
         }
     }
@@ -1103,104 +811,6 @@ mod tests {
             let want = naive_ref(&a, Op::NoTrans, &bcol, Op::NoTrans);
             assert_close_f64(&c, &want, 1e-11);
         }
-    }
-
-    #[test]
-    fn colwise_det_matches_single_column_calls_bitwise() {
-        // Under `with_colwise_det`, a width-w product must be bitwise equal
-        // to w separate single-column products — even at sizes where the
-        // plain dispatch would take the packed path. Cover all opb shapes,
-        // α/β scaling, and every fill of the last register block: its spare
-        // lanes hold zeros, and exact `0.0` / `-0.0` entries of `B` and `C`
-        // are where a zero multiplier that is not skipped would show.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let a = Mat::<f64>::random(96, 80, &mut rng);
-        for w in [2usize, 3, 5, 6, 7, 13, 33] {
-            let mut b = Mat::<f64>::random(80, w, &mut rng);
-            let mut c0 = Mat::<f64>::random(96, w, &mut rng);
-            for j in 0..w {
-                b[(3 * j % 80, j)] = 0.0;
-                b[((3 * j + 1) % 80, j)] = -0.0;
-                c0[(5 * j % 96, j)] = -0.0;
-            }
-            b.col_mut(w - 1).fill(0.0);
-            let bt = b.transpose();
-            for &(bm, opb) in &[(&b, Op::NoTrans), (&bt, Op::Trans)] {
-                for &opa in &[Op::NoTrans, Op::Trans] {
-                    let a_use = if opa == Op::NoTrans {
-                        a.clone()
-                    } else {
-                        a.transpose()
-                    };
-                    for beta in [0.5, 1.0] {
-                        let mut c = c0.clone();
-                        with_colwise_det(|| {
-                            gemm(1.5, a_use.as_ref(), opa, bm.as_ref(), opb, beta, c.as_mut())
-                        });
-                        // Reference: one bn == 1 call per column (plain dispatch).
-                        let mut want = c0.clone();
-                        for j in 0..w {
-                            let (bj, cj) =
-                                (b.view(0..80, j..j + 1), want.view_mut(0..96, j..j + 1));
-                            gemm(1.5, a_use.as_ref(), opa, bj, Op::NoTrans, beta, cj);
-                        }
-                        for j in 0..w {
-                            for (u, v) in c.col(j).iter().zip(want.col(j)) {
-                                assert_eq!(u.to_bits(), v.to_bits(), "width {w}, column {j}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn colwise_det_matches_single_column_calls_bitwise_c64() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        let a = Mat::<C64>::random(64, 56, &mut rng);
-        let b = Mat::<C64>::random(56, 5, &mut rng);
-        let mut c = Mat::<C64>::zeros(64, 5);
-        with_colwise_det(|| {
-            gemm(
-                C64::ONE,
-                a.as_ref(),
-                Op::NoTrans,
-                b.as_ref(),
-                Op::NoTrans,
-                C64::ZERO,
-                c.as_mut(),
-            )
-        });
-        let mut want = Mat::<C64>::zeros(64, 5);
-        for j in 0..5 {
-            gemm(
-                C64::ONE,
-                a.as_ref(),
-                Op::NoTrans,
-                b.view(0..56, j..j + 1),
-                Op::NoTrans,
-                C64::ZERO,
-                want.view_mut(0..64, j..j + 1),
-            );
-        }
-        for j in 0..5 {
-            for (u, v) in c.col(j).iter().zip(want.col(j)) {
-                assert_eq!(u.re.to_bits(), v.re.to_bits());
-                assert_eq!(u.im.to_bits(), v.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn colwise_det_flag_restores_on_exit() {
-        assert!(!colwise_det_forced());
-        with_colwise_det(|| {
-            assert!(colwise_det_forced());
-            with_colwise_det(|| assert!(colwise_det_forced()));
-            assert!(colwise_det_forced());
-        });
-        assert!(!colwise_det_forced());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Right-hand sides as vector lanes: the kernels of the sparse multi-RHS
-//! solve.
+//! Right-hand sides as vector lanes: the kernels of every multi-RHS solve —
+//! the sparse one, the dense LU / LDLᵀ one and the H-matrix one.
 //!
 //! A block of `w ≤ 32` right-hand sides is stored *row-major*: one row per
 //! unknown, that unknown's `w` values side by side — four `zmm` registers at
@@ -15,7 +15,9 @@
 //!   then the division by the pivot;
 //! * [`div_rows`], [`swap_rows`] — diagonal scaling and pivot swaps;
 //! * [`load_rows`], [`store_rows`] — the permuted copies between a
-//!   column-major panel and the workspace.
+//!   column-major panel and the workspace;
+//! * [`solve_panel`] — a column-major panel solved in place, in workspaces
+//!   of at most [`MAX_LANES`] columns spread over the idle threads.
 //!
 //! **Bits by layout.** A lane is one right-hand side, and every kernel gives
 //! every lane the same sequence of multiply-adds whatever `w`: the
@@ -24,8 +26,10 @@
 //! is an exact zero is skipped *in that lane* (a masked multiply-add), never
 //! for the whole block. Lane `j` of a width-`w` call therefore has the bits
 //! of a width-1 call on that right-hand side alone — at any width, on any
-//! thread, with no mode to enter. Which register body runs (`Avx512`,
-//! `Avx2`, `Portable`) is a property of the host, as for the GEMM tiles.
+//! thread. There is no mode to enter and no other mechanism: every multi-RHS
+//! solve of the stack is column-separable by this layout alone. Which
+//! register body runs (`Avx512`, `Avx2`, `Portable`) is a property of the
+//! host, as for the GEMM tiles.
 
 use csolve_common::{RealScalar, Scalar, C64};
 
@@ -35,6 +39,7 @@ use crate::simd::{isa, Isa, Lanes, Portable};
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2, Avx512};
 use crate::trsm::{Diag, Tri};
+use rayon::prelude::*;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
 
@@ -245,6 +250,41 @@ fn for_row_blocks(
             f(r0, &at[..r1 - r0], c);
         }
     }
+}
+
+/// Panel columns [`solve_panel`] hands a thread are a whole number of these:
+/// one 512-bit register of `f64` lanes. A narrower group would leave lanes of
+/// every register idle on each thread. Bits do not depend on it.
+const GROUP_LANES: usize = 8;
+
+/// Solve the column-major panel `b` in place through lane workspaces: its
+/// columns in groups of at most [`MAX_LANES`] — one group per idle thread
+/// when the panel is wide enough, each a whole number of 8 — each group
+/// loaded into a workspace of `b.nrows()` rows (panel row `r` into
+/// workspace row `load[r]`), handed to `f`, and stored back (workspace row
+/// `store[r]` into panel row `r`). A column is one lane of its group's
+/// workspace, so it gets the bits of its width-1 solve whichever columns
+/// share the group and whatever the thread count. One fork per call; a
+/// width-0 panel is a no-op.
+pub fn solve_panel<T: Scalar>(
+    b: MatMut<'_, T>,
+    (load, store): (Rows<'_>, Rows<'_>),
+    f: impl Fn(&mut LaneBuf) + Send + Sync,
+) {
+    if b.ncols() == 0 {
+        return;
+    }
+    let width = b
+        .ncols()
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(GROUP_LANES)
+        .min(MAX_LANES);
+    b.col_chunks_mut(width).into_par_iter().for_each(|x| {
+        let mut ws = LaneBuf::zeros(LaneShape::new::<T>(x.ncols()), x.nrows());
+        load_rows(ws.shape(), ws.as_mut_slice(), x.rb(), load);
+        f(&mut ws);
+        store_rows(ws.shape(), ws.as_slice(), x, store);
+    });
 }
 
 /// Swap rows `i` and `j` of `x`.
@@ -735,38 +775,77 @@ unsafe fn update_block<
     D
 }
 
+/// Solve steps one panel of a `NoTrans` triangle takes (see [`tri`]).
+/// Measured on the LU factor of order 2 379 (one thread, 2-core AVX-512
+/// host, ms for the two triangles at w = 1 / 32): panels of 4 — 6.4 / 13.6,
+/// 8 — 5.1 / 10.7, 16 — 4.8 / 9.3, 32 — 7.1 / 14.8, 64 — 11.3 / 28.8, one
+/// panel — 17.2 / 52.8.
+const TRI_PANEL: usize = 16;
+
 /// [`solve_tri`]: the rows in blocks of [`block_rows`], in solve order
-/// (`FWD`: top-down).
+/// (`FWD`: top-down). A `NoTrans` triangle reads a row's coefficients along a
+/// row of the stored `T` — one column, one page at a large `ld`, per term —
+/// so it goes in panels of [`TRI_PANEL`] steps: the panel's rows are solved,
+/// then the panel's rows are applied to every later row, and a pass over the
+/// coefficients touches [`TRI_PANEL`] columns, not all of them. Every row
+/// still gets its terms in solve order, so the panels move no bit.
 #[inline(always)]
 unsafe fn tri<L: Lanes<E = f64>, T: Scalar, const RV: usize, const HOW: u8, const FWD: bool>(
     job: &Job<'_, T>,
     unit: bool,
 ) {
+    let k = job.nd;
+    let panel = if job.sd == 1 { TRI_PANEL } else { k };
+    for p0 in (0..k).step_by(panel) {
+        let p1 = (p0 + panel).min(k);
+        tri_rows::<L, T, RV, HOW, FWD>(job, p0..p1, p0..p0, Some(unit));
+        tri_rows::<L, T, RV, HOW, FWD>(job, p1..k, p0..p1, None);
+    }
+}
+
+/// The triangle's rows of solve steps `rows`, in blocks of [`block_rows`]:
+/// given the terms of steps `sources` (`finish` = `None`), or finished
+/// (`Some(unit)`) with their terms from step `sources.start` on.
+#[inline(always)]
+unsafe fn tri_rows<
+    L: Lanes<E = f64>,
+    T: Scalar,
+    const RV: usize,
+    const HOW: u8,
+    const FWD: bool,
+>(
+    job: &Job<'_, T>,
+    rows: std::ops::Range<usize>,
+    sources: std::ops::Range<usize>,
+    finish: Option<bool>,
+) {
     let block = block_rows::<L, T, RV>();
-    let mut s0 = 0;
-    while s0 < job.nd {
-        let left = job.nd - s0;
-        if block >= 6 && left >= 6 {
-            tri_block::<L, T, RV, HOW, FWD, 6>(job, s0, unit);
-            s0 += 6;
+    let mut s0 = rows.start;
+    while s0 < rows.end {
+        let left = rows.end - s0;
+        // A finished block takes its terms up to its own first step.
+        let ls = match finish {
+            Some(_) => sources.start..s0,
+            None => sources.clone(),
+        };
+        s0 += if block >= 6 && left >= 6 {
+            tri_block::<L, T, RV, HOW, FWD, 6>(job, s0, ls, finish)
         } else if block >= 4 && left >= 4 {
-            tri_block::<L, T, RV, HOW, FWD, 4>(job, s0, unit);
-            s0 += 4;
+            tri_block::<L, T, RV, HOW, FWD, 4>(job, s0, ls, finish)
         } else if block >= 2 && left >= 2 {
-            tri_block::<L, T, RV, HOW, FWD, 2>(job, s0, unit);
-            s0 += 2;
+            tri_block::<L, T, RV, HOW, FWD, 2>(job, s0, ls, finish)
         } else {
-            tri_block::<L, T, RV, HOW, FWD, 1>(job, s0, unit);
-            s0 += 1;
-        }
+            tri_block::<L, T, RV, HOW, FWD, 1>(job, s0, ls, finish)
+        };
     }
 }
 
 /// The `D` rows a triangle solves in steps `s0 .. s0 + D`, held in
-/// registers: first every term from a row solved before the block, in solve
-/// order, then the block's own rows as each is finished — so every row gets
-/// its terms in solve order, whatever the blocking. A finished row is
-/// divided by its pivot (`!unit`) before it serves as a term.
+/// registers: first the terms of the rows solved at steps `ls`, in solve
+/// order; then — `finish` = `Some(unit)` — the block's own rows as each is
+/// finished, so every row gets its terms in solve order whatever the
+/// blocking. A finished row is divided by its pivot (`!unit`) before it
+/// serves as a term. Returns `D`.
 #[inline(always)]
 unsafe fn tri_block<
     L: Lanes<E = f64>,
@@ -778,8 +857,9 @@ unsafe fn tri_block<
 >(
     job: &Job<'_, T>,
     s0: usize,
-    unit: bool,
-) {
+    ls: std::ops::Range<usize>,
+    finish: Option<bool>,
+) -> usize {
     let sh = job.sh;
     let (rl, k) = (sh.row_len(), job.nd);
     let live = live::<L, RV>(sh.w);
@@ -790,7 +870,7 @@ unsafe fn tri_block<
     for d in 0..D {
         acc[d] = load_row::<L, T, RV>(sh, &live, row(at(s0 + d)));
     }
-    for s in 0..s0 {
+    for s in ls {
         let x = load_row::<L, T, RV>(sh, &live, row(at(s)));
         let Some(m) = acting::<L, T, RV, HOW>(&x) else {
             continue;
@@ -801,6 +881,10 @@ unsafe fn tri_block<
     }
     for d in 0..D {
         let i = at(s0 + d);
+        let Some(unit) = finish else {
+            store_row::<L, T, RV>(sh, &live, row(i), &acc[d]);
+            continue;
+        };
         for e in 0..d {
             let x = acc[e];
             if let Some(m) = acting::<L, T, RV, HOW>(&x) {
@@ -815,6 +899,7 @@ unsafe fn tri_block<
             acc[d] = load_row::<L, T, RV>(sh, &live, row(i));
         }
     }
+    D
 }
 
 #[cfg(test)]
@@ -910,10 +995,11 @@ mod tests {
         let (nd, nl) = (7, 6);
         let a = coefficients::<T>(nd, nl, &mut rng);
         let at = a.transpose();
-        let t = coefficients::<T>(nl, nl, &mut rng);
+        // A triangle within one panel and one across several (`TRI_PANEL`).
+        let tris = [nl, 2 * TRI_PANEL + 5].map(|k| coefficients::<T>(k, k, &mut rng));
         let idx_d = [9, 4, 12, 5, 8, 11, 6];
         let idx_s = [3, 0, 5, 1, 4, 2];
-        let d: Vec<T> = (0..nl).map(|i| t[(i, i)]).collect();
+        let d: Vec<T> = (0..nl).map(|i| tris[0][(i, i)]).collect();
         for isa in host_isas() {
             with_isa(isa, || {
                 for how in [Update::Add, Update::Sub, Update::SubNonzero] {
@@ -937,16 +1023,20 @@ mod tests {
                         );
                     }
                 }
-                for how in [Update::Sub, Update::SubNonzero] {
+                for (how, t) in [Update::Sub, Update::SubNonzero]
+                    .into_iter()
+                    .flat_map(|how| tris.iter().map(move |t| (how, t)))
+                {
                     for (tri, op, diag) in [
                         (Tri::Lower, Op::NoTrans, Diag::Unit),
                         (Tri::Lower, Op::Trans, Diag::Unit),
                         (Tri::Upper, Op::NoTrans, Diag::NonUnit),
                         (Tri::Upper, Op::ConjTrans, Diag::NonUnit),
                     ] {
+                        let k = t.nrows();
                         lanes_match_1_lane_calls::<T>(
-                            &format!("{isa:?} solve_tri {how:?} {tri:?} {op:?} {diag:?}"),
-                            (nl, 0),
+                            &format!("{isa:?} solve_tri {how:?} {tri:?} {op:?} {diag:?} k={k}"),
+                            (k, 0),
                             &|sh, x, _| solve_tri(sh, how, t.as_ref(), tri, op, diag, x),
                         );
                     }
@@ -972,7 +1062,8 @@ mod tests {
     fn kernels_compute_the_products_and_solves_they_name() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let sh = LaneShape::new::<C64>(5);
-        let (k, t) = (6, 9);
+        // The triangle spans several `NoTrans` panels.
+        let (k, t) = (2 * TRI_PANEL + 3, 9);
         let l = coefficients::<C64>(t, k, &mut rng);
         let tri = coefficients::<C64>(k, k, &mut rng);
         let b1 = Mat::<C64>::random(k, 5, &mut rng);

@@ -4,8 +4,9 @@ use csolve_common::Scalar;
 
 use crate::factor::{LdltFactors, LuFactors};
 use crate::gemm::Op;
+use crate::lane::{self, Rows, Update::Sub};
 use crate::mat::MatMut;
-use crate::trsm::{trsm_left, Diag, Tri};
+use crate::trsm::{Diag, Tri};
 
 /// Apply the LU pivot row interchanges to a right-hand side block, forward
 /// (`P·B`) order.
@@ -22,113 +23,44 @@ pub fn apply_row_swaps_fwd<T: Scalar>(ipiv: &[usize], mut b: MatMut<'_, T>) {
     }
 }
 
-/// Solve `A·X = B` in place given `P·A = L·U` factors.
-pub fn lu_solve_in_place<T: Scalar>(f: &LuFactors<T>, mut b: MatMut<'_, T>) {
+/// Solve `A·X = B` in place given `P·A = L·U` factors: the row swaps, then
+/// `L` and `U` as triangles of the lane kernels ([`lane::solve_panel`]), so
+/// column `j` has the bits of a width-1 solve of that column alone.
+pub fn lu_solve_in_place<T: Scalar>(f: &LuFactors<T>, b: MatMut<'_, T>) {
     assert_eq!(f.lu.nrows(), b.nrows(), "lu_solve: dims");
-    apply_row_swaps_fwd(&f.ipiv, b.rb_mut());
-    trsm_left(
-        Tri::Lower,
-        Op::NoTrans,
-        Diag::Unit,
-        T::ONE,
-        f.lu.as_ref(),
-        b.rb_mut(),
-    );
-    trsm_left(
-        Tri::Upper,
-        Op::NoTrans,
-        Diag::NonUnit,
-        T::ONE,
-        f.lu.as_ref(),
-        b,
-    );
-}
-
-/// Solve `Aᵀ·X = B` in place given `P·A = L·U` factors
-/// (`Aᵀ = Uᵀ·Lᵀ·P` ⇒ solve Uᵀ, then Lᵀ, then apply `Pᵀ`).
-pub fn lu_solve_transpose_in_place<T: Scalar>(f: &LuFactors<T>, mut b: MatMut<'_, T>) {
-    assert_eq!(f.lu.nrows(), b.nrows(), "lu_solve_t: dims");
-    trsm_left(
-        Tri::Upper,
-        Op::Trans,
-        Diag::NonUnit,
-        T::ONE,
-        f.lu.as_ref(),
-        b.rb_mut(),
-    );
-    trsm_left(
-        Tri::Lower,
-        Op::Trans,
-        Diag::Unit,
-        T::ONE,
-        f.lu.as_ref(),
-        b.rb_mut(),
-    );
-    // Apply inverse permutation: reverse order of the recorded swaps.
-    for j in (0..f.ipiv.len()).rev() {
-        let p = f.ipiv[j];
-        if p != j {
-            for c in 0..b.ncols() {
-                let x = b.get(j, c);
-                let y = b.get(p, c);
-                b.set(j, c, y);
-                b.set(p, c, x);
-            }
+    lane::solve_panel(b, (Rows::From(0), Rows::From(0)), |ws| {
+        let sh = ws.shape();
+        let x = ws.as_mut_slice();
+        for (j, &p) in f.ipiv.iter().enumerate() {
+            lane::swap_rows(sh, x, j, p);
         }
-    }
+        let lu = f.lu.as_ref();
+        lane::solve_tri(sh, Sub, lu, Tri::Lower, Op::NoTrans, Diag::Unit, x);
+        lane::solve_tri(sh, Sub, lu, Tri::Upper, Op::NoTrans, Diag::NonUnit, x);
+    });
 }
 
 /// Solve `A·X = B` in place given packed LDLᵀ factors (unit lower `L`,
 /// diagonal `D` on the diagonal; the plain transpose is used so this is valid
-/// for complex symmetric matrices).
-pub fn ldlt_solve_in_place<T: Scalar>(f: &LdltFactors<T>, mut b: MatMut<'_, T>) {
+/// for complex symmetric matrices), on lane workspaces like
+/// [`lu_solve_in_place`].
+pub fn ldlt_solve_in_place<T: Scalar>(f: &LdltFactors<T>, b: MatMut<'_, T>) {
     assert_eq!(f.ld.nrows(), b.nrows(), "ldlt_solve: dims");
-    trsm_left(
-        Tri::Lower,
-        Op::NoTrans,
-        Diag::Unit,
-        T::ONE,
-        f.ld.as_ref(),
-        b.rb_mut(),
-    );
-    // Diagonal scaling.
-    let n = f.ld.nrows();
-    for c in 0..b.ncols() {
-        let col = b.col_mut(c);
-        for (i, x) in col.iter_mut().enumerate().take(n) {
-            *x = *x / f.ld[(i, i)];
-        }
-    }
-    trsm_left(Tri::Lower, Op::Trans, Diag::Unit, T::ONE, f.ld.as_ref(), b);
+    let ld = f.ld.as_ref();
+    let d: Vec<T> = (0..ld.nrows()).map(|i| ld.get(i, i)).collect();
+    lane::solve_panel(b, (Rows::From(0), Rows::From(0)), |ws| {
+        let sh = ws.shape();
+        let x = ws.as_mut_slice();
+        lane::solve_tri(sh, Sub, ld, Tri::Lower, Op::NoTrans, Diag::Unit, x);
+        lane::div_rows(sh, x, &d);
+        lane::solve_tri(sh, Sub, ld, Tri::Lower, Op::Trans, Diag::Unit, x);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::lu_in_place;
-    use crate::gemm::gemm_into;
     use crate::mat::Mat;
-    use rand::SeedableRng;
-
-    #[test]
-    fn lu_transpose_solve() {
-        let n = 25;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        let mut a = Mat::<f64>::random(n, n, &mut rng);
-        for i in 0..n {
-            a[(i, i)] += 3.0;
-        }
-        // Force at least one swap.
-        a[(0, 0)] = 0.0;
-        let x_exact = Mat::<f64>::random(n, 3, &mut rng);
-        let b = gemm_into(a.as_ref(), Op::Trans, x_exact.as_ref(), Op::NoTrans);
-        let f = lu_in_place(a).unwrap();
-        let mut x = b;
-        lu_solve_transpose_in_place(&f, x.as_mut());
-        let mut d = x;
-        d.axpy(-1.0, &x_exact);
-        assert!(d.norm_max() < 1e-9, "{:.3e}", d.norm_max());
-    }
 
     #[test]
     fn row_swaps_forward_matches_permutation() {

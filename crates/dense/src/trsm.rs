@@ -15,11 +15,12 @@
 //! sequence of the one-column reference kernel (`solve_col`, which the
 //! remainder columns still run): same multiplies and subtractions in the
 //! same order, same skip of an exact-zero multiplier. A column's bits
-//! therefore never depend on the panel it rides in. The recursion above the
-//! cutoff adds [`gemm`] updates, which have that property under
-//! [`crate::with_colwise_det`] only — the mode the dense Schur solve runs
-//! in. The sparse multi-RHS solve does not come through here: its
-//! triangles are row updates of the lane kernels ([`crate::lane`]).
+//! therefore never depend on the panel it rides in, up to `k = 64`. The
+//! recursion above that cutoff adds [`gemm`] updates, whose route reads the
+//! panel width, so a wider triangle is not column-separable. The factorizations
+//! (dense panels, H-LU) are its callers; no multi-RHS solve comes through
+//! here: the sparse, dense and H-matrix solves run their triangles as row
+//! updates of the lane kernels ([`crate::lane`]), column-separable by layout.
 
 use csolve_common::Scalar;
 use rayon::prelude::*;

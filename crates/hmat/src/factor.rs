@@ -19,6 +19,7 @@
 //! take the half storage. Unsymmetric matrices (full storage) take H-LU.
 
 use csolve_common::{ByteSized, Error, Result, Scalar, ScopeTracer, SpanKind};
+use csolve_dense::lane::{self, LaneBuf, LaneShape, Rows, Update::Sub};
 use csolve_dense::{
     apply_row_swaps_fwd, ldlt_in_place, lu_in_place, trsm_left, trsm_right, Diag, Mat, MatMut, Op,
     Tri,
@@ -63,21 +64,29 @@ impl<T: Scalar> HLu<T> {
         Ok(f)
     }
 
-    /// Solve `H·X = B` in place for a dense RHS panel (cluster order).
-    pub fn solve_in_place(&self, mut b: MatMut<'_, T>) {
+    /// Solve `H·X = B` in place for a dense RHS panel (cluster order), on
+    /// lane workspaces ([`lane::solve_panel`]): column `j` has the bits of a
+    /// width-1 solve of that column alone, at any width and thread count.
+    pub fn solve_in_place(&self, b: MatMut<'_, T>) {
         assert_eq!(b.nrows(), self.h.nrows());
-        solve_lower_dense(&self.h, b.rb_mut());
-        if !self.h.is_half() {
-            return solve_upper_dense(&self.h, b);
+        let h = &self.h;
+        let mut d = Vec::new();
+        if h.is_half() {
+            ldlt_diag(h, &mut d);
         }
-        let mut d = Vec::with_capacity(b.nrows());
-        ldlt_diag(&self.h, &mut d);
-        for j in 0..b.ncols() {
-            for (x, &di) in b.col_mut(j).iter_mut().zip(&d) {
-                *x = *x / di;
+        let rank = h.stats().max_rank;
+        lane::solve_panel(b, (Rows::From(0), Rows::From(0)), |ws| {
+            let sh = ws.shape();
+            let mut scratch = LaneBuf::zeros(sh, rank);
+            let (x, t) = (ws.as_mut_slice(), scratch.as_mut_slice());
+            solve_lanes(h, Pass::Lower, sh, x, t);
+            if d.is_empty() {
+                solve_lanes(h, Pass::Upper, sh, x, t);
+            } else {
+                lane::div_rows(sh, x, &d);
+                solve_lanes(h, Pass::LowerT, sh, x, t);
             }
-        }
-        solve_lower_t_dense(&self.h, b);
+        });
     }
 
     /// Structure statistics of the factored matrix.
@@ -252,56 +261,6 @@ pub(crate) fn solve_lower_dense<T: Scalar>(l: &HMatrix<T>, mut panel: MatMut<'_,
     }
 }
 
-/// Backward solve `panel ← L⁻ᵀ·panel` (plain transpose) on a dense panel,
-/// with the unit `L` of an LDLᵀ-factored block (`D` is the caller's).
-fn solve_lower_t_dense<T: Scalar>(l: &HMatrix<T>, panel: MatMut<'_, T>) {
-    match &l.kind {
-        HKind::DenseLdlt(f) => {
-            trsm_left(
-                Tri::Lower,
-                Op::Trans,
-                Diag::Unit,
-                T::ONE,
-                f.ld.as_ref(),
-                panel,
-            );
-        }
-        HKind::Hier(ch) => {
-            let [l11, l21, _, l22] = &**ch;
-            let (mut top, mut bot) = panel.split_at_row(l11.nrows());
-            solve_lower_t_dense(l22, bot.rb_mut());
-            l21.mul_dense_t(-T::ONE, bot.rb(), T::ONE, top.rb_mut());
-            solve_lower_t_dense(l11, top);
-        }
-        _ => panic!("solve_lower_t_dense: block not LDLᵀ-factored"),
-    }
-}
-
-/// Backward solve `panel ← U⁻¹·panel` on a dense panel.
-pub(crate) fn solve_upper_dense<T: Scalar>(u: &HMatrix<T>, panel: MatMut<'_, T>) {
-    match &u.kind {
-        HKind::DenseLu(f) => {
-            trsm_left(
-                Tri::Upper,
-                Op::NoTrans,
-                Diag::NonUnit,
-                T::ONE,
-                f.lu.as_ref(),
-                panel,
-            );
-        }
-        HKind::Hier(ch) => {
-            let [u11, _u21, u12, u22] = &**ch;
-            let rs = u11.nrows();
-            let (mut top, mut bot) = panel.split_at_row(rs);
-            solve_upper_dense(u22, bot.rb_mut());
-            u12.mul_dense(-T::ONE, bot.rb(), T::ONE, top.rb_mut());
-            solve_upper_dense(u11, top);
-        }
-        _ => panic!("solve_upper_dense: block not factored"),
-    }
-}
-
 /// Forward solve `panel ← U⁻ᵀ·panel` (plain transpose) on a dense panel.
 fn solve_upper_t_dense<T: Scalar>(u: &HMatrix<T>, panel: MatMut<'_, T>) {
     match &u.kind {
@@ -349,5 +308,62 @@ fn solve_upper_right_dense<T: Scalar>(u: &HMatrix<T>, panel: MatMut<'_, T>) {
             solve_upper_right_dense(u22, right);
         }
         _ => panic!("solve_upper_right_dense: block not factored"),
+    }
+}
+
+/// One triangular pass of [`HLu::solve_in_place`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// `x ← L⁻¹·P·x` (`P = I` under LDLᵀ).
+    Lower,
+    /// `x ← U⁻¹·x`.
+    Upper,
+    /// `x ← L⁻ᵀ·x` (plain transpose) with the unit `L` of an LDLᵀ factor.
+    LowerT,
+}
+
+/// `pass` of the factored diagonal block `h` on the lane workspace rows `x`
+/// (exactly `h`'s rows): a leaf is one triangle of the lane kernels, a
+/// subdivided block solves one half, subtracts its off-diagonal block's
+/// product from the other ([`HMatrix::update_lanes`], through `scratch`) and
+/// solves that one.
+fn solve_lanes<T: Scalar>(
+    h: &HMatrix<T>,
+    pass: Pass,
+    sh: LaneShape,
+    x: &mut [f64],
+    scratch: &mut [f64],
+) {
+    let (tri, op, diag) = match pass {
+        Pass::Lower => (Tri::Lower, Op::NoTrans, Diag::Unit),
+        Pass::Upper => (Tri::Upper, Op::NoTrans, Diag::NonUnit),
+        Pass::LowerT => (Tri::Lower, Op::Trans, Diag::Unit),
+    };
+    match (&h.kind, pass) {
+        (HKind::DenseLu(f), Pass::Lower | Pass::Upper) => {
+            if pass == Pass::Lower {
+                for (j, &p) in f.ipiv.iter().enumerate() {
+                    lane::swap_rows(sh, x, j, p);
+                }
+            }
+            lane::solve_tri(sh, Sub, f.lu.as_ref(), tri, op, diag, x);
+        }
+        (HKind::DenseLdlt(f), Pass::Lower | Pass::LowerT) => {
+            lane::solve_tri(sh, Sub, f.ld.as_ref(), tri, op, diag, x);
+        }
+        (HKind::Hier(ch), _) => {
+            let (top, bot) = x.split_at_mut(ch[0].nrows() * sh.row_len());
+            // Forward: top half first, through `a21`; backward: bottom half
+            // first, through `a12` (`U`) or `a21ᵀ` (`Lᵀ`).
+            let (first, off, last, done, next) = match pass {
+                Pass::Lower => (&ch[0], &ch[1], &ch[3], top, bot),
+                Pass::Upper => (&ch[3], &ch[2], &ch[0], bot, top),
+                Pass::LowerT => (&ch[3], &ch[1], &ch[0], bot, top),
+            };
+            solve_lanes(first, pass, sh, done, scratch);
+            off.update_lanes(sh, (Sub, op), next, done, scratch);
+            solve_lanes(last, pass, sh, next, scratch);
+        }
+        _ => panic!("solve_in_place: block not factored for this pass"),
     }
 }

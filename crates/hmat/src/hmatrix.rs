@@ -19,6 +19,7 @@
 //! All indices are in *cluster order*.
 
 use csolve_common::{ByteSized, Error, RealScalar, Result, Scalar};
+use csolve_dense::lane::{self, LaneShape, Rows, Update};
 use csolve_dense::{gemm, Mat, MatMut, MatRef, Op};
 use csolve_lowrank::{aca_plus, LowRank};
 
@@ -427,12 +428,55 @@ impl<T: Scalar> HMatrix<T> {
         }
     }
 
-    /// `y ← α·H·x + β·y`.
-    pub fn matvec(&self, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        let b = Mat::from_col_major(x.len(), 1, x.to_vec());
-        let mut c = Mat::from_col_major(y.len(), 1, y.to_vec());
-        self.mul_dense(alpha, b.as_ref(), beta, c.as_mut());
-        y.copy_from_slice(c.col(0));
+    /// `dst ±= op(H)·src` on row-major lane workspaces ([`lane`]): `dst` and
+    /// `src` hold exactly the rows of `op(H)` and of its columns, `how` is
+    /// [`Update::Add`] or [`Update::Sub`], `op` is `NoTrans` or `Trans` (plain
+    /// transpose). A dense block is one [`lane::update_rows`]; a low-rank
+    /// `U·Vᵀ` first forms `Vᵀ·src` in the leading `rank` rows of `scratch`,
+    /// then adds `U` times it; a subdivided block recurses over its children.
+    /// Every lane gets the operation sequence of a 1-lane call.
+    pub(crate) fn update_lanes(
+        &self,
+        sh: LaneShape,
+        (how, op): (Update, Op),
+        dst: &mut [f64],
+        src: &[f64],
+        scratch: &mut [f64],
+    ) {
+        let all = Rows::From(0);
+        match &self.kind {
+            HKind::Dense(m) => lane::update_rows(sh, how, m.as_ref(), op, (dst, all), (src, all)),
+            HKind::DenseLu(_) | HKind::DenseLdlt(_) | HKind::Mirror => {
+                panic!("update_lanes on a factored leaf or a mirror slot")
+            }
+            HKind::LowRank(lr) => {
+                // U·Vᵀ·x = U·(Vᵀ·x); (U·Vᵀ)ᵀ·x = V·(Uᵀ·x).
+                let (first, second) = match op {
+                    Op::NoTrans => (&lr.v, &lr.u),
+                    _ => (&lr.u, &lr.v),
+                };
+                let t = &mut scratch[..lr.rank() * sh.row_len()];
+                t.fill(0.0);
+                let add = Update::Add;
+                lane::update_rows(sh, add, first.as_ref(), Op::Trans, (t, all), (src, all));
+                lane::update_rows(sh, how, second.as_ref(), Op::NoTrans, (dst, all), (t, all));
+            }
+            HKind::Hier(ch) => {
+                let (rs, cs) = self.splits();
+                // (child, destination half, source half), in `mul_dense`'s
+                // (`mul_dense_t`'s) order.
+                let (ds, ss, order) = match op {
+                    Op::NoTrans => (rs, cs, [(0, 0, 0), (2, 0, 1), (1, 1, 0), (3, 1, 1)]),
+                    _ => (cs, rs, [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]),
+                };
+                let (d1, d2) = dst.split_at_mut(ds * sh.row_len());
+                let (s1, s2) = src.split_at(ss * sh.row_len());
+                let (dsts, srcs) = ([d1, d2], [s1, s2]);
+                for (k, d, s) in order {
+                    ch[k].update_lanes(sh, (how, op), dsts[d], srcs[s], scratch);
+                }
+            }
+        }
     }
 
     /// `out = α·D·H + β·out` with a dense panel on the *left*.

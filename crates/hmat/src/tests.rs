@@ -143,23 +143,6 @@ fn mul_dense_t_and_dense_mul_h_match() {
 }
 
 #[test]
-fn matvec_matches() {
-    let (_, h, dense) = build_test_h(9, 1e-9, AssembleMethod::Aca);
-    let n = dense.nrows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    let mut y = vec![0.0; n];
-    h.matvec(1.0, &x, 0.0, &mut y);
-    let mut want = vec![0.0; n];
-    csolve_dense::matvec(1.0, dense.as_ref(), Op::NoTrans, &x, 0.0, &mut want);
-    let err: f64 = y
-        .iter()
-        .zip(&want)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(err < 1e-6 * n as f64);
-}
-
-#[test]
 fn axpy_dense_block_various_offsets() {
     let (_, mut h, mut dense) = build_test_h(10, 1e-9, AssembleMethod::Aca);
     let n = dense.nrows();

@@ -208,23 +208,6 @@ impl<T: Scalar> LowRank<T> {
         factor_product(&self.v, &self.u, alpha, b, opb, beta, c);
     }
 
-    /// `y ← α·(U·Vᵀ)·x + β·y`.
-    pub fn matvec(&self, alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        if self.rank() == 0 {
-            if beta == T::ZERO {
-                y.fill(T::ZERO);
-            } else if beta != T::ONE {
-                for v in y.iter_mut() {
-                    *v *= beta;
-                }
-            }
-            return;
-        }
-        let mut tmp = vec![T::ZERO; self.rank()];
-        csolve_dense::matvec(T::ONE, self.v.as_ref(), Op::Trans, x, T::ZERO, &mut tmp);
-        csolve_dense::matvec(alpha, self.u.as_ref(), Op::NoTrans, &tmp, beta, y);
-    }
-
     /// Transpose is a factor swap: `(U·Vᵀ)ᵀ = V·Uᵀ`.
     pub fn transpose(&self) -> Self {
         Self {
@@ -641,12 +624,13 @@ mod tests {
         d.axpy(-1.0, &want);
         assert!(d.norm_max() < 1e-11);
 
-        let x: Vec<f64> = (0..14).map(|i| i as f64 * 0.1 - 0.7).collect();
-        let mut y = vec![0.0; 10];
-        lr.matvec(2.0, &x, 0.0, &mut y);
+        // One column, α = 2.
+        let x = Mat::<f64>::from_fn(14, 1, |i, _| i as f64 * 0.1 - 0.7);
+        let mut y = Mat::<f64>::zeros(10, 1);
+        lr.mul_dense(2.0, x.as_ref(), Op::NoTrans, 0.0, y.as_mut());
         let mut want = vec![0.0; 10];
-        csolve_dense::matvec(2.0, a.as_ref(), Op::NoTrans, &x, 0.0, &mut want);
-        for (g, w) in y.iter().zip(&want) {
+        csolve_dense::matvec(2.0, a.as_ref(), Op::NoTrans, x.col(0), 0.0, &mut want);
+        for (g, w) in y.col(0).iter().zip(&want) {
             assert!((g - w).abs() < 1e-11);
         }
     }
@@ -717,9 +701,10 @@ mod tests {
         assert_eq!(z.rank(), 0);
         assert_eq!(z.to_dense().norm_max(), 0.0);
         assert_eq!(z.norm_fro(), 0.0);
-        let mut y = vec![1.0; 5];
-        z.matvec(1.0, &[1.0; 6], 0.0, &mut y);
-        assert!(y.iter().all(|&v| v == 0.0));
+        let mut y = Mat::<f64>::from_fn(5, 1, |_, _| 1.0);
+        let x = Mat::<f64>::from_fn(6, 1, |_, _| 1.0);
+        z.mul_dense(1.0, x.as_ref(), Op::NoTrans, 0.0, y.as_mut());
+        assert!(y.col(0).iter().all(|&v| v == 0.0));
         let mut rc = z.clone();
         rc.recompress(1e-10);
         assert_eq!(rc.rank(), 0);

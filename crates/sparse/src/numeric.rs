@@ -34,7 +34,7 @@ use csolve_dense::lane::{
     Rows::From,
     Update::{Add, Sub, SubNonzero},
 };
-use csolve_dense::{partial_ldlt_nb, partial_lu_nb, Diag, Mat, MatMut, MatRef, Op, Tri};
+use csolve_dense::{partial_ldlt_nb, partial_lu_nb, Diag, Mat, MatMut, Op, Tri};
 use csolve_lowrank::LowRank;
 use rayon::prelude::*;
 
@@ -56,37 +56,14 @@ pub const BLR_MIN_COLS: usize = 16;
 /// Column-chunk width of [`SparseFactorization::solve_sparse_rhs`]: the
 /// right-hand side is solved 32 columns at a time, each chunk an independent
 /// task with its own `n × 32` row-major workspace ([`csolve_dense::lane`]:
-/// four `zmm` registers per unknown) and its own etree reach. It is also the
-/// widest group [`for_col_groups`] hands a thread. The bit contract holds by
-/// layout: every lane of a workspace runs the operation sequence of a
-/// width-1 solve, so neither this width nor the thread count can move a bit.
-/// 32 beat 16 end-to-end: budgeted pipe-16k multi-solve `solve_s` at two
-/// threads 1.40–1.66 s (1.43–1.45 s on the issue's authoring host) against
-/// 1.76–1.79 s (1.73–2.03 s there).
-const SOLVE_CHUNK_COLS: usize = 32;
-
-/// Column groups [`for_col_groups`] cuts are a whole number of these: one
-/// 512-bit register of `f64` lanes. A narrower group would leave lanes of
-/// every register idle on each thread. Bits do not depend on it.
-const SOLVE_GROUP_COLS: usize = 8;
-
-/// Run `f` over the columns of `b` in groups of at most
-/// [`SOLVE_CHUNK_COLS`] — one group per idle thread when the panel is wide
-/// enough, each a whole number of [`SOLVE_GROUP_COLS`]. Any split is safe:
-/// a column is one lane of its group's workspace and gets the bits of its
-/// width-1 solve whichever columns share the group. One fork per call, never
-/// per supernode (the vendored rayon spawns a thread per item).
-fn for_col_groups<T: Scalar>(b: MatMut<'_, T>, f: impl Fn(MatMut<'_, T>) + Send + Sync) {
-    if b.ncols() == 0 {
-        return;
-    }
-    let width = b
-        .ncols()
-        .div_ceil(rayon::current_num_threads())
-        .next_multiple_of(SOLVE_GROUP_COLS)
-        .min(SOLVE_CHUNK_COLS);
-    b.col_chunks_mut(width).into_par_iter().for_each(f);
-}
+/// four `zmm` registers per unknown) and its own etree reach — the widest
+/// group [`lane::solve_panel`] hands a thread in the dense solves too. The
+/// bit contract holds by layout: every lane of a workspace runs the
+/// operation sequence of a width-1 solve, so neither this width nor the
+/// thread count can move a bit. 32 beat 16 end-to-end: budgeted pipe-16k
+/// multi-solve `solve_s` at two threads 1.40–1.66 s (1.43–1.45 s on the
+/// issue's authoring host) against 1.76–1.79 s (1.73–2.03 s there).
+const SOLVE_CHUNK_COLS: usize = lane::MAX_LANES;
 
 /// Factorization kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -733,9 +710,9 @@ impl<T: Scalar> SparseFactorization<T> {
     /// Solve `A·X = B` in place (original index order, dense multi-RHS).
     /// Only valid for complete factorizations (no Schur variables).
     ///
-    /// The columns are solved as the lanes of row-major workspaces
-    /// ([`csolve_dense::lane`]) in groups of at most 32, on whatever threads
-    /// the caller's pool has idle. The bit contract holds by layout: every
+    /// The columns are solved as the lanes of row-major workspaces in groups
+    /// of at most 32, on whatever threads the caller's pool has idle
+    /// ([`lane::solve_panel`]). The bit contract holds by layout: every
     /// lane runs the operation sequence of a width-1 solve, so column `j`
     /// comes out with the bits of its own width-1 solve whatever the width
     /// of `b`, the grouping and the thread count — no kernel mode to enter.
@@ -754,10 +731,9 @@ impl<T: Scalar> SparseFactorization<T> {
         }
         let marked = vec![true; self.sns.len()];
         let d = self.gather_d();
-        for_col_groups(b.as_mut(), |x| {
-            let mut ws = self.permute_rhs(x.rb());
-            self.solve_permuted(&mut ws, &marked, &d);
-            self.unpermute_into(&ws, x);
+        let iperm = Rows::At(&self.symbolic.iperm, 0);
+        lane::solve_panel(b.as_mut(), (iperm, iperm), |ws| {
+            self.solve_permuted(ws, &marked, &d)
         });
         Ok(())
     }
@@ -834,7 +810,7 @@ impl<T: Scalar> SparseFactorization<T> {
             }
         }
         self.solve_permuted(&mut ws, &marked, d);
-        self.unpermute_into(&ws, x);
+        lane::store_rows(sh, ws.as_slice(), x, Rows::At(&self.symbolic.iperm, 0));
     }
 
     /// Partial solve through the Schur complement: condense the right-hand
@@ -867,38 +843,19 @@ impl<T: Scalar> SparseFactorization<T> {
         // Condense into a permuted copy — `b` is untouched if the Schur
         // solve fails — then expand it into the solution.
         let mut bp = b.clone();
-        for_col_groups(bp.as_mut(), |x| {
-            let mut ws = self.permute_rhs(x.rb());
+        let iperm = Rows::At(&self.symbolic.iperm, 0);
+        lane::solve_panel(bp.as_mut(), (iperm, From(0)), |ws| {
             let mut scratch = self.solve_scratch(ws.shape());
-            self.forward_permuted(&mut ws, &marked, &mut scratch);
-            self.diag_permuted(&mut ws, &d);
-            lane::store_rows(ws.shape(), ws.as_slice(), x, Rows::From(0));
+            self.forward_permuted(ws, &marked, &mut scratch);
+            self.diag_permuted(ws, &d);
         });
         schur_solve(bp.view_mut(ne..n, 0..nrhs))?;
-        for_col_groups(bp.as_mut(), |x| {
-            let mut ws = LaneBuf::zeros(LaneShape::new::<T>(x.ncols()), n);
-            lane::load_rows(ws.shape(), ws.as_mut_slice(), x.rb(), Rows::From(0));
+        lane::solve_panel(bp.as_mut(), (From(0), iperm), |ws| {
             let mut scratch = self.solve_scratch(ws.shape());
-            self.backward_permuted(&mut ws, &mut scratch);
-            self.unpermute_into(&ws, x);
+            self.backward_permuted(ws, &mut scratch);
         });
         *b = bp;
         Ok(())
-    }
-
-    /// `b` in the elimination order: row `r` of `b` is workspace row
-    /// `iperm[r]`.
-    fn permute_rhs(&self, b: MatRef<'_, T>) -> LaneBuf {
-        let mut ws = LaneBuf::zeros(LaneShape::new::<T>(b.ncols()), self.n());
-        let iperm = Rows::At(&self.symbolic.iperm, 0);
-        lane::load_rows(ws.shape(), ws.as_mut_slice(), b, iperm);
-        ws
-    }
-
-    /// The inverse of [`Self::permute_rhs`], into `b`.
-    fn unpermute_into(&self, ws: &LaneBuf, b: MatMut<'_, T>) {
-        let iperm = Rows::At(&self.symbolic.iperm, 0);
-        lane::store_rows(ws.shape(), ws.as_slice(), b, iperm);
     }
 
     /// Forward + diagonal + backward on a permuted RHS; unmarked supernodes
