@@ -14,10 +14,11 @@
 //! `recompress` rows), or when the chunked sparse panel solve at `P` threads
 //! takes more than [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
 //! `sparse_panel_solve` row; skipped, loudly, on a one-core host), or when
-//! the column-blocked base case of `trsm_left` is less than
-//! [`COLUMN_BLOCKED_GATE`] times faster than one call per column on the same
-//! operands, or differs from those calls in a single bit (the
-//! `column_blocked` row), or when a 32-wide sparse `solve_in_place` — its
+//! `trsm_left`'s base case — its columns the lanes of one row-major
+//! workspace, the triangle of the lane kernels — is less than
+//! [`TRSM_LANES_GATE`] times faster than one call per column on the same
+//! operands, or differs from those calls in a single bit (the `trsm_lanes`
+//! row), or when a 32-wide sparse `solve_in_place` — its
 //! columns the lanes of one row-major workspace — is less than
 //! [`LANE_SOLVE_GATE`] times faster than 32 width-1 solves of the same
 //! columns, or differs from them in a single bit (the `lane_solve` row), or
@@ -98,18 +99,18 @@ const PANEL_SOLVE_COLS: usize = 128;
 /// them (best-of-5 read 1.0 there).
 const PANEL_SOLVE_REPS: usize = 20;
 
-/// Floor of the `column_blocked` row's `ratio` under `--smoke`: a panel
-/// through the column-blocked base case of `trsm_left` over one call per
-/// column, same run, same operands. Measures ≈ 3.5×; a kernel that fell back
-/// to a per-column loop reads 1.0.
-const COLUMN_BLOCKED_GATE: f64 = 2.0;
-/// Shape of the `column_blocked` row: the diagonal block of a wide
-/// supernode against a 32-column panel.
-const BLOCKED_TRSM_K: usize = 64;
-const BLOCKED_TRSM_NRHS: usize = 32;
-/// Best of this many batches of [`BLOCKED_INNER`] calls (one call is µs).
-const BLOCKED_REPS: usize = 9;
-const BLOCKED_INNER: usize = 400;
+/// Floor of the `trsm_lanes` row's `ratio` under `--smoke`: a 32-column
+/// panel through `trsm_left`'s base case — one lane workspace — over one
+/// call per column, same run, same operands. Measures 4.8–6.2× on a 2-core
+/// AVX-512 host; a kernel that fell back to a per-column loop reads 1.0.
+const TRSM_LANES_GATE: f64 = 2.0;
+/// Shape of the `trsm_lanes` row: the diagonal block of a wide supernode
+/// against a 32-column panel.
+const TRSM_LANES_K: usize = 64;
+const TRSM_LANES_NRHS: usize = 32;
+/// Best of this many batches of [`BATCH_INNER`] calls (one call is µs).
+const BATCH_REPS: usize = 9;
+const BATCH_INNER: usize = 400;
 
 /// Floor of the `lane_solve` row's `ratio` under `--smoke`: 32 width-1
 /// `solve_in_place` calls over one 32-wide call on the same columns of
@@ -533,10 +534,10 @@ fn schur_lane_solve_row() -> (LaneSolveRow, usize) {
     (row, f.stats().lowrank_leaves)
 }
 
-/// One `column_blocked` row.
-struct ColumnBlockedRow {
+/// One `trsm_lanes` row.
+struct TrsmLanesRow {
     kernel: &'static str,
-    /// The panel through the column-blocked kernel.
+    /// The panel through one lane workspace.
     seconds_panel: f64,
     /// One call per column on the same operands.
     seconds_columns: f64,
@@ -549,17 +550,17 @@ struct ColumnBlockedRow {
 /// Time `panel` and `columns` — two ways to overwrite their `Mat` argument
 /// with the same product or solve of `input` — one thread, and compare their
 /// outputs bitwise.
-fn column_blocked_row(
+fn panel_vs_columns_row(
     kernel: &'static str,
     input: &Mat<f64>,
     panel: impl Fn(&mut Mat<f64>),
     columns: impl Fn(&mut Mat<f64>),
-) -> ColumnBlockedRow {
+) -> TrsmLanesRow {
     let timed = |f: &dyn Fn(&mut Mat<f64>)| {
         let mut x = input.clone();
-        let secs = best_of(BLOCKED_REPS, || {
+        let secs = best_of(BATCH_REPS, || {
             let t0 = Instant::now();
-            for _ in 0..BLOCKED_INNER {
+            for _ in 0..BATCH_INNER {
                 x.as_mut().copy_from(input.as_ref());
                 f(&mut x);
             }
@@ -571,7 +572,7 @@ fn column_blocked_row(
     let ((seconds_panel, xp), (seconds_columns, xc)) =
         pool.install(|| (timed(&panel), timed(&columns)));
     let bits = |m: &Mat<f64>| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    ColumnBlockedRow {
+    TrsmLanesRow {
         kernel,
         seconds_panel,
         seconds_columns,
@@ -580,18 +581,18 @@ fn column_blocked_row(
     }
 }
 
-/// The `column_blocked` row: the backward-pass triangle of an LDLᵀ
-/// supernode (`Lower`, `Trans`, `Unit`) through `trsm_left`'s base case,
-/// against one call per column.
-fn column_blocked_trsm_row() -> ColumnBlockedRow {
+/// The `trsm_lanes` row: the backward-pass triangle of an LDLᵀ supernode
+/// (`Lower`, `Trans`, `Unit`) through `trsm_left`'s base case, against one
+/// call per column.
+fn trsm_lanes_row() -> TrsmLanesRow {
     let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-    let (k, nrhs) = (BLOCKED_TRSM_K, BLOCKED_TRSM_NRHS);
+    let (k, nrhs) = (TRSM_LANES_K, TRSM_LANES_NRHS);
     let t = Mat::<f64>::random(k, k, &mut rng);
     let b = Mat::<f64>::random(k, nrhs, &mut rng);
     let solve = |x: csolve::dense::MatMut<'_, f64>| {
         trsm_left(Tri::Lower, Op::Trans, Diag::Unit, 1.0, t.as_ref(), x)
     };
-    column_blocked_row(
+    panel_vs_columns_row(
         "trsm_left",
         &b,
         |x| solve(x.as_mut()),
@@ -618,14 +619,14 @@ fn small_shape_entries<T: Scalar>(scalar: &'static str, flop_scale: f64, out: &m
         // best of each (see `panel_solve_row`).
         let mut seconds = [f64::INFINITY; 2];
         pool.install(|| {
-            for _ in 0..BLOCKED_REPS {
+            for _ in 0..BATCH_REPS {
                 for (best, route) in seconds.iter_mut().zip(routes) {
                     let t0 = Instant::now();
-                    for _ in 0..BLOCKED_INNER {
+                    for _ in 0..BATCH_INNER {
                         let (a, b) = (a.as_ref(), b.as_ref());
                         route(-T::ONE, a, opa, b, Op::NoTrans, T::ONE, c.as_mut());
                     }
-                    *best = best.min(t0.elapsed().as_secs_f64() / BLOCKED_INNER as f64);
+                    *best = best.min(t0.elapsed().as_secs_f64() / BATCH_INNER as f64);
                 }
             }
         });
@@ -655,7 +656,7 @@ fn gate(
     entries: &[Entry],
     recompress: &[RecompressRow],
     panel: &PanelSolveRow,
-    blocked: &ColumnBlockedRow,
+    tri: &TrsmLanesRow,
     lanes: &LaneSolveRow,
     schur: &LaneSolveRow,
 ) -> Vec<String> {
@@ -697,18 +698,18 @@ fn gate(
             ));
         }
     }
-    // Contract 5: the column-blocked triangle base case gives every column
-    // the bits of its own call, and is worth having.
-    if !blocked.bitwise {
+    // Contract 5: the triangle base case runs its columns as the lanes of one
+    // workspace, with the bits of each column's own call, and is worth having.
+    if !tri.bitwise {
         fails.push(format!(
             "{}: the panel differs from one call per column",
-            blocked.kernel
+            tri.kernel
         ));
     }
-    if blocked.ratio < COLUMN_BLOCKED_GATE {
+    if tri.ratio < TRSM_LANES_GATE {
         fails.push(format!(
-            "{}: the panel is {:.2}x one call per column < {COLUMN_BLOCKED_GATE}",
-            blocked.kernel, blocked.ratio
+            "{}: the panel is {:.2}x one call per column < {TRSM_LANES_GATE}",
+            tri.kernel, tri.ratio
         ));
     }
     // Contract 4: the chunked sparse solve spreads over idle threads without
@@ -866,15 +867,15 @@ fn main() {
         if panel.bitwise { "yes" } else { "NO" }
     );
 
-    let blocked = column_blocked_trsm_row();
+    let tri = trsm_lanes_row();
     println!(
-        "\ncolumn-blocked triangle, one thread: trsm_left(Lower, Trans, Unit) k = \
-         {BLOCKED_TRSM_K}, nrhs = {BLOCKED_TRSM_NRHS}: panel {:.4} s, one call per column \
+        "\ntrsm lanes, one thread: trsm_left(Lower, Trans, Unit) k = \
+         {TRSM_LANES_K}, nrhs = {TRSM_LANES_NRHS}: panel {:.4} s, one call per column \
          {:.4} s, ratio {:.2}, bitwise {}",
-        blocked.seconds_panel,
-        blocked.seconds_columns,
-        blocked.ratio,
-        if blocked.bitwise { "yes" } else { "NO" }
+        tri.seconds_panel,
+        tri.seconds_columns,
+        tri.ratio,
+        if tri.bitwise { "yes" } else { "NO" }
     );
 
     let lanes = lane_solve_row();
@@ -903,7 +904,7 @@ fn main() {
     if smoke {
         smoke_epilogue(
             "kernels_report",
-            &gate(&entries, &recompress, &panel, &blocked, &lanes, &schur),
+            &gate(&entries, &recompress, &panel, &tri, &lanes, &schur),
         );
     }
 }

@@ -62,7 +62,8 @@ impl Op {
 }
 
 /// Flop count above which the bandwidth-bound kernels ([`matvec`], the
-/// triangular-solve base case) fork into rayon tasks. The packed GEMM uses
+/// triangular-solve base case, counted as `k²·w`) fork into rayon tasks;
+/// below it the base case runs under [`with_serial`]. The packed GEMM uses
 /// the much larger, calibration-derived [`gemm_par_flop_threshold`] instead:
 /// compute-bound macro-tiles only amortize a fork when there are at least a
 /// couple of cache-sized tiles of work.
@@ -85,10 +86,12 @@ thread_local! {
 }
 
 /// Run `f` with every kernel on this thread pinned to its serial path
-/// (macro-tiles, matvec chunks and triangular-solve columns all stay on the
-/// calling thread). Used by the factorizations to route sub-threshold
-/// problems past rayon entirely instead of paying fork/join overhead on
-/// every small trailing update; results are bitwise identical either way.
+/// (macro-tiles, matvec chunks and the lane groups of
+/// [`crate::lane::solve_panel`], a solve's or the triangular-solve base
+/// case's, all stay on the calling thread). Used by the factorizations to
+/// route sub-threshold problems past rayon entirely instead of paying
+/// fork/join overhead on every small trailing update; results are bitwise
+/// identical either way.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
     FORCE_SERIAL.with(|s| {
         let prev = s.replace(true);

@@ -1,5 +1,7 @@
 //! Right-hand sides as vector lanes: the kernels of every multi-RHS solve —
-//! the sparse one, the dense LU / LDLᵀ one and the H-matrix one.
+//! the sparse one, the dense LU / LDLᵀ one and the H-matrix one — and of the
+//! factorizations' triangles: [`crate::trsm`]'s base case is [`solve_tri`],
+//! a left solve's columns or a right solve's rows as the lanes.
 //!
 //! A block of `w ≤ 32` right-hand sides is stored *row-major*: one row per
 //! unknown, that unknown's `w` values side by side — four `zmm` registers at
@@ -17,7 +19,8 @@
 //! * [`load_rows`], [`store_rows`] — the permuted copies between a
 //!   column-major panel and the workspace;
 //! * [`solve_panel`] — a column-major panel solved in place, in workspaces
-//!   of at most [`MAX_LANES`] columns spread over the idle threads.
+//!   of at most [`MAX_LANES`] columns spread over the idle threads (none
+//!   under [`crate::gemm::with_serial`]).
 //!
 //! **Bits by layout.** A lane is one right-hand side, and every kernel gives
 //! every lane the same sequence of multiply-adds whatever `w`: the
@@ -264,8 +267,8 @@ const GROUP_LANES: usize = 8;
 /// workspace row `load[r]`), handed to `f`, and stored back (workspace row
 /// `store[r]` into panel row `r`). A column is one lane of its group's
 /// workspace, so it gets the bits of its width-1 solve whichever columns
-/// share the group and whatever the thread count. One fork per call; a
-/// width-0 panel is a no-op.
+/// share the group and whatever the thread count. One fork per call, none
+/// under [`crate::gemm::with_serial`]; a width-0 panel is a no-op.
 pub fn solve_panel<T: Scalar>(
     b: MatMut<'_, T>,
     (load, store): (Rows<'_>, Rows<'_>),
@@ -274,17 +277,29 @@ pub fn solve_panel<T: Scalar>(
     if b.ncols() == 0 {
         return;
     }
+    let serial = crate::gemm::serial_forced();
+    let threads = if serial {
+        1
+    } else {
+        rayon::current_num_threads()
+    };
     let width = b
         .ncols()
-        .div_ceil(rayon::current_num_threads())
+        .div_ceil(threads)
         .next_multiple_of(GROUP_LANES)
         .min(MAX_LANES);
-    b.col_chunks_mut(width).into_par_iter().for_each(|x| {
+    let solve = |x: MatMut<'_, T>| {
         let mut ws = LaneBuf::zeros(LaneShape::new::<T>(x.ncols()), x.nrows());
         load_rows(ws.shape(), ws.as_mut_slice(), x.rb(), load);
         f(&mut ws);
         store_rows(ws.shape(), ws.as_slice(), x, store);
-    });
+    };
+    let groups = b.col_chunks_mut(width);
+    if serial {
+        groups.into_iter().for_each(solve);
+    } else {
+        groups.into_par_iter().for_each(solve);
+    }
 }
 
 /// Swap rows `i` and `j` of `x`.

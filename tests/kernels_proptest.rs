@@ -5,13 +5,15 @@
 //! the retained naive reference kernel (`gemm_naive`) — and their results must
 //! be bitwise identical for any rayon thread count.
 //!
-//! And of the column-separable base case of `trsm_left` (triangles up to
-//! `k = 64`): a panel through it must give every column the bits it gets
-//! alone, whatever rides beside it.
+//! And of the triangle base cases of `trsm_left` and `trsm_right` (triangles
+//! up to `k = 64`), which run on the lane kernel: a left solve must give
+//! every column of its panel, a right solve every row, the bits it gets
+//! alone, whatever rides beside it — across lane groups and workspaces.
 
 use csolve_common::{RealScalar, Scalar, C64};
 use csolve_dense::gemm::gemm_packed;
-use csolve_dense::{gemm, gemm_naive, trsm_left, Diag, Mat, MatMut, MatRef, Op, Tri};
+use csolve_dense::lane::MAX_LANES;
+use csolve_dense::{gemm, gemm_naive, trsm_left, trsm_right, Diag, Mat, MatMut, MatRef, Op, Tri};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -348,11 +350,6 @@ fn single_column_gemm_is_bitwise_identical_across_threads() {
     assert_eq!(run(4), reference, "4 threads");
 }
 
-/// Width of the triangular solve's register blocks (`RHS_BLOCK` in
-/// `trsm.rs`, private): the widths below run to `2·block + 1` so a panel has
-/// whole blocks, a remainder, or both.
-const REGISTER_BLOCK: usize = 4;
-
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -362,8 +359,9 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 
 /// A `rows × w` right-hand side inside a `(rows + pad)`-row parent (so its
 /// view is strided), seeded with exact `0.0` and `-0.0` entries and — from
-/// two columns on — one whole zero column: the cases in which the kernels'
-/// skip-on-exact-zero decides bits (`-0.0 − 0.0·t` is `-0.0` only if skipped).
+/// two columns on — one whole zero column: the cases in which skipping an
+/// exact-zero term would decide bits (`-0.0 − 0.0·t` is `-0.0` only if
+/// skipped).
 fn seeded_rhs<T: Scalar>(
     rows: usize,
     w: usize,
@@ -383,10 +381,31 @@ fn seeded_rhs<T: Scalar>(
     })
 }
 
+/// A `k × k` triangle inside a `(k + pad)`-square parent (so its view is
+/// strided), with garbage outside the triangle and on a unit diagonal — both
+/// must be ignored — and the `α` of `seed`.
+fn strided_tri<T: Scalar>(
+    k: usize,
+    pad: usize,
+    seed: u64,
+    rng: &mut rand::rngs::StdRng,
+) -> (Mat<T>, T) {
+    let mut t = Mat::<T>::random(k + pad, k + pad, rng);
+    for i in 0..k {
+        t[(pad + i, i)] = T::from_f64(2.0 + k as f64);
+    }
+    let alpha = if seed.is_multiple_of(2) {
+        T::ONE
+    } else {
+        T::from_f64(-0.75)
+    };
+    (t, alpha)
+}
+
 /// `trsm_left` on a `k × w` panel against `trsm_left` on each of its columns
-/// alone (a width-1 call takes the single-column reference kernel), bitwise.
-/// `k ≤ 64`: the blocked base case alone, which is column-separable; past
-/// the recursion cutoff the off-diagonal updates are GEMMs, which are not.
+/// alone, bitwise. `k ≤ 64`: the lane base case alone, which is
+/// column-separable; past the recursion cutoff the off-diagonal updates are
+/// GEMMs, which are not.
 #[allow(clippy::too_many_arguments)]
 fn trsm_panel_matches_columns<T: Scalar>(
     tri: Tri,
@@ -398,23 +417,14 @@ fn trsm_panel_matches_columns<T: Scalar>(
     seed: u64,
     threads: usize,
 ) -> Result<(), String> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    // Garbage outside the triangle (and on a unit diagonal) must be ignored.
-    let mut t = Mat::<T>::random(k + pad, k + pad, &mut rng);
-    for i in 0..k {
-        t[(pad + i, i)] = T::from_f64(2.0 + k as f64);
-    }
-    let tv = t.view(pad..pad + k, 0..k);
-    let b0 = seeded_rhs::<T>(k, w, pad, &mut rng);
-    let alpha = if seed.is_multiple_of(2) {
-        T::ONE
-    } else {
-        T::from_f64(-0.75)
-    };
     assert!(
         k <= 64,
         "past the base case a panel is not column-separable"
     );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (t, alpha) = strided_tri::<T>(k, pad, seed, &mut rng);
+    let tv = t.view(pad..pad + k, 0..k);
+    let b0 = seeded_rhs::<T>(k, w, pad, &mut rng);
     let mut panel = b0.clone();
     let mut alone = b0.clone();
     pool(threads).install(|| {
@@ -428,7 +438,52 @@ fn trsm_panel_matches_columns<T: Scalar>(
         Ok(())
     } else {
         Err(format!(
-            "{tri:?} {op:?} {diag:?} k={k} w={w} pad={pad} seed={seed} threads={threads}"
+            "left {tri:?} {op:?} {diag:?} k={k} w={w} pad={pad} seed={seed} threads={threads}"
+        ))
+    }
+}
+
+/// The mirror of [`trsm_panel_matches_columns`]: `trsm_right` on a `w × k`
+/// panel against `trsm_right` on each of its rows alone, bitwise — the rows
+/// are the lanes of the right solve.
+#[allow(clippy::too_many_arguments)]
+fn trsm_panel_matches_rows<T: Scalar>(
+    tri: Tri,
+    op: Op,
+    diag: Diag,
+    k: usize,
+    w: usize,
+    pad: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<(), String> {
+    assert!(k <= 64, "past the base case a panel is not row-separable");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (t, alpha) = strided_tri::<T>(k, pad, seed, &mut rng);
+    let tv = t.view(pad..pad + k, 0..k);
+    // The seeded columns become rows (one whole zero row from two rows on),
+    // under `pad` rows of garbage.
+    let src = seeded_rhs::<T>(k, w, 0, &mut rng);
+    let b0 = Mat::from_fn(pad + w, k, |i, j| {
+        if i < pad {
+            T::from_f64(7.0)
+        } else {
+            src[(j, i - pad)]
+        }
+    });
+    let mut panel = b0.clone();
+    let mut alone = b0.clone();
+    pool(threads).install(|| {
+        trsm_right(tri, op, diag, alpha, tv, panel.view_mut(pad..pad + w, 0..k));
+        for i in pad..pad + w {
+            trsm_right(tri, op, diag, alpha, tv, alone.view_mut(i..i + 1, 0..k));
+        }
+    });
+    if bits(&panel) == bits(&alone) {
+        Ok(())
+    } else {
+        Err(format!(
+            "right {tri:?} {op:?} {diag:?} k={k} w={w} pad={pad} seed={seed} threads={threads}"
         ))
     }
 }
@@ -443,11 +498,12 @@ fn tri_diag_of(i: usize) -> (Tri, Diag) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     /// Every `Tri` × `Op` × `Diag`, `k` up to `TRSM_BLOCK` (the base case),
-    /// every width up to two register blocks and one, strided views,
-    /// zero-seeded right-hand sides, 1/2/4-thread pools.
+    /// every width up to two workspaces and one (lane groups of 8, several
+    /// workspaces), strided views, zero-seeded right-hand sides, 1/2/4-thread
+    /// pools.
     #[test]
     fn blocked_trsm_left_gives_each_column_its_own_bits(
-        shape in (1usize..65, 1usize..(2 * REGISTER_BLOCK + 2), 0usize..4),
+        shape in (1usize..65, 1usize..(2 * MAX_LANES + 2), 0usize..4),
         variant in (0usize..4, 0usize..3),
         ps in (0u64..1_000, 0usize..3),
     ) {
@@ -459,10 +515,27 @@ proptest! {
         let r = trsm_panel_matches_columns::<C64>(tri, op_of(io), diag, k, w, pad, seed, threads);
         prop_assert!(r.is_ok(), "C64 {}", r.unwrap_err());
     }
+
+    /// The same cells for `trsm_right`, whose lanes are the rows of `B`:
+    /// each row gets the bits it gets alone.
+    #[test]
+    fn blocked_trsm_right_gives_each_row_its_own_bits(
+        shape in (1usize..65, 1usize..(2 * MAX_LANES + 2), 0usize..4),
+        variant in (0usize..4, 0usize..3),
+        ps in (0u64..1_000, 0usize..3),
+    ) {
+        let ((k, w, pad), (td, io), (seed, it)) = (shape, variant, ps);
+        let (tri, diag) = tri_diag_of(td);
+        let threads = [1, 2, 4][it];
+        let r = trsm_panel_matches_rows::<f64>(tri, op_of(io), diag, k, w, pad, seed, threads);
+        prop_assert!(r.is_ok(), "f64 {}", r.unwrap_err());
+        let r = trsm_panel_matches_rows::<C64>(tri, op_of(io), diag, k, w, pad, seed, threads);
+        prop_assert!(r.is_ok(), "C64 {}", r.unwrap_err());
+    }
 }
 
-/// The 16 variants at the sizes where the base case forks its column chunks
-/// (`k²·w` past the matvec-class threshold), at 1, 2 and 4 threads.
+/// The 16 variants at the sizes where the left base case forks its lane
+/// groups (`k²·w` past the matvec-class threshold), at 1, 2 and 4 threads.
 #[test]
 fn blocked_trsm_left_parallel_chunks_match_columns() {
     for td in 0..4 {
