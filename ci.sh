@@ -64,12 +64,15 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # counts here (not the smoke profile), and so do the budget cells of
 # parallel_pipeline and its symmetric cells (mirrored folds into a half-stored
 # HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; the multi-solve
-# one also under seeded schedule jitter at 8 threads), and the session's
-# budgeted width-4 panels under the same jitter; the first red run fails CI.
+# one also under seeded schedule jitter at 8 threads), the session's
+# budgeted width-4 panels under the same jitter, and multi-solve's fused Z
+# when the budget refuses every extra lane workspace (fewer concurrent
+# chunks, the same bits); the first red run fails CI.
 for i in 1 2 3 4 5; do
   env -u CSOLVE_CONFORMANCE \
     cargo test --offline -q --test conformance autotuned_blocking_under_memory_budgets
   cargo test --offline -q --test parallel_pipeline -- budget symmetric_
+  cargo test --offline -q -p csolve-coupled --lib -- refuses_every_extra_workspace
   cargo test --offline -q -p csolve --features fault-inject --test parallel_pipeline \
     -- schedule_jitter
   cargo test --offline -q -p csolve --features fault-inject --test session \

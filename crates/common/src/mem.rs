@@ -24,7 +24,10 @@
 //! else's reach when the scope was created, and charging them only moves them
 //! from set aside to live. [`MemTracker::live`] and [`MemTracker::peak`]
 //! report **live bytes only**: a run's tracked peak is what it allocated,
-//! never what it merely reserved, directly or through a scope.
+//! never what it merely reserved, directly or through a scope;
+//! [`MemTracker::available`] is what is left to anybody else, the budget
+//! minus both. [`MemCharge::unscope`] ends a scope early, keeping its
+//! charge live on the parent and returning the rest of its cap.
 //!
 //! With one thread `peak()` is exact. With several, each charge samples the
 //! two counters one after the other, so a sample taken while another thread
@@ -119,6 +122,14 @@ impl MemTracker {
     /// The configured budget in bytes (a scoped tracker's cap).
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// Bytes a new charge or scope can still take: the budget minus what is
+    /// committed, live *and* set aside — unlike `budget() − live()`, which
+    /// counts bytes promised to a scope as free.
+    pub fn available(&self) -> usize {
+        self.budget
+            .saturating_sub(self.committed.load(Ordering::Relaxed))
     }
 
     /// Fold the current live bytes, given the just-written `committed`, into
@@ -286,6 +297,32 @@ impl MemCharge {
         }
         self.bytes = new_bytes;
         Ok(())
+    }
+
+    /// End the scope this charge was made through: the charge moves to the
+    /// scope's parent with its bytes live all along, and what the scope held
+    /// set aside beyond them goes back to the parent's budget. No other
+    /// charge can take the moved bytes in between, and the parent's peak
+    /// does not move.
+    ///
+    /// Only a charge holding the last handle to its scope can end it; any
+    /// other charge — or one made on an unscoped tracker — is returned as
+    /// it is.
+    pub fn unscope(mut self) -> MemCharge {
+        let Some(parent) = self.tracker.parent.clone() else {
+            return self;
+        };
+        if Arc::strong_count(&self.tracker) != 1 {
+            return self;
+        }
+        // Emptied, the guard releases nothing; the scope it drops with it
+        // still counts the bytes, so it returns only the cap above them.
+        let bytes = std::mem::take(&mut self.bytes);
+        drop(self);
+        MemCharge {
+            tracker: parent,
+            bytes,
+        }
     }
 }
 
@@ -517,6 +554,47 @@ mod tests {
         assert_eq!(t.live(), 0);
         drop(scopes);
         assert!(t.charge(1000, "everything is back").is_ok());
+    }
+
+    #[test]
+    fn available_counts_what_is_set_aside() {
+        let t = MemTracker::with_budget(1000);
+        let _held = t.charge(100, "held").unwrap();
+        let scope = MemTracker::scoped(&t, 600, "scope").unwrap();
+        let _used = scope.charge(250, "used").unwrap();
+        // Live reads 350, yet only 300 bytes are left to anybody else.
+        assert_eq!((t.live(), t.available()), (350, 300));
+        assert!(MemTracker::scoped(&t, t.budget() - t.live(), "too big").is_err());
+        assert!(MemTracker::scoped(&t, t.available(), "the rest").is_ok());
+    }
+
+    #[test]
+    fn unscope_keeps_the_bytes_live_and_returns_the_cap() {
+        let t = MemTracker::with_budget(1000);
+        let scope = MemTracker::scoped(&t, 600, "scope").unwrap();
+        let mut c = scope.charge(200, "under").unwrap();
+        c.resize(450, "grows").unwrap();
+        // Another handle keeps the scope: nothing moves.
+        let c = c.unscope();
+        assert_eq!((t.live(), t.available(), t.peak()), (450, 400, 450));
+        drop(scope);
+        let c = c.unscope();
+        assert_eq!((t.live(), t.available(), t.peak()), (450, 550, 450));
+        // The charge is the parent's now: it grows and frees there.
+        let mut c = c.unscope();
+        c.resize(500, "grows").unwrap();
+        assert_eq!((t.live(), t.available()), (500, 500));
+        drop(c);
+        assert_eq!((t.live(), t.available()), (0, 1000));
+
+        // A charge past the cap moves whole too.
+        let scope = MemTracker::scoped(&t, 100, "scope").unwrap();
+        let c = scope.charge(300, "past the cap").unwrap();
+        drop(scope);
+        let c = c.unscope();
+        assert_eq!((t.live(), t.available(), t.peak()), (300, 700, 500));
+        drop(c);
+        assert_eq!((t.live(), t.available()), (0, 1000));
     }
 
     #[test]

@@ -14,20 +14,28 @@
 //!
 //! # Cost model
 //!
-//! The models mirror the exact reservations the blockwise pipeline makes
-//! per block, so "predicted" and "admitted" cannot drift apart. A panel's
-//! reservation is the bytes below, whole at admission. A tile's is the bytes
-//! below at admission *plus*, before its numeric phase may start, the
-//! symbolic charge replay of its own stacked `W`, set aside as a tracker
-//! scoped to the tile (`pipeline.rs`); the planner prices that part with the
-//! same replay on a corner tile, and the driver caps the blocks in flight at
-//! usable headroom ÷ the sum the planner returns beside its decision:
+//! The models mirror the exact charges the blockwise pipeline makes per
+//! block, so "predicted" and "admitted" cannot drift apart. A panel's
+//! charges are the bytes below when all its chunks run at once: `Z` and one
+//! lane workspace at admission, the other workspaces as it can use them. A
+//! tile's reservation is the bytes below at admission *plus*, before its
+//! numeric phase may start, the symbolic charge replay of its own stacked
+//! `W`, set aside as a tracker scoped to the tile (`pipeline.rs`); the
+//! planner prices that part with the same replay on a corner tile, and the
+//! driver caps the blocks in flight at the uncommitted budget ÷ the sum the
+//! planner returns beside its decision:
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):
-//!   `(n_s·w + 2·n_v·min(n_c, w)) · sizeof(T)` — the `Z` panel plus twice
-//!   the `Y` of one inner `n_c`-column sparse solve (deliberate slack since
-//!   the solve works in 32-column chunks, see [`multi_solve_panel_bytes`]);
+//!   `(n_s·w + n_v·lanes(min(n_c, w))) · sizeof(T)` — the `Z` panel plus
+//!   every lane workspace of one inner `n_c`-column sparse solve, each
+//!   32-column chunk solved and multiplied by `A_sv` inside its own `n_v`-row
+//!   workspace (`lanes` pads a chunk as [`LaneShape`] does). No `n_v`-row
+//!   `Y` exists. The panel's admission reserve is `Z` plus *one* workspace,
+//!   thread-invariant; each further concurrent workspace is charged by the
+//!   panel before it runs and, when refused, narrows it to the workspaces it
+//!   holds. The price is the full-concurrency working set, so the choice
+//!   does not depend on the thread count either;
 //! * **multi-factorization** tile at grid size `n_b`
 //!   (see [`multi_fact_tile_bytes`]): the stacked `W` (values + indices +
 //!   column pointers, coupling nnz divided evenly across the grid) plus the
@@ -58,8 +66,8 @@
 //! blocking is *feasible* exactly when a single block's working set fits in
 //! the remaining headroom. With the compressed backend (HMAT), the
 //! accumulator's growth allowance between recompression flushes (a quarter
-//! of that headroom, `hmat_growth_allowance` in `schur.rs`) is set aside
-//! first.
+//! of that headroom, `hmat_growth_allowance` in `schur.rs`) is not part of
+//! it: the accumulator sets those bytes aside for itself.
 //!
 //! # Determinism
 //!
@@ -71,9 +79,9 @@
 
 use csolve_common::{Error, MemTracker, Result};
 use csolve_dense::cache::kernel_blocking;
+use csolve_dense::lane::{LaneShape, MAX_LANES};
 
 use crate::config::{DenseBackend, SolverConfig};
-use crate::schur::hmat_growth_allowance;
 
 /// How the blockwise algorithms choose their block sizes.
 #[non_exhaustive]
@@ -130,21 +138,44 @@ pub struct AutotuneDecision {
     pub degraded: bool,
 }
 
+/// Row width, in scalars, of the lane workspaces that hold `k ≥ 1`
+/// right-hand sides in 32-column chunks: each chunk padded as its
+/// [`LaneShape`] pads it (a whole chunk is 32; a narrow one is rounded up to
+/// a line, or below a line to a power of two).
+fn lanes(k: usize) -> usize {
+    let rest = match k % MAX_LANES {
+        0 => 0,
+        r => LaneShape::new::<f64>(r).row_len(),
+    };
+    k / MAX_LANES * MAX_LANES + rest
+}
+
+/// Bytes of the lane workspaces of `k ≥ 1` right-hand sides of one sparse
+/// solve: `n_v` rows of [`lanes`]`(k)` scalars.
+pub(crate) fn lane_workspace_bytes(stats: &MatrixStats, k: usize) -> usize {
+    stats.nv * lanes(k) * stats.elem
+}
+
 /// Working-set bytes of one multi-solve Schur panel at blocking
-/// `(n_c, n_s)`: the `ns × n_s` panel of `Z` plus twice the `Y` of one inner
-/// `n_c`-column sparse solve. Mirrors the pipeline's per-panel admission
-/// reserve exactly — including its deliberate slack: the 2× is the old
-/// whole-panel permuted copy, while the chunked solve holds only `n_v·n_c`
-/// plus one `n_v × 32` lane workspace per live chunk. Both stay at the old
-/// worst case so tracked peaks and `BlockSizes::Auto` decisions do not move.
-/// A tighter reserve must stay thread-invariant — a per-thread term such as
-/// `n_v·32·threads` would make `Auto`'s choice, and so the bits, depend on
-/// the thread count — so the follow-up is the bound `n_v·n_c` plus at most
-/// `n_c/32` live `n_v × 32` chunks per panel, here and in the driver
-/// together (ROADMAP item 14).
+/// `(n_c, n_s)` with every inner chunk running at once: the `ns × n_s` panel
+/// of `Z` plus the lane workspaces of one inner `n_c`-column sparse solve,
+/// `(n_s·w + n_v·lanes(min(n_c, w)))·sizeof(T)`. Each 32-column chunk is
+/// solved and multiplied by `A_sv` inside its own workspace, so no `n_v`-row
+/// `Y` is ever held. The planner and the pipeline's in-flight cap price a
+/// panel with this; its admission reserve
+/// (`multi_solve_panel_reserve`) holds one workspace, and a panel charges
+/// the others only as it can use them. Neither depends on the thread count,
+/// so neither does `Auto`'s choice, nor the bits.
 pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
     let w = n_s.min(stats.ns.max(1));
-    (stats.ns * w + 2 * stats.nv * n_c.min(w)) * stats.elem
+    stats.ns * w * stats.elem + lane_workspace_bytes(stats, n_c.min(w))
+}
+
+/// Admission reserve of a multi-solve Schur panel `w` columns wide at
+/// sparse-solve width `n_c`: its `Z` panel plus one lane workspace,
+/// `(n_s·w + n_v·lanes(min(n_c, w, 32)))·sizeof(T)`.
+pub(crate) fn multi_solve_panel_reserve(stats: &MatrixStats, n_c: usize, w: usize) -> usize {
+    stats.ns * w * stats.elem + lane_workspace_bytes(stats, n_c.min(w).min(MAX_LANES))
 }
 
 /// Working-set bytes of one multi-factorization tile at grid size `n_b`:
@@ -172,27 +203,13 @@ pub fn fixed_multi_solve_blocking(cfg: &SolverConfig) -> (usize, usize) {
     }
 }
 
-/// Headroom left for blockwise working sets: budget minus live bytes, or
-/// `usize::MAX` on an unbounded run.
+/// Budget minus live bytes, or `usize::MAX` on an unbounded run.
 pub(crate) fn headroom(tracker: &MemTracker) -> usize {
     let budget = tracker.budget();
     if budget == usize::MAX {
         usize::MAX
     } else {
         budget.saturating_sub(tracker.live())
-    }
-}
-
-/// Headroom the *block* working sets may claim: the dense backend keeps `S`
-/// at a fixed size and gets the full headroom; the compressed backend's
-/// accumulator keeps its growth allowance between recompression flushes.
-pub(crate) fn usable_headroom(cfg: &SolverConfig, tracker: &MemTracker) -> usize {
-    let room = headroom(tracker);
-    match cfg.dense_backend {
-        DenseBackend::Spido => room,
-        // Unbounded headroom stays unbounded.
-        DenseBackend::Hmat if room == usize::MAX => room,
-        DenseBackend::Hmat => room - hmat_growth_allowance(room),
     }
 }
 
@@ -228,7 +245,9 @@ pub fn plan_multi_solve(
     let quant = |w: usize| if w > nr { w / nr * nr } else { w };
     let n_s0 = quant(n_s0);
     let n_c0 = n_c0.min(n_s0);
-    let room = usable_headroom(cfg, tracker);
+    // What block working sets may claim: the budget minus live bytes and
+    // the compressed accumulator's growth allowance, which it sets aside.
+    let room = tracker.available();
     // Candidate ladder: configured blocking first, then repeated halving of
     // the Schur panel (the sparse-solve panel follows once it is the wider
     // of the two), each candidate re-quantized.
@@ -282,7 +301,7 @@ pub fn plan_multi_factorization(
 ) -> Result<(AutotuneDecision, usize)> {
     let cap = stats.ns.max(1);
     let n_b0 = cfg.n_b.clamp(1, cap);
-    let room = usable_headroom(cfg, tracker);
+    let room = tracker.available();
     let mut n_b = n_b0;
     loop {
         let need = multi_fact_tile_bytes(stats, n_b).saturating_add(internal_bytes(n_b)?);
@@ -336,12 +355,36 @@ mod tests {
 
     #[test]
     fn panel_model_matches_driver_reserve() {
-        // The model must be byte-for-byte the pipeline's admission reserve:
-        // (ns*w + 2*nv*min(n_c, w)) * elem.
+        // The price is Z plus every lane workspace of one inner solve,
+        // (ns*w + nv*lanes(min(n_c, w))) * elem; the admission reserve is Z
+        // plus one, (ns*w + nv*lanes(min(n_c, w, 32))) * elem.
         let s = stats();
         assert_eq!(
             multi_solve_panel_bytes(&s, 256, 1000),
-            (1000 * 1000 + 2 * 4000 * 256) * 8
+            (1000 * 1000 + 4000 * 256) * 8
+        );
+        assert_eq!(
+            multi_solve_panel_reserve(&s, 256, 1000),
+            (1000 * 1000 + 4000 * 32) * 8
+        );
+        // A chunk narrower than 32 is padded as its lane workspace is:
+        // 40 = 32 + 8 columns, 3 → 4, 17 → 24.
+        assert_eq!(
+            multi_solve_panel_bytes(&s, 40, 1000),
+            (1000 * 1000 + 4000 * 40) * 8
+        );
+        assert_eq!(
+            multi_solve_panel_bytes(&s, 35, 1000),
+            (1000 * 1000 + 4000 * (32 + 4)) * 8
+        );
+        assert_eq!(
+            multi_solve_panel_reserve(&s, 17, 1000),
+            (1000 * 1000 + 4000 * 24) * 8
+        );
+        // One chunk: the reserve is the whole working set.
+        assert_eq!(
+            multi_solve_panel_reserve(&s, 24, 48),
+            multi_solve_panel_bytes(&s, 24, 48)
         );
         // A panel wider than ns is clamped to ns.
         assert_eq!(
@@ -425,7 +468,7 @@ mod tests {
     #[test]
     fn infeasible_budget_is_structured_oom() {
         let s = stats();
-        // Even a 1-column panel needs (ns + 2*nv)*elem bytes.
+        // Even a 1-column panel needs (ns + nv)*elem bytes.
         let t = MemTracker::with_budget(16);
         let e = plan_multi_solve(&s, &cfg(), &t).unwrap_err();
         assert!(e.is_oom(), "expected OutOfMemory, got {e}");
@@ -435,25 +478,19 @@ mod tests {
 
     #[test]
     fn hmat_reserves_accumulator_growth_allowance() {
-        // Under the same budget the HMAT backend must leave a quarter of
-        // the headroom to the compressed accumulator's growth between
-        // flushes, so it degrades where the dense backend still fits.
+        // The compressed accumulator sets a quarter of the headroom aside
+        // for its growth between flushes: the planner must leave it there,
+        // and degrades where it still fit with nothing set aside.
         let s = stats();
         let tile = multi_fact_tile_bytes(&s, 2);
         let t = MemTracker::with_budget(tile);
-        let dense = plan_multi_factorization(
-            &s,
-            &SolverConfig {
-                dense_backend: DenseBackend::Spido,
-                ..cfg()
-            },
-            &t,
-            |_| Ok(0),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(dense.n_b, 2);
-        assert!(!dense.degraded);
+        let free = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0))
+            .unwrap()
+            .0;
+        assert_eq!(free.n_b, 2);
+        assert!(!free.degraded);
+        let allowance = crate::schur::hmat_growth_allowance(headroom(&t));
+        let _growth = MemTracker::scoped(&t, allowance, "accumulator growth").unwrap();
         let (compressed, _) = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
         assert!(compressed.degraded);
         assert!(multi_fact_tile_bytes(&s, compressed.n_b) <= tile - tile / 4);

@@ -21,6 +21,7 @@
 //! the phases whose span the driver owns — its trace span.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,9 +30,10 @@ use crate::config::{Algorithm, Metrics, SolverConfig, SparseCompressionSummary};
 use crate::pipeline::{run_blockwise, Slot};
 use crate::schur::{SchurAcc, SchurFactor};
 use csolve_common::{
-    ByteSized, Error, MemTracker, Result, Scalar, ScopeTracer, SpanKind, TraceEventKind,
+    ByteSized, Error, MemCharge, MemTracker, Result, Scalar, ScopeTracer, SpanKind, TraceEventKind,
     TraceScope, Tracer,
 };
+use csolve_dense::lane::{self, MAX_LANES};
 use csolve_dense::{Mat, MatMut, MatRef};
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
@@ -157,17 +159,86 @@ impl<'a, T: Scalar> Ws<'a, T> {
         Ok(fact)
     }
 
-    /// `Y = A_vv⁻¹·rhs` for a sparse right-hand side, recorded in `scope`.
+    /// `Y = A_vv⁻¹·rhs` for a sparse right-hand side in at most `groups`
+    /// concurrent lane workspaces, recorded in `scope`.
     fn solve_y(
         &self,
         fact: &SparseFactorization<T>,
         rhs: &Csc<T>,
+        groups: usize,
         scope: TraceScope,
     ) -> Result<Mat<T>> {
         let mut ph = self.rec.open(Phase::SolveY, scope);
-        let y = fact.solve_sparse_rhs(rhs)?;
+        let mut y = Mat::<T>::zeros(self.nv(), rhs.ncols);
+        fact.solve_sparse_chunks(rhs, y.as_mut(), groups, lane::store_rows)?;
         ph.add_bytes(y.byte_size());
         Ok(y)
+    }
+
+    /// `z = A_sv·A_vv⁻¹·rhs` with no `Y`: each 32-column chunk of `rhs` is
+    /// solved in a lane workspace and multiplied by `A_sv` straight out of
+    /// it into its columns of `z`, at most `groups` workspaces at once. The
+    /// bits are those of [`Self::solve_y`] then [`Self::spmm`]
+    /// ([`Csc::mul_lanes`]), and so are the two phases recorded in `scope`,
+    /// bytes and flops: the product's time is what the chunks spent in it,
+    /// the solve's the rest of the groups' wall clock — summed over the
+    /// groups, as any phase's time is over its threads.
+    fn solve_spmm(
+        &self,
+        fact: &SparseFactorization<T>,
+        rhs: &Csc<T>,
+        z: MatMut<'_, T>,
+        groups: usize,
+        scope: TraceScope,
+    ) -> Result<()> {
+        let (cols, elem) = (rhs.ncols, std::mem::size_of::<T>());
+        let z_bytes = z.nrows() * cols * elem;
+        let started = Instant::now();
+        let in_spmm = AtomicU64::new(0);
+        fact.solve_sparse_chunks(rhs, z, groups, |sh, y, z, rows| {
+            let t = Instant::now();
+            self.a_sv.mul_lanes(T::ONE, sh, y, rows, z);
+            in_spmm.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        })?;
+        let in_spmm = Duration::from_nanos(in_spmm.into_inner());
+        let ran = groups.min(cols.div_ceil(MAX_LANES)).max(1) as u32;
+        let in_solve = (started.elapsed() * ran).saturating_sub(in_spmm);
+        self.rec.record(
+            scope,
+            PhaseCost {
+                phase: Phase::SolveY,
+                time: in_solve,
+                bytes: self.nv() * cols * elem,
+                flops: 0,
+            },
+        );
+        self.rec.record(
+            scope,
+            PhaseCost {
+                phase: Phase::Spmm,
+                time: in_spmm,
+                bytes: z_bytes,
+                flops: 2 * self.a_sv.nnz() as u64 * cols as u64,
+            },
+        );
+        Ok(())
+    }
+
+    /// Charges for the lane workspaces a chunked sparse solve of `cols`
+    /// columns may run beyond its first: one per further group, up to
+    /// `min(threads, ⌈cols/32⌉)` groups, each as wide as the chunk it is
+    /// counted for, through `tracker` — until the first the budget refuses.
+    /// The solve then runs `1 + len` groups: fewer groups, the same bits.
+    fn extra_workspaces(&self, tracker: &Arc<MemTracker>, cols: usize) -> Vec<MemCharge> {
+        let groups = rayon::current_num_threads().min(cols.div_ceil(MAX_LANES));
+        let stats = self.stats();
+        (1..groups)
+            .map_while(|g| {
+                let width = (cols - g * MAX_LANES).min(MAX_LANES);
+                let bytes = autotune::lane_workspace_bytes(&stats, width);
+                tracker.charge(bytes, "lane workspace").ok()
+            })
+            .collect()
     }
 
     /// The stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]`, recorded in `scope`.
@@ -423,6 +494,27 @@ impl Recorder {
         }
     }
 
+    /// Put one measurement of a phase into the totals and — the tracer
+    /// enabled and the phase owning a span kind — into `scope`'s trace as
+    /// that span.
+    fn record(&self, scope: TraceScope, c: PhaseCost) {
+        {
+            let mut totals = self.totals.lock();
+            match totals.iter_mut().find(|t| t.phase == c.phase) {
+                Some(t) => {
+                    t.time += c.time;
+                    t.bytes += c.bytes;
+                    t.flops += c.flops;
+                }
+                None => totals.push(c),
+            }
+        }
+        if let Some(kind) = c.phase.row().1 {
+            let tr = self.tracer.scope(scope);
+            tr.record_span(kind, c.time, c.bytes, c.flops);
+        }
+    }
+
     /// Start measuring `phase` in `scope`; the returned guard records it
     /// when dropped.
     fn open(&self, phase: Phase, scope: TraceScope) -> PhaseGuard<'_> {
@@ -470,24 +562,8 @@ impl PhaseGuard<'_> {
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
-        let c = PhaseCost {
-            time: self.started.elapsed(),
-            ..self.cost
-        };
-        {
-            let mut totals = self.rec.totals.lock();
-            match totals.iter_mut().find(|t| t.phase == c.phase) {
-                Some(t) => {
-                    t.time += c.time;
-                    t.bytes += c.bytes;
-                    t.flops += c.flops;
-                }
-                None => totals.push(c),
-            }
-        }
-        if let Some(kind) = c.phase.row().1 {
-            self.tracer().record_span(kind, c.time, c.bytes, c.flops);
-        }
+        let time = self.started.elapsed();
+        self.rec.record(self.scope, PhaseCost { time, ..self.cost });
     }
 }
 
@@ -825,14 +901,14 @@ fn baseline_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let tracker = ws.tracker;
     let fact = ws.factor_avv()?;
-    // 2× the dense result: the old worst case of the solver's internal
-    // permuted copy (see the panel reserve in `multi_solve_factors`).
-    let mut y_charge = tracker.charge(
-        2 * nv * ns * std::mem::size_of::<T>(),
-        "dense Y = A_vv^-1 A_vs",
-    )?;
-    let y = ws.solve_y(&fact, &ws.a_vs, TraceScope::Run)?;
-    y_charge.resize(y.byte_size(), "dense Y = A_vv^-1 A_vs")?;
+    let y_charge = tracker.charge(nv * ns * std::mem::size_of::<T>(), "dense Y = A_vv^-1 A_vs")?;
+    // The chunked solve's lane workspaces: the first must fit, the others
+    // run only as far as the budget lets them.
+    let first = autotune::lane_workspace_bytes(&ws.stats(), ns.clamp(1, MAX_LANES));
+    let first = tracker.charge(first, "lane workspace")?;
+    let extra = ws.extra_workspaces(tracker, ns);
+    let y = ws.solve_y(&fact, &ws.a_vs, 1 + extra.len(), TraceScope::Run)?;
+    drop((first, extra));
 
     let mut schur = ws.init_schur()?;
     // Z = A_sv·Y, subtracted panel-wise to bound the SpMM temporary.
@@ -975,12 +1051,12 @@ fn assemble_blockwise<T: Scalar>(
             });
         }
         // Model-informed concurrency: admit no more whole blocks than fit
-        // the headroom the planner fitted one into (what the backend leaves
-        // to block working sets: the compressed accumulator keeps the part
-        // set aside for its folds). Starting at the model's cap skips the
-        // degrade churn. Scheduling-only — fold order (and thus the result)
-        // is unaffected.
-        let room = autotune::usable_headroom(cfg, tracker);
+        // the headroom the planner fitted one into (what is not committed:
+        // the compressed accumulator keeps the part it set aside for its
+        // folds). Starting at the model's cap skips the degrade churn.
+        // Scheduling-only — fold order (and thus the result) is
+        // unaffected.
+        let room = tracker.available();
         inflight = inflight.min((room / (*block_bytes).max(1)).max(1));
     }
     let blocks = &plan.blocks;
@@ -1038,9 +1114,15 @@ fn transpose_in_place<T: Scalar>(x: &mut Mat<T>) {
 /// `n_S` columns per compressed AXPY (the separate `n_S ≥ n_c` parameter of
 /// Algorithm 2). Under `BlockSizes::Auto` the autotuner shrinks that
 /// blocking until one panel's working set fits the budget headroom.
+///
+/// Unlike the paper's solver, whose API returns `Y = A_vv⁻¹·A_vs|_i` dense,
+/// no `n_v`-row `Y` is built: each 32-column chunk of an `n_c` sub-panel is
+/// solved in its own lane workspace and multiplied by `A_sv` from there
+/// (`Ws::solve_spmm`). A panel holds `Z` plus one workspace per concurrent
+/// chunk, so its peak is `O(n_s·n_S + n_v·32·min(P, n_c/32))`, not
+/// `O(n_v·n_c)`.
 fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
-    let elem = std::mem::size_of::<T>();
     let cfg = ws.cfg;
     let fact = ws.factor_avv()?;
     let schur = ws.init_schur()?;
@@ -1058,17 +1140,9 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         blocks: (0..ns.div_ceil(n_s.max(1)))
             .map(|i| {
                 let cols = i * n_s..((i + 1) * n_s).min(ns);
-                // Worst-case working set of this panel: its Z panel plus one
-                // inner sparse solve's Y, priced at 2× — the solver's old
-                // whole-panel permuted copy. The chunked solve really holds
-                // `n_v·n_c` plus one `n_v × 32` lane workspace per live
-                // chunk; the reserve is kept at the old worst case on
-                // purpose, so tracked peaks and `BlockSizes::Auto` decisions
-                // do not move. Follow-up (ROADMAP item 14): the
-                // thread-invariant bound — `n_v·n_c` plus at most `n_c/32`
-                // live `n_v × 32` chunks — never a per-thread term, which
-                // would make `Auto`'s choice depend on the thread count.
-                let reserve = (ns * cols.len() + 2 * nv * n_c.min(cols.len())) * elem;
+                // Z and one lane workspace: the panel charges its further
+                // workspaces itself, as far as the budget lets it.
+                let reserve = autotune::multi_solve_panel_reserve(&stats, n_c, cols.len());
                 Block {
                     rows: 0..ns,
                     cols,
@@ -1078,26 +1152,29 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
             .collect(),
         alpha: -T::ONE,
         mirror: false,
-        what_reserved: "Schur panel Z + Y workspace",
+        what_reserved: "Schur panel Z + lane workspace",
         what_parked: "Schur panel Z",
         autotune: planned,
     };
     let all_v: Vec<usize> = (0..nv).collect();
     let fact_r = &fact;
     let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
-        // The panel's reserve is its whole working set already.
         slot.finalize(0, plan.what_reserved)?;
         let scope = TraceScope::Block(seq);
         let (p0, p1) = (b.cols.start, b.cols.end);
+        // Held until every sub-panel has run; a refused charge leaves fewer
+        // concurrent chunks, never other bits.
+        let extra = ws.extra_workspaces(slot.tracker(), n_c.min(p1 - p0));
         let mut zpanel = Mat::<T>::zeros(ns, p1 - p0);
         let mut c0 = p0;
         while c0 < p1 {
             let c1 = (c0 + n_c).min(p1);
-            // Columns c0..c1 of A_vs as a sparse RHS.
+            // Columns c0..c1 of A_vs as a sparse RHS, solved and multiplied
+            // chunk by chunk into Z's columns.
             let cols: Vec<usize> = (c0..c1).collect();
-            let y = ws.solve_y(fact_r, &ws.a_vs.submatrix(&all_v, &cols), scope)?;
+            let rhs = ws.a_vs.submatrix(&all_v, &cols);
             let z = zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0));
-            ws.spmm(y.as_ref(), z, scope);
+            ws.solve_spmm(fact_r, &rhs, z, 1 + extra.len(), scope)?;
             c0 = c1;
         }
         Ok(zpanel)
@@ -1271,6 +1348,7 @@ mod tests {
     use super::*;
     use crate::config::DenseBackend;
     use crate::report::{RunReport, SpanAgg};
+    use csolve_common::{RealScalar, C64};
 
     /// The metrics of a run whose phases are `body`, and the spans it traced.
     fn record(tracer: Tracer, body: impl FnOnce(&Recorder)) -> (Metrics, Vec<SpanAgg>) {
@@ -1450,5 +1528,80 @@ mod tests {
         assert_eq!(m.phase_bytes, [("sparse solve (Y)".to_string(), 4 * 4950)]);
         assert_eq!(m.phase_flops, [("sparse solve (Y)".to_string(), 400)]);
         assert_eq!((m.phases.len(), spans.len()), (1, 0));
+    }
+
+    /// Widths of the fused-`Z` cells: one lane, a chunk but one, a whole
+    /// chunk, a chunk and one, two chunks and one.
+    const FUSED_WIDTHS: [usize; 5] = [1, 31, 32, 33, 65];
+
+    /// Multi-solve's fused `Z` against the unfused pair — `solve_sparse_rhs`,
+    /// then `mul_dense` — bit for bit: for every width, on each
+    /// `(threads, workspaces)` pool, its extra lane workspaces charged to
+    /// `workspaces`. Returns the group counts the fused solves ran with.
+    fn check_fused_z<T: Scalar>(
+        p: &CoupledProblem<T>,
+        cells: &[(usize, Arc<MemTracker>)],
+    ) -> Vec<usize> {
+        let cfg = SolverConfig::default();
+        let run = Run::start(&cfg);
+        let tracker = MemTracker::unbounded();
+        let ws = Ws::new(p, &cfg, &tracker, &run.rec);
+        let fact = ws.factor_avv().unwrap();
+        let (nv, ns) = (ws.nv(), ws.ns());
+        assert!(ns >= 65, "the surface must hold the widest cell");
+        let all_v: Vec<usize> = (0..nv).collect();
+        let bits = |m: &Mat<T>| {
+            let f = |v: T::Real| v.to_f64().to_bits();
+            m.data()
+                .iter()
+                .map(|v| (f(v.real()), f(v.imag())))
+                .collect::<Vec<_>>()
+        };
+        let mut groups = Vec::new();
+        for w in FUSED_WIDTHS {
+            let cols: Vec<usize> = (ns - w..ns).collect();
+            let rhs = ws.a_vs.submatrix(&all_v, &cols);
+            let y = fact.solve_sparse_rhs(&rhs).unwrap();
+            let mut want = Mat::<T>::zeros(ns, w);
+            ws.a_sv
+                .mul_dense(T::ONE, y.as_ref(), T::ZERO, want.as_mut());
+            for (threads, workspaces) in cells {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(*threads)
+                    .build()
+                    .unwrap();
+                let mut z = Mat::<T>::zeros(ns, w);
+                pool.install(|| {
+                    let extra = ws.extra_workspaces(workspaces, w);
+                    groups.push(1 + extra.len());
+                    ws.solve_spmm(&fact, &rhs, z.as_mut(), 1 + extra.len(), TraceScope::Run)
+                })
+                .unwrap();
+                assert!(bits(&z) == bits(&want), "width {w}, {threads} thr");
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn fused_z_is_mul_dense_of_solve_sparse_rhs_bitwise_at_every_thread_count() {
+        let cells = [1, 2, 4, 8].map(|t| (t, MemTracker::unbounded()));
+        let groups = check_fused_z(&csolve_fembem::pipe_problem::<f64>(1_200), &cells);
+        check_fused_z(&csolve_fembem::industrial_problem::<C64>(900), &cells);
+        // One group per chunk the pool has a thread for: min(threads, ⌈w/32⌉).
+        let want: Vec<usize> = FUSED_WIDTHS
+            .iter()
+            .flat_map(|w| [1, 2, 4, 8].map(|t| t.min(w.div_ceil(32))))
+            .collect();
+        assert_eq!(groups, want);
+    }
+
+    #[test]
+    fn fused_z_is_bitwise_when_the_budget_refuses_every_extra_workspace() {
+        // A refused charge narrows the solve to the workspaces it holds.
+        let cells = [8, 4].map(|t| (t, MemTracker::with_budget(0)));
+        let groups = check_fused_z(&csolve_fembem::pipe_problem::<f64>(1_200), &cells);
+        check_fused_z(&csolve_fembem::industrial_problem::<C64>(900), &cells);
+        assert!(groups.iter().all(|&g| g == 1), "{groups:?}");
     }
 }

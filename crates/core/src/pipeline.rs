@@ -260,8 +260,13 @@ impl Slot<'_> {
                 return Err(e.clone());
             }
             let alone = st.inflight == 1;
-            let room = tracker.budget().saturating_sub(tracker.live());
-            let cap = if alone { bound.min(room) } else { bound };
+            // What a scope can still take: bytes set aside for another one
+            // (the compressed Schur accumulator's) are not headroom.
+            let cap = if alone {
+                bound.min(tracker.available())
+            } else {
+                bound
+            };
             if let Ok(scope) = MemTracker::scoped(tracker, cap, what) {
                 self.scope = Some(scope);
                 st.next_ticket = st.next_ticket.max(self.seq + 1);
@@ -701,6 +706,30 @@ mod tests {
                 e => panic!("expected the callee's out-of-memory error, got {e}"),
             }
             assert!(tracker.charge(100, "everything is back").is_ok());
+        }
+    }
+
+    #[test]
+    fn a_lone_block_is_granted_what_another_scope_left_and_returns() {
+        // 300 bytes set aside for a scope outside the pipeline (the
+        // compressed Schur accumulator's growth allowance): a lone block
+        // asking for more than is left is granted the 600 left, not the 900
+        // the live count alone would suggest — which no scope could get.
+        for workers in [1, 4] {
+            let tracker = MemTracker::with_budget(1_000);
+            let outside = MemTracker::scoped(&tracker, 300, "accumulator").unwrap();
+            let granted = AtomicUsize::new(0);
+            let folded = with_workers(workers, || {
+                run(&tracker, (2, 1, 100), |_, slot| {
+                    slot.finalize(2_000, "callee working set")?;
+                    granted.store(slot.tracker().budget(), Ordering::SeqCst);
+                    Ok(())
+                })
+            });
+            assert_eq!(folded.unwrap(), [0, 1]);
+            assert_eq!(granted.load(Ordering::SeqCst), 600);
+            drop(outside);
+            assert_eq!(tracker.available(), 1_000);
         }
     }
 

@@ -17,7 +17,10 @@
 //! truncating recompression runs only when a leaf's accumulated rank exceeds
 //! the flush threshold, when the accumulator's footprint crosses its byte cap
 //! (its footprint at init plus `hmat_growth_allowance`), or — always —
-//! right before the factorization. Both triggers are computed from
+//! right before the factorization. Under a bounded budget the byte cap is
+//! set aside as a tracker scoped to the accumulator
+//! ([`MemTracker::scoped`]): its growth is reserved, and counts as live only
+//! as it happens; factoring ends the scope. Both triggers are computed from
 //! deterministic state (the ordered-commit sequence of block contributions
 //! and the budget at init), so the flush schedule, like the arithmetic, is
 //! identical for every thread count.
@@ -50,7 +53,8 @@ pub enum SchurAcc<T: Scalar> {
     Hmat {
         /// The accumulated `S`, possibly holding formal (untruncated) sums.
         h: HMatrix<T>,
-        /// Its charge against the run's budget, re-synced after each AXPY.
+        /// Its charge against the run's budget, re-synced after each AXPY:
+        /// on a bounded budget, through a scope capped at `byte_cap`.
         charge: MemCharge,
         /// Formal rank a leaf may accumulate before it is truncated.
         flush_rank: usize,
@@ -63,8 +67,9 @@ pub enum SchurAcc<T: Scalar> {
 
 /// How many bytes the HMAT accumulator may add to its footprint between
 /// recompression flushes, given the budget `headroom` left once it is
-/// charged: a quarter of it (unbounded stays unbounded). The same bytes are
-/// withheld from the blockwise working sets by `autotune::usable_headroom`.
+/// charged: a quarter of it (unbounded stays unbounded). The accumulator
+/// sets them aside, so block working sets, priced against
+/// [`MemTracker::available`], cannot take them.
 pub(crate) fn hmat_growth_allowance(headroom: usize) -> usize {
     if headroom == usize::MAX {
         usize::MAX
@@ -126,12 +131,24 @@ impl<T: Scalar> SchurAcc<T> {
                 } else {
                     HMatrix::assemble_root(tree, tree, &oracle, &opts)
                 };
-                let charge = tracker.charge(h.byte_size(), "compressed Schur/A_ss")?;
                 // Leaves accumulate formal rank up to half the leaf size
                 // before paying for a truncation.
                 let flush_rank = (cfg.hmat_leaf / 2).max(4);
-                let allowance = hmat_growth_allowance(headroom(tracker));
-                let byte_cap = h.byte_size().saturating_add(allowance);
+                let what = "compressed Schur/A_ss";
+                // The growth between flushes is reserved, not just priced:
+                // on a bounded budget the accumulator charges through a
+                // scope capped at `byte_cap`, set aside now, so no block
+                // working set can take the bytes its next fold needs.
+                // `factor` ends the scope.
+                let (byte_cap, acc) = match headroom(tracker) {
+                    usize::MAX => (usize::MAX, Arc::clone(tracker)),
+                    room => {
+                        let left = room.saturating_sub(h.byte_size());
+                        let cap = h.byte_size() + hmat_growth_allowance(left);
+                        (cap, MemTracker::scoped(tracker, cap, what)?)
+                    }
+                };
+                let charge = acc.charge(h.byte_size(), what)?;
                 Ok(Self::Hmat {
                     h,
                     charge,
@@ -318,6 +335,9 @@ impl<T: Scalar> SchurAcc<T> {
                 }
                 let f = HLu::factor_traced(h, eps, tr)?;
                 charge.resize(f.byte_size(), "compressed Schur factors")?;
+                // Nothing folds any more: what is left of the growth
+                // allowance goes back to the budget.
+                let charge = charge.unscope();
                 Ok(SchurFactor::Hlu { f, charge })
             }
         }

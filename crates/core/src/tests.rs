@@ -506,14 +506,14 @@ mod schur_acc_symmetric {
 }
 
 /// The HMAT growth allowance is one decision: the bytes the accumulator's
-/// byte cap lets it grow past its footprint are exactly the bytes the
-/// autotuner withholds from the blockwise working sets at the same live
-/// bytes, and SPIDO, whose `S` never grows, withholds nothing.
+/// byte cap lets it grow past its footprint are exactly the bytes it sets
+/// aside, which the blockwise working sets cannot claim
+/// (`MemTracker::available`) until factoring ends the scope; SPIDO, whose
+/// `S` never grows, sets nothing aside.
 mod growth_allowance {
     use csolve_common::MemTracker;
     use csolve_hmat::ClusterTree;
 
-    use crate::autotune::usable_headroom;
     use crate::config::{DenseBackend, SolverConfig};
     use crate::schur::SchurAcc;
 
@@ -531,7 +531,7 @@ mod growth_allowance {
             let _factors = tracker.charge(5 << 20, "sparse factors").unwrap();
             let acc = SchurAcc::init(&bem, &tree, &cfg, &tracker).unwrap();
             let headroom = tracker.budget() - tracker.live();
-            let withheld = headroom - usable_headroom(&cfg, &tracker);
+            let withheld = headroom - tracker.available();
             let base_bytes = acc.bytes();
             match acc {
                 SchurAcc::Dense { .. } => assert_eq!(withheld, 0),
@@ -540,6 +540,8 @@ mod growth_allowance {
                     assert_eq!(byte_cap - base_bytes, withheld);
                 }
             }
+            let _factored = acc.factor(false, cfg.eps, 0).unwrap();
+            assert_eq!(tracker.available(), tracker.budget() - tracker.live());
         }
     }
 }

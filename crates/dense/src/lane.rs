@@ -169,8 +169,9 @@ pub enum Rows<'a> {
 }
 
 impl Rows<'_> {
+    /// The position of the `l`-th selected row.
     #[inline(always)]
-    fn get(self, l: usize) -> usize {
+    pub fn get(self, l: usize) -> usize {
         match self {
             Rows::From(r0) => r0 + l,
             Rows::At(idx, offset) => idx[l] - offset,

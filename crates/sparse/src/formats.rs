@@ -1,6 +1,7 @@
 //! Sparse matrix storage: COO builder and compressed sparse column (CSC).
 
 use csolve_common::{ByteSized, Error, Result, Scalar};
+use csolve_dense::lane::{LaneShape, Rows, MAX_LANES};
 use csolve_dense::{Mat, MatMut, MatRef};
 use rayon::prelude::*;
 
@@ -295,6 +296,53 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
+    /// `Z ← α·A·Y` for the right-hand sides held as the lanes of a
+    /// row-major workspace `y` of shape `sh` ([`csolve_dense::lane`]): row
+    /// `k` of `Y` is workspace row `rows.get(k)`, and `z` has `sh.lanes()`
+    /// columns. Every element sees [`Csc::mul_dense`]'s operation sequence
+    /// at `β = 0` — zero fill, the non-empty columns of `A` in ascending
+    /// order, `s = α·y`, an exact-zero `s` skipped in its own lane — so `z`
+    /// has the bits of `mul_dense` on the column-major `Y`, which need never
+    /// exist. The rows of `Z` accumulate side by side, then are written out
+    /// once.
+    pub fn mul_lanes(
+        &self,
+        alpha: T,
+        sh: LaneShape,
+        y: &[f64],
+        rows: Rows<'_>,
+        mut z: MatMut<'_, T>,
+    ) {
+        let w = sh.lanes();
+        assert_eq!(z.nrows(), self.nrows, "lane spmm: Z rows");
+        assert_eq!(z.ncols(), w, "lane spmm: Z cols");
+        let mut acc = vec![T::ZERO; self.nrows * w];
+        let mut s = [T::ZERO; MAX_LANES];
+        let s = &mut s[..w];
+        for k in (0..self.ncols).filter(|&k| self.colptr[k] < self.colptr[k + 1]) {
+            let r = rows.get(k);
+            for (j, s) in s.iter_mut().enumerate() {
+                *s = alpha * sh.get::<T>(y, r, j);
+            }
+            // No zero among them (the common case): no test per entry.
+            let dense = s.iter().all(|v| *v != T::ZERO);
+            for p in self.colptr[k]..self.colptr[k + 1] {
+                let (i, v) = (self.rowidx[p], self.values[p]);
+                let row = &mut acc[i * w..(i + 1) * w];
+                for (c, &s) in row.iter_mut().zip(s.iter()) {
+                    if dense || s != T::ZERO {
+                        *c += s * v;
+                    }
+                }
+            }
+        }
+        for j in 0..w {
+            for (zi, row) in z.col_mut(j).iter_mut().zip(acc.chunks_exact(w)) {
+                *zi = row[j];
+            }
+        }
+    }
+
     /// `y ← α·A·x + β·y` (one column of [`Csc::mul_dense`]).
     pub fn matvec(&self, alpha: T, x: &[T], beta: T, y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
@@ -504,6 +552,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `mul_lanes` reads `Y` out of a permuted lane workspace and must give
+    /// each column the bits `mul_dense` gives it from the column-major `Y`:
+    /// exact `0.0` / `-0.0` entries, a whole zero column and empty columns
+    /// of `A` included, for `f64` and `C64`, at widths below, at and across
+    /// a line.
+    #[test]
+    fn lane_spmm_matches_mul_dense_bitwise() {
+        fn check<T: Scalar>(seed: u64) {
+            use csolve_common::RealScalar;
+            use csolve_dense::lane::{self, LaneBuf};
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (m, n) = (40, 300);
+            let mut coo = Coo::new(m, n);
+            for j in (0..n).filter(|j| j % 5 != 2) {
+                for _ in 0..3 {
+                    coo.push(
+                        rng.random_range(0..m),
+                        j,
+                        T::from_f64(rng.random_range(-1.0..1.0)),
+                    );
+                }
+            }
+            let a = coo.to_csc();
+            // Workspace row perm[k] holds row k of Y.
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.reverse();
+            perm.swap(3, 100);
+            let bits = |m: &Mat<T>| {
+                let f = |v: T::Real| v.to_f64().to_bits();
+                m.data()
+                    .iter()
+                    .map(|v| (f(v.real()), f(v.imag())))
+                    .collect::<Vec<_>>()
+            };
+            for w in [1usize, 3, 8, 13, 32] {
+                let mut y = Mat::<T>::random(n, w, &mut rng);
+                for j in 0..w {
+                    y[((1 + 5 * j) % n, j)] = T::ZERO;
+                    y[((7 + 5 * j) % n, j)] = T::from_f64(-0.0);
+                }
+                y.col_mut(w / 2).fill(T::ZERO);
+                let sh = LaneShape::new::<T>(w);
+                let mut ws = LaneBuf::zeros(sh, n);
+                lane::load_rows(sh, ws.as_mut_slice(), y.as_ref(), Rows::At(&perm, 0));
+                for alpha in [T::ONE, T::from_f64(-1.5)] {
+                    let mut want = Mat::<T>::random(m, w, &mut rng);
+                    a.mul_dense(alpha, y.as_ref(), T::ZERO, want.as_mut());
+                    let mut got = Mat::<T>::random(m, w, &mut rng);
+                    a.mul_lanes(alpha, sh, ws.as_slice(), Rows::At(&perm, 0), got.as_mut());
+                    assert!(bits(&got) == bits(&want), "width {w}");
+                }
+            }
+        }
+        check::<f64>(21);
+        check::<csolve_common::C64>(22);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub const BLR_MIN_ROWS: usize = 48;
 /// to be attempted (see [`BLR_MIN_ROWS`]).
 pub const BLR_MIN_COLS: usize = 16;
 
-/// Column-chunk width of [`SparseFactorization::solve_sparse_rhs`]: the
+/// Column-chunk width of [`SparseFactorization::solve_sparse_chunks`]: the
 /// right-hand side is solved 32 columns at a time, each chunk an independent
 /// task with its own `n × 32` row-major workspace ([`csolve_dense::lane`]:
 /// four `zmm` registers per unknown) and its own etree reach — the widest
@@ -743,53 +743,79 @@ impl<T: Scalar> SparseFactorization<T> {
     /// The result is returned dense — exactly like the real solvers, whose
     /// API cannot return a compressed or sparse solution.
     ///
-    /// The columns are solved in independent fixed-width chunks (32 columns)
-    /// that spread over whatever threads the caller's pool has idle. Column
+    /// [`Self::solve_sparse_chunks`] with one group per thread of the
+    /// caller's pool and each solved chunk stored into its columns. Column
     /// `j` of the result has the bits of a width-1 call on column `j` alone,
     /// at any thread count.
     pub fn solve_sparse_rhs(&self, rhs: &Csc<T>) -> Result<Mat<T>> {
+        let mut out = Mat::<T>::zeros(self.n(), rhs.ncols);
+        let groups = rayon::current_num_threads();
+        self.solve_sparse_chunks(rhs, out.as_mut(), groups, lane::store_rows)?;
+        Ok(out)
+    }
+
+    /// The chunk loop of every sparse-right-hand-side solve: the columns of
+    /// `rhs` are solved in independent fixed-width chunks (32 columns), each
+    /// in a lane workspace of its own, and each solved workspace is handed
+    /// to `consume` together with the chunk's columns of `out` (`out` has
+    /// `rhs.ncols` columns and any number of rows) and its rows' order: row
+    /// `k` of the solution is workspace row `rows.get(k)`. The consumer
+    /// decides what the chunk becomes: [`lane::store_rows`] makes it the
+    /// dense solution, [`Csc::mul_lanes`] its product by a coupling block.
+    ///
+    /// Consecutive chunks form at most `groups` groups, which run in
+    /// parallel, one workspace live per group. Neither the grouping nor the
+    /// thread count can move a bit: every lane runs the operation sequence
+    /// of a width-1 solve.
+    pub fn solve_sparse_chunks<'o>(
+        &self,
+        rhs: &Csc<T>,
+        out: MatMut<'o, T>,
+        groups: usize,
+        consume: impl Fn(LaneShape, &[f64], MatMut<'o, T>, Rows<'_>) + Sync,
+    ) -> Result<()> {
         if self.symbolic.n_schur != 0 {
             return Err(Error::InvalidConfig(
                 "solve on a partial (Schur) factorization".into(),
             ));
         }
-        if rhs.nrows != self.n() {
+        if rhs.nrows != self.n() || out.ncols() != rhs.ncols {
             return Err(Error::DimensionMismatch {
                 context: "sparse solve (sparse rhs)",
-                expected: (self.n(), rhs.ncols),
+                expected: (self.n(), out.ncols()),
                 got: (rhs.nrows, rhs.ncols),
             });
         }
-        let mut out = Mat::<T>::zeros(self.n(), rhs.ncols);
         let d = self.gather_d();
         let mut chunks: Vec<_> = out
-            .as_mut()
             .col_chunks_mut(SOLVE_CHUNK_COLS)
             .into_iter()
             .enumerate()
             .collect();
-        // Consecutive chunks in one group per thread: one fork per group
-        // (the vendored rayon spawns a thread per item), evenly shared.
-        let per_group = chunks.len().div_ceil(rayon::current_num_threads()).max(1);
-        let mut groups = Vec::new();
+        // Consecutive chunks in one group each: one fork per group (the
+        // vendored rayon spawns a thread per item), evenly shared.
+        let per_group = chunks.len().div_ceil(groups.max(1)).max(1);
+        let mut runs = Vec::new();
         while !chunks.is_empty() {
             let rest = chunks.split_off(per_group.min(chunks.len()));
-            groups.push(std::mem::replace(&mut chunks, rest));
+            runs.push(std::mem::replace(&mut chunks, rest));
         }
-        groups.into_par_iter().for_each(|group| {
-            for (i, x) in group {
-                self.solve_sparse_chunk(rhs, i * SOLVE_CHUNK_COLS, &d, x);
+        let iperm = Rows::At(&self.symbolic.iperm, 0);
+        runs.into_par_iter().for_each(|run| {
+            for (i, x) in run {
+                let ws = self.solve_sparse_chunk(rhs, i * SOLVE_CHUNK_COLS, x.ncols(), &d);
+                consume(ws.shape(), ws.as_slice(), x, iperm);
             }
         });
-        Ok(out)
+        Ok(())
     }
 
-    /// Solve columns `j0 .. j0 + x.ncols()` of `rhs` into `x` (original index
-    /// order) through a workspace of the chunk's own: forward substitution
-    /// visits only the supernodes *this chunk's* nonzeros reach — in every
-    /// other supernode each lane is zero, and a zero lane is skipped anyway.
-    fn solve_sparse_chunk(&self, rhs: &Csc<T>, j0: usize, d: &[T], x: MatMut<'_, T>) {
-        let sh = LaneShape::new::<T>(x.ncols());
+    /// Solve columns `j0 .. j0 + w` of `rhs` in a workspace of the chunk's
+    /// own, returned in permuted row order: forward substitution visits only
+    /// the supernodes *this chunk's* nonzeros reach — in every other
+    /// supernode each lane is zero, and a zero lane is skipped anyway.
+    fn solve_sparse_chunk(&self, rhs: &Csc<T>, j0: usize, w: usize, d: &[T]) -> LaneBuf {
+        let sh = LaneShape::new::<T>(w);
         // Permuted dense RHS + supernode marking.
         let mut ws = LaneBuf::zeros(sh, self.n());
         let mut marked = vec![false; self.sns.len()];
@@ -810,7 +836,7 @@ impl<T: Scalar> SparseFactorization<T> {
             }
         }
         self.solve_permuted(&mut ws, &marked, d);
-        lane::store_rows(sh, ws.as_slice(), x, Rows::At(&self.symbolic.iperm, 0));
+        ws
     }
 
     /// Partial solve through the Schur complement: condense the right-hand

@@ -568,6 +568,33 @@ fn infeasible_budget_is_a_structured_error() {
     assert_eq!(s.pending_len(), 0);
 }
 
+/// The compressed Schur accumulator sets its growth allowance aside while
+/// the blocks fold into it; a budgeted HMAT session that has factorized
+/// holds nothing set aside any more: what is not live is free for the next
+/// panel or factorization. (Bits against the one-shot solve included.)
+#[test]
+fn budgeted_hmat_session_holds_nothing_set_aside_once_factorized() {
+    let _g = lock();
+    let p = pipe_problem::<f64>(600);
+    let config = SolverConfig {
+        dense_backend: DenseBackend::Hmat,
+        ..cfg(2)
+    };
+    let budget = 64 << 20;
+    let one = solve(&p, Algorithm::MultiSolve, &config).unwrap();
+    let mut s = SessionBuilder::new(config, Algorithm::MultiSolve)
+        .memory_budget(budget)
+        .build::<f64>()
+        .unwrap();
+    let got = s.solve(&p, &p.b_v, &p.b_s).unwrap();
+    assert_eq!(bits(&got.xv), bits(&one.xv));
+    assert_eq!(bits(&got.xs), bits(&one.xs));
+    let t = s.tracker();
+    assert_eq!(s.cache_len(), 1);
+    assert!(t.live() > 0, "the cached factors stay charged");
+    assert_eq!(t.available(), budget - t.live(), "bytes left set aside");
+}
+
 /// Eviction stress: a budget that holds only one resident factorization
 /// cycles four distinct matrices through the cache for two rounds. The
 /// tracked peak never exceeds the budget, evictions happen, and every
