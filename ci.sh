@@ -62,9 +62,10 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # "Admitted => cannot run out of memory" is a scheduling property: one green
 # run proves little. The conformance budget test runs at its full thread
 # counts here (not the smoke profile), and so do the budget cells of
-# parallel_pipeline and its symmetric cells (mirrored folds into a half-stored
-# HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; the multi-solve
-# one also under seeded schedule jitter at 8 threads), the session's
+# parallel_pipeline and its symmetric cells (lower-triangle tiles and
+# lower-trapezoid multi-solve panels folded into the half-stored SPIDO and
+# HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; the HMAT
+# multi-solve one also under seeded schedule jitter at 8 threads), the session's
 # budgeted width-4 panels under the same jitter, and multi-solve's fused Z
 # when the budget refuses every extra lane workspace (fewer concurrent
 # chunks, the same bits); the first red run fails CI.

@@ -26,15 +26,19 @@
 //! kernel — the Schur solve of the HMAT backend, on the same lane
 //! workspaces — is less than [`SCHUR_LANE_SOLVE_GATE`] times faster than 8
 //! width-1 solves, or differs from them in a single bit (the
-//! `schur_lane_solve` row).
+//! `schur_lane_solve` row), or when the half-stored LDLᵀ of an order-
+//! [`LDLT_HALF_N`] matrix — its lower triangle in column blocks — differs in
+//! a single bit of its lower triangle from the full matrix's LDLᵀ (the
+//! `ldlt_half` row; its rate over the full one's is printed, not gated: a
+//! shared host's wall noise is ±30 %).
 
 use std::time::Instant;
 
 use csolve::common::RealScalar;
 use csolve::dense::gemm::gemm_packed;
 use csolve::dense::{
-    gemm, gemm_naive, ldlt_in_place_nb, lu_in_place_nb, trsm_left, Diag, Mat, MatMut, MatRef, Op,
-    Tri,
+    gemm, gemm_naive, ldlt_in_place_nb, lower_block_width, lu_in_place_nb, trsm_left, BlockLower,
+    Diag, LdltFactors, Mat, MatMut, MatRef, Op, Tri,
 };
 use csolve::hmat::{ClusterTree, HLu, HMatrix, HOptions, Point3};
 use csolve::lowrank::LowRank;
@@ -137,6 +141,11 @@ const SCHUR_SIDE: usize = 49;
 const SCHUR_LANE_COLS: usize = 8;
 /// Best of this many of each side (one 8-wide solve is ≈ 2 ms).
 const SCHUR_LANE_REPS: usize = 15;
+
+/// Order of the `ldlt_half` row's matrix.
+const LDLT_HALF_N: usize = 1_000;
+/// Best of this many of each storage (one factorization is tens of ms).
+const LDLT_HALF_REPS: usize = 5;
 
 /// One measured (kernel, scalar, size, variant, threads) cell.
 struct Entry {
@@ -534,6 +543,64 @@ fn schur_lane_solve_row() -> (LaneSolveRow, usize) {
     (row, f.stats().lowrank_leaves)
 }
 
+/// The `ldlt_half` row.
+struct LdltHalfRow {
+    /// Block width of the half-stored layout.
+    b: usize,
+    /// The full matrix's LDLᵀ, GF/s.
+    gflops_full: f64,
+    /// The half-stored one's, GF/s.
+    gflops_half: f64,
+    /// Bytes each stores.
+    bytes: (usize, usize),
+    /// Whether the two lower triangles are equal bit for bit.
+    bitwise: bool,
+}
+
+/// The LDLᵀ of a diagonally dominant symmetric matrix of order
+/// [`LDLT_HALF_N`] at the default panel width, on the full matrix and
+/// half-stored in blocks of [`lower_block_width`] columns, best of
+/// [`LDLT_HALF_REPS`] each, the two alternating, on every thread; and
+/// whether their lower triangles agree bitwise.
+fn ldlt_half_row() -> LdltHalfRow {
+    let n = LDLT_HALF_N;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+    let r = Mat::<f64>::random(n, n, &mut rng);
+    let a = Mat::from_fn(n, n, |i, j| {
+        r[(i, j)] + r[(j, i)] + if i == j { 2.0 * n as f64 } else { 0.0 }
+    });
+    let b = lower_block_width(0);
+    let storages: [&dyn Fn() -> BlockLower<f64>; 2] = [&|| BlockLower::from(a.clone()), &|| {
+        BlockLower::from_full(a.clone(), b)
+    }];
+    let mut seconds = [f64::INFINITY; 2];
+    let mut factors: [Option<LdltFactors<f64>>; 2] = [None, None];
+    for _ in 0..LDLT_HALF_REPS {
+        for (k, storage) in storages.iter().enumerate() {
+            let m = storage();
+            let t0 = Instant::now();
+            let f = ldlt_in_place_nb(m, 0).expect("LDLT of a dominant matrix");
+            seconds[k] = seconds[k].min(t0.elapsed().as_secs_f64());
+            factors[k] = Some(f);
+        }
+    }
+    let [full, half] = factors.map(|f| f.expect("at least one repetition"));
+    let lower = |f: &LdltFactors<f64>| {
+        (0..n)
+            .flat_map(|j| (j..n).map(move |i| (i, j)))
+            .map(|ij| f.ld[ij].to_bits())
+            .collect::<Vec<_>>()
+    };
+    let flops = (n * n * n) as f64 / 3.0;
+    LdltHalfRow {
+        b,
+        gflops_full: flops / seconds[0] / 1e9,
+        gflops_half: flops / seconds[1] / 1e9,
+        bytes: (full.ld.data().len() * 8, half.ld.data().len() * 8),
+        bitwise: lower(&full) == lower(&half),
+    }
+}
+
 /// One `trsm_lanes` row.
 struct TrsmLanesRow {
     kernel: &'static str,
@@ -659,8 +726,16 @@ fn gate(
     tri: &TrsmLanesRow,
     lanes: &LaneSolveRow,
     schur: &LaneSolveRow,
+    ldlt_half: &LdltHalfRow,
 ) -> Vec<String> {
     let mut fails = Vec::new();
+    // Contract 9: the half-stored LDLᵀ factors to the full one's lower
+    // triangle.
+    if !ldlt_half.bitwise {
+        fails.push(
+            "ldlt_half: the half-stored factor's lower triangle differs from the full one's".into(),
+        );
+    }
     // Contract 8: the Schur solve runs its columns as the lanes of one
     // workspace too, with each column's width-1 bits.
     if !schur.bitwise {
@@ -901,10 +976,24 @@ fn main() {
         if schur.bitwise { "yes" } else { "NO" }
     );
 
+    let half = ldlt_half_row();
+    println!(
+        "\nldlt half: LDLT of order {LDLT_HALF_N} (nb 48), full matrix {:.2} GF/s, \
+         half-stored in {}-column blocks {:.2} GF/s, ratio {:.2} (not gated), bytes {} vs {}, \
+         lower triangle bitwise {}",
+        half.gflops_full,
+        half.b,
+        half.gflops_half,
+        half.gflops_half / half.gflops_full,
+        half.bytes.0,
+        half.bytes.1,
+        if half.bitwise { "yes" } else { "NO" }
+    );
+
     if smoke {
         smoke_epilogue(
             "kernels_report",
-            &gate(&entries, &recompress, &panel, &tri, &lanes, &schur),
+            &gate(&entries, &recompress, &panel, &tri, &lanes, &schur, &half),
         );
     }
 }

@@ -22,7 +22,7 @@ pub enum Algorithm {
     /// (+ compressed Schur with the H-matrix backend, Algorithm 2).
     MultiSolve,
     /// §IV-B: `n_b × n_b` factorization+Schur calls on stacked submatrices
-    /// — the lower triangle of the grid, mirrored, on a symmetric system —
+    /// — the lower triangle of the grid on a symmetric system —
     /// (+ compressed Schur with the H-matrix backend).
     MultiFactorization,
 }

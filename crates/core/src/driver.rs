@@ -175,19 +175,21 @@ impl<'a, T: Scalar> Ws<'a, T> {
         Ok(y)
     }
 
-    /// `z = A_sv·A_vv⁻¹·rhs` with no `Y`: each 32-column chunk of `rhs` is
-    /// solved in a lane workspace and multiplied by `A_sv` straight out of
-    /// it into its columns of `z`, at most `groups` workspaces at once. The
-    /// bits are those of [`Self::solve_y`] then [`Self::spmm`]
-    /// ([`Csc::mul_lanes`]), and so are the two phases recorded in `scope`,
-    /// bytes and flops: the product's time is what the chunks spent in it,
-    /// the solve's the rest of the groups' wall clock — summed over the
-    /// groups, as any phase's time is over its threads.
+    /// `z = (A_sv·A_vv⁻¹·rhs)[r0..]` with no `Y`: each 32-column chunk of
+    /// `rhs` is solved in a lane workspace and multiplied by the rows `r0..`
+    /// of `A_sv` straight out of it into its columns of `z`, at most
+    /// `groups` workspaces at once. The bits are those of [`Self::solve_y`]
+    /// then [`Self::spmm`] in the rows computed ([`Csc::mul_lanes`]), and so
+    /// are the two phases recorded in `scope`, bytes and flops — the
+    /// product's counted over the entries of `A_sv` from row `r0`: its time
+    /// is what the chunks spent in it, the solve's the rest of the groups'
+    /// wall clock — summed over the groups, as any phase's time is over its
+    /// threads.
     fn solve_spmm(
         &self,
         fact: &SparseFactorization<T>,
         rhs: &Csc<T>,
-        z: MatMut<'_, T>,
+        (r0, z): (usize, MatMut<'_, T>),
         groups: usize,
         scope: TraceScope,
     ) -> Result<()> {
@@ -197,7 +199,7 @@ impl<'a, T: Scalar> Ws<'a, T> {
         let in_spmm = AtomicU64::new(0);
         fact.solve_sparse_chunks(rhs, z, groups, |sh, y, z, rows| {
             let t = Instant::now();
-            self.a_sv.mul_lanes(T::ONE, sh, y, rows, z);
+            self.a_sv.mul_lanes(T::ONE, sh, y, rows, r0, z);
             in_spmm.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         })?;
         let in_spmm = Duration::from_nanos(in_spmm.into_inner());
@@ -218,7 +220,7 @@ impl<'a, T: Scalar> Ws<'a, T> {
                 phase: Phase::Spmm,
                 time: in_spmm,
                 bytes: z_bytes,
-                flops: 2 * self.a_sv.nnz() as u64 * cols as u64,
+                flops: 2 * self.a_sv.nnz_from_row(r0) as u64 * cols as u64,
             },
         );
         Ok(())
@@ -800,8 +802,9 @@ fn factor<T: Scalar>(
     tracker: &Arc<MemTracker>,
     rec: &Recorder,
 ) -> Result<(SessionFactors<T>, Metrics)> {
-    // LDLᵀ on `A_vv` and `S`, and the mirrored folds of multi-factorization,
-    // take `symmetric` at its word: a wrong flag must not reach them.
+    // LDLᵀ on `A_vv` and `S`, the half-stored `S` and multi-factorization's
+    // lower-triangle tiles take `symmetric` at its word: a wrong flag must
+    // not reach them.
     if problem.symmetric && problem.a_vs != problem.a_sv.transpose() {
         return Err(Error::InvalidConfig(
             "problem is flagged symmetric but a_vs != a_svᵀ (pattern or values)".into(),
@@ -989,8 +992,9 @@ fn condensed_solution<T: Scalar>(
 }
 
 /// One block of a blockwise Schur assembly: the `rows × cols` range of `S`
-/// it contributes to, and the bytes of its own buffers, which it reserves
-/// at admission (its kernel finalizes the reservation).
+/// it contributes to — its kernel's output holds row `rows.start` first —
+/// and the bytes of its own buffers, which it reserves at admission (its
+/// kernel finalizes the reservation).
 struct Block {
     rows: Range<usize>,
     cols: Range<usize>,
@@ -1002,10 +1006,6 @@ struct Blockwise<T> {
     blocks: Vec<Block>,
     /// Sign the blocks are folded into `S` with.
     alpha: T,
-    /// The block list is the lower triangle of a symmetric `S`: every
-    /// off-diagonal block is folded a second time, transposed, at its mirror
-    /// position. Blocks are square then (zero-padded at the edges).
-    mirror: bool,
     /// Charge label of a block's reservation while it computes ...
     what_reserved: &'static str,
     /// ... and of what is left of it, the computed block alone, while that
@@ -1076,33 +1076,14 @@ fn assemble_blockwise<T: Scalar>(
             slot.park(x.byte_size(), plan.what_parked)?;
             Ok(x)
         },
-        |seq, schur, mut x| {
+        |seq, schur, x| {
             let b = &blocks[seq];
             let (r0, c0) = (b.rows.start, b.cols.start);
             let (nr, nc) = (b.rows.len(), b.cols.len());
             let scope = TraceScope::Block(seq);
-            ws.fold_block(schur, plan.alpha, r0, c0, x.view(0..nr, 0..nc), scope)?;
-            if plan.mirror && r0 != c0 {
-                // X_ji = X_ijᵀ, transposed in the block's own storage: the
-                // mirrored fold charges nothing the parked block did not.
-                transpose_in_place(&mut x);
-                ws.fold_block(schur, plan.alpha, c0, r0, x.view(0..nc, 0..nr), scope)?;
-            }
-            Ok(())
+            ws.fold_block(schur, plan.alpha, r0, c0, x.view(0..nr, 0..nc), scope)
         },
     )
-}
-
-/// `x ← xᵀ` for a square `x`.
-fn transpose_in_place<T: Scalar>(x: &mut Mat<T>) {
-    assert!(x.is_square());
-    let n = x.nrows();
-    let data = x.data_mut();
-    for j in 0..n {
-        for i in j + 1..n {
-            data.swap(i + j * n, j + i * n);
-        }
-    }
 }
 
 /// §IV-A — multi-solve: factor `A_vv` once, then assemble `S` by panels of
@@ -1121,6 +1102,12 @@ fn transpose_in_place<T: Scalar>(x: &mut Mat<T>) {
 /// (`Ws::solve_spmm`). A panel holds `Z` plus one workspace per concurrent
 /// chunk, so its peak is `O(n_s·n_S + n_v·32·min(P, n_c/32))`, not
 /// `O(n_v·n_c)`.
+///
+/// On a symmetric system `S` is half-stored, and a panel's `Z` is the lower
+/// trapezoid of its columns: the rows from the first one `S` stores in the
+/// panel's first column ([`SchurAcc::stored_row_floor`]) down — about half
+/// the product's flops on average. Its reserve and the planner's price stay
+/// at the full-height `Z`.
 fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (nv, ns) = (ws.nv(), ws.ns());
     let cfg = ws.cfg;
@@ -1144,14 +1131,13 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
                 // workspaces itself, as far as the budget lets it.
                 let reserve = autotune::multi_solve_panel_reserve(&stats, n_c, cols.len());
                 Block {
-                    rows: 0..ns,
+                    rows: schur.stored_row_floor(cols.start)..ns,
                     cols,
                     reserve,
                 }
             })
             .collect(),
         alpha: -T::ONE,
-        mirror: false,
         what_reserved: "Schur panel Z + lane workspace",
         what_parked: "Schur panel Z",
         autotune: planned,
@@ -1165,7 +1151,8 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
         // Held until every sub-panel has run; a refused charge leaves fewer
         // concurrent chunks, never other bits.
         let extra = ws.extra_workspaces(slot.tracker(), n_c.min(p1 - p0));
-        let mut zpanel = Mat::<T>::zeros(ns, p1 - p0);
+        let r0 = b.rows.start;
+        let mut zpanel = Mat::<T>::zeros(ns - r0, p1 - p0);
         let mut c0 = p0;
         while c0 < p1 {
             let c1 = (c0 + n_c).min(p1);
@@ -1173,8 +1160,8 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
             // chunk by chunk into Z's columns.
             let cols: Vec<usize> = (c0..c1).collect();
             let rhs = ws.a_vs.submatrix(&all_v, &cols);
-            let z = zpanel.view_mut(0..ns, (c0 - p0)..(c1 - p0));
-            ws.solve_spmm(fact_r, &rhs, z, 1 + extra.len(), scope)?;
+            let z = zpanel.view_mut(0..ns - r0, (c0 - p0)..(c1 - p0));
+            ws.solve_spmm(fact_r, &rhs, (r0, z), 1 + extra.len(), scope)?;
             c0 = c1;
         }
         Ok(zpanel)
@@ -1204,11 +1191,11 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
 /// `W` is unsymmetric (paper: "except when i = j") and factored in the
 /// unsymmetric solver mode — whose duplicated factor storage the paper
 /// identifies as multi-factorization's memory weakness. A symmetric system
-/// has `X_ji = X_ijᵀ` (`A_vv = A_vvᵀ`, `A_vs = A_svᵀ`), so only its
-/// lower-triangle tiles (`i ≥ j`, `n_b(n_b+1)/2` of the `n_b²`) are
-/// computed, each off-diagonal one folded at both positions, and its
+/// has `X_ji = X_ijᵀ` (`A_vv = A_vvᵀ`, `A_vs = A_svᵀ`) and a half-stored
+/// `S` on both backends, so only its lower-triangle tiles (`i ≥ j`,
+/// `n_b(n_b+1)/2` of the `n_b²`) are computed, each folded once, and its
 /// diagonal tiles — symmetric like the advanced coupling's `W` — are
-/// factored in LDLᵀ mode: both backends see a fully assembled `S`.
+/// factored in LDLᵀ mode.
 ///
 /// A tile needs only `X_ij`, so `W`'s factors are discarded front by front
 /// as they are computed (MUMPS' "discard factors"): the sparse solver keeps,
@@ -1273,7 +1260,6 @@ fn multi_factorization_schur<T: Scalar>(
             })
             .collect(),
         alpha: T::ONE,
-        mirror: ws.symmetric,
         what_reserved: "stacked W + Schur block X_ij",
         what_parked: "dense Schur block X_ij",
         autotune: planned,
@@ -1416,15 +1402,8 @@ mod tests {
                 };
                 let schur_vars: Vec<usize> = (nv..w.ncols).collect();
                 let (_, x) = csolve_sparse::factorize_schur(&w, &schur_vars, &opts).unwrap();
-                let (nr, nc) = (rows.len(), cols.len());
-                let x = x.view(0..nr, 0..nc);
+                let x = x.view(0..rows.len(), 0..cols.len());
                 schur.axpy_block(1.0, rows[0], cols[0], x, cfg.eps).unwrap();
-                if p.symmetric && i != j {
-                    let xt = Mat::from_fn(nc, nr, |r, c| x.get(c, r));
-                    schur
-                        .axpy_block(1.0, cols[0], rows[0], xt.as_ref(), cfg.eps)
-                        .unwrap();
-                }
             }
         }
         schur.to_dense()
@@ -1432,8 +1411,9 @@ mod tests {
 
     /// Discarding `W`'s factors leaves every tile's `X_ij` where it was:
     /// multi-factorization's SPIDO `S` is, bit for bit, the one folded from
-    /// factor-keeping `factorize_schur` calls — symmetric (lower tiles,
-    /// mirrored) and unsymmetric (full grid), short edge tiles included.
+    /// factor-keeping `factorize_schur` calls — symmetric (lower tiles into
+    /// the half-stored `S`) and unsymmetric (full grid), short edge tiles
+    /// included.
     #[test]
     fn schur_only_tiles_assemble_the_factor_keeping_schur_bitwise() {
         let sym = csolve_fembem::pipe_problem::<f64>(1_200);
@@ -1452,13 +1432,13 @@ mod tests {
         }
     }
 
-    /// A symmetric system's `S` is assembled from lower-triangle tiles with
-    /// every off-diagonal one mirrored: complete (it is what the full grid
-    /// of an unflagged copy of the system assembles, which both backends
-    /// read both triangles of) and, dense, its own transpose bit for bit —
-    /// also when `n_b` does not divide `n_s` (rectangular edge tiles).
+    /// A symmetric system's half-stored `S` is assembled from its
+    /// lower-triangle tiles alone, each folded once, and is complete: it is
+    /// what the full grid of an unflagged copy of the system assembles in
+    /// full storage — also when `n_b` does not divide `n_s` (rectangular
+    /// edge tiles). Read out in full, it is its own transpose bit for bit.
     #[test]
-    fn a_symmetric_schur_is_mirrored_exactly_from_its_lower_triangle() {
+    fn a_symmetric_schur_is_assembled_exactly_from_its_lower_triangle() {
         let p = csolve_fembem::pipe_problem::<f64>(1_200);
         let ns = p.n_bem();
         let mut unflagged = csolve_fembem::pipe_problem::<f64>(1_200);
@@ -1483,7 +1463,7 @@ mod tests {
                 d.axpy(-1.0, &assembled_schur(&unflagged, backend, n_b));
                 assert!(
                     d.norm_max() <= 1e-8 * scale,
-                    "n_b = {n_b} / {}: mirrored S is off the full grid's by {:.3e}",
+                    "n_b = {n_b} / {}: half-stored S is off the full grid's by {:.3e}",
                     backend.name(),
                     d.norm_max()
                 );
@@ -1535,7 +1515,8 @@ mod tests {
     const FUSED_WIDTHS: [usize; 5] = [1, 31, 32, 33, 65];
 
     /// Multi-solve's fused `Z` against the unfused pair — `solve_sparse_rhs`,
-    /// then `mul_dense` — bit for bit: for every width, on each
+    /// then `mul_dense` — bit for bit, in full and from a row on: for every
+    /// width, on each
     /// `(threads, workspaces)` pool, its extra lane workspaces charged to
     /// `workspaces`. Returns the group counts the fused solves ran with.
     fn check_fused_z<T: Scalar>(
@@ -1570,14 +1551,24 @@ mod tests {
                     .num_threads(*threads)
                     .build()
                     .unwrap();
-                let mut z = Mat::<T>::zeros(ns, w);
-                pool.install(|| {
-                    let extra = ws.extra_workspaces(workspaces, w);
-                    groups.push(1 + extra.len());
-                    ws.solve_spmm(&fact, &rhs, z.as_mut(), 1 + extra.len(), TraceScope::Run)
-                })
-                .unwrap();
-                assert!(bits(&z) == bits(&want), "width {w}, {threads} thr");
+                // The full height, and a lower trapezoid's rows r0.. alone.
+                for r0 in [0, ns / 3] {
+                    let mut z = Mat::<T>::zeros(ns - r0, w);
+                    pool.install(|| {
+                        let extra = ws.extra_workspaces(workspaces, w);
+                        if r0 == 0 {
+                            groups.push(1 + extra.len());
+                        }
+                        let z = (r0, z.as_mut());
+                        ws.solve_spmm(&fact, &rhs, z, 1 + extra.len(), TraceScope::Run)
+                    })
+                    .unwrap();
+                    let want = want.submatrix(r0..ns, 0..w);
+                    assert!(
+                        bits(&z) == bits(&want),
+                        "width {w}, rows {r0}.., {threads} thr"
+                    );
+                }
             }
         }
         groups

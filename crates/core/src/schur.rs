@@ -2,6 +2,13 @@
 //! operator [`SchurFactor`], each an enum over the paper's two dense solvers
 //! (SPIDO, one plain dense matrix; HMAT, a flat H-matrix).
 //!
+//! On a symmetric system the solver half-stores `S` on both backends: SPIDO
+//! keeps its lower triangle in column blocks ([`BlockLower`], blocks of
+//! [`lower_block_width`]`(dense_panel_nb)` columns, `n_s²/2 + n_s·b/2`
+//! entries), HMAT its lower block triangle. A contribution is folded into
+//! the stored part only, and [`SchurAcc::stored_row_floor`] tells a caller
+//! which rows of a column panel it need not compute at all.
+//!
 //! Every public method first does the validation both backends share
 //! (zero-size no-ops, `eps` sanity, NaN screening of contributions) and then
 //! one `match` on the variant. The variant is chosen once, from
@@ -30,7 +37,10 @@ use std::sync::Arc;
 use csolve_common::{
     ByteSized, Error, MemCharge, MemTracker, RealScalar, Result, Scalar, ScopeTracer, SpanKind,
 };
-use csolve_dense::{ldlt_in_place_nb, lu_in_place_nb, LdltFactors, LuFactors, Mat, MatMut, MatRef};
+use csolve_dense::{
+    ldlt_in_place_nb, lower_block_width, lu_in_place_nb, BlockLower, LdltFactors, LuFactors, Mat,
+    MatMut, MatRef,
+};
 use csolve_fembem::BemOperator;
 use csolve_hmat::{ClusterTree, HLu, HMatrix, HOptions};
 
@@ -40,10 +50,10 @@ use crate::config::{DenseBackend, SolverConfig};
 /// Accumulator for `S = A_ss − Σ (Schur contributions)`, initialized with
 /// `A_ss` itself by [`SchurAcc::init`].
 pub enum SchurAcc<T: Scalar> {
-    /// SPIDO: `S` as one plain dense matrix.
+    /// SPIDO: `S` as plain dense storage.
     Dense {
         /// The accumulated `S`.
-        mat: Mat<T>,
+        s: DenseS<T>,
         /// Its charge against the run's budget.
         charge: MemCharge,
     },
@@ -65,6 +75,24 @@ pub enum SchurAcc<T: Scalar> {
     },
 }
 
+/// The storage of a SPIDO `S`.
+pub enum DenseS<T> {
+    /// All of it (an unsymmetric system, and the public [`SchurAcc::init`]).
+    Full(Mat<T>),
+    /// The lower triangle of a symmetric `S`, in column blocks: only the
+    /// entries on or below the diagonal are charged and folded into.
+    Lower(BlockLower<T>),
+}
+
+impl<T: Scalar> DenseS<T> {
+    fn n(&self) -> usize {
+        match self {
+            Self::Full(m) => m.nrows(),
+            Self::Lower(l) => l.n(),
+        }
+    }
+}
+
 /// How many bytes the HMAT accumulator may add to its footprint between
 /// recompression flushes, given the budget `headroom` left once it is
 /// charged: a quarter of it (unbounded stays unbounded). The accumulator
@@ -80,9 +108,11 @@ pub(crate) fn hmat_growth_allowance(headroom: usize) -> usize {
 
 impl<T: Scalar> SchurAcc<T> {
     /// Build the accumulator holding `A_ss` (surface unknowns already in
-    /// cluster order) with the backend selected by
-    /// `cfg.dense_backend`. Both block triangles are stored; `factor` with
-    /// `symmetric = true` drops the upper one first.
+    /// cluster order) with the backend selected by `cfg.dense_backend`.
+    /// Both (block) triangles are stored; `factor` with `symmetric = true`
+    /// drops the upper one first. The solver itself half-stores a symmetric
+    /// `S` from the start; this fully stored form survives only for callers
+    /// that replay the solver out of its public layers.
     pub fn init(
         bem: &BemOperator<T>,
         tree: &ClusterTree,
@@ -92,8 +122,10 @@ impl<T: Scalar> SchurAcc<T> {
         Self::init_for(bem, tree, cfg, tracker, false)
     }
 
-    /// [`SchurAcc::init`] for a system whose `symmetric` flag is given: the
-    /// compressed backend then stores only the lower block triangle.
+    /// [`SchurAcc::init`] for a system whose `symmetric` flag is given: a
+    /// symmetric `S` is then half-stored — SPIDO's lower triangle in column
+    /// blocks of [`lower_block_width`]`(cfg.dense_panel_nb)`, HMAT's lower
+    /// block triangle.
     pub(crate) fn init_for(
         bem: &BemOperator<T>,
         tree: &ClusterTree,
@@ -102,6 +134,21 @@ impl<T: Scalar> SchurAcc<T> {
         symmetric: bool,
     ) -> Result<Self> {
         match cfg.dense_backend {
+            DenseBackend::Spido if symmetric => {
+                let ns = bem.n();
+                let b = lower_block_width(cfg.dense_panel_nb);
+                let bytes = BlockLower::<T>::stored_len(ns, b) * std::mem::size_of::<T>();
+                let charge = tracker.charge(bytes, "dense Schur/A_ss")?;
+                let mut l = BlockLower::<T>::zeros(ns, b);
+                // Column block by column block: rows from its diagonal down.
+                for j in 0..l.blocks() {
+                    let (c0, mut v) = l.block_mut(j);
+                    let w = v.ncols();
+                    v.copy_from(bem.assemble_block(c0..ns, c0..c0 + w).as_ref());
+                }
+                let s = DenseS::Lower(l);
+                Ok(Self::Dense { s, charge })
+            }
             DenseBackend::Spido => {
                 let ns = bem.n();
                 let bytes = ns * ns * std::mem::size_of::<T>();
@@ -116,7 +163,8 @@ impl<T: Scalar> SchurAcc<T> {
                     mat.view_mut(0..ns, c0..c1).copy_from(blk.as_ref());
                     c0 = c1;
                 }
-                Ok(Self::Dense { mat, charge })
+                let s = DenseS::Full(mat);
+                Ok(Self::Dense { s, charge })
             }
             DenseBackend::Hmat => {
                 let opts = HOptions {
@@ -208,15 +256,19 @@ impl<T: Scalar> SchurAcc<T> {
             });
         }
         match self {
-            Self::Dense { mat, .. } => {
-                if r0 + pm > mat.nrows() || c0 + pn > mat.ncols() {
+            Self::Dense { s, .. } => {
+                let n = s.n();
+                if r0 + pm > n || c0 + pn > n {
                     return Err(Error::DimensionMismatch {
                         context: "SchurAcc::axpy_block",
-                        expected: (mat.nrows(), mat.ncols()),
+                        expected: (n, n),
                         got: (r0 + pm, c0 + pn),
                     });
                 }
-                mat.view_mut(r0..r0 + pm, c0..c0 + pn).axpy(alpha, panel);
+                match s {
+                    DenseS::Full(mat) => mat.view_mut(r0..r0 + pm, c0..c0 + pn).axpy(alpha, panel),
+                    DenseS::Lower(l) => l.axpy_lower(alpha, r0, c0, panel),
+                }
                 Ok(())
             }
             Self::Hmat {
@@ -247,15 +299,47 @@ impl<T: Scalar> SchurAcc<T> {
     /// Current storage footprint of `S`.
     pub fn bytes(&self) -> usize {
         match self {
-            Self::Dense { mat, .. } => mat.byte_size(),
+            Self::Dense {
+                s: DenseS::Full(mat),
+                ..
+            } => mat.byte_size(),
+            Self::Dense {
+                s: DenseS::Lower(l),
+                ..
+            } => l.byte_size(),
             Self::Hmat { h, .. } => h.byte_size(),
+        }
+    }
+
+    /// The first row `S` stores in column `c0` — and, floors never
+    /// decreasing, in every column after it: the rows above it of a
+    /// contribution to those columns are dropped by the fold, so they need
+    /// not be computed. 0 on full storage; `c0` on SPIDO's half storage; on
+    /// HMAT's, the first row of the diagonal leaf that holds column `c0`.
+    pub fn stored_row_floor(&self, c0: usize) -> usize {
+        match self {
+            Self::Dense {
+                s: DenseS::Full(_), ..
+            } => 0,
+            Self::Dense {
+                s: DenseS::Lower(_),
+                ..
+            } => c0,
+            Self::Hmat { h, .. } => h.stored_row_floor(c0),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn to_dense(&self) -> Mat<T> {
         match self {
-            Self::Dense { mat, .. } => mat.clone(),
+            Self::Dense {
+                s: DenseS::Full(mat),
+                ..
+            } => mat.clone(),
+            Self::Dense {
+                s: DenseS::Lower(l),
+                ..
+            } => l.to_full(),
             Self::Hmat { h, .. } => h.to_dense(),
         }
     }
@@ -264,8 +348,8 @@ impl<T: Scalar> SchurAcc<T> {
     /// compressed factorization has no closed form.
     pub fn factor_flops(&self, symmetric: bool) -> u64 {
         match self {
-            Self::Dense { mat, .. } => {
-                let n = mat.nrows() as u64;
+            Self::Dense { s, .. } => {
+                let n = s.n() as u64;
                 if symmetric {
                     n * n * n / 3
                 } else {
@@ -282,7 +366,10 @@ impl<T: Scalar> SchurAcc<T> {
     /// to the dense layer's default, [`csolve_dense::DEFAULT_PANEL_NB`]);
     /// the compressed backend ignores it. `eps` (the compressed backend's
     /// recompression tolerance) must be finite and positive. `symmetric`
-    /// selects LDLᵀ (dense) / H-LDLᵀ on the lower block triangle (compressed).
+    /// selects LDLᵀ on the lower triangle in column blocks (dense) / H-LDLᵀ
+    /// on the lower block triangle (compressed); a fully stored `S` drops its
+    /// upper part first. A half-stored `S` is an error with
+    /// `symmetric = false`.
     pub fn factor(self, symmetric: bool, eps: f64, panel_nb: usize) -> Result<SchurFactor<T>> {
         self.factor_traced(symmetric, eps, panel_nb, ScopeTracer::disabled())
     }
@@ -303,14 +390,34 @@ impl<T: Scalar> SchurAcc<T> {
             )));
         }
         match self {
-            Self::Dense { mat, charge } if symmetric => Ok(SchurFactor::DenseLdlt {
-                f: ldlt_in_place_nb(mat, panel_nb)?,
+            Self::Dense { s, mut charge } if symmetric => {
+                let l = match s {
+                    DenseS::Lower(l) => l,
+                    DenseS::Full(mat) => {
+                        // A fully stored accumulator is repacked, in place,
+                        // into the half storage the solver's own holds: it
+                        // factors the same lower data in the same blocks.
+                        let l = BlockLower::from_full(mat, lower_block_width(panel_nb));
+                        charge.resize(l.byte_size(), "dense Schur/A_ss")?;
+                        l
+                    }
+                };
+                let f = ldlt_in_place_nb(l, panel_nb)?;
+                Ok(SchurFactor::DenseLdlt { f, charge })
+            }
+            Self::Dense {
+                s: DenseS::Full(mat),
                 charge,
-            }),
-            Self::Dense { mat, charge } => Ok(SchurFactor::DenseLu {
+            } => Ok(SchurFactor::DenseLu {
                 f: lu_in_place_nb(mat, panel_nb)?,
                 charge,
             }),
+            Self::Dense {
+                s: DenseS::Lower(_),
+                ..
+            } => Err(Error::InvalidConfig(
+                "SchurAcc::factor: a half-stored S factors as LDLᵀ only".into(),
+            )),
             Self::Hmat {
                 mut h,
                 mut charge,
@@ -395,7 +502,7 @@ impl<T: Scalar> SchurFactor<T> {
         // Two triangular solves on the n×n factor per column.
         let dense = |n: usize| 2 * (n as u64) * (n as u64) * (width as u64);
         match self {
-            Self::DenseLdlt { f, .. } => dense(f.ld.nrows()),
+            Self::DenseLdlt { f, .. } => dense(f.ld.n()),
             Self::DenseLu { f, .. } => dense(f.lu.nrows()),
             // The hierarchical solve's cost has no closed form.
             Self::Hlu { .. } => 0,

@@ -79,8 +79,8 @@ fn industrial_complex_nonsymmetric_all_algorithms() {
 
 /// A problem flagged symmetric whose coupling blocks are not each other's
 /// transpose — one value off, or one entry moved — is rejected up front by
-/// every algorithm: LDLᵀ and the mirrored multi-factorization folds would
-/// otherwise silently solve a different system.
+/// every algorithm: LDLᵀ, the half-stored `S` and multi-factorization's
+/// lower-triangle tiles would otherwise silently solve a different system.
 #[test]
 fn a_wrong_symmetric_flag_is_a_structured_error() {
     use csolve_common::Error;
@@ -223,6 +223,95 @@ fn metrics_record_the_expected_phases() {
         .phases
         .iter()
         .any(|(n, _)| n == "sparse factorization+Schur"));
+}
+
+/// `Σ_J (n − J·b)·min(b, n − J·b)` entries: a half-stored SPIDO `S` of
+/// order `n` in column blocks of `b`.
+fn half_stored_entries(n: usize, b: usize) -> usize {
+    (0..n.div_ceil(b))
+        .map(|j| (n - j * b) * b.min(n - j * b))
+        .sum()
+}
+
+/// A symmetric system's SPIDO `S` is charged and reported at exactly its
+/// half storage — blocks of `lower_block_width(dense_panel_nb)` = 144
+/// columns by default — by every algorithm; an unsymmetric one at `n_s²`.
+/// At pipe-12k's `n_s` = 1 925 the closed form is under 15.2 MiB (the full
+/// `S` is 28.27 MiB).
+#[test]
+fn spido_schur_bytes_are_the_half_stored_closed_form() {
+    let elem = std::mem::size_of::<f64>();
+    let b = csolve_dense::lower_block_width(0);
+    assert_eq!(b, 144);
+    let pipe_12k = half_stored_entries(1_925, b) * elem;
+    assert!(
+        pipe_12k as f64 <= 15.2 * (1 << 20) as f64,
+        "pipe-12k S: {pipe_12k} B"
+    );
+    let sym = pipe_problem::<f64>(2_000);
+    let mut unsym = pipe_problem::<f64>(2_000);
+    unsym.symmetric = false;
+    let ns = sym.n_bem();
+    assert!(ns > 2 * b, "n_s = {ns}: want several column blocks");
+    for algo in Algorithm::ALL {
+        let out = solve(&sym, algo, &cfg(DenseBackend::Spido)).unwrap();
+        assert_eq!(
+            out.metrics.schur_bytes,
+            half_stored_entries(ns, b) * elem,
+            "{} symmetric",
+            algo.name()
+        );
+        let out = solve(&unsym, algo, &cfg(DenseBackend::Spido)).unwrap();
+        assert_eq!(
+            out.metrics.schur_bytes,
+            ns * ns * elem,
+            "{} unsymmetric",
+            algo.name()
+        );
+    }
+}
+
+/// A symmetric multi-solve computes each panel's `Z` from the first row the
+/// half-stored `S` keeps in the panel's first column — that column on SPIDO,
+/// the first row of the diagonal leaf holding it on HMAT — so the SpMM phase
+/// counts `Σ_panels 2·nnz(A_sv[floor.., :])·width`; an unsymmetric one
+/// computes every row.
+#[test]
+fn symmetric_multi_solve_spmm_counts_the_lower_trapezoid() {
+    use csolve_common::MemTracker;
+    use csolve_hmat::ClusterTree;
+    let sym = pipe_problem::<f64>(2_000);
+    let mut unsym = pipe_problem::<f64>(2_000);
+    unsym.symmetric = false;
+    let (nv, ns) = (sym.n_fem(), sym.n_bem());
+    for backend in DenseBackend::ALL {
+        let c = cfg(backend);
+        let tree = ClusterTree::build(&sym.bem.points, c.hmat_leaf);
+        let all_v: Vec<usize> = (0..nv).collect();
+        let a_sv = sym.a_sv.submatrix(&tree.perm, &all_v);
+        let bem = sym.bem.permuted(&tree.perm);
+        let acc = crate::schur::SchurAcc::init_for(&bem, &tree, &c, &MemTracker::unbounded(), true)
+            .unwrap();
+        let (_, n_s) = crate::autotune::fixed_multi_solve_blocking(&c);
+        let mut want = 0;
+        for p0 in (0..ns).step_by(n_s) {
+            let floor = acc.stored_row_floor(p0);
+            assert!(floor <= p0);
+            if backend == DenseBackend::Spido {
+                assert_eq!(floor, p0);
+            }
+            let width = n_s.min(ns - p0);
+            want += 2 * a_sv.nnz_from_row(floor) as u64 * width as u64;
+        }
+        let full = 2 * a_sv.nnz() as u64 * ns as u64;
+        assert!(want < full, "{backend:?}: {want} of {full}");
+        let spmm = |p: &CoupledProblem<f64>| {
+            let out = solve(p, Algorithm::MultiSolve, &c).unwrap();
+            out.metrics.phase("SpMM").unwrap().flops
+        };
+        assert_eq!(spmm(&sym), want, "{backend:?} symmetric");
+        assert_eq!(spmm(&unsym), full, "{backend:?} unsymmetric");
+    }
 }
 
 #[test]
@@ -452,10 +541,12 @@ mod schur_acc_negative {
     }
 }
 
-/// The public `SchurAcc::init` stores both block triangles (the benchmark's
-/// replay builds its accumulator through it); `factor(symmetric = true)`
-/// drops the upper blocks first, so after the same folds it factors bit for
-/// bit what the solver's half-stored accumulator factors.
+/// The public `SchurAcc::init` stores both (block) triangles (the
+/// benchmark's replay builds its accumulator through it);
+/// `factor(symmetric = true)` drops the upper part first — SPIDO repacks
+/// its lower triangle into the solver's column blocks, HMAT drops its upper
+/// blocks — so after the same folds it factors bit for bit what the
+/// solver's half-stored accumulator factors, on both backends.
 mod schur_acc_symmetric {
     use csolve_common::MemTracker;
     use csolve_dense::Mat;
@@ -467,10 +558,16 @@ mod schur_acc_symmetric {
 
     #[test]
     fn a_full_accumulator_factored_symmetric_is_the_half_stored_one_bitwise() {
+        for backend in DenseBackend::ALL {
+            check(backend);
+        }
+    }
+
+    fn check(backend: DenseBackend) {
         let p = csolve_fembem::pipe_problem::<f64>(3_000);
         let cfg = SolverConfig {
             eps: 1e-6,
-            dense_backend: DenseBackend::Hmat,
+            dense_backend: backend,
             ..Default::default()
         };
         let tree = ClusterTree::build(&p.bem.points, cfg.hmat_leaf);
@@ -495,13 +592,22 @@ mod schur_acc_symmetric {
         };
         let (full_bytes, full_factor, x_full) = run(false);
         let (half_bytes, half_factor, x_half) = run(true);
-        assert!(
-            half_bytes * 10 < full_bytes * 6,
-            "half {half_bytes} B vs full {full_bytes} B"
-        );
-        assert_eq!(half_factor, full_factor);
+        if backend == DenseBackend::Spido {
+            let b = csolve_dense::lower_block_width(cfg.dense_panel_nb);
+            let stored = csolve_dense::BlockLower::<f64>::stored_len(ns, b);
+            assert_eq!((half_bytes, full_bytes), (8 * stored, 8 * ns * ns));
+        } else {
+            assert!(
+                half_bytes * 10 < full_bytes * 6,
+                "half {half_bytes} B vs full {full_bytes} B"
+            );
+        }
+        assert_eq!(half_factor, full_factor, "{backend:?}");
         let bits = |x: &Mat<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert!(bits(&x_half) == bits(&x_full), "solutions differ bitwise");
+        assert!(
+            bits(&x_half) == bits(&x_full),
+            "{backend:?}: solutions differ bitwise"
+        );
     }
 }
 

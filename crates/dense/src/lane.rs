@@ -406,11 +406,20 @@ pub fn update_rows<T: Scalar>(
     unsafe { dispatch(&job, Kernel::Update) }
 }
 
-/// Solve `op(T)·X = X` in place for the `k = t.nrows()` rows of `x` (row `i`
-/// is unknown `i`): row `i` −= Σₘ op(T)[i, m] · row `m` over the rows `m`
-/// already solved, in the order they were solved, then — `NonUnit` — row `i`
-/// divided by `op(T)[i, i]` ([`div_rows`]' division). `how` is
+/// Solve `op(T)·X = X` in place for the `k = t.ncols()` unknowns of `x`
+/// (row `i` is unknown `i`): row `i` −= Σₘ op(T)[i, m] · row `m` over the
+/// rows `m` already solved, in the order they were solved, then — `NonUnit`
+/// — row `i` divided by `op(T)[i, i]` ([`div_rows`]' division). `how` is
 /// [`Update::Sub`] or [`Update::SubNonzero`].
+///
+/// A lower `T` may be a trapezoid, `m = t.nrows() > k` rows: its rows past
+/// `k` are `m − k` more rows of `x`. Forward (`NoTrans`) they receive the
+/// solved rows' terms, `x[k..m] −= T[k..m, :]·x[..k]`; backward (`Trans`)
+/// they are already solved and give theirs first, `x[..k]` then takes
+/// `−T[k..m, :]ᵀ·x[k..m]`, from row `m − 1` down. Either way every row gets
+/// its terms in the order the square triangle of order `m` would give them,
+/// so a triangle split into column blocks, each solved as a trapezoid over
+/// the rows from its diagonal down, has that triangle's bits.
 pub fn solve_tri<T: Scalar>(
     sh: LaneShape,
     how: Update,
@@ -420,16 +429,19 @@ pub fn solve_tri<T: Scalar>(
     diag: Diag,
     x: &mut [f64],
 ) {
-    let k = t.nrows();
-    assert_eq!(t.ncols(), k, "solve_tri: T square");
+    let (m, k) = (t.nrows(), t.ncols());
+    assert!(
+        m == k || tri == Tri::Lower && m > k,
+        "solve_tri: T square or a lower trapezoid"
+    );
     assert!(how != Update::Add, "solve_tri: a triangle subtracts");
     assert_eq!(sh.complex, T::IS_COMPLEX, "solve_tri: scalar type");
     let rl = sh.row_len();
-    assert!(x.len() >= k * rl, "solve_tri: rows");
-    let x = &mut x[..k * rl];
+    assert!(x.len() >= m * rl, "solve_tri: rows");
+    let x = &mut x[..m * rl];
     if k == 0
         || diag == Diag::Unit
-            && (k == 1 || how == Update::SubNonzero && x.iter().all(|&v| v == 0.0))
+            && (m == 1 || how == Update::SubNonzero && x.iter().all(|&v| v == 0.0))
     {
         // Nothing to subtract (every term would be skipped) and no pivot.
         return;
@@ -450,15 +462,17 @@ pub fn solve_tri<T: Scalar>(
         a: t.as_ptr(),
         sd,
         sl,
-        nd: k,
+        nd: m,
         nl: k,
         dst: rows,
         drows: Rows::From(0),
         src: rows,
         srows: Rows::From(0),
     };
-    // SAFETY: `t` is `k × k` and `x` holds `k` rows; the triangle body reads
-    // and writes `x` through `dst` alone.
+    // SAFETY: `op(t)[i, j]` is read for rows `i < m` and unknowns `j < k` of
+    // a forward solve, the transpose of that backward — inside `t` — and
+    // `x` holds `m` rows; the triangle body reads and writes `x` through
+    // `dst` alone.
     unsafe {
         dispatch(
             &job,
@@ -805,17 +819,25 @@ const TRI_PANEL: usize = 16;
 /// then the panel's rows are applied to every later row, and a pass over the
 /// coefficients touches [`TRI_PANEL`] columns, not all of them. Every row
 /// still gets its terms in solve order, so the panels move no bit.
+///
+/// The job's `nd` rows are its steps and `nl` its unknowns: a trapezoid's
+/// extra steps come after the solved ones forward, before them backward
+/// (where its `Trans` coefficients make it one panel).
 #[inline(always)]
 unsafe fn tri<L: Lanes<E = f64>, T: Scalar, const RV: usize, const HOW: u8, const FWD: bool>(
     job: &Job<'_, T>,
     unit: bool,
 ) {
-    let k = job.nd;
+    let (m, k) = (job.nd, job.nl);
+    // Steps before `first` are rows already solved: terms only.
+    let first = if FWD { 0 } else { m - k };
     let panel = if job.sd == 1 { TRI_PANEL } else { k };
-    for p0 in (0..k).step_by(panel) {
-        let p1 = (p0 + panel).min(k);
-        tri_rows::<L, T, RV, HOW, FWD>(job, p0..p1, p0..p0, Some(unit));
-        tri_rows::<L, T, RV, HOW, FWD>(job, p1..k, p0..p1, None);
+    for p0 in (first..first + k).step_by(panel) {
+        let p1 = (p0 + panel).min(first + k);
+        // The first panel takes the known rows' terms too.
+        let from = if p0 == first { 0 } else { p0 };
+        tri_rows::<L, T, RV, HOW, FWD>(job, p0..p1, from..from, Some(unit));
+        tri_rows::<L, T, RV, HOW, FWD>(job, p1..m, p0..p1, None);
     }
 }
 
@@ -877,10 +899,10 @@ unsafe fn tri_block<
     finish: Option<bool>,
 ) -> usize {
     let sh = job.sh;
-    let (rl, k) = (sh.row_len(), job.nd);
+    let (rl, m) = (sh.row_len(), job.nd);
     let live = live::<L, RV>(sh.w);
     // Row of the triangle solved at step `s`.
-    let at = |s: usize| if FWD { s } else { k - 1 - s };
+    let at = |s: usize| if FWD { s } else { m - 1 - s };
     let row = |i: usize| job.dst.add(i * rl);
     let mut acc = [[[L::zero(); RV]; 2]; D];
     for d in 0..D {

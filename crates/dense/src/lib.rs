@@ -14,6 +14,11 @@
 //! layout*: column `j` of a width-`w` solve has the bits of its width-1
 //! solve, at any width and thread count. No mode exists to enter for that.
 //!
+//! A symmetric matrix can be half-stored as its lower triangle in column
+//! blocks ([`BlockLower`]); the one blocked LDLᵀ ([`ldlt_in_place_nb`],
+//! [`partial_ldlt_nb`]) and its solve run on that layout, a full matrix
+//! being its single-block case.
+//!
 //! The *partial* factorizations ([`partial_ldlt`], [`partial_lu`]) eliminate
 //! only the leading `k` variables of a matrix and leave the trailing block
 //! updated with the corresponding Schur complement — this is the dense kernel
@@ -32,6 +37,7 @@ pub mod cache;
 pub mod factor;
 pub mod gemm;
 pub mod lane;
+pub mod lower;
 pub mod mat;
 mod pack;
 mod simd;
@@ -49,6 +55,7 @@ pub use gemm::{
     gemm, gemm_into, gemm_naive, gemm_par_flop_threshold, matvec, with_serial, Op,
     PAR_FLOP_THRESHOLD,
 };
+pub use lower::{lower_block_width, BlockLower};
 pub use mat::{Mat, MatMut, MatRef};
 pub use solve::{apply_row_swaps_fwd, ldlt_solve_in_place, lu_solve_in_place};
 pub use trsm::{trsm_left, trsm_right, Diag, Tri};

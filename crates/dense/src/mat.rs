@@ -262,6 +262,19 @@ unsafe impl<T: Sync> Send for MatRef<'_, T> {}
 unsafe impl<T: Sync> Sync for MatRef<'_, T> {}
 
 impl<'a, T: Scalar> MatRef<'a, T> {
+    /// View a column-major buffer (`data.len() == nrows * ncols`) as a
+    /// matrix.
+    pub fn from_col_major(nrows: usize, ncols: usize, data: &'a [T]) -> Self {
+        assert_eq!(data.len(), nrows * ncols, "column-major buffer length");
+        MatRef {
+            ptr: data.as_ptr(),
+            nrows,
+            ncols,
+            ld: nrows,
+            _marker: PhantomData,
+        }
+    }
+
     pub fn nrows(&self) -> usize {
         self.nrows
     }

@@ -43,17 +43,19 @@ pub fn lu_solve_in_place<T: Scalar>(f: &LuFactors<T>, b: MatMut<'_, T>) {
 /// Solve `A·X = B` in place given packed LDLᵀ factors (unit lower `L`,
 /// diagonal `D` on the diagonal; the plain transpose is used so this is valid
 /// for complex symmetric matrices), on lane workspaces like
-/// [`lu_solve_in_place`].
+/// [`lu_solve_in_place`]: `L` and `Lᵀ` one lane triangle per column block
+/// of the factors' layout ([`crate::BlockLower::solve_unit_lanes`]), so a
+/// half-stored factor solves to the bits of the full one.
 pub fn ldlt_solve_in_place<T: Scalar>(f: &LdltFactors<T>, b: MatMut<'_, T>) {
-    assert_eq!(f.ld.nrows(), b.nrows(), "ldlt_solve: dims");
-    let ld = f.ld.as_ref();
-    let d: Vec<T> = (0..ld.nrows()).map(|i| ld.get(i, i)).collect();
+    let ld = &f.ld;
+    assert_eq!(ld.n(), b.nrows(), "ldlt_solve: dims");
+    let d: Vec<T> = (0..ld.n()).map(|i| ld[(i, i)]).collect();
     lane::solve_panel(b, (Rows::From(0), Rows::From(0)), |ws| {
         let sh = ws.shape();
         let x = ws.as_mut_slice();
-        lane::solve_tri(sh, Sub, ld, Tri::Lower, Op::NoTrans, Diag::Unit, x);
+        ld.solve_unit_lanes(sh, Op::NoTrans, x);
         lane::div_rows(sh, x, &d);
-        lane::solve_tri(sh, Sub, ld, Tri::Lower, Op::Trans, Diag::Unit, x);
+        ld.solve_unit_lanes(sh, Op::Trans, x);
     });
 }
 

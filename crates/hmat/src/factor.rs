@@ -148,7 +148,7 @@ fn factor_rec<T: Scalar>(h: &mut HMatrix<T>, half: bool, eps: T::Real) -> Result
 /// Append the `D` of an LDLᵀ-factored diagonal block to `out`, in order.
 fn ldlt_diag<T: Scalar>(h: &HMatrix<T>, out: &mut Vec<T>) {
     match &h.kind {
-        HKind::DenseLdlt(f) => out.extend((0..f.ld.nrows()).map(|i| f.ld[(i, i)])),
+        HKind::DenseLdlt(f) => out.extend((0..f.ld.n()).map(|i| f.ld[(i, i)])),
         HKind::Hier(ch) => {
             ldlt_diag(&ch[0], out);
             ldlt_diag(&ch[3], out);
@@ -240,14 +240,9 @@ pub(crate) fn solve_lower_dense<T: Scalar>(l: &HMatrix<T>, mut panel: MatMut<'_,
             );
         }
         HKind::DenseLdlt(f) => {
-            trsm_left(
-                Tri::Lower,
-                Op::NoTrans,
-                Diag::Unit,
-                T::ONE,
-                f.ld.as_ref(),
-                panel,
-            );
+            // A leaf is factored as a full matrix: one column block.
+            let (_, ld) = f.ld.block(0);
+            trsm_left(Tri::Lower, Op::NoTrans, Diag::Unit, T::ONE, ld, panel);
         }
         HKind::Hier(ch) => {
             let [l11, l21, _l12, l22] = &**ch;
@@ -349,7 +344,7 @@ fn solve_lanes<T: Scalar>(
             lane::solve_tri(sh, Sub, f.lu.as_ref(), tri, op, diag, x);
         }
         (HKind::DenseLdlt(f), Pass::Lower | Pass::LowerT) => {
-            lane::solve_tri(sh, Sub, f.ld.as_ref(), tri, op, diag, x);
+            f.ld.solve_unit_lanes(sh, op, x);
         }
         (HKind::Hier(ch), _) => {
             let (top, bot) = x.split_at_mut(ch[0].nrows() * sh.row_len());

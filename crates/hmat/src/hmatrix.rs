@@ -290,6 +290,25 @@ impl<T: Scalar> HMatrix<T> {
         matches!(&self.kind, HKind::Hier(ch) if matches!(ch[2].kind, HKind::Mirror))
     }
 
+    /// The first row the matrix stores in column `c`: 0 when it is fully
+    /// stored; on half storage, the first row of the diagonal block that
+    /// holds column `c` — every block above it is a mirror slot. Floors never
+    /// decrease from one column to the next.
+    pub fn stored_row_floor(&self, c: usize) -> usize {
+        if !self.is_half() {
+            return 0;
+        }
+        let HKind::Hier(ch) = &self.kind else {
+            unreachable!()
+        };
+        let (rs, cs) = self.splits();
+        if c < cs {
+            ch[0].stored_row_floor(c)
+        } else {
+            rs + ch[3].stored_row_floor(c - cs)
+        }
+    }
+
     /// Turn a fully stored matrix over one cluster tree into half storage:
     /// the upper block of every diagonal node becomes a mirror slot and its
     /// storage is dropped. The stored blocks are not touched.

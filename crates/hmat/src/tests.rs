@@ -400,23 +400,23 @@ fn recompress_leaves_collapses_zero_norm_formal_rank() {
 
 /// Every stored scalar of `h`, leaf by leaf in child order, as bit patterns.
 fn leaf_bits<T: Scalar>(h: &HMatrix<T>, out: &mut Vec<u64>) {
-    let mut push = |m: &Mat<T>| {
-        for x in m.data() {
+    let mut push = |m: &[T]| {
+        for x in m {
             out.push(x.real().to_f64().to_bits());
             out.push(x.imag().to_f64().to_bits());
         }
     };
     match &h.kind {
-        HKind::Dense(m) => push(m),
+        HKind::Dense(m) => push(m.data()),
         HKind::DenseLu(f) => {
-            push(&f.lu);
+            push(f.lu.data());
             out.extend(f.ipiv.iter().map(|&p| p as u64));
         }
-        HKind::DenseLdlt(f) => push(&f.ld),
+        HKind::DenseLdlt(f) => push(f.ld.data()),
         HKind::Mirror => {}
         HKind::LowRank(lr) => {
-            push(&lr.u);
-            push(&lr.v);
+            push(lr.u.data());
+            push(lr.v.data());
         }
         HKind::Hier(ch) => ch.iter().for_each(|c| leaf_bits(c, out)),
     }

@@ -296,38 +296,44 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
-    /// `Z ← α·A·Y` for the right-hand sides held as the lanes of a
+    /// `Z ← α·A[r0.., :]·Y` for the right-hand sides held as the lanes of a
     /// row-major workspace `y` of shape `sh` ([`csolve_dense::lane`]): row
-    /// `k` of `Y` is workspace row `rows.get(k)`, and `z` has `sh.lanes()`
-    /// columns. Every element sees [`Csc::mul_dense`]'s operation sequence
-    /// at `β = 0` — zero fill, the non-empty columns of `A` in ascending
-    /// order, `s = α·y`, an exact-zero `s` skipped in its own lane — so `z`
-    /// has the bits of `mul_dense` on the column-major `Y`, which need never
-    /// exist. The rows of `Z` accumulate side by side, then are written out
-    /// once.
+    /// `k` of `Y` is workspace row `rows.get(k)`, and `z` has the rows
+    /// `r0..` of `A` and `sh.lanes()` columns. Every element sees
+    /// [`Csc::mul_dense`]'s operation sequence at `β = 0` — zero fill, the
+    /// non-empty columns of `A` in ascending order, `s = α·y`, an exact-zero
+    /// `s` skipped in its own lane — so `z` has the bits of `mul_dense` on the
+    /// column-major `Y`, which need never exist, in the rows it covers: the
+    /// entries of `A` above row `r0` are skipped and cost nothing. The rows
+    /// of `Z` accumulate side by side, then are written out once.
     pub fn mul_lanes(
         &self,
         alpha: T,
         sh: LaneShape,
         y: &[f64],
         rows: Rows<'_>,
+        r0: usize,
         mut z: MatMut<'_, T>,
     ) {
         let w = sh.lanes();
-        assert_eq!(z.nrows(), self.nrows, "lane spmm: Z rows");
+        assert_eq!(r0 + z.nrows(), self.nrows, "lane spmm: Z rows");
         assert_eq!(z.ncols(), w, "lane spmm: Z cols");
-        let mut acc = vec![T::ZERO; self.nrows * w];
+        let mut acc = vec![T::ZERO; z.nrows() * w];
         let mut s = [T::ZERO; MAX_LANES];
         let s = &mut s[..w];
-        for k in (0..self.ncols).filter(|&k| self.colptr[k] < self.colptr[k + 1]) {
+        for k in 0..self.ncols {
+            let entries = self.colptr[k]..self.colptr[k + 1];
+            if !self.rowidx[entries.clone()].iter().any(|&i| i >= r0) {
+                continue;
+            }
             let r = rows.get(k);
             for (j, s) in s.iter_mut().enumerate() {
                 *s = alpha * sh.get::<T>(y, r, j);
             }
             // No zero among them (the common case): no test per entry.
             let dense = s.iter().all(|v| *v != T::ZERO);
-            for p in self.colptr[k]..self.colptr[k + 1] {
-                let (i, v) = (self.rowidx[p], self.values[p]);
+            for p in entries.filter(|&p| self.rowidx[p] >= r0) {
+                let (i, v) = (self.rowidx[p] - r0, self.values[p]);
                 let row = &mut acc[i * w..(i + 1) * w];
                 for (c, &s) in row.iter_mut().zip(s.iter()) {
                     if dense || s != T::ZERO {
@@ -341,6 +347,11 @@ impl<T: Scalar> Csc<T> {
                 *zi = row[j];
             }
         }
+    }
+
+    /// Stored entries in the rows `r0..`.
+    pub fn nnz_from_row(&self, r0: usize) -> usize {
+        self.rowidx.iter().filter(|&&i| i >= r0).count()
     }
 
     /// `y ← α·A·x + β·y` (one column of [`Csc::mul_dense`]).
@@ -555,7 +566,8 @@ mod tests {
     }
 
     /// `mul_lanes` reads `Y` out of a permuted lane workspace and must give
-    /// each column the bits `mul_dense` gives it from the column-major `Y`:
+    /// each column the bits `mul_dense` gives it from the column-major `Y`,
+    /// in every row it computes:
     /// exact `0.0` / `-0.0` entries, a whole zero column and empty columns
     /// of `A` included, for `f64` and `C64`, at widths below, at and across
     /// a line.
@@ -602,9 +614,14 @@ mod tests {
                 for alpha in [T::ONE, T::from_f64(-1.5)] {
                     let mut want = Mat::<T>::random(m, w, &mut rng);
                     a.mul_dense(alpha, y.as_ref(), T::ZERO, want.as_mut());
-                    let mut got = Mat::<T>::random(m, w, &mut rng);
-                    a.mul_lanes(alpha, sh, ws.as_slice(), Rows::At(&perm, 0), got.as_mut());
-                    assert!(bits(&got) == bits(&want), "width {w}");
+                    // All rows, and the rows from r0 on alone.
+                    for r0 in [0, 17, m] {
+                        let mut got = Mat::<T>::random(m - r0, w, &mut rng);
+                        let y = ws.as_slice();
+                        a.mul_lanes(alpha, sh, y, Rows::At(&perm, 0), r0, got.as_mut());
+                        let want = want.submatrix(r0..m, 0..w);
+                        assert!(bits(&got) == bits(&want), "width {w}, rows {r0}..");
+                    }
                 }
             }
         }

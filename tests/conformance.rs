@@ -117,7 +117,7 @@ fn symmetric_well_conditioned_real() {
 }
 
 /// `n_s` = 70 against the grid's `n_b` = 3: the last tile row and column are
-/// short, so the symmetric multi-factorization mirrors rectangular blocks.
+/// short, so the symmetric multi-factorization folds rectangular lower tiles.
 #[test]
 fn symmetric_rectangular_edge_tiles_real() {
     let spec = ProblemSpec {

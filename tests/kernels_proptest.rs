@@ -9,11 +9,18 @@
 //! up to `k = 64`), which run on the lane kernel: a left solve must give
 //! every column of its panel, a right solve every row, the bits it gets
 //! alone, whatever rides beside it — across lane groups and workspaces.
+//!
+//! And of the one blocked LDLᵀ on its two storages: a half-stored
+//! (block-column lower) matrix factors and solves to the full matrix's
+//! result, bitwise at every thread count.
 
 use csolve_common::{RealScalar, Scalar, C64};
 use csolve_dense::gemm::gemm_packed;
 use csolve_dense::lane::MAX_LANES;
-use csolve_dense::{gemm, gemm_naive, trsm_left, trsm_right, Diag, Mat, MatMut, MatRef, Op, Tri};
+use csolve_dense::{
+    gemm, gemm_naive, ldlt_in_place_nb, ldlt_solve_in_place, lower_block_width, trsm_left,
+    trsm_right, BlockLower, Diag, LdltFactors, Mat, MatMut, MatRef, Op, Tri,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -548,4 +555,132 @@ fn blocked_trsm_left_parallel_chunks_match_columns() {
             trsm_panel_matches_columns::<C64>(tri, op_of(io), diag, 64, 70, 2, 6, 2).unwrap();
         }
     }
+}
+
+/// A symmetric (complex: plain-transpose symmetric) diagonally dominant
+/// matrix of order `n`.
+fn dominant_symmetric<T: Scalar>(n: usize, rng: &mut rand::rngs::StdRng) -> Mat<T> {
+    let b = Mat::<T>::random(n, n, rng);
+    let mut a = b.clone();
+    a.axpy(T::ONE, &b.transpose());
+    for i in 0..n {
+        a[(i, i)] += T::from_f64(2.0 * n as f64 + 1.0);
+    }
+    a
+}
+
+/// The entries of a factor's lower triangle, row-major by column.
+fn lower_of<T: Scalar>(f: &LdltFactors<T>) -> Vec<T> {
+    let n = f.ld.n();
+    (0..n)
+        .flat_map(|j| (j..n).map(move |i| (i, j)))
+        .map(|ij| f.ld[ij])
+        .collect()
+}
+
+/// Whether `got` is `want` bit for bit, and the largest `|got − want|` over
+/// the largest `|want|`.
+fn compare<T: Scalar>(got: &[T], want: &[T]) -> (bool, f64) {
+    let bit = |v: &T| (v.real().to_f64().to_bits(), v.imag().to_f64().to_bits());
+    let same = got.iter().map(bit).eq(want.iter().map(bit));
+    let scale = want.iter().map(|v| v.abs().to_f64()).fold(0.0, f64::max);
+    let diff = got
+        .iter()
+        .zip(want)
+        .map(|(g, w)| (*g - *w).abs().to_f64())
+        .fold(0.0, f64::max);
+    (same, diff / scale.max(f64::MIN_POSITIVE))
+}
+
+/// One order and panel width: the half-stored LDLᵀ and its solve against
+/// [`ldlt_in_place_nb`] on the full matrix — bitwise, or within 100·ε — and
+/// the half-stored run bitwise at 1, 2 and 4 threads. Returns whether the
+/// factor and the solution came out bitwise equal to the full ones.
+fn half_vs_full<T: Scalar>(n: usize, nb: usize, seed: u64) -> (bool, bool) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let a = dominant_symmetric::<T>(n, &mut rng);
+    let rhs = Mat::<T>::random(n, 3, &mut rng);
+    let b = lower_block_width(nb);
+    let solve = |f: &LdltFactors<T>| {
+        let mut x = rhs.clone();
+        ldlt_solve_in_place(f, x.as_mut());
+        x
+    };
+    let full = ldlt_in_place_nb(a.clone(), nb).unwrap();
+    let x_full = solve(&full);
+    let cell = format!("{} n = {n}, nb = {nb}, b = {b}", std::any::type_name::<T>());
+    let mut half_bits = None;
+    for threads in [1, 2, 4] {
+        let (half, x_half) = pool(threads).install(|| {
+            let half = ldlt_in_place_nb(BlockLower::from_full(a.clone(), b), nb).unwrap();
+            let x = solve(&half);
+            (half, x)
+        });
+        assert_eq!(half.ld.blocks(), n.div_ceil(b), "{cell}");
+        let (lower, x) = (lower_of(&half), x_half.data().to_vec());
+        match &half_bits {
+            None => half_bits = Some((lower, x)),
+            Some((l1, x1)) => {
+                assert!(compare(&lower, l1).0, "{cell}: factor at {threads} threads");
+                assert!(compare(&x, x1).0, "{cell}: solution at {threads} threads");
+            }
+        }
+    }
+    let (lower, x) = half_bits.unwrap();
+    let eps = T::Real::EPSILON.to_f64();
+    let (factor_same, factor_diff) = compare(&lower, &lower_of(&full));
+    assert!(
+        factor_diff <= 100.0 * eps,
+        "{cell}: factor off by {factor_diff:.3e}"
+    );
+    let (x_same, x_diff) = compare(&x, x_full.data());
+    assert!(
+        x_diff <= 100.0 * eps,
+        "{cell}: solution off by {x_diff:.3e}"
+    );
+    // The solve alone moves no bit: the full factor, repacked, solves to
+    // the full solution exactly.
+    let repacked = LdltFactors {
+        ld: BlockLower::from_full(full.ld.to_full(), b),
+    };
+    assert!(
+        compare(solve(&repacked).data(), x_full.data()).0,
+        "{cell}: the block-column solve differs from the full triangle"
+    );
+    (factor_same, x_same)
+}
+
+/// The half-stored LDLᵀ (`BlockLower`, blocks of `lower_block_width(nb)`)
+/// against the full one on the same matrix, orders 1, `b − 1`, `b`, `b + 1`
+/// and `2b + 37`, `f64` and `C64`.
+///
+/// The solve moves no bit: its block triangles give every row its terms in
+/// the full triangle's order. The factorization's arithmetic per element is
+/// that of the trailing-update GEMMs, whose route follows the shape of the
+/// chunk an element lies in: the full matrix cuts the trailing columns into
+/// 128-wide chunks from the panel on, the half-stored one into its blocks.
+/// Where a column falls in a chunk of another route — a one-column chunk
+/// (`matvec`, which adds each term into `C` instead of summing the panel's
+/// terms first), or, for `C64`, a chunk small enough for the unpacked tiles
+/// (the packed route multiplies split real/imaginary planes) — its bits
+/// move, by a rounding: within 100·ε of the full factor, and the solution
+/// with it.
+#[test]
+fn half_stored_ldlt_matches_the_full_one() {
+    let mut moved = Vec::new();
+    for nb in [1usize, 8, 33, 48, 200] {
+        let b = lower_block_width(nb);
+        for n in [1, b - 1, b, b + 1, 2 * b + 37] {
+            let seed = (n * 1000 + nb) as u64;
+            for (scalar, (factor_same, x_same)) in [
+                ("f64", half_vs_full::<f64>(n, nb, seed)),
+                ("c64", half_vs_full::<C64>(n, nb, seed + 1)),
+            ] {
+                if !(factor_same && x_same) {
+                    moved.push(format!("{scalar} n = {n} nb = {nb}"));
+                }
+            }
+        }
+    }
+    eprintln!("cells whose bits a GEMM route change moved: {moved:?}");
 }

@@ -119,21 +119,34 @@ fn check_symmetric_cells(algo: Algorithm, backend: DenseBackend) {
 }
 
 /// A symmetric system's multi-factorization computes lower-triangle tiles
-/// only and folds each off-diagonal one twice (at `(i, j)` and, transposed,
-/// at `(j, i)`), in block order — into a half-stored `S` on HMAT, which
-/// drops the parts over its mirror slots.
+/// only and folds each once, in block order, into the half-stored HMAT `S`
+/// (its lower block triangle), factored as H-LDLᵀ.
 #[test]
 fn symmetric_multi_factorization_is_bitwise_identical_for_1_2_4_8_threads() {
-    for backend in DenseBackend::ALL {
-        check_symmetric_cells(Algorithm::MultiFactorization, backend);
-    }
+    check_symmetric_cells(Algorithm::MultiFactorization, DenseBackend::Hmat);
 }
 
-/// Multi-solve folds whole column panels into the half-stored HMAT `S`
-/// (the parts over mirror slots dropped) and factors it as H-LDLᵀ.
+/// The same tiles folded into the half-stored SPIDO `S` — its lower
+/// triangle in column blocks, a diagonal tile's upper part not folded —
+/// factored by the blocked LDLᵀ whose later blocks update concurrently.
+#[test]
+fn symmetric_spido_multi_factorization_is_bitwise_identical_for_1_2_4_8_threads() {
+    check_symmetric_cells(Algorithm::MultiFactorization, DenseBackend::Spido);
+}
+
+/// Multi-solve folds lower-trapezoid column panels (the rows from the first
+/// one stored in the panel's first column) into the half-stored HMAT `S`
+/// and factors it as H-LDLᵀ.
 #[test]
 fn symmetric_hmat_multi_solve_is_bitwise_identical_for_1_2_4_8_threads() {
     check_symmetric_cells(Algorithm::MultiSolve, DenseBackend::Hmat);
+}
+
+/// Multi-solve's lower-trapezoid panels — `Z`'s rows from the panel's first
+/// column down — folded into the half-stored SPIDO `S`.
+#[test]
+fn symmetric_spido_multi_solve_is_bitwise_identical_for_1_2_4_8_threads() {
+    check_symmetric_cells(Algorithm::MultiSolve, DenseBackend::Spido);
 }
 
 /// The half-stored path under a disturbed schedule: seeded pauses at every
