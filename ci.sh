@@ -58,6 +58,9 @@ echo "==> cargo test (conformance suite in smoke profile)"
 # {algorithm x backend x threads x symmetry x conditioning} matrix.
 CSOLVE_CONFORMANCE=smoke cargo test --workspace --offline -q
 
+echo "==> the rayon stand-in's own tests (vendor/ is not in the workspace)"
+cargo test --offline -q --manifest-path vendor/rayon/Cargo.toml --target-dir target/vendor_rayon
+
 echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # "Admitted => cannot run out of memory" is a scheduling property: one green
 # run proves little. The conformance budget test runs at its full thread

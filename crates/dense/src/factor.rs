@@ -384,7 +384,6 @@ fn ldlt_blocks_impl<T: Scalar>(data: &mut [T], g: Geometry, k: usize, nb: usize)
         scale = T::Real::RONE;
     }
     let tol = scale * T::Real::EPSILON * T::Real::from_f64_real(16.0);
-    let serial = crate::gemm::serial_forced() || rayon::current_num_threads() == 1;
 
     let mut kb = 0;
     while kb < k {
@@ -409,41 +408,22 @@ fn ldlt_blocks_impl<T: Scalar>(data: &mut [T], g: Geometry, k: usize, nb: usize)
         let own_cols = own.ncols();
         let own = own.submatrix_mut(ke - c0..n - c0, 0..own_cols);
         ldlt_trailing_update(own, l, w.as_ref(), TRAIL_COLS);
-        // Later blocks, rows and columns from their first column cb on, in
-        // contiguous groups of about equal area, one group per thread.
-        let later_blocks = jb + 1..g.blocks();
-        let total: usize = later_blocks.clone().map(|j| g.block_len(j)).sum();
-        let groups = if serial {
-            1
-        } else {
-            rayon::current_num_threads().min(later_blocks.len())
-        };
-        let mut work: Vec<Vec<(usize, MatMut<'_, T>)>> = vec![Vec::new()];
-        let (mut rest, mut done) = (later, 0);
-        for j in later_blocks {
+        // Later blocks, rows and columns from their first column cb on, one
+        // item each: they come in decreasing size, so the largest go first.
+        let mut work = Vec::with_capacity(g.blocks() - jb - 1);
+        let mut rest = later;
+        for j in jb + 1..g.blocks() {
             let (cb, wb) = g.cols(j);
             let (head, tail) = rest.split_at_mut(g.block_len(j));
             rest = tail;
-            if done * groups >= total * work.len() {
-                work.push(Vec::new());
-            }
-            let group = work.last_mut().expect("one group at least");
-            group.push((cb, MatMut::from_col_major(n - cb, wb, head)));
-            done += g.block_len(j);
+            work.push((cb, MatMut::from_col_major(n - cb, wb, head)));
         }
-        let update = |group: Vec<(usize, MatMut<'_, T>)>| {
-            for (cb, v) in group {
-                let lb = l.submatrix(cb - ke..n - ke, 0..nbk);
-                let wb = w.view(cb - ke..n - ke, 0..nbk);
-                let width = v.ncols();
-                ldlt_trailing_update(v, lb, wb, width);
-            }
-        };
-        if work.len() < 2 {
-            work.into_iter().for_each(update);
-        } else {
-            work.into_par_iter().for_each(update);
-        }
+        work.into_par_iter().for_each(|(cb, v)| {
+            let lb = l.submatrix(cb - ke..n - ke, 0..nbk);
+            let wb = w.view(cb - ke..n - ke, 0..nbk);
+            let width = v.ncols();
+            ldlt_trailing_update(v, lb, wb, width);
+        });
         kb = ke;
     }
     Ok(())

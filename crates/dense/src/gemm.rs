@@ -29,8 +29,6 @@
 //! reference implementation the routes are property-tested against; no
 //! production path calls it.
 
-use std::cell::Cell;
-
 use csolve_common::Scalar;
 use rayon::prelude::*;
 
@@ -63,7 +61,8 @@ impl Op {
 
 /// Flop count above which the bandwidth-bound kernels ([`matvec`], the
 /// triangular-solve base case, counted as `k²·w`) fork into rayon tasks;
-/// below it the base case runs under [`with_serial`]. The packed GEMM uses
+/// below it both stay on the calling thread — a matvec as one chunk, the
+/// base case under [`with_serial`]'s one-thread budget. The packed GEMM uses
 /// the much larger, calibration-derived [`gemm_par_flop_threshold`] instead:
 /// compute-bound macro-tiles only amortize a fork when there are at least a
 /// couple of cache-sized tiles of work.
@@ -81,29 +80,20 @@ pub fn gemm_par_flop_threshold(elem_bytes: usize) -> f64 {
     2.0 * b.mc as f64 * b.kc as f64 * b.nc as f64
 }
 
-thread_local! {
-    static FORCE_SERIAL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` with every kernel on this thread pinned to its serial path
-/// (macro-tiles, matvec chunks and the lane groups of
-/// [`crate::lane::solve_panel`], a solve's or the triangular-solve base
-/// case's, all stay on the calling thread). Used by the factorizations to
-/// route sub-threshold problems past rayon entirely instead of paying
-/// fork/join overhead on every small trailing update; results are bitwise
-/// identical either way.
+/// Run `f` under a thread budget of 1 (the rayon shim's
+/// `ThreadPool::install`): every kernel it calls — macro-tiles, matvec
+/// chunks, the lane groups of [`crate::lane::solve_panel`], the later
+/// blocks of a blocked LDLᵀ — stays on the calling thread, because no fork
+/// finds a helper permit under it. Used by the factorizations to route
+/// sub-threshold problems past rayon entirely instead of paying fork/join
+/// overhead on every small trailing update; results are bitwise identical
+/// either way.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
-    FORCE_SERIAL.with(|s| {
-        let prev = s.replace(true);
-        let out = f();
-        s.set(prev);
-        out
-    })
-}
-
-/// True when kernels invoked from this thread must not fork.
-pub(crate) fn serial_forced() -> bool {
-    FORCE_SERIAL.with(Cell::get)
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread budget")
+        .install(f)
 }
 
 /// Below this many flops the packed engine cannot amortize its pack/copy
@@ -310,8 +300,7 @@ fn tile_grid<T: Scalar>(
 /// product of only one or two macro-columns still feeds every worker.
 fn par_plan<T: Scalar>(flops: f64, nc: usize) -> (bool, usize) {
     let par = flops >= gemm_par_flop_threshold(std::mem::size_of::<T>())
-        && rayon::current_num_threads() > 1
-        && !serial_forced();
+        && rayon::current_num_threads() > 1;
     let col_step = if par { (nc / 4).max(4 * NR) } else { nc };
     (par, col_step)
 }
@@ -340,7 +329,7 @@ pub fn gemm_packed<T: Scalar>(
     let run = |(i0, j0, blk): (usize, usize, MatMut<'_, T>)| {
         gemm_macro_tile(alpha, a, opa, b, opb, beta, blk, i0, j0, ak, bs.kc)
     };
-    if !par || tiles.len() == 1 {
+    if !par {
         tiles.into_iter().for_each(run);
     } else {
         tiles.into_par_iter().for_each(run);
@@ -425,7 +414,7 @@ pub fn matvec<T: Scalar>(alpha: T, a: MatRef<'_, T>, opa: Op, x: &[T], beta: T, 
         return;
     }
     let flops = 2.0 * m as f64 * k as f64;
-    if flops < PAR_FLOP_THRESHOLD || rayon::current_num_threads() == 1 || serial_forced() {
+    if flops < PAR_FLOP_THRESHOLD || rayon::current_num_threads() == 1 {
         matvec_chunk(alpha, a, opa, x, 0, y);
         return;
     }

@@ -268,8 +268,9 @@ const GROUP_LANES: usize = 8;
 /// workspace row `load[r]`), handed to `f`, and stored back (workspace row
 /// `store[r]` into panel row `r`). A column is one lane of its group's
 /// workspace, so it gets the bits of its width-1 solve whichever columns
-/// share the group and whatever the thread count. One fork per call, none
-/// under [`crate::gemm::with_serial`]; a width-0 panel is a no-op.
+/// share the group and whatever the thread count. One parallel loop per
+/// call, whose groups stay on the calling thread under a budget of one
+/// thread ([`crate::gemm::with_serial`]); a width-0 panel is a no-op.
 pub fn solve_panel<T: Scalar>(
     b: MatMut<'_, T>,
     (load, store): (Rows<'_>, Rows<'_>),
@@ -278,29 +279,17 @@ pub fn solve_panel<T: Scalar>(
     if b.ncols() == 0 {
         return;
     }
-    let serial = crate::gemm::serial_forced();
-    let threads = if serial {
-        1
-    } else {
-        rayon::current_num_threads()
-    };
     let width = b
         .ncols()
-        .div_ceil(threads)
+        .div_ceil(rayon::current_num_threads())
         .next_multiple_of(GROUP_LANES)
         .min(MAX_LANES);
-    let solve = |x: MatMut<'_, T>| {
+    b.col_chunks_mut(width).into_par_iter().for_each(|x| {
         let mut ws = LaneBuf::zeros(LaneShape::new::<T>(x.ncols()), x.nrows());
         load_rows(ws.shape(), ws.as_mut_slice(), x.rb(), load);
         f(&mut ws);
         store_rows(ws.shape(), ws.as_slice(), x, store);
-    };
-    let groups = b.col_chunks_mut(width);
-    if serial {
-        groups.into_iter().for_each(solve);
-    } else {
-        groups.into_par_iter().for_each(solve);
-    }
+    });
 }
 
 /// Swap rows `i` and `j` of `x`.

@@ -792,8 +792,11 @@ impl<T: Scalar> SparseFactorization<T> {
             .into_iter()
             .enumerate()
             .collect();
-        // Consecutive chunks in one group each: one fork per group (the
-        // vendored rayon spawns a thread per item), evenly shared.
+        // Consecutive chunks in one group each, evenly shared: one live
+        // workspace per group, so `groups` caps the workspaces the caller
+        // charged for. A `ThreadPool::install(groups)` budget is no such
+        // cap: it is compared with the process-wide helper count, so under
+        // the pipeline's workers it would fork less than this.
         let per_group = chunks.len().div_ceil(groups.max(1)).max(1);
         let mut runs = Vec::new();
         while !chunks.is_empty() {

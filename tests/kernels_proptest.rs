@@ -13,13 +13,17 @@
 //! And of the one blocked LDLᵀ on its two storages: a half-stored
 //! (block-column lower) matrix factors and solves to the full matrix's
 //! result, bitwise at every thread count.
+//!
+//! And of `with_serial`, a one-thread budget under which every kernel stays
+//! on the calling thread with the bits of its parallel call.
 
 use csolve_common::{RealScalar, Scalar, C64};
 use csolve_dense::gemm::gemm_packed;
-use csolve_dense::lane::MAX_LANES;
+use csolve_dense::lane::{self, Rows, Update, MAX_LANES};
 use csolve_dense::{
-    gemm, gemm_naive, ldlt_in_place_nb, ldlt_solve_in_place, lower_block_width, trsm_left,
-    trsm_right, BlockLower, Diag, LdltFactors, Mat, MatMut, MatRef, Op, Tri,
+    gemm, gemm_naive, gemm_par_flop_threshold, ldlt_in_place_nb, ldlt_solve_in_place,
+    lower_block_width, matvec, trsm_left, trsm_right, with_serial, BlockLower, Diag, LdltFactors,
+    Mat, MatMut, MatRef, Op, Tri, DEFAULT_PANEL_NB, PAR_FLOP_THRESHOLD,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -683,4 +687,90 @@ fn half_stored_ldlt_matches_the_full_one() {
         }
     }
     eprintln!("cells whose bits a GEMM route change moved: {moved:?}");
+}
+
+/// `with_serial` is a one-thread budget: under a 4-thread pool the code it
+/// wraps reads one thread and forks nothing, and each kernel gives the bits
+/// of its unwrapped parallel call — a GEMM above the packed route's fork
+/// threshold, a matvec above [`PAR_FLOP_THRESHOLD`], a 96-column lane panel
+/// (every group of which runs on the calling thread) and a multi-block
+/// half-stored LDLᵀ above the factorization's fork threshold.
+#[test]
+fn with_serial_pins_every_kernel_to_the_calling_thread() {
+    let pool = pool(4);
+    let parallel_and_serial =
+        |f: &(dyn Fn() -> Vec<u64> + Sync)| pool.install(|| (f(), with_serial(f)));
+    assert_eq!(pool.install(|| with_serial(rayon::current_num_threads)), 1);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let threshold = gemm_par_flop_threshold(std::mem::size_of::<f64>());
+
+    let n = (threshold / 2.0).cbrt() as usize + 1;
+    let (a, b) = (
+        Mat::<f64>::random(n, n, &mut rng),
+        Mat::<f64>::random(n, n, &mut rng),
+    );
+    let (par, ser) = parallel_and_serial(&|| {
+        let mut c = Mat::<f64>::zeros(n, n);
+        gemm(
+            1.0,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            Op::Trans,
+            0.0,
+            c.as_mut(),
+        );
+        f64_bits(c.data())
+    });
+    assert!(par == ser, "GEMM of order {n}");
+
+    let (m, k) = (600, 400);
+    assert!(2.0 * (m * k) as f64 >= PAR_FLOP_THRESHOLD);
+    let (a, x) = (Mat::<f64>::random(m, k, &mut rng), vec![0.5; k]);
+    let (par, ser) = parallel_and_serial(&|| {
+        let mut y = vec![0.25; m];
+        matvec(2.0, a.as_ref(), Op::NoTrans, &x, 0.5, &mut y);
+        f64_bits(&y)
+    });
+    assert!(par == ser, "matvec {m} x {k}");
+
+    let (t, _) = strided_tri::<f64>(64, 0, 0, &mut rng);
+    let b0 = seeded_rhs::<f64>(64, 96, 0, &mut rng);
+    let callers = std::sync::Mutex::new(std::collections::HashSet::new());
+    let (par, ser) = parallel_and_serial(&|| {
+        callers.lock().unwrap().clear();
+        let mut x = b0.clone();
+        lane::solve_panel(x.as_mut(), (Rows::From(0), Rows::From(0)), |ws| {
+            callers.lock().unwrap().insert(std::thread::current().id());
+            let (tri, op, diag) = (Tri::Lower, Op::NoTrans, Diag::NonUnit);
+            lane::solve_tri(
+                ws.shape(),
+                Update::Sub,
+                t.as_ref(),
+                tri,
+                op,
+                diag,
+                ws.as_mut_slice(),
+            );
+        });
+        f64_bits(x.data())
+    });
+    assert!(par == ser, "96-column lane panel");
+    let callers = callers.into_inner().unwrap();
+    assert!(
+        callers.len() == 1 && callers.contains(&std::thread::current().id()),
+        "a lane group under with_serial left the calling thread"
+    );
+
+    let bw = lower_block_width(DEFAULT_PANEL_NB);
+    let n = ((3.0 * threshold).cbrt() as usize + 1).max(2 * bw + 37);
+    let s = dominant_symmetric::<f64>(n, &mut rng);
+    let (par, ser) = parallel_and_serial(&|| {
+        let half = BlockLower::from_full(s.clone(), bw);
+        let f = ldlt_in_place_nb(half, DEFAULT_PANEL_NB).unwrap();
+        assert!(f.ld.blocks() > 2);
+        f64_bits(&lower_of(&f))
+    });
+    assert!(par == ser, "half-stored LDLT of order {n}");
 }
