@@ -67,8 +67,9 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # counts here (not the smoke profile), and so do the budget cells of
 # parallel_pipeline and its symmetric cells (lower-triangle tiles and
 # lower-trapezoid multi-solve panels folded into the half-stored SPIDO and
-# HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; the HMAT
-# multi-solve one also under seeded schedule jitter at 8 threads), the session's
+# HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; all four
+# {multi-solve, multi-factorization} x {SPIDO, HMAT} cells also under seeded
+# schedule jitter at 8 threads, each on its own power-of-two budget), the session's
 # budgeted width-4 panels under the same jitter, and multi-solve's fused Z
 # when the budget refuses every extra lane workspace (fewer concurrent
 # chunks, the same bits); the first red run fails CI.

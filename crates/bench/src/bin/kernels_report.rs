@@ -7,9 +7,7 @@
 //! Under `--smoke` (small sizes, few repetitions) the run **fails** when
 //! c64 blocked-serial GEMM is not ≥ [`C64_VS_NAIVE_GATE`] times the naive
 //! reference of the same run, when any blocked GEMM measures below its
-//! naive reference, when the unpacked small-shape route is not
-//! ≥ [`SMALL_SHAPE_GATE`] times the packed route on 32-column panel updates
-//! (the `small_shape` rows), when a rounded low-rank addition costs
+//! naive reference, when a rounded low-rank addition costs
 //! more than [`RECOMPRESS_GATE`] rank-revealing QRs of the same block (the
 //! `recompress` rows), or when the chunked sparse panel solve at `P` threads
 //! takes more than [`PANEL_SOLVE_GATE`] of its own one-thread wall (the
@@ -35,10 +33,9 @@
 use std::time::Instant;
 
 use csolve::common::RealScalar;
-use csolve::dense::gemm::gemm_packed;
 use csolve::dense::{
     gemm, gemm_naive, ldlt_in_place_nb, lower_block_width, lu_in_place_nb, trsm_left, BlockLower,
-    Diag, LdltFactors, Mat, MatMut, MatRef, Op, Tri,
+    Diag, LdltFactors, Mat, Op, Tri,
 };
 use csolve::hmat::{ClusterTree, HLu, HMatrix, HOptions, Point3};
 use csolve::lowrank::LowRank;
@@ -62,21 +59,6 @@ const C64_VS_NAIVE_GATE: f64 = 3.0;
 /// The gate only judges sizes where the packed kernels are past their ramp;
 /// tiny matrices never amortize the packing cost.
 const GATE_MIN_N: usize = 192;
-
-/// Floor of the f64 small-shape entries' speedup under `--smoke`: `gemm` — which
-/// takes these shapes on the unpacked tiles — over `gemm_packed` on the same
-/// operands, same run, the two routes alternating repetition by repetition.
-/// Measures 1.6–1.8× on both shapes (timed one route after the other it read
-/// 1.5–1.7× `NoTrans`, 1.27–1.7× `Trans`); a dispatch that fell back to
-/// packing reads 1.0.
-const SMALL_SHAPE_GATE: f64 = 1.3;
-/// Kernel name and `(m, k, n, op(A))` of the small-shape entries: a 32-column
-/// panel against a 300-row sub-diagonal panel of a 32-column supernode,
-/// forward (`L21·x1`) and backward (`L21ᵀ·x2`).
-const SMALL_SHAPES: [(&str, usize, usize, usize, Op); 2] = [
-    ("gemm_300x32x32_N", 300, 32, 32, Op::NoTrans),
-    ("gemm_32x300x32_T", 32, 300, 32, Op::Trans),
-];
 
 /// Ceiling of `recompress_vs_rrqr` under `--smoke`. A same-run ratio of two
 /// kernels over the same blocks, so the host's speed level cancels. The
@@ -158,8 +140,7 @@ struct Entry {
     seconds: f64,
     gflops: f64,
     /// Wall-time speedup over the one-thread blocked run of the same
-    /// (kernel, scalar, n) — over the packed route's run for a small-shape
-    /// `dispatch` entry; `None` for the references.
+    /// (kernel, scalar, n); `None` for the references.
     speedup: Option<f64>,
 }
 
@@ -331,7 +312,8 @@ struct RecompressRow {
 
 /// Time the rounded addition of two rank-[`RECOMPRESS_RANK`] terms on
 /// [`RECOMPRESS_SUMS`] seeded `RECOMPRESS_N`² blocks against the rank-revealing
-/// QR of the same blocks formed dense. The terms' columns decay
+/// QR of the same blocks formed dense, best of `reps` each, the two
+/// alternating repetition by repetition. The terms' columns decay
 /// geometrically, so about half the formal rank survives `RECOMPRESS_EPS` —
 /// the regime the industrial workload's H-LU runs in.
 fn recompress_row<T: Scalar>(scalar: &'static str, reps: usize) -> RecompressRow {
@@ -351,26 +333,27 @@ fn recompress_row<T: Scalar>(scalar: &'static str, reps: usize) -> RecompressRow
     let dense: Vec<Mat<T>> = sums.iter().map(LowRank::to_dense).collect();
     let eps = T::Real::from_f64_real(RECOMPRESS_EPS);
 
+    // The two sides take turns repetition by repetition, keeping the best of
+    // each (see `panel_solve_row`).
+    let (mut recompress_seconds, mut rrqr_seconds) = (f64::INFINITY, f64::INFINITY);
     let mut kept_rank = 0;
-    let recompress_seconds = best_of(reps, || {
+    for _ in 0..reps.max(1) {
         let mut work = sums.clone();
         let t0 = Instant::now();
         for lr in &mut work {
             let tol = eps * lr.norm_fro();
             lr.recompress(tol);
         }
-        let secs = t0.elapsed().as_secs_f64();
+        recompress_seconds = recompress_seconds.min(t0.elapsed().as_secs_f64());
         kept_rank = work.iter().map(LowRank::rank).sum();
-        secs
-    });
-    let rrqr_seconds = best_of(reps, || {
+
         let t0 = Instant::now();
         for d in &dense {
             let tol = eps * d.norm_fro();
             std::hint::black_box(LowRank::from_dense_if_smaller(d, tol, n).expect("uncapped"));
         }
-        t0.elapsed().as_secs_f64()
-    });
+        rrqr_seconds = rrqr_seconds.min(t0.elapsed().as_secs_f64());
+    }
     RecompressRow {
         scalar,
         recompress_seconds,
@@ -667,56 +650,6 @@ fn trsm_lanes_row() -> TrsmLanesRow {
     )
 }
 
-/// The `small_shape` entries of one scalar type: `C ← C − op(A)·B` at the
-/// [`SMALL_SHAPES`] through `gemm` (variant `dispatch`: the route the solver
-/// gets — unpacked tiles for `f64`; `C64` has no vector tile and stays packed
-/// at these shapes) and through `gemm_packed` (variant `packed-route`), one
-/// thread, same operands; `speedup` of the first is its rate over the second's.
-fn small_shape_entries<T: Scalar>(scalar: &'static str, flop_scale: f64, out: &mut Vec<Entry>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(45);
-    let pool = pool(1);
-    for &(kernel, m, k, n, opa) in &SMALL_SHAPES {
-        let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
-        let a = Mat::<T>::random(ar, ac, &mut rng);
-        let b = Mat::<T>::random(k, n, &mut rng);
-        let mut c = Mat::<T>::zeros(m, n);
-        type Route<T> = fn(T, MatRef<'_, T>, Op, MatRef<'_, T>, Op, T, MatMut<'_, T>);
-        let routes: [Route<T>; 2] = [gemm, gemm_packed];
-        // The two routes take turns repetition by repetition, keeping the
-        // best of each (see `panel_solve_row`).
-        let mut seconds = [f64::INFINITY; 2];
-        pool.install(|| {
-            for _ in 0..BATCH_REPS {
-                for (best, route) in seconds.iter_mut().zip(routes) {
-                    let t0 = Instant::now();
-                    for _ in 0..BATCH_INNER {
-                        let (a, b) = (a.as_ref(), b.as_ref());
-                        route(-T::ONE, a, opa, b, Op::NoTrans, T::ONE, c.as_mut());
-                    }
-                    *best = best.min(t0.elapsed().as_secs_f64() / BATCH_INNER as f64);
-                }
-            }
-        });
-        let [dispatch, packed] = seconds;
-        let flops = flop_scale * 2.0 * (m * k * n) as f64;
-        for (variant, secs, speedup) in [
-            ("dispatch", dispatch, Some(packed / dispatch)),
-            ("packed-route", packed, None),
-        ] {
-            out.push(Entry {
-                kernel,
-                scalar,
-                n: m.max(k),
-                variant,
-                threads: 1,
-                seconds: secs,
-                gflops: flops / secs / 1e9,
-                speedup,
-            });
-        }
-    }
-}
-
 /// The CI health gate run under `--smoke`: the packed kernels must keep
 /// their contract. Returns every violation (empty = pass).
 fn gate(
@@ -729,14 +662,14 @@ fn gate(
     ldlt_half: &LdltHalfRow,
 ) -> Vec<String> {
     let mut fails = Vec::new();
-    // Contract 9: the half-stored LDLᵀ factors to the full one's lower
+    // Contract 8: the half-stored LDLᵀ factors to the full one's lower
     // triangle.
     if !ldlt_half.bitwise {
         fails.push(
             "ldlt_half: the half-stored factor's lower triangle differs from the full one's".into(),
         );
     }
-    // Contract 8: the Schur solve runs its columns as the lanes of one
+    // Contract 7: the Schur solve runs its columns as the lanes of one
     // workspace too, with each column's width-1 bits.
     if !schur.bitwise {
         fails.push("schur_lane_solve: the 8-wide solve differs from its width-1 solves".into());
@@ -748,7 +681,7 @@ fn gate(
             schur.ratio
         ));
     }
-    // Contract 7: a sparse multi-RHS solve runs its columns as the lanes of
+    // Contract 6: a sparse multi-RHS solve runs its columns as the lanes of
     // one workspace, with each column's width-1 bits.
     if !lanes.bitwise {
         fails.push("lane_solve: the 32-wide solve differs from its width-1 solves".into());
@@ -758,20 +691,6 @@ fn gate(
             "lane_solve: the 32-wide solve is {:.2}x its width-1 solves < {LANE_SOLVE_GATE}",
             lanes.ratio
         ));
-    }
-    // Contract 6: 32-column panel products run unpacked, and that is worth
-    // having (real scalars; complex ones have no vector tile yet).
-    for e in entries
-        .iter()
-        .filter(|e| e.variant == "dispatch" && e.scalar == "f64")
-    {
-        if e.speedup.is_none_or(|s| s < SMALL_SHAPE_GATE) {
-            fails.push(format!(
-                "{}: the small-shape route is {:.2}x the packed route < {SMALL_SHAPE_GATE}",
-                e.kernel,
-                e.speedup.unwrap_or(f64::NAN)
-            ));
-        }
     }
     // Contract 5: the triangle base case runs its columns as the lanes of one
     // workspace, with the bits of each column's own call, and is worth having.
@@ -888,8 +807,6 @@ fn main() {
     let mut entries = Vec::new();
     sweep::<f64>("f64", &sizes, reps, 1.0, &pools, &mut entries);
     sweep::<C64>("c64", &sizes, reps, 4.0, &pools, &mut entries);
-    small_shape_entries::<f64>("f64", 1.0, &mut entries);
-    small_shape_entries::<C64>("c64", 4.0, &mut entries);
 
     println!(
         "kernel throughput (thread sweep {:?}; complex counted as 4x real flops)",

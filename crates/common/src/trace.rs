@@ -52,7 +52,7 @@ use parking_lot::Mutex;
 use crate::json::{json_fields, JsonWriter};
 
 /// Version stamp of the JSONL trace format (the `"v"` field of the header).
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// What a span measures. The names returned by [`SpanKind::name`] are a
 /// stable, machine-readable contract (reports and the CI trace smoke check
@@ -178,12 +178,10 @@ pub enum TraceEventKind {
         max_rank: usize,
     },
     /// Snapshot delta of the dense layer's global kernel counters over the
-    /// traced region (see `csolve_dense::kernel_stats`).
+    /// traced region (see `csolve_dense::stats`).
     KernelCounters {
         /// GEMM calls routed to the packed cache-blocked engine.
         packed_calls: u64,
-        /// GEMM calls routed to the unpacked small-shape tiles.
-        small_calls: u64,
         /// GEMM calls routed through the matvec path (single column).
         matvec_calls: u64,
         /// Total GEMM flops (2·m·n·k summed over calls).
@@ -583,11 +581,10 @@ impl TraceRecord {
                     } => json_fields!(w, front, dense_bytes, stored_bytes, max_rank),
                     TraceEventKind::KernelCounters {
                         packed_calls,
-                        small_calls,
                         matvec_calls,
                         flops,
                         ns,
-                    } => json_fields!(w, packed_calls, small_calls, matvec_calls, flops, ns),
+                    } => json_fields!(w, packed_calls, matvec_calls, flops, ns),
                     TraceEventKind::TaskReady { node } => json_fields!(w, node),
                     TraceEventKind::SessionCacheHit { fingerprint }
                     | TraceEventKind::SessionCacheMiss { fingerprint } => {

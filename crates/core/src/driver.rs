@@ -401,7 +401,6 @@ impl KernelCounting {
             csolve_dense::stats::disable();
             rt.event(TraceEventKind::KernelCounters {
                 packed_calls: d.packed_calls,
-                small_calls: d.small_calls,
                 matvec_calls: d.matvec_calls,
                 flops: d.flops,
                 ns: d.ns,

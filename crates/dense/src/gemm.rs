@@ -1,15 +1,14 @@
 //! General matrix-matrix and matrix-vector products.
 //!
-//! `C ← α·op(A)·op(B) + β·C` with `op ∈ {N, T, Cᴴ}`, on one of three routes
-//! ([`gemm`] picks by shape, operand forms and scalar type alone):
+//! `C ← α·op(A)·op(B) + β·C` with `op ∈ {N, T, Cᴴ}`, on one of two routes
+//! ([`gemm`] picks by the column count of `op(B)` alone):
 //!
-//! * **packed** — a BLIS-style cache-blocked engine (see the `pack` module):
-//!   `C` is cut into a fixed grid of MC×NC macro-tiles, each tile packs its
-//!   operand slabs into contiguous buffers (resolving transposition and
-//!   conjugation once, at pack time) and drives the 16×8 register tile over
-//!   KC-deep slabs. Rayon parallelism is over the macro-tiles.
-//! * **small** — the unpacked register tiles of the `small` module, for
-//!   products too small or too narrow to pay for the packing.
+//! * **packed** — every product wider than one column: a BLIS-style
+//!   cache-blocked engine (see the `pack` module). `C` is cut into a fixed
+//!   grid of MC×NC macro-tiles, each tile packs its operand slabs into
+//!   contiguous buffers (resolving transposition and conjugation once, at
+//!   pack time) and drives the 16×8 register tile over KC-deep slabs. Rayon
+//!   parallelism is over the macro-tiles.
 //! * **matvec** — a single column goes through [`matvec`].
 //!
 //! **Determinism:** the route, and on the packed route the macro-tile grid,
@@ -20,10 +19,11 @@
 //! extends the pipeline-level determinism guarantee of `csolve-core` down
 //! into the kernels.
 //!
-//! A product is *not* column-separable: a width-`w` product may take another
-//! route, hence other bits, than its `w` single-column products. The
-//! multi-RHS solves do not come through here — they run on the lane kernels
-//! ([`crate::lane`]), column-separable by layout, with no mode to enter.
+//! A product is *not* column-separable: a width-`w` product takes the packed
+//! route, its `w` single-column products the matvec one, hence other bits.
+//! The multi-RHS solves do not come through here — they run on the lane
+//! kernels ([`crate::lane`]), column-separable by layout, with no mode to
+//! enter.
 //!
 //! [`gemm_naive`], the straightforward jki/dot kernel, is retained as the
 //! reference implementation the routes are property-tested against; no
@@ -34,7 +34,6 @@ use rayon::prelude::*;
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::pack::{blocking, macro_kernel, macro_kernel_split, pack, MR, NR};
-use crate::small::{gemm_small, has_tile};
 use crate::stats::Route;
 
 /// Transposition operator applied to a GEMM operand.
@@ -96,30 +95,6 @@ pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
         .install(f)
 }
 
-/// Below this many flops the packed engine cannot amortize its pack/copy
-/// traffic and the unpacked tiles win whatever the shape.
-const SMALL_GEMM_FLOPS: f64 = 1.6e4;
-
-/// Widest `op(B)` of a real product the unpacked tiles still take past
-/// [`SMALL_GEMM_FLOPS`]: four register tiles. A packed element of `A` would
-/// serve four tiles only.
-const NARROW_COLS: usize = 4 * NR;
-
-/// Whether a product runs on the unpacked small-shape route: a pure function
-/// of shape, operand forms and scalar type — never of the thread count, so
-/// the choice cannot make a bit depend on it. Narrow real products stay
-/// below the packed route's fork threshold (the small route is serial);
-/// complex scalars have no vector tile and take the route below the packing
-/// break-even only.
-fn takes_small_route<T: Scalar>(m: usize, n: usize, k: usize, opa: Op, opb: Op) -> bool {
-    let flops = 2.0 * m as f64 * n as f64 * k as f64;
-    has_tile(opa, opb)
-        && (flops < SMALL_GEMM_FLOPS
-            || !T::IS_COMPLEX
-                && n <= NARROW_COLS
-                && flops < gemm_par_flop_threshold(std::mem::size_of::<T>()))
-}
-
 /// Apply the BLAS β-preamble `C ← β·C` to a block.
 ///
 /// Semantics (documented contract, shared by [`gemm`], [`gemm_naive`] and the
@@ -160,7 +135,7 @@ fn b_elem<T: Scalar>(b: MatRef<'_, T>, opb: Op, k: usize, j: usize) -> T {
 }
 
 /// Reference kernel: serial jki (axpy) / dot-product GEMM with per-element
-/// `Op` dispatch. Retained as the ground truth the packed and small routes
+/// `Op` dispatch. Retained as the ground truth the packed and matvec routes
 /// are property-tested against; [`gemm`] never calls it.
 pub fn gemm_naive<T: Scalar>(
     alpha: T,
@@ -307,8 +282,8 @@ fn par_plan<T: Scalar>(flops: f64, nc: usize) -> (bool, usize) {
 
 /// The packed route on its own: `C ← α·op(A)·op(B) + β·C` through the
 /// cache-blocked engine whatever the shape. [`gemm`] is the entry point for
-/// production code; this one exists so reports and tests can put the packed
-/// and the small route side by side on the same operands.
+/// production code and takes every product wider than one column here; this
+/// one is public so tests can run the packed engine on a single column too.
 pub fn gemm_packed<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -380,9 +355,6 @@ pub fn gemm<T: Scalar>(
             }
         }
         Route::Matvec
-    } else if takes_small_route::<T>(am, bn, ak, opa, opb) {
-        gemm_small(alpha, a, opa, b, opb, beta, c);
-        Route::Small
     } else {
         gemm_packed(alpha, a, opa, b, opb, beta, c);
         Route::Packed
@@ -476,7 +448,7 @@ fn matvec_chunk<T: Scalar>(alpha: T, a: MatRef<'_, T>, opa: Op, x: &[T], r0: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::host_isas;
+    use crate::simd::{host_isas, Isa};
     use csolve_common::C64;
     use rand::SeedableRng;
 
@@ -650,8 +622,27 @@ mod tests {
         assert!(y.iter().all(|v| v.is_finite()));
     }
 
-    /// A GEMM entry point: [`gemm_packed`] or [`gemm_small`].
+    /// A GEMM entry point: [`gemm`] or [`gemm_packed`].
     type Route<T> = fn(T, MatRef<'_, T>, Op, MatRef<'_, T>, Op, T, MatMut<'_, T>);
+
+    /// Stored shapes of the views of `A` and `B`.
+    type ViewShapes = ((usize, usize), (usize, usize));
+
+    /// Seeded operands of an `m×n·k` product under `(opa, opb)`, each larger
+    /// than its view so every view is strided: `(A, B, C₀)` and the stored
+    /// shapes of the views of `A` (from row 3) and `B` (from row 1, column 2).
+    fn operands<T: Scalar>(
+        (m, n, k): (usize, usize, usize),
+        (opa, opb): (Op, Op),
+    ) -> (Mat<T>, Mat<T>, Mat<T>, ViewShapes) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64((m * 131 + n * 17 + k) as u64);
+        let stored = |op: Op, r: usize, c: usize| if op == Op::NoTrans { (r, c) } else { (c, r) };
+        let ((ar, ac), (br, bc)) = (stored(opa, m, k), stored(opb, k, n));
+        let a = Mat::<T>::random(ar + 3, ac + 1, &mut rng);
+        let b = Mat::<T>::random(br + 2, bc + 2, &mut rng);
+        let c0 = Mat::<T>::random(m + 5, n + 1, &mut rng);
+        (a, b, c0, ((ar, ac), (br, bc)))
+    }
 
     /// `route` against [`gemm_naive`] on strided views of seeded operands,
     /// within `k·eps·‖A‖·‖B‖` (max norms; a complex product is four real ones).
@@ -662,12 +653,7 @@ mod tests {
         what: &str,
     ) {
         use csolve_common::RealScalar;
-        let mut rng = rand::rngs::StdRng::seed_from_u64((m * 131 + n * 17 + k) as u64);
-        let stored = |op: Op, r: usize, c: usize| if op == Op::NoTrans { (r, c) } else { (c, r) };
-        let ((ar, ac), (br, bc)) = (stored(opa, m, k), stored(opb, k, n));
-        let a = Mat::<T>::random(ar + 3, ac + 1, &mut rng);
-        let b = Mat::<T>::random(br + 2, bc + 2, &mut rng);
-        let c0 = Mat::<T>::random(m + 5, n + 1, &mut rng);
+        let (a, b, c0, ((ar, ac), (br, bc))) = operands::<T>((m, n, k), (opa, opb));
         let (av, bv) = (a.view(3..3 + ar, 0..ac), b.view(1..1 + br, 2..2 + bc));
         for (alpha, beta) in [
             (T::ONE, T::ZERO),
@@ -690,13 +676,19 @@ mod tests {
         }
     }
 
-    /// The packed 16×8 tile and the small-shape tiles against the reference,
-    /// on every body (AVX-512, AVX2, portable) the host has, whatever it
-    /// would pick for itself: every `Op` pair, `f64` and `C64`, strided
-    /// operands, `m % 16 ≠ 0`, `n % 8 ≠ 0`, `k` down to 0 and across two
-    /// `KC` slabs.
+    /// [`gemm_packed`] and [`gemm`] against the reference on one shape.
+    fn both_routes<T: Scalar>(shape: (usize, usize, usize), ops: (Op, Op), isa: Isa) {
+        for (route, name) in [(gemm_packed as Route<T>, "packed"), (gemm, "gemm")] {
+            route_matches_naive(route, shape, ops, &format!("{isa:?} {name}"));
+        }
+    }
+
+    /// The packed 16×8 tile, and [`gemm`] over it, against the reference on
+    /// every body (AVX-512, AVX2, portable) the host has, whatever it would
+    /// pick for itself: every `Op` pair, `f64` and `C64`, strided operands,
+    /// `m % 16 ≠ 0`, `n % 8 ≠ 0`, `k` down to 0 and across two `KC` slabs.
     #[test]
-    fn packed_and_small_routes_match_naive_on_every_tile_body() {
+    fn packed_route_matches_naive_on_every_tile_body() {
         let ops = [Op::NoTrans, Op::Trans, Op::ConjTrans];
         let kc2 = blocking::<f64>().kc + 9;
         for isa in host_isas() {
@@ -711,16 +703,9 @@ mod tests {
                         (20, 12, kc2),
                         (7, 5, 0),
                     ] {
-                        for (opa, opb) in ops.iter().flat_map(|&a| ops.iter().map(move |&b| (a, b)))
-                        {
-                            let what = format!("{isa:?} packed");
-                            route_matches_naive::<f64>(gemm_packed, shape, (opa, opb), &what);
-                            route_matches_naive::<C64>(gemm_packed, shape, (opa, opb), &what);
-                            if has_tile(opa, opb) && shape.2 > 0 {
-                                let what = format!("{isa:?} small");
-                                route_matches_naive::<f64>(gemm_small, shape, (opa, opb), &what);
-                                route_matches_naive::<C64>(gemm_small, shape, (opa, opb), &what);
-                            }
+                        for ops in ops.iter().flat_map(|&a| ops.iter().map(move |&b| (a, b))) {
+                            both_routes::<f64>(shape, ops, isa);
+                            both_routes::<C64>(shape, ops, isa);
                         }
                     }
                 })
@@ -728,22 +713,60 @@ mod tests {
         }
     }
 
-    /// The dispatch reads shapes, operand forms and the scalar type — never
-    /// the pool — so a product lands on the same route, hence the same bits,
-    /// at any thread count; and nothing reaches the reference kernel.
+    /// The dispatch reads the column count alone — never the pool, the
+    /// operand forms or the scalar type: every product wider than a column
+    /// has the bits of [`gemm_packed`] and every single column those of
+    /// [`matvec`], at 1 and 4 threads. Tiny products, 32-column panel
+    /// updates and doubly transposed ones included.
     #[test]
-    fn route_choice_is_a_function_of_shape_ops_and_scalar() {
+    fn every_product_wider_than_a_column_takes_the_packed_route() {
+        fn same_bits<T: Scalar>(shape: (usize, usize, usize), ops: (Op, Op)) {
+            use csolve_common::RealScalar;
+            let (m, n, k) = shape;
+            let (opa, opb) = ops;
+            let (a, b, c0, ((ar, ac), (br, bc))) = operands::<T>(shape, ops);
+            let (av, bv) = (a.view(3..3 + ar, 0..ac), b.view(1..1 + br, 2..2 + bc));
+            let (alpha, beta) = (T::from_f64(1.5), T::from_f64(-0.5));
+            let run = |route: &dyn Fn(MatMut<'_, T>)| {
+                let mut c = c0.clone();
+                route(c.view_mut(2..2 + m, 0..n));
+                c.data()
+                    .iter()
+                    .map(|v| (v.real().to_f64().to_bits(), v.imag().to_f64().to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let want = if n == 1 {
+                let x: Vec<T> = (0..k).map(|kk| b_elem(bv, opb, kk, 0)).collect();
+                run(&|mut c| matvec(alpha, av, opa, &x, beta, c.col_mut(0)))
+            } else {
+                run(&|c| gemm_packed(alpha, av, opa, bv, opb, beta, c))
+            };
+            for threads in [1, 4] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                let got = pool
+                    .expect("pool")
+                    .install(|| run(&|c| gemm(alpha, av, opa, bv, opb, beta, c)));
+                let name = std::any::type_name::<T>();
+                assert!(
+                    got == want,
+                    "{name} {m}x{n}x{k} {opa:?} {opb:?} at {threads} threads"
+                );
+            }
+        }
         let (n, t) = (Op::NoTrans, Op::Trans);
-        // 32-column panel updates run unpacked …
-        assert!(takes_small_route::<f64>(300, 32, 32, n, n));
-        assert!(takes_small_route::<f64>(32, 32, 300, t, n));
-        // … wide or fork-sized products, and doubly transposed ones, packed;
-        assert!(!takes_small_route::<f64>(300, 33, 32, n, n));
-        assert!(!takes_small_route::<f64>(4000, 32, 4000, n, n));
-        assert!(!takes_small_route::<f64>(4, 4, 4, t, t));
-        // complex scalars only below the packing break-even.
-        assert!(takes_small_route::<C64>(8, 8, 8, n, t));
-        assert!(!takes_small_route::<C64>(300, 32, 32, n, n));
+        for (shape, ops) in [
+            ((300, 32, 32), (n, n)),
+            ((32, 32, 300), (t, n)),
+            ((300, 33, 32), (n, n)),
+            ((4, 4, 4), (t, t)),
+            ((8, 8, 8), (n, t)),
+            ((2, 2, 1), (Op::ConjTrans, n)),
+            ((300, 1, 32), (n, t)),
+            ((32, 1, 300), (t, n)),
+        ] {
+            same_bits::<f64>(shape, ops);
+            same_bits::<C64>(shape, ops);
+        }
     }
 
     #[test]

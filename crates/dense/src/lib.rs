@@ -41,7 +41,6 @@ pub mod lower;
 pub mod mat;
 mod pack;
 mod simd;
-mod small;
 pub mod solve;
 pub mod stats;
 pub mod trsm;

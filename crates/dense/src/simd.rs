@@ -1,10 +1,9 @@
-//! The vector registers the GEMM register tiles are written against.
+//! The vector registers the register tiles are written against.
 //!
-//! A tile (the packed 16×8 microkernel in `pack`, the unpacked axpy and dot
-//! tiles in `small`, the row kernels of the multi-RHS solve in `lane`) is one
-//! generic body over [`Lanes`]: a register of `W` elements with loads, masked
-//! edge loads/stores, a multiply-add — also under a lane mask — and a
-//! horizontal sum. Three implementations exist:
+//! A tile (the packed 16×8 GEMM microkernel in `pack`, the row kernels of
+//! the multi-RHS solve in `lane`) is one generic body over [`Lanes`]: a
+//! register of `W` elements with loads, masked edge loads/stores and a
+//! multiply-add — also under a lane mask. Three implementations exist:
 //!
 //! * [`Avx512`] — 8 × `f64` in a `zmm`, `vfmadd` (one rounding per
 //!   multiply-add), mask registers for the edges;
@@ -131,13 +130,6 @@ pub(crate) trait Lanes {
     unsafe fn store_n(p: *mut Self::E, n: usize, v: Self::V);
     /// `a·b + c`, fused where the instruction set has it.
     unsafe fn mul_add(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
-    /// Lane-wise complex conjugate (the identity on real elements).
-    #[inline(always)]
-    unsafe fn conj(v: Self::V) -> Self::V {
-        v
-    }
-    /// The sum of the lanes of each of four registers, in one fixed order.
-    unsafe fn sum4(v: [Self::V; 4]) -> [Self::E; 4];
     /// The lanes of `v` that are not an exact zero (`-0.0` is one; a NaN is
     /// not).
     unsafe fn nonzero(v: Self::V) -> Self::M;
@@ -188,27 +180,6 @@ impl Lanes for Avx512 {
     #[inline(always)]
     unsafe fn mul_add(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
         _mm512_fmadd_pd(a, b, c)
-    }
-    #[inline(always)]
-    unsafe fn sum4(v: [__m512d; 4]) -> [f64; 4] {
-        // Neighbouring lanes first, then the four 128-bit quarters: a
-        // transposing tree, 14 instructions where four scalar reductions
-        // take twice that.
-        let pairs = |a, b| _mm512_add_pd(_mm512_unpacklo_pd(a, b), _mm512_unpackhi_pd(a, b));
-        let (p01, p23) = (pairs(v[0], v[1]), pairs(v[2], v[3]));
-        let halves = _mm512_add_pd(
-            _mm512_shuffle_f64x2::<0b10_00_10_00>(p01, p23),
-            _mm512_shuffle_f64x2::<0b11_01_11_01>(p01, p23),
-        );
-        let (lo, hi) = (
-            _mm512_castpd512_pd256(halves),
-            _mm512_extractf64x4_pd::<1>(halves),
-        );
-        let sums = _mm256_add_pd(
-            _mm256_permute2f128_pd::<0x20>(lo, hi),
-            _mm256_permute2f128_pd::<0x31>(lo, hi),
-        );
-        std::mem::transmute(sums)
     }
     #[inline(always)]
     unsafe fn nonzero(v: __m512d) -> __mmask8 {
@@ -268,15 +239,6 @@ impl Lanes for Avx2 {
         _mm256_fmadd_pd(a, b, c)
     }
     #[inline(always)]
-    unsafe fn sum4(v: [__m256d; 4]) -> [f64; 4] {
-        let (p01, p23) = (_mm256_hadd_pd(v[0], v[1]), _mm256_hadd_pd(v[2], v[3]));
-        let sums = _mm256_add_pd(
-            _mm256_permute2f128_pd::<0x20>(p01, p23),
-            _mm256_permute2f128_pd::<0x31>(p01, p23),
-        );
-        std::mem::transmute(sums)
-    }
-    #[inline(always)]
     unsafe fn nonzero(v: __m256d) -> __m256d {
         _mm256_cmp_pd::<_CMP_NEQ_UQ>(v, _mm256_setzero_pd())
     }
@@ -324,14 +286,6 @@ impl<T: Scalar> Lanes for Portable<T> {
     #[inline(always)]
     unsafe fn mul_add(a: [T; 4], b: [T; 4], c: [T; 4]) -> [T; 4] {
         std::array::from_fn(|l| a[l] * b[l] + c[l])
-    }
-    #[inline(always)]
-    unsafe fn conj(v: [T; 4]) -> [T; 4] {
-        v.map(T::conj)
-    }
-    #[inline(always)]
-    unsafe fn sum4(v: [[T; 4]; 4]) -> [T; 4] {
-        v.map(|v| (v[0] + v[2]) + (v[1] + v[3]))
     }
     #[inline(always)]
     unsafe fn nonzero(v: [T; 4]) -> [bool; 4] {

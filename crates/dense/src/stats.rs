@@ -4,7 +4,7 @@
 //! through (and per-call spans would swamp a trace: one solve issues
 //! millions of small GEMMs). Instead the [`gemm`](crate::gemm::gemm())
 //! dispatcher bumps a set of process-global atomic counters — calls per
-//! route (packed / small / matvec), analytic flops, and wall nanoseconds
+//! route (packed / matvec), analytic flops, and wall nanoseconds
 //! inside the instrumented calls — and the driver snapshots the delta over
 //! a traced solve into one `kernel_counters` trace event.
 //!
@@ -19,7 +19,6 @@ use std::time::Instant;
 
 static ENABLE_COUNT: AtomicUsize = AtomicUsize::new(0);
 static PACKED_CALLS: AtomicU64 = AtomicU64::new(0);
-static SMALL_CALLS: AtomicU64 = AtomicU64::new(0);
 static MATVEC_CALLS: AtomicU64 = AtomicU64::new(0);
 static FLOPS: AtomicU64 = AtomicU64::new(0);
 static NANOS: AtomicU64 = AtomicU64::new(0);
@@ -40,8 +39,6 @@ pub fn disable() {
 pub struct KernelSnapshot {
     /// GEMM calls routed to the packed cache-blocked engine.
     pub packed_calls: u64,
-    /// GEMM calls routed to the unpacked small-shape tiles.
-    pub small_calls: u64,
     /// GEMM calls routed through the matvec path (single-column B).
     pub matvec_calls: u64,
     /// Analytic flops (`2·m·n·k` summed over instrumented calls).
@@ -55,7 +52,6 @@ impl KernelSnapshot {
     pub fn delta(&self, earlier: &KernelSnapshot) -> KernelSnapshot {
         KernelSnapshot {
             packed_calls: self.packed_calls.wrapping_sub(earlier.packed_calls),
-            small_calls: self.small_calls.wrapping_sub(earlier.small_calls),
             matvec_calls: self.matvec_calls.wrapping_sub(earlier.matvec_calls),
             flops: self.flops.wrapping_sub(earlier.flops),
             ns: self.ns.wrapping_sub(earlier.ns),
@@ -74,7 +70,7 @@ impl KernelSnapshot {
 
     /// Total instrumented calls.
     pub fn calls(&self) -> u64 {
-        self.packed_calls + self.small_calls + self.matvec_calls
+        self.packed_calls + self.matvec_calls
     }
 }
 
@@ -82,7 +78,6 @@ impl KernelSnapshot {
 pub fn snapshot() -> KernelSnapshot {
     KernelSnapshot {
         packed_calls: PACKED_CALLS.load(Ordering::Relaxed),
-        small_calls: SMALL_CALLS.load(Ordering::Relaxed),
         matvec_calls: MATVEC_CALLS.load(Ordering::Relaxed),
         flops: FLOPS.load(Ordering::Relaxed),
         ns: NANOS.load(Ordering::Relaxed),
@@ -93,7 +88,6 @@ pub fn snapshot() -> KernelSnapshot {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Route {
     Packed,
-    Small,
     Matvec,
 }
 
@@ -113,7 +107,6 @@ pub(crate) fn record(route: Route, flops: u64, t0: Option<Instant>) {
     let Some(t0) = t0 else { return };
     match route {
         Route::Packed => &PACKED_CALLS,
-        Route::Small => &SMALL_CALLS,
         Route::Matvec => &MATVEC_CALLS,
     }
     .fetch_add(1, Ordering::Relaxed);

@@ -1,9 +1,10 @@
-//! Property tests of the GEMM routes — the cache-blocked packed engine and the
-//! unpacked small-shape tiles: for every operand transposition, scalar type,
-//! stride pattern and degenerate shape, `gemm` (whichever route the shape
-//! picks) and `gemm_packed` (the packed route at any shape) must agree with
-//! the retained naive reference kernel (`gemm_naive`) — and their results must
-//! be bitwise identical for any rayon thread count.
+//! Property tests of the GEMM routes — the cache-blocked packed engine for
+//! every product wider than a column, `matvec` for a single column: for every
+//! operand transposition, scalar type, stride pattern and degenerate shape,
+//! `gemm` (whichever route the shape picks) and `gemm_packed` (the packed
+//! route at any shape, a single column included) must agree with the
+//! retained naive reference kernel (`gemm_naive`) — and their results must be
+//! bitwise identical for any rayon thread count.
 //!
 //! And of the triangle base cases of `trsm_left` and `trsm_right` (triangles
 //! up to `k = 64`), which run on the lane kernel: a left solve must give
@@ -201,13 +202,14 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// The two routes side by side on the shapes where they meet: products a
-    /// few register tiles wide (the sparse panel solve's, which `gemm` takes
-    /// unpacked when real) and products of a few hundred flops, against the
-    /// reference within `k·eps·‖A‖·‖B‖` — every `Op` pair, strided views,
+    /// Products a few register tiles wide (the width of a sparse panel
+    /// solve's chunk) and products of a few hundred flops through `gemm`, and
+    /// the same `m×k` operand against one column through `gemm_packed` — the
+    /// packed engine at `n = 1`, which `gemm` hands to `matvec` — against the
+    /// reference within `k·eps·‖A‖·‖B‖`: every `Op` pair, strided views,
     /// `m % 16 ≠ 0`, `n % 8 ≠ 0`, `k` from 0 up.
     #[test]
-    fn small_route_and_packed_tile_match_naive(
+    fn narrow_and_tiny_products_match_naive(
         mnk in (1usize..70, 1usize..34, 0usize..200),
         ops in (0usize..3, 0usize..3),
         coeffs in (-2.0f64..2.0, -2.0f64..2.0),
@@ -219,13 +221,14 @@ proptest! {
         let (opa, opb) = (op_of(ia), op_of(ib));
         // Entries lie in (-1, 1) (modulus below √2 when complex), |α|, |β| < 3.
         let tol = 8.0 * (k + 2) as f64 * f64::EPSILON * 3.0;
-        for (route, what) in [(gemm as Route<f64>, "gemm"), (gemm_packed as Route<f64>, "packed")] {
-            let err = max_err_of(route, m, n, k, opa, opb, re, im, pad, seed);
-            prop_assert!(err <= tol, "f64 {what} err {err:.3e} at m={m} n={n} k={k} {opa:?} {opb:?}");
-        }
         let (alpha, beta) = (C64::new(re, im), C64::new(im, -re));
-        for (route, what) in [(gemm as Route<C64>, "gemm"), (gemm_packed as Route<C64>, "packed")] {
-            let err = max_err_of(route, m, n, k, opa, opb, alpha, beta, pad, seed);
+        for (what, n, real, complex) in [
+            ("gemm", n, gemm as Route<f64>, gemm as Route<C64>),
+            ("packed", 1, gemm_packed, gemm_packed),
+        ] {
+            let err = max_err_of(real, m, n, k, opa, opb, re, im, pad, seed);
+            prop_assert!(err <= tol, "f64 {what} err {err:.3e} at m={m} n={n} k={k} {opa:?} {opb:?}");
+            let err = max_err_of(complex, m, n, k, opa, opb, alpha, beta, pad, seed);
             prop_assert!(err <= 8.0 * tol, "C64 {what} err {err:.3e} at m={m} n={n} k={k} {opa:?} {opb:?}");
         }
     }
@@ -308,8 +311,8 @@ fn gemm_bits_at<T: Scalar>(threads: usize, m: usize, n: usize, k: usize) -> Vec<
 /// The route is picked from the shape alone, the macro-tile grid is fixed by
 /// shape alone and each tile accumulates its KC slabs in a fixed order, so
 /// GEMM must be *bitwise* reproducible across thread counts — well above the
-/// parallel flop threshold, on a panel-solve shape (unpacked when real), and
-/// on a product of a few hundred flops.
+/// parallel flop threshold, on a panel-solve shape, and on a product of a
+/// few hundred flops.
 #[test]
 fn gemm_is_bitwise_identical_for_1_2_4_threads() {
     for (m, n, k) in [(300, 280, 150), (300, 32, 150), (7, 5, 3)] {
@@ -660,18 +663,17 @@ fn half_vs_full<T: Scalar>(n: usize, nb: usize, seed: u64) -> (bool, bool) {
 ///
 /// The solve moves no bit: its block triangles give every row its terms in
 /// the full triangle's order. The factorization's arithmetic per element is
-/// that of the trailing-update GEMMs, whose route follows the shape of the
-/// chunk an element lies in: the full matrix cuts the trailing columns into
-/// 128-wide chunks from the panel on, the half-stored one into its blocks.
-/// Where a column falls in a chunk of another route — a one-column chunk
-/// (`matvec`, which adds each term into `C` instead of summing the panel's
-/// terms first), or, for `C64`, a chunk small enough for the unpacked tiles
-/// (the packed route multiplies split real/imaginary planes) — its bits
-/// move, by a rounding: within 100·ε of the full factor, and the solution
-/// with it.
+/// that of the trailing-update GEMMs: the full matrix cuts the trailing
+/// columns into 128-wide chunks from the panel on, the half-stored one into
+/// its blocks. Every chunk wider than one column takes the packed route,
+/// whose bits per element do not depend on the chunk's width, so the factor
+/// and the solution are bitwise the full ones. The exception is order
+/// `b + 1`: its last block is one column, which `gemm` hands to `matvec`
+/// (adding each term into `C` instead of summing the panel's terms first).
+/// There the bits may move, by a rounding: within 100·ε of the full factor,
+/// and the solution with it.
 #[test]
 fn half_stored_ldlt_matches_the_full_one() {
-    let mut moved = Vec::new();
     for nb in [1usize, 8, 33, 48, 200] {
         let b = lower_block_width(nb);
         for n in [1, b - 1, b, b + 1, 2 * b + 37] {
@@ -680,13 +682,17 @@ fn half_stored_ldlt_matches_the_full_one() {
                 ("f64", half_vs_full::<f64>(n, nb, seed)),
                 ("c64", half_vs_full::<C64>(n, nb, seed + 1)),
             ] {
-                if !(factor_same && x_same) {
-                    moved.push(format!("{scalar} n = {n} nb = {nb}"));
+                let cell = format!("{scalar} n = {n} nb = {nb} b = {b}");
+                if n != b + 1 {
+                    assert!(
+                        factor_same,
+                        "{cell}: the factor is not the full one bitwise"
+                    );
+                    assert!(x_same, "{cell}: the solution is not the full one bitwise");
                 }
             }
         }
     }
-    eprintln!("cells whose bits a GEMM route change moved: {moved:?}");
 }
 
 /// `with_serial` is a one-thread budget: under a 4-thread pool the code it

@@ -149,39 +149,46 @@ fn symmetric_spido_multi_solve_is_bitwise_identical_for_1_2_4_8_threads() {
     check_symmetric_cells(Algorithm::MultiSolve, DenseBackend::Spido);
 }
 
-/// The half-stored path under a disturbed schedule: seeded pauses at every
+/// The half-stored paths under a disturbed schedule: multi-solve and
+/// multi-factorization, each on SPIDO and HMAT, with seeded pauses at every
 /// admission, finalize, hand-off and release, 8 threads on however many
-/// cores the host has, on the smallest power-of-two budget the sequential
-/// run fits. Whatever the interleaving, every run fits the budget and has the
-/// bits of the 1-thread run.
+/// cores the host has, each cell on the smallest power-of-two budget its
+/// sequential run fits. Whatever the interleaving, every run fits the budget
+/// and has the bits of the cell's 1-thread run.
 #[cfg(feature = "fault-inject")]
 #[test]
-fn symmetric_hmat_multi_solve_under_schedule_jitter_is_bitwise_at_8_threads() {
+fn symmetric_cells_under_schedule_jitter_are_bitwise_at_8_threads() {
     let p = pipe_problem::<f64>(1_500);
     assert!(p.symmetric);
-    let budgeted = |budget: usize, threads: usize| SolverConfig {
-        mem_budget: Some(budget),
-        ..cfg(threads)
-    };
-    let budget = (18..34)
-        .map(|shift| 1usize << shift)
-        .find(|&b| solve(&p, Algorithm::MultiSolve, &budgeted(b, 1)).is_ok())
-        .expect("some budget fits the sequential run");
-    let reference = solve(&p, Algorithm::MultiSolve, &budgeted(budget, 1)).unwrap();
-    let guard = csolve_testkit::fault::FaultGuard::acquire();
-    for seed in 0..8u64 {
-        let run = format!("[jitter seed {seed}] under {budget} B at 8 thr");
-        guard.schedule_jitter(seed);
-        let out = solve(&p, Algorithm::MultiSolve, &budgeted(budget, 8))
-            .unwrap_or_else(|e| panic!("{run}: failed: {e}"));
-        let peak = out.metrics.peak_bytes;
-        assert!(peak <= budget, "{run}: peak {peak} exceeds the budget");
-        assert!(
-            bits(&out.xv) == bits(&reference.xv) && bits(&out.xs) == bits(&reference.xs),
-            "{run}: not bitwise-identical to the 1-thread run"
-        );
+    for algo in [Algorithm::MultiSolve, Algorithm::MultiFactorization] {
+        for backend in [DenseBackend::Spido, DenseBackend::Hmat] {
+            let budgeted = |budget: usize, threads: usize| SolverConfig {
+                dense_backend: backend,
+                mem_budget: Some(budget),
+                ..cfg(threads)
+            };
+            let name = format!("{} / {}", algo.name(), backend.name());
+            let budget = (18..34)
+                .map(|shift| 1usize << shift)
+                .find(|&b| solve(&p, algo, &budgeted(b, 1)).is_ok())
+                .unwrap_or_else(|| panic!("{name}: no budget fits the sequential run"));
+            let reference = solve(&p, algo, &budgeted(budget, 1)).unwrap();
+            let guard = csolve_testkit::fault::FaultGuard::acquire();
+            for seed in 0..8u64 {
+                let run = format!("{name} [jitter seed {seed}] under {budget} B at 8 thr");
+                guard.schedule_jitter(seed);
+                let out = solve(&p, algo, &budgeted(budget, 8))
+                    .unwrap_or_else(|e| panic!("{run}: failed: {e}"));
+                let peak = out.metrics.peak_bytes;
+                assert!(peak <= budget, "{run}: peak {peak} exceeds the budget");
+                assert!(
+                    bits(&out.xv) == bits(&reference.xv) && bits(&out.xs) == bits(&reference.xs),
+                    "{run}: not bitwise-identical to the 1-thread run"
+                );
+            }
+            guard.disarm();
+        }
     }
-    guard.disarm();
 }
 
 /// The task-DAG executor's determinism cell: even when memory pressure

@@ -305,6 +305,23 @@ fn jsonl_trace_parses_back_with_header_and_schema() {
             assert_eq!(doc.get("flops").and_then(|v| v.as_u64()), Some(*flops));
         }
     }
+
+    // The kernel counters carry one count per GEMM route — packed and
+    // matvec, the only two — plus the flops and nanoseconds they summed, and
+    // no other field.
+    let counters = docs[1..]
+        .iter()
+        .find(|d| d.get("kind").and_then(|v| v.as_str()) == Some("kernel_counters"))
+        .and_then(|d| d.as_object())
+        .expect("a kernel_counters event");
+    let record = ["cat", "kind", "scope", "seq", "t_ns", "thread"];
+    let fields: Vec<&str> = counters
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !record.contains(k))
+        .collect();
+    assert_eq!(fields, ["flops", "matvec_calls", "ns", "packed_calls"]);
+    assert!(fields.iter().all(|f| counters[*f].as_u64().is_some()));
 }
 
 #[test]
