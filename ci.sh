@@ -70,9 +70,11 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # HMAT S, fixed and budget-degraded blocking, 1/2/4/8 threads; all four
 # {multi-solve, multi-factorization} x {SPIDO, HMAT} cells also under seeded
 # schedule jitter at 8 threads, each on its own power-of-two budget), the session's
-# budgeted width-4 panels under the same jitter, and multi-solve's fused Z
+# budgeted width-4 panels under the same jitter, multi-solve's fused Z
 # when the budget refuses every extra lane workspace (fewer concurrent
-# chunks, the same bits); the first red run fails CI.
+# chunks, the same bits), and budgeted multi-factorization under jitter at
+# every admission, finalize, park, fold-turn wait and release (16 seeds);
+# the first red run fails CI.
 for i in 1 2 3 4 5; do
   env -u CSOLVE_CONFORMANCE \
     cargo test --offline -q --test conformance autotuned_blocking_under_memory_budgets
@@ -82,6 +84,8 @@ for i in 1 2 3 4 5; do
     -- schedule_jitter
   cargo test --offline -q -p csolve --features fault-inject --test session \
     -- schedule_jitter
+  cargo test --offline -q -p csolve --features fault-inject --test fault_injection \
+    schedule_jitter
 done
 
 echo "==> cargo test --features fault-inject (fault-injection suite)"

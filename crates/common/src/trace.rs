@@ -52,7 +52,7 @@ use parking_lot::Mutex;
 use crate::json::{json_fields, JsonWriter};
 
 /// Version stamp of the JSONL trace format (the `"v"` field of the header).
-pub const TRACE_FORMAT_VERSION: u32 = 2;
+pub const TRACE_FORMAT_VERSION: u32 = 3;
 
 /// What a span measures. The names returned by [`SpanKind::name`] are a
 /// stable, machine-readable contract (reports and the CI trace smoke check
@@ -92,10 +92,11 @@ pub enum SpanKind {
     HluFactor,
     /// The condensation solve through a partial sparse factorization.
     CoupledSolve,
-    /// Execution of one task-DAG node (a pipeline block's compute or commit
-    /// task) by the lookahead executor. Each block records exactly two
-    /// `task_run` spans — compute first, then commit — so the per-block
-    /// record stream stays identical across thread counts.
+    /// One of a pipeline block's two runs on the worker that owns it: the
+    /// compute (admission included), then the fold into the accumulator
+    /// (the slot's release included). Each block records exactly two
+    /// `task_run` spans, so the per-block record stream stays identical
+    /// across thread counts.
     TaskRun,
 }
 
@@ -190,15 +191,6 @@ pub enum TraceEventKind {
         /// over threads).
         ns: u64,
     },
-    /// A task-DAG node's dependencies were all satisfied and it entered the
-    /// executor's ready queue. Emitted exactly once per node, before the
-    /// node's `task_run` span, in the node's block scope — deterministic per
-    /// block, hence part of the ordering guarantee.
-    TaskReady {
-        /// DAG node id (`2·step` for a block's compute task, `2·step + 1`
-        /// for its commit task).
-        node: usize,
-    },
     /// A session cache lookup found a resident factorization for the
     /// request's fingerprint. Emitted from the session's submitting thread,
     /// so for a fixed request sequence the event stream is identical at any
@@ -244,7 +236,6 @@ impl TraceEventKind {
             TraceEventKind::AutotuneSelect { .. } => "autotune_select",
             TraceEventKind::FrontCompress { .. } => "front_compress",
             TraceEventKind::KernelCounters { .. } => "kernel_counters",
-            TraceEventKind::TaskReady { .. } => "task_ready",
             TraceEventKind::SessionCacheHit { .. } => "session_cache_hit",
             TraceEventKind::SessionCacheMiss { .. } => "session_cache_miss",
             TraceEventKind::SessionEvict { .. } => "session_evict",
@@ -585,7 +576,6 @@ impl TraceRecord {
                         flops,
                         ns,
                     } => json_fields!(w, packed_calls, matvec_calls, flops, ns),
-                    TraceEventKind::TaskReady { node } => json_fields!(w, node),
                     TraceEventKind::SessionCacheHit { fingerprint }
                     | TraceEventKind::SessionCacheMiss { fingerprint } => {
                         json_fields!(w, fingerprint)
@@ -743,7 +733,6 @@ mod tests {
         assert_eq!(SpanKind::CommitWait.name(), "commit_wait");
         assert_eq!(SpanKind::AxpyCommit.name(), "axpy_commit");
         assert_eq!(SpanKind::TaskRun.name(), "task_run");
-        assert_eq!(TraceEventKind::TaskReady { node: 0 }.name(), "task_ready");
         assert_eq!(
             TraceEventKind::MemHighWater { live: 0, peak: 0 }.name(),
             "mem_high_water"

@@ -1071,7 +1071,7 @@ fn assemble_blockwise<T: Scalar>(
             let mut x = kernel(seq, &blocks[seq], slot)?;
             #[cfg(feature = "fault-inject")]
             crate::fault::maybe_poison_panel(&mut x);
-            // The working set is gone; hand off with only the block reserved.
+            // The working set is gone; wait for the fold holding only the block.
             slot.park(x.byte_size(), plan.what_parked)?;
             Ok(x)
         },

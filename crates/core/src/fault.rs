@@ -74,8 +74,8 @@ pub fn arm_session_evict_all() {
 }
 
 /// Arm persistent schedule jitter until [`disarm`]: every pipeline worker
-/// that reaches an admission, a finalize, a hand-off or a release first
-/// yields or sleeps (< 500 µs) as a generator seeded with `seed` decides, so
+/// that reaches an admission, a finalize, a park, the wait for its fold turn
+/// or a release first yields or sleeps (< 500 µs) as a generator seeded with `seed` decides, so
 /// the interleavings a loaded many-core host would produce can be explored,
 /// seed by seed, on any host. Not a fault: every run must still succeed,
 /// inside its budget, with the bits of the undisturbed run.

@@ -21,30 +21,28 @@
 //!   granted in block order and wait for earlier blocks to release memory,
 //!   so concurrency degrades (down to one block at a time) instead of
 //!   failing spuriously. A block with *no* other block in flight has nothing
-//!   to wait for: its admission fails if it does not fit, and its finalize
-//!   grants what headroom is left — it runs, and dies, exactly where the
-//!   sequential algorithm would.
-//! * **Lookahead task DAG.** Block `i` is two nodes, `compute(i)` (id `2i`)
-//!   and `commit(i)` (id `2i + 1`), with edges
-//!   `commit(i) ← {compute(i), commit(i − 1)}` and
-//!   `compute(i) ← commit(i − L)`, `L` being the in-flight cap. Workers pull
-//!   the lowest-id ready node, so `compute(i + 1)` overlaps `commit(i)`,
-//!   yet a lone worker degenerates to the exact sequential order
-//!   `compute(0), commit(0), compute(1), …` (a ready commit always has a
-//!   smaller id than any later compute).
-//! * **Ordered fold.** The commit chain applies the folds strictly in block
-//!   order, reproducing the sequential algorithm's loop: results are
-//!   bitwise-identical for every thread count and every in-flight cap.
+//!   to wait for: its admission and its finalize fail at once if what they
+//!   ask for does not fit — on the block where the sequential algorithm
+//!   would fail too.
+//! * **One owner per block.** A worker takes the next block, admits and
+//!   computes it, waits until every earlier block is folded, folds it and
+//!   releases its slot; only then does it take another. There are at most
+//!   `L` workers, `L` being the in-flight cap, so block `i` is taken only
+//!   once block `i − L` is folded, and a lone worker runs the exact
+//!   sequential order `compute(0), fold(0), compute(1), …`.
+//! * **Ordered fold.** The folds apply strictly in block order, reproducing
+//!   the sequential algorithm's loop: results are bitwise-identical for
+//!   every thread count and every in-flight cap.
 //!
 //! # Why ordered admission?
 //!
-//! Admitting blocks out of order can deadlock the commit chain: if block
-//! `k` is admitted while block `k-1` still waits for memory, every admitted
-//! block ≥ `k` parks behind `commit(k-1)` holding its reservation, and
+//! Admitting blocks out of order can deadlock the fold order: if block `k`
+//! is admitted while block `k-1` still waits for memory, every admitted
+//! block ≥ `k` waits for the fold of `k-1` holding its reservation, and
 //! block `k-1` waits forever for bytes that will never be released.
-//! Granting admission in block order makes the lowest uncommitted block
-//! always runnable: the only memory it can wait for belongs to *earlier*
-//! blocks, which can complete without it.
+//! Granting admission in block order makes the lowest unfolded block always
+//! runnable: the only memory it can wait for belongs to *earlier* blocks,
+//! which can complete without it.
 //!
 //! The finalize step is covered by the same argument because the ticket
 //! passes on when block `k` is *final*, not when it is admitted: while `k`
@@ -55,24 +53,23 @@
 //!
 //! # Failure propagation
 //!
-//! There is one first-error slot. Once it is set, blocked admissions and
-//! finalizations return a clone of it instead of waiting and the remaining
-//! folds are skipped, so the DAG drains promptly, every reservation is
-//! released, and [`run_blockwise`] returns the original error.
+//! There is one first-error slot. Once it is set, blocked admissions,
+//! finalizations and fold waits return instead of waiting, no worker takes
+//! another block and the remaining folds are skipped, so the pipeline
+//! drains promptly, every reservation is released, and [`run_blockwise`]
+//! returns the original error.
 //!
 //! # Tracing
 //!
 //! Each block's records appear in a fixed order whatever the thread count:
-//! `task_ready` (compute), `admit_wait`, the compute closure's own records
-//! (with the wait in [`Slot::finalize`], a second `admit_wait`), `task_run`,
-//! `task_ready` (commit), `commit_wait`, the fold closure's own records,
-//! `task_run`. `budget_degrade` and `poisoned` appear only on runs that hit
-//! the budget or fail.
+//! `admit_wait`, the compute closure's own records (with the wait in
+//! [`Slot::finalize`], a second `admit_wait`), `task_run` (the compute),
+//! `commit_wait`, the fold closure's own records, `task_run` (the fold).
+//! `budget_degrade` and `poisoned` appear only on runs that hit the budget
+//! or fail.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use csolve_common::{Error, MemCharge, MemTracker, Result, SpanKind, TraceEventKind, Tracer};
 use parking_lot::{Condvar, Mutex};
@@ -84,6 +81,10 @@ use parking_lot::{Condvar, Mutex};
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
 struct State {
+    /// The next block a worker takes.
+    next_block: usize,
+    /// The next block to fold: every lower one is folded.
+    next_fold: usize,
     /// The lowest block whose reservation is not final: the only one that
     /// may be admitted, and the only one that may wait in `finalize`.
     next_ticket: usize,
@@ -91,12 +92,6 @@ struct State {
     inflight: usize,
     /// Maximum concurrently admitted blocks; shrinks under budget pressure.
     cap: usize,
-    /// Unmet dependency count per DAG node.
-    deps: Vec<u8>,
-    /// Ready nodes, pulled lowest-id first.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Completed node count; workers exit when it reaches `2 · steps`.
-    completed: usize,
     /// First error; set once.
     error: Option<Error>,
 }
@@ -104,8 +99,6 @@ struct State {
 struct Pipeline<'a> {
     tracker: &'a Arc<MemTracker>,
     tracer: &'a Tracer,
-    steps: usize,
-    lookahead: usize,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -127,6 +120,18 @@ impl Pipeline<'_> {
                 self.tracer.run().event(TraceEventKind::Poisoned);
             }
         });
+    }
+
+    /// Take the next of `steps` blocks; `None` once every block is taken or
+    /// the pipeline failed.
+    fn take(&self, steps: usize) -> Option<usize> {
+        let mut st = self.state.lock();
+        let seq = st.next_block;
+        if st.error.is_some() || seq >= steps {
+            return None;
+        }
+        st.next_block += 1;
+        Some(seq)
     }
 
     /// Reserve `bytes` for block `seq` and enter the in-flight set.
@@ -181,47 +186,21 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Pull the lowest-id ready node; `None` once every node has completed.
-    fn next_task(&self) -> Option<usize> {
+    /// Wait until every block below `seq` is folded; `false` once the
+    /// pipeline failed.
+    fn fold_turn(&self, seq: usize) -> bool {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::jitter();
         let mut st = self.state.lock();
         loop {
-            if let Some(Reverse(id)) = st.ready.pop() {
-                return Some(id);
+            if st.error.is_some() {
+                return false;
             }
-            if st.completed == 2 * self.steps {
-                return None;
+            if st.next_fold == seq {
+                return true;
             }
             self.cv.wait_for(&mut st, WAIT_SLICE);
         }
-    }
-
-    /// Mark node `id` complete; newly-unblocked dependents enter the ready
-    /// queue (each with its `task_ready` event, emitted in id order).
-    fn complete(&self, id: usize) {
-        let step = id / 2;
-        // Dependents in ascending id order: a compute unblocks its own
-        // commit; a commit unblocks the next commit and the compute
-        // `lookahead` steps ahead.
-        let dependents = if id.is_multiple_of(2) {
-            [Some(id + 1), None]
-        } else {
-            [
-                (step + 1 < self.steps).then_some(id + 2),
-                (step + self.lookahead < self.steps).then_some(2 * (step + self.lookahead)),
-            ]
-        };
-        self.update(|st| {
-            st.completed += 1;
-            for dep in dependents.into_iter().flatten() {
-                st.deps[dep] -= 1;
-                if st.deps[dep] == 0 {
-                    self.tracer
-                        .block(dep / 2)
-                        .event(TraceEventKind::TaskReady { node: dep });
-                    st.ready.push(Reverse(dep));
-                }
-            }
-        });
     }
 }
 
@@ -242,10 +221,11 @@ impl Slot<'_> {
     /// and pass the ticket to the next block. Every block calls this once,
     /// before it computes; one whose admission reserved everything passes 0.
     ///
-    /// Waits for earlier blocks to release while `bound` does not fit; with
-    /// none in flight the grant is what headroom is left, and growth past it
-    /// is budget-checked charge by charge, as in the sequential algorithm.
-    /// Fails only with the pipeline's error.
+    /// Waits for earlier blocks to release while `bound` does not fit. With
+    /// none in flight nothing can be released, so it fails at once with the
+    /// scope's out-of-memory error, as the sequential algorithm would fail
+    /// once its callees outgrew the budget. Otherwise fails only with the
+    /// pipeline's error.
     pub(crate) fn finalize(&mut self, bound: usize, what: &'static str) -> Result<()> {
         #[cfg(feature = "fault-inject")]
         crate::fault::jitter();
@@ -259,19 +239,15 @@ impl Slot<'_> {
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
-            let alone = st.inflight == 1;
-            // What a scope can still take: bytes set aside for another one
-            // (the compressed Schur accumulator's) are not headroom.
-            let cap = if alone {
-                bound.min(tracker.available())
-            } else {
-                bound
-            };
-            if let Ok(scope) = MemTracker::scoped(tracker, cap, what) {
-                self.scope = Some(scope);
-                st.next_ticket = st.next_ticket.max(self.seq + 1);
-                cv.notify_all();
-                return Ok(());
+            match MemTracker::scoped(tracker, bound, what) {
+                Ok(scope) => {
+                    self.scope = Some(scope);
+                    st.next_ticket = st.next_ticket.max(self.seq + 1);
+                    cv.notify_all();
+                    return Ok(());
+                }
+                Err(e) if st.inflight == 1 => return Err(e),
+                Err(_) => {}
             }
             cv.wait_for(&mut st, WAIT_SLICE);
         }
@@ -285,7 +261,7 @@ impl Slot<'_> {
 
     /// The working set is gone: return what was set aside for it and shrink
     /// (or budget-checked grow) the charge to `bytes`, the computed block's
-    /// size, so blocks parked for their fold hold as little as possible.
+    /// size, so blocks waiting for their fold hold as little as possible.
     pub(crate) fn park(&mut self, bytes: usize, what: &'static str) -> Result<()> {
         #[cfg(feature = "fault-inject")]
         crate::fault::jitter();
@@ -317,12 +293,12 @@ impl Drop for Slot<'_> {
 /// For block `seq`, in this order: `reserve(seq)` names the bytes (and
 /// their charge label) of the block's own buffers, which it must hold before
 /// it may compute; `compute(seq, slot)` [finalizes](Slot::finalize) the
-/// admitted [`Slot`] and produces the block's payload on whichever worker is
-/// free; `fold(seq, acc, payload)` folds it into `acc` — strictly in block
-/// order, one at a time. The slot is released after the fold. At most
-/// `inflight` blocks (clamped to at least one, lowered further under budget
-/// pressure) are admitted at a time, and computes run at most that far ahead
-/// of the fold frontier.
+/// admitted [`Slot`] and produces the block's payload on whichever worker
+/// took the block; `fold(seq, acc, payload)` folds it into `acc` on the same
+/// worker — strictly in block order, one at a time. The slot is released
+/// after the fold. At most `inflight` blocks (clamped to at least one,
+/// lowered further under budget pressure) are admitted at a time, and
+/// computes run at most that far ahead of the fold frontier.
 ///
 /// See the [module documentation](self) for the scheduling, failure and
 /// tracing contracts.
@@ -338,108 +314,65 @@ pub(crate) fn run_blockwise<S: Send, P: Send>(
     fold: impl Fn(usize, &mut S, P) -> Result<()> + Sync,
 ) -> Result<S> {
     let lookahead = inflight.max(1);
-    let mut deps = vec![0u8; 2 * steps];
-    let mut ready = BinaryHeap::new();
-    for i in 0..steps {
-        deps[2 * i] = u8::from(i >= lookahead);
-        deps[2 * i + 1] = 1 + u8::from(i > 0);
-        if i < lookahead {
-            // Initially-ready computes announce themselves in id order
-            // before any worker starts, so `task_ready` is each block's
-            // first record.
-            tracer
-                .block(i)
-                .event(TraceEventKind::TaskReady { node: 2 * i });
-            ready.push(Reverse(2 * i));
-        }
-    }
     let pipe = Pipeline {
         tracker,
         tracer,
-        steps,
-        lookahead,
         state: Mutex::new(State {
+            next_block: 0,
+            next_fold: 0,
             next_ticket: 0,
             inflight: 0,
             cap: lookahead,
-            deps,
-            ready,
-            completed: 0,
             error: None,
         }),
         cv: Condvar::new(),
     };
-    // The accumulator with the index of its next fold. The DAG's commit
-    // chain is what serializes the folds in block order; the index only
-    // asserts it.
-    let acc = Mutex::new((0usize, acc));
-    // Hand-off from each compute task to its commit task: the slot, the
-    // payload, and when the block was parked.
-    let parked: Vec<Mutex<Option<(Slot<'_>, P, Instant)>>> =
-        (0..steps).map(|_| Mutex::new(None)).collect();
-
+    // Only the worker whose fold turn it is locks the accumulator.
+    let acc = Mutex::new(acc);
     let worker = || {
-        while let Some(id) = pipe.next_task() {
-            let seq = id / 2;
+        while let Some(seq) = pipe.take(steps) {
             let bt = tracer.block(seq);
-            if id.is_multiple_of(2) {
-                let _run = bt.span(SpanKind::TaskRun);
-                let (bytes, what) = reserve(seq);
-                match pipe.admit(seq, bytes, what) {
-                    Ok(mut slot) => match compute(seq, &mut slot) {
-                        Ok(payload) => {
-                            *parked[seq].lock() = Some((slot, payload, Instant::now()));
-                        }
-                        Err(e) => pipe.fail(&e),
-                    },
-                    Err(e) => pipe.fail(&e),
-                }
-            } else {
-                // A block whose compute failed has nothing to fold.
-                let handoff = parked[seq].lock().take();
-                if let Some((slot, payload, since)) = handoff {
-                    let _run = bt.span(SpanKind::TaskRun);
-                    bt.record_span(SpanKind::CommitWait, since.elapsed(), 0, 0);
-                    let failed = pipe.state.lock().error.is_some();
-                    if !failed {
-                        let mut acc = acc.lock();
-                        let folded = if acc.0 == seq {
-                            acc.0 += 1;
-                            fold(seq, &mut acc.1, payload)
-                        } else {
-                            Err(Error::Internal {
-                                context: "blockwise fold dispatched out of block order",
-                            })
-                        };
-                        if let Err(e) = folded {
-                            pipe.fail(&e);
-                        }
-                    }
-                    drop(slot);
-                }
+            let run = bt.span(SpanKind::TaskRun);
+            let (bytes, what) = reserve(seq);
+            let mut slot = match pipe.admit(seq, bytes, what) {
+                Ok(slot) => slot,
+                Err(e) => return pipe.fail(&e),
+            };
+            let payload = match compute(seq, &mut slot) {
+                Ok(payload) => payload,
+                Err(e) => return pipe.fail(&e),
+            };
+            drop(run);
+            let wait = bt.span(SpanKind::CommitWait);
+            if !pipe.fold_turn(seq) {
+                return;
             }
-            pipe.complete(id);
+            drop(wait);
+            let _run = bt.span(SpanKind::TaskRun);
+            if let Err(e) = fold(seq, &mut acc.lock(), payload) {
+                return pipe.fail(&e);
+            }
+            drop(slot);
+            pipe.update(|st| st.next_fold += 1);
         }
     };
     rayon::scope(|s| {
         // One worker runs inline on this thread (the scope'd spawns may all
         // degrade to inline execution under permit pressure; any single
-        // worker can drain the whole DAG alone). At most `lookahead` blocks
-        // are ever runnable at once, and a parked worker pins its helper
-        // permit for the whole run: spawn no more than can work, so the
-        // parallelism nested under a block (chunked sparse solves, H-LU
-        // branches, GEMM macro-tiles) gets the threads the pipeline cannot
-        // use.
+        // worker can run every block alone). A worker holds one block at a
+        // time, and one waiting for its fold turn pins its helper permit:
+        // spawn no more than can work, so the parallelism nested under a
+        // block (chunked sparse solves, H-LU branches, GEMM macro-tiles)
+        // gets the threads the pipeline cannot use.
         let workers = rayon::current_num_threads().min(steps).min(lookahead);
         for _ in 1..workers {
             s.spawn(|_| worker());
         }
         worker();
     });
-    drop(parked);
     match pipe.state.into_inner().error {
         Some(e) => Err(e),
-        None => Ok(acc.into_inner().1),
+        None => Ok(acc.into_inner()),
     }
 }
 
@@ -689,45 +622,60 @@ mod tests {
     fn a_bound_over_the_whole_budget_fails_as_the_sequential_loop_would() {
         for workers in [1, 4] {
             let tracker = MemTracker::with_budget(100);
+            let computed = AtomicUsize::new(0);
             let err = with_workers(workers, || {
-                // Alone, block 0 is granted the 90 bytes of headroom left
-                // and dies at the charge that outgrows the budget.
+                // Alone, block 0 cannot be granted its 500 bytes and no
+                // release can make room: its finalize refuses at once,
+                // before any callee charges.
                 run(&tracker, (3, 3, 10), |_, slot| {
                     slot.finalize(500, "callee working set")?;
-                    let _under = slot.tracker().charge(80, "callee, first")?;
-                    let _over = slot.tracker().charge(420, "callee, second")?;
+                    computed.fetch_add(1, Ordering::SeqCst);
                     Ok(())
                 })
             });
             match err.unwrap_err() {
-                Error::OutOfMemory { what, budget, .. } => {
-                    assert_eq!((what, budget), ("callee, second", 100))
-                }
-                e => panic!("expected the callee's out-of-memory error, got {e}"),
+                Error::OutOfMemory {
+                    requested,
+                    live,
+                    budget,
+                    what,
+                } => assert_eq!(
+                    (requested, live, budget, what),
+                    (500, 10, 100, "callee working set")
+                ),
+                e => panic!("expected the finalize's out-of-memory error, got {e}"),
             }
+            assert_eq!(computed.load(Ordering::SeqCst), 0);
             assert!(tracker.charge(100, "everything is back").is_ok());
         }
     }
 
     #[test]
-    fn a_lone_block_is_granted_what_another_scope_left_and_returns() {
+    fn a_lone_block_whose_bound_exceeds_what_another_scope_left_is_refused() {
         // 300 bytes set aside for a scope outside the pipeline (the
-        // compressed Schur accumulator's growth allowance): a lone block
-        // asking for more than is left is granted the 600 left, not the 900
-        // the live count alone would suggest — which no scope could get.
+        // compressed Schur accumulator's growth allowance) and 100 admitted:
+        // a lone block asking for more than the 600 left is refused, though
+        // the live count alone would suggest 900; asking for the 600 is
+        // granted.
         for workers in [1, 4] {
             let tracker = MemTracker::with_budget(1_000);
             let outside = MemTracker::scoped(&tracker, 300, "accumulator").unwrap();
-            let granted = AtomicUsize::new(0);
-            let folded = with_workers(workers, || {
-                run(&tracker, (2, 1, 100), |_, slot| {
-                    slot.finalize(2_000, "callee working set")?;
-                    granted.store(slot.tracker().budget(), Ordering::SeqCst);
-                    Ok(())
+            let ask = |bound| {
+                with_workers(workers, || {
+                    run(&tracker, (2, 1, 100), |_, slot| {
+                        slot.finalize(bound, "callee working set")?;
+                        assert_eq!(slot.tracker().budget(), bound);
+                        Ok(())
+                    })
                 })
-            });
-            assert_eq!(folded.unwrap(), [0, 1]);
-            assert_eq!(granted.load(Ordering::SeqCst), 600);
+            };
+            match ask(601).unwrap_err() {
+                Error::OutOfMemory {
+                    requested, what, ..
+                } => assert_eq!((requested, what), (601, "callee working set")),
+                e => panic!("expected the finalize's out-of-memory error, got {e}"),
+            }
+            assert_eq!(ask(600).unwrap(), [0, 1]);
             drop(outside);
             assert_eq!(tracker.available(), 1_000);
         }
@@ -810,8 +758,8 @@ mod tests {
             )
         })
         .unwrap();
-        // A ready commit always outranks any later compute (smaller node id),
-        // so one worker reproduces the sequential loop exactly.
+        // A worker folds its block before it takes the next, so one worker
+        // reproduces the sequential loop exactly.
         assert_eq!(
             *order.lock(),
             vec!["c0", "m0", "c1", "m1", "c2", "m2", "c3", "m3"]
@@ -849,8 +797,9 @@ mod tests {
             });
             (caller, seen.into_inner())
         };
-        // One block in flight: a helper worker could only ever park holding
-        // a permit, so none is spawned and the caller runs everything.
+        // One block in flight: a helper worker could only ever wait for its
+        // fold turn holding a permit, so none is spawned and the caller runs
+        // everything.
         let (caller, seen) = threads_used(1);
         assert_eq!(seen.len(), 12);
         assert!(seen.iter().all(|&t| t == caller), "a helper ran a task");
@@ -902,10 +851,11 @@ mod tests {
     #[test]
     fn next_compute_overlaps_previous_commit() {
         use csolve_common::{TracePayload, TraceScope};
-        // With two workers and lookahead 2, compute(1) is dispatched at
-        // start while commit(0) runs later — its task_run span must open
-        // before commit(0)'s closes. Permit contention from concurrently
-        // running tests can serialize a round; retry a few times.
+        // With two workers and lookahead 2, the second worker computes
+        // block 1 from the start while block 0's fold runs later: block 1's
+        // first task_run span must open before block 0's second one closes.
+        // Permit contention from concurrently running tests can serialize a
+        // round; retry a few times.
         for attempt in 0..10 {
             let tracer = Tracer::enabled();
             let tracker = MemTracker::unbounded();
@@ -930,7 +880,7 @@ mod tests {
             })
             .unwrap();
             let records = tracer.drain();
-            // Per block: task_run spans in order (compute, commit).
+            // Per block: task_run spans in order (compute, fold).
             let runs = |b: usize| -> Vec<(u64, u64)> {
                 records
                     .iter()
@@ -947,14 +897,14 @@ mod tests {
                     .collect()
             };
             let (b0, b1) = (runs(0), runs(1));
-            assert_eq!(b0.len(), 2, "block 0 must run compute + commit");
-            assert_eq!(b1.len(), 2, "block 1 must run compute + commit");
+            assert_eq!(b0.len(), 2, "block 0 must run compute + fold");
+            assert_eq!(b1.len(), 2, "block 1 must run compute + fold");
             let compute1_open = b1[0].0;
-            let commit0_close = b0[1].1;
-            if compute1_open < commit0_close {
+            let fold0_close = b0[1].1;
+            if compute1_open < fold0_close {
                 return; // overlap observed
             }
-            assert!(attempt < 9, "no compute/commit overlap in 10 attempts");
+            assert!(attempt < 9, "no compute/fold overlap in 10 attempts");
         }
     }
 }

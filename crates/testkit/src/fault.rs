@@ -76,8 +76,9 @@ impl FaultGuard {
     }
 
     /// Disturb the blockwise pipeline's schedule: seeded short pauses at
-    /// every admission, finalize, hand-off and release. Persistent until
-    /// disarmed; runs under it must behave exactly as undisturbed ones.
+    /// every admission, finalize, park, fold-turn wait and release.
+    /// Persistent until disarmed; runs under it must behave exactly as
+    /// undisturbed ones.
     pub fn schedule_jitter(&self, seed: u64) {
         csolve_coupled::fault::arm_schedule_jitter(seed);
     }

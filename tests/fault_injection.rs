@@ -253,7 +253,7 @@ fn faults_never_leave_an_armed_hook_behind() {
 }
 
 /// Budgeted multi-factorization under a disturbed schedule: seeded pauses
-/// at every admission, finalize, hand-off and release explore the
+/// at every admission, finalize, park, fold-turn wait and release explore the
 /// interleavings a loaded many-core host would produce. Whatever the
 /// schedule, an admitted tile cannot run out of memory: every run succeeds,
 /// inside the budget, with the bits of the 1-thread run. The two cells are

@@ -191,9 +191,9 @@ fn symmetric_cells_under_schedule_jitter_are_bitwise_at_8_threads() {
     }
 }
 
-/// The task-DAG executor's determinism cell: even when memory pressure
+/// The blockwise pipeline's determinism cell: even when memory pressure
 /// forces the admission scheduler to degrade concurrency mid-run (in-flight
-/// caps shrink, the DAG's lookahead edges change), the ordered commits must
+/// caps shrink, fewer blocks compute at once), the ordered folds must
 /// still fold the panel contributions identically — the solution stays
 /// bitwise-identical across 1/2/4 threads *under a tight budget*.
 #[test]

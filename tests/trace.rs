@@ -129,37 +129,53 @@ fn multi_factorization_factors_the_lower_triangle_of_a_symmetric_system() {
     }
 }
 
+/// The blockwise skeleton's per-block frame, for both blockwise algorithms on
+/// both backends at 1, 2 and 4 threads: block scopes appear in ascending
+/// order from 0, and each block's records open with its admission wait and
+/// hold exactly two `task_run` spans, the compute's followed at once by the
+/// wait for the fold turn and the fold's closing the block.
 #[test]
-fn block_scopes_are_contiguous_and_start_with_task_ready() {
-    let (_, records) = traced_solve(Algorithm::MultiSolve, DenseBackend::Hmat, 4);
-    let mut blocks: Vec<usize> = Vec::new();
-    for r in &records {
-        if let TraceScope::Block(seq) = r.scope {
-            if !blocks.contains(&seq) {
-                // Canonical order: first sighting of a block is its first
-                // record — the DAG executor's readiness announcement of the
-                // block's compute task — and blocks appear in ascending seq
-                // order.
-                assert_eq!(
-                    r.payload.kind_name(),
-                    "task_ready",
-                    "block {seq}: first record is not the task-ready event"
+fn block_scopes_are_contiguous_and_follow_the_skeleton_frame() {
+    for algo in [Algorithm::MultiSolve, Algorithm::MultiFactorization] {
+        for backend in [DenseBackend::Spido, DenseBackend::Hmat] {
+            for threads in [1, 2, 4] {
+                let run = format!("{} / {backend:?} / {threads} thr", algo.name());
+                let (_, records) = traced_solve(algo, backend, threads);
+                assert!(
+                    records
+                        .iter()
+                        .all(|r| r.payload.kind_name() != "task_ready"),
+                    "{run}: a task_ready record"
                 );
-                blocks.push(seq);
+                let mut blocks: Vec<Vec<&str>> = Vec::new();
+                for r in &records {
+                    if let TraceScope::Block(seq) = r.scope {
+                        if seq == blocks.len() {
+                            blocks.push(Vec::new());
+                        }
+                        assert_eq!(seq + 1, blocks.len(), "{run}: block {seq} out of order");
+                        blocks[seq].push(r.payload.kind_name());
+                    }
+                }
+                assert!(blocks.len() > 1, "{run}: expected several pipeline blocks");
+                let task_run = SpanKind::TaskRun.name();
+                for (b, kinds) in blocks.iter().enumerate() {
+                    let runs: Vec<usize> =
+                        (0..kinds.len()).filter(|&i| kinds[i] == task_run).collect();
+                    assert_eq!(
+                        kinds[0], "admit_wait",
+                        "{run}: block {b} opens with {kinds:?}"
+                    );
+                    assert_eq!(runs.len(), 2, "{run}: block {b} has {kinds:?}");
+                    assert_eq!(
+                        kinds[runs[0] + 1],
+                        "commit_wait",
+                        "{run}: block {b} has {kinds:?}"
+                    );
+                    assert_eq!(runs[1], kinds.len() - 1, "{run}: block {b} has {kinds:?}");
+                }
             }
         }
-    }
-    assert!(blocks.len() > 1, "expected several pipeline blocks");
-    let expect: Vec<usize> = (0..blocks.len()).collect();
-    assert_eq!(blocks, expect, "block scopes not contiguous from 0");
-    // Each block runs exactly two DAG nodes: compute then commit.
-    for &b in &blocks {
-        let runs = records
-            .iter()
-            .filter(|r| r.scope == TraceScope::Block(b))
-            .filter(|r| r.payload.kind_name() == SpanKind::TaskRun.name())
-            .count();
-        assert_eq!(runs, 2, "block {b}: expected compute + commit task_run");
     }
 }
 
