@@ -18,11 +18,13 @@
 //! both peaks, and 0.7× the new ones — 3 127 700 B and 2 084 924 B — is
 //! the same multi-factorization budget and a tighter multi-solve one.
 //!
-//! Under `--smoke` the run fails unless every successful autotuned run
-//! measured within 1.25× of its prediction, inside its budget and within
-//! its error bound (1e-8, 1e-7 for the BLR rows), and at the tightest
-//! fraction the autotuned runs complete where fixed blocking is out of
-//! memory.
+//! Under `--smoke` (fractions 2.0×, 1.1×, 1.0× and 0.7×) the run fails
+//! unless every autotuned run, at every fraction, completes inside its
+//! budget, within 1.25× of its prediction and within its error bound (1e-8,
+//! 1e-7 for the BLR rows), and at the tightest fraction fixed blocking is
+//! out of memory. 1.1× is a budget at which HMAT multi-factorization ran
+//! out of memory inside an admitted tile when the planner underpriced its
+//! tiles.
 
 use csolve::{pipe_problem, Algorithm, BlockSizes, DenseBackend, SolverConfig};
 use csolve_bench::{attempt, header, mib, smoke_epilogue, truncate, Args, Attempt, Flag};
@@ -30,7 +32,7 @@ use csolve_bench::{attempt, header, mib, smoke_epilogue, truncate, Args, Attempt
 const FLAGS: &[Flag] = &[
     Flag::value("--n", "4000", "total unknowns of the pipe problem").smoke("1500"),
     Flag::value("--eps", "1e-10", "compression threshold"),
-    Flag::value("--fracs", "2.0,1.0,0.7", "budget / uncompressed peak"),
+    Flag::value("--fracs", "2.0,1.0,0.7", "budget / uncompressed peak").smoke("2.0,1.1,1.0,0.7"),
     Flag::SMOKE,
 ];
 
@@ -193,16 +195,19 @@ fn main() {
         );
     }
 
-    // CI assertions (smoke mode): every successful autotuned run measured
+    // CI assertions (smoke mode): every autotuned run completes, measured
     // within 1.25x of its prediction and inside its budget, and at the
-    // tightest fraction the autotuned run succeeds where fixed blocking
-    // cannot hold the uncompressed Schur.
+    // tightest fraction fixed blocking cannot hold the uncompressed Schur.
     if smoke {
         let mut failures = Vec::new();
-        for r in rows
-            .iter()
-            .filter(|r| r.mode.starts_with("auto") && r.status == "ok")
-        {
+        for r in rows.iter().filter(|r| r.mode.starts_with("auto")) {
+            if r.status != "ok" {
+                failures.push(format!(
+                    "{} {} @{:.2}x expected ok, got {}",
+                    r.algo, r.mode, r.budget_frac, r.status
+                ));
+                continue;
+            }
             if r.measured_peak > r.budget_bytes {
                 failures.push(format!(
                     "{} {} @{:.2}x: measured peak {} B exceeds budget {} B",
@@ -226,18 +231,14 @@ fn main() {
             }
         }
         let tightest = fracs.iter().cloned().fold(f64::INFINITY, f64::min);
-        for r in rows.iter().filter(|r| r.budget_frac == tightest) {
-            match r.mode {
-                "auto" | "auto-blr" if r.status != "ok" => failures.push(format!(
-                    "{} {} @{tightest:.2}x expected ok, got {}",
-                    r.algo, r.mode, r.status
-                )),
-                "fixed" if r.status != "oom" => failures.push(format!(
-                    "{} fixed @{tightest:.2}x expected oom, got {}",
-                    r.algo, r.status
-                )),
-                _ => {}
-            }
+        for r in rows
+            .iter()
+            .filter(|r| r.budget_frac == tightest && r.mode == "fixed" && r.status != "oom")
+        {
+            failures.push(format!(
+                "{} fixed @{tightest:.2}x expected oom, got {}",
+                r.algo, r.status
+            ));
         }
         smoke_epilogue("autotune_report", &failures);
     }

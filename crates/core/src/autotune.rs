@@ -14,16 +14,14 @@
 //!
 //! # Cost model
 //!
-//! The models mirror the exact charges the blockwise pipeline makes per
-//! block, so "predicted" and "admitted" cannot drift apart. A panel's
-//! charges are the bytes below when all its chunks run at once: `Z` and one
-//! lane workspace at admission, the other workspaces as it can use them. A
-//! tile's reservation is the bytes below at admission *plus*, before its
-//! numeric phase may start, the symbolic charge replay of its own stacked
-//! `W`, set aside as a tracker scoped to the tile (`pipeline.rs`); the
-//! planner prices that part with the same replay on a corner tile, and the
-//! driver caps the blocks in flight at the uncommitted budget ÷ the sum the
-//! planner returns beside its decision:
+//! Each price is what the blockwise pipeline reserves for one block. A
+//! panel's charges are the bytes below when all its chunks run at once: `Z`
+//! and one lane workspace at admission, the other workspaces as it can use
+//! them. A tile's are its admission reserve *plus*, before its numeric phase
+//! may start, the bound of its own symbolic analysis, set aside as a tracker
+//! scoped to the tile (`pipeline.rs`). The driver caps the blocks in flight
+//! at the uncommitted budget ÷ the price the planner returns beside its
+//! decision:
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):
@@ -36,21 +34,18 @@
 //!   panel before it runs and, when refused, narrows it to the workspaces it
 //!   holds. The price is the full-concurrency working set, so the choice
 //!   does not depend on the thread count either;
-//! * **multi-factorization** tile at grid size `n_b`
-//!   (see [`multi_fact_tile_bytes`]): the stacked `W` (values + indices +
-//!   column pointers, coupling nnz divided evenly across the grid) plus the
-//!   dense `m×m` Schur output, `m = ⌈n_s/n_b⌉`.
-//!
-//! The sparse solver's *internal* allocations while factoring one tile reach
-//! the multi-factorization planner through the `internal_bytes` closure
-//! supplied by the driver. That closure replays the symbolic charge
-//! schedule of a representative corner tile:
-//! [`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`],
-//! the peak of a Schur-only factorization — dense Schur output, fronts and
-//! contribution blocks; a tile discards the factors of its `W`. Nothing in
-//! it is compressed and LDLᵀ and LU charge the same, so the price is exact,
-//! byte for byte, with sparse-front BLR compression on or off, and it is
-//! the very bound the tile reserves before its numeric phase starts.
+//! * **multi-factorization** grid `n_b` (see [`plan_multi_factorization`]):
+//!   the costliest of the tiles the pipeline would run at `n_b`, each priced
+//!   as the pipeline reserves it — the stacked `W` and the dense Schur
+//!   output `X_ij` at admission, then the exact peak of the tile's
+//!   Schur-only factorization
+//!   ([`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`]:
+//!   fronts, contribution blocks and Schur output; a tile discards the
+//!   factors of its `W`). The driver builds each tile and its `W` with the
+//!   code the pipeline runs them with, and analyses every tile of a
+//!   candidate grid, so price and reservation are one number, with
+//!   sparse-front BLR compression on or off (nothing a tile charges is
+//!   compressed, and LDLᵀ and LU charge the same).
 //!
 //! Candidate multi-solve panel widths are additionally quantized down to a
 //! multiple of the calibrated register-tile width of the packed GEMM
@@ -106,12 +101,6 @@ pub struct MatrixStats {
     pub nv: usize,
     /// Surface (BEM) unknowns `n_s`.
     pub ns: usize,
-    /// Nonzeros of the sparse volume block `A_vv`.
-    pub nnz_avv: usize,
-    /// Nonzeros of the coupling block `A_sv`.
-    pub nnz_asv: usize,
-    /// Nonzeros of the coupling block `A_vs`.
-    pub nnz_avs: usize,
     /// Bytes per scalar (`size_of::<T>()`).
     pub elem: usize,
 }
@@ -176,20 +165,6 @@ pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> u
 /// `(n_s·w + n_v·lanes(min(n_c, w, 32)))·sizeof(T)`.
 pub(crate) fn multi_solve_panel_reserve(stats: &MatrixStats, n_c: usize, w: usize) -> usize {
     stats.ns * w * stats.elem + lane_workspace_bytes(stats, n_c.min(w).min(MAX_LANES))
-}
-
-/// Working-set bytes of one multi-factorization tile at grid size `n_b`:
-/// the stacked `W = [A_vv A_vs|_j; A_sv|_i 0]` in CSC form (values plus row
-/// indices plus column pointers, with the coupling nonzeros spread evenly
-/// over the grid) and the dense `m × m` Schur output, `m = ⌈n_s/n_b⌉`.
-/// Mirrors the pipeline's per-tile admission reserve.
-pub fn multi_fact_tile_bytes(stats: &MatrixStats, n_b: usize) -> usize {
-    let n_b = n_b.clamp(1, stats.ns.max(1));
-    let m = stats.ns.div_ceil(n_b);
-    let idx = std::mem::size_of::<usize>();
-    let nnz = stats.nnz_avv + stats.nnz_asv.div_ceil(n_b) + stats.nnz_avs.div_ceil(n_b);
-    let w_bytes = nnz * (stats.elem + idx) + (stats.nv + m + 1) * idx;
-    w_bytes + m * m * stats.elem
 }
 
 /// The fixed (non-autotuned) multi-solve blocking for a configuration: the
@@ -280,31 +255,31 @@ pub fn plan_multi_solve(
 }
 
 /// Select the smallest multi-factorization grid `n_b` (largest tiles) whose
-/// tile working set fits the remaining budget, starting from the configured
+/// every tile fits the remaining budget, starting from the configured
 /// `n_b` and doubling. Returns [`Error::OutOfMemory`] when even single-row
 /// tiles (`n_b = n_s`) do not fit.
 ///
-/// `internal_bytes` prices what the admission reserve cannot see: the
-/// sparse solver's own tracked allocations (fronts, contribution blocks,
-/// dense Schur output) while factoring one stacked `W` at grid size `n_b`.
-/// The driver supplies a symbolic-analysis replay
-/// ([`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`]
-/// on a representative corner tile); tests may pass a constant model.
+/// `price(n_b, room)` is what the pipeline would reserve for the grid's
+/// costliest tile, or for its first tile found over `room`: the driver
+/// builds the tiles it would run at `n_b` and adds each one's admission
+/// reserve to the finalize bound of its own symbolic analysis
+/// ([`csolve_sparse::SymbolicFactorization::predicted_schur_peak_bytes`]);
+/// tests may pass a closed-form model.
 ///
-/// Returned beside the decision: the whole-tile bytes (reserve plus
-/// solver-internal) it was priced at, for the pipeline's in-flight cap.
+/// Returned beside the decision: the whole-tile bytes it was priced at,
+/// for the pipeline's in-flight cap.
 pub fn plan_multi_factorization(
-    stats: &MatrixStats,
+    ns: usize,
     cfg: &SolverConfig,
     tracker: &MemTracker,
-    internal_bytes: impl Fn(usize) -> Result<usize>,
+    price: impl Fn(usize, usize) -> Result<usize>,
 ) -> Result<(AutotuneDecision, usize)> {
-    let cap = stats.ns.max(1);
+    let cap = ns.max(1);
     let n_b0 = cfg.n_b.clamp(1, cap);
     let room = tracker.available();
     let mut n_b = n_b0;
     loop {
-        let need = multi_fact_tile_bytes(stats, n_b).saturating_add(internal_bytes(n_b)?);
+        let need = price(n_b, room)?;
         if need <= room {
             let decision = AutotuneDecision {
                 n_c: 0,
@@ -336,11 +311,19 @@ mod tests {
         MatrixStats {
             nv: 4000,
             ns: 1000,
-            nnz_avv: 28_000,
-            nnz_asv: 12_000,
-            nnz_avs: 12_000,
             elem: 8,
         }
+    }
+
+    /// A closed-form tile price: the dense `m × m` Schur output of an
+    /// `⌈n_s/n_b⌉`-row tile plus a fixed 400 kB.
+    fn tile(n_b: usize) -> usize {
+        let m = 1000usize.div_ceil(n_b);
+        m * m * 8 + 400_000
+    }
+
+    fn price(n_b: usize, _room: usize) -> Result<usize> {
+        Ok(tile(n_b))
     }
 
     fn cfg() -> SolverConfig {
@@ -394,23 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn tile_model_counts_w_and_x() {
-        let s = stats();
-        let idx = std::mem::size_of::<usize>();
-        let m = 500; // ns/2
-        let nnz = 28_000 + 6_000 + 6_000;
-        let expect = nnz * (8 + idx) + (4000 + m + 1) * idx + m * m * 8;
-        assert_eq!(multi_fact_tile_bytes(&s, 2), expect);
-    }
-
-    #[test]
     fn unbounded_keeps_configured_blocking() {
         let t = MemTracker::unbounded();
         let (d, _) = plan_multi_solve(&stats(), &cfg(), &t).unwrap();
         assert_eq!((d.n_c, d.n_s), (256, 1000));
         assert!(!d.degraded);
         assert_eq!(d.budget, usize::MAX);
-        let (d, _) = plan_multi_factorization(&stats(), &cfg(), &t, |_| Ok(0)).unwrap();
+        let (d, _) = plan_multi_factorization(1000, &cfg(), &t, price).unwrap();
         assert_eq!(d.n_b, 2);
         assert!(!d.degraded);
     }
@@ -426,29 +399,12 @@ mod tests {
         assert!(multi_solve_panel_bytes(&s, d.n_c, d.n_s) <= full / 3);
         assert!(d.predicted_peak <= full / 3);
 
-        let tile = multi_fact_tile_bytes(&s, 2);
-        let t = MemTracker::with_budget(tile.saturating_sub(1));
-        let (d, _) = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
+        let t = MemTracker::with_budget(tile(2) - 1);
+        let (d, need) = plan_multi_factorization(s.ns, &cfg(), &t, price).unwrap();
         assert!(d.degraded);
         assert!(d.n_b > 2);
-        assert!(multi_fact_tile_bytes(&s, d.n_b) < tile);
-    }
-
-    #[test]
-    fn solver_internal_bytes_push_the_grid_finer() {
-        // The admission reserve alone says n_b = 2 fits; a solver-internal
-        // model that shrinks with the tile size must move the selection to
-        // a finer grid under the same budget.
-        let s = stats();
-        let t = MemTracker::with_budget(multi_fact_tile_bytes(&s, 2) + 1_000);
-        let internal = |n_b: usize| Ok(4_000_000 / n_b);
-        let (d, _) = plan_multi_factorization(&s, &cfg(), &t, internal).unwrap();
-        assert!(d.degraded);
-        assert!(d.n_b > 2);
-        assert!(
-            multi_fact_tile_bytes(&s, d.n_b) + 4_000_000 / d.n_b <= t.budget(),
-            "selected grid must satisfy reserve + internal model"
-        );
+        assert_eq!(need, tile(d.n_b));
+        assert!(need < tile(2));
     }
 
     #[test]
@@ -472,7 +428,7 @@ mod tests {
         let t = MemTracker::with_budget(16);
         let e = plan_multi_solve(&s, &cfg(), &t).unwrap_err();
         assert!(e.is_oom(), "expected OutOfMemory, got {e}");
-        let e = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap_err();
+        let e = plan_multi_factorization(s.ns, &cfg(), &t, price).unwrap_err();
         assert!(e.is_oom(), "expected OutOfMemory, got {e}");
     }
 
@@ -481,19 +437,15 @@ mod tests {
         // The compressed accumulator sets a quarter of the headroom aside
         // for its growth between flushes: the planner must leave it there,
         // and degrades where it still fit with nothing set aside.
-        let s = stats();
-        let tile = multi_fact_tile_bytes(&s, 2);
-        let t = MemTracker::with_budget(tile);
-        let free = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0))
-            .unwrap()
-            .0;
+        let t = MemTracker::with_budget(tile(2));
+        let (free, _) = plan_multi_factorization(1000, &cfg(), &t, price).unwrap();
         assert_eq!(free.n_b, 2);
         assert!(!free.degraded);
         let allowance = crate::schur::hmat_growth_allowance(headroom(&t));
         let _growth = MemTracker::scoped(&t, allowance, "accumulator growth").unwrap();
-        let (compressed, _) = plan_multi_factorization(&s, &cfg(), &t, |_| Ok(0)).unwrap();
+        let (compressed, _) = plan_multi_factorization(1000, &cfg(), &t, price).unwrap();
         assert!(compressed.degraded);
-        assert!(multi_fact_tile_bytes(&s, compressed.n_b) <= tile - tile / 4);
+        assert!(tile(compressed.n_b) <= tile(2) - tile(2) / 4);
     }
 
     #[test]

@@ -138,8 +138,10 @@ pub struct SolverConfig {
     pub n_b: usize,
     /// Fill-reducing ordering of the sparse solver.
     pub ordering: OrderingKind,
-    /// Hard budget in bytes for all tracked allocations (`None`: unlimited).
-    /// With [`BlockSizes::Fixed`] the budget only bounds the run; set
+    /// Hard budget in bytes for all tracked allocations (`None`: unlimited);
+    /// in a [`crate::SolverSession`], cached factors, factorization working
+    /// sets and admitted solve panels all share it. With
+    /// [`BlockSizes::Fixed`] the budget only bounds the run; set
     /// [`SolverConfig::block_sizes`] to [`BlockSizes::Auto`] to make it drive
     /// the blocking.
     pub mem_budget: Option<usize>,

@@ -110,9 +110,6 @@ impl<'a, T: Scalar> Ws<'a, T> {
         MatrixStats {
             nv: self.nv(),
             ns: self.ns(),
-            nnz_avv: self.a_vv.nnz(),
-            nnz_asv: self.a_sv.nnz(),
-            nnz_avs: self.a_vs.nnz(),
             elem: std::mem::size_of::<T>(),
         }
     }
@@ -1206,28 +1203,51 @@ fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>>
 fn multi_factorization_schur<T: Scalar>(
     ws: &Ws<'_, T>,
 ) -> Result<(SchurAcc<T>, Option<AutotuneDecision>)> {
-    let (nv, ns) = (ws.nv(), ws.ns());
-    let elem = std::mem::size_of::<T>();
-    let idx = std::mem::size_of::<usize>();
     let cfg = ws.cfg;
     let schur = ws.init_schur()?;
 
     // Under `BlockSizes::Auto` the autotuner grows the tile grid (shrinks
-    // the tiles) until one stacked-W working set fits the budget headroom.
-    let stats = ws.stats();
+    // the tiles) until every tile it would run fits the budget headroom.
     let planned = match cfg.block_sizes {
         BlockSizes::Auto => Some(autotune::plan_multi_factorization(
-            &stats,
+            ws.ns(),
             cfg,
             ws.tracker,
-            |n_b| tile_internal_bytes(ws, n_b),
+            |n_b, room| tile_grid_price(ws, n_b, room),
         )?),
         _ => None,
     };
     let n_b = match &planned {
         Some((d, _)) => d.n_b,
-        None => cfg.n_b.clamp(1, ns.max(1)),
+        None => cfg.n_b.clamp(1, ws.ns().max(1)),
     };
+    let plan = Blockwise {
+        blocks: multi_factorization_tiles(ws, n_b),
+        alpha: T::ONE,
+        what_reserved: "stacked W + Schur block X_ij",
+        what_parked: "dense Schur block X_ij",
+        autotune: planned,
+    };
+    let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
+        let scope = TraceScope::Block(seq);
+        let (w, symmetry) = tile_w(ws, b, scope);
+        // Each call re-factorizes A_vv — the superfluous work the method
+        // trades for memory (hence its name).
+        ws.tile_schur(&w, seq, symmetry, slot)
+    };
+    let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
+    Ok((schur, planned.map(|(d, _)| d)))
+}
+
+/// The tiles of an `n_b × n_b` grid over the surface unknowns — on a
+/// symmetric system the lower triangle's alone — each reserving at
+/// admission its stacked `W` (values + row indices + column pointers;
+/// square, padded when the edge blocks differ in size) and its dense Schur
+/// output `X_ij`. The pipeline runs these tiles and the planner prices them.
+fn multi_factorization_tiles<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Vec<Block> {
+    let (nv, ns) = (ws.nv(), ws.ns());
+    let elem = std::mem::size_of::<T>();
+    let idx = std::mem::size_of::<usize>();
     let blk = ns.div_ceil(n_b);
     let ranges: Vec<Range<usize>> = (0..n_b)
         .map(|b| (b * blk)..((b + 1) * blk).min(ns))
@@ -1239,72 +1259,58 @@ fn multi_factorization_schur<T: Scalar>(
         nnz_sv[i / blk] += 1;
     }
     let nnz_vs = |r: &Range<usize>| ws.a_vs.colptr[r.end] - ws.a_vs.colptr[r.start];
-    let plan = Blockwise {
-        blocks: (0..ranges.len().pow(2))
-            .map(|t| (t / ranges.len(), t % ranges.len()))
-            .filter(|&(i, j)| !ws.symmetric || i >= j)
-            .map(|(i, j)| {
-                let (rows, cols) = (ranges[i].clone(), ranges[j].clone());
-                // Reservation: the stacked W (values + row indices + column
-                // pointers; square, padded when the edge blocks differ in
-                // size) and the dense Schur output X_ij.
-                let m = rows.len().max(cols.len());
-                let nnz = ws.a_vv.nnz() + nnz_sv[i] + nnz_vs(&cols);
-                let reserve = nnz * (elem + idx) + (nv + m + 1) * idx + m * m * elem;
-                Block {
-                    rows,
-                    cols,
-                    reserve,
-                }
-            })
-            .collect(),
-        alpha: T::ONE,
-        what_reserved: "stacked W + Schur block X_ij",
-        what_parked: "dense Schur block X_ij",
-        autotune: planned,
-    };
-    let all_v: Vec<usize> = (0..nv).collect();
-    let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
-        let rows: Vec<usize> = b.rows.clone().collect();
-        let cols: Vec<usize> = b.cols.clone().collect();
-        let a_sv_i = ws.a_sv.submatrix(&rows, &all_v);
-        let a_vs_j = ws.a_vs.submatrix(&all_v, &cols);
-        // A diagonal tile has the coupled system's symmetry; an off-diagonal
-        // one is unsymmetric whatever the system is.
-        let symmetry = if b.rows == b.cols {
-            ws.symmetry()
-        } else {
-            Symmetry::UnsymmetricLu
-        };
-        let w = ws.assemble_w(&a_vs_j, &a_sv_i, TraceScope::Block(seq));
-        // Each call re-factorizes A_vv — the superfluous work the method
-        // trades for memory (hence its name).
-        ws.tile_schur(&w, seq, symmetry, slot)
-    };
-    let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
-    Ok((schur, planned.map(|(d, _)| d)))
+    (0..ranges.len().pow(2))
+        .map(|t| (t / ranges.len(), t % ranges.len()))
+        .filter(|&(i, j)| !ws.symmetric || i >= j)
+        .map(|(i, j)| {
+            let (rows, cols) = (ranges[i].clone(), ranges[j].clone());
+            let m = rows.len().max(cols.len());
+            let nnz = ws.a_vv.nnz() + nnz_sv[i] + nnz_vs(&cols);
+            let reserve = nnz * (elem + idx) + (nv + m + 1) * idx + m * m * elem;
+            Block {
+                rows,
+                cols,
+                reserve,
+            }
+        })
+        .collect()
 }
 
-/// Predicted solver-internal tracked bytes (fronts, contribution blocks,
-/// dense Schur output) of one multi-factorization tile at grid size `n_b`:
-/// a symbolic analysis of the representative corner tile's stacked `W`
-/// pattern, replayed with the Schur-only numeric phase's exact charge
-/// schedule — the same in LDLᵀ and LU mode, with and without BLR. Purely
-/// structural (no numeric work) and deterministic — safe to consult from
-/// the autotuner's selection point.
-fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, n_b: usize) -> Result<usize> {
-    let (nv, ns) = (ws.nv(), ws.ns());
-    let m = ns.div_ceil(n_b.max(1)).min(ns);
-    let rows: Vec<usize> = (0..m).collect();
-    let all_v: Vec<usize> = (0..nv).collect();
-    let w = stack_w(
-        ws.a_vv,
-        &ws.a_vs.submatrix(&all_v, &rows),
-        &ws.a_sv.submatrix(&rows, &all_v),
-    );
-    let schur_vars: Vec<usize> = (nv..nv + m).collect();
-    let sym = SymbolicFactorization::analyze(&w, &schur_vars, ws.cfg.ordering)?;
-    Ok(sym.predicted_schur_peak_bytes(std::mem::size_of::<T>()))
+/// The stacked `W = [A_vv A_vs|_j ; A_sv|_i 0]` of tile `b`, assembled in
+/// `scope`, and the mode it is factored in: a diagonal tile has the coupled
+/// system's symmetry; an off-diagonal one is unsymmetric whatever the
+/// system is.
+fn tile_w<T: Scalar>(ws: &Ws<'_, T>, b: &Block, scope: TraceScope) -> (Csc<T>, Symmetry) {
+    let all_v: Vec<usize> = (0..ws.nv()).collect();
+    let rows: Vec<usize> = b.rows.clone().collect();
+    let cols: Vec<usize> = b.cols.clone().collect();
+    let a_sv_i = ws.a_sv.submatrix(&rows, &all_v);
+    let a_vs_j = ws.a_vs.submatrix(&all_v, &cols);
+    let symmetry = if b.rows == b.cols {
+        ws.symmetry()
+    } else {
+        Symmetry::UnsymmetricLu
+    };
+    (ws.assemble_w(&a_vs_j, &a_sv_i, scope), symmetry)
+}
+
+/// The planner's price of an `n_b` grid: the largest whole-tile bytes —
+/// admission reserve plus the finalize bound of the tile's own symbolic
+/// analysis, what `Ws::tile_schur` sets aside — over the tiles the pipeline
+/// would run, or those of the first tile found over `room`. Structural and
+/// deterministic; the analyses are recorded in the run scope.
+fn tile_grid_price<T: Scalar>(ws: &Ws<'_, T>, n_b: usize, room: usize) -> Result<usize> {
+    let mut price = 0;
+    for b in multi_factorization_tiles(ws, n_b) {
+        let (w, _) = tile_w(ws, &b, TraceScope::Run);
+        let sym = ws.analyze_w(&w, TraceScope::Run)?;
+        let need = b.reserve + sym.predicted_schur_peak_bytes(std::mem::size_of::<T>());
+        if need > room {
+            return Ok(need);
+        }
+        price = price.max(need);
+    }
+    Ok(price)
 }
 
 /// The stacked square `W = [A_vv A_vs|_j ; A_sv|_i 0]` (zero-padded when the
@@ -1466,6 +1472,54 @@ mod tests {
                     backend.name(),
                     d.norm_max()
                 );
+            }
+        }
+    }
+
+    /// The planner prices a grid at exactly what the pipeline sets aside
+    /// for its costliest tile — admission reserve plus finalize bound: at
+    /// one thread on SPIDO (no accumulator growth) the fixed-blocking
+    /// pipeline completes on the `S` it holds plus that price, peaking at
+    /// exactly the budget, and fails a byte below it. That tile is not the
+    /// corner one: on the symmetric pipe the off-diagonal tiles couple two
+    /// surface ranges.
+    #[test]
+    fn a_grid_is_priced_at_its_costliest_tile() {
+        let p = csolve_fembem::pipe_problem::<f64>(1_500);
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for n_b in [2, 3, 4, 8] {
+            let cfg = SolverConfig {
+                eps: 1e-10,
+                dense_backend: DenseBackend::Spido,
+                n_b,
+                ..Default::default()
+            };
+            let run = Run::start(&cfg);
+            let unbounded = MemTracker::unbounded();
+            let ws = Ws::new(&p, &cfg, &unbounded, &run.rec);
+            let price = tile_grid_price(&ws, n_b, usize::MAX).unwrap();
+            // With no room the price stops at the first tile, the corner.
+            let corner = tile_grid_price(&ws, n_b, 0).unwrap();
+            assert!(
+                corner < price,
+                "n_b = {n_b}: the corner tile is the costliest"
+            );
+            let schur = ws.init_schur().unwrap();
+            let s_bytes = unbounded.live();
+            drop(schur);
+            for (budget, fits) in [(s_bytes + price, true), (s_bytes + price - 1, false)] {
+                let tracker = MemTracker::with_budget(budget);
+                let ws = Ws::new(&p, &cfg, &tracker, &run.rec);
+                match one.install(|| multi_factorization_schur(&ws)) {
+                    Ok(_) => {
+                        assert!(fits, "n_b = {n_b}: ran a byte under its price");
+                        assert_eq!(tracker.peak(), budget, "n_b = {n_b}");
+                    }
+                    Err(e) => assert!(!fits && e.is_oom(), "n_b = {n_b}: {e}"),
+                }
             }
         }
     }

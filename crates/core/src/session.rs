@@ -18,7 +18,7 @@
 //!   for their whole cached lifetime (the factors hold their `MemCharge`s;
 //!   the side structures are charged at insert) and are evicted
 //!   least-recently-used when a factorization or admission cannot fit the
-//!   [`SessionBuilder::memory_budget`].
+//!   budget, [`SolverConfig::mem_budget`].
 //! * **Batching** — individually [`SolverSession::submit`]ted right-hand
 //!   sides are coalesced into multi-column panels and pushed through the
 //!   BLAS-3 multi-RHS solve path, then demuxed per request. Panels flush
@@ -288,13 +288,13 @@ struct Pending<T: Scalar> {
 }
 
 /// Builder for [`SolverSession`]. The algorithm and configuration are
-/// fixed per session (they are part of the cache key); budget, tracker
-/// sharing, and batching knobs are optional.
+/// fixed per session (they are part of the cache key; the configuration's
+/// `mem_budget` is the session's budget); tracker sharing and batching
+/// knobs are optional.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     config: SolverConfig,
     algorithm: Algorithm,
-    memory_budget: Option<usize>,
     shared_tracker: Option<Arc<MemTracker>>,
     max_batch: usize,
 }
@@ -305,23 +305,14 @@ impl SessionBuilder {
         SessionBuilder {
             config,
             algorithm,
-            memory_budget: None,
             shared_tracker: None,
             max_batch: 0,
         }
     }
 
-    /// Hard byte budget for the session: cached factors, factorization
-    /// working sets, and admitted solve panels all share it. Defaults to
-    /// the configuration's `mem_budget`, or unlimited.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Share an existing tracker (e.g. between several sessions splitting
-    /// one machine budget). Takes precedence over
-    /// [`SessionBuilder::memory_budget`].
+    /// one machine budget). Takes precedence over the configuration's
+    /// `mem_budget`.
     pub fn shared_tracker(mut self, tracker: Arc<MemTracker>) -> Self {
         self.shared_tracker = Some(tracker);
         self
@@ -340,10 +331,7 @@ impl SessionBuilder {
     pub fn build<T: Scalar>(self) -> Result<SolverSession<T>> {
         self.config.validate()?;
         let pool = worker_pool(&self.config)?;
-        let tracker = match (
-            &self.shared_tracker,
-            self.memory_budget.or(self.config.mem_budget),
-        ) {
+        let tracker = match (&self.shared_tracker, self.config.mem_budget) {
             (Some(t), _) => Arc::clone(t),
             (None, Some(b)) => MemTracker::with_budget(b),
             (None, None) => MemTracker::unbounded(),

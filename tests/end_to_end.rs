@@ -4,7 +4,7 @@
 //! other.
 
 use csolve_common::C64;
-use csolve_coupled::{solve, Algorithm, DenseBackend, SolverConfig};
+use csolve_coupled::{solve, Algorithm, BlockSizes, DenseBackend, SolverConfig};
 use csolve_fembem::{industrial_problem, pipe_problem};
 
 fn tight(backend: DenseBackend) -> SolverConfig {
@@ -84,6 +84,33 @@ fn budget_feasibility_is_monotone() {
         }
     }
     assert!(last_ok, "never fit in up to 512 MiB");
+
+    // Autotuned multi-factorization meets every budget from 0.40 to 1.30
+    // of the fixed SPIDO run's 4 468 144 B peak on pipe-1500 (the reference
+    // `autotune_report --smoke` scales its budgets from), inside it, on a
+    // grid that never gets finer as the budget grows.
+    let p = pipe_problem::<f64>(1_500);
+    for backend in [DenseBackend::Spido, DenseBackend::Hmat] {
+        let mut last_nb = usize::MAX;
+        for percent in (40..=130).step_by(5) {
+            let budget = (4_468_144.0 * (percent as f64 / 100.0)) as usize;
+            let cfg = SolverConfig {
+                eps: 1e-10,
+                dense_backend: backend,
+                num_threads: 1,
+                block_sizes: BlockSizes::Auto,
+                mem_budget: Some(budget),
+                ..Default::default()
+            };
+            let cell = format!("{} at {percent} %", backend.name());
+            let out = solve(&p, Algorithm::MultiFactorization, &cfg)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(out.metrics.peak_bytes <= budget, "{cell}: over budget");
+            let n_b = out.metrics.autotune.expect("Auto records its decision").n_b;
+            assert!(n_b <= last_nb, "{cell}: n_b {n_b} after {last_nb}");
+            last_nb = n_b;
+        }
+    }
 }
 
 #[test]

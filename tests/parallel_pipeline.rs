@@ -272,7 +272,8 @@ fn scheduler_respects_budget_with_concurrency() {
 /// Same property for multi-factorization, whose sparse solver charges
 /// memory mid-compute: each tile reserves the bound its symbolic analysis
 /// puts on those charges before its numeric phase starts, and waits for
-/// earlier tiles when the bound does not fit beside them.
+/// earlier tiles when the bound does not fit beside them. Under
+/// `BlockSizes::Auto` the planner prices every tile the same way.
 #[test]
 fn multi_factorization_respects_budget_with_concurrency() {
     let p = pipe_problem::<f64>(1_500);
@@ -298,6 +299,37 @@ fn multi_factorization_respects_budget_with_concurrency() {
             out.metrics.peak_bytes
         ),
         Err(e) => panic!("4 threads must degrade to fit the sequential budget, got: {e}"),
+    }
+
+    // Autotuned cells whose tiles the planner once underpriced: SPIDO at
+    // 0.90 and HMAT at 1.10 of the fixed SPIDO run's 4 468 144 B peak.
+    // Each completes inside its budget at 2 and 4 threads with the bits of
+    // its 1-thread run.
+    for (backend, frac) in [(DenseBackend::Spido, 0.90), (DenseBackend::Hmat, 1.10)] {
+        let budget = (4_468_144.0 * frac) as usize;
+        let auto = |threads: usize| SolverConfig {
+            eps: 1e-10,
+            dense_backend: backend,
+            num_threads: threads,
+            block_sizes: BlockSizes::Auto,
+            mem_budget: Some(budget),
+            ..Default::default()
+        };
+        let reference = solve(&p, Algorithm::MultiFactorization, &auto(1)).unwrap();
+        for threads in [2usize, 4] {
+            let cell = format!("{} at {frac:.2}, {threads} threads", backend.name());
+            let out = solve(&p, Algorithm::MultiFactorization, &auto(threads))
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(
+                out.metrics.peak_bytes <= budget,
+                "{cell}: peak {} exceeds budget {budget}",
+                out.metrics.peak_bytes
+            );
+            assert!(
+                bits(&out.xv) == bits(&reference.xv) && bits(&out.xs) == bits(&reference.xs),
+                "{cell}: diverged from the 1-thread bits"
+            );
+        }
     }
 }
 

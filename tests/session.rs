@@ -506,8 +506,11 @@ fn admission_degrades_panel_width_without_changing_bits() {
     let (peak, _entry) = probe_footprint(&p);
     let per_col = 4 * p.n_total() * std::mem::size_of::<f64>();
     let budget = peak + 4 * per_col;
-    let mut s = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
-        .memory_budget(budget)
+    let config = SolverConfig {
+        mem_budget: Some(budget),
+        ..cfg(2)
+    };
+    let mut s = SessionBuilder::new(config, Algorithm::MultiSolve)
         .max_batch(4)
         .build::<f64>()
         .unwrap();
@@ -558,8 +561,11 @@ fn admission_degrades_panel_width_without_changing_bits() {
 fn infeasible_budget_is_a_structured_error() {
     let _g = lock();
     let p = pipe_problem::<f64>(400);
-    let mut s = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
-        .memory_budget(10_000)
+    let config = SolverConfig {
+        mem_budget: Some(10_000),
+        ..cfg(2)
+    };
+    let mut s = SessionBuilder::new(config, Algorithm::MultiSolve)
         .build::<f64>()
         .unwrap();
     let err = s.solve(&p, &p.b_v, &p.b_s).unwrap_err();
@@ -582,8 +588,11 @@ fn budgeted_hmat_session_holds_nothing_set_aside_once_factorized() {
     };
     let budget = 64 << 20;
     let one = solve(&p, Algorithm::MultiSolve, &config).unwrap();
-    let mut s = SessionBuilder::new(config, Algorithm::MultiSolve)
-        .memory_budget(budget)
+    let budgeted = SolverConfig {
+        mem_budget: Some(budget),
+        ..config
+    };
+    let mut s = SessionBuilder::new(budgeted, Algorithm::MultiSolve)
         .build::<f64>()
         .unwrap();
     let got = s.solve(&p, &p.b_v, &p.b_s).unwrap();
@@ -610,8 +619,11 @@ fn eviction_under_budget_refactorizes_to_identical_bits() {
         .collect();
     let (peak, entry) = probe_footprint(&variants[0]);
     let budget = peak + entry / 8;
-    let mut s = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
-        .memory_budget(budget)
+    let config = SolverConfig {
+        mem_budget: Some(budget),
+        ..cfg(2)
+    };
+    let mut s = SessionBuilder::new(config, Algorithm::MultiSolve)
         .build::<f64>()
         .unwrap();
     for round in 0..2 {
