@@ -4,11 +4,11 @@
 //! This crate provides the pieces every other crate in the workspace builds
 //! on:
 //!
-//! * [`Scalar`] — a numeric abstraction covering `f32`, `f64` and the complex
-//!   types [`C32`]/[`C64`], so the dense, sparse and hierarchical solvers can
-//!   be written once and instantiated for the real symmetric academic *pipe*
-//!   test case as well as the complex non-symmetric industrial test case of
-//!   the reproduced paper.
+//! * [`Scalar`] — a numeric abstraction covering `f64` and the complex type
+//!   [`C64`], so the dense, sparse and hierarchical solvers can be written
+//!   once and instantiated for the real symmetric academic *pipe* test case
+//!   as well as the complex non-symmetric industrial test case of the
+//!   reproduced paper.
 //! * [`Error`] — the common error type. Memory-budget exhaustion is a first
 //!   class citizen ([`Error::OutOfMemory`]) because the paper's central
 //!   experiment is "what is the largest coupled system that fits in a given
@@ -31,8 +31,8 @@ pub mod scalar;
 pub mod trace;
 
 pub use error::{Error, Result};
-pub use mem::{ByteSized, MemCharge, MemTracker, Tracked};
-pub use scalar::{Complex, RealScalar, Scalar, C32, C64};
+pub use mem::{ByteSized, MemCharge, MemTracker};
+pub use scalar::{Complex, RealScalar, Scalar, C64};
 pub use trace::{
     ScopeTracer, Span, SpanKind, TraceEventKind, TracePayload, TraceRecord, TraceScope, Tracer,
 };

@@ -11,8 +11,7 @@
 //! surface exactly where the real solvers would die.
 //!
 //! Charging is explicit and RAII-scoped: [`MemTracker::charge`] returns a
-//! [`MemCharge`] guard that releases the bytes when dropped. [`Tracked`]
-//! bundles a value with its charge so the two cannot go out of sync.
+//! [`MemCharge`] guard that releases the bytes when dropped.
 //!
 //! # Set aside vs live
 //!
@@ -243,16 +242,6 @@ impl MemTracker {
             bytes,
         })
     }
-
-    /// Charge for a [`ByteSized`] value and bundle them.
-    pub fn track<M: ByteSized>(
-        self: &Arc<Self>,
-        value: M,
-        what: &'static str,
-    ) -> Result<Tracked<M>> {
-        let charge = self.charge(value.byte_size(), what)?;
-        Ok(Tracked { value, charge })
-    }
 }
 
 impl Drop for MemTracker {
@@ -343,54 +332,6 @@ impl<T> ByteSized for Vec<T> {
     }
 }
 
-/// A value bundled with the memory charge that accounts for it.
-#[derive(Debug)]
-pub struct Tracked<M> {
-    value: M,
-    charge: MemCharge,
-}
-
-impl<M> Tracked<M> {
-    pub fn get(&self) -> &M {
-        &self.value
-    }
-
-    pub fn get_mut(&mut self) -> &mut M {
-        &mut self.value
-    }
-
-    pub fn charge(&self) -> &MemCharge {
-        &self.charge
-    }
-
-    /// Re-synchronize the charge with the value's current size (after an
-    /// in-place mutation such as a recompression).
-    pub fn resync(&mut self, what: &'static str) -> Result<()>
-    where
-        M: ByteSized,
-    {
-        let bytes = self.value.byte_size();
-        self.charge.resize(bytes, what)
-    }
-
-    pub fn into_inner(self) -> M {
-        self.value
-    }
-}
-
-impl<M> std::ops::Deref for Tracked<M> {
-    type Target = M;
-    fn deref(&self) -> &M {
-        &self.value
-    }
-}
-
-impl<M> std::ops::DerefMut for Tracked<M> {
-    fn deref_mut(&mut self) -> &mut M {
-        &mut self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,17 +372,6 @@ mod tests {
         assert!(c.resize(200, "a").is_err());
         assert_eq!(t.live(), 90);
         drop(c);
-        assert_eq!(t.live(), 0);
-    }
-
-    #[test]
-    fn tracked_resync() {
-        let t = MemTracker::with_budget(10_000);
-        let v: Vec<u64> = Vec::with_capacity(100);
-        let mut tracked = t.track(v, "vec").unwrap();
-        assert_eq!(t.live(), 800);
-        tracked.get_mut().shrink_to_fit();
-        tracked.resync("vec").unwrap();
         assert_eq!(t.live(), 0);
     }
 

@@ -91,15 +91,14 @@ macro_rules! impl_real {
     };
 }
 
-impl_real!(f32);
 impl_real!(f64);
 
 /// Field scalar used throughout the solver stack.
 ///
-/// Implemented for `f32`, `f64`, [`C32`] and [`C64`]. The `conj`/`herm`
-/// distinction matters: the paper's LDLᵀ factorizations of *complex
-/// symmetric* matrices use the plain (non-conjugated) transpose, whereas
-/// norms and stability checks use moduli.
+/// Implemented for `f64` and [`C64`]. The `conj`/`herm` distinction
+/// matters: the paper's LDLᵀ factorizations of *complex symmetric* matrices
+/// use the plain (non-conjugated) transpose, whereas norms and stability
+/// checks use moduli.
 pub trait Scalar:
     Copy
     + Send
@@ -207,7 +206,6 @@ macro_rules! impl_scalar_real {
     };
 }
 
-impl_scalar_real!(f32);
 impl_scalar_real!(f64);
 
 /// Minimal complex number type (we implement it ourselves rather than pull in
@@ -218,7 +216,6 @@ pub struct Complex<T> {
     pub im: T,
 }
 
-pub type C32 = Complex<f32>;
 pub type C64 = Complex<f64>;
 
 impl<T: RealScalar> Complex<T> {
@@ -392,7 +389,6 @@ macro_rules! impl_scalar_complex {
     };
 }
 
-impl_scalar_complex!(f32);
 impl_scalar_complex!(f64);
 
 #[cfg(test)]

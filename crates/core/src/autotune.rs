@@ -25,15 +25,17 @@
 //!
 //! * **multi-solve** panel of width `w = n_S`
 //!   (see [`multi_solve_panel_bytes`]):
-//!   `(n_s·w + n_v·lanes(min(n_c, w))) · sizeof(T)` — the `Z` panel plus
-//!   every lane workspace of one inner `n_c`-column sparse solve, each
+//!   `(n_s·w + n_v·lanes(min(w, 32·⌈min(n_c, w)/32⌉))) · sizeof(T)` — the
+//!   `Z` panel plus the lane workspaces of the panel's one sparse solve, each
 //!   32-column chunk solved and multiplied by `A_sv` inside its own `n_v`-row
 //!   workspace (`lanes` pads a chunk as [`LaneShape`] does). No `n_v`-row
-//!   `Y` exists. The panel's admission reserve is `Z` plus *one* workspace,
-//!   thread-invariant; each further concurrent workspace is charged by the
-//!   panel before it runs and, when refused, narrows it to the workspaces it
-//!   holds. The price is the full-concurrency working set, so the choice
-//!   does not depend on the thread count either;
+//!   `Y` exists. `n_c` caps the workspaces that run at once at
+//!   `⌈min(n_c, w)/32⌉`, each holding one chunk of the panel. The panel's
+//!   admission reserve is `Z` plus *one* workspace, thread-invariant; each
+//!   further concurrent workspace is charged by the panel before it runs
+//!   and, when refused, narrows it to the workspaces it holds. The price is
+//!   the full-concurrency working set, so the choice does not depend on the
+//!   thread count either;
 //! * **multi-factorization** grid `n_b` (see [`plan_multi_factorization`]):
 //!   the costliest of the tiles the pipeline would run at `n_b`, each priced
 //!   as the pipeline reserves it — the stacked `W` and the dense Schur
@@ -46,13 +48,6 @@
 //!   candidate grid, so price and reservation are one number, with
 //!   sparse-front BLR compression on or off (nothing a tile charges is
 //!   compressed, and LDLᵀ and LU charge the same).
-//!
-//! Candidate multi-solve panel widths are additionally quantized down to a
-//! multiple of the calibrated register-tile width of the packed GEMM
-//! ([`csolve_dense::cache::kernel_blocking`] for the problem's scalar
-//! width), so the panels the autotuner picks run the dense kernels without
-//! remainder column strips. The byte model itself is untouched by the
-//! quantization — it stays byte-for-byte the scheduler's admission reserve.
 //!
 //! The predicted run peak is `max(peak so far, live + working set)`: by the
 //! time the autotuner runs (right after the Schur accumulator is
@@ -73,7 +68,6 @@
 //! bitwise determinism contract of the pipelines.
 
 use csolve_common::{Error, MemTracker, Result};
-use csolve_dense::cache::kernel_blocking;
 use csolve_dense::lane::{LaneShape, MAX_LANES};
 
 use crate::config::{DenseBackend, SolverConfig};
@@ -110,7 +104,8 @@ pub struct MatrixStats {
 /// an `autotune_select` trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutotuneDecision {
-    /// Selected sparse-solve panel width (multi-solve; 0 when unused).
+    /// Selected cap on the columns a panel's sparse solve runs at once, in
+    /// 32-column lane workspaces (multi-solve; 0 when unused).
     pub n_c: usize,
     /// Selected Schur panel width (multi-solve; 0 when unused).
     pub n_s: usize,
@@ -145,26 +140,34 @@ pub(crate) fn lane_workspace_bytes(stats: &MatrixStats, k: usize) -> usize {
     stats.nv * lanes(k) * stats.elem
 }
 
+/// Columns whose lane workspaces a `w`-wide multi-solve panel holds when
+/// all its chunks that may run at once do: its first `⌈min(n_c, w)/32⌉`
+/// 32-column chunks. `n_c` caps the panel's concurrent workspaces and
+/// nothing else; it cuts no column range, so it moves no bit.
+pub(crate) fn multi_solve_workspace_cols(n_c: usize, w: usize) -> usize {
+    w.min(n_c.min(w).next_multiple_of(MAX_LANES))
+}
+
 /// Working-set bytes of one multi-solve Schur panel at blocking
-/// `(n_c, n_s)` with every inner chunk running at once: the `ns × n_s` panel
-/// of `Z` plus the lane workspaces of one inner `n_c`-column sparse solve,
-/// `(n_s·w + n_v·lanes(min(n_c, w)))·sizeof(T)`. Each 32-column chunk is
-/// solved and multiplied by `A_sv` inside its own workspace, so no `n_v`-row
-/// `Y` is ever held. The planner and the pipeline's in-flight cap price a
-/// panel with this; its admission reserve
+/// `(n_c, n_s)` with every chunk that may run at once running: the
+/// `ns × n_s` panel of `Z` plus those chunks' lane workspaces,
+/// `(n_s·w + n_v·lanes(min(w, 32·⌈min(n_c, w)/32⌉)))·sizeof(T)`. Each
+/// 32-column chunk is solved and multiplied by `A_sv` inside its own
+/// workspace, so no `n_v`-row `Y` is ever held. The planner and the
+/// pipeline's in-flight cap price a panel with this; its admission reserve
 /// (`multi_solve_panel_reserve`) holds one workspace, and a panel charges
 /// the others only as it can use them. Neither depends on the thread count,
 /// so neither does `Auto`'s choice, nor the bits.
 pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
     let w = n_s.min(stats.ns.max(1));
-    stats.ns * w * stats.elem + lane_workspace_bytes(stats, n_c.min(w))
+    stats.ns * w * stats.elem + lane_workspace_bytes(stats, multi_solve_workspace_cols(n_c, w))
 }
 
-/// Admission reserve of a multi-solve Schur panel `w` columns wide at
-/// sparse-solve width `n_c`: its `Z` panel plus one lane workspace,
-/// `(n_s·w + n_v·lanes(min(n_c, w, 32)))·sizeof(T)`.
-pub(crate) fn multi_solve_panel_reserve(stats: &MatrixStats, n_c: usize, w: usize) -> usize {
-    stats.ns * w * stats.elem + lane_workspace_bytes(stats, n_c.min(w).min(MAX_LANES))
+/// Admission reserve of a multi-solve Schur panel `w` columns wide: its `Z`
+/// panel plus the lane workspace of its first chunk,
+/// `(n_s·w + n_v·lanes(min(w, 32)))·sizeof(T)`.
+pub(crate) fn multi_solve_panel_reserve(stats: &MatrixStats, w: usize) -> usize {
+    stats.ns * w * stats.elem + lane_workspace_bytes(stats, w.min(MAX_LANES))
 }
 
 /// The fixed (non-autotuned) multi-solve blocking for a configuration: the
@@ -175,16 +178,6 @@ pub fn fixed_multi_solve_blocking(cfg: &SolverConfig) -> (usize, usize) {
     match cfg.dense_backend {
         DenseBackend::Spido => (n_c, n_c),
         DenseBackend::Hmat => (n_c, cfg.n_s.max(n_c)),
-    }
-}
-
-/// Budget minus live bytes, or `usize::MAX` on an unbounded run.
-pub(crate) fn headroom(tracker: &MemTracker) -> usize {
-    let budget = tracker.budget();
-    if budget == usize::MAX {
-        usize::MAX
-    } else {
-        budget.saturating_sub(tracker.live())
     }
 }
 
@@ -210,25 +203,14 @@ pub fn plan_multi_solve(
     // A panel wider than the surface never materializes; clamping before
     // the ladder keeps that from counting as a budget degrade.
     let n_s0 = n_s0.min(stats.ns.max(1));
-    // Quantize panel widths down to the calibrated register-tile width of
-    // the packed GEMM (`csolve_dense::cache::kernel_blocking` for this
-    // scalar width): an aligned panel runs the dense AXPY/GEMM commits with
-    // no remainder column strip. Widths at or below one register tile pass
-    // through verbatim, and the quantized configured width is the degrade
-    // baseline — kernel alignment alone is not a budget degrade.
-    let nr = kernel_blocking(stats.elem).nr.max(1);
-    let quant = |w: usize| if w > nr { w / nr * nr } else { w };
-    let n_s0 = quant(n_s0);
-    let n_c0 = n_c0.min(n_s0);
     // What block working sets may claim: the budget minus live bytes and
     // the compressed accumulator's growth allowance, which it sets aside.
     let room = tracker.available();
     // Candidate ladder: configured blocking first, then repeated halving of
-    // the Schur panel (the sparse-solve panel follows once it is the wider
-    // of the two), each candidate re-quantized.
-    let mut raw = n_s0;
+    // the Schur panel (the workspace cap follows once it is the wider of
+    // the two).
+    let mut w = n_s0;
     loop {
-        let w = quant(raw);
         let n_c = n_c0.min(w);
         let need = multi_solve_panel_bytes(stats, n_c, w);
         if need <= room {
@@ -238,11 +220,11 @@ pub fn plan_multi_solve(
                 n_b: 0,
                 predicted_peak: predicted_peak(tracker, need),
                 budget: tracker.budget(),
-                degraded: w < n_s0 || n_c < n_c0,
+                degraded: w < n_s0,
             };
             return Ok((decision, need));
         }
-        if raw == 1 {
+        if w == 1 {
             return Err(Error::OutOfMemory {
                 requested: need,
                 live: tracker.live(),
@@ -250,7 +232,7 @@ pub fn plan_multi_solve(
                 what: "autotuned multi-solve panel (even a 1-column panel exceeds the budget)",
             });
         }
-        raw /= 2;
+        w /= 2;
     }
 }
 
@@ -338,35 +320,42 @@ mod tests {
 
     #[test]
     fn panel_model_matches_driver_reserve() {
-        // The price is Z plus every lane workspace of one inner solve,
-        // (ns*w + nv*lanes(min(n_c, w))) * elem; the admission reserve is Z
-        // plus one, (ns*w + nv*lanes(min(n_c, w, 32))) * elem.
+        // The price is Z plus the lane workspaces of the chunks that may run
+        // at once, (ns*w + nv*lanes(min(w, 32*ceil(min(n_c, w)/32)))) * elem;
+        // the admission reserve is Z plus one, (ns*w + nv*lanes(min(w, 32)))
+        // * elem.
         let s = stats();
         assert_eq!(
             multi_solve_panel_bytes(&s, 256, 1000),
             (1000 * 1000 + 4000 * 256) * 8
         );
         assert_eq!(
-            multi_solve_panel_reserve(&s, 256, 1000),
+            multi_solve_panel_reserve(&s, 1000),
             (1000 * 1000 + 4000 * 32) * 8
         );
-        // A chunk narrower than 32 is padded as its lane workspace is:
-        // 40 = 32 + 8 columns, 3 → 4, 17 → 24.
+        // A cap of 40 columns admits two workspaces, each holding a whole
+        // 32-column chunk of a wider panel.
         assert_eq!(
             multi_solve_panel_bytes(&s, 40, 1000),
-            (1000 * 1000 + 4000 * 40) * 8
+            (1000 * 1000 + 4000 * 64) * 8
+        );
+        // A panel's last chunk is padded as its lane workspace is:
+        // 40 = 32 + 8 columns, 35 = 32 + 3 → 32 + 4, 17 → 24.
+        assert_eq!(
+            multi_solve_panel_bytes(&s, 256, 40),
+            (1000 * 40 + 4000 * 40) * 8
         );
         assert_eq!(
-            multi_solve_panel_bytes(&s, 35, 1000),
-            (1000 * 1000 + 4000 * (32 + 4)) * 8
+            multi_solve_panel_bytes(&s, 256, 35),
+            (1000 * 35 + 4000 * (32 + 4)) * 8
         );
         assert_eq!(
-            multi_solve_panel_reserve(&s, 17, 1000),
-            (1000 * 1000 + 4000 * 24) * 8
+            multi_solve_panel_reserve(&s, 17),
+            (1000 * 17 + 4000 * 24) * 8
         );
-        // One chunk: the reserve is the whole working set.
+        // One workspace: the reserve is the whole working set.
         assert_eq!(
-            multi_solve_panel_reserve(&s, 24, 48),
+            multi_solve_panel_reserve(&s, 48),
             multi_solve_panel_bytes(&s, 24, 48)
         );
         // A panel wider than ns is clamped to ns.
@@ -441,41 +430,11 @@ mod tests {
         let (free, _) = plan_multi_factorization(1000, &cfg(), &t, price).unwrap();
         assert_eq!(free.n_b, 2);
         assert!(!free.degraded);
-        let allowance = crate::schur::hmat_growth_allowance(headroom(&t));
+        let allowance = crate::schur::hmat_growth_allowance(t.available());
         let _growth = MemTracker::scoped(&t, allowance, "accumulator growth").unwrap();
         let (compressed, _) = plan_multi_factorization(1000, &cfg(), &t, price).unwrap();
         assert!(compressed.degraded);
         assert!(tile(compressed.n_b) <= tile(2) - tile(2) / 4);
-    }
-
-    #[test]
-    fn panel_widths_align_to_the_calibrated_register_tile() {
-        // A configured width that is not a multiple of the calibrated NR is
-        // rounded down (kernel alignment), and that rounding alone does not
-        // count as a budget degrade.
-        let nr = kernel_blocking(8).nr;
-        assert!(nr > 1, "register tile must be wider than one column");
-        let s = MatrixStats {
-            ns: 1000 + nr - 1, // forces the clamp-then-quantize path
-            ..stats()
-        };
-        let c = SolverConfig {
-            n_s: s.ns, // deliberately misaligned configured width
-            ..cfg()
-        };
-        let t = MemTracker::unbounded();
-        let (d, _) = plan_multi_solve(&s, &c, &t).unwrap();
-        assert_eq!(d.n_s % nr, 0, "selected panel width must be NR-aligned");
-        assert_eq!(d.n_s, s.ns / nr * nr);
-        assert!(!d.degraded, "alignment is not a budget degrade");
-
-        // Under pressure every ladder candidate stays aligned too.
-        let full = multi_solve_panel_bytes(&s, 256, d.n_s);
-        let t = MemTracker::with_budget(full / 3);
-        let (d, _) = plan_multi_solve(&s, &c, &t).unwrap();
-        assert!(d.degraded);
-        assert!(d.n_s >= nr);
-        assert_eq!(d.n_s % nr, 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub enum Algorithm {
     BaselineCoupling,
     /// §II-F: single factorization+Schur call on the full coupled matrix.
     AdvancedCoupling,
-    /// §IV-A: blockwise sparse solves over `n_c`-column panels
-    /// (+ compressed Schur with the H-matrix backend, Algorithm 2).
+    /// §IV-A: one sparse solve per Schur panel, at most `n_c` columns at
+    /// once (+ compressed Schur with the H-matrix backend, Algorithm 2).
     MultiSolve,
     /// §IV-B: `n_b × n_b` factorization+Schur calls on stacked submatrices
     /// — the lower triangle of the grid on a symmetric system —
@@ -128,7 +128,10 @@ pub struct SolverConfig {
     /// the exact, uncompressed sparse path. See
     /// [`SolverConfig::effective_sparse_eps`].
     pub sparse_eps: Option<f64>,
-    /// Multi-solve: columns per sparse-solve panel (`n_c`, paper: 32–256).
+    /// Multi-solve: the most columns a Schur panel's sparse solve runs at
+    /// once, in 32-column lane workspaces (`n_c`, paper: 32–256, the width
+    /// of `Y`). It bounds memory, not arithmetic: the bits do not depend on
+    /// it. With SPIDO it is also the Schur panel width (`n_S = n_c`).
     pub n_c: usize,
     /// Compressed multi-solve: columns per Schur panel (`n_S ≥ n_c`,
     /// paper: 512–4096).
@@ -211,11 +214,11 @@ impl SolverConfig {
             ));
         }
         if self.n_c == 0 {
-            return bad("n_c (columns per sparse-solve panel) must be >= 1".into());
+            return bad("n_c (columns a panel's sparse solve runs at once) must be >= 1".into());
         }
         if self.n_s < self.n_c {
             return bad(format!(
-                "n_s ({}) must be >= n_c ({}): each Schur panel is solved in n_c-column chunks",
+                "n_s ({}) must be >= n_c ({}): n_c caps the columns of one Schur panel solved at once",
                 self.n_s, self.n_c
             ));
         }

@@ -223,11 +223,12 @@ impl<'a, T: Scalar> Ws<'a, T> {
         Ok(())
     }
 
-    /// Charges for the lane workspaces a chunked sparse solve of `cols`
-    /// columns may run beyond its first: one per further group, up to
-    /// `min(threads, ⌈cols/32⌉)` groups, each as wide as the chunk it is
-    /// counted for, through `tracker` — until the first the budget refuses.
-    /// The solve then runs `1 + len` groups: fewer groups, the same bits.
+    /// Charges for the lane workspaces a chunked sparse solve may run beyond
+    /// its first when its first `cols` columns are the most it holds at
+    /// once: one per further group, up to `min(threads, ⌈cols/32⌉)` groups,
+    /// each as wide as the chunk it is counted for, through `tracker` —
+    /// until the first the budget refuses. The solve then runs `1 + len`
+    /// groups: fewer groups, the same bits.
     fn extra_workspaces(&self, tracker: &Arc<MemTracker>, cols: usize) -> Vec<MemCharge> {
         let groups = rayon::current_num_threads().min(cols.div_ceil(MAX_LANES));
         let stats = self.stats();
@@ -1082,22 +1083,22 @@ fn assemble_blockwise<T: Scalar>(
     )
 }
 
-/// §IV-A — multi-solve: factor `A_vv` once, then assemble `S` by panels of
-/// `n_c` columns through repeated sparse solves (Algorithm 1; with the HMAT
-/// backend and `n_S`-wide Schur panels this is the compressed-Schur
-/// Algorithm 2).
+/// §IV-A — multi-solve: factor `A_vv` once, then assemble `S` by `n_S`-wide
+/// panels, one sparse solve each (Algorithm 1; with the HMAT backend this
+/// is the compressed-Schur Algorithm 2).
 ///
-/// SPIDO subtracts every `n_c` panel straight into dense `S`; HMAT buffers
-/// `n_S` columns per compressed AXPY (the separate `n_S ≥ n_c` parameter of
-/// Algorithm 2). Under `BlockSizes::Auto` the autotuner shrinks that
-/// blocking until one panel's working set fits the budget headroom.
+/// SPIDO subtracts every panel straight into dense `S` (`n_S = n_c`); HMAT
+/// folds `n_S ≥ n_c` columns per compressed AXPY. Under `BlockSizes::Auto`
+/// the autotuner halves `n_S` until one panel's working set fits the budget
+/// headroom.
 ///
-/// Unlike the paper's solver, whose API returns `Y = A_vv⁻¹·A_vs|_i` dense,
-/// no `n_v`-row `Y` is built: each 32-column chunk of an `n_c` sub-panel is
-/// solved in its own lane workspace and multiplied by `A_sv` from there
-/// (`Ws::solve_spmm`). A panel holds `Z` plus one workspace per concurrent
-/// chunk, so its peak is `O(n_s·n_S + n_v·32·min(P, n_c/32))`, not
-/// `O(n_v·n_c)`.
+/// Unlike the paper's solver, whose API returns `Y = A_vv⁻¹·A_vs|_i` dense
+/// `n_c` columns at a time, no `n_v`-row `Y` is built: each 32-column chunk
+/// of a panel is solved in its own lane workspace and multiplied by `A_sv`
+/// from there (`Ws::solve_spmm`). `n_c` caps the chunks that run at once at
+/// `⌈n_c/32⌉`, so a panel's peak is `O(n_s·n_S + n_v·32·min(P, ⌈n_c/32⌉))`,
+/// not `O(n_v·n_c)`, and every lane has the bits of its width-1 solve
+/// whatever `n_c` is.
 ///
 /// On a symmetric system `S` is half-stored, and a panel's `Z` is the lower
 /// trapezoid of its columns: the rows from the first one `S` stores in the
@@ -1125,7 +1126,7 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
                 let cols = i * n_s..((i + 1) * n_s).min(ns);
                 // Z and one lane workspace: the panel charges its further
                 // workspaces itself, as far as the budget lets it.
-                let reserve = autotune::multi_solve_panel_reserve(&stats, n_c, cols.len());
+                let reserve = autotune::multi_solve_panel_reserve(&stats, cols.len());
                 Block {
                     rows: schur.stored_row_floor(cols.start)..ns,
                     cols,
@@ -1142,25 +1143,18 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let fact_r = &fact;
     let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
         slot.finalize(0, plan.what_reserved)?;
-        let scope = TraceScope::Block(seq);
-        let (p0, p1) = (b.cols.start, b.cols.end);
-        // Held until every sub-panel has run; a refused charge leaves fewer
+        // Held until the solve has run; a refused charge leaves fewer
         // concurrent chunks, never other bits.
-        let extra = ws.extra_workspaces(slot.tracker(), n_c.min(p1 - p0));
-        let r0 = b.rows.start;
-        let mut zpanel = Mat::<T>::zeros(ns - r0, p1 - p0);
-        let mut c0 = p0;
-        while c0 < p1 {
-            let c1 = (c0 + n_c).min(p1);
-            // Columns c0..c1 of A_vs as a sparse RHS, solved and multiplied
-            // chunk by chunk into Z's columns.
-            let cols: Vec<usize> = (c0..c1).collect();
-            let rhs = ws.a_vs.submatrix(&all_v, &cols);
-            let z = zpanel.view_mut(0..ns - r0, (c0 - p0)..(c1 - p0));
-            ws.solve_spmm(fact_r, &rhs, (r0, z), 1 + extra.len(), scope)?;
-            c0 = c1;
-        }
-        Ok(zpanel)
+        let width = autotune::multi_solve_workspace_cols(n_c, b.cols.len());
+        let extra = ws.extra_workspaces(slot.tracker(), width);
+        // The panel's columns of A_vs as one sparse RHS, solved and
+        // multiplied chunk by chunk into Z's columns.
+        let cols: Vec<usize> = b.cols.clone().collect();
+        let rhs = ws.a_vs.submatrix(&all_v, &cols);
+        let (r0, scope) = (b.rows.start, TraceScope::Block(seq));
+        let mut z = Mat::<T>::zeros(ns - r0, cols.len());
+        ws.solve_spmm(fact_r, &rhs, (r0, z.as_mut()), 1 + extra.len(), scope)?;
+        Ok(z)
     };
     let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
     let (sf, schur_bytes) = ws.factor_schur(schur)?;

@@ -53,8 +53,7 @@ impl SpanAgg {
 pub struct KernelCalibration {
     /// Detected cache hierarchy and which tier produced it.
     pub cache: CacheInfo,
-    /// Blocking for 8-byte scalars (`f64` and the packed real planes of
-    /// split-complex `C32`).
+    /// Blocking for 8-byte scalars (`f64`).
     pub real: KernelBlocking,
     /// Blocking for 16-byte scalars (`C64`).
     pub complex: KernelBlocking,

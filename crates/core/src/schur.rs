@@ -44,7 +44,6 @@ use csolve_dense::{
 use csolve_fembem::BemOperator;
 use csolve_hmat::{ClusterTree, HLu, HMatrix, HOptions};
 
-use crate::autotune::headroom;
 use crate::config::{DenseBackend, SolverConfig};
 
 /// Accumulator for `S = A_ss − Σ (Schur contributions)`, initialized with
@@ -94,16 +93,12 @@ impl<T: Scalar> DenseS<T> {
 }
 
 /// How many bytes the HMAT accumulator may add to its footprint between
-/// recompression flushes, given the budget `headroom` left once it is
-/// charged: a quarter of it (unbounded stays unbounded). The accumulator
-/// sets them aside, so block working sets, priced against
+/// recompression flushes on a bounded budget, given the `room` the budget
+/// leaves once it is charged: a quarter of it. The accumulator sets them
+/// aside, so block working sets, priced against
 /// [`MemTracker::available`], cannot take them.
-pub(crate) fn hmat_growth_allowance(headroom: usize) -> usize {
-    if headroom == usize::MAX {
-        usize::MAX
-    } else {
-        headroom / 4
-    }
+pub(crate) fn hmat_growth_allowance(room: usize) -> usize {
+    room / 4
 }
 
 impl<T: Scalar> SchurAcc<T> {
@@ -188,13 +183,14 @@ impl<T: Scalar> SchurAcc<T> {
                 // scope capped at `byte_cap`, set aside now, so no block
                 // working set can take the bytes its next fold needs.
                 // `factor` ends the scope.
-                let (byte_cap, acc) = match headroom(tracker) {
-                    usize::MAX => (usize::MAX, Arc::clone(tracker)),
-                    room => {
-                        let left = room.saturating_sub(h.byte_size());
-                        let cap = h.byte_size() + hmat_growth_allowance(left);
-                        (cap, MemTracker::scoped(tracker, cap, what)?)
-                    }
+                // The room is what the tracker has not committed: bytes
+                // another scope holds set aside are not free.
+                let (byte_cap, acc) = if tracker.budget() == usize::MAX {
+                    (usize::MAX, Arc::clone(tracker))
+                } else {
+                    let left = tracker.available().saturating_sub(h.byte_size());
+                    let cap = h.byte_size() + hmat_growth_allowance(left);
+                    (cap, MemTracker::scoped(tracker, cap, what)?)
                 };
                 let charge = acc.charge(h.byte_size(), what)?;
                 Ok(Self::Hmat {

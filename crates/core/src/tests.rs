@@ -650,6 +650,30 @@ mod growth_allowance {
             assert_eq!(tracker.available(), tracker.budget() - tracker.live());
         }
     }
+
+    /// Bytes another scope holds set aside — a second session's accumulator
+    /// on a shared tracker, say — are not room: the HMAT cap is sized from
+    /// what the tracker has not committed, so it fits beside them.
+    #[test]
+    fn hmat_cap_fits_beside_a_scope_set_aside_on_the_tracker() {
+        let p = csolve_fembem::pipe_problem::<f64>(600);
+        let cfg = SolverConfig {
+            dense_backend: DenseBackend::Hmat,
+            ..Default::default()
+        };
+        let tree = ClusterTree::build(&p.bem.points, cfg.hmat_leaf);
+        let bem = p.bem.permuted(&tree.perm);
+        let tracker = MemTracker::with_budget(64 << 20);
+        // Set aside, not live: budget − live still reads 64 MiB, a quarter
+        // of which would not fit in the 4 MiB left.
+        let _other = MemTracker::scoped(&tracker, 60 << 20, "another accumulator").unwrap();
+        let room = tracker.available();
+        let acc = SchurAcc::init(&bem, &tree, &cfg, &tracker).unwrap();
+        match acc {
+            SchurAcc::Hmat { byte_cap, .. } => assert!(byte_cap <= room, "{byte_cap} > {room}"),
+            SchurAcc::Dense { .. } => unreachable!("HMAT backend"),
+        }
+    }
 }
 
 /// Column `j` of a width-`w` Schur solve has the bits of its width-1 solve,

@@ -98,8 +98,8 @@ pub fn cache_info() -> &'static CacheInfo {
     CACHE.get_or_init(detect)
 }
 
-/// The blocking used for scalars of `elem_bytes` (8 for `f32`/`f64`/`C32`
-/// packed real planes, 16 for `C64`). Derived once per width from
+/// The blocking used for scalars of `elem_bytes` (8 for `f64` and the
+/// packed real planes of split-complex `C64`, 16 for `C64`). Derived once per width from
 /// [`cache_info`].
 pub fn kernel_blocking(elem_bytes: usize) -> KernelBlocking {
     let (slot, elem) = if elem_bytes <= 8 {

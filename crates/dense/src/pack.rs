@@ -45,8 +45,7 @@ use crate::simd::{Avx2, Avx512};
 
 /// Register tile height: two 8-lane `f64` vectors.
 pub(crate) const MR: usize = 16;
-/// Register tile width. A power of two: the autotuner quantizes panel widths
-/// to multiples of it.
+/// Register tile width.
 pub(crate) const NR: usize = 8;
 
 /// Cache blocking of the MC/KC/NC loop nest for scalar type `T`, in

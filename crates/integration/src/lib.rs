@@ -55,7 +55,7 @@
 pub use csolve_common::trace::{to_jsonl, TRACE_FORMAT_VERSION};
 pub use csolve_common::{
     Error, Result, Scalar, ScopeTracer, Span, SpanKind, TraceEventKind, TracePayload, TraceRecord,
-    TraceScope, Tracer, C32, C64,
+    TraceScope, Tracer, C64,
 };
 pub use csolve_coupled::{
     solve, Algorithm, AutotuneDecision, BlockSizes, DenseBackend, KernelCalibration, MatrixStats,

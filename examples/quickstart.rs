@@ -48,7 +48,7 @@ fn main() {
     let cfg = SolverConfig {
         eps: 1e-4,                         // the paper's precision parameter
         dense_backend: DenseBackend::Hmat, // compressed dense solver
-        n_c: 256,                          // sparse-solve panel width
+        n_c: 256,                          // columns solved at once per panel
         n_s: 1024,                         // Schur panel width
         tracer: tracer.clone(),
         ..Default::default()

@@ -1,5 +1,6 @@
-//! Tuning the paper's blocking parameters: `n_c` (sparse-solve panel
-//! width), `n_S` (Schur panel width) and `n_b` (factorization block count),
+//! Tuning the paper's blocking parameters: `n_c` (columns a Schur panel's
+//! sparse solve runs at once), `n_S` (Schur panel width) and `n_b`
+//! (factorization block count),
 //! showing the performance/memory trade-offs of §V-C.
 //!
 //! Run with: `cargo run --release --example tuning_blocks`
@@ -14,7 +15,7 @@ fn main() {
         problem.n_bem()
     );
 
-    println!("multi-solve: the n_c knob (wider panels = fewer sparse solves, more memory)");
+    println!("multi-solve: the n_c knob (more columns solved at once = more lane workspaces, more memory)");
     println!("{:>8} {:>10} {:>12}", "n_c", "time (s)", "peak (MiB)");
     for n_c in [32, 128, 512] {
         let cfg = SolverConfig {

@@ -2,8 +2,9 @@
 //! reproducibility across thread counts, and budget-respecting admission
 //! when blocks run concurrently.
 
+use csolve_common::{RealScalar, Scalar, C64};
 use csolve_coupled::{solve, Algorithm, BlockSizes, DenseBackend, SolverConfig};
-use csolve_fembem::pipe_problem;
+use csolve_fembem::{industrial_problem, pipe_problem, CoupledProblem};
 
 fn cfg(threads: usize) -> SolverConfig {
     SolverConfig {
@@ -23,25 +24,47 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 /// The pipeline commits block contributions in a fixed order, so the
 /// (non-associative) compressed AXPYs fold identically for every thread
-/// count: the solutions must match bit for bit, not just to tolerance.
+/// count: the solutions must match bit for bit, not just to tolerance. And
+/// `n_c` caps the columns a panel's sparse solve runs at once and nothing
+/// else: at a fixed Schur panel width every `n_c` gives the same bits. On
+/// HMAT for a symmetric and an unsymmetric system (`n_S` = 128), and on
+/// SPIDO, whose panels are `n_c` wide and fold each column of `S` once.
 #[test]
 fn multi_solve_is_bitwise_identical_for_1_2_4_threads() {
-    let p = pipe_problem::<f64>(2_000);
-    let reference = solve(&p, Algorithm::MultiSolve, &cfg(1)).unwrap();
-    for threads in [2usize, 4] {
-        let out = solve(&p, Algorithm::MultiSolve, &cfg(threads)).unwrap();
-        assert_eq!(out.metrics.threads, threads);
-        assert_eq!(
-            bits(&out.xv),
-            bits(&reference.xv),
-            "x_v diverged with {threads} threads"
-        );
-        assert_eq!(
-            bits(&out.xs),
-            bits(&reference.xs),
-            "x_s diverged with {threads} threads"
-        );
+    fn check<T: Scalar>(p: &CoupledProblem<T>, backend: DenseBackend) {
+        let lanes = |v: &[T]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|x| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits()))
+                .collect()
+        };
+        let run = |n_c: usize, threads: usize| {
+            let cfg = SolverConfig {
+                dense_backend: backend,
+                n_c,
+                ..cfg(threads)
+            };
+            let out = solve(p, Algorithm::MultiSolve, &cfg).unwrap();
+            assert_eq!(out.metrics.threads, threads);
+            (lanes(&out.xv), lanes(&out.xs))
+        };
+        let n_s = cfg(1).n_s;
+        assert!(p.n_bem() > n_s, "several Schur panels");
+        let reference = run(n_s, 1);
+        for threads in [1usize, 2, 4] {
+            for n_c in [24, 32, 96, n_s] {
+                assert!(
+                    run(n_c, threads) == reference,
+                    "{} / symmetric {}: n_c = {n_c}, {threads} threads diverged from n_c = {n_s}, 1 thread",
+                    backend.name(),
+                    p.symmetric
+                );
+            }
+        }
     }
+    let pipe = pipe_problem::<f64>(2_000);
+    check(&pipe, DenseBackend::Hmat);
+    check(&pipe, DenseBackend::Spido);
+    check(&industrial_problem::<C64>(800), DenseBackend::Hmat);
 }
 
 #[test]
