@@ -33,6 +33,16 @@ for m in $(sed -n '/^pub struct SolverConfig {/,/^}/p' crates/core/src/config.rs
 done
 test "$missing" -eq 0
 
+echo "==> the library crates read no environment variable"
+# A run is configured by its SolverConfig alone: an environment override
+# would let two runs of one binary differ with nothing in either's config or
+# trace to say why. Tests and examples keep theirs (CSOLVE_CONFORMANCE,
+# CSOLVE_QUICKSTART_N, CSOLVE_TRACE_OUT).
+if grep -rn 'env::var' crates/; then
+  echo "   crates/ must not read environment variables"
+  exit 1
+fi
+
 echo "==> public API surface matches the committed snapshot"
 # API-drift check: the names re-exported at the root of the csolve façade
 # (plus its module aliases) must match api_surface.txt exactly. A diff means

@@ -52,7 +52,7 @@ use parking_lot::Mutex;
 use crate::json::{json_fields, JsonWriter};
 
 /// Version stamp of the JSONL trace format (the `"v"` field of the header).
-pub const TRACE_FORMAT_VERSION: u32 = 3;
+pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// What a span measures. The names returned by [`SpanKind::name`] are a
 /// stable, machine-readable contract (reports and the CI trace smoke check
@@ -178,19 +178,6 @@ pub enum TraceEventKind {
         /// Largest numerical rank over the front's compressed panels.
         max_rank: usize,
     },
-    /// Snapshot delta of the dense layer's global kernel counters over the
-    /// traced region (see `csolve_dense::stats`).
-    KernelCounters {
-        /// GEMM calls routed to the packed cache-blocked engine.
-        packed_calls: u64,
-        /// GEMM calls routed through the matvec path (single column).
-        matvec_calls: u64,
-        /// Total GEMM flops (2·m·n·k summed over calls).
-        flops: u64,
-        /// Total wall nanoseconds inside instrumented kernel calls (summed
-        /// over threads).
-        ns: u64,
-    },
     /// A session cache lookup found a resident factorization for the
     /// request's fingerprint. Emitted from the session's submitting thread,
     /// so for a fixed request sequence the event stream is identical at any
@@ -235,7 +222,6 @@ impl TraceEventKind {
             TraceEventKind::MemHighWater { .. } => "mem_high_water",
             TraceEventKind::AutotuneSelect { .. } => "autotune_select",
             TraceEventKind::FrontCompress { .. } => "front_compress",
-            TraceEventKind::KernelCounters { .. } => "kernel_counters",
             TraceEventKind::SessionCacheHit { .. } => "session_cache_hit",
             TraceEventKind::SessionCacheMiss { .. } => "session_cache_miss",
             TraceEventKind::SessionEvict { .. } => "session_evict",
@@ -570,12 +556,6 @@ impl TraceRecord {
                         stored_bytes,
                         max_rank,
                     } => json_fields!(w, front, dense_bytes, stored_bytes, max_rank),
-                    TraceEventKind::KernelCounters {
-                        packed_calls,
-                        matvec_calls,
-                        flops,
-                        ns,
-                    } => json_fields!(w, packed_calls, matvec_calls, flops, ns),
                     TraceEventKind::SessionCacheHit { fingerprint }
                     | TraceEventKind::SessionCacheMiss { fingerprint } => {
                         json_fields!(w, fingerprint)

@@ -6,7 +6,7 @@
 //! pick `n_c`/`n_S` (multi-solve) or `n_b` (multi-factorization) small enough
 //! that the blockwise working set fits next to the sparse factors and the
 //! (compressed) Schur complement. This module automates that choice. Given
-//! the matrix statistics ([`MatrixStats`]) and the byte budget enforced by
+//! the matrix statistics (`MatrixStats`) and the byte budget enforced by
 //! [`csolve_common::MemTracker`], it predicts the peak working set of every
 //! candidate blocking and selects the **largest blocking that fits**
 //! (largest panels / fewest tiles: less superfluous refactorization work,
@@ -24,7 +24,7 @@
 //! decision:
 //!
 //! * **multi-solve** panel of width `w = n_S`
-//!   (see [`multi_solve_panel_bytes`]):
+//!   (see `multi_solve_panel_bytes`):
 //!   `(n_s·w + n_v·lanes(min(w, 32·⌈min(n_c, w)/32⌉))) · sizeof(T)` — the
 //!   `Z` panel plus the lane workspaces of the panel's one sparse solve, each
 //!   32-column chunk solved and multiplied by `A_sv` inside its own `n_v`-row
@@ -36,7 +36,7 @@
 //!   and, when refused, narrows it to the workspaces it holds. The price is
 //!   the full-concurrency working set, so the choice does not depend on the
 //!   thread count either;
-//! * **multi-factorization** grid `n_b` (see [`plan_multi_factorization`]):
+//! * **multi-factorization** grid `n_b` (see `plan_multi_factorization`):
 //!   the costliest of the tiles the pipeline would run at `n_b`, each priced
 //!   as the pipeline reserves it — the stacked `W` and the dense Schur
 //!   output `X_ij` at admission, then the exact peak of the tile's
@@ -90,7 +90,7 @@ pub enum BlockSizes {
 /// Shape and sparsity statistics of one coupled problem — everything the
 /// cost model needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatrixStats {
+pub(crate) struct MatrixStats {
     /// Volume (FEM) unknowns `n_v`.
     pub nv: usize,
     /// Surface (BEM) unknowns `n_s`.
@@ -158,7 +158,7 @@ pub(crate) fn multi_solve_workspace_cols(n_c: usize, w: usize) -> usize {
 /// (`multi_solve_panel_reserve`) holds one workspace, and a panel charges
 /// the others only as it can use them. Neither depends on the thread count,
 /// so neither does `Auto`'s choice, nor the bits.
-pub fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
+pub(crate) fn multi_solve_panel_bytes(stats: &MatrixStats, n_c: usize, n_s: usize) -> usize {
     let w = n_s.min(stats.ns.max(1));
     stats.ns * w * stats.elem + lane_workspace_bytes(stats, multi_solve_workspace_cols(n_c, w))
 }
@@ -194,7 +194,7 @@ fn predicted_peak(tracker: &MemTracker, block_bytes: usize) -> usize {
 ///
 /// Returned beside the decision: the bytes of one panel it was priced at,
 /// which the pipeline's in-flight cap must divide the headroom by.
-pub fn plan_multi_solve(
+pub(crate) fn plan_multi_solve(
     stats: &MatrixStats,
     cfg: &SolverConfig,
     tracker: &MemTracker,
@@ -250,7 +250,7 @@ pub fn plan_multi_solve(
 ///
 /// Returned beside the decision: the whole-tile bytes it was priced at,
 /// for the pipeline's in-flight cap.
-pub fn plan_multi_factorization(
+pub(crate) fn plan_multi_factorization(
     ns: usize,
     cfg: &SolverConfig,
     tracker: &MemTracker,

@@ -377,44 +377,6 @@ pub(crate) fn worker_pool(cfg: &SolverConfig) -> Result<rayon::ThreadPool> {
         .map_err(|e| Error::InvalidConfig(format!("thread pool construction failed: {e}")))
 }
 
-/// RAII token for the dense layer's global kernel counters: enabled for the
-/// duration of a traced solve, with the counter delta emitted as one
-/// `kernel_counters` event. The `Drop` impl keeps the global enable count
-/// balanced on error paths.
-struct KernelCounting(Option<csolve_dense::stats::KernelSnapshot>);
-
-impl KernelCounting {
-    fn start(tracer: &Tracer) -> Self {
-        if tracer.is_enabled() {
-            csolve_dense::stats::enable();
-            Self(Some(csolve_dense::stats::snapshot()))
-        } else {
-            Self(None)
-        }
-    }
-
-    fn finish(mut self, rt: ScopeTracer<'_>) {
-        if let Some(before) = self.0.take() {
-            let d = csolve_dense::stats::snapshot().delta(&before);
-            csolve_dense::stats::disable();
-            rt.event(TraceEventKind::KernelCounters {
-                packed_calls: d.packed_calls,
-                matvec_calls: d.matvec_calls,
-                flops: d.flops,
-                ns: d.ns,
-            });
-        }
-    }
-}
-
-impl Drop for KernelCounting {
-    fn drop(&mut self) {
-        if self.0.take().is_some() {
-            csolve_dense::stats::disable();
-        }
-    }
-}
-
 /// Sample the memory tracker into the trace at a deterministic phase
 /// boundary (main-thread call sites only, to keep run-scope record order
 /// thread-count independent).
@@ -566,12 +528,11 @@ impl Drop for PhaseGuard<'_> {
     }
 }
 
-/// Phase recorder, wall clock and kernel-counter token of one run: a session
-/// factorization, or a one-shot solve (factorization plus solution phase).
+/// Phase recorder and wall clock of one run: a session factorization, or a
+/// one-shot solve (factorization plus solution phase).
 struct Run {
     rec: Recorder,
     started: Instant,
-    counting: KernelCounting,
 }
 
 impl Run {
@@ -579,19 +540,16 @@ impl Run {
         Run {
             rec: Recorder::new(&cfg.tracer),
             started: Instant::now(),
-            counting: KernelCounting::start(&cfg.tracer),
         }
     }
 
     /// The `Metrics` epilogue: close the run scope with the end-of-run
-    /// `mem_high_water` and `kernel_counters` events, and complete `shape`
-    /// (what [`factor`] knows: sizes, Schur bytes, autotune and BLR
-    /// summaries) with the recorder's totals, the wall time and the tracked
-    /// peak. Byte and flop rows exist for the phases that counted any.
+    /// `mem_high_water` event, and complete `shape` (what [`factor`] knows:
+    /// sizes, Schur bytes, autotune and BLR summaries) with the recorder's
+    /// totals, the wall time and the tracked peak. Byte and flop rows exist
+    /// for the phases that counted any.
     fn finish(self, cfg: &SolverConfig, tracker: &MemTracker, shape: Metrics) -> Metrics {
-        let rt = cfg.tracer.run();
-        mem_sample(rt, tracker);
-        self.counting.finish(rt);
+        mem_sample(cfg.tracer.run(), tracker);
         let mut metrics = Metrics {
             total_seconds: self.started.elapsed().as_secs_f64(),
             peak_bytes: tracker.peak(),

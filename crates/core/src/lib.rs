@@ -48,7 +48,7 @@ pub mod report;
 pub mod schur;
 pub mod session;
 
-pub use autotune::{AutotuneDecision, BlockSizes, MatrixStats};
+pub use autotune::{AutotuneDecision, BlockSizes};
 pub use config::{
     Algorithm, DenseBackend, Metrics, PhaseReport, SolverConfig, SparseCompressionSummary,
 };

@@ -7,24 +7,23 @@
 //! micro-panel plus one `B` micro-panel must live in L1 while the microkernel
 //! streams through them, the full `MC × KC` `A` block is meant to stay
 //! L2-resident across the `jr` loop, and the `KC × NC` `B` slab is sized for
-//! L3. Earlier revisions hardcoded one guess; this module measures the
+//! L3. Earlier revisions hardcoded one guess; this module reads the
 //! hierarchy once per process and derives the blocking from it:
 //!
-//! 1. `CSOLVE_CACHE=L1:L2:L3` environment override (sizes in bytes, `K`/`M`
-//!    suffixes accepted) — pins the calibration for reproducible benchmarking;
-//! 2. Linux sysfs (`/sys/devices/system/cpu/cpu0/cache/index*/`);
-//! 3. x86 `cpuid` deterministic cache enumeration (leaf 4, with the AMD
+//! 1. Linux sysfs (`/sys/devices/system/cpu/cpu0/cache/index*/`);
+//! 2. x86 `cpuid` deterministic cache enumeration (leaf 4, with the AMD
 //!    `0x8000_001D` mirror);
-//! 4. a timed pointer-chase probe that locates the latency knees;
-//! 5. conservative static defaults (32 KiB / 1 MiB / 32 MiB).
+//! 3. conservative static defaults (32 KiB / 1 MiB / 32 MiB).
 //!
-//! Derived blocking is quantized (KC to multiples of 16, MC to multiples of
-//! MR, NC to multiples of NR) and clamped to sane ranges, so a noisy probe
-//! cannot produce a degenerate loop nest. The calibration result is stored in
-//! a [`OnceLock`]: every GEMM in the process uses the same blocking, which
-//! keeps the macro-tile grid — and therefore the trace shape — stable within
-//! a run. Blocking never depends on the thread count, preserving the
-//! bitwise-determinism contract of the kernel layer.
+//! Every tier is a table lookup, never a timing measurement, so a host
+//! calibrates the same blocking — and the packed GEMM sums in the same
+//! order — in every process. Derived blocking is quantized (KC to multiples
+//! of 16, MC to multiples of MR, NC to multiples of NR) and clamped to sane
+//! ranges. The calibration result is stored in a [`OnceLock`]: every GEMM in
+//! the process uses the same blocking, which keeps the macro-tile grid — and
+//! therefore the trace shape — stable within a run. Blocking never depends on
+//! the thread count, preserving the bitwise-determinism contract of the
+//! kernel layer.
 
 use std::sync::OnceLock;
 
@@ -33,14 +32,10 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CacheSource {
-    /// `CSOLVE_CACHE` environment override.
-    Override,
     /// Linux sysfs cache topology files.
     Sysfs,
     /// x86 `cpuid` deterministic cache parameters.
     Cpuid,
-    /// Timed pointer-chase probe (no OS/CPU enumeration available).
-    Probe,
     /// Static fallback constants.
     Default,
 }
@@ -49,10 +44,8 @@ impl CacheSource {
     /// Stable lower-case identifier for reports.
     pub fn name(&self) -> &'static str {
         match self {
-            CacheSource::Override => "override",
             CacheSource::Sysfs => "sysfs",
             CacheSource::Cpuid => "cpuid",
-            CacheSource::Probe => "probe",
             CacheSource::Default => "default",
         }
     }
@@ -139,24 +132,12 @@ fn derive_blocking(elem: usize, mr: usize, nr: usize, cache: &CacheInfo) -> Kern
 }
 
 fn detect() -> CacheInfo {
-    if let Some(info) = from_env() {
-        return info;
-    }
-    if let Some(info) = from_sysfs() {
-        return info;
-    }
-    if let Some(info) = from_cpuid() {
-        return info;
-    }
-    if let Some(info) = from_probe() {
-        return info;
-    }
-    CacheInfo {
+    from_sysfs().or_else(from_cpuid).unwrap_or(CacheInfo {
         l1d_bytes: 32 * 1024,
         l2_bytes: 1024 * 1024,
         l3_bytes: 32 * 1024 * 1024,
         source: CacheSource::Default,
-    }
+    })
 }
 
 /// Parse `"48K"`, `"2M"` or a plain byte count.
@@ -169,20 +150,6 @@ fn parse_size(s: &str) -> Option<usize> {
         _ => (s, 1),
     };
     digits.trim().parse::<usize>().ok().map(|v| v * mult)
-}
-
-fn from_env() -> Option<CacheInfo> {
-    let raw = std::env::var("CSOLVE_CACHE").ok()?;
-    let mut it = raw.split(':');
-    let l1 = parse_size(it.next()?)?;
-    let l2 = parse_size(it.next()?)?;
-    let l3 = parse_size(it.next().unwrap_or("0")).unwrap_or(0);
-    (l1 > 0 && l2 > 0).then_some(CacheInfo {
-        l1d_bytes: l1,
-        l2_bytes: l2,
-        l3_bytes: l3,
-        source: CacheSource::Override,
-    })
 }
 
 fn from_sysfs() -> Option<CacheInfo> {
@@ -274,67 +241,6 @@ fn from_cpuid() -> Option<CacheInfo> {
     None
 }
 
-/// Timed fallback: pointer-chase a working set of increasing size and place
-/// the cache boundaries at the latency knees. Coarse by design — the result
-/// is quantized by [`derive_blocking`] anyway — and bounded to a few
-/// milliseconds of startup cost on the machines that need it.
-fn from_probe() -> Option<CacheInfo> {
-    const LINE: usize = 64;
-    let sizes: &[usize] = &[
-        16 << 10,
-        32 << 10,
-        64 << 10,
-        128 << 10,
-        256 << 10,
-        512 << 10,
-        1 << 20,
-        2 << 20,
-        4 << 20,
-        8 << 20,
-        16 << 20,
-    ];
-    let mut lat = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        let n = size / LINE;
-        // Fixed permutation walk (stride co-prime with n) defeats the
-        // hardware prefetchers without any runtime randomness.
-        let stride = (n / 2 + 1) | 1;
-        let mut next = vec![0u32; n];
-        let mut idx = 0usize;
-        for _ in 0..n {
-            let to = (idx + stride) % n;
-            next[idx] = to as u32;
-            idx = to;
-        }
-        let hops = 200_000usize;
-        let t0 = std::time::Instant::now();
-        let mut p = 0u32;
-        for _ in 0..hops {
-            p = next[p as usize];
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / hops as f64;
-        std::hint::black_box(p);
-        lat.push(ns);
-    }
-    // A knee is a >1.6x latency jump between consecutive sizes; the cache
-    // boundary sits at the *previous* size.
-    let mut knees = Vec::new();
-    for i in 1..lat.len() {
-        if lat[i] > 1.6 * lat[i - 1] {
-            knees.push(sizes[i - 1]);
-        }
-    }
-    let l1d = knees.first().copied().unwrap_or(32 << 10);
-    let l2 = knees.get(1).copied().unwrap_or(l1d * 16);
-    let l3 = knees.get(2).copied().unwrap_or(0);
-    Some(CacheInfo {
-        l1d_bytes: l1d,
-        l2_bytes: l2.max(l1d * 2),
-        l3_bytes: l3,
-        source: CacheSource::Probe,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +285,7 @@ mod tests {
                     l1d_bytes: 1 << 20,
                     l2_bytes: 64 << 20,
                     l3_bytes: 1 << 30,
-                    source: CacheSource::Override,
+                    source: CacheSource::Cpuid,
                 },
             ] {
                 let b = derive_blocking(elem, mr, nr, &cache);

@@ -34,7 +34,6 @@ use rayon::prelude::*;
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::pack::{blocking, macro_kernel, macro_kernel_split, pack, MR, NR};
-use crate::stats::Route;
 
 /// Transposition operator applied to a GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,11 +338,7 @@ pub fn gemm<T: Scalar>(
         scale_block(beta, &mut c);
         return;
     }
-    let flops = 2 * am as u64 * bn as u64 * ak as u64;
-    // Kernel-counter hook: reads the clock only while a tracer holds an
-    // enable token (one relaxed atomic load otherwise).
-    let t0 = crate::stats::start();
-    let route = if bn == 1 {
+    if bn == 1 {
         // Single-column product: a serial GEMM here would leave an `m·k`-sized
         // product on one core — route through the (parallelized) matvec.
         let y = c.col_mut(0);
@@ -354,12 +349,9 @@ pub fn gemm<T: Scalar>(
                 matvec(alpha, a, opa, &x, beta, y)
             }
         }
-        Route::Matvec
     } else {
         gemm_packed(alpha, a, opa, b, opb, beta, c);
-        Route::Packed
-    };
-    crate::stats::record(route, flops, t0);
+    }
 }
 
 /// Convenience: allocate and return `op(A)·op(B)`.

@@ -42,7 +42,6 @@ pub mod mat;
 mod pack;
 mod simd;
 pub mod solve;
-pub mod stats;
 pub mod trsm;
 
 pub use cache::{cache_info, kernel_blocking, CacheInfo, CacheSource, KernelBlocking};

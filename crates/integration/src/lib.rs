@@ -58,8 +58,8 @@ pub use csolve_common::{
     TraceScope, Tracer, C64,
 };
 pub use csolve_coupled::{
-    solve, Algorithm, AutotuneDecision, BlockSizes, DenseBackend, KernelCalibration, MatrixStats,
-    Metrics, Outcome, PhaseReport, RequestId, RequestInfo, RunReport, SessionBuilder, SessionSolve,
+    solve, Algorithm, AutotuneDecision, BlockSizes, DenseBackend, KernelCalibration, Metrics,
+    Outcome, PhaseReport, RequestId, RequestInfo, RunReport, SessionBuilder, SessionSolve,
     SessionStats, SolverConfig, SolverSession, SpanAgg, SparseCompressionSummary,
 };
 pub use csolve_fembem::{industrial_problem, pipe_problem, CoupledProblem};

@@ -181,7 +181,7 @@ fn block_scopes_are_contiguous_and_follow_the_skeleton_frame() {
 
 /// A one-shot `solve()` is a factorization followed by a width-1 panel
 /// solve on the same run scope: the solution spans are the scope's last
-/// spans, and the end-of-run memory sample and kernel counters close it.
+/// spans, and the end-of-run memory sample closes it.
 #[test]
 fn run_scope_ends_with_solution_spans_then_end_of_run_events() {
     for algo in Algorithm::ALL {
@@ -196,7 +196,7 @@ fn run_scope_ends_with_solution_spans_then_end_of_run_events() {
         } else {
             &["sparse_solve", "dense_solve", "sparse_solve"]
         };
-        let tail = [solution, &["mem_high_water", "kernel_counters"]].concat();
+        let tail = [solution, &["mem_high_water"]].concat();
         assert!(
             run.ends_with(&tail),
             "{}: run scope ends with {:?}, expected {tail:?}",
@@ -250,6 +250,78 @@ fn phase_rows_and_driver_spans_agree() {
                     None => assert_eq!((secs, bytes, flops), (0.0, 0, 0), "{cell}: no span"),
                 }
             }
+        }
+    }
+}
+
+/// A record with its timestamps, durations and thread id left out: what a
+/// run's trace says about the run's own work.
+fn timeless(records: &[TraceRecord]) -> Vec<(TraceScope, TracePayload)> {
+    records
+        .iter()
+        .map(|r| {
+            let payload = match r.payload.clone() {
+                TracePayload::Span {
+                    kind, bytes, flops, ..
+                } => TracePayload::Span {
+                    kind,
+                    start_ns: 0,
+                    dur_ns: 0,
+                    bytes,
+                    flops,
+                },
+                TracePayload::Event { kind, .. } => TracePayload::Event { kind, at_ns: 0 },
+            };
+            (r.scope, payload)
+        })
+        .collect()
+}
+
+/// A run's trace describes that run only: two traced solves running at once
+/// in one process, each with its own tracer, drain the records a lone run
+/// of the same solve drains — the same `(scope, kind)` sequence, the same
+/// bytes and flops on every span and the same payload on every event.
+#[test]
+fn concurrent_traced_solves_each_record_only_their_own_work() {
+    let p = pipe_problem::<f64>(2_000);
+    let run = |p: &CoupledProblem<f64>| {
+        let tracer = Tracer::enabled();
+        let cfg = SolverConfig {
+            eps: 1e-8,
+            dense_backend: DenseBackend::Hmat,
+            num_threads: 1,
+            tracer: tracer.clone(),
+            ..Default::default()
+        };
+        let out = solve(p, Algorithm::MultiSolve, &cfg).expect("traced solve failed");
+        (out, timeless(&tracer.drain()))
+    };
+    let (lone_out, lone) = run(&p);
+    assert!(lone.len() > 1, "empty trace");
+    let start = std::sync::Barrier::new(2);
+    let concurrent: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    run(&p)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (i, (out, records)) in concurrent.iter().enumerate() {
+        assert!(
+            out.xv == lone_out.xv && out.xs == lone_out.xs,
+            "run {i}: solution differs from the lone run's"
+        );
+        assert_eq!(
+            records.len(),
+            lone.len(),
+            "run {i}: record count differs from the lone run's"
+        );
+        for (k, (got, want)) in records.iter().zip(&lone).enumerate() {
+            assert_eq!(got, want, "run {i}, record {k}");
         }
     }
 }
@@ -321,23 +393,6 @@ fn jsonl_trace_parses_back_with_header_and_schema() {
             assert_eq!(doc.get("flops").and_then(|v| v.as_u64()), Some(*flops));
         }
     }
-
-    // The kernel counters carry one count per GEMM route — packed and
-    // matvec, the only two — plus the flops and nanoseconds they summed, and
-    // no other field.
-    let counters = docs[1..]
-        .iter()
-        .find(|d| d.get("kind").and_then(|v| v.as_str()) == Some("kernel_counters"))
-        .and_then(|d| d.as_object())
-        .expect("a kernel_counters event");
-    let record = ["cat", "kind", "scope", "seq", "t_ns", "thread"];
-    let fields: Vec<&str> = counters
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !record.contains(k))
-        .collect();
-    assert_eq!(fields, ["flops", "matvec_calls", "ns", "packed_calls"]);
-    assert!(fields.iter().all(|f| counters[*f].as_u64().is_some()));
 }
 
 #[test]
@@ -432,10 +487,8 @@ fn run_report_has_the_documented_shape() {
         }
     }
 
-    // Kernel counters and a memory high-water sample are always emitted by
-    // an enabled trace.
+    // A memory high-water sample is always emitted by an enabled trace.
     let events = doc.get("events").and_then(|v| v.as_object()).unwrap();
-    assert!(events.contains_key("kernel_counters"), "{events:?}");
     assert!(events.contains_key("mem_high_water"), "{events:?}");
 
     assert!(doc.get("blocks").and_then(|v| v.as_u64()).unwrap() > 1);
