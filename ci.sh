@@ -82,14 +82,17 @@ echo "==> flake gate: the budgeted multi-threaded cells, five times each"
 # schedule jitter at 8 threads, each on its own power-of-two budget), the session's
 # budgeted width-4 panels under the same jitter, multi-solve's fused Z
 # when the budget refuses every extra lane workspace (fewer concurrent
-# chunks, the same bits), and budgeted multi-factorization under jitter at
-# every admission, finalize, park, fold-turn wait and release (16 seeds);
-# the first red run fails CI.
+# chunks, the same bits), multi-factorization's final A_vv factorization
+# beside the factorization of S at 1/2/4/8 threads and its budget-forced
+# sequential fallback (the same bits), and budgeted multi-factorization under
+# jitter at every admission, finalize, park, fold-turn wait and release (16
+# seeds); the first red run fails CI.
 for i in 1 2 3 4 5; do
   env -u CSOLVE_CONFORMANCE \
     cargo test --offline -q --test conformance autotuned_blocking_under_memory_budgets
   cargo test --offline -q --test parallel_pipeline -- budget symmetric_
   cargo test --offline -q -p csolve-coupled --lib -- refuses_every_extra_workspace
+  cargo test --offline -q -p csolve-coupled --lib -- a_vv_beside_s a_vv_after_s
   cargo test --offline -q -p csolve --features fault-inject --test parallel_pipeline \
     -- schedule_jitter
   cargo test --offline -q -p csolve --features fault-inject --test session \

@@ -46,6 +46,15 @@ pub enum Error {
     /// The sparse matrix structure is malformed (unsorted/duplicate entries,
     /// bad column pointers, ...).
     MalformedMatrix(String),
+    /// A sparse matrix does not have the pattern the structure it is applied
+    /// to was built on (e.g. a symbolic analysis reused for a matrix whose
+    /// eliminated block differs).
+    PatternMismatch {
+        /// The operation that was refused.
+        context: &'static str,
+        /// The first column whose pattern differs.
+        column: usize,
+    },
     /// A compression routine failed to reach the requested tolerance within
     /// its rank limit.
     CompressionFailure { wanted_tol: f64, achieved: f64 },
@@ -99,6 +108,10 @@ impl fmt::Display for Error {
             } => write!(f, "index {index} out of bounds (len {len}) in {context}"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::MalformedMatrix(msg) => write!(f, "malformed sparse matrix: {msg}"),
+            Error::PatternMismatch { context, column } => write!(
+                f,
+                "pattern mismatch in {context}: column {column} differs from the analyzed one"
+            ),
             Error::CompressionFailure {
                 wanted_tol,
                 achieved,

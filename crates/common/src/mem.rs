@@ -454,14 +454,27 @@ mod tests {
         assert!(t.charge(1000, "everything is back").is_ok());
     }
 
+    /// Charges that stay under their scope's cap cannot fail, whatever runs
+    /// beside them: growth past another scope's cap and direct charges
+    /// fight over the parent's uncommitted bytes, and nothing pushes the
+    /// parent past its budget.
+    ///
+    /// A scope's cap is one pool, first come first served: a charge made
+    /// past the cap through the *same* scope takes the part of it still
+    /// free, so a later charge there lands past the cap too and may be
+    /// refused. The under-the-cap charges therefore go through scopes that
+    /// nothing else charges through.
     #[test]
     fn concurrent_scoped_charges_never_push_the_parent_past_its_budget() {
         let t = MemTracker::with_budget(1000);
         let scopes = [(); 2].map(|()| MemTracker::scoped(&t, 300, "scope").unwrap());
+        // Every 90-byte charge through this scope straddles or passes its cap.
+        let grown = MemTracker::scoped(&t, 20, "grown").unwrap();
         let failed_under_cap = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for i in 0..8usize {
-                let (t, scope, failed) = (&t, &scopes[i % 2], &failed_under_cap);
+                let (t, scope, grown) = (&t, &scopes[i % 2], &grown);
+                let failed = &failed_under_cap;
                 s.spawn(move || {
                     for round in 0..2000 {
                         // Four threads a scope at 70 bytes each: 280 of the
@@ -470,9 +483,10 @@ mod tests {
                             failed.fetch_add(1, Ordering::Relaxed);
                             continue;
                         };
-                        // ... while growth past it and direct charges fight
-                        // over the parent's other 400 bytes and may.
-                        let _over = scope.charge(90, "past the cap");
+                        // ... while growth past the other cap and direct
+                        // charges fight over the parent's other 380 bytes
+                        // and may.
+                        let _over = grown.charge(90, "past the cap");
                         let _direct = t.charge(50 + round % 7, "direct");
                         assert!(t.live() <= 1000);
                     }
@@ -482,7 +496,7 @@ mod tests {
         assert_eq!(failed_under_cap.load(Ordering::Relaxed), 0);
         assert!((70..=1000).contains(&t.peak()), "peak {}", t.peak());
         assert_eq!(t.live(), 0);
-        drop(scopes);
+        drop((scopes, grown));
         assert!(t.charge(1000, "everything is back").is_ok());
     }
 

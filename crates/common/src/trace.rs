@@ -60,7 +60,12 @@ pub const TRACE_FORMAT_VERSION: u32 = 4;
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Sparse symbolic analysis (ordering + elimination tree + supernodes).
+    /// The eliminated block's elimination structure: fill-reducing
+    /// ordering, elimination tree, postorder, column counts, fundamental
+    /// supernodes. One per ordering computed.
+    SparseOrdering,
+    /// Sparse symbolic analysis of one matrix on an elimination structure:
+    /// final permutation, supernode row structures, amalgamation.
     SparseAnalyze,
     /// Frontal assembly + partial factorization loop of the sparse solver.
     SparseFrontFactor,
@@ -104,6 +109,7 @@ impl SpanKind {
     /// Stable snake_case identifier used in the JSONL trace and reports.
     pub fn name(&self) -> &'static str {
         match self {
+            SpanKind::SparseOrdering => "sparse_ordering",
             SpanKind::SparseAnalyze => "sparse_analyze",
             SpanKind::SparseFrontFactor => "sparse_front_factor",
             SpanKind::SparseFactorization => "sparse_factorization",
@@ -375,6 +381,31 @@ impl Tracer {
         ScopeTracer {
             sink: self.sink.as_deref(),
             scope,
+        }
+    }
+
+    /// A tracer for work that runs beside this one's recording thread:
+    /// enabled when this one is, on the same clock, into a buffer of its
+    /// own. [`Tracer::adopt`] moves its records here, so their place in the
+    /// canonical order is what it would be had the work run after everything
+    /// recorded here meanwhile.
+    pub fn fork(&self) -> Tracer {
+        Tracer {
+            sink: self.sink.as_ref().map(|s| {
+                Arc::new(TraceSink {
+                    origin: s.origin,
+                    records: Mutex::new(Vec::new()),
+                })
+            }),
+        }
+    }
+
+    /// Append the records of `side`, a [`Tracer::fork`] of this tracer, in
+    /// their record order, emptying it.
+    pub fn adopt(&self, side: &Tracer) {
+        if let (Some(mine), Some(theirs)) = (&self.sink, &side.sink) {
+            let records = std::mem::take(&mut *theirs.records.lock());
+            mine.records.lock().extend(records);
         }
     }
 

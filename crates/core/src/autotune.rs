@@ -7,10 +7,15 @@
 //! that the blockwise working set fits next to the sparse factors and the
 //! (compressed) Schur complement. This module automates that choice. Given
 //! the matrix statistics (`MatrixStats`) and the byte budget enforced by
-//! [`csolve_common::MemTracker`], it predicts the peak working set of every
-//! candidate blocking and selects the **largest blocking that fits**
-//! (largest panels / fewest tiles: less superfluous refactorization work,
-//! fewer sparse-solve calls).
+//! [`csolve_common::MemTracker`], it predicts the peak working set of the
+//! candidate blockings on a ladder — the configured `n_S` and its repeated
+//! halvings (multi-solve), the configured `n_b` and its repeated doublings
+//! (multi-factorization) — and selects the **first candidate on that ladder
+//! that fits** (largest panels / fewest tiles among the candidates: less
+//! superfluous refactorization work, fewer sparse-solve calls). That is not
+//! the largest blocking that fits: a panel width between two rungs is never
+//! tried, so a budget that fits 136 columns but not 143 runs
+//! 71.
 //!
 //! # Cost model
 //!
@@ -187,9 +192,10 @@ fn predicted_peak(tracker: &MemTracker, block_bytes: usize) -> usize {
         .max(tracker.live().saturating_add(block_bytes))
 }
 
-/// Select the largest multi-solve blocking `(n_c, n_s)` that fits the
-/// remaining budget, starting from the configured sizes and halving the
-/// panel width. Returns [`Error::OutOfMemory`] when even a single-column
+/// Select the first multi-solve blocking `(n_c, n_s)` on the ladder of the
+/// configured panel width and its repeated halvings that fits the remaining
+/// budget — not the widest panel that fits, which may lie between two
+/// rungs. Returns [`Error::OutOfMemory`] when even a single-column
 /// panel does not fit (the infeasible-budget case of the conformance grid).
 ///
 /// Returned beside the decision: the bytes of one panel it was priced at,
@@ -236,9 +242,10 @@ pub(crate) fn plan_multi_solve(
     }
 }
 
-/// Select the smallest multi-factorization grid `n_b` (largest tiles) whose
-/// every tile fits the remaining budget, starting from the configured
-/// `n_b` and doubling. Returns [`Error::OutOfMemory`] when even single-row
+/// Select the first multi-factorization grid `n_b` on the ladder of the
+/// configured `n_b` and its repeated doublings whose every tile fits the
+/// remaining budget (largest tiles among the candidates, not necessarily
+/// the smallest grid that fits). Returns [`Error::OutOfMemory`] when even single-row
 /// tiles (`n_b = n_s`) do not fit.
 ///
 /// `price(n_b, room)` is what the pipeline would reserve for the grid's

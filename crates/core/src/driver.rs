@@ -22,7 +22,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::autotune::{self, AutotuneDecision, BlockSizes, MatrixStats};
@@ -38,7 +38,7 @@ use csolve_dense::{Mat, MatMut, MatRef};
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
 use csolve_sparse::{
-    factorize, factorize_analyzed, schur_complement_analyzed, Coo, Csc, FactorStats,
+    factorize_analyzed, schur_complement_analyzed, Coo, Csc, EliminationStructure, FactorStats,
     SparseFactorization, SparseOptions, SymbolicFactorization, Symmetry,
 };
 
@@ -71,6 +71,9 @@ struct Ws<'a, T: Scalar> {
     /// multi-factorization's tiles keep none, so compress none. Read out
     /// into [`Metrics::sparse_compression`] at the end.
     blr: Mutex<SparseCompressionSummary>,
+    /// The elimination structure of `A_vv`, which every sparse analysis of
+    /// the run extends (`Ws::elimination`).
+    elim: OnceLock<EliminationStructure>,
 }
 
 impl<'a, T: Scalar> Ws<'a, T> {
@@ -95,6 +98,7 @@ impl<'a, T: Scalar> Ws<'a, T> {
             tree,
             symmetric: problem.symmetric,
             blr: Mutex::new(SparseCompressionSummary::default()),
+            elim: OnceLock::new(),
         }
     }
 
@@ -150,8 +154,23 @@ impl<'a, T: Scalar> Ws<'a, T> {
 
     /// The plain factorization of `A_vv` the direct solution phase consumes.
     fn factor_avv(&self) -> Result<SparseFactorization<T>> {
-        let _ph = self.rec.open(Phase::FactorAvv, TraceScope::Run);
-        let fact = factorize(self.a_vv, &self.sparse_opts())?;
+        let sym = self.analyze(self.a_vv, Phase::FactorAvv, TraceScope::Run)?;
+        self.factor_avv_analyzed(sym, self.rec)
+    }
+
+    /// The numeric phase of [`Self::factor_avv`] on `A_vv`'s analysis
+    /// `sym`, recorded by `rec`.
+    fn factor_avv_analyzed(
+        &self,
+        sym: SymbolicFactorization,
+        rec: &Recorder,
+    ) -> Result<SparseFactorization<T>> {
+        let _ph = rec.open(Phase::FactorAvv, TraceScope::Run);
+        let opts = SparseOptions {
+            tracer: rec.tracer.clone(),
+            ..self.sparse_opts()
+        };
+        let (fact, _) = factorize_analyzed(self.a_vv, sym, &opts)?;
         self.note_factor_stats(fact.stats());
         Ok(fact)
     }
@@ -257,20 +276,43 @@ impl<'a, T: Scalar> Ws<'a, T> {
         self.a_sv.mul_dense(T::ONE, y, T::ZERO, z);
     }
 
-    /// The symbolic analysis of a stacked `W` whose trailing unknowns
-    /// (beyond `n_v`) are the Schur variables, recorded in `scope`.
-    fn analyze_w(&self, w: &Csc<T>, scope: TraceScope) -> Result<SymbolicFactorization> {
-        let schur_vars: Vec<usize> = (self.nv()..w.ncols).collect();
-        let ph = self.rec.open(Phase::FactorW, scope);
-        ph.tracer().time(SpanKind::SparseAnalyze, || {
-            SymbolicFactorization::analyze(w, &schur_vars, self.cfg.ordering)
-        })
+    /// The elimination structure of `A_vv`: the ordering, elimination tree
+    /// and fundamental supernodes every sparse analysis of the run shares,
+    /// built by the first call — recorded in `phase` and `scope` as the
+    /// run's one `sparse_ordering` span — and returned by every later one.
+    /// The first call comes from the driver's thread, so the span's place in
+    /// the trace does not depend on the thread count.
+    fn elimination(&self, phase: Phase, scope: TraceScope) -> Result<&EliminationStructure> {
+        if let Some(elim) = self.elim.get() {
+            return Ok(elim);
+        }
+        let ph = self.rec.open(phase, scope);
+        let elim = ph.tracer().time(SpanKind::SparseOrdering, || {
+            EliminationStructure::analyze(self.a_vv, &[], self.cfg.ordering)
+        })?;
+        Ok(self.elim.get_or_init(|| elim))
+    }
+
+    /// The symbolic analysis of `A_vv`, or of a stacked `W` whose trailing
+    /// unknowns (beyond `n_v`) are the Schur variables: an extension of the
+    /// run's elimination structure, recorded in `phase` and `scope`.
+    fn analyze(
+        &self,
+        a: &Csc<T>,
+        phase: Phase,
+        scope: TraceScope,
+    ) -> Result<SymbolicFactorization> {
+        let elim = self.elimination(phase, scope)?;
+        let schur_vars: Vec<usize> = (self.nv()..a.ncols).collect();
+        let ph = self.rec.open(phase, scope);
+        ph.tracer()
+            .time(SpanKind::SparseAnalyze, || elim.extend(a, &schur_vars))
     }
 
     /// The advanced coupling's factorization+Schur call on the whole
     /// stacked `W`: the factors are kept for the condensation solves.
     fn factor_w(&self, w: &Csc<T>) -> Result<(SparseFactorization<T>, Mat<T>)> {
-        let sym = self.analyze_w(w, TraceScope::Run)?;
+        let sym = self.analyze(w, Phase::FactorW, TraceScope::Run)?;
         let mut ph = self.rec.open(Phase::FactorW, TraceScope::Run);
         let (fact_w, x) = factorize_analyzed(w, sym, &self.sparse_opts())?;
         self.note_factor_stats(fact_w.stats());
@@ -292,7 +334,7 @@ impl<'a, T: Scalar> Ws<'a, T> {
         slot: &mut Slot<'_>,
     ) -> Result<Mat<T>> {
         let scope = TraceScope::Block(seq);
-        let sym = self.analyze_w(w, scope)?;
+        let sym = self.analyze(w, Phase::FactorW, scope)?;
         let bound = sym.predicted_schur_peak_bytes(std::mem::size_of::<T>());
         slot.finalize(bound, "sparse solver working set")?;
         let opts = SparseOptions {
@@ -336,16 +378,22 @@ impl<'a, T: Scalar> Ws<'a, T> {
         Ok(())
     }
 
-    /// Shared epilogue of every algorithm: factor the accumulated Schur
-    /// complement under a `dense_factorization` span (the compressed backend
-    /// additionally records its `hlu_factor` span inside). Also returns the
-    /// bytes `S` held right before.
+    /// Shared epilogue of every algorithm: sample the tracker into the
+    /// trace, then [`Self::factor_sampled_schur`].
     fn factor_schur(&self, schur: SchurAcc<T>) -> Result<(SchurFactor<T>, usize)> {
+        mem_sample(self.cfg.tracer.run(), self.tracker);
+        self.factor_sampled_schur(schur)
+    }
+
+    /// Factor the accumulated Schur complement under a
+    /// `dense_factorization` span (the compressed backend additionally
+    /// records its `hlu_factor` span inside). Also returns the bytes `S`
+    /// held right before.
+    fn factor_sampled_schur(&self, schur: SchurAcc<T>) -> Result<(SchurFactor<T>, usize)> {
         let schur_bytes = schur.bytes();
         // Backends without a closed form report 0, which adds no flop row:
         // the metric keys stay stable per backend.
         let flops = schur.factor_flops(self.symmetric);
-        mem_sample(self.cfg.tracer.run(), self.tracker);
         let mut ph = self.rec.open(Phase::FactorSchur, TraceScope::Run);
         ph.add_bytes(schur_bytes);
         ph.add_flops(flops);
@@ -455,21 +503,44 @@ impl Recorder {
         }
     }
 
+    /// A recorder for work running beside this one's thread: totals of its
+    /// own and a [`Tracer::fork`] of this one's tracer. [`Self::merge`]
+    /// appends both here, as if the work had run after everything recorded
+    /// here meanwhile: the totals' first-use order and the run scope's
+    /// record order stay those of the sequential run.
+    fn fork(&self) -> Recorder {
+        Recorder {
+            tracer: self.tracer.fork(),
+            totals: Default::default(),
+        }
+    }
+
+    /// Append what a [`Self::fork`] of this recorder recorded.
+    fn merge(&self, side: Recorder) {
+        for c in side.totals.into_inner() {
+            self.add_total(c);
+        }
+        self.tracer.adopt(&side.tracer);
+    }
+
+    /// Add one measurement to its phase's total.
+    fn add_total(&self, c: PhaseCost) {
+        let mut totals = self.totals.lock();
+        match totals.iter_mut().find(|t| t.phase == c.phase) {
+            Some(t) => {
+                t.time += c.time;
+                t.bytes += c.bytes;
+                t.flops += c.flops;
+            }
+            None => totals.push(c),
+        }
+    }
+
     /// Put one measurement of a phase into the totals and — the tracer
     /// enabled and the phase owning a span kind — into `scope`'s trace as
     /// that span.
     fn record(&self, scope: TraceScope, c: PhaseCost) {
-        {
-            let mut totals = self.totals.lock();
-            match totals.iter_mut().find(|t| t.phase == c.phase) {
-                Some(t) => {
-                    t.time += c.time;
-                    t.bytes += c.bytes;
-                    t.flops += c.flops;
-                }
-                None => totals.push(c),
-            }
-        }
+        self.add_total(c);
         if let Some(kind) = c.phase.row().1 {
             let tr = self.tracer.scope(scope);
             tr.record_span(kind, c.time, c.bytes, c.flops);
@@ -1126,11 +1197,43 @@ fn multi_solve_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
 /// compressed-Schur variant), then a final plain factorization of `A_vv`
 /// for the solution phase (the per-tile `W` factorizations are not reusable
 /// through the solver API).
+///
+/// That final factorization runs beside the factorization of `S` when the
+/// budget holds both at once: when what the tracker has not committed
+/// covers the peak `A_vv`'s analysis predicts for it, and `S`'s
+/// factorization cannot grow its charge past what it holds (it can only on
+/// the compressed backend under a budget). Otherwise it runs after, as on
+/// one thread, where the join runs the two in that order too. Each
+/// factorization's bits are its own either way, and the run scope's records
+/// come in the sequential order (`Recorder::fork`).
 fn multi_factorization_factors<T: Scalar>(ws: &Ws<'_, T>) -> Result<Factored<T>> {
     let (schur, decision) = multi_factorization_schur(ws)?;
-    let (sf, schur_bytes) = ws.factor_schur(schur)?;
-    let fact = ws.factor_avv()?;
+    let sym = ws.analyze(ws.a_vv, Phase::FactorAvv, TraceScope::Run)?;
+    let avv_peak = sym.predicted_numeric_peak_bytes(std::mem::size_of::<T>(), !ws.symmetric);
+    mem_sample(ws.cfg.tracer.run(), ws.tracker);
+    let ((sf, schur_bytes), fact) = if factor_beside_schur(&schur, ws.tracker, avv_peak) {
+        let side = ws.rec.fork();
+        let (s, f) = rayon::join(
+            || ws.factor_sampled_schur(schur),
+            || ws.factor_avv_analyzed(sym, &side),
+        );
+        ws.rec.merge(side);
+        (s?, f?)
+    } else {
+        let s = ws.factor_sampled_schur(schur)?;
+        (s, ws.factor_avv_analyzed(sym, ws.rec)?)
+    };
     Ok((FactorState::Direct { fact, sf }, schur_bytes, decision))
+}
+
+/// Whether multi-factorization's final `A_vv` factorization, predicted to
+/// peak at `avv_peak` bytes, may run beside the factorization of `schur`.
+fn factor_beside_schur<T: Scalar>(
+    schur: &SchurAcc<T>,
+    tracker: &MemTracker,
+    avv_peak: usize,
+) -> bool {
+    !schur.factor_may_grow() && avv_peak <= tracker.available()
 }
 
 /// The assembled (not yet factored) `S` of multi-factorization, from an
@@ -1156,6 +1259,9 @@ fn multi_factorization_schur<T: Scalar>(
     ws: &Ws<'_, T>,
 ) -> Result<(SchurAcc<T>, Option<AutotuneDecision>)> {
     let cfg = ws.cfg;
+    // Every tile's analysis — the planner's and the pipeline's — extends
+    // `A_vv`'s elimination structure, built here on the driver's thread.
+    ws.elimination(Phase::FactorW, TraceScope::Run)?;
     let schur = ws.init_schur()?;
 
     // Under `BlockSizes::Auto` the autotuner grows the tile grid (shrinks
@@ -1183,8 +1289,9 @@ fn multi_factorization_schur<T: Scalar>(
     let kernel = |seq: usize, b: &Block, slot: &mut Slot<'_>| -> Result<Mat<T>> {
         let scope = TraceScope::Block(seq);
         let (w, symmetry) = tile_w(ws, b, scope);
-        // Each call re-factorizes A_vv — the superfluous work the method
-        // trades for memory (hence its name).
+        // Each call re-factorizes A_vv numerically — the superfluous work
+        // the method trades for memory (hence its name); its analysis only
+        // extends the run's one elimination structure.
         ws.tile_schur(&w, seq, symmetry, slot)
     };
     let schur = assemble_blockwise(ws, schur, &plan, kernel)?;
@@ -1255,7 +1362,7 @@ fn tile_grid_price<T: Scalar>(ws: &Ws<'_, T>, n_b: usize, room: usize) -> Result
     let mut price = 0;
     for b in multi_factorization_tiles(ws, n_b) {
         let (w, _) = tile_w(ws, &b, TraceScope::Run);
-        let sym = ws.analyze_w(&w, TraceScope::Run)?;
+        let sym = ws.analyze(&w, Phase::FactorW, TraceScope::Run)?;
         let need = b.reserve + sym.predicted_schur_peak_bytes(std::mem::size_of::<T>());
         if need > room {
             return Ok(need);
@@ -1474,6 +1581,170 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every sparse analysis of a run extends one elimination structure of
+    /// `A_vv`: one ordering per solve — on every coupling, and under `Auto`
+    /// however many grids the planner prices. Multi-factorization analyses
+    /// each tile it runs or prices, and `A_vv`, on it.
+    #[test]
+    fn a_solve_orders_a_vv_once() {
+        let p = csolve_fembem::pipe_problem::<f64>(1_500);
+        let count = |algo: Algorithm, cfg: SolverConfig| {
+            let tracer = Tracer::enabled();
+            let cfg = SolverConfig {
+                tracer: tracer.clone(),
+                ..cfg
+            };
+            solve(&p, algo, &cfg).unwrap();
+            let trace = tracer.drain();
+            let spans = |kind: SpanKind| {
+                let is = |r: &&csolve_common::TraceRecord| {
+                    r.payload.is_span() && r.payload.kind_name() == kind.name()
+                };
+                trace.iter().filter(is).count()
+            };
+            (
+                spans(SpanKind::SparseOrdering),
+                spans(SpanKind::SparseAnalyze),
+            )
+        };
+        let base = SolverConfig {
+            eps: 1e-8,
+            dense_backend: DenseBackend::Spido,
+            n_b: 3,
+            ..Default::default()
+        };
+        // Six lower-triangle tiles, then A_vv.
+        let fixed = count(Algorithm::MultiFactorization, base.clone());
+        assert_eq!(fixed, (1, 7));
+        for algo in Algorithm::ALL {
+            assert_eq!(count(algo, base.clone()).0, 1, "{algo:?}");
+        }
+        // A budget under the configured grid's price: the planner prices
+        // more than one grid, each tile on the same structure.
+        let unbounded = solve(&p, Algorithm::MultiFactorization, &base).unwrap();
+        let auto = SolverConfig {
+            block_sizes: BlockSizes::Auto,
+            mem_budget: Some(unbounded.metrics.peak_bytes * 9 / 10),
+            ..base
+        };
+        let (orderings, analyses) = count(Algorithm::MultiFactorization, auto);
+        assert_eq!(orderings, 1);
+        assert!(analyses > 7, "{analyses} analyses: no grid was refused");
+    }
+
+    /// Whether multi-factorization on `p` under `cfg` factors `A_vv` beside
+    /// `S`, probed at the point the driver decides it.
+    fn factors_a_vv_beside_s(p: &CoupledProblem<f64>, cfg: &SolverConfig) -> bool {
+        let run = Run::start(cfg);
+        let tracker = match cfg.mem_budget {
+            Some(b) => MemTracker::with_budget(b),
+            None => MemTracker::unbounded(),
+        };
+        let ws = Ws::new(p, cfg, &tracker, &run.rec);
+        let (schur, _) = multi_factorization_schur(&ws).unwrap();
+        let sym = ws
+            .analyze(ws.a_vv, Phase::FactorAvv, TraceScope::Run)
+            .unwrap();
+        let avv_peak = sym.predicted_numeric_peak_bytes(8, !ws.symmetric);
+        factor_beside_schur(&schur, &tracker, avv_peak)
+    }
+
+    /// Multi-factorization at 1, 2, 4 and 8 threads: the same solution, bit
+    /// for bit, and the same run-scope record stream. Returns the 1-thread
+    /// tracked peak and the solution's bits.
+    fn multi_factorization_is_bitwise(
+        p: &CoupledProblem<f64>,
+        cfg: &SolverConfig,
+    ) -> (usize, Vec<u64>) {
+        let mut first: Option<(Vec<u64>, Vec<String>)> = None;
+        let mut peak = 0;
+        for threads in [1, 2, 4, 8] {
+            let tracer = Tracer::enabled();
+            let cfg = SolverConfig {
+                num_threads: threads,
+                tracer: tracer.clone(),
+                ..cfg.clone()
+            };
+            let out = solve(p, Algorithm::MultiFactorization, &cfg).unwrap();
+            let bits = out.xv.iter().chain(&out.xs).map(|v| v.to_bits()).collect();
+            let run_scope = tracer
+                .drain()
+                .into_iter()
+                .filter(|r| r.scope == TraceScope::Run)
+                .map(|r| r.payload.kind_name().to_string())
+                .collect();
+            if threads == 1 {
+                peak = out.metrics.peak_bytes;
+            }
+            match &first {
+                None => first = Some((bits, run_scope)),
+                Some((b, r)) => {
+                    assert!(*b == bits, "{threads} threads: the solution moved");
+                    assert_eq!(*r, run_scope, "{threads} threads: run-scope records");
+                }
+            }
+        }
+        (peak, first.unwrap().0)
+    }
+
+    /// `A_vv` factored beside `S` — the dense backend, the compressed one
+    /// with no budget, symmetric and not — gives every thread count the
+    /// bits and the run-scope records of the one-thread run, which runs the
+    /// two in the sequential order.
+    #[test]
+    fn a_vv_beside_s_is_bitwise_at_every_thread_count() {
+        let sym = csolve_fembem::pipe_problem::<f64>(1_500);
+        let mut unsym = csolve_fembem::pipe_problem::<f64>(1_500);
+        unsym.symmetric = false;
+        for backend in DenseBackend::ALL {
+            for p in [&sym, &unsym] {
+                let cfg = SolverConfig {
+                    eps: 1e-10,
+                    dense_backend: backend,
+                    n_b: 2,
+                    ..Default::default()
+                };
+                assert!(factors_a_vv_beside_s(p, &cfg));
+                multi_factorization_is_bitwise(p, &cfg);
+            }
+        }
+    }
+
+    /// A budget that holds `A_vv`'s factorization after `S`'s but not beside
+    /// it — the run's own one-thread peak, set by `A_vv`'s BLR factors,
+    /// which compress below the uncompressed prediction the overlap is
+    /// priced at — or a budgeted compressed `S`, whose H-LU may grow: the
+    /// sequential order, bitwise at every thread count, and on the dense
+    /// backend the overlap's bits and one-thread peak.
+    #[test]
+    fn a_vv_after_s_under_a_budget_is_bitwise_at_every_thread_count() {
+        let p = csolve_fembem::pipe_problem::<f64>(3_000);
+        let cfg = SolverConfig {
+            eps: 1e-8,
+            sparse_eps: Some(1e-4),
+            dense_backend: DenseBackend::Spido,
+            n_b: 32,
+            ..Default::default()
+        };
+        assert!(factors_a_vv_beside_s(&p, &cfg));
+        let (peak, bits) = multi_factorization_is_bitwise(&p, &cfg);
+        let tight = SolverConfig {
+            mem_budget: Some(peak),
+            ..cfg.clone()
+        };
+        assert!(!factors_a_vv_beside_s(&p, &tight));
+        assert!(multi_factorization_is_bitwise(&p, &tight) == (peak, bits));
+
+        let hmat = SolverConfig {
+            dense_backend: DenseBackend::Hmat,
+            mem_budget: Some(usize::MAX / 2),
+            n_b: 2,
+            ..cfg
+        };
+        assert!(!factors_a_vv_beside_s(&p, &hmat));
+        multi_factorization_is_bitwise(&p, &hmat);
     }
 
     #[test]

@@ -292,6 +292,14 @@ impl<T: Scalar> SchurAcc<T> {
         }
     }
 
+    /// Whether [`Self::factor`] may charge more than `S` holds now: only a
+    /// compressed `S` under a budget, whose H-LU can outgrow the growth
+    /// allowance the accumulator set aside. The dense backends factor in
+    /// place, and an unbounded tracker refuses nothing.
+    pub(crate) fn factor_may_grow(&self) -> bool {
+        matches!(self, Self::Hmat { byte_cap, .. } if *byte_cap != usize::MAX)
+    }
+
     /// Current storage footprint of `S`.
     pub fn bytes(&self) -> usize {
         match self {

@@ -694,14 +694,24 @@ impl<T: Scalar> HMatrix<T> {
     /// ([`HMatrix::try_axpy_dense_block_deferred`]). Dense and factored
     /// leaves are untouched. Idempotent: a second call at the same tolerance
     /// leaves ranks (and, up to roundoff, entries) unchanged.
+    ///
+    /// The leaves are independent: a subdivided block's two column halves
+    /// are rounded as tasks (`join_branches`), with the bits of the
+    /// sequential walk at every thread count.
     pub fn recompress_leaves(&mut self, eps: T::Real) {
+        let rows = self.nrows;
         match &mut self.kind {
             HKind::Dense(_) | HKind::DenseLu(_) | HKind::DenseLdlt(_) | HKind::Mirror => {}
             HKind::LowRank(lr) => lr.recompress_rel(eps),
             HKind::Hier(ch) => {
-                for c in ch.iter_mut() {
-                    c.recompress_leaves(eps);
-                }
+                let [c11, c21, c12, c22] = &mut **ch;
+                let column = |c1: &mut Self, c2: &mut Self| {
+                    c1.recompress_leaves(eps);
+                    c2.recompress_leaves(eps);
+                    Ok(())
+                };
+                // Infallible branches: the join returns `Ok`.
+                let _ = join_branches(rows, || column(c11, c21), || column(c12, c22));
             }
         }
     }

@@ -7,6 +7,9 @@
 //!   natural as alternatives) — [`ordering`];
 //! * elimination tree, postordering, exact column counts and fundamental
 //!   supernode detection with relaxed amalgamation — [`etree`], [`symbolic`];
+//!   the part that depends on the eliminated block alone is an
+//!   [`EliminationStructure`], built once and extended to every matrix that
+//!   shares the block (a multi-factorization run's tiles and `A_vv`);
 //! * dense frontal matrices partially factored by the `csolve-dense` kernels,
 //!   contribution blocks passed up the assembly tree — [`numeric`];
 //! * the **Schur complement functionality** of the paper: a designated set of
@@ -43,7 +46,7 @@ pub use numeric::{
     SparseFactorization, SparseOptions, Symmetry, BLR_MIN_COLS, BLR_MIN_ROWS,
 };
 pub use ordering::OrderingKind;
-pub use symbolic::SymbolicFactorization;
+pub use symbolic::{EliminationStructure, SymbolicFactorization};
 
 #[cfg(test)]
 mod tests;

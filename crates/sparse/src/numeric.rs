@@ -40,7 +40,7 @@ use rayon::prelude::*;
 
 use crate::formats::Csc;
 use crate::ordering::OrderingKind;
-use crate::symbolic::SymbolicFactorization;
+use crate::symbolic::{EliminationStructure, SymbolicFactorization};
 
 /// Minimum row count of an off-diagonal factor panel for BLR compression to
 /// be attempted. Below this the rank-revealing QR costs more than the dense
@@ -306,9 +306,10 @@ pub fn factorize_schur<T: Scalar>(
     // Analysis, then the numeric phase, under one whole-factorization span.
     let tr = opts.trace_scope();
     let whole = tr.span(whole_span_kind(schur_vars.len()));
-    let symbolic = tr.time(SpanKind::SparseAnalyze, || {
-        SymbolicFactorization::analyze(a, schur_vars, opts.ordering)
+    let elim = tr.time(SpanKind::SparseOrdering, || {
+        EliminationStructure::analyze(a, schur_vars, opts.ordering)
     })?;
+    let symbolic = tr.time(SpanKind::SparseAnalyze, || elim.extend(a, schur_vars))?;
     numeric_phase(a, symbolic, opts, whole, true)
 }
 
@@ -397,6 +398,7 @@ fn numeric_phase<T: Scalar>(
     let ns = symbolic.n_schur;
     let tracker = opts.tracker.clone().unwrap_or_else(MemTracker::unbounded);
     let mut local = LocalPeak::default();
+    let ldlt = opts.symmetry == Symmetry::SymmetricLdlt;
 
     let a1 = a.permute_sym(&symbolic.perm);
     let at1 = match opts.symmetry {
@@ -404,7 +406,8 @@ fn numeric_phase<T: Scalar>(
         Symmetry::SymmetricLdlt => None,
     };
 
-    // Dense Schur accumulator, initialized with A[schur, schur].
+    // Dense Schur accumulator, initialized with A[schur, schur]. An LDLᵀ
+    // accumulates into its lower triangle and mirrors it once at the end.
     let schur_bytes = ns * ns * std::mem::size_of::<T>();
     let schur_charge = tracker.charge(schur_bytes, "dense Schur complement")?;
     local.add(schur_bytes);
@@ -499,7 +502,9 @@ fn numeric_phase<T: Scalar>(
             }
         }
 
-        // Extend-add children contribution blocks.
+        // Extend-add children contribution blocks. An LDLᵀ front is read
+        // and written in its lower triangle alone, and a CB's rows keep
+        // their order in the parent: its lower triangle lands there.
         for &c in &children[s] {
             let (cb, cb_charge, cb_k) = cb_store[c].take().expect("child CB present");
             // Front position of every CB row, looked up once per child.
@@ -512,7 +517,8 @@ fn numeric_phase<T: Scalar>(
             debug_assert!(cb_pos.iter().all(|&p| p != usize::MAX));
             for (cj, &pj) in cb_pos.iter().enumerate() {
                 let dst = front.col_mut(pj);
-                for (&pi, &v) in cb_pos.iter().zip(cb.col(cj)) {
+                let i0 = if ldlt { cj } else { 0 };
+                for (&pi, &v) in cb_pos[i0..].iter().zip(&cb.col(cj)[i0..]) {
                     if v != T::ZERO {
                         dst[pi] += v;
                     }
@@ -531,23 +537,31 @@ fn numeric_phase<T: Scalar>(
             Symmetry::UnsymmetricLu => partial_lu_nb(&mut front, k, opts.panel_nb)?,
         };
 
-        // Contribution block → parent or Schur.
+        // Contribution block → parent or Schur (LDLᵀ: its lower triangle).
         if f > k {
-            let _t = f - k;
-            let mut cb = front.submatrix(k..f, k..f);
-            if opts.symmetry == Symmetry::SymmetricLdlt {
-                // partial_ldlt leaves the upper triangle stale: symmetrize.
-                csolve_dense::symmetrize_from_lower(&mut cb);
-            }
+            let cb_rows = &info.rows[k..];
             if info.parent == usize::MAX {
                 // All CB rows are Schur rows: accumulate into S.
-                for (cj, &gj) in info.rows[k..].iter().enumerate() {
+                for (cj, &gj) in cb_rows.iter().enumerate() {
                     debug_assert!(gj >= ne);
-                    for (ci, &gi) in info.rows[k..].iter().enumerate() {
-                        schur[(gi - ne, gj - ne)] += cb[(ci, cj)];
+                    let i0 = if ldlt { cj } else { 0 };
+                    let col = &front.col(k + cj)[k + i0..];
+                    for (&gi, &v) in cb_rows[i0..].iter().zip(col) {
+                        schur[(gi - ne, gj - ne)] += v;
                     }
                 }
             } else {
+                let cb = if ldlt {
+                    // Allocated and charged at (f−k)², as the analysis
+                    // prices it; only its lower triangle is copied.
+                    let mut cb = Mat::<T>::zeros(f - k, f - k);
+                    for cj in 0..f - k {
+                        cb.col_mut(cj)[cj..].copy_from_slice(&front.col(k + cj)[k + cj..]);
+                    }
+                    cb
+                } else {
+                    front.submatrix(k..f, k..f)
+                };
                 let cb_bytes = cb.byte_size();
                 let cb_charge = tracker.charge(cb_bytes, "contribution block")?;
                 local.add(cb_bytes);
@@ -620,6 +634,10 @@ fn numeric_phase<T: Scalar>(
     front_span.finish();
     if blr_eps.is_some() {
         tr.record_span(SpanKind::Compress, compress_time, compress_bytes, 0);
+    }
+    if ldlt {
+        // S was accumulated in its lower triangle.
+        csolve_dense::symmetrize_from_lower(&mut schur);
     }
     whole.add_bytes(factor_bytes + schur.byte_size());
     whole.finish();

@@ -65,95 +65,73 @@ pub struct SymbolicFactorization {
     pub factor_entries: usize,
 }
 
-/// Cap on supernode width.
-const MAX_SN_WIDTH: usize = 128;
+/// The part of a symbolic analysis that depends on the eliminated block
+/// alone: the fill-reducing ordering of its symmetrized pattern, the
+/// postordered elimination tree with its column counts, and the fundamental
+/// supernode starts. Every matrix sharing that block — `A_vv` itself, and
+/// each stacked multi-factorization tile `W = [A_vv A_vs|_j ; A_sv|_i 0]`
+/// with its Schur tail — is analyzed by [`Self::extend`], which adds what
+/// depends on the Schur rows: the final permutation, the supernode row
+/// structures and the amalgamation. An extension is field for field the
+/// [`SymbolicFactorization::analyze`] of the same matrix.
+#[derive(Debug, Clone)]
+pub struct EliminationStructure {
+    /// Column pointers of the eliminated block's pattern, in its own index
+    /// space (the `k`-th eliminated variable in index order is `k`): what an
+    /// extension checks its matrix against.
+    colptr: Vec<usize>,
+    /// Row indices of that pattern, sorted within each column.
+    rowidx: Vec<usize>,
+    /// `order[new]`: the eliminated variable (own index space) at final
+    /// position `new` — the ordering composed with the postorder.
+    order: Vec<usize>,
+    /// The eliminated neighbours of every final position beyond it.
+    later: LaterAdjacency,
+    /// Fundamental supernode starts; the last entry is the eliminated count.
+    sn_start: Vec<usize>,
+}
 
-/// Relaxed amalgamation: merge a child supernode into its parent when the
-/// merged width stays below this and the padding stays modest.
-const AMALG_WIDTH: usize = 32;
-const AMALG_FILL_FRAC: f64 = 0.25;
-
-impl SymbolicFactorization {
-    /// Analyze `a` (square, structurally symmetric pattern assumed — pass
-    /// the symmetrized pattern for unsymmetric matrices). `schur_vars` lists
-    /// the original indices never to eliminate.
+impl EliminationStructure {
+    /// Order and tree-analyze the eliminated block of `a` (every variable
+    /// not in `schur_vars`), with the checks and errors of
+    /// [`SymbolicFactorization::analyze`].
     pub fn analyze<T: Scalar>(
         a: &Csc<T>,
         schur_vars: &[usize],
         ordering: OrderingKind,
     ) -> Result<Self> {
-        Self::analyze_with(a, schur_vars, ordering, build_supernodes)
-    }
-
-    /// [`Self::analyze`] with the supernode row-structure stage passed in
-    /// (tests run the `BTreeSet` reference through the same analysis).
-    fn analyze_with<T: Scalar>(
-        a: &Csc<T>,
-        schur_vars: &[usize],
-        ordering: OrderingKind,
-        build: SupernodeBuilder,
-    ) -> Result<Self> {
-        if a.nrows != a.ncols {
-            return Err(Error::DimensionMismatch {
-                context: "symbolic analysis",
-                expected: (a.nrows, a.nrows),
-                got: (a.nrows, a.ncols),
-            });
-        }
-        let n = a.nrows;
-        let ns = schur_vars.len();
-        let ne = n - ns;
-        let mut is_schur = vec![false; n];
-        for &s in schur_vars {
-            if s >= n || is_schur[s] {
-                return Err(Error::InvalidConfig(format!(
-                    "invalid or duplicate Schur variable {s}"
-                )));
-            }
-            is_schur[s] = true;
+        let (elim_old, sub_of) = eliminated(a, schur_vars)?;
+        let ne = elim_old.len();
+        let mut colptr = Vec::with_capacity(ne + 1);
+        colptr.push(0);
+        let mut rowidx = Vec::new();
+        for &old in &elim_old {
+            rowidx.extend(block_rows(a, old, &sub_of));
+            colptr.push(rowidx.len());
         }
 
-        // Adjacency of the symmetrized pattern.
-        let full_adj = a.symmetrized_pattern();
-
-        // Order the eliminated variables only: build the induced subgraph.
-        let elim_old: Vec<usize> = (0..n).filter(|&v| !is_schur[v]).collect();
-        let mut old_to_sub = vec![usize::MAX; n];
-        for (sub, &old) in elim_old.iter().enumerate() {
-            old_to_sub[old] = sub;
-        }
-        let sub_adj: Vec<Vec<usize>> = elim_old
-            .iter()
-            .map(|&old| {
-                full_adj[old]
-                    .iter()
-                    .filter_map(|&w| {
-                        let s = old_to_sub[w];
-                        (s != usize::MAX).then_some(s)
-                    })
-                    .collect()
+        // Adjacency of the symmetrized pattern, restricted to the block.
+        let sub_adj: Vec<Vec<usize>> = a
+            .symmetrized_pattern()
+            .into_iter()
+            .zip(&sub_of)
+            .filter(|&(_, &sub)| sub != usize::MAX)
+            .map(|(nbrs, _)| {
+                let sub_nbrs = nbrs.into_iter().map(|w| sub_of[w]);
+                sub_nbrs.filter(|&w| w != usize::MAX).collect()
             })
             .collect();
-        let sub_perm = compute_ordering(&sub_adj, ordering); // perm[new_sub] = old_sub
+        let sub_perm = compute_ordering(&sub_adj, ordering); // perm[new] = sub
 
-        // First-stage permutation: ordered eliminated vars, then Schur vars.
-        let mut perm1: Vec<usize> = sub_perm.iter().map(|&s| elim_old[s]).collect();
-        perm1.extend(schur_vars.iter().copied());
-
-        // Pattern in perm1 space, restricted to the leading block for the
-        // elimination tree.
-        let mut inv1 = vec![0usize; n];
-        for (new, &old) in perm1.iter().enumerate() {
-            inv1[old] = new;
+        // The block in the ordering's index space, for the elimination tree.
+        let mut pos1 = vec![0usize; ne];
+        for (new, &sub) in sub_perm.iter().enumerate() {
+            pos1[sub] = new;
         }
-        let adj1: Vec<Vec<usize>> = (0..ne)
-            .map(|new| {
-                let old = perm1[new];
-                let mut l: Vec<usize> = full_adj[old]
-                    .iter()
-                    .map(|&w| inv1[w])
-                    .filter(|&w| w < ne)
-                    .collect();
+        let adj1: Vec<Vec<usize>> = sub_perm
+            .iter()
+            .map(|&sub| {
+                let mut l: Vec<usize> = sub_adj[sub].iter().map(|&w| pos1[w]).collect();
                 l.sort_unstable();
                 l
             })
@@ -163,13 +141,8 @@ impl SymbolicFactorization {
         let post = postorder(&parent);
         let counts = column_counts(&adj1, &parent, &post);
 
-        // Compose postorder into the final permutation of eliminated vars.
-        let mut perm: Vec<usize> = post.iter().map(|&p| perm1[p]).collect();
-        perm.extend(schur_vars.iter().copied());
-        let mut iperm = vec![0usize; n];
-        for (new, &old) in perm.iter().enumerate() {
-            iperm[old] = new;
-        }
+        // Compose postorder into the final order of the eliminated block.
+        let order: Vec<usize> = post.iter().map(|&p| sub_perm[p]).collect();
 
         // Re-map tree/counts into postorder positions.
         let mut pos_of = vec![0usize; ne];
@@ -187,22 +160,6 @@ impl SymbolicFactorization {
             })
             .collect();
         let counts_p: Vec<usize> = post.iter().map(|&j| counts[j]).collect();
-
-        // Final adjacency (full n, in final permuted space) for row-structure
-        // computation — only entries with row ≥ col within columns < ne are
-        // needed, plus Schur rows.
-        let adj_final: Vec<Vec<usize>> = (0..ne)
-            .map(|new| {
-                let old = perm[new];
-                let mut l: Vec<usize> = full_adj[old]
-                    .iter()
-                    .map(|&w| iperm[w])
-                    .filter(|&w| w > new)
-                    .collect();
-                l.sort_unstable();
-                l
-            })
-            .collect();
 
         // Fundamental supernodes on the postordered tree.
         let mut nchildren = vec![0usize; ne];
@@ -224,20 +181,223 @@ impl SymbolicFactorization {
         }
         sn_start.push(ne);
 
-        let (supernodes, sn_of_col) = build(&sn_start, &adj_final, n);
-
-        let factor_entries = supernodes.iter().map(|s| s.width() * s.front_size()).sum();
+        // Each final position's eliminated neighbours beyond it.
+        let mut at = vec![0usize; ne];
+        for (new, &sub) in order.iter().enumerate() {
+            at[sub] = new;
+        }
+        let mut later = LaterAdjacency {
+            ptr: Vec::with_capacity(ne + 1),
+            idx: Vec::new(),
+        };
+        later.ptr.push(0);
+        for (new, &sub) in order.iter().enumerate() {
+            let from = later.idx.len();
+            later
+                .idx
+                .extend(sub_adj[sub].iter().map(|&w| at[w]).filter(|&w| w > new));
+            later.idx[from..].sort_unstable();
+            later.ptr.push(later.idx.len());
+        }
 
         Ok(Self {
+            colptr,
+            rowidx,
+            order,
+            later,
+            sn_start,
+        })
+    }
+
+    /// Number of eliminated variables.
+    pub fn n_elim(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The symbolic analysis of `a` with Schur variables `schur_vars` on
+    /// this structure: [`SymbolicFactorization::analyze`]`(a, schur_vars,
+    /// ordering)` field for field, where `ordering` is the structure's. `a`'s
+    /// eliminated block (every variable not in `schur_vars`, in index order)
+    /// must have the pattern the structure was built on —
+    /// [`Error::PatternMismatch`] otherwise, or
+    /// [`Error::DimensionMismatch`] when it has another order.
+    pub fn extend<T: Scalar>(
+        &self,
+        a: &Csc<T>,
+        schur_vars: &[usize],
+    ) -> Result<SymbolicFactorization> {
+        self.extend_with(a, schur_vars, build_supernodes)
+    }
+
+    /// [`Self::extend`] with the supernode row-structure stage passed in
+    /// (tests run the `BTreeSet` reference through the same analysis).
+    fn extend_with<T: Scalar>(
+        &self,
+        a: &Csc<T>,
+        schur_vars: &[usize],
+        build: SupernodeBuilder,
+    ) -> Result<SymbolicFactorization> {
+        let (elim_old, sub_of) = eliminated(a, schur_vars)?;
+        let (n, ne) = (a.nrows, self.n_elim());
+        if elim_old.len() != ne {
+            return Err(Error::DimensionMismatch {
+                context: "elimination structure extension",
+                expected: (ne, ne),
+                got: (elim_old.len(), elim_old.len()),
+            });
+        }
+        for (j, &old) in elim_old.iter().enumerate() {
+            let built = &self.rowidx[self.colptr[j]..self.colptr[j + 1]];
+            if !block_rows(a, old, &sub_of).eq(built.iter().copied()) {
+                return Err(Error::PatternMismatch {
+                    context: "elimination structure extension",
+                    column: old,
+                });
+            }
+        }
+
+        let mut perm: Vec<usize> = self.order.iter().map(|&sub| elim_old[sub]).collect();
+        perm.extend_from_slice(schur_vars);
+        let mut iperm = vec![0usize; n];
+        for (new, &old) in perm.iter().enumerate() {
+            iperm[old] = new;
+        }
+
+        // The coupling entries, as (eliminated, Schur) final-position pairs
+        // of the symmetrized pattern.
+        let mut coupling = Vec::new();
+        for c in 0..n {
+            let c_elim = sub_of[c] != usize::MAX;
+            for &r in a.col(c).0 {
+                if (sub_of[r] != usize::MAX) != c_elim {
+                    let (e, s) = if c_elim { (c, r) } else { (r, c) };
+                    coupling.push((iperm[e], iperm[s]));
+                }
+            }
+        }
+        coupling.sort_unstable();
+        coupling.dedup();
+
+        // Every eliminated column's neighbours beyond it: the eliminated
+        // ones, then the Schur ones (every Schur position is beyond them).
+        let mut adj = LaterAdjacency {
+            ptr: Vec::with_capacity(ne + 1),
+            idx: Vec::with_capacity(self.later.idx.len() + coupling.len()),
+        };
+        adj.ptr.push(0);
+        let mut pairs = coupling.iter().peekable();
+        for new in 0..ne {
+            adj.idx.extend_from_slice(self.later.cols(new..new + 1));
+            while let Some(&(_, s)) = pairs.next_if(|&&(e, _)| e == new) {
+                adj.idx.push(s);
+            }
+            adj.ptr.push(adj.idx.len());
+        }
+
+        let (supernodes, sn_of_col) = build(&self.sn_start, &adj, n);
+        let factor_entries = supernodes.iter().map(|s| s.width() * s.front_size()).sum();
+
+        Ok(SymbolicFactorization {
             n,
             n_elim: ne,
-            n_schur: ns,
+            n_schur: schur_vars.len(),
             perm,
             iperm,
             supernodes,
             sn_of_col,
             factor_entries,
         })
+    }
+}
+
+/// The eliminated variables of a square `a` whose Schur variables are
+/// `schur_vars`, in index order, and every variable's place among them
+/// (`usize::MAX` for a Schur variable).
+fn eliminated<T: Scalar>(a: &Csc<T>, schur_vars: &[usize]) -> Result<(Vec<usize>, Vec<usize>)> {
+    if a.nrows != a.ncols {
+        return Err(Error::DimensionMismatch {
+            context: "symbolic analysis",
+            expected: (a.nrows, a.nrows),
+            got: (a.nrows, a.ncols),
+        });
+    }
+    let n = a.nrows;
+    let mut sub_of = vec![0usize; n];
+    for &s in schur_vars {
+        if s >= n || sub_of[s] == usize::MAX {
+            return Err(Error::InvalidConfig(format!(
+                "invalid or duplicate Schur variable {s}"
+            )));
+        }
+        sub_of[s] = usize::MAX;
+    }
+    let mut elim_old = Vec::with_capacity(n - schur_vars.len());
+    for (v, sub) in sub_of.iter_mut().enumerate() {
+        if *sub != usize::MAX {
+            *sub = elim_old.len();
+            elim_old.push(v);
+        }
+    }
+    Ok((elim_old, sub_of))
+}
+
+/// The rows of column `old` of `a` inside the eliminated block, in the
+/// block's own index space (`sub_of` from [`eliminated`]).
+fn block_rows<'a, T: Scalar>(
+    a: &'a Csc<T>,
+    old: usize,
+    sub_of: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    a.col(old)
+        .0
+        .iter()
+        .map(|&r| sub_of[r])
+        .filter(|&s| s != usize::MAX)
+}
+
+/// Strictly-later adjacency of the eliminated columns in the final permuted
+/// space, compressed by column: column `j`'s sorted neighbours beyond it are
+/// `idx[ptr[j]..ptr[j + 1]]`.
+#[derive(Debug, Clone)]
+struct LaterAdjacency {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
+}
+
+impl LaterAdjacency {
+    /// Number of columns.
+    fn len(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// The neighbours of the columns `cols`, column after column.
+    fn cols(&self, cols: std::ops::Range<usize>) -> &[usize] {
+        &self.idx[self.ptr[cols.start]..self.ptr[cols.end]]
+    }
+}
+
+/// Cap on supernode width.
+const MAX_SN_WIDTH: usize = 128;
+
+/// Relaxed amalgamation: merge a child supernode into its parent when the
+/// merged width stays below this and the padding stays modest.
+const AMALG_WIDTH: usize = 32;
+const AMALG_FILL_FRAC: f64 = 0.25;
+
+impl SymbolicFactorization {
+    /// Analyze `a` (square, structurally symmetric pattern assumed — pass
+    /// the symmetrized pattern for unsymmetric matrices). `schur_vars` lists
+    /// the original indices never to eliminate.
+    ///
+    /// [`EliminationStructure::analyze`] then [`EliminationStructure::extend`]
+    /// on the same matrix: a caller analyzing several matrices that share
+    /// their eliminated block builds the structure once and extends it.
+    pub fn analyze<T: Scalar>(
+        a: &Csc<T>,
+        schur_vars: &[usize],
+        ordering: OrderingKind,
+    ) -> Result<Self> {
+        EliminationStructure::analyze(a, schur_vars, ordering)?.extend(a, schur_vars)
     }
 
     /// Deterministic upper bound on the bytes one numeric
@@ -352,14 +512,14 @@ impl SymbolicFactorization {
 /// `sn_start` (last entry `n_elim`), the strictly-lower adjacency of every
 /// eliminated column in the final permuted space and the matrix order `n`,
 /// to the amalgamated supernodes and the supernode of each column.
-type SupernodeBuilder = fn(&[usize], &[Vec<usize>], usize) -> (Vec<SupernodeInfo>, Vec<usize>);
+type SupernodeBuilder = fn(&[usize], &LaterAdjacency, usize) -> (Vec<SupernodeInfo>, Vec<usize>);
 
 /// Supernode row sets bottom-up (supernodes are postordered), then relaxed
 /// amalgamation. A front's rows are its pivot columns followed by the
 /// distinct rows beyond them — gathered through a stamp array, then sorted.
 fn build_supernodes(
     sn_start: &[usize],
-    adj_final: &[Vec<usize>],
+    adj_final: &LaterAdjacency,
     n: usize,
 ) -> (Vec<SupernodeInfo>, Vec<usize>) {
     let ne = adj_final.len();
@@ -387,11 +547,7 @@ fn build_supernodes(
                 rows.push(r);
             }
         };
-        adj_final[c0..c1]
-            .iter()
-            .flatten()
-            .copied()
-            .for_each(&mut add);
+        adj_final.cols(c0..c1).iter().copied().for_each(&mut add);
         // Children contribution rows.
         for &ci in &children[s] {
             let child = &supernodes[ci];
@@ -558,7 +714,7 @@ mod tests {
     /// [`build_supernodes`] is held equal to.
     fn build_supernodes_btreeset(
         sn_start: &[usize],
-        adj_final: &[Vec<usize>],
+        adj_final: &LaterAdjacency,
         _n: usize,
     ) -> (Vec<SupernodeInfo>, Vec<usize>) {
         use std::collections::BTreeSet;
@@ -582,7 +738,7 @@ mod tests {
             let (c0, c1) = (sn_start[s], sn_start[s + 1]);
             let mut set: BTreeSet<usize> = (c0..c1).collect();
             for j in c0..c1 {
-                set.extend(adj_final[j].iter().filter(|&&i| i >= c0));
+                set.extend(adj_final.cols(j..j + 1).iter().filter(|&&i| i >= c0));
             }
             for &ci in &children[s] {
                 let child = &sns[ci];
@@ -647,13 +803,10 @@ mod tests {
         fn check<T: Scalar>(what: &str, a: &Csc<T>, schur_vars: &[usize]) {
             for kind in [OrderingKind::NestedDissection, OrderingKind::Rcm] {
                 let new = SymbolicFactorization::analyze(a, schur_vars, kind).unwrap();
-                let old = SymbolicFactorization::analyze_with(
-                    a,
-                    schur_vars,
-                    kind,
-                    build_supernodes_btreeset,
-                )
-                .unwrap();
+                let old = EliminationStructure::analyze(a, schur_vars, kind)
+                    .unwrap()
+                    .extend_with(a, schur_vars, build_supernodes_btreeset)
+                    .unwrap();
                 validate_symbolic(&new);
                 assert_eq!(new.sn_of_col, old.sn_of_col, "{what}/{kind:?}: column map");
                 assert_eq!(new.factor_entries, old.factor_entries, "{what}/{kind:?}");
@@ -701,6 +854,106 @@ mod tests {
         check_coupled("pipe", &local!(p.a_vv), &local!(p.a_vs), &local!(p.a_sv));
         let p = csolve_fembem::industrial_problem::<csolve_common::C64>(2_000);
         check_coupled(
+            "industrial",
+            &local!(p.a_vv),
+            &local!(p.a_vs),
+            &local!(p.a_sv),
+        );
+    }
+
+    /// Field for field equality of two analyses.
+    fn assert_same_analysis(what: &str, x: &SymbolicFactorization, y: &SymbolicFactorization) {
+        assert_eq!(
+            (x.n, x.n_elim, x.n_schur),
+            (y.n, y.n_elim, y.n_schur),
+            "{what}"
+        );
+        assert_eq!(x.perm, y.perm, "{what}: perm");
+        assert_eq!(x.iperm, y.iperm, "{what}: iperm");
+        assert_eq!(x.sn_of_col, y.sn_of_col, "{what}: column map");
+        assert_eq!(x.factor_entries, y.factor_entries, "{what}: factor entries");
+        assert_eq!(x.supernodes.len(), y.supernodes.len(), "{what}");
+        for (s, (a, b)) in x.supernodes.iter().zip(&y.supernodes).enumerate() {
+            assert_eq!(
+                (a.c0, a.c1, a.parent, &a.rows),
+                (b.c0, b.c1, b.parent, &b.rows),
+                "{what}: supernode {s}"
+            );
+        }
+    }
+
+    /// One elimination structure built on `A_vv` extends to `A_vv` and to
+    /// every stacked tile `W` of an `n_b × n_b` grid — square, short-edge
+    /// and rectangular, both triangles — as the fresh analysis of that very
+    /// matrix: on the symmetric pipe and the unsymmetric industrial problem,
+    /// for n_b = 1…4. A matrix whose eliminated block has another pattern is
+    /// refused.
+    #[test]
+    fn an_extended_analysis_is_the_fresh_analysis_of_every_tile() {
+        fn check<T: Scalar>(what: &str, a_vv: &Csc<T>, a_vs: &Csc<T>, a_sv: &Csc<T>) {
+            let kind = OrderingKind::NestedDissection;
+            let elim = EliminationStructure::analyze(a_vv, &[], kind).unwrap();
+            assert_eq!(elim.n_elim(), a_vv.nrows);
+            let fresh = SymbolicFactorization::analyze(a_vv, &[], kind).unwrap();
+            assert_same_analysis(
+                &format!("{what} A_vv"),
+                &elim.extend(a_vv, &[]).unwrap(),
+                &fresh,
+            );
+            let ns = a_sv.nrows;
+            for n_b in 1..=4 {
+                let blk = ns.div_ceil(n_b);
+                let ranges: Vec<_> = (0..n_b).map(|b| b * blk..((b + 1) * blk).min(ns)).collect();
+                for rows in &ranges {
+                    for cols in &ranges {
+                        let (w, schur_vars) =
+                            stacked_tile(a_vv, a_vs, a_sv, rows.clone(), cols.clone());
+                        let fresh = SymbolicFactorization::analyze(&w, &schur_vars, kind).unwrap();
+                        validate_symbolic(&fresh);
+                        assert_same_analysis(
+                            &format!("{what} n_b = {n_b}, W[{rows:?}, {cols:?}]"),
+                            &elim.extend(&w, &schur_vars).unwrap(),
+                            &fresh,
+                        );
+                    }
+                }
+            }
+
+            // One entry more in the eliminated block, or one variable less.
+            let (w, schur_vars) = stacked_tile(a_vv, a_vs, a_sv, 0..ns, 0..ns);
+            let mut coo = Coo::new(w.nrows, w.ncols);
+            for j in 0..w.ncols {
+                for (&i, &v) in w.col(j).0.iter().zip(w.col(j).1) {
+                    coo.push(i, j, v);
+                }
+            }
+            let (i, j) = (0..a_vv.nrows)
+                .flat_map(|j| (0..a_vv.nrows).map(move |i| (i, j)))
+                .find(|&(i, j)| !a_vv.col(j).0.contains(&i))
+                .unwrap();
+            coo.push(i, j, T::ONE);
+            let err = elim.extend(&coo.to_csc(), &schur_vars).unwrap_err();
+            assert_eq!(
+                err,
+                Error::PatternMismatch {
+                    context: "elimination structure extension",
+                    column: j
+                },
+                "{what}"
+            );
+            let mut fewer = schur_vars.clone();
+            fewer.push(0);
+            let err = elim.extend(&w, &fewer).unwrap_err();
+            assert!(
+                matches!(err, Error::DimensionMismatch { .. }),
+                "{what}: {err}"
+            );
+        }
+
+        let p = csolve_fembem::pipe_problem::<f64>(2_500);
+        check("pipe", &local!(p.a_vv), &local!(p.a_vs), &local!(p.a_sv));
+        let p = csolve_fembem::industrial_problem::<csolve_common::C64>(2_000);
+        check(
             "industrial",
             &local!(p.a_vv),
             &local!(p.a_vs),
